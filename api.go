@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"cellnpdp/internal/cellsim"
+	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/npdp"
 	"cellnpdp/internal/pager"
 	"cellnpdp/internal/perfmodel"
@@ -150,9 +151,12 @@ type Options struct {
 	// and only a working set of roughly MemoryBudget bytes of blocks
 	// stays resident (clamped up to the minimum the worker count needs).
 	// The budget is soft — disk failures degrade to residency growth
-	// rather than data loss. Incompatible with CheckpointPath/ResumePath
-	// (the committed spill index is the checkpoint), FaultRate, and
-	// AuditEvery; Serial and Cell reject it.
+	// rather than data loss. The spill file is one block store under the
+	// same executor, so FaultRate, MaxRetries, AuditEvery, Heal and
+	// SchedSide all apply; only CheckpointPath/ResumePath are rejected
+	// (the committed spill index is the checkpoint), a paged solve never
+	// degrades to the in-memory Tiled engine, and Serial and Cell reject
+	// it.
 	MemoryBudget int64
 	// SpillPath locates the spill data file (its index rides beside it at
 	// SpillPath+".idx"). Empty means a private temp file removed after
@@ -197,10 +201,11 @@ type Result struct {
 	Degraded       bool
 	DegradedReason string
 	// ResumedTasks is the number of scheduler tasks restored from the
-	// checkpoint instead of recomputed (Parallel resume only).
+	// checkpoint or the committed spill index instead of recomputed.
 	ResumedTasks int
 	// CorruptBlocks is the number of block-seal mismatches audits
-	// detected (sealing engines only).
+	// detected (sealing engines only) plus the corrupt final pages a paged
+	// solve healed.
 	CorruptBlocks int
 	// HealRounds is the number of poisoned-cone recompute rounds run.
 	HealRounds int
@@ -333,9 +338,6 @@ func SolveCtx[E Elem](ctx context.Context, t *Table[E], opts Options) (*Result, 
 		if opts.CheckpointPath != "" || opts.ResumePath != "" {
 			return nil, fmt.Errorf("cellnpdp: MemoryBudget is incompatible with CheckpointPath/ResumePath — the committed spill index is the checkpoint (resume with ResumeSpill)")
 		}
-		if opts.FaultRate > 0 || opts.AuditEvery > 0 {
-			return nil, fmt.Errorf("cellnpdp: MemoryBudget is incompatible with FaultRate/AuditEvery (use DiskFaultRate; page-in CRC checks replace the seal audit)")
-		}
 		if opts.ResumeSpill && opts.SpillPath == "" {
 			return nil, fmt.Errorf("cellnpdp: ResumeSpill requires SpillPath")
 		}
@@ -368,32 +370,21 @@ func SolveCtx[E Elem](ctx context.Context, t *Table[E], opts Options) (*Result, 
 			return nil, err
 		}
 		res.Relaxations = relax
-	case Tiled:
-		if paged {
-			relax, err := solvePaged(ctx, t, res, tile, 1, opts, diskFaultKinds)
+	case Tiled, Parallel:
+		if opts.Engine == Tiled && !paged {
+			tt := tri.ToTiled(t.rm, tile)
+			st, err := npdp.SolveTiledCtx(ctx, tt)
 			if err != nil {
 				return nil, err
 			}
-			res.Relaxations = relax
+			res.Relaxations = st.Relaxations()
+			tri.Copy[E](tri.Table[E](t.rm), tt)
 			break
 		}
-		tt := tri.ToTiled(t.rm, tile)
-		st, err := npdp.SolveTiledCtx(ctx, tt)
-		if err != nil {
-			return nil, err
+		if opts.Engine == Tiled {
+			workers = 1 // the out-of-core Tiled engine is the executor on one worker
 		}
-		res.Relaxations = st.Relaxations()
-		tri.Copy[E](tri.Table[E](t.rm), tt)
-	case Parallel:
-		if paged {
-			relax, err := solvePaged(ctx, t, res, tile, workers, opts, diskFaultKinds)
-			if err != nil {
-				return nil, err
-			}
-			res.Relaxations = relax
-			break
-		}
-		relax, err := solveParallel(ctx, t, res, tile, workers, schedSide, opts, faultKinds)
+		relax, err := solveStore(ctx, t, res, tile, workers, schedSide, paged, opts, faultKinds, diskFaultKinds)
 		if err != nil {
 			return nil, err
 		}
@@ -446,15 +437,23 @@ func SolveCtx[E Elem](ctx context.Context, t *Table[E], opts Options) (*Result, 
 	return res, nil
 }
 
-// solveParallel runs the Parallel engine with the fault-tolerance layer:
-// optional resume from a checkpoint, retry and fault-injection policies,
-// and — unless disabled — graceful degradation to the serial Tiled
-// engine when the parallel compute layer fails. The row-major source is
-// only overwritten after a successful solve, so degradation always
-// restarts from clean input.
-func solveParallel[E Elem](ctx context.Context, t *Table[E], res *Result, tile, workers, schedSide int, opts Options, faultKinds []resilience.FaultKind) (int64, error) {
-	tt := tri.ToTiled(t.rm, tile)
+// solveStore runs the one executor path behind the Parallel engine and
+// every out-of-core solve: it builds the block store (an in-memory
+// MemStore, or a pager under MemoryBudget), restores any checkpoint or
+// spill state into it, and runs npdp.SolveStoreCtx with the
+// fault-tolerance options, which combine freely. The row-major source is
+// only overwritten after a successful solve, so an in-memory failure can
+// degrade to the serial Tiled engine from clean input (unless
+// NoFallback), and a paged failure leaves the caller's table untouched
+// and — with a named SpillPath — the committed spill index on disk for
+// ResumeSpill. Paged solves never degrade: the Tiled engine would hold
+// the whole table and break the budget.
+func solveStore[E Elem](ctx context.Context, t *Table[E], res *Result, tile, workers, schedSide int, paged bool, opts Options, faultKinds []resilience.FaultKind, diskFaultKinds []pager.DiskFaultKind) (int64, error) {
 	hs := &resilience.HealStats{}
+	defer func() { // the ladder's counters reach the Result on every path
+		res.CorruptBlocks, res.HealRounds = hs.CorruptBlocks, hs.HealRounds
+		res.RecomputedTasks, res.HealFallback = hs.RecomputedTasks, hs.CheckpointFallback
+	}()
 	popts := npdp.ParallelOptions{
 		Workers:         workers,
 		SchedSide:       schedSide,
@@ -465,6 +464,7 @@ func solveParallel[E Elem](ctx context.Context, t *Table[E], res *Result, tile, 
 		HealAttempts:    opts.HealAttempts,
 		AuditEvery:      opts.AuditEvery,
 		HealStats:       hs,
+		Logf:            opts.Logf,
 	}
 	if opts.MaxRetries > 0 {
 		popts.Retry = resilience.RetryPolicy{
@@ -477,52 +477,53 @@ func solveParallel[E Elem](ctx context.Context, t *Table[E], res *Result, tile, 
 	if opts.FaultRate > 0 {
 		popts.Inject = &resilience.Injector{Rate: opts.FaultRate, Seed: opts.FaultSeed, Kinds: faultKinds}
 	}
-	if opts.ResumePath != "" {
-		// A crash between writing a snapshot temp and renaming it leaves
-		// a `.tmp` orphan beside the checkpoint; resume is the natural
-		// point to sweep them (the live checkpoint is never touched).
-		if _, err := resilience.RemoveStaleTemps(opts.ResumePath); err != nil && opts.Logf != nil {
-			opts.Logf("cellnpdp: %v", err)
-		}
-		ck, err := resilience.LoadCheckpointFile[E](opts.ResumePath)
+	var store npdp.BlockStore[E]
+	var p *pager.Pager[E]
+	var tt *tri.Tiled[E]
+	var err error
+	if paged {
+		res.Paged = true
+		var cleanup func()
+		p, cleanup, err = openPager(t, tile, workers, opts, diskFaultKinds)
 		if err != nil {
 			return 0, err
 		}
-		if err := ck.Matches(t.Len(), tile, schedSide); err != nil {
-			return 0, err
-		}
-		graph, err := sched.NewGraph(tt.Blocks(), schedSide)
-		if err != nil {
-			return 0, err
-		}
-		if len(ck.Done) != len(graph.Tasks) {
-			return 0, fmt.Errorf("cellnpdp: checkpoint records %d tasks, solve schedules %d", len(ck.Done), len(graph.Tasks))
-		}
-		// Every task the bitmap marks done must have all its memory
-		// blocks in the snapshot, or resuming would trust stale cells.
-		for id, d := range ck.Done {
-			if !d {
-				continue
+		// Close (deferred) commits the index, so a graceful failure with
+		// a named SpillPath is resumable.
+		defer cleanup()
+		store = p
+		if opts.ResumeSpill {
+			graph, err := sched.NewGraph(p.Blocks(), schedSide)
+			if err != nil {
+				return 0, err
 			}
-			for _, mb := range graph.Tasks[id].MemoryBlockOrder() {
-				if !ck.HasBlock(mb[0], mb[1]) {
-					return 0, fmt.Errorf("cellnpdp: checkpoint marks task %d done but lacks memory block (%d,%d)", id, mb[0], mb[1])
+			for _, done := range npdp.Completed[E](p, graph) {
+				if done {
+					res.ResumedTasks++
 				}
 			}
 		}
-		if err := ck.Apply(tt); err != nil {
-			return 0, err
+	} else {
+		tt = tri.ToTiled(t.rm, tile)
+		store = npdp.NewMemStore(tt, opts.Heal)
+		if opts.ResumePath != "" {
+			if res.ResumedTasks, err = resumeCheckpoint(store, t.Len(), tile, schedSide, opts); err != nil {
+				return 0, err
+			}
 		}
-		popts.Completed = ck.Done
-		res.ResumedTasks = ck.DoneCount()
 	}
-	st, err := npdp.SolveParallelCtx(ctx, tt, popts)
-	res.CorruptBlocks = hs.CorruptBlocks
-	res.HealRounds = hs.HealRounds
-	res.RecomputedTasks = hs.RecomputedTasks
-	res.HealFallback = hs.CheckpointFallback
+	var st kernel.Stats
+	if paged {
+		tt, st, err = npdp.SolvePagedTableCtx(ctx, p, popts)
+		// Read after materialization — the final page-ins are disk
+		// traffic the bound comparison must see.
+		stats := p.Stats()
+		res.PagerStats = &stats
+	} else {
+		st, err = npdp.SolveStoreCtx(ctx, store, popts)
+	}
 	if err != nil {
-		if !degradable(err) || opts.NoFallback {
+		if paged || !degradable(err) || opts.NoFallback {
 			return 0, err
 		}
 		if opts.Logf != nil {
@@ -530,8 +531,7 @@ func solveParallel[E Elem](ctx context.Context, t *Table[E], res *Result, tile, 
 		}
 		res.Degraded, res.DegradedReason = true, err.Error()
 		tt = tri.ToTiled(t.rm, tile)
-		st, err = npdp.SolveTiledCtx(ctx, tt)
-		if err != nil {
+		if st, err = npdp.SolveTiledCtx(ctx, tt); err != nil {
 			return 0, err
 		}
 	}
@@ -539,15 +539,35 @@ func solveParallel[E Elem](ctx context.Context, t *Table[E], res *Result, tile, 
 	return st.Relaxations(), nil
 }
 
-// solvePaged runs a solve out of core through the crash-consistent block
-// pager: the NDL table is spilled to a CRC-sealed, versioned file and
-// only a MemoryBudget-sized working set stays resident. The row-major
-// source is only overwritten after a successful solve (materialized from
-// the pager), so any failure leaves the caller's table untouched and —
-// with a named SpillPath — the committed spill index on disk for
-// ResumeSpill.
-func solvePaged[E Elem](ctx context.Context, t *Table[E], res *Result, tile, workers int, opts Options, diskFaultKinds []pager.DiskFaultKind) (int64, error) {
-	res.Paged = true
+// resumeCheckpoint loads and validates the checkpoint at
+// opts.ResumePath and applies it to the store, returning the number of
+// tasks it restored.
+func resumeCheckpoint[E Elem](store npdp.BlockStore[E], n, tile, schedSide int, opts Options) (int, error) {
+	// A crash between writing a snapshot temp and renaming it leaves a
+	// `.tmp` orphan beside the checkpoint; resume is the natural point to
+	// sweep them (the live checkpoint is never touched).
+	if _, err := resilience.RemoveStaleTemps(opts.ResumePath); err != nil && opts.Logf != nil {
+		opts.Logf("cellnpdp: %v", err)
+	}
+	ck, err := resilience.LoadCheckpointFile[E](opts.ResumePath)
+	if err != nil {
+		return 0, err
+	}
+	if err := ck.Matches(n, tile, schedSide); err != nil {
+		return 0, err
+	}
+	graph, err := sched.NewGraph(store.Blocks(), schedSide)
+	if err != nil {
+		return 0, err
+	}
+	return npdp.ApplyCheckpoint(store, graph, ck, opts.Logf)
+}
+
+// openPager creates (or, under ResumeSpill, reopens) the spill-backed
+// block store for a paged solve: the NDL table lives in a CRC-sealed,
+// versioned file and only a MemoryBudget-sized working set stays
+// resident. cleanup closes the pager and removes a private spill file.
+func openPager[E Elem](t *Table[E], tile, workers int, opts Options, diskFaultKinds []pager.DiskFaultKind) (*pager.Pager[E], func(), error) {
 	elem := int64(precisionOf[E]().ElemBytes())
 	frameBytes := int64(tile)*int64(tile)*elem + 4
 	frames := int(opts.MemoryBudget / frameBytes)
@@ -567,12 +587,13 @@ func solvePaged[E Elem](ctx context.Context, t *Table[E], res *Result, tile, wor
 		popts.Faults = &pager.DiskFaults{Rate: opts.DiskFaultRate, Seed: opts.DiskFaultSeed, Kinds: diskFaultKinds}
 	}
 	path := opts.SpillPath
+	removeDir := func() {}
 	if path == "" {
 		dir, err := os.MkdirTemp("", "cellnpdp-spill-")
 		if err != nil {
-			return 0, fmt.Errorf("cellnpdp: spill temp dir: %w", err)
+			return nil, nil, fmt.Errorf("cellnpdp: spill temp dir: %w", err)
 		}
-		defer os.RemoveAll(dir)
+		removeDir = func() { os.RemoveAll(dir) }
 		path = filepath.Join(dir, "solve.npsp")
 	}
 	var p *pager.Pager[E]
@@ -580,54 +601,20 @@ func solvePaged[E Elem](ctx context.Context, t *Table[E], res *Result, tile, wor
 	if opts.ResumeSpill {
 		p, err = pager.Open[E](path, popts)
 		if err != nil {
-			return 0, fmt.Errorf("cellnpdp: resume spill: %w", err)
+			return nil, nil, fmt.Errorf("cellnpdp: resume spill: %w", err)
 		}
 		if p.Len() != t.Len() || p.Tile() != tile {
 			p.Close()
-			return 0, fmt.Errorf("cellnpdp: spill file is an n=%d tile=%d instance, solve wants n=%d tile=%d", p.Len(), p.Tile(), t.Len(), tile)
+			return nil, nil, fmt.Errorf("cellnpdp: spill file is an n=%d tile=%d instance, solve wants n=%d tile=%d", p.Len(), p.Tile(), t.Len(), tile)
 		}
 	} else {
-		tt := tri.ToTiled(t.rm, tile)
-		p, err = pager.Create(path, tt, popts)
+		p, err = pager.Create(path, tri.ToTiled(t.rm, tile), popts)
 		if err != nil {
-			return 0, fmt.Errorf("cellnpdp: create spill: %w", err)
+			removeDir()
+			return nil, nil, fmt.Errorf("cellnpdp: create spill: %w", err)
 		}
 	}
-	defer p.Close()
-	if opts.ResumeSpill {
-		m := p.Blocks()
-		for bi := 0; bi < m; bi++ {
-			for bj := bi; bj < m; bj++ {
-				if p.IsFinal(bi, bj) {
-					res.ResumedTasks++
-				}
-			}
-		}
-	}
-	st, err := npdp.SolvePagedCtx(ctx, p, npdp.PagedOptions{
-		Workers:      workers,
-		Resume:       opts.ResumeSpill,
-		HealAttempts: opts.HealAttempts,
-		Logf:         opts.Logf,
-	})
-	stats := p.Stats()
-	res.PagerStats = &stats
-	res.HealRounds = int(stats.PageHeals)
-	if err != nil {
-		// Close (deferred) commits the index, so a graceful failure with a
-		// named SpillPath is resumable; the caller's table is untouched.
-		return 0, err
-	}
-	out := tri.NewTiled[E](t.Len(), tile)
-	if err := p.Materialize(out); err != nil {
-		return 0, fmt.Errorf("cellnpdp: materialize solved table: %w", err)
-	}
-	// Refresh the stats after materialization — the final page-ins are
-	// disk traffic the bound comparison must see.
-	stats = p.Stats()
-	res.PagerStats = &stats
-	tri.Copy[E](tri.Table[E](t.rm), out)
-	return st.Relaxations(), nil
+	return p, func() { p.Close(); removeDir() }, nil
 }
 
 // degradable reports whether a parallel failure is a compute-layer fault

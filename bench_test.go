@@ -13,6 +13,7 @@ import (
 	"cellnpdp/internal/cellsim"
 	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/npdp"
+	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/pipeline"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/simd"
@@ -599,7 +600,7 @@ func BenchmarkAblationPanel_CBStep(b *testing.B)  { benchStage1(b, kernel.MulMin
 // BenchmarkAblationEngine runs the whole parallel engine at the Fig-10b
 // scale in the seed configuration (mutex pool + CB-step stage 1) and the
 // PR-1 configuration (lock-free pool + panel stage 1); the workers sweep
-// at n=2048 lives in BENCH_PR1.json via scripts/bench.sh.
+// at n=2048 lives in the bench/ module.
 func benchEngineConfig(b *testing.B, opts npdp.ParallelOptions) {
 	src := workload.Chain[float32](1024, 1)
 	b.ResetTimer()
@@ -612,7 +613,7 @@ func benchEngineConfig(b *testing.B, opts npdp.ParallelOptions) {
 }
 
 func BenchmarkAblationEngine_Seed(b *testing.B) {
-	benchEngineConfig(b, npdp.ParallelOptions{Workers: 8, MutexPool: true, NoPanelKernel: true})
+	benchEngineConfig(b, npdp.ParallelOptions{Workers: 8, MutexPool: true, Stage1: perfmodel.KernelScalar})
 }
 
 func BenchmarkAblationEngine_PR1(b *testing.B) {

@@ -7,10 +7,6 @@
 //	benchtables -full           # additionally model the paper's sizes
 //	benchtables -run fig10a     # one experiment
 //	benchtables -list           # list experiment names
-//	benchtables -benchjson BENCH_PR6.json  # engine + kernel sweep → JSON
-//	benchtables -clusterjson BENCH_PR7.json  # loopback cluster vs single process → JSON
-//	benchtables -failoverjson BENCH_PR8.json  # coordinator-kill takeover recovery → JSON
-//	benchtables -pagerjson BENCH_PR9.json  # out-of-core resident sweep + kill recovery → JSON
 //	benchtables -calibrate scripts/kernel_calibration.txt  # per-kernel costs
 package main
 
@@ -36,10 +32,6 @@ func main() {
 		workers = flag.Int("workers", 0, "CPU workers for measured runs (0 = min(GOMAXPROCS, 8))")
 		seed    = flag.Int64("seed", 1, "workload seed")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables (with -run)")
-		bench   = flag.String("benchjson", "", "run the parallel-engine benchmark sweep (workers × engine ablations, -benchmem style) and write the JSON report to this path")
-		cbench  = flag.String("clusterjson", "", "run the loopback-cluster sweep (worker counts + kill recovery, verified bit-identical) and write the JSON report to this path")
-		fbench  = flag.String("failoverjson", "", "run the coordinator-kill warm-standby takeover (verified bit-identical) and write the recovery JSON report to this path")
-		pbench  = flag.String("pagerjson", "", "run the out-of-core resident-set sweep vs the I/O lower bound plus kill-mid-spill recovery (verified bit-identical) and write the JSON report to this path")
 		calib   = flag.String("calibrate", "", "measure this machine's per-kernel stage-1 costs and write the calibration file (normally scripts/kernel_calibration.txt) to this path")
 	)
 	flag.Parse()
@@ -66,34 +58,6 @@ func main() {
 		return
 	}
 	cfg := harness.Config{Full: *full, Workers: *workers, Seed: *seed, Out: os.Stdout}
-	if *bench != "" {
-		if err := harness.WriteBenchJSON(cfg, *bench); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *bench)
-		return
-	}
-	if *cbench != "" {
-		if err := harness.WriteClusterBenchJSON(cfg, *cbench); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *cbench)
-		return
-	}
-	if *fbench != "" {
-		if err := harness.WriteFailoverBenchJSON(cfg, *fbench); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *fbench)
-		return
-	}
-	if *pbench != "" {
-		if err := harness.WriteOutOfCoreBenchJSON(cfg, *pbench); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *pbench)
-		return
-	}
 	if *run != "" {
 		e, ok := harness.Lookup(*run)
 		if !ok {

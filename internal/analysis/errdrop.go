@@ -92,7 +92,7 @@ func watchedCall(fset *token.FileSet, info *types.Info, call *ast.CallExpr) (str
 		return fn.Name(), true
 	}
 	// Functions elsewhere that mint the watched error types directly
-	// (e.g. the npdp healer's corruption constructor).
+	// (e.g. the npdp ladder's corruption constructor).
 	for i := 0; i < sig.Results().Len(); i++ {
 		if isWatchedErrType(fset, sig.Results().At(i).Type()) {
 			return fn.Name(), true

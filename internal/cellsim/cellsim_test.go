@@ -362,48 +362,3 @@ func TestInterChipValidation(t *testing.T) {
 		t.Error("negative InterChipBandwidth accepted")
 	}
 }
-
-func TestMailboxBasics(t *testing.T) {
-	mb, err := NewMailbox(HardwareInboundDepth, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb.Send(7)
-	mb.Send(9)
-	if v, ok := mb.ReadInbound(); !ok || v != 7 {
-		t.Errorf("read = %d,%v", v, ok)
-	}
-	mb.WriteOutbound(42)
-	if v := <-mb.Outbound(); v != 42 {
-		t.Errorf("outbound = %d", v)
-	}
-	mb.CloseInbound()
-	if v, ok := mb.ReadInbound(); !ok || v != 9 {
-		t.Errorf("drain after close = %d,%v", v, ok)
-	}
-	if _, ok := mb.ReadInbound(); ok {
-		t.Error("read after drain should report closed")
-	}
-	if _, err := NewMailbox(0, 1); err == nil {
-		t.Error("zero inbound depth accepted")
-	}
-}
-
-func TestMailboxBlocksWhenFull(t *testing.T) {
-	mb, _ := NewMailbox(1, 1)
-	mb.Send(1)
-	done := make(chan bool)
-	go func() {
-		mb.Send(2) // blocks until the SPU reads
-		done <- true
-	}()
-	select {
-	case <-done:
-		t.Fatal("send did not block on a full inbound queue")
-	default:
-	}
-	if v, _ := mb.ReadInbound(); v != 1 {
-		t.Fatal("wrong first value")
-	}
-	<-done
-}

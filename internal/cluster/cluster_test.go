@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"strings"
@@ -104,6 +105,33 @@ func startWorker(ctx context.Context, t *testing.T, wg *sync.WaitGroup, addr str
 	return cancel
 }
 
+// joinGate wraps logf so the returned channel closes once the
+// coordinator has admitted a worker named name. Tests start their other
+// workers only after it fires, so a worker that dials through a proxy
+// (or is about to be killed) is sure to hold a shard before the fast
+// ones can finish the whole solve without it.
+func joinGate(logf func(string, ...any), name string) (func(string, ...any), <-chan struct{}) {
+	joined := make(chan struct{})
+	var once sync.Once
+	prefix := "cluster: worker " + name + "#"
+	return func(format string, args ...any) {
+		logf(format, args...)
+		if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, prefix) && strings.Contains(line, " joined ") {
+			once.Do(func() { close(joined) })
+		}
+	}, joined
+}
+
+// awaitJoin blocks until joined fires or the test context ends.
+func awaitJoin(ctx context.Context, t *testing.T, joined <-chan struct{}, name string) {
+	t.Helper()
+	select {
+	case <-joined:
+	case <-ctx.Done():
+		t.Fatalf("worker %s never joined: %v", name, ctx.Err())
+	}
+}
+
 // TestClusterMatchesSerial proves the no-fault distributed solve is
 // bit-identical to SolveSerial across worker counts and scheduling-block
 // sides, including shards with multiple workers and g>1 operand streaming.
@@ -163,7 +191,8 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 	var killVictim context.CancelFunc // set before any worker connects
 	opts := testOptions(&stats)
 	opts.Shards = 3
-	opts.Logf = t.Logf
+	var joined <-chan struct{}
+	opts.Logf, joined = joinGate(t.Logf, "victim")
 	opts.OnTaskDone = func(completed int, _ sched.Task) {
 		if completed == 8 {
 			once.Do(func() { go killVictim() })
@@ -172,6 +201,7 @@ func TestClusterSurvivesWorkerKill(t *testing.T) {
 	addr, wait := startCoordinator(ctx, t, tbl, opts)
 	var wg sync.WaitGroup
 	killVictim = startWorker(ctx, t, &wg, addr, WorkerOptions{Name: "victim"})
+	awaitJoin(ctx, t, joined, "victim")
 	for w := 0; w < 2; w++ {
 		startWorker(ctx, t, &wg, addr, WorkerOptions{Name: "survivor"})
 	}
@@ -202,7 +232,8 @@ func TestClusterHeartbeatPartition(t *testing.T) {
 	opts := testOptions(&stats)
 	opts.Shards = 3
 	opts.DeadlineAfter = 400 * time.Millisecond
-	opts.Logf = t.Logf
+	var joined <-chan struct{}
+	opts.Logf, joined = joinGate(t.Logf, "islanded")
 	opts.OnTaskDone = func(completed int, _ sched.Task) {
 		if completed == 6 {
 			once.Do(proxy.Partition)
@@ -223,6 +254,7 @@ func TestClusterHeartbeatPartition(t *testing.T) {
 			return d.DialContext(ctx, "tcp", proxy.Addr())
 		},
 	})
+	awaitJoin(ctx, t, joined, "islanded")
 	for w := 0; w < 2; w++ {
 		startWorker(ctx, t, &wg, addr, WorkerOptions{Name: "mainland"})
 	}

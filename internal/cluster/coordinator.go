@@ -22,14 +22,14 @@ import (
 )
 
 // The coordinator is the PPE of the distributed solve: it owns the
-// authoritative table, the dependence graph, the seal table, and a
-// pristine snapshot (the in-memory level-0 checkpoint — same rationale
-// as the single-process healer: the on-disk NPCK snapshot may already
-// hold corrupted bytes, the pristine clone cannot). Workers hold no
-// authoritative state at all; everything a worker computes only becomes
-// real when its result blocks pass the seal audit at install time.
+// authoritative table (an npdp.BlockStore — in memory, or the spill
+// pager), the dependence graph, and the shared recovery npdp.Ladder
+// (seals, per-block heal budget). Workers hold no authoritative state at
+// all; everything a worker computes only becomes real when its result
+// blocks pass the seal audit at install time.
 //
-// Failure model and recovery, one rung past the single-process ladder:
+// Failure model and recovery — the single-process ladder plus what the
+// network needs:
 //
 //	worker death      → re-dispatch its in-flight tasks to survivors
 //	                    under bumped per-task generations, so a zombie's
@@ -37,10 +37,11 @@ import (
 //	                    of installed state — installed blocks are
 //	                    seal-verified and never leave the coordinator)
 //	seal mismatch     → typed *resilience.ErrSealMismatch; with healing
-//	                    on, restore the poisoned cone (sched.Graph.Cone)
-//	                    from the pristine snapshot, bump the cone tasks'
-//	                    generations so stale results can never install,
-//	                    and re-dispatch only the cone
+//	                    on, the ladder demotes the poisoned cone
+//	                    (sched.Graph.Cone) to pristine, the cone tasks'
+//	                    generations bump so stale results can never
+//	                    install, and only the cone is re-dispatched
+//	corrupt page      → the same cone heal, whether or not Heal is set
 //	heal exhaustion   → one pristine restart of the whole solve
 //	still corrupt     → typed *resilience.CorruptionError
 //	all workers gone  → wait WorkerlessAfter for reconnects, then a loud
@@ -88,6 +89,8 @@ type Options struct {
 	WorkerlessAfter time.Duration
 	// Heal enables the poisoned-cone recovery path for seal mismatches.
 	// Disabled, the first mismatch aborts with *resilience.ErrSealMismatch.
+	// A corrupt final page of a paged table always heals, and only Heal
+	// keeps a pristine copy of an in-memory table.
 	Heal bool
 	// HealAttempts bounds how many times any single block may fail its
 	// seal and be cone-healed (per restart epoch) before the
@@ -131,10 +134,10 @@ type Options struct {
 	// of SIGKILL for failover tests and the harness.
 	Die <-chan struct{}
 	// SpillPath, when set, backs the coordinator's authoritative table
-	// with the crash-consistent block pager instead of a full in-memory
-	// copy plus pristine clone: installed boundary blocks are sealed into
-	// a CRC-verified spill file, heals demote to the on-disk pristine
-	// region, and only a MemoryBudget-sized working set stays resident.
+	// with the crash-consistent block pager instead of the in-memory
+	// table: installed boundary blocks are sealed into a CRC-verified
+	// spill file, heals demote to the on-disk pristine region, and only a
+	// MemoryBudget-sized working set stays resident.
 	// Incompatible with CheckpointPath — the committed spill index is the
 	// checkpoint.
 	SpillPath string
@@ -310,19 +313,20 @@ type replFinal struct {
 type coordinator[E semiring.Elem] struct {
 	opts Options
 	t    *tri.Tiled[E]
-	// pristine is the in-memory level-0 snapshot; nil in paged mode,
-	// where the spill file's pristine region plays its role.
-	pristine *tri.Tiled[E]
-	// pager, when non-nil, is the authoritative table: every block read,
-	// install, and pristine restore goes through it, and co.t is only the
-	// input source and the final materialization target.
-	pager *pager.Pager[E]
-	// pageErr records the first spill page-in failure hit inside a path
-	// that cannot return an error (dispatch); the event loop surfaces it
-	// after the current event, healing if it can.
+	// store is the authoritative table: every block read, install and
+	// demote goes through it. It is a MemStore over t, or the spill pager
+	// under SpillPath, where t is only the input source and the final
+	// materialization target.
+	store npdp.BlockStore[E]
+	// ladder is the shared recovery state: block seals, the per-block
+	// heal budget, and the counters it fills into healStats.
+	ladder    *npdp.Ladder[E]
+	healStats resilience.HealStats
+	// pageErr records the first store failure hit inside a path that
+	// cannot return an error (dispatch, install); the event loop surfaces
+	// it after the current event, healing if it can.
 	pageErr error
 	g       *sched.Graph
-	seals   *resilience.SealTable
 	shards  Sharding
 	stage1  perfmodel.Kernel
 
@@ -348,10 +352,7 @@ type coordinator[E semiring.Elem] struct {
 	replFullSync bool
 	replFinal    replFinal
 
-	healRounds       int
-	healCounts       map[int]int // heals per block ID this restart epoch
-	pristineRestarts int
-	noWorkerSince    time.Time
+	noWorkerSince time.Time
 
 	stats Stats
 }
@@ -422,38 +423,38 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 		return fmt.Errorf("cluster: MemoryBudget requires SpillPath")
 	}
 
-	m := t.Blocks()
 	co := &coordinator[E]{
-		opts:       opts,
-		t:          t,
-		g:          g,
-		seals:      resilience.NewSealTable(m * (m + 1) / 2),
-		shards:     NewSharding(g.SchedTiles, opts.Shards),
-		stage1:     sel,
-		epoch:      opts.Epoch,
-		state:      make([]int, len(g.Tasks)),
-		gen:        make([]uint32, len(g.Tasks)),
-		inflight:   make(map[int]*session[E]),
-		sessions:   make(map[*session[E]]struct{}),
-		healCounts: make(map[int]int),
-		events:     make(chan event[E], 256),
-		stop:       make(chan struct{}),
+		opts:     opts,
+		t:        t,
+		g:        g,
+		shards:   NewSharding(g.SchedTiles, opts.Shards),
+		stage1:   sel,
+		epoch:    opts.Epoch,
+		state:    make([]int, len(g.Tasks)),
+		gen:      make([]uint32, len(g.Tasks)),
+		inflight: make(map[int]*session[E]),
+		sessions: make(map[*session[E]]struct{}),
+		events:   make(chan event[E], 256),
+		stop:     make(chan struct{}),
 	}
 	co.queues = make([][]int, co.shards.NumShards())
 	co.stats.Tasks = len(g.Tasks)
 	co.stats.Epoch = co.epoch
 
+	var p *pager.Pager[E]
 	if opts.SpillPath != "" {
 		elem := tableio.ElemWidth(e)
 		frameBytes := int64(t.Tile())*int64(t.Tile())*int64(elem) + 4
 		frames := int(opts.MemoryBudget / frameBytes)
-		p, err := pager.Create(opts.SpillPath, t, pager.Options{Frames: frames, Logf: opts.Logf})
-		if err != nil {
+		if p, err = pager.Create(opts.SpillPath, t, pager.Options{Frames: frames, Logf: opts.Logf}); err != nil {
 			return fmt.Errorf("cluster: creating spill pager: %w", err)
 		}
-		co.pager = p
-		defer co.pager.Close()
+		defer p.Close()
+		co.store = p
+	} else {
+		co.store = npdp.NewMemStore(t, opts.Heal)
 	}
+	co.ladder = npdp.NewLadder(co.store, g, opts.HealAttempts, &co.healStats)
 
 	if pre != nil {
 		if err := co.applyCheckpoint(pre); err != nil {
@@ -462,15 +463,6 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 		co.stats.Failovers = 1
 	} else if err := co.resume(); err != nil {
 		return err
-	}
-	// The pristine snapshot is taken after resume, so checkpoint-restored
-	// blocks count as known-good state (their tasks stay done across a
-	// heal; min-plus relaxation is idempotent, so even a restored-final
-	// block recomputes bit-identically). In paged mode the spill file's
-	// pristine region already holds it — no in-memory clone, which is the
-	// paged coordinator's memory win.
-	if co.pager == nil {
-		co.pristine = t.Clone()
 	}
 	for _, task := range g.Tasks {
 		if co.state[task.ID] != tsDone && co.depsDone(task.ID) {
@@ -517,19 +509,22 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	for sess := range co.sessions {
 		sess.conn.Close()
 	}
-	if err == nil && co.pager != nil {
+	if err == nil && p != nil {
 		// The solve finished against the paged authority; the caller's
 		// table gets the materialized result (final page-ins included in
 		// the pager's traffic counters).
-		if merr := co.pager.Materialize(t); merr != nil {
+		if merr := p.Materialize(t); merr != nil {
 			err = fmt.Errorf("cluster: materializing solved table from spill: %w", merr)
 		}
 	}
 	if opts.Stats != nil {
-		co.stats.HealRounds = co.healRounds
-		co.stats.PristineRestarts = co.pristineRestarts
-		if co.pager != nil {
-			ps := co.pager.Stats()
+		co.stats.HealRounds = co.healStats.HealRounds
+		co.stats.RecomputedTasks = co.healStats.RecomputedTasks
+		if co.healStats.CheckpointFallback {
+			co.stats.PristineRestarts = 1
+		}
+		if p != nil {
+			ps := p.Stats()
 			co.stats.PagerStats = &ps
 		}
 		*opts.Stats = co.stats
@@ -571,8 +566,8 @@ func (co *coordinator[E]) run(ctx context.Context) error {
 				return nil
 			}
 		}
-		// Spill page-in failures from paths that cannot return errors
-		// (dispatch, install, audit) surface here, once per event.
+		// Store failures from paths that cannot return errors (dispatch,
+		// install) surface here, once per event.
 		if err := co.checkPageErr(); err != nil {
 			co.broadcastAbort(err)
 			return err
@@ -608,8 +603,8 @@ func (co *coordinator[E]) snapshotDeltas() []resilience.Delta {
 		d := resilience.Delta{Kind: resilience.DeltaTaskDone, Epoch: co.epoch, TaskID: task.ID, Gen: co.gen[task.ID]}
 		readable := true
 		for _, mb := range task.MemoryBlockOrder() {
-			var raw []byte
-			if err := co.blockRead(mb[0], mb[1], func(cells []E) { raw = encodeCells(cells) }); err != nil {
+			raw, err := co.encodeBlock(mb[0], mb[1])
+			if err != nil {
 				// Replication is best-effort: omit this task's record and
 				// let the standby recompute it after takeover rather than
 				// stall the solve on a spill read.
@@ -796,7 +791,7 @@ func (co *coordinator[E]) admit(conn net.Conn, hello helloMsg) error {
 		name:     fmt.Sprintf("%s#%d", hello.Name, co.nextSess),
 		conn:     conn,
 		shard:    shard,
-		possess:  make([]bool, co.seals.Len()),
+		possess:  make([]bool, co.t.Blocks()*(co.t.Blocks()+1)/2),
 		out:      make(chan outFrame, outboundQueueCap(co.opts.MaxInflight)),
 		lastSeen: time.Now(),
 	}
@@ -948,90 +943,51 @@ func (co *coordinator[E]) declareDead(sess *session[E], cause error) {
 	co.fillAll()
 }
 
-// blockRead pins memory block (bi, bj) and calls fn with its current
-// authoritative cells — a resident/in-memory read or a CRC-verified
-// page-in. The cells are only valid inside fn.
-func (co *coordinator[E]) blockRead(bi, bj int, fn func(cells []E)) error {
-	if co.pager == nil {
-		fn(co.t.Block(bi, bj))
-		return nil
-	}
-	cells, err := co.pager.Acquire(bi, bj)
+// encodeBlock reads block (bi, bj) from the authoritative store — in
+// place, or a CRC-verified page-in — and encodes it for the wire.
+func (co *coordinator[E]) encodeBlock(bi, bj int) ([]byte, error) {
+	cells, err := co.store.Acquire(bi, bj)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fn(cells)
-	co.pager.Release(bi, bj)
-	return nil
+	defer co.store.Release(bi, bj)
+	return encodeCells(cells), nil
 }
 
-// blockInstall overwrites memory block (bi, bj) with a worker's audited
-// result bytes and, in paged mode, seals it final (CRC32C, spill-once).
-func (co *coordinator[E]) blockInstall(bi, bj int, raw []byte) error {
-	if co.pager == nil {
-		return decodeCells(co.t.Block(bi, bj), raw)
-	}
-	cells, err := co.pager.Acquire(bi, bj)
-	if err != nil {
-		return err
-	}
-	defer co.pager.Release(bi, bj)
-	if err := decodeCells(cells, raw); err != nil {
-		return err
-	}
-	return co.pager.Complete(bi, bj)
-}
-
-// blockRestore reverts memory block (bi, bj) to its pristine input
-// version: an in-memory copy from the level-0 clone, or a pager demote
-// to the spill file's pristine region.
-func (co *coordinator[E]) blockRestore(bi, bj int) {
-	if co.pager == nil {
-		copy(co.t.Block(bi, bj), co.pristine.Block(bi, bj))
-		return
-	}
-	co.pager.Demote(bi, bj)
-}
-
-// notePageErr records the first spill page-in failure from a path that
-// cannot return an error; the event loop surfaces it after the current
-// event (healing a corrupt final block, aborting otherwise).
+// notePageErr records the first store failure from a path that cannot
+// return an error; the event loop surfaces it after the current event
+// (healing a corrupt final block, aborting otherwise).
 func (co *coordinator[E]) notePageErr(err error) {
 	if co.pageErr == nil {
 		co.pageErr = err
 	}
 }
 
-// checkPageErr drains recorded page-in failures: a corrupt spilled
-// final block heals through the standard poisoned-cone rung (demote to
-// pristine + re-dispatch — the pager re-reads the pristine region),
-// anything else — a corrupt pristine block, spill-space exhaustion, a
-// persistent EIO — aborts the solve. Healing re-dispatches, which can
-// fault again, so this loops until quiet; the per-block heal budget
-// inside heal bounds the loop.
+// checkPageErr drains recorded store failures through pageFault.
+// Healing re-dispatches, which can fault again, so this loops until
+// quiet; the ladder's per-block budget bounds the loop.
 func (co *coordinator[E]) checkPageErr() error {
 	for co.pageErr != nil {
 		err := co.pageErr
 		co.pageErr = nil
-		var pe *pager.ErrPageCorrupt
-		if co.opts.Heal && errors.As(err, &pe) && !pe.Pristine {
-			if id, ok := co.taskOfBlock(pe.Bi, pe.Bj); ok {
-				co.opts.Logf("cluster: %v; healing its cone", pe)
-				if herr := co.heal([]int{id}, [][2]int{{pe.Bi, pe.Bj}}); herr != nil {
-					return herr
-				}
-				continue
-			}
+		if err := co.pageFault(err); err != nil {
+			return err
 		}
-		return fmt.Errorf("cluster: paged authoritative table failed: %w", err)
 	}
 	return nil
 }
 
-// taskOfBlock maps a memory block to the task owning it.
-func (co *coordinator[E]) taskOfBlock(bi, bj int) (int, bool) {
-	g := co.opts.SchedSide
-	return co.g.TaskID(bi/g, bj/g)
+// pageFault routes a store failure through the ladder: a corrupt spilled
+// final block heals its cone whatever Heal says (the pager re-reads the
+// pristine region), anything else — a corrupt pristine block, spill-space
+// exhaustion, a persistent EIO — aborts the solve.
+func (co *coordinator[E]) pageFault(err error) error {
+	var pe *pager.ErrPageCorrupt
+	if errors.As(err, &pe) && !pe.Pristine {
+		co.opts.Logf("cluster: %v; healing its cone", pe)
+		return co.escalate([][2]int{{pe.Bi, pe.Bj}}, true)
+	}
+	return fmt.Errorf("cluster: authoritative table failed: %w", err)
 }
 
 // taskShard maps a task to the shard owning its scheduling column.
@@ -1113,8 +1069,8 @@ func (co *coordinator[E]) dispatch(sess *session[E], id int) bool {
 		if sess.possess[bid] {
 			return nil
 		}
-		var raw []byte
-		if err := co.blockRead(bi, bj, func(cells []E) { raw = encodeCells(cells) }); err != nil {
+		raw, err := co.encodeBlock(bi, bj)
+		if err != nil {
 			return err
 		}
 		msg.Blocks = append(msg.Blocks, wireBlock{Bi: bi, Bj: bj, CRC: rawCRC(raw), Raw: raw})
@@ -1251,33 +1207,35 @@ func (co *coordinator[E]) install(sess *session[E], msg taskMsg) (finished bool,
 			sess.inflight--
 			delete(co.inflight, id)
 			co.state[id] = tsNotReady
-			return false, co.heal([]int{id}, [][2]int{{wb.Bi, wb.Bj}})
+			return false, co.escalate([][2]int{{wb.Bi, wb.Bj}}, true)
 		}
 	}
-	// The whole result audited clean; install it.
+	// The whole result audited clean; install it into the store, final.
 	for _, wb := range msg.Blocks {
-		bid := co.t.BlockID(wb.Bi, wb.Bj)
-		if err := co.blockInstall(wb.Bi, wb.Bj, wb.Raw); err != nil {
-			if co.pager != nil {
-				// Disk trouble installing an audited result is not the
-				// worker's fault: put the task back on its queue and let
-				// the event loop surface the fault (heal or abort).
-				// Blocks already installed re-seal on the retry.
-				sess.inflight--
-				delete(co.inflight, id)
-				co.enqueue(id)
-				co.notePageErr(err)
-				return false, nil
+		cells, err := co.store.Acquire(wb.Bi, wb.Bj)
+		if err == nil {
+			if err = decodeCells(cells, wb.Raw); err == nil {
+				err = co.store.Complete(wb.Bi, wb.Bj)
 			}
-			co.declareDead(sess, err)
+			co.store.Release(wb.Bi, wb.Bj)
+		}
+		if err != nil {
+			// Store trouble installing an audited result is not the
+			// worker's fault: put the task back on its queue and let the
+			// event loop surface the fault (heal or abort). Blocks already
+			// installed re-seal on the retry.
+			sess.inflight--
+			delete(co.inflight, id)
+			co.enqueue(id)
+			co.notePageErr(err)
 			return false, nil
 		}
-		co.seals.Seal(bid, wb.CRC)
+		co.ladder.Seal(wb.Bi, wb.Bj, wb.CRC)
 		// A clean install resets the block's heal budget: escalation is
 		// for a block that fails *consecutively* after recompute, not one
 		// that accumulates unlucky rolls across many cone re-executions.
-		delete(co.healCounts, bid)
-		sess.possess[bid] = true
+		co.ladder.Clean(wb.Bi, wb.Bj)
+		sess.possess[co.t.BlockID(wb.Bi, wb.Bj)] = true
 	}
 	sess.inflight--
 	delete(co.inflight, id)
@@ -1309,63 +1267,44 @@ func (co *coordinator[E]) install(sess *session[E], msg taskMsg) (finished bool,
 	return false, nil
 }
 
-// heal is the poisoned-cone rung, generalized across process
-// boundaries: restore every cone block from the pristine snapshot,
-// unseal it, forget every worker's copy of it, bump the cone tasks'
-// generations (so any result already in flight for the old dispatch is
-// recognizably stale), and re-dispatch only the cone. Exhaustion
-// escalates to one pristine restart, then to a typed CorruptionError.
-func (co *coordinator[E]) heal(seedTasks []int, badBlocks [][2]int) error {
-	// The HealAttempts budget is charged per block, not per detection.
-	// Fresh corruption on a previously clean block is the fault source
-	// still at work, and healing it is this rung doing its job — at
-	// scale, first-time detections alone would exhaust any constant
-	// global budget (the single-process ladder has the same shape: its
-	// rounds heal whole audit batches). The non-convergence signal worth
-	// escalating on is a block that fails its seal HealAttempts+1 times
-	// *consecutively* — clean installs reset its count.
-	worst := 0
-	for _, mb := range badBlocks {
-		if c := co.healCounts[co.t.BlockID(mb[0], mb[1])]; c > worst {
-			worst = c
-		}
+// escalate climbs the shared recovery ladder (npdp.Ladder) for blocks
+// that failed verification — the ladder demotes and unseals the tasks to
+// recompute — then does the network half: forget every worker's copy of
+// their blocks, bump their generations (so any result already in flight
+// for the old dispatch is recognizably stale), and re-dispatch only
+// them. healable gates recovery: Heal for a seal mismatch, always for a
+// corrupt final page. Exhaustion escalates to one pristine restart, then
+// to a typed CorruptionError.
+func (co *coordinator[E]) escalate(bad [][2]int, healable bool) error {
+	ids, restart, err := co.ladder.Escalate(bad, healable)
+	if err != nil {
+		return err
 	}
-	if worst >= co.opts.HealAttempts {
-		if co.pristineRestarts == 0 {
-			co.opts.Logf("cluster: per-block heal budget (%d) exhausted; pristine restart", co.opts.HealAttempts)
-			co.restartAll()
-			return nil
-		}
-		return &resilience.CorruptionError{Blocks: badBlocks, TaskIDs: seedTasks, Healed: worst}
-	}
-	for _, mb := range badBlocks {
-		co.healCounts[co.t.BlockID(mb[0], mb[1])]++
-	}
-	co.healRounds++
-	cone := co.g.Cone(seedTasks)
-	for _, id := range cone {
+	for _, id := range ids {
 		co.resetTask(id)
 	}
-	// Queued cone members were reset to tsNotReady above; drop them.
+	// Queued members were reset to tsNotReady above; drop them.
 	co.purgeQueues()
-	for _, id := range cone {
+	for _, id := range ids {
 		if co.depsDone(id) {
 			co.enqueue(id)
 		}
 	}
-	co.stats.RecomputedTasks += len(cone)
-	co.opts.Logf("cluster: heal round %d: re-dispatching %d-task cone of %v", co.healRounds, len(cone), seedTasks)
+	if restart {
+		co.opts.Logf("cluster: per-block heal budget exhausted; pristine restart")
+	} else {
+		co.opts.Logf("cluster: heal round %d: re-dispatching %d-task cone of %v", co.healStats.HealRounds, len(ids), bad)
+	}
 	co.fillAll()
 	return nil
 }
 
-// resetTask reverts one task to not-run: pristine blocks, no seals, no
-// possession anywhere, generation bumped, completion undone.
+// resetTask reverts one task's network state after the ladder demoted
+// its blocks: no possession anywhere, generation bumped, completion
+// undone.
 func (co *coordinator[E]) resetTask(id int) {
 	for _, mb := range co.g.Tasks[id].MemoryBlockOrder() {
 		bid := co.t.BlockID(mb[0], mb[1])
-		co.blockRestore(mb[0], mb[1])
-		co.seals.Unseal(bid)
 		for sess := range co.sessions {
 			sess.possess[bid] = false
 		}
@@ -1401,26 +1340,6 @@ func (co *coordinator[E]) purgeQueues() {
 	}
 }
 
-// restartAll is the pristine-restart rung: the whole solve reverts to
-// the in-memory level-0 snapshot and runs once more with every
-// generation bumped. Per-block heal counts reset with it — the state
-// they described was wiped, so the fresh epoch gets a fresh budget.
-func (co *coordinator[E]) restartAll() {
-	for id := range co.g.Tasks {
-		co.resetTask(id)
-	}
-	co.purgeQueues()
-	co.healCounts = make(map[int]int)
-	co.pristineRestarts++
-	co.stats.RecomputedTasks += len(co.g.Tasks)
-	for _, task := range co.g.Tasks {
-		if co.depsDone(task.ID) {
-			co.enqueue(task.ID)
-		}
-	}
-	co.fillAll()
-}
-
 // maybeFinish runs the completion check: all tasks installed, then a
 // full post-solve seal audit (the defense against coordinator-side
 // memory corruption after install). A clean audit writes the final
@@ -1429,47 +1348,20 @@ func (co *coordinator[E]) maybeFinish() (bool, error) {
 	if co.done < len(co.g.Tasks) {
 		return false, nil
 	}
-	if bad, tasks := co.audit(); len(bad) > 0 {
+	bad, err := co.ladder.Audit()
+	if err != nil {
+		// A final block that cannot be paged back in is a detection too.
+		return false, co.pageFault(err)
+	}
+	if len(bad) > 0 {
 		co.stats.SealMismatches += len(bad)
-		if !co.opts.Heal {
-			return false, &resilience.CorruptionError{Blocks: bad, TaskIDs: tasks, Healed: 0}
-		}
-		return false, co.heal(tasks, bad)
+		return false, co.escalate(bad, co.opts.Heal)
 	}
 	co.finalCheckpoint()
 	for sess := range co.sessions {
 		co.send(sess, frameDone, nil)
 	}
 	return true, nil
-}
-
-// audit re-digests every sealed block against its seal. In paged mode
-// a block that cannot even be paged back in counts as bad — the heal
-// rung demotes it to pristine and recomputes, which is also the right
-// response to an unreadable final slot.
-func (co *coordinator[E]) audit() (bad [][2]int, tasks []int) {
-	seen := make(map[int]bool)
-	for _, task := range co.g.Tasks {
-		for _, mb := range task.MemoryBlockOrder() {
-			bid := co.t.BlockID(mb[0], mb[1])
-			want, ok := co.seals.Sealed(bid)
-			if !ok {
-				continue
-			}
-			clean := false
-			if err := co.blockRead(mb[0], mb[1], func(cells []E) { clean = resilience.BlockCRC(cells) == want }); err != nil {
-				co.opts.Logf("cluster: audit page-in of block (%d,%d) failed: %v", mb[0], mb[1], err)
-			}
-			if !clean {
-				bad = append(bad, mb)
-				if !seen[task.ID] {
-					seen[task.ID] = true
-					tasks = append(tasks, task.ID)
-				}
-			}
-		}
-	}
-	return bad, tasks
 }
 
 // maybeCheckpoint writes a periodic NPCK snapshot.
@@ -1543,68 +1435,24 @@ func (co *coordinator[E]) resume() error {
 
 // applyCheckpoint pre-completes tasks from a validated snapshot —
 // either a loaded NPCK file (resume) or a replica's delta-built shadow
-// (failover takeover). Restored blocks are sealed so audits cover them.
+// (failover takeover) — through npdp.ApplyCheckpoint, the same function
+// a single-process resume uses. A task is done iff all its blocks are
+// final in the store; restored blocks are sealed so audits cover them.
 func (co *coordinator[E]) applyCheckpoint(ck *resilience.Checkpoint[E]) error {
 	if err := ck.Matches(co.t.Len(), co.t.Tile(), co.opts.SchedSide); err != nil {
 		return fmt.Errorf("cluster: applying checkpoint: %w", err)
 	}
-	for _, task := range co.g.Tasks {
-		if !ck.Done[task.ID] {
-			continue
-		}
-		complete := true
-		for _, mb := range task.MemoryBlockOrder() {
-			if !ck.HasBlock(mb[0], mb[1]) {
-				complete = false
-				break
-			}
-		}
-		if !complete {
-			co.opts.Logf("cluster: checkpoint marks task %d done but lacks its blocks; recomputing it", task.ID)
-			continue
-		}
-		co.state[task.ID] = tsDone
-		co.done++
-		co.stats.Resumed++
+	if _, err := npdp.ApplyCheckpoint(co.store, co.g, ck, co.opts.Logf); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
-	if co.pager != nil {
-		// Paged mode: restored blocks go through the pager (written,
-		// sealed final, spillable) instead of the input table.
-		for _, task := range co.g.Tasks {
-			if co.state[task.ID] != tsDone {
-				continue
-			}
-			for _, mb := range task.MemoryBlockOrder() {
-				cells, ok := ck.Block(mb[0], mb[1])
-				if !ok {
-					continue // completeness was verified above
-				}
-				dst, err := co.pager.Acquire(mb[0], mb[1])
-				if err == nil {
-					copy(dst, cells)
-					err = co.pager.Complete(mb[0], mb[1])
-					co.pager.Release(mb[0], mb[1])
-				}
-				if err != nil {
-					return fmt.Errorf("cluster: applying checkpoint block (%d,%d): %w", mb[0], mb[1], err)
-				}
-				co.seals.Seal(co.t.BlockID(mb[0], mb[1]), resilience.BlockCRC(cells))
-			}
-		}
-		return nil
-	}
-	if err := ck.Apply(co.t); err != nil {
-		return fmt.Errorf("cluster: applying checkpoint: %w", err)
-	}
-	for _, task := range co.g.Tasks {
-		if co.state[task.ID] != tsDone {
-			continue
-		}
-		for _, mb := range task.MemoryBlockOrder() {
-			co.seals.Seal(co.t.BlockID(mb[0], mb[1]), resilience.BlockCRC(co.t.Block(mb[0], mb[1])))
+	for id, done := range npdp.Completed(co.store, co.g) {
+		if done {
+			co.state[id] = tsDone
+			co.done++
+			co.stats.Resumed++
 		}
 	}
-	return nil
+	return co.ladder.SealFinals()
 }
 
 // broadcastAbort ends the run toward the workers. A fenced abort (we

@@ -432,21 +432,17 @@ func executeDispatch[E semiring.Elem](t *tri.Tiled[E], g *sched.Graph, mul npdp.
 	npdp.ComputeTask(t, task, mul)
 
 	own := task.MemoryBlockOrder()
-	crcs := make([]uint32, len(own))
+	cells := make([][]E, len(own))
 	for i, mb := range own {
-		crcs[i] = resilience.BlockCRC(t.Block(mb[0], mb[1]))
+		cells[i] = t.Block(mb[0], mb[1])
 	}
-	if inject != nil && inject.Plan(task.ID, int(msg.Gen)) == resilience.FaultCorrupt {
-		draw := inject.CorruptDraw(task.ID, int(msg.Gen))
-		mb := own[int((draw>>48)%uint64(len(own)))]
-		resilience.CorruptBit(t.Block(mb[0], mb[1]), draw)
-	}
+	crcs := resilience.DigestThenFlip(cells, inject, task.ID, int(msg.Gen))
 	result := taskMsg{Epoch: msg.Epoch, Gen: msg.Gen, TaskID: msg.TaskID, Blocks: make([]wireBlock, len(own))}
 	for i, mb := range own {
 		result.Blocks[i] = wireBlock{
 			Bi: mb[0], Bj: mb[1],
 			CRC: crcs[i],
-			Raw: encodeCells(t.Block(mb[0], mb[1])),
+			Raw: encodeCells(cells[i]),
 		}
 	}
 	return result, nil

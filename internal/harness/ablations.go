@@ -7,6 +7,7 @@ import (
 	"cellnpdp/internal/cellsim"
 	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/npdp"
+	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/pipeline"
 	"cellnpdp/internal/simd"
 	"cellnpdp/internal/stats"
@@ -152,7 +153,7 @@ func Ablations(cfg Config) (*stats.Table, error) {
 	}
 	t8b := tri.ToTiled(src, ndlTile)
 	tCBStep := timeIt(func() {
-		_, err = npdp.SolveParallel(t8b, npdp.ParallelOptions{Workers: 1, NoPanelKernel: true})
+		_, err = npdp.SolveParallel(t8b, npdp.ParallelOptions{Workers: 1, Stage1: perfmodel.KernelScalar})
 	})
 	if err != nil {
 		return nil, err

@@ -2,12 +2,9 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -17,10 +14,9 @@ import (
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/stats"
 	"cellnpdp/internal/tri"
-	"cellnpdp/internal/workload"
 )
 
-// The cluster experiment and BENCH_PR7.json characterize the sharded
+// The cluster experiment characterizes the sharded
 // coordinator/worker solve (internal/cluster) against the single-process
 // parallel engine: loopback-TCP overhead across worker counts, the DMA
 // analogue traffic (boundary blocks streamed), and the recovery cost of
@@ -189,124 +185,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// ClusterBenchRow is one measured cluster configuration in BENCH_PR7.json.
-type ClusterBenchRow struct {
-	Name           string  `json:"name"`
-	N              int     `json:"n"`
-	Workers        int     `json:"workers"`
-	WallSeconds    float64 `json:"wall_seconds"`
-	BlocksStreamed int     `json:"blocks_streamed"`
-	BytesStreamed  int64   `json:"bytes_streamed"`
-	Verified       bool    `json:"verified"`
-}
-
-// ClusterRecovery is the kill-recovery measurement in BENCH_PR7.json.
-type ClusterRecovery struct {
-	N               int     `json:"n"`
-	Workers         int     `json:"workers"`
-	KillAfterTasks  int     `json:"kill_after_tasks"`
-	WorkerDeaths    int     `json:"worker_deaths"`
-	Redispatched    int     `json:"redispatched"`
-	RecoverySeconds float64 `json:"recovery_seconds"`
-	TotalSeconds    float64 `json:"total_seconds"`
-	Verified        bool    `json:"verified"`
-}
-
-// ClusterBenchReport is the BENCH_PR7.json document: the loopback
-// cluster against the single-process engine, plus recovery-after-kill.
-type ClusterBenchReport struct {
-	Schema     string            `json:"schema"`
-	Generated  string            `json:"generated"`
-	GoVersion  string            `json:"go_version"`
-	GOARCH     string            `json:"goarch"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Tile       int               `json:"tile"`
-	Precision  string            `json:"precision"`
-	Rows       []ClusterBenchRow `json:"rows"`
-	Recovery   ClusterRecovery   `json:"recovery"`
-}
-
-// WriteClusterBenchJSON is the no-cancellation entry point (see
-// WriteClusterBenchJSONCtx).
-func WriteClusterBenchJSON(cfg Config, path string) error {
-	return WriteClusterBenchJSONCtx(context.Background(), cfg, path)
-}
-
-// WriteClusterBenchJSONCtx measures the single-process engine and the
-// loopback cluster at 1/2/4 workers on the acceptance-scale instance,
-// runs the kill-recovery scenario, and writes BENCH_PR7.json.
-func WriteClusterBenchJSONCtx(ctx context.Context, cfg Config, path string) error {
-	n := 1024
-	if cfg.Full {
-		n = 2048
-	}
-	if sizes := cfg.Sizes; len(sizes) > 0 && sizes[len(sizes)-1] < n {
-		n = sizes[len(sizes)-1]
-	}
-	rep := ClusterBenchReport{
-		Schema:     "cellnpdp-cluster-bench/v1",
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Tile:       paperTile(npdp.Single),
-		Precision:  "single",
-	}
-	ref := workload.Chain[float32](n, cfg.Seed+int64(n))
-	npdp.SolveSerial(ref)
-
-	tb := tri.ToTiled(cfg.chainF32(n), paperTile(npdp.Single))
-	var solveErr error
-	secs := timeIt(func() {
-		_, solveErr = npdp.SolveParallel(tb, npdp.ParallelOptions{Workers: cfg.workers()})
-	})
-	if solveErr != nil {
-		return solveErr
-	}
-	_, _, _, _, diff := tri.FirstDiff[float32](ref, tb)
-	rep.Rows = append(rep.Rows, ClusterBenchRow{
-		Name: "single-process", N: n, Workers: cfg.workers(),
-		WallSeconds: secs, Verified: !diff,
-	})
-	fmt.Fprintf(cfg.out(), "cluster bench single-process n=%-5d %8.3fs\n", n, secs)
-
-	for _, w := range []int{1, 2, 4} {
-		run, err := runLoopback(ctx, cfg, n, w, 0, nil, ref)
-		if err != nil {
-			return err
-		}
-		rep.Rows = append(rep.Rows, ClusterBenchRow{
-			Name: "loopback-cluster", N: n, Workers: w,
-			WallSeconds:    run.secs,
-			BlocksStreamed: run.stats.BlocksStreamed,
-			BytesStreamed:  run.stats.BytesStreamed,
-			Verified:       true, // runLoopback fails on any diff
-		})
-		fmt.Fprintf(cfg.out(), "cluster bench loopback w=%d n=%-5d %8.3fs  %6d blocks  %9d bytes\n",
-			w, n, run.secs, run.stats.BlocksStreamed, run.stats.BytesStreamed)
-	}
-
-	killAfter := maxInt(2, clusterTasks(n)/3)
-	kill, err := runLoopback(ctx, cfg, n, 3, killAfter, nil, ref)
-	if err != nil {
-		return err
-	}
-	rep.Recovery = ClusterRecovery{
-		N: n, Workers: 3, KillAfterTasks: killAfter,
-		WorkerDeaths:    kill.stats.WorkerDeaths,
-		Redispatched:    kill.stats.Redispatched,
-		RecoverySeconds: kill.recovery,
-		TotalSeconds:    kill.secs,
-		Verified:        true,
-	}
-	fmt.Fprintf(cfg.out(), "cluster bench kill-recovery w=3 n=%-5d kill@%d  deaths=%d redispatched=%d recovery=%.3fs total=%.3fs\n",
-		n, killAfter, kill.stats.WorkerDeaths, kill.stats.Redispatched, kill.recovery, kill.secs)
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -2,12 +2,9 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -16,10 +13,9 @@ import (
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/stats"
 	"cellnpdp/internal/tri"
-	"cellnpdp/internal/workload"
 )
 
-// The failover experiment and BENCH_PR8.json characterize coordinator
+// The failover experiment characterizes coordinator
 // high availability (internal/cluster's warm standby): how much of the
 // wavefront the replication stream had shipped when the primary was
 // killed, how long the lease + takeover + resumed solve took from the
@@ -181,84 +177,4 @@ func FailoverCtx(ctx context.Context, cfg Config) (*stats.Table, error) {
 			fmt.Sprintf("%.2f", run.recovery*1e3), fmt.Sprintf("%.2f", run.secs*1e3), "yes")
 	}
 	return t, nil
-}
-
-// FailoverBench is the BENCH_PR8.json document: the measured
-// coordinator-death takeover on the acceptance-scale instance.
-type FailoverBench struct {
-	Schema          string  `json:"schema"`
-	Generated       string  `json:"generated"`
-	GoVersion       string  `json:"go_version"`
-	GOARCH          string  `json:"goarch"`
-	GOMAXPROCS      int     `json:"gomaxprocs"`
-	N               int     `json:"n"`
-	Tile            int     `json:"tile"`
-	Tasks           int     `json:"tasks"`
-	Workers         int     `json:"workers"`
-	KillAfterTasks  int     `json:"kill_after_tasks"`
-	ReplicatedTasks int     `json:"replicated_tasks"`
-	ResumedTasks    int     `json:"resumed_tasks"`
-	Epoch           uint32  `json:"epoch"`
-	FencedWrites    int     `json:"fenced_writes"`
-	RecoverySeconds float64 `json:"recovery_seconds"`
-	TotalSeconds    float64 `json:"total_seconds"`
-	Verified        bool    `json:"verified"`
-}
-
-// WriteFailoverBenchJSON is the no-cancellation entry point (see
-// WriteFailoverBenchJSONCtx).
-func WriteFailoverBenchJSON(cfg Config, path string) error {
-	return WriteFailoverBenchJSONCtx(context.Background(), cfg, path)
-}
-
-// WriteFailoverBenchJSONCtx runs the coordinator-kill takeover on the
-// acceptance-scale instance and writes BENCH_PR8.json: how deep into
-// the wavefront the kill landed, what the standby resumed from, and the
-// kill-to-completion recovery time.
-func WriteFailoverBenchJSONCtx(ctx context.Context, cfg Config, path string) error {
-	n := 1024
-	if cfg.Full {
-		n = 2048
-	}
-	// cfg.Sizes can shrink the instance for tests, but never below the
-	// 600-point runway the replication-keyed kill needs (see FailoverCtx).
-	if sizes := cfg.Sizes; len(sizes) > 0 && sizes[len(sizes)-1] < n {
-		n = maxInt(600, sizes[len(sizes)-1])
-	}
-	ref := workload.Chain[float32](n, cfg.Seed+int64(n))
-	npdp.SolveSerial(ref)
-
-	const workers = 3
-	run, err := runFailover(ctx, cfg, n, workers, ref)
-	if err != nil {
-		return err
-	}
-	rep := FailoverBench{
-		Schema:          "cellnpdp-failover-bench/v1",
-		Generated:       time.Now().UTC().Format(time.RFC3339),
-		GoVersion:       runtime.Version(),
-		GOARCH:          runtime.GOARCH,
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		N:               n,
-		Tile:            failoverTileSide,
-		Tasks:           failoverTasks(n),
-		Workers:         workers,
-		KillAfterTasks:  run.killAfter,
-		ReplicatedTasks: run.sstats.ReplicatedTasks,
-		ResumedTasks:    run.stats.Resumed,
-		Epoch:           run.stats.Epoch,
-		FencedWrites:    run.stats.FencedWrites,
-		RecoverySeconds: run.recovery,
-		TotalSeconds:    run.secs,
-		Verified:        true, // runFailover fails on any diff
-	}
-	fmt.Fprintf(cfg.out(), "failover bench n=%-5d kill@%d replicated=%d resumed=%d epoch=%d recovery=%.3fs total=%.3fs\n",
-		n, run.killAfter, run.sstats.ReplicatedTasks, run.stats.Resumed, run.stats.Epoch,
-		run.recovery, run.secs)
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -162,8 +162,12 @@ func All() []Experiment {
 }
 
 // RunAll executes every experiment and prints its table.
-func RunAll(cfg Config) error {
-	for _, e := range All() {
+func RunAll(cfg Config) error { return runAll(cfg, All()) }
+
+// runAll executes exps in order, printing each table; the first failure
+// stops the run, named.
+func runAll(cfg Config, exps []Experiment) error {
+	for _, e := range exps {
 		t, err := e.Run(cfg)
 		if err != nil {
 			return fmt.Errorf("harness: %s: %w", e.Name, err)

@@ -2,14 +2,13 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
-	"os"
-	"path/filepath"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"cellnpdp/internal/npdp"
+	"cellnpdp/internal/stats"
 )
 
 // fastCfg keeps measured experiments tiny for tests.
@@ -17,12 +16,39 @@ func fastCfg() Config {
 	return Config{Workers: 2, Seed: 1, Sizes: []int{96, 180}}
 }
 
-func TestTable1(t *testing.T) {
-	tbl, err := Table1(fastCfg())
-	if err != nil {
-		t.Fatal(err)
+// Each experiment runs exactly once per test binary: tests that check
+// different properties of the same table share it through run.
+var (
+	runMu   sync.Mutex
+	runMemo = map[string]*stats.Table{}
+)
+
+// run returns the named experiment's table on fastCfg, computing it on
+// first use, and checks that its title names what RunAll prints.
+func run(t *testing.T, name, title string) *stats.Table {
+	t.Helper()
+	runMu.Lock()
+	defer runMu.Unlock()
+	tbl, ok := runMemo[name]
+	if !ok {
+		e, found := Lookup(name)
+		if !found {
+			t.Fatalf("experiment %q not registered", name)
+		}
+		var err error
+		if tbl, err = e.Run(fastCfg()); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runMemo[name] = tbl
 	}
-	out := tbl.String()
+	if !strings.Contains(tbl.String(), title) {
+		t.Fatalf("%s: title lacks %q:\n%s", name, title, tbl)
+	}
+	return tbl
+}
+
+func TestTable1(t *testing.T) {
+	out := run(t, "table1", "Table I").String()
 	for _, want := range []string{"Load", "12", "Shuffle", "16", "Store", "54 cycles"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table1 missing %q:\n%s", want, out)
@@ -31,10 +57,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2ShapeHolds(t *testing.T) {
-	tbl, err := Table2(fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "table2", "Table II")
 	if len(tbl.Rows) != 6 {
 		t.Fatalf("Table2 has %d rows, want 6", len(tbl.Rows))
 	}
@@ -47,46 +70,54 @@ func TestTable2ShapeHolds(t *testing.T) {
 }
 
 func TestTable2Verify(t *testing.T) {
-	tbl, err := Table2Verify(fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "table2-verify", "Table II cross-check")
 	if strings.Contains(tbl.String(), "false") {
 		t.Errorf("cross-check reported a mismatch:\n%s", tbl)
 	}
 }
 
 func TestFig9a(t *testing.T) {
-	tbl, err := Fig9a(fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "fig9a", "Figure 9(a)")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("Fig9a rows = %d", len(tbl.Rows))
 	}
 }
 
 func TestFig10aShape(t *testing.T) {
-	tbl, err := Fig10a(fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "fig10a", "Figure 10(a)")
 	if len(tbl.Rows) != 3 {
 		t.Fatalf("Fig10a rows = %d", len(tbl.Rows))
 	}
 }
 
 func TestFig11aShape(t *testing.T) {
-	if _, err := Fig11a(fastCfg()); err != nil {
-		t.Fatal(err)
+	run(t, "fig11a", "Figure 11(a)")
+}
+
+// measuredRows checks a CPU-measured experiment has rowsPerSize rows per
+// measured size.
+func measuredRows(t *testing.T, name, title string, rowsPerSize int) {
+	t.Helper()
+	tbl := run(t, name, title)
+	if want := rowsPerSize * len(fastCfg().measuredSizes()); len(tbl.Rows) != want {
+		t.Fatalf("%s has %d rows, want %d:\n%s", name, len(tbl.Rows), want, tbl)
 	}
 }
 
-func TestFig13Shape(t *testing.T) {
-	tbl, err := Fig13(fastCfg())
-	if err != nil {
-		t.Fatal(err)
+func TestTable3Shape(t *testing.T) { measuredRows(t, "table3", "Table III", 2) }
+func TestFig9bShape(t *testing.T) {
+	// The trace-driven simulation pins its own sizes, n = 256 and 512.
+	if tbl := run(t, "fig9b", "Figure 9(b)"); len(tbl.Rows) != 2 {
+		t.Fatalf("fig9b has %d rows, want 2:\n%s", len(tbl.Rows), tbl)
 	}
+}
+func TestFig10bShape(t *testing.T) { measuredRows(t, "fig10b", "Figure 10(b)", 1) }
+func TestFig11bShape(t *testing.T) { measuredRows(t, "fig11b", "Figure 11(b)", 1) }
+func TestFig12aShape(t *testing.T) { measuredRows(t, "fig12a", "Figure 12(a)", 1) }
+func TestFig12bShape(t *testing.T) { measuredRows(t, "fig12b", "Figure 12(b)", 1) }
+
+func TestFig13Shape(t *testing.T) {
+	tbl := run(t, "fig13", "Figure 13")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("Fig13 rows = %d, want 4 block sizes", len(tbl.Rows))
 	}
@@ -97,19 +128,14 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestModelReport(t *testing.T) {
-	tbl, err := ModelReport(fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "model", "Section V")
 	if !strings.Contains(tbl.String(), "compute") {
 		t.Errorf("QS20 SP should be compute-bound:\n%s", tbl)
 	}
 }
 
 func TestUtilizationReport(t *testing.T) {
-	if _, err := UtilizationReport(fastCfg()); err != nil {
-		t.Fatal(err)
-	}
+	run(t, "utilization", "utilization")
 }
 
 func TestLookupAndAll(t *testing.T) {
@@ -159,10 +185,7 @@ func TestPaperTile(t *testing.T) {
 
 func TestFig10aBreakdownDirections(t *testing.T) {
 	// Every stage of the Cell breakdown must be a genuine speedup (>1x).
-	tbl, err := Fig10a(fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := run(t, "fig10a", "Figure 10(a)")
 	for _, row := range tbl.Rows {
 		for col := 1; col < len(row); col++ {
 			if strings.HasPrefix(row[col], "0.") {
@@ -172,34 +195,32 @@ func TestFig10aBreakdownDirections(t *testing.T) {
 	}
 }
 
-// TestRunAllSmoke exercises the full pipeline once on a tiny config; the
-// measured experiments shrink via Workers and the small default sizes.
+// TestRunAllSmoke exercises RunAll's loop — every table printed in
+// order, the first failure named and stopping the run — on stand-in
+// experiments; each real experiment runs exactly once, in its own test.
 func TestRunAllSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full harness run in -short mode")
-	}
 	var buf bytes.Buffer
 	cfg := fastCfg()
 	cfg.Out = &buf
-	if err := RunAll(cfg); err != nil {
+	table := func(title string) Experiment {
+		return Experiment{Name: title, Run: func(Config) (*stats.Table, error) { return stats.NewTable(title, "x"), nil }}
+	}
+	boom := Experiment{Name: "boom", Run: func(Config) (*stats.Table, error) { return nil, errors.New("kaput") }}
+	if err := runAll(cfg, []Experiment{table("first"), table("second")}); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{"Table I", "Table II", "Table III", "Figure 9(a)", "Figure 9(b)",
-		"Figure 10(a)", "Figure 10(b)", "Figure 11(a)", "Figure 11(b)",
-		"Figure 12(a)", "Figure 12(b)", "Figure 13", "Section V", "utilization"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("RunAll output missing %q", want)
-		}
+	if out := buf.String(); !strings.Contains(out, "first") || strings.Index(out, "second") < strings.Index(out, "first") {
+		t.Fatalf("RunAll output out of order or incomplete:\n%s", out)
+	}
+	buf.Reset()
+	err := runAll(cfg, []Experiment{table("first"), boom, table("never")})
+	if err == nil || err.Error() != "harness: boom: kaput" || strings.Contains(buf.String(), "never") {
+		t.Fatalf("failing experiment reported as %v after output %q", err, buf.String())
 	}
 }
 
 func TestTable1DP(t *testing.T) {
-	tbl, err := Table1DP(fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := tbl.String()
+	out := run(t, "table1-dp", "Table I (double-precision").String()
 	for _, want := range []string{"24", "32", "13", "true", "144"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table1DP missing %q:\n%s", want, out)
@@ -331,71 +352,6 @@ func TestFailoverExperiment(t *testing.T) {
 	}
 }
 
-func TestWriteFailoverBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loopback failover cluster runs in -short mode")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_PR8.json")
-	cfg := fastCfg()
-	cfg.Sizes = []int{96, 600}
-	cfg.Out = io.Discard
-	if err := WriteFailoverBenchJSON(cfg, path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep FailoverBench
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != "cellnpdp-failover-bench/v1" {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if !rep.Verified || rep.Epoch != 2 || rep.ReplicatedTasks < rep.KillAfterTasks ||
-		rep.ResumedTasks <= 0 || rep.RecoverySeconds <= 0 || rep.TotalSeconds <= 0 {
-		t.Fatalf("failover bench implausible: %+v", rep)
-	}
-}
-
-func TestWriteClusterBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loopback cluster runs in -short mode")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_PR7.json")
-	cfg := fastCfg()
-	cfg.Out = io.Discard
-	if err := WriteClusterBenchJSON(cfg, path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep ClusterBenchReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != "cellnpdp-cluster-bench/v1" {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if len(rep.Rows) != 4 {
-		t.Fatalf("got %d rows, want single-process + 3 cluster rows", len(rep.Rows))
-	}
-	for _, row := range rep.Rows {
-		if !row.Verified || row.WallSeconds <= 0 {
-			t.Fatalf("row %+v not verified or unmeasured", row)
-		}
-	}
-	if rep.Recovery.WorkerDeaths < 1 {
-		t.Fatalf("recovery scenario observed no death: %+v", rep.Recovery)
-	}
-	if !rep.Recovery.Verified || rep.Recovery.RecoverySeconds <= 0 {
-		t.Fatalf("recovery not verified or unmeasured: %+v", rep.Recovery)
-	}
-}
-
 func TestOutOfCoreExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paged solve sweep runs in -short mode")
@@ -420,40 +376,5 @@ func TestOutOfCoreExperiment(t *testing.T) {
 	}
 	if strings.Contains(out, "no") {
 		t.Fatalf("an out-of-core row failed verification:\n%s", out)
-	}
-}
-
-func TestWriteOutOfCoreBenchJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paged solve sweep runs in -short mode")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_PR9.json")
-	cfg := fastCfg()
-	cfg.Sizes = []int{96, 600}
-	cfg.Out = io.Discard
-	if err := WriteOutOfCoreBenchJSON(cfg, path); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep OutOfCoreBench
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != "cellnpdp-outofcore-bench/v1" {
-		t.Fatalf("schema = %q", rep.Schema)
-	}
-	if len(rep.Sweep) < 2 {
-		t.Fatalf("sweep has %d points: %+v", len(rep.Sweep), rep)
-	}
-	smallest := rep.Sweep[len(rep.Sweep)-1]
-	if !smallest.Verified || smallest.SpilledBytes <= 0 || smallest.LowerBound <= 0 || smallest.BoundRatio < 1 {
-		t.Fatalf("smallest-budget point implausible: %+v", smallest)
-	}
-	if !rep.KillVerified || rep.ResumedTasks <= 0 || rep.KillRecoverySeconds <= 0 {
-		t.Fatalf("kill recovery implausible: resumed=%d recovery=%.3fs verified=%v",
-			rep.ResumedTasks, rep.KillRecoverySeconds, rep.KillVerified)
 	}
 }

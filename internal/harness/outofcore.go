@@ -2,13 +2,9 @@ package harness
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"time"
 
 	"cellnpdp/internal/cachesim"
 	"cellnpdp/internal/npdp"
@@ -17,13 +13,11 @@ import (
 	"cellnpdp/internal/tri"
 )
 
-// The outofcore experiment and BENCH_PR9.json characterize the
+// The outofcore experiment characterizes the
 // crash-consistent block pager (internal/pager): how much disk traffic
 // a solve does as the resident-set budget shrinks below the table
 // footprint, how far that traffic sits above the De Stefani/Gupta I/O
-// lower bound (cachesim.IOLowerBound), and how fast a restart resumes
-// from the committed spill index after the solve is killed mid-spill.
-// Every run is verified bit-identical to SolveSerial.
+// lower bound (cachesim.IOLowerBound). Every run is verified bit-identical to SolveSerial.
 
 // ooTileSide matches the failover experiment's tile: small enough that
 // modest instances produce hundreds of blocks to page.
@@ -145,197 +139,4 @@ func OutOfCoreCtx(ctx context.Context, cfg Config) (*stats.Table, error) {
 			ratio, fmt.Sprintf("%.2f", run.secs*1e3), "yes")
 	}
 	return t, nil
-}
-
-// OutOfCorePoint is one resident-budget sweep measurement in
-// BENCH_PR9.json.
-type OutOfCorePoint struct {
-	Frames       int     `json:"frames"`
-	BudgetBytes  int64   `json:"budget_bytes"`
-	SpilledBytes int64   `json:"spilled_bytes"`
-	FetchedBytes int64   `json:"fetched_bytes"`
-	DiskBytes    int64   `json:"disk_bytes"`
-	LowerBound   int64   `json:"io_lower_bound_bytes"`
-	BoundRatio   float64 `json:"bound_ratio"` // disk_bytes / io_lower_bound_bytes, 0 if in-core
-	ResidentPeak int64   `json:"resident_peak"`
-	Seconds      float64 `json:"seconds"`
-	Verified     bool    `json:"verified"`
-}
-
-// OutOfCoreBench is the BENCH_PR9.json document: the resident-set
-// sweep plus the measured kill-mid-spill recovery.
-type OutOfCoreBench struct {
-	Schema     string `json:"schema"`
-	Generated  string `json:"generated"`
-	GoVersion  string `json:"go_version"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	N          int    `json:"n"`
-	Tile       int    `json:"tile"`
-	Blocks     int    `json:"blocks"`
-	Workers    int    `json:"workers"`
-	TableBytes int64  `json:"table_bytes"`
-
-	Sweep []OutOfCorePoint `json:"sweep"`
-
-	// The kill-recovery scenario: the paged solve is interrupted once
-	// KilledAfterSpills blocks have hit the spill file, the pager is
-	// abandoned without a clean Close (only the periodically committed
-	// index survives, exactly the SIGKILL contract), and a fresh pager
-	// resumes from that index.
-	KilledAfterSpills   int     `json:"killed_after_spills"`
-	ResumedTasks        int     `json:"resumed_tasks"`
-	KillRecoverySeconds float64 `json:"kill_recovery_seconds"`
-	KillVerified        bool    `json:"kill_verified"`
-}
-
-// WriteOutOfCoreBenchJSON is the no-cancellation entry point (see
-// WriteOutOfCoreBenchJSONCtx).
-func WriteOutOfCoreBenchJSON(cfg Config, path string) error {
-	return WriteOutOfCoreBenchJSONCtx(context.Background(), cfg, path)
-}
-
-// WriteOutOfCoreBenchJSONCtx measures the resident-set sweep and the
-// kill-mid-spill recovery on the acceptance-scale instance and writes
-// BENCH_PR9.json.
-func WriteOutOfCoreBenchJSONCtx(ctx context.Context, cfg Config, path string) error {
-	n := 1024
-	if cfg.Full {
-		n = 2048
-	}
-	// cfg.Sizes can shrink the instance for tests, but never below the
-	// sweep's own floor (see OutOfCoreCtx).
-	if sizes := cfg.Sizes; len(sizes) > 0 && sizes[len(sizes)-1] < n {
-		n = maxInt(600, sizes[len(sizes)-1])
-	}
-	ref := cfg.chainF32(n)
-	npdp.SolveSerial(ref)
-
-	rep := OutOfCoreBench{
-		Schema:     "cellnpdp-outofcore-bench/v1",
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		N:          n,
-		Tile:       ooTileSide,
-		Blocks:     ooBlocks(n),
-		Workers:    ooWorkers,
-		TableBytes: int64(n) * int64(n+1) / 2 * 4,
-	}
-	for _, frames := range ooSweepFrames(n) {
-		run, err := runOutOfCore(ctx, cfg, n, frames, ref)
-		if err != nil {
-			return err
-		}
-		pt := OutOfCorePoint{
-			Frames:       frames,
-			BudgetBytes:  run.budget,
-			SpilledBytes: run.stats.SpilledBytes,
-			FetchedBytes: run.stats.FetchedBytes,
-			DiskBytes:    run.stats.DiskBytes(),
-			LowerBound:   run.bound,
-			ResidentPeak: run.stats.ResidentPeak,
-			Seconds:      run.secs,
-			Verified:     true, // runOutOfCore fails on any diff
-		}
-		if run.bound > 0 {
-			pt.BoundRatio = float64(run.stats.DiskBytes()) / float64(run.bound)
-		}
-		fmt.Fprintf(cfg.out(), "outofcore bench n=%-5d frames=%-4d traffic=%dB bound=%dB wall=%.3fs\n",
-			n, frames, run.stats.DiskBytes(), run.bound, run.secs)
-		rep.Sweep = append(rep.Sweep, pt)
-	}
-
-	if err := runKillRecovery(ctx, cfg, n, &rep, ref); err != nil {
-		return err
-	}
-	fmt.Fprintf(cfg.out(), "outofcore bench kill@%d spills resumed=%d recovery=%.3fs\n",
-		rep.KilledAfterSpills, rep.ResumedTasks, rep.KillRecoverySeconds)
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// runKillRecovery interrupts a paged solve once a quarter of the blocks
-// have spilled, abandons the pager without Close (the SIGKILL contract:
-// only the periodically committed index survives), and measures a fresh
-// pager's resume from that index to a verified complete solve.
-func runKillRecovery(ctx context.Context, cfg Config, n int, rep *OutOfCoreBench, ref *tri.RowMajor[float32]) error {
-	dir, err := os.MkdirTemp("", "cellnpdp-ooc-kill-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	spill := filepath.Join(dir, "solve.npsp")
-
-	frames := maxInt(ooWorkers*3+2, ooBlocks(n)/8)
-	popts := pager.Options{Frames: frames, CommitEvery: 4}
-	src := tri.ToTiled(cfg.chainF32(n), ooTileSide)
-	crashed, err := pager.Create(spill, src, popts)
-	if err != nil {
-		return err
-	}
-	// NOT closed: a clean Close would flush and commit everything, which
-	// is precisely what a SIGKILL denies the process.
-
-	rep.KilledAfterSpills = maxInt(8, ooBlocks(n)/4)
-	killCtx, kill := context.WithCancel(ctx)
-	defer kill()
-	watcher := make(chan struct{})
-	go func() {
-		defer close(watcher)
-		for {
-			if crashed.Stats().SpilledBlocks >= int64(rep.KilledAfterSpills) {
-				kill()
-				return
-			}
-			select {
-			case <-killCtx.Done():
-				return
-			case <-time.After(200 * time.Microsecond):
-			}
-		}
-	}()
-	_, serr := npdp.SolvePagedCtx(killCtx, crashed, npdp.PagedOptions{Workers: ooWorkers})
-	<-watcher
-	if serr == nil {
-		return fmt.Errorf("outofcore: solve finished before the kill fired (spilled=%d of %d blocks); nothing was measured",
-			crashed.Stats().SpilledBlocks, ooBlocks(n))
-	}
-	if !errors.Is(serr, context.Canceled) {
-		return fmt.Errorf("outofcore: interrupted solve failed for the wrong reason: %w", serr)
-	}
-
-	resumed, err := pager.Open[float32](spill, pager.Options{Frames: frames})
-	if err != nil {
-		return err
-	}
-	defer resumed.Close()
-	m := resumed.Blocks()
-	for bi := 0; bi < m; bi++ {
-		for bj := bi; bj < m; bj++ {
-			if resumed.IsFinal(bi, bj) {
-				rep.ResumedTasks++
-			}
-		}
-	}
-	rep.KillRecoverySeconds = timeIt(func() {
-		_, err = npdp.SolvePagedCtx(ctx, resumed, npdp.PagedOptions{Workers: ooWorkers, Resume: true})
-	})
-	if err != nil {
-		return err
-	}
-	got := tri.NewTiled[float32](n, ooTileSide)
-	if err := resumed.Materialize(got); err != nil {
-		return err
-	}
-	if i, j, a, b, diff := tri.FirstDiff[float32](ref, got); diff {
-		return fmt.Errorf("resumed solve diverged at (%d,%d): %v vs %v", i, j, a, b)
-	}
-	rep.KillVerified = true
-	return nil
 }

@@ -3,7 +3,6 @@ package npdp
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"cellnpdp/internal/cellsim"
 	"cellnpdp/internal/kernel"
@@ -65,11 +64,11 @@ type CellOptions struct {
 	// corruption is detected rather than returned. Implied by Heal.
 	// Functional runs only.
 	Seal bool
-	// Heal enables poisoned-cone recovery: cone tasks are restored from
-	// the pristine snapshot and recomputed serially with the same
-	// kernels, outside the DES — the modeled time and DMA statistics
-	// deliberately exclude recovery work, which on real hardware would
-	// run at PPE convenience after the timed solve.
+	// Heal enables poisoned-cone recovery: after the DES, the shared
+	// executor and Ladder demote the cone to pristine and recompute it on
+	// one host worker with the same kernels — the modeled time and DMA
+	// statistics deliberately exclude recovery work, which on real
+	// hardware would run at PPE convenience after the timed solve.
 	Heal bool
 	// HealAttempts bounds heal rounds; 0 means DefaultHealAttempts.
 	HealAttempts int
@@ -169,7 +168,10 @@ type cellEngine[E semiring.Elem] struct {
 	machine   *cellsim.Machine
 	opts      CellOptions
 	stats     kernel.Stats
-	heal      *healer[E]       // nil unless sealing is on and data is present
+	// recovery is the executor that seals each task the DES completes and
+	// runs the post-DES ladder; nil unless sealing is on and data is
+	// present.
+	recovery  *executor[E]
 	workerBuf []*speBuffers[E] // per-worker buffer sets, allocated on first task
 	// mul is the functional stage-1 kernel, resolved once per solve by
 	// SolveCellCtx — hoisted out of computeMB's //npdp:dispatch loop so
@@ -397,7 +399,14 @@ func (e *cellEngine[E]) run() (CellResult, error) {
 		return CellResult{}, err
 	}
 	if (e.opts.Seal || e.opts.Heal) && e.data != nil {
-		e.heal = newHealer(graph, e.data, e.opts.Inject, 0, e.opts.HealStats, nil)
+		e.recovery = newExecutor[E](NewMemStore(e.data, e.opts.Heal), graph, e.mul, ParallelOptions{
+			Workers:      1,
+			Heal:         e.opts.Heal,
+			HealAttempts: e.opts.HealAttempts,
+			HealStats:    e.opts.HealStats,
+			Inject:       e.opts.Inject,
+		}, true)
+		e.recovery.hostFaults = false
 	}
 	// Cost-aware urgencies: a task's priority is the most expensive
 	// remaining dependence chain hanging off it (estimated from the
@@ -460,12 +469,18 @@ func (e *cellEngine[E]) run() (CellResult, error) {
 			}
 			before := spe.Clock
 			spe.WaitAll()
-			if e.heal != nil {
+			if x := e.recovery; x != nil {
 				// Write-backs drained: digest, apply any planned silent
-				// flip, and seal. The DES runs on one goroutine, so the
-				// ordering needs no synchronization here.
-				e.heal.taskDone(task)
-				e.heal.sealTask(task, 0)
+				// flip, complete and seal. The DES runs on one goroutine,
+				// so the ordering needs no synchronization here.
+				mbs := task.MemoryBlockOrder()
+				own := make([][]E, len(mbs))
+				for i, mb := range mbs {
+					own[i] = e.data.Block(mb[0], mb[1])
+				}
+				if err := x.finish(task.ID, mbs, own, 0); err != nil {
+					return 0, err
+				}
 			}
 			e.opts.Trace.Add(spe.ID, trace.KindDMAWait, before, spe.Clock, "drain")
 			e.opts.Trace.Add(spe.ID, trace.KindTask, start, spe.Clock,
@@ -480,9 +495,12 @@ func (e *cellEngine[E]) run() (CellResult, error) {
 	if err != nil {
 		return CellResult{}, err
 	}
-	if e.heal != nil {
-		if herr := e.healLoop(graph); herr != nil {
-			return CellResult{}, herr
+	if x := e.recovery; x != nil {
+		// The DES was the first run; recovery runs are functional only.
+		err := x.solve(e.ctx, true)
+		e.stats.Add(x.total())
+		if err != nil {
+			return CellResult{}, err
 		}
 	}
 	return CellResult{
@@ -491,66 +509,6 @@ func (e *cellEngine[E]) run() (CellResult, error) {
 		DMA:     e.machine.Stats,
 		Busy:    des.WorkerBusy,
 	}, nil
-}
-
-// healLoop is the cell engine's post-solve escalation ladder: audit →
-// poisoned-cone recompute (bounded rounds) → pristine-restart fallback →
-// *resilience.CorruptionError. Recovery is functional and serial —
-// tasks recompute in wavefront order (Bj−Bi ascending, so every
-// dependence is strictly earlier) with the same MulMinPlus/Stage2
-// kernels the SPE procedure ran, so a healed table is bit-identical to
-// a clean solve. The recompute work counts into Stats but not into the
-// modeled Seconds or DMA traffic.
-func (e *cellEngine[E]) healLoop(graph *sched.Graph) error {
-	h := e.heal
-	healAttempts := 0
-	if e.opts.Heal {
-		healAttempts = e.opts.HealAttempts
-		if healAttempts <= 0 {
-			healAttempts = DefaultHealAttempts
-		}
-	}
-	rounds, fellBack := 0, false
-	// runIdx starts at 1: the DES run sealed at attempt 0, so each
-	// recompute round re-rolls fresh fault plans.
-	for runIdx := 1; ; runIdx++ {
-		bad := h.audit()
-		if len(bad) == 0 {
-			return nil
-		}
-		h.stats.CorruptBlocks += len(bad)
-		var ids []int
-		switch {
-		case rounds < healAttempts:
-			rounds++
-			ids = h.heal(bad)
-		case e.opts.Heal && !fellBack:
-			fellBack = true
-			h.restoreAll()
-			ids = make([]int, len(graph.Tasks))
-			for i := range ids {
-				ids[i] = i
-			}
-		default:
-			return h.corruption(bad, rounds)
-		}
-		sort.Slice(ids, func(x, y int) bool {
-			dx := graph.Tasks[ids[x]].Bj - graph.Tasks[ids[x]].Bi
-			dy := graph.Tasks[ids[y]].Bj - graph.Tasks[ids[y]].Bi
-			if dx != dy {
-				return dx < dy
-			}
-			return ids[x] < ids[y]
-		})
-		for _, id := range ids {
-			task := graph.Tasks[id]
-			for _, mb := range task.MemoryBlockOrder() {
-				e.stats.Add(computeMemoryBlockCBStep(e.data, mb[0], mb[1]))
-			}
-			h.taskDone(task)
-			h.sealTask(task, runIdx)
-		}
-	}
 }
 
 // SolveCell runs CellNPDP functionally on the simulated Cell: the DP

@@ -115,7 +115,7 @@ func TestGenericSemiringMatchesSpecialized(t *testing.T) {
 	const n = 50
 	src := workload.Dense[float32](n, 4)
 	gen := src.Clone()
-	SolveSerialSemiring[float32](gen, MinPlusSemiring[float32]{})
+	SolveSerialSemiring[float32](gen, semiring.MinPlus[float32]{})
 	spec := src.Clone()
 	SolveSerial(spec)
 	if !tri.Equal[float32](gen, spec) {

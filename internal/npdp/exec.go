@@ -1,0 +1,390 @@
+package npdp
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"unsafe"
+
+	"cellnpdp/internal/kernel"
+	"cellnpdp/internal/pager"
+	"cellnpdp/internal/resilience"
+	"cellnpdp/internal/sched"
+	"cellnpdp/internal/semiring"
+)
+
+// paddedStats is one worker's kernel.Stats padded out to two cache lines
+// so neighboring workers' accumulators never share a line (128 bytes also
+// clears the adjacent-line prefetcher's pairing).
+type paddedStats struct {
+	kernel.Stats
+	_ [128 - unsafe.Sizeof(kernel.Stats{})]byte
+}
+
+// SolveStoreCtx is the one executor: the tier-2 parallel procedure
+// (Section IV-B) over any BlockStore. A lock-free pool of opts.Workers
+// goroutines runs the simplified two-dependence task graph; each task
+// pins its own memory blocks, computes them with the block procedure,
+// and completes them before the pins drop. A task is pre-complete iff
+// all its blocks are already final in the store (a resumed checkpoint,
+// or a pager's committed spill index), so only the remainder runs.
+//
+// The fault-tolerance layer is the same for every store: cancellation at
+// task-dispatch granularity, per-task retry of transient failures,
+// deterministic fault injection, periodic checkpoints (in-memory stores
+// only — a pager's committed index is its checkpoint), and the shared
+// recovery Ladder. Sealing is off by default, so the plain path digests
+// nothing. Task failures surface as *resilience.TaskError carrying the
+// task identity and attempt count. The MutexPool ablation bypasses all
+// of it (plain locked pool).
+func SolveStoreCtx[E semiring.Elem](ctx context.Context, s BlockStore[E], opts ParallelOptions) (kernel.Stats, error) {
+	return solveStore(ctx, s, opts, nil)
+}
+
+// solveStore is SolveStoreCtx; finalize, when non-nil, runs after each
+// clean run, and a corrupt final page it reports is one more detection
+// for the ladder.
+func solveStore[E semiring.Elem](ctx context.Context, s BlockStore[E], opts ParallelOptions, finalize func() error) (kernel.Stats, error) {
+	if err := kernel.CheckTile(s.Tile()); err != nil {
+		return kernel.Stats{}, err
+	}
+	if opts.Workers <= 0 {
+		return kernel.Stats{}, fmt.Errorf("npdp: Workers must be positive, got %d", opts.Workers)
+	}
+	if opts.SchedSide < 0 {
+		return kernel.Stats{}, fmt.Errorf("npdp: SchedSide must be non-negative, got %d", opts.SchedSide)
+	}
+	g := max(opts.SchedSide, 1)
+	newGraph := sched.NewGraph
+	if opts.FullDeps {
+		newGraph = sched.NewFullGraph
+	}
+	graph, err := newGraph(s.Blocks(), g)
+	if err != nil {
+		return kernel.Stats{}, err
+	}
+	// Stage-1 kernel selection is hoisted here — once per solve, never
+	// inside the per-block dispatch loops.
+	mul, err := ResolveStage1Shape[E](opts.Stage1, s.Tile(), s.Len())
+	if err != nil {
+		return kernel.Stats{}, err
+	}
+	for id, done := range opts.Completed {
+		if !done || id >= len(graph.Tasks) {
+			continue
+		}
+		for _, mb := range graph.Tasks[id].MemoryBlockOrder() {
+			if _, err := s.Acquire(mb[0], mb[1]); err != nil {
+				return kernel.Stats{}, err
+			}
+			err := s.Complete(mb[0], mb[1])
+			s.Release(mb[0], mb[1])
+			if err != nil {
+				return kernel.Stats{}, err
+			}
+		}
+	}
+	x := newExecutor(s, graph, mul, opts, !opts.MutexPool && (opts.Seal || opts.Heal || opts.AuditEvery > 0))
+	x.finalize = finalize
+	if opts.MutexPool {
+		// Ablation baseline: the mutex-guarded seed pool, without the
+		// fault-tolerance plumbing.
+		err = sched.RunPoolLocked(graph, opts.Workers, func(worker int, task sched.Task) error {
+			st, err := x.runTask(task, 0)
+			x.perWorker[worker].Stats.Add(st)
+			return err
+		})
+		return x.total(), err
+	}
+	if opts.CheckpointPath != "" {
+		ms, ok := s.(*MemStore[E])
+		if !ok {
+			return kernel.Stats{}, fmt.Errorf("npdp: CheckpointPath needs an in-memory store (a pager's committed spill index is its checkpoint)")
+		}
+		x.ck = newCheckpointer(ms, graph, opts)
+	}
+	if x.seal {
+		if err := x.ladder.SealFinals(); err != nil {
+			return kernel.Stats{}, err
+		}
+	}
+	err = x.solve(ctx, false)
+	if x.ck != nil {
+		if ckErr := x.ck.final(err == nil); ckErr != nil && err == nil {
+			err = fmt.Errorf("npdp: solve succeeded but checkpointing failed: %w", ckErr)
+		}
+	}
+	return x.total(), err
+}
+
+// executor runs one solve's tasks over a store.
+type executor[E semiring.Elem] struct {
+	store  BlockStore[E]
+	graph  *sched.Graph
+	mul    Stage1Func[E]
+	opts   ParallelOptions
+	ladder *Ladder[E]
+	ck     *checkpointer[E]
+	// seal turns on block sealing: digests at completion plus the
+	// post-run (and, with AuditEvery, online) audit. Off on the plain
+	// path, which then digests nothing.
+	seal      bool
+	finalize  func() error // see solveStore; may be nil
+	perWorker []paddedStats
+	// hostFaults applies the injector's error/panic/delay plans at the top
+	// of each attempt. The Cell engine turns it off: its DES dispatcher
+	// has no analogue for them, so its recovery runs honor only corrupt.
+	hostFaults bool
+	// attemptBase offsets injector attempt numbers per run so a
+	// recomputed task re-rolls fresh fault plans instead of replaying the
+	// run that corrupted it. Written only between runs; each run's worker
+	// goroutines are created after the write.
+	attemptBase int
+	execs       atomic.Int64
+}
+
+func newExecutor[E semiring.Elem](s BlockStore[E], graph *sched.Graph, mul Stage1Func[E], opts ParallelOptions, seal bool) *executor[E] {
+	return &executor[E]{
+		store:      s,
+		graph:      graph,
+		mul:        mul,
+		opts:       opts,
+		ladder:     NewLadder(s, graph, opts.HealAttempts, opts.HealStats),
+		seal:       seal,
+		perWorker:  make([]paddedStats, max(opts.Workers, 1)),
+		hostFaults: true,
+	}
+}
+
+// total sums the per-worker kernel work.
+func (x *executor[E]) total() kernel.Stats {
+	var st kernel.Stats
+	for i := range x.perWorker {
+		st.Add(x.perWorker[i].Stats)
+	}
+	return st
+}
+
+// runTask is the one task procedure: pin the task's own blocks and
+// compute each in MemoryBlockOrder, then finish them before the pins
+// drop, so eviction can never see a half-computed block.
+func (x *executor[E]) runTask(task sched.Task, attempt int) (kernel.Stats, error) {
+	var st kernel.Stats
+	mbs := task.MemoryBlockOrder()
+	own := make([][]E, 0, len(mbs))
+	defer func() {
+		for i := range own {
+			x.store.Release(mbs[i][0], mbs[i][1])
+		}
+	}()
+	ts := x.store.Tile()
+	for _, mb := range mbs {
+		d, err := x.store.Acquire(mb[0], mb[1])
+		if err != nil {
+			return st, err
+		}
+		own = append(own, d)
+		bs, err := computeBlock[E](x.store, d, mb[0], mb[1], ts, x.mul)
+		st.Add(bs)
+		if err != nil {
+			return st, err
+		}
+	}
+	return st, x.finish(task.ID, mbs, own, attempt)
+}
+
+// finish completes a computed task whose own blocks are pinned. With
+// sealing on, the blocks are digested and the planned FaultCorrupt flip
+// lands (resilience.DigestThenFlip) before Complete publishes them; the
+// seals are stored last.
+func (x *executor[E]) finish(taskID int, mbs [][2]int, own [][]E, attempt int) error {
+	var crcs []uint32
+	if x.seal {
+		crcs = resilience.DigestThenFlip(own, x.opts.Inject, taskID, attempt)
+	}
+	for i, mb := range mbs {
+		if err := x.store.Complete(mb[0], mb[1]); err != nil {
+			return err
+		}
+		if crcs != nil {
+			x.ladder.Seal(mb[0], mb[1], crcs[i])
+		}
+	}
+	return nil
+}
+
+// exec is the pool's task body: the online audit, then retried attempts
+// of the task procedure behind the fault injector.
+func (x *executor[E]) exec(worker int, task sched.Task) error {
+	if x.seal && x.opts.AuditEvery > 0 && x.execs.Add(1)%int64(x.opts.AuditEvery) == 0 {
+		bad, err := x.ladder.Audit()
+		if err != nil {
+			return err
+		}
+		if len(bad) > 0 {
+			return &resilience.CorruptionError{Blocks: bad, TaskIDs: x.ladder.tasksOf(bad)}
+		}
+	}
+	// Stats accumulate locally and merge only on success, so a retried
+	// attempt never double-counts work.
+	var local kernel.Stats
+	attempts, err := x.opts.Retry.Do(func(attempt int) error {
+		a := x.attemptBase + attempt
+		if x.hostFaults {
+			if err := x.opts.Inject.Apply(task.ID, a); err != nil {
+				return err
+			}
+		}
+		var err error
+		local, err = x.runTask(task, a)
+		return err
+	})
+	if err != nil {
+		return &resilience.TaskError{
+			TaskID: task.ID, Bi: task.Bi, Bj: task.Bj,
+			Worker: worker, Attempts: attempts, Err: err,
+		}
+	}
+	x.perWorker[worker].Stats.Add(local)
+	return nil
+}
+
+// run executes every task not yet complete in the store once.
+func (x *executor[E]) run(ctx context.Context, runIdx int) error {
+	x.attemptBase = runIdx * (x.opts.Retry.MaxRetries + 1)
+	po := sched.PoolRunOptions{Completed: Completed(x.store, x.graph)}
+	if x.ck != nil {
+		po.OnTaskDone = x.ck.taskDone
+	}
+	return sched.RunPoolCtx(ctx, x.graph, x.opts.Workers, po, x.exec)
+}
+
+// solve is the recovery ladder around run: detect (a seal audit after
+// the run, an online audit abort, or a corrupt final page — during the
+// run or in finalize), heal the poisoned cone, one pristine restart,
+// then the typed error. ran says
+// the caller already executed the first run (the Cell engine's DES).
+// A solve with sealing on can fail, but never returns silently wrong.
+func (x *executor[E]) solve(ctx context.Context, ran bool) error {
+	for runIdx := 0; ; runIdx++ {
+		var err error
+		if runIdx > 0 || !ran {
+			err = x.run(ctx, runIdx)
+		}
+		bad, healable, err := x.detect(err)
+		if bad == nil {
+			return err
+		}
+		ids, restart, err := x.ladder.Escalate(bad, healable)
+		if err != nil {
+			return err
+		}
+		if x.opts.Logf != nil {
+			rung := "heal round: recomputing the poisoned cone of"
+			if restart {
+				rung = "heal budget exhausted: pristine restart of all"
+			}
+			x.opts.Logf("npdp: %d corrupt block(s) (first (%d,%d)); %s %d tasks", len(bad), bad[0][0], bad[0][1], rung, len(ids))
+		}
+	}
+}
+
+// detect classifies a run's outcome. It returns the blocks to escalate
+// and whether they may heal, or bad == nil and the error to return.
+func (x *executor[E]) detect(err error) (bad [][2]int, healable bool, _ error) {
+	var ce *resilience.CorruptionError
+	if x.seal && (err == nil || errors.As(err, &ce)) {
+		var aerr error
+		if bad, aerr = x.ladder.Audit(); aerr != nil {
+			err = aerr
+		} else if len(bad) > 0 {
+			return bad, x.opts.Heal, nil
+		}
+		// Otherwise clean, or an online audit aborted the run but the
+		// damage is gone (cannot happen: sealed blocks are immutable).
+	}
+	if err == nil && x.finalize != nil {
+		err = x.finalize()
+	}
+	var pe *pager.ErrPageCorrupt
+	if !errors.As(err, &pe) {
+		return nil, false, err // success, cancellation, spill-space exhaustion, task failure
+	}
+	if pe.Pristine {
+		// No earlier version to fall back to: the input itself is gone.
+		return nil, false, fmt.Errorf("npdp: paged solve unrecoverable: %w", pe)
+	}
+	return [][2]int{{pe.Bi, pe.Bj}}, true, nil
+}
+
+// checkpointer writes periodic NPCK snapshots of an in-memory solve.
+// The completion bitmap is read from the store's final marks; a final
+// block is immutable, so a snapshot only reads settled bytes, and the
+// mutex orders concurrent OnTaskDone calls.
+type checkpointer[E semiring.Elem] struct {
+	mu    sync.Mutex
+	path  string
+	every int
+	meta  resilience.Meta
+	graph *sched.Graph
+	store *MemStore[E]
+	since int
+	err   error // first snapshot failure; surfaced after the run
+}
+
+func newCheckpointer[E semiring.Elem](s *MemStore[E], graph *sched.Graph, opts ParallelOptions) *checkpointer[E] {
+	every := opts.CheckpointEvery
+	if every <= 0 {
+		every = 16
+	}
+	var e E
+	return &checkpointer[E]{
+		path:  opts.CheckpointPath,
+		every: every,
+		meta: resilience.Meta{
+			N: s.Len(), Tile: s.Tile(), SchedSide: graph.SchedSide,
+			Tasks: len(graph.Tasks), ElemBytes: elemBytes(e),
+		},
+		graph: graph,
+		store: s,
+	}
+}
+
+func (c *checkpointer[E]) taskDone(sched.Task) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.since++; c.since >= c.every {
+		c.since = 0
+		c.save()
+	}
+}
+
+// save writes a snapshot of every complete task's memory blocks; the
+// caller holds c.mu. After the first failure snapshots stop (the stored
+// error is surfaced when the solve returns).
+func (c *checkpointer[E]) save() {
+	if c.err != nil {
+		return
+	}
+	done := Completed[E](c.store, c.graph)
+	var blocks [][2]int
+	for id, d := range done {
+		if d {
+			blocks = append(blocks, c.graph.Tasks[id].MemoryBlockOrder()...)
+		}
+	}
+	c.err = resilience.SaveCheckpointFile(c.path, c.meta, done, c.store.Tiled, blocks)
+}
+
+// final writes a last snapshot when the solve failed part-way (so resume
+// never depends on the periodic boundary) and reports any snapshot error.
+func (c *checkpointer[E]) final(solved bool) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !solved {
+		c.save()
+	}
+	return c.err
+}

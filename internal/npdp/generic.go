@@ -67,18 +67,3 @@ func (MinMax[E]) Mul(a, b E) E {
 	}
 	return a
 }
-
-// MinPlusSemiring adapts the library's standard algebra to the generic
-// interface.
-type MinPlusSemiring[E ~float32 | ~float64] struct{}
-
-// Add is min.
-func (MinPlusSemiring[E]) Add(a, b E) E {
-	if b < a {
-		return b
-	}
-	return a
-}
-
-// Mul is +.
-func (MinPlusSemiring[E]) Mul(a, b E) E { return a + b }

@@ -1,0 +1,255 @@
+package npdp
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+
+	"cellnpdp/internal/pager"
+	"cellnpdp/internal/resilience"
+	"cellnpdp/internal/sched"
+	"cellnpdp/internal/semiring"
+)
+
+// DefaultHealAttempts bounds how many times in a row one memory block
+// may fail verification and be cone-healed before the pristine-restart
+// rung, when healing is enabled without an explicit budget. Each heal
+// round re-rolls the fault injector at a fresh attempt base, so under
+// sustained injection a block fails consecutively with probability
+// rate^k; a generous bound lets rates like 5% converge while still
+// guaranteeing termination.
+const DefaultHealAttempts = 32
+
+// Ladder is the recovery state every engine shares — the in-process
+// executor over any BlockStore, the Cell engine's post-DES recovery and
+// the cluster coordinator. It owns the block seal table and the
+// escalation rule:
+//
+//	detect   a seal audit mismatch, or a *pager.ErrPageCorrupt on a
+//	         final block (the caller reports either through Escalate)
+//	heal     demote and unseal the poisoned cone (sched.Graph.Cone of the
+//	         bad blocks' tasks); only the cone is recomputed
+//	restart  once a block has failed HealAttempts times in a row, demote
+//	         everything once and recompute from pristine
+//	fail     *resilience.CorruptionError
+//
+// The budget is per block and counts only consecutive failures: a block
+// that verifies clean again (Clean) starts over, and fresh corruption on
+// a previously clean block never exhausts it.
+//
+// Seal, Audit and Clean are safe for concurrent use (online audits run
+// on pool workers); Escalate and SealFinals run between pool runs, or on
+// the coordinator's event loop.
+type Ladder[E semiring.Elem] struct {
+	store    BlockStore[E]
+	graph    *sched.Graph
+	seals    *resilience.SealTable
+	stats    *resilience.HealStats
+	attempts int
+
+	mu        sync.Mutex // guards fails and serializes audits
+	fails     map[int]int
+	restarted bool
+}
+
+// NewLadder builds the recovery state for a solve of graph g over s.
+// attempts ≤ 0 means DefaultHealAttempts; stats may be nil.
+func NewLadder[E semiring.Elem](s BlockStore[E], g *sched.Graph, attempts int, stats *resilience.HealStats) *Ladder[E] {
+	if attempts <= 0 {
+		attempts = DefaultHealAttempts
+	}
+	if stats == nil {
+		stats = &resilience.HealStats{}
+	}
+	m := s.Blocks()
+	return &Ladder[E]{
+		store:    s,
+		graph:    g,
+		seals:    resilience.NewSealTable(m * (m + 1) / 2),
+		stats:    stats,
+		attempts: attempts,
+		fails:    make(map[int]int),
+	}
+}
+
+func (l *Ladder[E]) id(bi, bj int) int { return blockID(l.store.Blocks(), bi, bj) }
+
+// Seal records crc as block (bi, bj)'s seal. The block's bytes must be
+// published (Complete) before the seal, so an auditor that sees the seal
+// reads immutable bytes.
+func (l *Ladder[E]) Seal(bi, bj int, crc uint32) { l.seals.Seal(l.id(bi, bj), crc) }
+
+// Clean records that block (bi, bj) verified, resetting its budget.
+func (l *Ladder[E]) Clean(bi, bj int) {
+	l.mu.Lock()
+	delete(l.fails, l.id(bi, bj))
+	l.mu.Unlock()
+}
+
+// SealFinals seals every final block from its current content, so
+// audits cover blocks a resume restored. A final page that reads back
+// corrupt stays unsealed: the run that pages it in detects and heals it.
+func (l *Ladder[E]) SealFinals() error {
+	m := l.store.Blocks()
+	for bi := 0; bi < m; bi++ {
+		for bj := bi; bj < m; bj++ {
+			if !l.store.IsFinal(bi, bj) {
+				continue
+			}
+			cells, err := l.store.Acquire(bi, bj)
+			var pe *pager.ErrPageCorrupt
+			if errors.As(err, &pe) && !pe.Pristine {
+				continue
+			}
+			if err != nil {
+				return err
+			}
+			l.Seal(bi, bj, resilience.BlockCRC(cells))
+			l.store.Release(bi, bj)
+		}
+	}
+	return nil
+}
+
+// Audit re-digests every sealed block and returns those whose content
+// no longer matches the seal; clean blocks reset their budget. A block
+// that cannot be paged back in stops the audit with the store's error
+// (a corrupt final page is itself a detection).
+func (l *Ladder[E]) Audit() ([][2]int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.stats.Audits++
+	var bad [][2]int
+	m := l.store.Blocks()
+	for bi := 0; bi < m; bi++ {
+		for bj := bi; bj < m; bj++ {
+			id := l.id(bi, bj)
+			want, ok := l.seals.Sealed(id)
+			if !ok {
+				continue
+			}
+			cells, err := l.store.Acquire(bi, bj)
+			if err != nil {
+				return bad, err
+			}
+			if resilience.BlockCRC(cells) != want {
+				bad = append(bad, [2]int{bi, bj})
+			} else {
+				delete(l.fails, id)
+			}
+			l.store.Release(bi, bj)
+		}
+	}
+	return bad, nil
+}
+
+// taskOf maps a memory block to the task that computes it.
+func (l *Ladder[E]) taskOf(bi, bj int) int {
+	g := l.graph.SchedSide
+	id, _ := l.graph.TaskID(bi/g, bj/g)
+	return id
+}
+
+// tasksOf returns the distinct tasks computing the given blocks.
+func (l *Ladder[E]) tasksOf(bad [][2]int) []int {
+	seen := make(map[int]bool)
+	var ids []int
+	for _, b := range bad {
+		if id := l.taskOf(b[0], b[1]); !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// Escalate climbs one rung for blocks that failed verification. healable
+// says whether this detection may be recovered at all: Heal gates seal
+// mismatches, while a corrupt final page always heals. It demotes and
+// unseals the tasks to recompute and returns their IDs (restart reports
+// the pristine-restart rung), or returns the typed CorruptionError once
+// the ladder is exhausted.
+func (l *Ladder[E]) Escalate(bad [][2]int, healable bool) (ids []int, restart bool, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.stats.CorruptBlocks += len(bad)
+	worst := 0
+	for _, b := range bad {
+		worst = max(worst, l.fails[l.id(b[0], b[1])])
+	}
+	if !healable || worst >= l.attempts {
+		if !healable || l.restarted {
+			return nil, false, &resilience.CorruptionError{Blocks: bad, TaskIDs: l.tasksOf(bad), Healed: worst}
+		}
+		l.restarted = true
+		l.fails = make(map[int]int)
+		ids = make([]int, len(l.graph.Tasks))
+		for i := range ids {
+			ids[i] = i
+		}
+		l.demote(ids)
+		l.stats.CheckpointFallback = true
+		l.stats.RecomputedTasks += len(ids)
+		return ids, true, nil
+	}
+	for _, b := range bad {
+		l.fails[l.id(b[0], b[1])]++
+	}
+	ids = l.graph.Cone(l.tasksOf(bad))
+	l.demote(ids)
+	l.stats.HealRounds++
+	l.stats.RecomputedTasks += len(ids)
+	return ids, false, nil
+}
+
+// demote reverts every block of the given tasks to pristine, unsealed.
+func (l *Ladder[E]) demote(ids []int) {
+	for _, id := range ids {
+		for _, mb := range l.graph.Tasks[id].MemoryBlockOrder() {
+			l.store.Demote(mb[0], mb[1])
+			l.seals.Unseal(l.id(mb[0], mb[1]))
+		}
+	}
+}
+
+// ApplyCheckpoint installs a validated NPCK snapshot into s: every task
+// the snapshot marks done has its blocks copied in and marked final. A
+// task marked done without all its blocks is skipped, so it is
+// recomputed rather than trusted. It returns the number of tasks
+// restored; the snapshot must already match the solve's geometry.
+func ApplyCheckpoint[E semiring.Elem](s BlockStore[E], g *sched.Graph, ck *resilience.Checkpoint[E], logf func(string, ...any)) (int, error) {
+	if len(ck.Done) != len(g.Tasks) {
+		return 0, fmt.Errorf("npdp: checkpoint records %d tasks, solve schedules %d", len(ck.Done), len(g.Tasks))
+	}
+	restored := 0
+	for id, task := range g.Tasks {
+		if !ck.Done[id] {
+			continue
+		}
+		mbs := task.MemoryBlockOrder()
+		complete := true
+		for _, mb := range mbs {
+			complete = complete && ck.HasBlock(mb[0], mb[1])
+		}
+		if !complete {
+			if logf != nil {
+				logf("npdp: checkpoint marks task %d done but lacks its blocks; recomputing it", id)
+			}
+			continue
+		}
+		for _, mb := range mbs {
+			cells, _ := ck.Block(mb[0], mb[1])
+			dst, err := s.Acquire(mb[0], mb[1])
+			if err == nil {
+				copy(dst, cells)
+				err = s.Complete(mb[0], mb[1])
+				s.Release(mb[0], mb[1])
+			}
+			if err != nil {
+				return restored, fmt.Errorf("npdp: applying checkpoint block (%d,%d): %w", mb[0], mb[1], err)
+			}
+		}
+		restored++
+	}
+	return restored, nil
+}

@@ -2,238 +2,58 @@ package npdp
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
 
 	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/pager"
-	"cellnpdp/internal/perfmodel"
-	"cellnpdp/internal/resilience"
-	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
+	"cellnpdp/internal/tri"
 )
 
-// PagedOptions configures SolvePagedCtx.
-type PagedOptions struct {
-	// Workers is the number of concurrent goroutine workers. Required > 0.
-	Workers int
-	// Stage1 overrides stage-1 kernel selection, as in ParallelOptions;
-	// resolved once per solve from the pager's geometry.
-	Stage1 perfmodel.Kernel
-	// Resume pre-completes every task whose memory blocks are all final in
-	// the pager (the committed spill index recovered them), so a restart
-	// after SIGKILL recomputes only the remainder.
-	Resume bool
-	// HealAttempts bounds page-corruption heal rounds (demote the corrupt
-	// block's dependence cone to pristine and recompute); 0 means
-	// DefaultHealAttempts.
-	HealAttempts int
-	// Logf, when non-nil, receives heal and recovery progress lines.
-	Logf func(format string, args ...any)
-}
+// PagedOptions configures SolvePagedCtx; it is ParallelOptions.
+type PagedOptions = ParallelOptions
 
-// SolvePagedCtx runs the tier-2 parallel procedure out of core: the
-// table lives in the pager's spill file and only the working set is
-// resident. It is the host-side analogue of the paper's SPE discipline —
-// Acquire/Release windows are the local-store residency of a block,
-// Prefetch of the next stage-1 operand pair is the double-buffered DMA
-// that overlaps transfer with compute, and Complete seals a block's
-// CRC32C exactly when its producing task finishes (blocks are immutable
-// afterwards, so each is spilled at most once).
+// SolvePagedCtx runs the tier-2 parallel procedure out of core:
+// SolveStoreCtx over the pager, so the table lives in the spill file and
+// only the working set is resident. It is the host-side analogue of the
+// paper's SPE discipline — Acquire/Release windows are the local-store
+// residency of a block, Prefetch of the next stage-1 operand pair is the
+// double-buffered DMA that overlaps transfer with compute, and Complete
+// seals a block's CRC32C exactly when its producing task finishes
+// (blocks are immutable afterwards, so each is spilled at most once).
 //
-// The scheduling grain is fixed at one task per memory block (g = 1):
-// the heal path demotes a corrupt block's dependence cone, and block
-// granularity keeps that cone minimal.
+// Blocks the pager's committed index recovered are final, so a restart
+// after SIGKILL recomputes only the remainder, bit-identically: a
+// recovered block is the same sealed bytes its task produced.
 //
 // Robustness ladder: a spilled final block that pages in corrupt (torn
 // write, bit flip, read fault) surfaces as *pager.ErrPageCorrupt; the
-// solve demotes the block's transitive successor cone to pristine and
-// recomputes it, bounded by HealAttempts rounds. A corrupt pristine
-// block has no earlier version and fails the solve. ENOSPC degradation
-// and the hard-ceiling *pager.ErrSpillSpace happen inside the pager and
-// surface here unhealed (recomputing cannot create disk space).
+// shared Ladder demotes the block's transitive successor cone to
+// pristine and recomputes it, whether or not Heal is set. A corrupt
+// pristine block has no earlier version and fails the solve. ENOSPC
+// degradation and the hard-ceiling *pager.ErrSpillSpace happen inside
+// the pager and surface here unhealed (recomputing cannot create disk
+// space). CheckpointPath is rejected: the committed index is the
+// checkpoint.
 //
 // On success every block is final; the caller materializes the solved
-// table with p.Materialize. Resume after SIGKILL is bit-identical to an
-// uninterrupted solve because relaxations are idempotent monotone mins
-// and a block recovered from the committed index is the same sealed
-// bytes its task produced.
+// table with p.Materialize, or solves with SolvePagedTableCtx.
 func SolvePagedCtx[E semiring.Elem](ctx context.Context, p *pager.Pager[E], opts PagedOptions) (kernel.Stats, error) {
-	if err := kernel.CheckTile(p.Tile()); err != nil {
-		return kernel.Stats{}, err
-	}
-	if opts.Workers <= 0 {
-		return kernel.Stats{}, fmt.Errorf("npdp: Workers must be positive, got %d", opts.Workers)
-	}
-	graph, err := sched.NewGraph(p.Blocks(), 1)
-	if err != nil {
-		return kernel.Stats{}, err
-	}
-	mul, err := ResolveStage1Shape[E](opts.Stage1, p.Tile(), p.Len())
-	if err != nil {
-		return kernel.Stats{}, err
-	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-
-	// done mirrors the pool's completion state across heal rounds; the
-	// mutex orders concurrent OnTaskDone calls with the heal path's reads
-	// (which only run between rounds, but the bitmap copy keeps the
-	// discipline uniform).
-	done := make([]bool, len(graph.Tasks))
-	var doneMu sync.Mutex
-	if opts.Resume {
-		recovered := 0
-		for id, task := range graph.Tasks {
-			final := true
-			for _, mb := range task.MemoryBlockOrder() {
-				if !p.IsFinal(mb[0], mb[1]) {
-					final = false
-					break
-				}
-			}
-			if final {
-				done[id] = true
-				recovered++
-			}
-		}
-		if recovered > 0 {
-			logf("npdp: paged resume: %d/%d tasks recovered from committed spill index", recovered, len(graph.Tasks))
-		}
-	}
-
-	perWorker := make([]paddedStats, opts.Workers)
-	exec := func(worker int, task sched.Task) error {
-		var local kernel.Stats
-		for _, mb := range task.MemoryBlockOrder() {
-			st, err := computePagedBlock(p, mb[0], mb[1], mul)
-			if err != nil {
-				return &resilience.TaskError{
-					TaskID: task.ID, Bi: task.Bi, Bj: task.Bj,
-					Worker: worker, Attempts: 1, Err: err,
-				}
-			}
-			local.Add(st)
-		}
-		perWorker[worker].Stats.Add(local)
-		return nil
-	}
-
-	healAttempts := opts.HealAttempts
-	if healAttempts <= 0 {
-		healAttempts = DefaultHealAttempts
-	}
-	heals := 0
-	for {
-		doneMu.Lock()
-		completed := append([]bool(nil), done...)
-		doneMu.Unlock()
-		err = sched.RunPoolCtx(ctx, graph, opts.Workers, sched.PoolRunOptions{
-			Completed: completed,
-			OnTaskDone: func(task sched.Task) {
-				doneMu.Lock()
-				done[task.ID] = true
-				doneMu.Unlock()
-			},
-		}, exec)
-		if err == nil {
-			break
-		}
-		var pe *pager.ErrPageCorrupt
-		if !errors.As(err, &pe) {
-			break // cancellation, spill-space exhaustion, I/O setup failure
-		}
-		if pe.Pristine {
-			// No earlier version to fall back to: the input itself is gone.
-			err = fmt.Errorf("npdp: paged solve unrecoverable: %w", pe)
-			break
-		}
-		if heals >= healAttempts {
-			err = fmt.Errorf("npdp: paged solve gave up after %d heal rounds: %w", heals, pe)
-			break
-		}
-		heals++
-		seed, ok := graph.TaskID(pe.Bi, pe.Bj)
-		if !ok {
-			err = fmt.Errorf("npdp: corrupt block (%d,%d) has no task: %w", pe.Bi, pe.Bj, pe)
-			break
-		}
-		cone := graph.Cone([]int{seed})
-		doneMu.Lock()
-		for _, id := range cone {
-			for _, mb := range graph.Tasks[id].MemoryBlockOrder() {
-				p.Demote(mb[0], mb[1])
-			}
-			done[id] = false
-		}
-		doneMu.Unlock()
-		logf("npdp: paged heal round %d: block (%d,%d) corrupt on page-in, demoted %d-task cone to pristine", heals, pe.Bi, pe.Bj, len(cone))
-	}
-
-	var st kernel.Stats
-	for i := range perWorker {
-		st.Add(perWorker[i].Stats)
-	}
-	return st, err
+	return SolveStoreCtx[E](ctx, p, opts)
 }
 
-// computePagedBlock is computeMemoryBlock against the pager: every
-// operand is pinned for exactly its use window, and the next stage-1
-// pair is prefetched while the current product runs — the cellsim
-// double-buffer, with the page cache standing in for the second LS
-// buffer. The destination block stays pinned for the whole task and is
-// sealed final (CRC32C) before the pin drops, so eviction can never see
-// a half-computed block.
-func computePagedBlock[E semiring.Elem](p *pager.Pager[E], bi, bj int, mul Stage1Func[E]) (kernel.Stats, error) {
-	ts := p.Tile()
-	var st kernel.Stats
-	d, err := p.Acquire(bi, bj)
-	if err != nil {
-		return st, err
-	}
-	defer p.Release(bi, bj)
-	if bi == bj {
-		st.Add(kernel.Stage2Diag(d, ts))
-	} else {
-		for k := bi + 1; k < bj; k++ {
-			if k+1 < bj {
-				p.Prefetch(bi, k+1)
-				p.Prefetch(k+1, bj)
-			} else {
-				p.Prefetch(bi, bi)
-				p.Prefetch(bj, bj)
-			}
-			a, err := p.Acquire(bi, k)
-			if err != nil {
-				return st, err
-			}
-			b, err := p.Acquire(k, bj)
-			if err != nil {
-				p.Release(bi, k)
-				return st, err
-			}
-			st.Add(mul(d, a, b, ts))
-			p.Release(bi, k)
-			p.Release(k, bj)
+// SolvePagedTableCtx is SolvePagedCtx followed by materializing the
+// solved table inside the same recovery ladder: a final block that pages
+// in corrupt only during the copy — a torn spill no consumer read back,
+// such as the last block — is healed like any other detection, and the
+// copy is retried. The table is allocated only once the solve is done,
+// so it never adds to the solve's working set.
+func SolvePagedTableCtx[E semiring.Elem](ctx context.Context, p *pager.Pager[E], opts PagedOptions) (*tri.Tiled[E], kernel.Stats, error) {
+	var dst *tri.Tiled[E]
+	st, err := solveStore[E](ctx, p, opts, func() error {
+		if dst == nil {
+			dst = tri.NewTiled[E](p.Len(), p.Tile())
 		}
-		aa, err := p.Acquire(bi, bi)
-		if err != nil {
-			return st, err
-		}
-		bb, err := p.Acquire(bj, bj)
-		if err != nil {
-			p.Release(bi, bi)
-			return st, err
-		}
-		st.Add(kernel.Stage2OffDiag(d, aa, bb, ts))
-		p.Release(bi, bi)
-		p.Release(bj, bj)
-	}
-	if err := p.Complete(bi, bj); err != nil {
-		return st, err
-	}
-	return st, nil
+		return p.Materialize(dst)
+	})
+	return dst, st, err
 }

@@ -7,6 +7,7 @@ import (
 
 	"cellnpdp/internal/pager"
 	"cellnpdp/internal/perfmodel"
+	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tri"
 	"cellnpdp/internal/workload"
@@ -149,10 +150,16 @@ func TestPagedResumeAfterSimulatedKill(t *testing.T) {
 	}
 	m := tt.Blocks()
 	total := m * (m + 1) / 2
+	graph, err := sched.NewGraph(m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := newExecutor[float32](p, graph, mul, ParallelOptions{Workers: 1}, false)
 	donePartial := 0
 	for d := 0; d < m && donePartial < total/3; d++ {
 		for bi := 0; bi+d < m && donePartial < total/3; bi++ {
-			if _, err := computePagedBlock(p, bi, bi+d, mul); err != nil {
+			id, _ := graph.TaskID(bi, bi+d)
+			if _, err := x.runTask(graph.Tasks[id], 0); err != nil {
 				t.Fatal(err)
 			}
 			donePartial++
@@ -182,7 +189,7 @@ func TestPagedResumeAfterSimulatedKill(t *testing.T) {
 	if recovered >= total {
 		t.Fatalf("all %d blocks recovered from a %d-block partial run", recovered, donePartial)
 	}
-	got := pagedSolveToRowMajor(t, p2, PagedOptions{Workers: 2, Resume: true, Logf: t.Logf})
+	got := pagedSolveToRowMajor(t, p2, PagedOptions{Workers: 2, Logf: t.Logf})
 	if i, j, av, bv, diff := tri.FirstDiff[float32](ref, got); diff {
 		t.Fatalf("resumed solve diverged at (%d,%d): serial=%v paged=%v", i, j, av, bv)
 	}

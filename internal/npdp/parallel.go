@@ -2,20 +2,16 @@ package npdp
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
-	"unsafe"
 
 	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/resilience"
-	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tri"
 )
 
-// ParallelOptions configures SolveParallel.
+// ParallelOptions configures the executor: SolveParallel, SolvePagedCtx
+// and SolveStoreCtx.
 type ParallelOptions struct {
 	// Workers is the number of concurrent goroutine workers — the host-CPU
 	// counterpart of the paper's SPE count (16 on the QS20) and core count
@@ -33,17 +29,14 @@ type ParallelOptions struct {
 	// (sched.RunPoolLocked) instead of the lock-free one — the
 	// BenchmarkAblationLockfree baseline.
 	MutexPool bool
-	// NoPanelKernel computes stage 1 with the 4×4-step MulMinPlus
-	// reference instead of the register-blocked panel kernel — the
-	// BenchmarkAblationPanel baseline.
-	NoPanelKernel bool
 	// Stage1 overrides stage-1 kernel selection. The zero value
 	// (perfmodel.KernelAuto) consults the Section V calibration via
 	// perfmodel.PickKernel once per solve; explicit KernelScalar /
 	// KernelPanel / KernelVector pin a kernel for ablations.
 	// KernelFourRussians is rejected (lattice DPs go through
-	// zuker.MaxPairs, not the min-plus engines). Ignored under
-	// NoPanelKernel, which predates this knob and implies KernelScalar.
+	// zuker.MaxPairs, not the min-plus engines). KernelScalar is the
+	// 4×4-step MulMinPlus reference — the BenchmarkAblationPanel
+	// baseline.
 	Stage1 perfmodel.Kernel
 	// Retry governs per-task retries of transient failures. Retrying a
 	// memory-block task in place is safe because every relaxation is an
@@ -57,10 +50,11 @@ type ParallelOptions struct {
 	// Ignored under MutexPool.
 	Inject *resilience.Injector
 	// Completed marks scheduler tasks (by ID, for the graph this solve
-	// builds) already finished by an earlier run; the pool pre-notifies
-	// them so only the remainder executes. The caller must have restored
-	// those tasks' memory blocks into the table (resilience.Checkpoint
-	// does both). Ignored under MutexPool.
+	// builds) already finished by an earlier run: their memory blocks are
+	// marked final in the store, so only the remainder executes. The
+	// caller must have restored those blocks' values (ApplyCheckpoint does
+	// both). A store's own final marks, such as a pager's committed spill
+	// index, pre-complete tasks without it.
 	Completed []bool
 	// CheckpointPath, when non-empty, enables periodic snapshots: after
 	// every CheckpointEvery task completions (default 16) the completion
@@ -75,70 +69,27 @@ type ParallelOptions struct {
 	// digested into a lock-free CRC32C seal table and re-verified by a
 	// post-solve audit (plus the online audit when AuditEvery > 0), so a
 	// silent corruption is always detected, never returned as a wrong
-	// answer. Costs one pristine table snapshot (2× table memory) while
-	// the solve runs. Implied by Heal or AuditEvery > 0; ignored under
-	// MutexPool.
+	// answer. Implied by Heal or AuditEvery > 0; ignored under MutexPool.
 	Seal bool
-	// Heal enables poisoned-cone recovery on seal mismatch: the
-	// corrupted block's task and its transitive successor cone are
-	// restored from the pristine snapshot and re-dispatched, bounded by
-	// HealAttempts rounds, then one pristine-restart fallback, then
-	// *resilience.CorruptionError. Without Heal a detected corruption
-	// errors immediately.
+	// Heal enables poisoned-cone recovery on seal mismatch (the shared
+	// Ladder): the corrupted block's task and its transitive successor
+	// cone are demoted to pristine and re-dispatched, then one
+	// pristine-restart fallback, then *resilience.CorruptionError.
+	// Without Heal a detected seal mismatch errors immediately. An
+	// in-memory solve keeps a pristine table copy only under Heal. A
+	// corrupt final page of a paged solve always heals.
 	Heal bool
-	// HealAttempts bounds heal rounds; 0 means DefaultHealAttempts.
+	// HealAttempts bounds how many times in a row one block may fail
+	// verification and be healed; 0 means DefaultHealAttempts.
 	HealAttempts int
 	// AuditEvery runs the online seal audit every AuditEvery task
 	// executions (0 disables it; the post-solve audit always runs when
 	// sealing is on).
 	AuditEvery int
-	// HealStats, when non-nil, receives the sealing layer's counters.
+	// HealStats, when non-nil, receives the recovery ladder's counters.
 	HealStats *resilience.HealStats
-}
-
-// computeMemoryBlock runs the two-stage SPE procedure for memory block
-// (bi, bj) directly on the shared tiled table, with stage 1 on the
-// solve's selected kernel (resolved once by ResolveStage1; the per-block
-// loop only ever calls through mul). All dependence blocks are finished
-// before this runs (guaranteed by the task graph), so concurrent tasks
-// only ever read them.
-func computeMemoryBlock[E semiring.Elem](t *tri.Tiled[E], bi, bj int, mul Stage1Func[E]) kernel.Stats {
-	ts := t.Tile()
-	if bi == bj {
-		return kernel.Stage2Diag(t.Block(bj, bj), ts)
-	}
-	var st kernel.Stats
-	d := t.Block(bi, bj)
-	for k := bi + 1; k < bj; k++ {
-		st.Add(mul(d, t.Block(bi, k), t.Block(k, bj), ts))
-	}
-	st.Add(kernel.Stage2OffDiag(d, t.Block(bi, bi), t.Block(bj, bj), ts))
-	return st
-}
-
-// computeMemoryBlockCBStep is computeMemoryBlock with stage 1 on the 4×4
-// CB-step reference kernel — the pre-panel seed hot path, kept for the
-// panel ablation.
-func computeMemoryBlockCBStep[E semiring.Elem](t *tri.Tiled[E], bi, bj int) kernel.Stats {
-	ts := t.Tile()
-	if bi == bj {
-		return kernel.Stage2Diag(t.Block(bj, bj), ts)
-	}
-	var st kernel.Stats
-	d := t.Block(bi, bj)
-	for k := bi + 1; k < bj; k++ {
-		st.Add(kernel.MulMinPlus(d, t.Block(bi, k), t.Block(k, bj), ts))
-	}
-	st.Add(kernel.Stage2OffDiag(d, t.Block(bi, bi), t.Block(bj, bj), ts))
-	return st
-}
-
-// paddedStats is one worker's kernel.Stats padded out to two cache lines
-// so neighboring workers' accumulators never share a line (128 bytes also
-// clears the adjacent-line prefetcher's pairing).
-type paddedStats struct {
-	kernel.Stats
-	_ [128 - unsafe.Sizeof(kernel.Stats{})]byte
+	// Logf, when non-nil, receives heal and recovery progress lines.
+	Logf func(format string, args ...any)
 }
 
 // SolveParallel runs the tier-2 parallel procedure (Section IV-B) on real
@@ -153,286 +104,10 @@ func SolveParallel[E semiring.Elem](t *tri.Tiled[E], opts ParallelOptions) (kern
 	return SolveParallelCtx(context.Background(), t, opts)
 }
 
-// parallelCheckpointer serializes snapshot state behind one mutex: the
-// mutex both orders concurrent OnTaskDone calls and establishes the
-// happens-before that makes reading completed tasks' blocks race-free
-// (each worker's block writes precede its OnTaskDone, which precedes any
-// later snapshot under the same lock). Completed blocks are final, so a
-// snapshot only ever reads immutable table regions.
-type parallelCheckpointer[E semiring.Elem] struct {
-	mu    sync.Mutex
-	path  string
-	every int
-	meta  resilience.Meta
-	graph *sched.Graph
-	t     *tri.Tiled[E]
-	done  []bool
-	since int
-	err   error // first snapshot failure; surfaced after the run
-}
-
-func (c *parallelCheckpointer[E]) taskDone(task sched.Task) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.done[task.ID] = true
-	if c.since++; c.since >= c.every {
-		c.since = 0
-		c.save()
-	}
-}
-
-// save writes a snapshot of every completed task's memory blocks; the
-// caller holds c.mu. After the first failure snapshots stop (the stored
-// error is surfaced when the solve returns).
-func (c *parallelCheckpointer[E]) save() {
-	if c.err != nil {
-		return
-	}
-	var blocks [][2]int
-	for id, d := range c.done {
-		if d {
-			blocks = append(blocks, c.graph.Tasks[id].MemoryBlockOrder()...)
-		}
-	}
-	if err := resilience.SaveCheckpointFile(c.path, c.meta, c.done, c.t, blocks); err != nil {
-		c.err = err
-	}
-}
-
-// reset marks tasks incomplete again after a heal round restored their
-// blocks (nil ids resets everything), so later snapshots never record a
-// reverted task as done.
-func (c *parallelCheckpointer[E]) reset(ids []int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ids == nil {
-		for i := range c.done {
-			c.done[i] = false
-		}
-		return
-	}
-	for _, id := range ids {
-		c.done[id] = false
-	}
-}
-
-// final writes a last snapshot when the solve failed part-way (so resume
-// never depends on the periodic boundary) and reports any snapshot error.
-func (c *parallelCheckpointer[E]) final(solved bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !solved {
-		c.save()
-	}
-	return c.err
-}
-
 // SolveParallelCtx is SolveParallel with the fault-tolerance layer wired
-// in: context cancellation at task-dispatch granularity, per-task retry
-// of transient failures, deterministic fault injection, checkpoint
-// snapshots, and resume from a completion bitmap. Task failures surface
-// as *resilience.TaskError carrying the task identity and attempt count.
-// The MutexPool ablation bypasses all of it (plain locked pool).
+// in: SolveStoreCtx over a MemStore of t, which keeps a pristine copy of
+// the table only when Heal is set. Completed seeds the store's final
+// marks, so those tasks are pre-complete.
 func SolveParallelCtx[E semiring.Elem](ctx context.Context, t *tri.Tiled[E], opts ParallelOptions) (kernel.Stats, error) {
-	if err := kernel.CheckTile(t.Tile()); err != nil {
-		return kernel.Stats{}, err
-	}
-	if opts.Workers <= 0 {
-		return kernel.Stats{}, fmt.Errorf("npdp: Workers must be positive, got %d", opts.Workers)
-	}
-	if opts.SchedSide < 0 {
-		return kernel.Stats{}, fmt.Errorf("npdp: SchedSide must be non-negative, got %d", opts.SchedSide)
-	}
-	g := opts.SchedSide
-	if g == 0 {
-		g = 1
-	}
-	newGraph := sched.NewGraph
-	if opts.FullDeps {
-		newGraph = sched.NewFullGraph
-	}
-	graph, err := newGraph(t.Blocks(), g)
-	if err != nil {
-		return kernel.Stats{}, err
-	}
-	// Stage-1 kernel selection is hoisted here — once per solve, never
-	// inside the per-block dispatch loops.
-	compute := computeMemoryBlockCBStep[E]
-	if !opts.NoPanelKernel {
-		mul, err := ResolveStage1[E](opts.Stage1, t)
-		if err != nil {
-			return kernel.Stats{}, err
-		}
-		compute = func(t *tri.Tiled[E], bi, bj int) kernel.Stats {
-			return computeMemoryBlock(t, bi, bj, mul)
-		}
-	}
-	perWorker := make([]paddedStats, opts.Workers)
-
-	if opts.MutexPool {
-		// Ablation baseline: the mutex-guarded seed pool, without the
-		// fault-tolerance plumbing.
-		err = sched.RunPoolLocked(graph, opts.Workers, func(worker int, task sched.Task) error {
-			for _, mb := range task.MemoryBlockOrder() {
-				perWorker[worker].Stats.Add(compute(t, mb[0], mb[1]))
-			}
-			return nil
-		})
-		var st kernel.Stats
-		for i := range perWorker {
-			st.Add(perWorker[i].Stats)
-		}
-		return st, err
-	}
-
-	var h *healer[E]
-	if opts.Seal || opts.Heal || opts.AuditEvery > 0 {
-		h = newHealer(graph, t, opts.Inject, opts.AuditEvery, opts.HealStats, opts.Completed)
-	}
-
-	poolOpts := sched.PoolRunOptions{Completed: opts.Completed}
-	var ck *parallelCheckpointer[E]
-	if opts.CheckpointPath != "" {
-		every := opts.CheckpointEvery
-		if every <= 0 {
-			every = 16
-		}
-		done := make([]bool, len(graph.Tasks))
-		copy(done, opts.Completed)
-		var e E
-		ck = &parallelCheckpointer[E]{
-			path:  opts.CheckpointPath,
-			every: every,
-			meta: resilience.Meta{
-				N: t.Len(), Tile: t.Tile(), SchedSide: g,
-				Tasks: len(graph.Tasks), ElemBytes: elemBytes(e),
-			},
-			graph: graph,
-			t:     t,
-			done:  done,
-		}
-		poolOpts.OnTaskDone = ck.taskDone
-	}
-	if h != nil {
-		prev := poolOpts.OnTaskDone
-		poolOpts.OnTaskDone = func(task sched.Task) {
-			if prev != nil {
-				prev(task)
-			}
-			h.taskDone(task)
-		}
-	}
-
-	// attemptBase offsets injector attempt numbers per heal round so a
-	// recomputed task re-rolls fresh fault plans instead of replaying the
-	// round that corrupted it. Written only between runs; each run's
-	// worker goroutines are created after the write.
-	attemptBase := 0
-	exec := func(worker int, task sched.Task) error {
-		if h != nil {
-			if aerr := h.maybeAudit(); aerr != nil {
-				return aerr
-			}
-		}
-		// Stats accumulate locally and merge only on success, so a
-		// retried attempt never double-counts work.
-		var local kernel.Stats
-		sealAttempt := attemptBase
-		attempts, err := opts.Retry.Do(func(attempt int) error {
-			local = kernel.Stats{}
-			sealAttempt = attemptBase + attempt
-			if err := opts.Inject.Apply(task.ID, attemptBase+attempt); err != nil {
-				return err
-			}
-			for _, mb := range task.MemoryBlockOrder() {
-				local.Add(compute(t, mb[0], mb[1]))
-			}
-			return nil
-		})
-		if err != nil {
-			return &resilience.TaskError{
-				TaskID: task.ID, Bi: task.Bi, Bj: task.Bj,
-				Worker: worker, Attempts: attempts, Err: err,
-			}
-		}
-		if h != nil {
-			h.sealTask(task, sealAttempt)
-		}
-		perWorker[worker].Stats.Add(local)
-		return nil
-	}
-
-	retrySlots := opts.Retry.MaxRetries + 1
-	runOnce := func(completed []bool, runIdx int) error {
-		attemptBase = runIdx * retrySlots
-		po := poolOpts
-		po.Completed = completed
-		return sched.RunPoolCtx(ctx, graph, opts.Workers, po, exec)
-	}
-
-	if h == nil {
-		err = runOnce(opts.Completed, 0)
-	} else {
-		// The escalation ladder: detect (audit) → heal (poisoned-cone
-		// recompute, bounded rounds) → pristine-restart fallback → typed
-		// CorruptionError. The post-run audit always runs, so a solve
-		// with sealing on can fail silently corrupted but never return
-		// silently wrong.
-		healAttempts := 0
-		if opts.Heal {
-			healAttempts = opts.HealAttempts
-			if healAttempts <= 0 {
-				healAttempts = DefaultHealAttempts
-			}
-		}
-		completed := opts.Completed
-		rounds, fellBack := 0, false
-		for runIdx := 0; ; runIdx++ {
-			err = runOnce(completed, runIdx)
-			var cerr *resilience.CorruptionError
-			if err != nil && !errors.As(err, &cerr) {
-				break // non-corruption failure: surface as before
-			}
-			bad := h.audit()
-			if len(bad) == 0 {
-				// Either clean, or an online audit aborted the run but
-				// the damage is gone (cannot happen for sealed blocks,
-				// which are immutable; kept for safety).
-				break
-			}
-			h.stats.CorruptBlocks += len(bad)
-			if rounds < healAttempts {
-				rounds++
-				cone := h.heal(bad)
-				if ck != nil {
-					ck.reset(cone)
-				}
-				completed = h.completedBitmap()
-				err = nil
-				continue
-			}
-			if opts.Heal && !fellBack {
-				fellBack = true
-				h.restoreAll()
-				if ck != nil {
-					ck.reset(nil)
-				}
-				completed = nil
-				err = nil
-				continue
-			}
-			err = h.corruption(bad, rounds)
-			break
-		}
-	}
-	var st kernel.Stats
-	for i := range perWorker {
-		st.Add(perWorker[i].Stats)
-	}
-	if ck != nil {
-		if ckErr := ck.final(err == nil); ckErr != nil && err == nil {
-			err = fmt.Errorf("npdp: solve succeeded but checkpointing failed: %w", ckErr)
-		}
-	}
-	return st, err
+	return SolveStoreCtx[E](ctx, NewMemStore(t, opts.Heal && !opts.MutexPool), opts)
 }

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/tri"
 	"cellnpdp/internal/workload"
 )
@@ -90,8 +91,8 @@ func TestParallelAblationConfigsMatchSerial(t *testing.T) {
 	}
 	for _, opts := range []ParallelOptions{
 		{Workers: 4, SchedSide: 2, MutexPool: true},
-		{Workers: 4, SchedSide: 2, NoPanelKernel: true},
-		{Workers: 4, SchedSide: 2, MutexPool: true, NoPanelKernel: true},
+		{Workers: 4, SchedSide: 2, Stage1: perfmodel.KernelScalar},
+		{Workers: 4, SchedSide: 2, MutexPool: true, Stage1: perfmodel.KernelScalar},
 	} {
 		tt := tri.ToTiled(src, 16)
 		st, err := SolveParallel(tt, opts)

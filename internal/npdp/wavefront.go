@@ -43,7 +43,7 @@ func SolveWavefrontBarrier[E semiring.Elem](t *tri.Tiled[E], workers int) (kerne
 			go func(worker int) {
 				defer wg.Done()
 				for idx := worker; idx < count; idx += workers {
-					perWorker[worker].Add(computeMemoryBlock(t, idx, idx+wave, mul))
+					perWorker[worker].Add(computeTableBlock(t, idx, idx+wave, mul))
 				}
 			}(w)
 		}

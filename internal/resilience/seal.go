@@ -63,6 +63,28 @@ func CorruptBit[E semiring.Elem](cells []E, draw uint64) (cell, bit int) {
 	return cell, bit
 }
 
+// DigestThenFlip is the silent-fault model every engine and the cluster
+// worker share. It digests each of a completed task's memory blocks
+// into its CRC32C seal value, then applies the injector's planned
+// FaultCorrupt for (task, attempt): one bit of one block, both chosen by
+// CorruptDraw. The flip lands after the digest and before the caller
+// publishes the blocks (Complete, or encoding onto the wire), so it is
+// silent to the computation but the flipped block no longer matches
+// the seal it carries. Every task that later consumes it seals its own
+// garbage consistently, which is why recovery recomputes the whole
+// dependence cone.
+func DigestThenFlip[E semiring.Elem](blocks [][]E, inj *Injector, task, attempt int) []uint32 {
+	crcs := make([]uint32, len(blocks))
+	for i, b := range blocks {
+		crcs[i] = BlockCRC(b)
+	}
+	if inj != nil && inj.Plan(task, attempt) == FaultCorrupt {
+		draw := inj.CorruptDraw(task, attempt)
+		CorruptBit(blocks[int((draw>>48)%uint64(len(blocks)))], draw)
+	}
+	return crcs
+}
+
 // sealedBit marks a SealTable entry as holding a live seal; the low 32
 // bits are the CRC32C. A zero entry is unsealed.
 const sealedBit = uint64(1) << 63
@@ -309,7 +331,8 @@ func (e *CorruptionError) Error() string {
 type HealStats struct {
 	// Audits is the number of seal-audit passes run (online + post-solve).
 	Audits int
-	// CorruptBlocks is the total seal mismatches detected.
+	// CorruptBlocks is the total seal mismatches plus corrupt final pages
+	// detected.
 	CorruptBlocks int
 	// HealRounds is the number of poisoned-cone recompute rounds run.
 	HealRounds int

@@ -110,8 +110,6 @@ func TestPagedSolveRejectsBadCombos(t *testing.T) {
 		{Options{Engine: Parallel, MemoryBudget: 1 << 20, ResumeSpill: true}, "requires SpillPath"},
 		{Options{Engine: Parallel, MemoryBudget: 1 << 20, CheckpointPath: "c.ckpt"}, "incompatible"},
 		{Options{Engine: Parallel, MemoryBudget: 1 << 20, ResumePath: "c.ckpt"}, "incompatible"},
-		{Options{Engine: Parallel, MemoryBudget: 1 << 20, FaultRate: 0.5}, "incompatible"},
-		{Options{Engine: Parallel, MemoryBudget: 1 << 20, AuditEvery: 4}, "incompatible"},
 		{Options{Engine: Parallel, DiskFaultRate: 0.5}, "requires MemoryBudget"},
 		{Options{Engine: Parallel, MemoryBudget: 1 << 20, DiskFaultKinds: "bogus"}, "unknown disk fault"},
 	}
@@ -120,6 +118,63 @@ func TestPagedSolveRejectsBadCombos(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("opts %+v: error %v, want substring %q", tc.opts, err, tc.want)
 		}
+	}
+	// Fault injection and online audits combine with a memory budget:
+	// the paged store runs the same executor and recovery ladder.
+	ref := tbl.Clone()
+	if _, err := Solve(ref, Options{Engine: Serial}); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []Options{
+		{Engine: Parallel, MemoryBudget: 1 << 20, FaultRate: 0.5, MaxRetries: 16},
+		{Engine: Parallel, MemoryBudget: 1 << 20, AuditEvery: 4},
+	} {
+		got := tbl.Clone()
+		if _, err := Solve(got, opts); err != nil {
+			t.Fatalf("opts %+v: %v", opts, err)
+		}
+		assertTablesEqual(t, ref, got, "paged with faults or audits")
+	}
+}
+
+// TestPagedHealCountersTrackConeRecompute pins the paged Result's heal
+// counters to the shared ladder: HealRounds and RecomputedTasks are
+// positive exactly when a corrupt page forced a cone recompute (seen
+// independently as extra relaxations), and stay 0 when only page-in read
+// retries fired.
+func TestPagedHealCountersTrackConeRecompute(t *testing.T) {
+	const n = 192
+	base := buildRandom(t, n, 5)
+	ref := base.Clone()
+	clean, err := Solve(ref, Options{Engine: Parallel, Workers: 1, BlockBytes: 1024, MemoryBudget: 16 * 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawCone, sawRetryOnly := false, false
+	for seed := int64(1); seed <= 200 && !(sawCone && sawRetryOnly); seed++ {
+		got := base.Clone()
+		res, err := Solve(got, Options{
+			Engine: Parallel, Workers: 1,
+			BlockBytes:     1024,
+			MemoryBudget:   16 * 1024,
+			DiskFaultRate:  0.02,
+			DiskFaultSeed:  seed,
+			DiskFaultKinds: "torn,flip",
+		})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		assertTablesEqual(t, ref, got, "paged under torn writes and flips")
+		recomputed := res.Relaxations > clean.Relaxations
+		if (res.HealRounds > 0) != recomputed || (res.RecomputedTasks > 0) != recomputed || (res.CorruptBlocks > 0) != recomputed {
+			t.Fatalf("seed %d: recomputed=%v but HealRounds=%d RecomputedTasks=%d CorruptBlocks=%d (pager %+v)",
+				seed, recomputed, res.HealRounds, res.RecomputedTasks, res.CorruptBlocks, *res.PagerStats)
+		}
+		sawCone = sawCone || recomputed
+		sawRetryOnly = sawRetryOnly || (!recomputed && res.PagerStats.PageHeals > 0)
+	}
+	if !sawCone || !sawRetryOnly {
+		t.Fatalf("seed search found cone recompute=%v, retry-only heal=%v; want both", sawCone, sawRetryOnly)
 	}
 }
 

@@ -13,8 +13,7 @@
 # standby take over and finish bit-identically, and an out-of-core
 # disk-fault smoke that pages a solve through a budget-bounded working
 # set while injecting torn spill writes (must heal) and ENOSPC (must
-# degrade gracefully), both bit-identical to serial. Called standalone
-# or as the bench.sh preflight.
+# degrade gracefully), both bit-identical to serial.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -378,7 +378,7 @@ func SolveCtx[E Elem](ctx context.Context, t *Table[E], opts Options) (*Result, 
 				return nil, err
 			}
 			res.Relaxations = st.Relaxations()
-			tri.Copy[E](tri.Table[E](t.rm), tt)
+			tri.Copy(t.rm, tt)
 			break
 		}
 		if opts.Engine == Tiled {
@@ -429,7 +429,7 @@ func SolveCtx[E Elem](ctx context.Context, t *Table[E], opts Options) (*Result, 
 		res.Relaxations = cres.Stats.Relaxations()
 		res.ModeledSeconds = cres.Seconds
 		res.DMABytes = cres.DMA.TotalBytes()
-		tri.Copy[E](tri.Table[E](t.rm), tt)
+		tri.Copy(t.rm, tt)
 	default:
 		return nil, fmt.Errorf("cellnpdp: unknown engine %v", opts.Engine)
 	}
@@ -535,7 +535,7 @@ func solveStore[E Elem](ctx context.Context, t *Table[E], res *Result, tile, wor
 			return 0, err
 		}
 	}
-	tri.Copy[E](tri.Table[E](t.rm), tt)
+	tri.Copy(t.rm, tt)
 	return st.Relaxations(), nil
 }
 

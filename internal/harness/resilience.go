@@ -35,7 +35,7 @@ func Resilience(cfg Config) (*stats.Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		tri.Copy[float32](tri.Table[float32](src), tt)
+		tri.Copy(src, tt)
 		if i, j, a, b, diff := tri.FirstDiff[float32](ref, src); diff {
 			return 0, fmt.Errorf("faulted solve diverged at (%d,%d): %v vs %v", i, j, a, b)
 		}
@@ -100,7 +100,7 @@ func Resilience(cfg Config) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	tri.Copy[float32](tri.Table[float32](resumedSrc), resumed)
+	tri.Copy(resumedSrc, resumed)
 	if i, j, a, b, diff := tri.FirstDiff[float32](ref, resumedSrc); diff {
 		return nil, fmt.Errorf("resumed solve diverged at (%d,%d): %v vs %v", i, j, a, b)
 	}

@@ -50,7 +50,7 @@ func SelfHeal(cfg Config) (*stats.Table, error) {
 		if err != nil {
 			return 0, hs, err
 		}
-		tri.Copy[float32](tri.Table[float32](src), tt)
+		tri.Copy(src, tt)
 		if i, j, a, b, diff := tri.FirstDiff[float32](ref, src); diff {
 			return 0, hs, fmt.Errorf("healed solve diverged at (%d,%d): %v vs %v", i, j, a, b)
 		}

@@ -2,6 +2,7 @@ package npdp
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"testing"
 
@@ -89,21 +90,43 @@ func TestPagedHealsTornWrites(t *testing.T) {
 }
 
 func TestPagedHealsBitFlips(t *testing.T) {
+	// Bit flips and EIO on 5% of page-ins through a 4-frame working set.
+	// A final page that faults heals through its cone; a pristine page
+	// whose read fails twice has no earlier version, so the solve fails by
+	// design. Which one a seed meets depends on scheduling, so every seed
+	// must match serial bit for bit or fail with a pristine
+	// *pager.ErrPageCorrupt, and some seed must heal a fault and match.
 	src := workload.Dense[float32](64, 99)
 	ref := solveRef(src)
-	tt := tri.ToTiled(src, 8)
-	path := filepath.Join(t.TempDir(), "solve.npsp")
-	p, err := pager.Create(path, tt, pager.Options{
-		Frames: 4,
-		Faults: &pager.DiskFaults{Rate: 0.05, Seed: 7, Kinds: []pager.DiskFaultKind{pager.DiskFaultFlip, pager.DiskFaultEIO}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	healed := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		p, err := pager.Create(filepath.Join(t.TempDir(), "solve.npsp"), tri.ToTiled(src, 8), pager.Options{
+			Frames: 4,
+			Faults: &pager.DiskFaults{Rate: 0.05, Seed: seed, Kinds: []pager.DiskFaultKind{pager.DiskFaultFlip, pager.DiskFaultEIO}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := SolvePagedTableCtx(context.Background(), p, PagedOptions{Workers: 2, Logf: t.Logf})
+		faulted := p.Stats().FaultedPages
+		p.Close()
+		var pe *pager.ErrPageCorrupt
+		switch {
+		case err == nil:
+			if i, j, av, bv, diff := tri.FirstDiff[float32](ref, tri.ToRowMajor(out)); diff {
+				t.Fatalf("seed %d: first diff at (%d,%d): serial=%v paged=%v", seed, i, j, av, bv)
+			}
+			if faulted > 0 {
+				healed++
+			}
+		case errors.As(err, &pe) && pe.Pristine:
+			t.Logf("seed %d: %v", seed, err)
+		default:
+			t.Fatalf("seed %d: %v; want success or a pristine *pager.ErrPageCorrupt", seed, err)
+		}
 	}
-	defer p.Close()
-	got := pagedSolveToRowMajor(t, p, PagedOptions{Workers: 2, Logf: t.Logf})
-	if i, j, av, bv, diff := tri.FirstDiff[float32](ref, got); diff {
-		t.Fatalf("first diff at (%d,%d): serial=%v paged=%v", i, j, av, bv)
+	if healed == 0 {
+		t.Error("no seed both faulted a page and matched serial")
 	}
 }
 

@@ -48,7 +48,7 @@ func ForEach(n int, visit func(i, j int)) {
 }
 
 // Table is the read/write interface shared by both layouts. Engines use
-// the concrete types on hot paths; Table exists for tests, conversion and
+// the concrete types on hot paths; Table exists for tests, comparison and
 // the generic reference implementations.
 type Table[E semiring.Elem] interface {
 	// Len returns the problem size n.

@@ -177,13 +177,13 @@ func Fold(seq Seq, opts Options) (*Result, error) {
 		if _, err := npdp.SolveTiled(tw); err != nil {
 			return nil, err
 		}
-		tri.Copy[float32](tri.Table[float32](w), tw)
+		tri.Copy(w, tw)
 	case EngineParallel:
 		tw := tri.ToTiled(w, tile)
 		if _, err := npdp.SolveParallel(tw, npdp.ParallelOptions{Workers: workers, SchedSide: 1}); err != nil {
 			return nil, err
 		}
-		tri.Copy[float32](tri.Table[float32](w), tw)
+		tri.Copy(w, tw)
 	case EngineCell:
 		mach, err := cellsim.NewMachine(cellsim.QS20())
 		if err != nil {
@@ -205,7 +205,7 @@ func Fold(seq Seq, opts Options) (*Result, error) {
 			return nil, err
 		}
 		res.CellTime = cres.Seconds
-		tri.Copy[float32](tri.Table[float32](w), tw)
+		tri.Copy(w, tw)
 	default:
 		return nil, fmt.Errorf("zuker: unknown engine %d", opts.Engine)
 	}

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Repo-wide verification gate: formatting, vet, pinned staticcheck, the
 # npdplint invariant suite plus its hot-path codegen regression gate,
-# the full test suite under the race detector, short fuzz smokes of the
-# checkpoint and seal codecs, and smoke fault-injection solves proving
+# the full test suite under the race detector, the benchmark's smoke test
+# (bench/ is its own module, so go test ./... never builds it), short
+# fuzz smokes of the checkpoint and seal codecs, and smoke
+# fault-injection solves proving
 # the resilience layer end to end: 5% loud faults healed through
 # retries, and 5% silent corruption caught by the block seals and
 # healed bit-identically (fallback disabled in both so recovery can't
@@ -96,6 +98,12 @@ echo "== go test -race ./..."
 # detector that legitimately exceeds go test's default 10m per-package
 # timeout, so set an explicit generous one.
 go test -race -timeout 30m ./...
+
+echo "== bench smoke: (cd bench && go test .)"
+# Every benchmark workload at n=512 against this checkout's sources, so a
+# change to anything the benchmark calls fails here rather than in the
+# next benchmark run.
+(cd bench && go test .)
 
 echo "== go test -race (forced pure-Go kernels: CELLNPDP_FORCE_SCALAR=1, GOAMD64=v1)"
 # The vector dispatch has two halves: the assembly fast path (covered

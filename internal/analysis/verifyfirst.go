@@ -23,7 +23,7 @@ import (
 // seal, it does not trust it), a read of the payload field is rejected
 // unless it is lexically preceded by a CRC check: an ==/!= comparison
 // mentioning the record type's CRC field or a CRC-computing call
-// (rawCRC, crc32.Checksum, hash/crc32 functions). len/cap of the
+// (RawCRC, crc32.Checksum, hash/crc32 functions). len/cap of the
 // payload and feeding it to the CRC computation itself are always
 // allowed — sizing and digesting are how the check is built.
 //
@@ -103,7 +103,7 @@ func sealedRecordType(t types.Type) (sealedRecord, bool) {
 }
 
 // isCRCCall matches CRC-computing callees: hash/crc32 functions and any
-// function whose name names the digest (rawCRC, BlockCRC, Checksum).
+// function whose name names the digest (RawCRC, BlockCRC, Checksum).
 func isCRCCall(info *types.Info, call *ast.CallExpr) bool {
 	obj := calleeObject(info, call)
 	if obj == nil {

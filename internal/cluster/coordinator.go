@@ -612,7 +612,7 @@ func (co *coordinator[E]) snapshotDeltas() []resilience.Delta {
 				readable = false
 				break
 			}
-			d.Blocks = append(d.Blocks, resilience.DeltaBlock{Bi: mb[0], Bj: mb[1], CRC: rawCRC(raw), Raw: raw})
+			d.Blocks = append(d.Blocks, resilience.DeltaBlock{Bi: mb[0], Bj: mb[1], CRC: resilience.RawCRC(raw), Raw: raw})
 		}
 		if readable {
 			out = append(out, d)
@@ -1073,7 +1073,7 @@ func (co *coordinator[E]) dispatch(sess *session[E], id int) bool {
 		if err != nil {
 			return err
 		}
-		msg.Blocks = append(msg.Blocks, wireBlock{Bi: bi, Bj: bj, CRC: rawCRC(raw), Raw: raw})
+		msg.Blocks = append(msg.Blocks, wireBlock{Bi: bi, Bj: bj, CRC: resilience.RawCRC(raw), Raw: raw})
 		if final {
 			// Operands are final; own pristine blocks are not — the
 			// worker overwrites them, so they are never "possessed".
@@ -1192,7 +1192,7 @@ func (co *coordinator[E]) install(sess *session[E], msg taskMsg) (finished bool,
 			co.declareDead(sess, fmt.Errorf("result for task %d block %d malformed", id, i))
 			return false, nil
 		}
-		if got := rawCRC(wb.Raw); got != wb.CRC {
+		if got := resilience.RawCRC(wb.Raw); got != wb.CRC {
 			co.stats.SealMismatches++
 			mismatch := &resilience.ErrSealMismatch{
 				Bi: wb.Bi, Bj: wb.Bj,

@@ -95,8 +95,8 @@ const (
 // while still rejecting a nonsense length before allocation.
 const maxFramePayload = 1 << 30
 
-// castagnoli is the CRC32C table shared by frame checksums and block
-// seals (the same polynomial resilience.BlockCRC uses).
+// castagnoli is the CRC32C table frame checksums use (the polynomial
+// of the block seals, resilience.BlockCRC and resilience.RawCRC).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // writeFrame emits one checksummed frame.
@@ -349,16 +349,12 @@ func decodeFail(p []byte) (failMsg, error) {
 }
 
 // encodeCells serializes a block's cells in the canonical tableio
-// element encoding — the byte stream resilience.BlockCRC digests.
+// element encoding — the byte stream resilience.BlockCRC digests, so
+// resilience.RawCRC of it is the block's seal.
 func encodeCells[E semiring.Elem](cells []E) []byte {
 	var e E
-	width := tableio.ElemWidth(e)
-	out := make([]byte, 0, width*len(cells))
-	var buf [8]byte
-	for _, v := range cells {
-		tableio.PutElem(buf[:], v)
-		out = append(out, buf[:width]...)
-	}
+	out := make([]byte, tableio.ElemWidth(e)*len(cells))
+	tableio.EncodeCells(out, cells)
 	return out
 }
 
@@ -370,16 +366,9 @@ func decodeCells[E semiring.Elem](dst []E, raw []byte) error {
 	if len(raw) != width*len(dst) {
 		return fmt.Errorf("cluster: block carries %d bytes, want %d", len(raw), width*len(dst))
 	}
-	for i := range dst {
-		dst[i] = tableio.GetElem[E](raw[i*width : (i+1)*width])
-	}
+	tableio.DecodeCells(dst, raw)
 	return nil
 }
-
-// rawCRC digests wire cell bytes with the seal polynomial. Because the
-// wire encoding is exactly the BlockCRC byte stream, rawCRC(raw) equals
-// resilience.BlockCRC(decoded cells); proto tests pin that equivalence.
-func rawCRC(raw []byte) uint32 { return crc32.Checksum(raw, castagnoli) }
 
 // sendMsg frames and flushes one message on a buffered writer.
 func sendMsg(w *bufio.Writer, typ byte, payload []byte) error {

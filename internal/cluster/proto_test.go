@@ -108,11 +108,11 @@ func TestWireCRCEqualsBlockSeal(t *testing.T) {
 		f32[i] = rng.Float32() * 1e6
 		f64[i] = rng.Float64() * 1e6
 	}
-	if got, want := rawCRC(encodeCells(f32)), resilience.BlockCRC(f32); got != want {
-		t.Fatalf("float32: rawCRC %08x != BlockCRC %08x", got, want)
+	if got, want := resilience.RawCRC(encodeCells(f32)), resilience.BlockCRC(f32); got != want {
+		t.Fatalf("float32: RawCRC %08x != BlockCRC %08x", got, want)
 	}
-	if got, want := rawCRC(encodeCells(f64)), resilience.BlockCRC(f64); got != want {
-		t.Fatalf("float64: rawCRC %08x != BlockCRC %08x", got, want)
+	if got, want := resilience.RawCRC(encodeCells(f64)), resilience.BlockCRC(f64); got != want {
+		t.Fatalf("float64: RawCRC %08x != BlockCRC %08x", got, want)
 	}
 	dst := make([]float32, 64)
 	if err := decodeCells(dst, encodeCells(f32)); err != nil {

@@ -419,7 +419,7 @@ func executeDispatch[E semiring.Elem](t *tri.Tiled[E], g *sched.Graph, mul npdp.
 		if wb.Bi < 0 || wb.Bi > wb.Bj || wb.Bj >= t.Blocks() {
 			return taskMsg{}, fmt.Errorf("cluster: dispatch block (%d,%d) outside the block triangle", wb.Bi, wb.Bj)
 		}
-		if got := rawCRC(wb.Raw); got != wb.CRC {
+		if got := resilience.RawCRC(wb.Raw); got != wb.CRC {
 			return taskMsg{}, &resilience.ErrSealMismatch{
 				Bi: wb.Bi, Bj: wb.Bj, BlockID: t.BlockID(wb.Bi, wb.Bj), TaskID: msg.TaskID,
 				Want: wb.CRC, Got: got,

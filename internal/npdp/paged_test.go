@@ -92,8 +92,8 @@ func TestPagedHealsTornWrites(t *testing.T) {
 func TestPagedHealsBitFlips(t *testing.T) {
 	// Bit flips and EIO on 5% of page-ins through a 4-frame working set.
 	// A final page that faults heals through its cone; a pristine page
-	// whose read fails twice has no earlier version, so the solve fails by
-	// design. Which one a seed meets depends on scheduling, so every seed
+	// whose every read within its retry budget fails has no earlier
+	// version, so the solve fails by design. Which one a seed meets depends on scheduling, so every seed
 	// must match serial bit for bit or fail with a pristine
 	// *pager.ErrPageCorrupt, and some seed must heal a fault and match.
 	src := workload.Dense[float32](64, 99)

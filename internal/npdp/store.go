@@ -28,7 +28,7 @@ type BlockStore[E semiring.Elem] interface {
 	Tile() int
 	Blocks() int
 	// Acquire pins block (bi, bj) and returns its cells; every Acquire is
-	// matched by one Release.
+	// matched by one Release, and the cells are valid only until then.
 	Acquire(bi, bj int) ([]E, error)
 	Release(bi, bj int)
 	// Prefetch hints that block (bi, bj) is about to be acquired.

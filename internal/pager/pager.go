@@ -12,11 +12,11 @@
 // the cluster wire frames use), the spill index that decides which
 // final slots a restart may trust is committed with the atomic
 // temp+rename discipline (data fsync ordered first), and every page-in
-// re-verifies the digest. Torn writes, bit rot, and EIO therefore
-// surface as typed *ErrPageCorrupt for the engine's poisoned-cone heal;
-// ENOSPC degrades to a growing in-memory working set; a SIGKILL
-// mid-spill leaves a committed index a restart resumes from
-// bit-identically.
+// re-verifies the digest over the slot's bytes before decoding them.
+// Torn writes, bit rot, and EIO therefore surface as typed
+// *ErrPageCorrupt for the engine's poisoned-cone heal; ENOSPC degrades
+// to a growing in-memory working set; a SIGKILL mid-spill leaves a
+// committed index a restart resumes from bit-identically.
 package pager
 
 import (
@@ -141,6 +141,8 @@ type Pager[E semiring.Elem] struct {
 	m        int // blocks per side
 	opts     Options
 	frames   map[int]*frameOf[E]
+	free     []*frameOf[E] // frames reclaimed by eviction, reused by the next page-in
+	slot     []byte        // the one slot buffer every page-in and spill goes through
 	final    []bool
 	spilled  []bool
 	crc      []uint32
@@ -168,9 +170,15 @@ const (
 	minFrames          = 4
 	defaultCommitEvery = 16
 	prefetchSlots      = 2 // the cellsim double-buffer depth
-	pageInRetries      = 1 // re-reads before declaring a page corrupt
-	regionPristine     = 0
-	regionFinal        = 1
+	// Re-reads before a page is declared corrupt. A corrupt final page
+	// heals through the engine's ladder, so one retry suffices. A
+	// pristine page has no version below it, and Create wrote it outside
+	// the fault injector, so a failing read is far likelier a transient
+	// fault than a lost input: it gets a larger budget.
+	finalReadRetries    = 1
+	pristineReadRetries = 4
+	regionPristine      = 0
+	regionFinal         = 1
 )
 
 // Create builds a fresh spill file at path from the source table and
@@ -239,7 +247,7 @@ func writePristineRegion[E semiring.Elem](f *os.File, g spillGeom, src *tri.Tile
 	for bi := 0; bi < m; bi++ {
 		for bj := bi; bj < m; bj++ {
 			id := src.BlockID(bi, bj)
-			encodeSlot(src.Block(bi, bj), buf, g.Elem)
+			encodeSlot(src.Block(bi, bj), buf)
 			if _, err := f.WriteAt(buf, g.slotOff(regionPristine, id)); err != nil {
 				return fmt.Errorf("pager: writing pristine block (%d,%d): %w", bi, bj, err)
 			}
@@ -315,6 +323,7 @@ func newPager[E semiring.Elem](path, idxPath string, g spillGeom, records []inde
 		m:        (g.N + g.Tile - 1) / g.Tile,
 		opts:     opts,
 		frames:   make(map[int]*frameOf[E]),
+		slot:     make([]byte, g.slotBytes()),
 		final:    make([]bool, g.NBlocks),
 		spilled:  make([]bool, g.NBlocks),
 		crc:      make([]uint32, g.NBlocks),
@@ -350,10 +359,13 @@ func (p *Pager[E]) blockID(bi, bj int) int {
 }
 
 // Acquire faults block (bi, bj) into a resident frame, pins it, and
-// returns its cells. The caller must Release exactly once per Acquire.
+// returns its cells. The caller must Release exactly once per Acquire,
+// and the returned cells are valid only until that Release: an unpinned
+// frame can be evicted and recycled for another block's page-in.
 // A final block that fails its digest check (after one retry) is
 // reported as *ErrPageCorrupt for the engine's cone heal; a pristine
-// block that fails has no earlier version and is unrecoverable.
+// block that fails every retry has no earlier version and is
+// unrecoverable.
 func (p *Pager[E]) Acquire(bi, bj int) ([]E, error) {
 	id := p.blockID(bi, bj)
 	p.mu.Lock()
@@ -367,11 +379,7 @@ func (p *Pager[E]) Acquire(bi, bj int) ([]E, error) {
 		fr.lastUse = p.tick
 		return fr.cells, nil
 	}
-	cells, err := p.readBlockLocked(id, bi, bj)
-	if err != nil {
-		return nil, err
-	}
-	fr, err := p.installLocked(id, cells)
+	fr, err := p.pageInLocked(id, bi, bj)
 	if err != nil {
 		return nil, err
 	}
@@ -428,7 +436,12 @@ func (p *Pager[E]) Demote(bi, bj int) {
 	id := p.blockID(bi, bj)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	delete(p.frames, id)
+	if fr, ok := p.frames[id]; ok {
+		delete(p.frames, id)
+		if fr.pins == 0 {
+			p.free = append(p.free, fr)
+		}
+	}
 	p.final[id] = false
 	p.spilled[id] = false
 	p.crc[id] = 0
@@ -461,34 +474,53 @@ func (p *Pager[E]) Prefetch(bi, bj int) {
 		if _, ok := p.frames[id]; ok {
 			return
 		}
-		cells, err := p.readBlockLocked(id, bi, bj)
-		if err != nil {
-			return // Acquire retries and reports
-		}
-		// Ignoring the install error is safe for the same reason: a
-		// hard-limit failure will recur at Acquire time, typed.
-		if _, err := p.installLocked(id, cells); err != nil && p.opts.Logf != nil {
+		// A corrupt page is dropped quietly: the eventual Acquire re-reads
+		// it and reports it typed. A hard-limit failure recurs there too.
+		var pe *ErrPageCorrupt
+		if _, err := p.pageInLocked(id, bi, bj); err != nil && !errors.As(err, &pe) && p.opts.Logf != nil {
 			p.opts.Logf("pager: prefetch of block (%d,%d) dropped: %v", bi, bj, err)
 		}
 	}()
 }
 
-// installLocked places cells into a frame for id, evicting to stay
-// within the budget. Caller holds p.mu.
-func (p *Pager[E]) installLocked(id int, cells []E) (*frameOf[E], error) {
+// pageInLocked is one page-in: read and verify block id's slot, decode
+// it into a recycled frame, then install that frame, evicting to stay
+// within the budget. The unpinned frame is returned. Caller holds p.mu.
+func (p *Pager[E]) pageInLocked(id, bi, bj int) (*frameOf[E], error) {
+	payload, err := p.readSlotLocked(id, bi, bj)
+	if err != nil {
+		return nil, err
+	}
+	fr := p.takeFrameLocked()
+	tableio.DecodeCells(fr.cells, payload)
 	if err := p.makeRoomLocked(); err != nil {
+		p.free = append(p.free, fr)
 		return nil, err
 	}
 	if len(p.frames) >= p.opts.Frames {
 		p.stats.OverBudget++
 	}
 	p.tick++
-	fr := &frameOf[E]{cells: cells, lastUse: p.tick}
+	fr.pins, fr.lastUse = 0, p.tick
 	p.frames[id] = fr
 	if n := int64(len(p.frames)); n > p.stats.ResidentPeak {
 		p.stats.ResidentPeak = n
 	}
 	return fr, nil
+}
+
+// takeFrameLocked pops the frame the last eviction reclaimed, or
+// allocates one while the resident set is still filling. Caller holds
+// p.mu.
+func (p *Pager[E]) takeFrameLocked() *frameOf[E] {
+	n := len(p.free)
+	if n == 0 {
+		return &frameOf[E]{cells: make([]E, p.geom.Tile*p.geom.Tile)}
+	}
+	fr := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return fr
 }
 
 // makeRoomLocked evicts least-recently-used unpinned frames until the
@@ -536,6 +568,7 @@ func (p *Pager[E]) evictLocked(id int) bool {
 		}
 	}
 	delete(p.frames, id)
+	p.free = append(p.free, fr)
 	p.stats.Evictions++
 	return true
 }
@@ -544,8 +577,8 @@ func (p *Pager[E]) evictLocked(id int) bool {
 // marks it spilled. ENOSPC flips the sticky no-spill degradation; EIO
 // leaves the block resident for a later retry. Caller holds p.mu.
 func (p *Pager[E]) spillLocked(id int, cells []E) bool {
-	buf := make([]byte, p.geom.slotBytes())
-	encodeSlot(cells, buf, p.geom.Elem)
+	buf := p.slot
+	encodeSlot(cells, buf)
 	var err error
 	if p.opts.Faults != nil {
 		_, err = p.opts.Faults.writeAt(p.f, buf, p.geom.slotOff(regionFinal, id))
@@ -583,20 +616,24 @@ func (p *Pager[E]) spillLocked(id int, cells []E) bool {
 	return true
 }
 
-// readBlockLocked reads block id's authoritative version from disk —
-// the final slot when one is trusted, the pristine slot otherwise —
-// verifying the CRC trailer (and, for final blocks, the recorded seal)
-// with one retry. Caller holds p.mu.
-func (p *Pager[E]) readBlockLocked(id, bi, bj int) ([]E, error) {
-	region, want := regionPristine, uint32(0)
-	sealed := false
+// readSlotLocked reads block id's authoritative version from disk —
+// the final slot when one is trusted, the pristine slot otherwise — into
+// the slot buffer and returns its payload bytes, valid until the next
+// slot operation. The CRC32C is checked over the payload bytes before
+// anything decodes them: against the slot's trailer and, for a final
+// block, against its recorded seal. A fault is retried within the
+// region's budget (finalReadRetries, pristineReadRetries). Caller holds
+// p.mu.
+func (p *Pager[E]) readSlotLocked(id, bi, bj int) ([]byte, error) {
+	region, want, sealed, retries := regionPristine, uint32(0), false, pristineReadRetries
 	if p.final[id] && p.spilled[id] {
-		region, want, sealed = regionFinal, p.crc[id], true
+		region, want, sealed, retries = regionFinal, p.crc[id], true, finalReadRetries
 	}
-	buf := make([]byte, p.geom.slotBytes())
+	buf := p.slot
+	payload := buf[:len(buf)-4]
 	off := p.geom.slotOff(region, id)
-	var lastErr error
-	for attempt := 0; attempt <= pageInRetries; attempt++ {
+	var bad *ErrPageCorrupt
+	for attempt := 0; attempt <= retries; attempt++ {
 		var err error
 		if p.opts.Faults != nil {
 			_, err = p.opts.Faults.readAt(p.f, buf, off)
@@ -604,31 +641,23 @@ func (p *Pager[E]) readBlockLocked(id, bi, bj int) ([]E, error) {
 			_, err = p.f.ReadAt(buf, off)
 		}
 		if err != nil {
-			p.stats.FaultedPages++
-			lastErr = err
-			continue
-		}
-		cells, got, ok := decodeSlot[E](buf, p.geom)
-		if ok && (!sealed || got == want) {
+			bad = &ErrPageCorrupt{Bi: bi, Bj: bj, Pristine: !sealed, Err: err}
+		} else if got, trailer := resilience.RawCRC(payload), trailerCRC(buf); got != trailer || (sealed && got != want) {
+			bad = &ErrPageCorrupt{Bi: bi, Bj: bj, Pristine: !sealed, Want: want, Got: got}
+			if !sealed {
+				bad.Want = trailer // the pristine trailer is self-describing
+			}
+		} else {
 			if attempt > 0 {
 				p.stats.PageHeals++ // a retry recovered the page
 			}
 			p.countReadLocked(region, len(buf))
-			return cells, nil
+			return payload, nil
 		}
 		p.stats.FaultedPages++
-		lastErr = &ErrPageCorrupt{Bi: bi, Bj: bj, Pristine: region == regionPristine, Want: want, Got: got}
-		if !sealed {
-			// The pristine trailer is self-describing; report it.
-			lastErr.(*ErrPageCorrupt).Want = trailerCRC(buf)
-		}
-	}
-	if pe, ok := lastErr.(*ErrPageCorrupt); ok {
-		p.corrupt[id] = true
-		return nil, pe
 	}
 	p.corrupt[id] = true
-	return nil, &ErrPageCorrupt{Bi: bi, Bj: bj, Pristine: region == regionPristine, Err: lastErr}
+	return nil, bad
 }
 
 // countReadLocked attributes one successful page-in to its region.
@@ -689,11 +718,11 @@ func (p *Pager[E]) Materialize(dst *tri.Tiled[E]) error {
 				copy(dst.Block(bi, bj), fr.cells)
 				continue
 			}
-			cells, err := p.readBlockLocked(id, bi, bj)
+			payload, err := p.readSlotLocked(id, bi, bj)
 			if err != nil {
 				return err
 			}
-			copy(dst.Block(bi, bj), cells)
+			tableio.DecodeCells(dst.Block(bi, bj), payload)
 		}
 	}
 	return nil
@@ -753,26 +782,12 @@ func (p *Pager[E]) Remove() error {
 	return first
 }
 
-// encodeSlot serializes cells little-endian at their element width and
-// appends the CRC32C trailer.
-func encodeSlot[E semiring.Elem](cells []E, buf []byte, width int) {
-	for i, v := range cells {
-		tableio.PutElem(buf[i*width:], v)
-	}
-	payload := len(cells) * width
-	putTrailer(buf[payload:], resilience.BlockCRC(cells))
-}
-
-// decodeSlot deserializes a slot and verifies its trailer; got is the
-// content digest regardless of match.
-func decodeSlot[E semiring.Elem](buf []byte, g spillGeom) (cells []E, got uint32, ok bool) {
-	n := g.Tile * g.Tile
-	cells = make([]E, n)
-	for i := 0; i < n; i++ {
-		cells[i] = tableio.GetElem[E](buf[i*g.Elem:])
-	}
-	got = resilience.BlockCRC(cells)
-	return cells, got, got == trailerCRC(buf)
+// encodeSlot serializes cells into a slot buffer: the payload in the
+// element encoding, then the CRC32C of those bytes as the trailer.
+func encodeSlot[E semiring.Elem](cells []E, slot []byte) {
+	payload := slot[:len(slot)-4]
+	tableio.EncodeCells(payload, cells)
+	putTrailer(slot[len(payload):], resilience.RawCRC(payload))
 }
 
 // trailerCRC reads a slot's 4-byte CRC32C trailer; putTrailer writes it.

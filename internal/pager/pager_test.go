@@ -2,12 +2,17 @@ package pager
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"cellnpdp/internal/resilience"
+	"cellnpdp/internal/semiring"
+	"cellnpdp/internal/tableio"
 	"cellnpdp/internal/tri"
 )
 
@@ -533,5 +538,243 @@ func TestRemoveStaleTempsSweepsSpillTemps(t *testing.T) {
 	}
 	if _, err := os.Stat(unrelated); err != nil {
 		t.Errorf("unrelated sibling removed: %v", err)
+	}
+}
+
+// refSlot is the slot encoding written cell by cell: each cell through
+// tableio.PutElem and, one cell at a time, through a CRC32C hash for the
+// trailer. New slots must match it byte for byte so spill files stay
+// readable across versions.
+func refSlot[E semiring.Elem](cells []E) []byte {
+	var e E
+	width := tableio.ElemWidth(e)
+	h := crc32.New(crc32.MakeTable(crc32.Castagnoli))
+	slot := make([]byte, width*len(cells)+4)
+	for i, v := range cells {
+		tableio.PutElem(slot[i*width:], v)
+		h.Write(slot[i*width : (i+1)*width])
+	}
+	binary.LittleEndian.PutUint32(slot[width*len(cells):], h.Sum32())
+	return slot
+}
+
+// awkwardTable fills a tiled table with raw bit patterns — NaNs with
+// payloads, infinities, ±0, subnormals — so a codec that canonicalizes
+// or reorders anything shows.
+func awkwardTable[E semiring.Elem](n, tile int) *tri.Tiled[E] {
+	t := tri.NewTiled[E](n, tile)
+	special := []uint64{1 << 63, 0x7ff0000000000000, 0x7ff80000deadbeef, 0x7ff0000000000001, 1,
+		0x7fc0dead, 0x7f800001, 0x807fffff}
+	for k := range t.Cells() {
+		x := uint64(k)*0x9e3779b97f4a7c15 ^ uint64(k)>>3
+		if k%5 == 0 {
+			x = special[(k/5)%len(special)]
+		}
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], x)
+		t.Cells()[k] = tableio.GetElem[E](buf[:])
+	}
+	return t
+}
+
+func TestSlotCodecMatchesPerCellReference(t *testing.T) {
+	checkSlotCodec[float32](t)
+	checkSlotCodec[float64](t)
+}
+
+func checkSlotCodec[E semiring.Elem](t *testing.T) {
+	src := awkwardTable[E](40, 8)
+	path := filepath.Join(t.TempDir(), "t.npsp")
+	p, err := Create(path, src, Options{Frames: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	m := src.Blocks()
+	for bi := 0; bi < m; bi++ {
+		for bj := bi; bj < m; bj++ {
+			ref := refSlot(src.Block(bi, bj))
+			got := make([]byte, len(ref))
+			encodeSlot(src.Block(bi, bj), got)
+			if !bytes.Equal(got, ref) {
+				t.Fatalf("%T block (%d,%d): encodeSlot differs from the per-cell reference", src.Block(0, 0), bi, bj)
+			}
+			// Page in a slot the reference wrote.
+			if _, err := f.WriteAt(ref, p.geom.slotOff(regionPristine, src.BlockID(bi, bj))); err != nil {
+				t.Fatal(err)
+			}
+			cells, err := p.Acquire(bi, bj)
+			if err != nil {
+				t.Fatalf("Acquire(%d,%d): %v", bi, bj, err)
+			}
+			if !bytes.Equal(refSlot(cells), ref) {
+				t.Fatalf("%T block (%d,%d): paged-in cells differ bitwise from the slot", cells, bi, bj)
+			}
+			p.Release(bi, bj)
+		}
+	}
+}
+
+// TestPageInVerifiesBeforeDecode flips one payload or trailer byte of a
+// pristine and of a spilled final slot on disk: the page-in must fail
+// typed, and no frame — resident or recycled — may change.
+func TestPageInVerifiesBeforeDecode(t *testing.T) {
+	for _, final := range []bool{false, true} {
+		for _, at := range []string{"payload", "trailer"} {
+			src := testTable(40, 8)
+			path := filepath.Join(t.TempDir(), "t.npsp")
+			p, err := Create(path, src, Options{Frames: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			region := regionPristine
+			if final {
+				region = regionFinal
+				if _, err := p.Acquire(0, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := p.Complete(0, 0); err != nil {
+					t.Fatal(err)
+				}
+				p.Release(0, 0)
+			}
+			flushFrames(t, p, [2]int{0, 0}) // spills (0,0) if final; leaves recycled frames
+			off := p.geom.slotOff(region, 0) + 17
+			if at == "trailer" {
+				off = p.geom.slotOff(region, 0) + p.geom.slotBytes() - 2
+			}
+			flipByteOnDisk(t, path, off)
+			before := frameSnapshot(p)
+			_, err = p.Acquire(0, 0)
+			var pe *ErrPageCorrupt
+			if !errors.As(err, &pe) || pe.Pristine == final {
+				t.Fatalf("final=%v %s flip: err = %v, want *ErrPageCorrupt (pristine %v)", final, at, err, !final)
+			}
+			if after := frameSnapshot(p); !bytes.Equal(before, after) {
+				t.Fatalf("final=%v %s flip: a frame changed before the page was rejected", final, at)
+			}
+			p.Close()
+		}
+	}
+}
+
+func flipByteOnDisk(t *testing.T, path string, off int64) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x10
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// frameSnapshot encodes every resident and recycled frame, in a stable
+// order, so a test can tell whether any of them was written.
+func frameSnapshot(p *Pager[float32]) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var out []byte
+	for id := 0; id < p.geom.NBlocks; id++ {
+		if fr, ok := p.frames[id]; ok {
+			out = append(out, refSlot(fr.cells)...)
+		}
+	}
+	for _, fr := range p.free {
+		out = append(out, refSlot(fr.cells)...)
+	}
+	return out
+}
+
+// TestPageInRecyclesFrames forces 1,000 page-ins of final blocks
+// through four frames of 88×88 cells. Each reuses the slot buffer and
+// the frame the previous eviction reclaimed, so the heap barely grows;
+// a page-in that allocated its slot and its cells would cost ≈ 62 KB.
+func TestPageInRecyclesFrames(t *testing.T) {
+	src := testTable(5*88, 88)
+	p := newTestPager(t, src, Options{Frames: 4, CommitEvery: 1 << 20})
+	m := src.Blocks()
+	// First pass: complete every block so later passes also fetch finals.
+	for bi := 0; bi < m; bi++ {
+		for bj := bi; bj < m; bj++ {
+			if _, err := p.Acquire(bi, bj); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Complete(bi, bj); err != nil {
+				t.Fatal(err)
+			}
+			p.Release(bi, bj)
+		}
+	}
+	const pageIns = 1000
+	start := p.Stats()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < pageIns; k++ {
+		id := k % p.NBlocks()
+		bi, bj := blockCoords(m, id)
+		if _, err := p.Acquire(bi, bj); err != nil {
+			t.Fatal(err)
+		}
+		p.Release(bi, bj)
+	}
+	runtime.ReadMemStats(&after)
+	st := p.Stats()
+	if got := st.FetchedBlocks + st.PristineReads - start.FetchedBlocks - start.PristineReads; got != pageIns {
+		t.Fatalf("%d page-ins, want %d (the cycle must miss every time)", got, pageIns)
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / pageIns
+	t.Logf("%d B allocated per page-in", per)
+	if per >= 1024 {
+		t.Errorf("page-in allocates %d B, want < 1 KB", per)
+	}
+}
+
+// blockCoords inverts the dense upper-triangle block id.
+func blockCoords(m, id int) (bi, bj int) {
+	for bi = 0; id >= m-bi; bi++ {
+		id -= m - bi
+	}
+	return bi, bi + id
+}
+
+// TestPristineReadRetriesTransientFaults: two read faults in a row on a
+// pristine slot are transient — Create wrote it intact — so the page-in
+// retries past them instead of declaring the input lost.
+func TestPristineReadRetriesTransientFaults(t *testing.T) {
+	// Find a seed whose first two reads flip and whose third is clean.
+	seed := int64(0)
+	for ; ; seed++ {
+		df := &DiskFaults{Rate: 0.5, Seed: seed, Kinds: []DiskFaultKind{DiskFaultFlip}}
+		if df.plan(readFaultDomain) == DiskFaultFlip && df.plan(readFaultDomain) == DiskFaultFlip &&
+			df.plan(readFaultDomain) == DiskFaultNone {
+			break
+		}
+	}
+	src := testTable(40, 8)
+	p := newTestPager(t, src, Options{
+		Frames: 4,
+		Faults: &DiskFaults{Rate: 0.5, Seed: seed, Kinds: []DiskFaultKind{DiskFaultFlip}},
+	})
+	cells, err := p.Acquire(0, 0)
+	if err != nil {
+		t.Fatalf("pristine page-in after two transient flips: %v", err)
+	}
+	if !equalCells(cells, src.Block(0, 0)) {
+		t.Fatal("retried pristine page-in returned the wrong content")
+	}
+	if st := p.Stats(); st.FaultedPages != 2 || st.PageHeals != 1 {
+		t.Errorf("FaultedPages = %d, PageHeals = %d; want 2 and 1", st.FaultedPages, st.PageHeals)
 	}
 }

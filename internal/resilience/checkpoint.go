@@ -188,17 +188,14 @@ func WriteCheckpoint[E semiring.Elem](w io.Writer, meta Meta, done []bool, t *tr
 		return fmt.Errorf("resilience: writing bitmap: %w", err)
 	}
 	var e E
-	width := tableio.ElemWidth(e)
-	buf := make([]byte, 8)
+	raw := make([]byte, tableio.ElemWidth(e)*t.Tile()*t.Tile())
 	for _, b := range blocks {
 		if err := binary.Write(bw, binary.LittleEndian, [2]uint32{uint32(b[0]), uint32(b[1])}); err != nil {
 			return fmt.Errorf("resilience: writing block header: %w", err)
 		}
-		for _, v := range t.Block(b[0], b[1]) {
-			tableio.PutElem(buf, v)
-			if _, err := bw.Write(buf[:width]); err != nil {
-				return fmt.Errorf("resilience: writing block (%d,%d): %w", b[0], b[1], err)
-			}
+		tableio.EncodeCells(raw, t.Block(b[0], b[1]))
+		if _, err := bw.Write(raw); err != nil {
+			return fmt.Errorf("resilience: writing block (%d,%d): %w", b[0], b[1], err)
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -276,9 +273,8 @@ func ReadCheckpoint[E semiring.Elem](r io.Reader) (*Checkpoint[E], error) {
 		ck.Done[id] = bitmap[id/8]&(1<<(id%8)) != 0
 	}
 
-	width := meta.ElemBytes
 	cells := meta.Tile * meta.Tile
-	buf := make([]byte, 8)
+	var raw []byte // one block's bytes, allocated at the first block
 	for b := 0; b < int(hdr.NBlocks); b++ {
 		var coord [2]uint32
 		if err := binary.Read(tr, binary.LittleEndian, &coord); err != nil {
@@ -292,13 +288,14 @@ func ReadCheckpoint[E semiring.Elem](r io.Reader) (*Checkpoint[E], error) {
 		if _, dup := ck.blocks[key]; dup {
 			return nil, fmt.Errorf("resilience: duplicate saved block (%d,%d)", bi, bj)
 		}
-		data := make([]E, cells)
-		for c := 0; c < cells; c++ {
-			if _, err := io.ReadFull(tr, buf[:width]); err != nil {
-				return nil, fmt.Errorf("resilience: reading block (%d,%d): %w", bi, bj, err)
-			}
-			data[c] = tableio.GetElem[E](buf)
+		if raw == nil {
+			raw = make([]byte, meta.ElemBytes*cells)
 		}
+		if _, err := io.ReadFull(tr, raw); err != nil {
+			return nil, fmt.Errorf("resilience: reading block (%d,%d): %w", bi, bj, err)
+		}
+		data := make([]E, cells)
+		tableio.DecodeCells(data, raw)
 		ck.blocks[key] = data
 	}
 	sum := crc.Sum32()

@@ -3,7 +3,6 @@ package resilience
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
 	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tableio"
@@ -99,7 +98,7 @@ func (d Delta) Encode() []byte {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Raw)))
 		buf = append(buf, b.Raw...)
 	}
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, sealCastagnoli))
+	return binary.LittleEndian.AppendUint32(buf, RawCRC(buf))
 }
 
 // DecodeDelta parses and fully validates one record: magic, version,
@@ -110,7 +109,7 @@ func DecodeDelta(p []byte) (Delta, error) {
 		return Delta{}, fmt.Errorf("resilience: delta record truncated")
 	}
 	body, tail := p[:len(p)-4], p[len(p)-4:]
-	if got, want := crc32.Checksum(body, sealCastagnoli), binary.LittleEndian.Uint32(tail); got != want {
+	if got, want := RawCRC(body), binary.LittleEndian.Uint32(tail); got != want {
 		return Delta{}, fmt.Errorf("resilience: delta checksum mismatch: got %08x, want %08x", got, want)
 	}
 	if string(body[:4]) != DeltaMagic {
@@ -156,7 +155,7 @@ func DecodeDelta(p []byte) (Delta, error) {
 		// Re-digest the per-block seal: the trailer already proved the
 		// record arrived intact, this proves the sender sealed the same
 		// bytes it shipped (the invariant a takeover's audit relies on).
-		if got := crc32.Checksum(db.Raw, sealCastagnoli); got != db.CRC {
+		if got := RawCRC(db.Raw); got != db.CRC {
 			return Delta{}, fmt.Errorf("resilience: delta block (%d,%d) seal mismatch: got %08x, want %08x",
 				db.Bi, db.Bj, got, db.CRC)
 		}
@@ -215,9 +214,7 @@ func (c *Checkpoint[E]) PutBlock(bi, bj int, raw []byte) error {
 		return fmt.Errorf("resilience: block (%d,%d) carries %d bytes, want %d", bi, bj, len(raw), width*cells)
 	}
 	data := make([]E, cells)
-	for i := range data {
-		data[i] = tableio.GetElem[E](raw[i*width : (i+1)*width])
-	}
+	tableio.DecodeCells(data, raw)
 	c.blocks[[2]int{bi, bj}] = data
 	return nil
 }

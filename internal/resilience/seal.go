@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"cellnpdp/internal/semiring"
@@ -28,20 +29,39 @@ import (
 // hardware-accelerated polynomial the serving layer digests with.
 var sealCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// sealChunkBytes is the scratch size BlockCRC encodes through: 2048
+// float32 or 1024 float64 cells per crc32.Update call.
+const sealChunkBytes = 8 << 10
+
+// sealScratch recycles BlockCRC's encode buffers. A stack array would
+// escape into crc32.Update and cost one heap allocation per digest.
+var sealScratch = sync.Pool{New: func() any { return new([sealChunkBytes]byte) }}
+
 // BlockCRC digests a memory block's cells into the CRC32C seal value:
 // each cell serialized little-endian at its element width, exactly the
-// byte stream the tableio and checkpoint codecs use.
+// byte stream the tableio and checkpoint codecs use, so
+// BlockCRC(cells) == RawCRC(encoded cells). It encodes chunk by chunk
+// through tableio.EncodeCells into pooled scratch and allocates nothing.
 func BlockCRC[E semiring.Elem](cells []E) uint32 {
-	h := crc32.New(sealCastagnoli)
 	var e E
 	width := tableio.ElemWidth(e)
-	buf := make([]byte, 8)
-	for _, v := range cells {
-		tableio.PutElem(buf, v)
-		h.Write(buf[:width])
+	buf := sealScratch.Get().(*[sealChunkBytes]byte)
+	var crc uint32
+	for len(cells) > 0 {
+		n := min(len(cells), sealChunkBytes/width)
+		tableio.EncodeCells(buf[:], cells[:n])
+		crc = crc32.Update(crc, sealCastagnoli, buf[:n*width])
+		cells = cells[n:]
 	}
-	return h.Sum32()
+	sealScratch.Put(buf)
+	return crc
 }
+
+// RawCRC is the seal polynomial's CRC32C over raw bytes. Over cells
+// already in the element encoding — a spill slot's payload, wire cells,
+// a delta block — it is their seal: RawCRC(encoded cells) ==
+// BlockCRC(cells).
+func RawCRC(raw []byte) uint32 { return crc32.Checksum(raw, sealCastagnoli) }
 
 // CorruptBit flips one bit of one cell, both chosen deterministically
 // from draw — the silent-fault model of FaultCorrupt. It returns the

@@ -5,8 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
+
+	"cellnpdp/internal/semiring"
+	"cellnpdp/internal/tableio"
 )
 
 // TestBlockCRCMatchesByteStream pins the seal digest to the serialized
@@ -24,6 +28,98 @@ func TestBlockCRCMatchesByteStream(t *testing.T) {
 	}
 	if BlockCRC([]float64{1, 2.5}) == BlockCRC([]float32{1, 2.5}) {
 		t.Fatal("float32 and float64 blocks digest identically")
+	}
+}
+
+// katCells builds an n-cell block in which every run of eight cells
+// starts with the encodings a float codec can get wrong — −0, +Inf,
+// semiring.Inf, a quiet NaN with a payload, a signalling NaN and two
+// subnormals — and fills the rest with raw SplitMix64 bit patterns,
+// NaNs included.
+func katCells[E semiring.Elem](n int) []E {
+	cells := make([]E, n)
+	var e E
+	_, wide := any(e).(float64)
+	for i := range cells {
+		x := katMix(uint64(i))
+		if wide {
+			bits := [...]uint64{
+				1 << 63, 0x7ff0000000000000, math.Float64bits(float64(semiring.Inf[float64]())),
+				0x7ff80000deadbeef, 0x7ff0000000000001, 1, 0x800fffffffffffff,
+			}
+			if k := i % 8; k < len(bits) {
+				x = bits[k]
+			}
+			cells[i] = E(math.Float64frombits(x))
+			continue
+		}
+		bits := [...]uint32{
+			1 << 31, 0x7f800000, math.Float32bits(float32(semiring.Inf[float32]())),
+			0x7fc0dead, 0x7f800001, 1, 0x807fffff,
+		}
+		y := uint32(x >> 32)
+		if k := i % 8; k < len(bits) {
+			y = bits[k]
+		}
+		cells[i] = E(math.Float32frombits(y))
+	}
+	return cells
+}
+
+// katMix is the SplitMix64 finalizer.
+func katMix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// TestBlockCRCKnownAnswers pins the seal bytes. The constants are the
+// digests of the original cell-at-a-time BlockCRC, so spill files,
+// checkpoints, seal streams and checkpoint deltas written by it still
+// verify. The lengths straddle BlockCRC's scratch chunks (2048 float32
+// or 1024 float64 cells) and end on the engines' 88×88 tile.
+func TestBlockCRCKnownAnswers(t *testing.T) {
+	for _, c := range []struct {
+		n        int
+		f32, f64 uint32
+	}{
+		{0, 0x00000000, 0x00000000},
+		{1, 0xca9170bf, 0x0ede89f2},
+		{1023, 0x206aabc5, 0x0056e1b6},
+		{1024, 0x8cb2bbe9, 0xaadab467},
+		{1025, 0x547018e5, 0xbbcc407e},
+		{4097, 0x9e8a55ba, 0x791a75c0},
+		{88 * 88, 0x8ebd8019, 0x22815e79},
+	} {
+		f32, f64 := katCells[float32](c.n), katCells[float64](c.n)
+		if got := BlockCRC(f32); got != c.f32 {
+			t.Errorf("float32 n=%d: BlockCRC %08x, want %08x", c.n, got, c.f32)
+		}
+		if got := BlockCRC(f64); got != c.f64 {
+			t.Errorf("float64 n=%d: BlockCRC %08x, want %08x", c.n, got, c.f64)
+		}
+		raw32, raw64 := make([]byte, 4*c.n), make([]byte, 8*c.n)
+		tableio.EncodeCells(raw32, f32)
+		tableio.EncodeCells(raw64, f64)
+		if got := RawCRC(raw32); got != c.f32 {
+			t.Errorf("float32 n=%d: RawCRC %08x, want %08x", c.n, got, c.f32)
+		}
+		if got := RawCRC(raw64); got != c.f64 {
+			t.Errorf("float64 n=%d: RawCRC %08x, want %08x", c.n, got, c.f64)
+		}
+	}
+}
+
+// TestBlockCRCAllocatesNothing: the seal digest runs on every completed
+// block and every page-in, so it must not allocate.
+func TestBlockCRCAllocatesNothing(t *testing.T) {
+	f32, f64 := katCells[float32](88*88), katCells[float64](88*88)
+	if n := testing.AllocsPerRun(100, func() { BlockCRC(f32) }); n != 0 {
+		t.Errorf("BlockCRC(float32) allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { BlockCRC(f64) }); n != 0 {
+		t.Errorf("BlockCRC(float64) allocates %v times per call", n)
 	}
 }
 

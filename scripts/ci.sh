@@ -3,7 +3,8 @@
 # npdplint invariant suite plus its hot-path codegen regression gate,
 # the full test suite under the race detector, the benchmark's smoke test
 # (bench/ is its own module, so go test ./... never builds it), short
-# fuzz smokes of the checkpoint and seal codecs, and smoke
+# fuzz smokes of the checkpoint and seal codecs and of the bulk cell
+# codec every seal, slot and frame encodes through, and smoke
 # fault-injection solves proving
 # the resilience layer end to end: 5% loud faults healed through
 # retries, and 5% silent corruption caught by the block seals and
@@ -148,6 +149,12 @@ echo "== fuzz smoke: seal codec (20s)"
 # Same discipline for the NPSL seal stream: truncated, bit-flipped or
 # reordered seal records must never verify.
 go test -run='^$' -fuzz FuzzSealTable -fuzztime 20s .
+
+echo "== fuzz smoke: cell codec (20s)"
+# The bulk cell codec under every seal, spill slot, checkpoint and wire
+# frame: decoding arbitrary bytes and re-encoding them must return the
+# same bytes, equal to the per-cell element stream, at both widths.
+go test -run='^$' -fuzz FuzzCellCodec -fuzztime 20s ./internal/tableio
 
 echo "== smoke: self-healing solve (5% silent corruption, bit-identical to serial)"
 # Inject silent bit flips (no error return — only the block seals can

@@ -8,7 +8,9 @@ import (
 // The trace generators replay the exact loop nests of the engines as
 // address streams: TraceOriginal mirrors npdp.SolveSerial on the
 // row-major layout, TraceTiled mirrors npdp.SolveTiled (stage 1 + stage 2
-// with 4×4 computing blocks) on the new data layout, and
+// as the paper's 4×4 computing-block steps, each loading and storing its
+// C block; the host's stage-2 strips touch the same cells but keep C in
+// registers across a strip) on the new data layout, and
 // TraceTiledRowMajor replays the tiled computation on the row-major
 // layout (the prior work's tiling, Figure 4). Values never affect the
 // access pattern — every relaxation reads and writes the same cells
@@ -63,8 +65,9 @@ func (r *tiledReplay) cbStep(cBlk [2]int, cp, cq int, aBlk [2]int, ap, aq int, b
 	}
 }
 
-// inner replays kernel.innerScalar for CB (p,q) of block (bi,bj) with
-// diagonal blocks L = (li,lj) and R = (ri,rj).
+// inner replays the in-CB scalar code of Figure 8's step 12 for CB (p,q)
+// of block (bi,bj), cell by cell, with diagonal blocks L = (li,lj) and
+// R = (ri,rj).
 func (r *tiledReplay) inner(bi, bj, li, lj, ri, rj, p, q int) {
 	for a := p*kernel.CB + kernel.CB - 1; a >= p*kernel.CB; a-- {
 		for b := q * kernel.CB; b < q*kernel.CB+kernel.CB; b++ {

@@ -7,7 +7,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -82,8 +81,6 @@ func TestFailoverMidWavefront(t *testing.T) {
 	var sstats StandbyStats
 	die := make(chan struct{})
 	var dieOnce sync.Once
-	var tookOver atomic.Bool
-	var killVictim context.CancelFunc // set before any worker connects
 
 	sbOpts := StandbyOptions{
 		Options:    testOptions(&tstats),
@@ -95,9 +92,6 @@ func TestFailoverMidWavefront(t *testing.T) {
 			if done >= 5 {
 				dieOnce.Do(func() { close(die) })
 			}
-		},
-		OnTakeover: func(epoch uint32) {
-			tookOver.Store(true)
 		},
 		StandbyStats: &sstats,
 	}
@@ -120,32 +114,32 @@ func TestFailoverMidWavefront(t *testing.T) {
 
 	addrs := priAddr + "," + sbLn.Addr().String()
 	var wg sync.WaitGroup
-	// The victim's kill (the PR 7 chaos riding along) fires only after
-	// it has re-homed to the NEW leader — its first successful dial
-	// post-takeover — so the takeover coordinator provably absorbs a
-	// worker death of its own, not just the inherited wavefront.
-	rejoined := make(chan struct{})
-	var rejoinOnce sync.Once
+	// The victim's kill fires at its first dispatch from the NEW leader —
+	// the standby's address only ever dispatches after takeover — before
+	// the victim reads the task. The takeover coordinator then holds that
+	// task in flight for a dead session and cannot finish without
+	// declaring the death, so it provably absorbs a worker death of its
+	// own, however fast the resumed solve runs.
+	dispatched := make(chan struct{})
+	var dispatchOnce sync.Once
 	vopts := failoverWorkerOptions("victim")
-	// Near-continuous redial: the victim must be among the first to
-	// re-home after takeover or the kill window could close before it
-	// ever holds a session on the new leader.
+	// Near-continuous redial: the victim must re-home early enough after
+	// takeover to be dispatched a task at all.
 	vopts.Reconnect.BaseDelay = 2 * time.Millisecond
 	vopts.Reconnect.MaxDelay = 15 * time.Millisecond
 	vopts.MaxReconnects = 2000
 	vopts.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
 		var d net.Dialer
 		c, err := d.DialContext(ctx, "tcp", addr)
-		if err == nil && tookOver.Load() {
-			rejoinOnce.Do(func() { close(rejoined) })
+		if err != nil || addr != sbLn.Addr().String() {
+			return c, err
 		}
-		return c, err
+		return &dispatchTap{Conn: c, onDispatch: func() { dispatchOnce.Do(func() { close(dispatched) }) }}, nil
 	}
-	killVictim = startWorker(ctx, t, &wg, addrs, vopts)
+	killVictim := startWorker(ctx, t, &wg, addrs, vopts)
 	go func() {
 		select {
-		case <-rejoined:
-			time.Sleep(100 * time.Millisecond) // deep enough into the session to hold dispatches
+		case <-dispatched:
 			killVictim()
 		case <-ctx.Done():
 		}
@@ -189,6 +183,40 @@ func TestFailoverMidWavefront(t *testing.T) {
 	}
 	t.Logf("takeover: resumed=%d accepted=%d deaths=%d replRecords(primary)=%d",
 		tstats.Resumed, tstats.Accepted, tstats.WorkerDeaths, pstats.ReplRecords)
+}
+
+// dispatchTap follows the frame stream a worker reads and, at the first
+// dispatch frame header, calls onDispatch and severs the connection
+// before the worker sees the frame — a kill that lands while the task is
+// in flight.
+type dispatchTap struct {
+	net.Conn
+	onDispatch func()
+	hdr        [5]byte // frame kind + payload length
+	have       int     // header bytes seen
+	skip       int     // payload and checksum bytes left in this frame
+}
+
+func (c *dispatchTap) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	for b := p[:n]; len(b) > 0; {
+		if c.skip > 0 {
+			k := min(c.skip, len(b))
+			c.skip, b = c.skip-k, b[k:]
+			continue
+		}
+		k := copy(c.hdr[c.have:], b)
+		c.have, b = c.have+k, b[k:]
+		if c.have == len(c.hdr) {
+			c.have, c.skip = 0, int(binary.LittleEndian.Uint32(c.hdr[1:]))+4
+			if c.hdr[0] == frameDispatch {
+				c.onDispatch()
+				c.Conn.Close()
+				return 0, net.ErrClosed
+			}
+		}
+	}
+	return n, err
 }
 
 // TestFailoverPrimaryFinishesClean pins the no-fault HA path: the

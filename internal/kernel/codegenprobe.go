@@ -20,11 +20,16 @@ func codegenProbeF32(c, a, b []float32, t int) Stats {
 	// diagnostics could vanish from the gate while the function still
 	// guards every ragged tile (the non-vacuous check in the gate backs
 	// this up).
-	Step4x4F32(c, a, b, t)
 	st := MulMinPlus(c, a, b, t)
 	st.Add(PanelMinPlus(c, a, b, t))
 	st.Add(PanelMinPlusF32(c, a, b, t))
 	st.Add(panelMinPlusF32Go(c, a, b, t))
+	// Stage 2: the float32 bodies on the strip dispatch, and the generic
+	// bodies on the Go strip at both widths.
+	stage2OffDiag(c, a, b, t)
+	stage2OffDiagF32(c, a, b, t)
+	stage2Diag(c, t)
+	stage2DiagF32(c, t)
 	return st
 }
 
@@ -32,6 +37,8 @@ func codegenProbeF64(c, a, b []float64, t int) Stats {
 	Step4x4(c, a, b, t)
 	st := MulMinPlus(c, a, b, t)
 	st.Add(PanelMinPlus(c, a, b, t))
+	stage2OffDiag(c, a, b, t)
+	stage2Diag(c, t)
 	return st
 }
 

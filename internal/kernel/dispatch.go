@@ -20,8 +20,8 @@ var vecCapable = haveVecASM && simd.VectorAvailable()
 // path; it must not be flipped while solves are running.
 var vecEnabled = vecCapable
 
-// VectorEnabled reports whether PanelMinPlusF32/Step4x4F32 currently
-// dispatch to the GOARCH vector assembly.
+// VectorEnabled reports whether PanelMinPlusF32 and the float32 stage-2
+// strips currently dispatch to the GOARCH vector assembly.
 func VectorEnabled() bool { return vecEnabled }
 
 // VectorISA names the instruction set the vector kernels use when
@@ -45,20 +45,19 @@ func SetVectorEnabled(on bool) (restore func()) {
 	return func() { vecEnabled = prev }
 }
 
-// Step4x4F32 is the single-precision computing-block step with vector
-// dispatch: one 4×4 CB update C = min(C, splat(A[r][k]) + B[k]) — the
-// Table I program — executed by the GOARCH assembly when available and
-// by the generic Step4x4 otherwise. The guards bound every row the
-// assembly touches (rows r ∈ [0,4) at stride `stride`, 4 columns each).
+// stripF32 is the float32 strip dispatch: the GOARCH assembly strip
+// when vector dispatch is on and the slices hold every element it
+// touches (C's four rows, A's four k-wide rows, B's k rows, all 4 wide
+// at row stride `stride`), the Go strip otherwise. The guard is the
+// assembly's whole memory-safety contract, so an out-of-range strip
+// reaches the Go body and panics like any Go access.
 //
 //npdp:hotpath
-func Step4x4F32(c, a, b []float32, stride int) {
-	if vecEnabled && stride >= CB {
-		n := 3*stride + CB
-		if len(c) >= n && len(a) >= n && len(b) >= n {
-			step4VecF32(&c[0], &a[0], &b[0], stride)
-			return
-		}
+func stripF32(c, a, b []float32, stride, k int) {
+	if vecEnabled && k > 0 && stride >= CB &&
+		len(c) >= 3*stride+CB && len(a) >= 3*stride+k && len(b) >= (k-1)*stride+CB {
+		stripVecF32(&c[0], &a[0], &b[0], stride, k)
+		return
 	}
-	Step4x4(c, a, b, stride)
+	strip(c, a, b, stride, k)
 }

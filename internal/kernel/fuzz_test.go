@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/simd"
 )
 
@@ -15,11 +16,20 @@ import (
 // NaN sums, which the strict-< update chain must discard identically in
 // Go and in assembly). Comparison is Float32bits/Float64bits-exact:
 // bit-identity is the repo invariant, not approximate equality.
+//
+// On CB-aligned sides it also runs stage 2 (Stage2OffDiag with c as D
+// and a, b as L, R; Stage2Diag on c) on the vector strips, the forced
+// fallback and at float64. Flag bit 4 scatters ±0 and NaN and makes the
+// other values nonnegative, so zero terms decide many minima: under the
+// strict-< update the first of two equal terms wins, and a reordered
+// term shows as a flipped zero sign.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(uint32(1), uint8(8), uint8(0))
 	f.Add(uint32(7), uint8(13), uint8(3)) // odd side + both sentinels
 	f.Add(uint32(42), uint8(92), uint8(1))
-	f.Add(uint32(9), uint8(1), uint8(2)) // 1×1 tile
+	f.Add(uint32(9), uint8(1), uint8(2))  // 1×1 tile
+	f.Add(uint32(5), uint8(24), uint8(4)) // ±0/NaN, stage 2
+	f.Add(uint32(3), uint8(87), uint8(7)) // t=88, everything
 	f.Fuzz(func(t *testing.T, seed uint32, side, flags uint8) {
 		ts := int(side)%96 + 1
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -31,6 +41,23 @@ func FuzzKernelEquivalence(f *testing.F) {
 			return s
 		}
 		a, b, c := gen(), gen(), gen()
+		if flags&4 != 0 {
+			negZero := float32(math.Copysign(0, -1))
+			for _, s := range [][]float32{a, b, c} {
+				for i := range s {
+					switch rng.Intn(16) {
+					case 0, 1:
+						s[i] = 0
+					case 2, 3:
+						s[i] = negZero
+					case 4:
+						s[i] = float32(math.NaN())
+					default:
+						s[i] = float32(math.Abs(float64(s[i])))
+					}
+				}
+			}
+		}
 		if flags&1 != 0 {
 			for i := 0; i < 1+ts/4; i++ {
 				a[rng.Intn(len(a))] = float32(math.Inf(1))
@@ -93,7 +120,142 @@ func FuzzKernelEquivalence(f *testing.F) {
 			MulMinPlus(cc, a64, b64, ts)
 			check64("MulMinPlus[f64]", cc)
 		}
+
+		if ts%CB == 0 {
+			fuzzStage2(t, "Stage2", ts, flags, c, a, b)
+			func() {
+				defer SetVectorEnabled(false)()
+				fuzzStage2(t, "Stage2/fallback", ts, flags, c, a, b)
+			}()
+			fuzzStage2(t, "Stage2[f64]", ts, flags, c64, a64, b64)
+		}
 	})
+}
+
+// fuzzStage2 runs Stage2OffDiag(d, l, r) and Stage2Diag(d) on copies of
+// d and compares them bit for bit with a cell-by-cell reference. Without
+// -0 in the inputs the reference is ScalarStage2OffDiag/ScalarStage2Diag:
+// the same terms in plain ascending k, and no term order can change a
+// bit, because only a -0/+0 tie makes the first-wins update order
+// visible and -0 arises only from -0 + -0. With the ±0 flag the
+// reference is the CB formulation's own per-cell order (cbOrderStage2*).
+//
+// The diagonals of d and l are made nonnegative first. They are table
+// cells d[i][i], and the k = i term d[i][i] + d[i][j] is a self-loop: a
+// no-op for d[i][i] >= 0, but for d[i][i] < 0 its value depends on
+// whether the cell is read before or after the strips' terms, which the
+// CB formulation and the scalar loop do differently.
+func fuzzStage2[E semiring.Elem](t *testing.T, name string, ts int, flags uint8, d, l, r []E) {
+	t.Helper()
+	d, l = nonnegDiag(d, ts), nonnegDiag(l, ts)
+	refOff := append([]E(nil), d...)
+	refDiag := append([]E(nil), d...)
+	if flags&4 != 0 {
+		cbOrderStage2OffDiag(refOff, l, r, ts)
+		cbOrderStage2Diag(refDiag, ts)
+	} else {
+		ScalarStage2OffDiag(refOff, l, r, ts)
+		ScalarStage2Diag(refDiag, ts)
+	}
+	got := append([]E(nil), d...)
+	if st := Stage2OffDiag(got, l, r, ts); st != StatsStage2OffDiag(ts) {
+		t.Fatalf("%s OffDiag (t=%d): stats %+v, want %+v", name, ts, st, StatsStage2OffDiag(ts))
+	}
+	requireBits(t, name+" OffDiag", ts, flags, got, refOff)
+	got = append(got[:0], d...)
+	if st := Stage2Diag(got, ts); st != StatsStage2Diag(ts) {
+		t.Fatalf("%s Diag (t=%d): stats %+v, want %+v", name, ts, st, StatsStage2Diag(ts))
+	}
+	requireBits(t, name+" Diag", ts, flags, got, refDiag)
+}
+
+// nonnegDiag returns a copy of the t×t block x with |x[i][i]| on its
+// diagonal.
+func nonnegDiag[E semiring.Elem](x []E, t int) []E {
+	x = append([]E(nil), x...)
+	for i := 0; i < t; i++ {
+		if v := x[i*t+i]; v < 0 {
+			x[i*t+i] = -v
+		}
+	}
+	return x
+}
+
+func requireBits[E semiring.Elem](t *testing.T, name string, ts int, flags uint8, got, want []E) {
+	t.Helper()
+	for i := range want {
+		if bitsOf(got[i]) != bitsOf(want[i]) {
+			t.Fatalf("%s (t=%d flags=%d): cell (%d,%d) = %v (bits %#x), reference %v (bits %#x)",
+				name, ts, flags, i/ts, i%ts, got[i], bitsOf(got[i]), want[i], bitsOf(want[i]))
+		}
+	}
+}
+
+func bitsOf[E semiring.Elem](x E) uint64 {
+	if v, ok := any(x).(float32); ok {
+		return uint64(math.Float32bits(v))
+	}
+	return math.Float64bits(float64(x))
+}
+
+// cbOrderStage2OffDiag is Stage2OffDiag cell by cell: cell (a,b) of CB
+// (p,q) takes the finished CBs below (k = (p+1)·4..t-1), the finished
+// CBs to the left (k = 0..q·4-1), then the CB's own L range
+// (k = a..(p+1)·4-1) and R range (k = q·4..b-1), each in ascending k.
+func cbOrderStage2OffDiag[E semiring.Elem](d, l, r []E, t int) {
+	for a := t - 1; a >= 0; a-- {
+		hi := (a/CB + 1) * CB
+		for b := 0; b < t; b++ {
+			col := b / CB * CB
+			v := d[a*t+b]
+			lTerms := func(from, to int) {
+				for k := from; k < to; k++ {
+					if w := l[a*t+k] + d[k*t+b]; w < v {
+						v = w
+					}
+				}
+			}
+			rTerms := func(from, to int) {
+				for k := from; k < to; k++ {
+					if w := d[a*t+k] + r[k*t+b]; w < v {
+						v = w
+					}
+				}
+			}
+			lTerms(hi, t)
+			rTerms(0, col)
+			lTerms(a, hi)
+			rTerms(col, b)
+			d[a*t+b] = v
+		}
+	}
+}
+
+// cbOrderStage2Diag is Stage2Diag cell by cell: a cell inside a
+// diagonal CB takes k = a..b-1 ascending; cell (a,b) of CB (p,q), p < q,
+// takes the finished CBs between (k = (p+1)·4..q·4-1), then its own
+// L range (k = a..(p+1)·4-1) and R range (k = q·4..b-1).
+func cbOrderStage2Diag[E semiring.Elem](d []E, t int) {
+	for b := 0; b < t; b++ {
+		for a := b - 1; a >= 0; a-- {
+			v := d[a*t+b]
+			terms := func(from, to int) {
+				for k := from; k < to; k++ {
+					if w := d[a*t+k] + d[k*t+b]; w < v {
+						v = w
+					}
+				}
+			}
+			if hi, col := (a/CB+1)*CB, b/CB*CB; hi <= col {
+				terms(hi, col)
+				terms(a, hi)
+				terms(col, b)
+			} else {
+				terms(a, b)
+			}
+			d[a*t+b] = v
+		}
+	}
 }
 
 func widen(s []float32) []float64 {

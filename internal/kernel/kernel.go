@@ -49,17 +49,27 @@ func CheckTile(t int) error {
 // tile of row stride `stride`. Semantics are exactly the SIMD program of
 // Section IV-A; this generic form runs as scalar Go (the counted
 // single-precision variant in counted.go executes the emulated SIMD ops
-// one by one).
+// one by one). It is the k = 4 case of strip.
 //
 //npdp:hotpath
 func Step4x4[E semiring.Elem](c, a, b []E, stride int) {
+	strip(c, a, b, stride, CB)
+}
+
+// strip is one computing-block strip: C = min(C, A ⊗ B) for a 4×4 C, a
+// 4×k A band and a k×4 B band, all at row stride `stride`. It is the
+// Table I program with the k loop count taken from an argument: each C
+// row stays in locals across the whole k range, with terms applied in
+// ascending k. It is the Go body of the strip dispatch and the oracle
+// the assembly strip is tested against.
+//
+//npdp:hotpath
+func strip[E semiring.Elem](c, a, b []E, stride, k int) {
 	for r := 0; r < CB; r++ {
 		cr := c[r*stride : r*stride+CB]
-		ar := a[r*stride : r*stride+CB]
 		c0, c1, c2, c3 := cr[0], cr[1], cr[2], cr[3]
-		for k := 0; k < CB; k++ {
-			s := ar[k]
-			bk := b[k*stride : k*stride+CB]
+		for i, s := range a[r*stride : r*stride+k] {
+			bk := b[i*stride : i*stride+CB]
 			if v := s + bk[0]; v < c0 {
 				c0 = v
 			}

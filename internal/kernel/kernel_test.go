@@ -236,6 +236,26 @@ func TestStage2DiagMatchesRef(t *testing.T) {
 	}
 }
 
+// The exported stage-2 wrappers resolve the element type once per
+// memory block of every solve; that switch must not allocate.
+func TestStage2DoesNotAllocate(t *testing.T) {
+	d32, l32, r32 := randBlock(88, 1), randBlock(88, 2), randBlock(88, 3)
+	d64, l64, r64 := randBlock64(64, 4), randBlock64(64, 5), randBlock64(64, 6)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"Stage2OffDiag[float32] t=88", func() { Stage2OffDiag(d32, l32, r32, 88) }},
+		{"Stage2Diag[float32] t=88", func() { Stage2Diag(d32, 88) }},
+		{"Stage2OffDiag[float64] t=64", func() { Stage2OffDiag(d64, l64, r64, 64) }},
+		{"Stage2Diag[float64] t=64", func() { Stage2Diag(d64, 64) }},
+	} {
+		if n := testing.AllocsPerRun(10, c.run); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", c.name, n)
+		}
+	}
+}
+
 func TestStatsMemoryBlock(t *testing.T) {
 	mul := StatsMulMinPlus(16)
 	off := StatsStage2OffDiag(16)

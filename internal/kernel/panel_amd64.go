@@ -4,7 +4,7 @@ package kernel
 
 // AVX2 kernels (panel_amd64.s). Stubs are //go:noescape: they only read
 // and write through the passed pointers for the caller-guarded t×t (or
-// 4×stride) extent and never retain them, so the blocks stay
+// strip) extent and never retain them, so the blocks stay
 // stack/arena-allocatable. The npdplint hotpath analyzer accepts
 // body-less //go:noescape stubs as leaves of the closed call universe.
 
@@ -22,9 +22,11 @@ const haveVecASM = true
 //go:noescape
 func panelVecF32(c, a, b *float32, t int)
 
-// step4VecF32 is the AVX2 4×4 computing-block step on XMM registers —
-// the Table I program executed as real SIMD instead of the emulated
-// instruction stream.
+// stripVecF32 is the AVX2 computing-block strip on XMM registers:
+// C = min(C, A ⊗ B) for a 4×4 C, a 4×k A band and a k×4 B band at row
+// stride `stride` (k ≥ 1) — the Table I program with the k loop count
+// taken from an argument. C's four rows load once, take k add+min
+// updates each, and store once.
 //
 //go:noescape
-func step4VecF32(c, a, b *float32, stride int)
+func stripVecF32(c, a, b *float32, stride, k int)

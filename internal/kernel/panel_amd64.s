@@ -133,16 +133,20 @@ done:
 	VZEROUPPER
 	RET
 
-// func step4VecF32(c, a, b *float32, stride int)
+// func stripVecF32(c, a, b *float32, stride, k int)
 //
-// One 4×4 computing-block step on XMM registers: the 80-instruction
-// Table I program (loads, splats, adds, compare-selects, stores) as real
-// SIMD. Same update-chain semantics as panelVecF32.
-TEXT ·step4VecF32(SB), NOSPLIT, $0-32
+// One computing-block strip on XMM registers: the Table I program
+// (loads, splats, adds, compare-selects, stores) as real SIMD, with the
+// k loop count taken from an argument. C's four rows are loaded once,
+// take k updates each, and are stored once. Same update-chain semantics
+// as panelVecF32; the caller (stripF32) guarantees k >= 1 and that every
+// touched element is in bounds.
+TEXT ·stripVecF32(SB), NOSPLIT, $0-40
 	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), DX
+	MOVQ a+8(FP), AX
+	MOVQ b+16(FP), BX
 	MOVQ stride+24(FP), R8
+	MOVQ k+32(FP), R11
 	SHLQ $2, R8           // stride bytes
 
 	LEAQ (DI)(R8*2), R12
@@ -150,29 +154,26 @@ TEXT ·step4VecF32(SB), NOSPLIT, $0-32
 	VMOVUPS (DI)(R8*1), X1
 	VMOVUPS (R12), X2
 	VMOVUPS (R12)(R8*1), X3
-	MOVQ DX, BX
-	MOVQ SI, AX
-	LEAQ (SI)(R8*2), R13
-	MOVQ $4, R11
-step_k:
-	VMOVUPS (BX), X4
-	VBROADCASTSS (AX), X5
+	LEAQ (AX)(R8*2), R13  // &a[2*stride + 0]
+strip_k:
+	VMOVUPS (BX), X4              // b[k][0..4)
+	VBROADCASTSS (AX), X5         // a[0][k]
 	VADDPS X4, X5, X5
 	VMINPS X0, X5, X0
-	VBROADCASTSS (AX)(R8*1), X6
+	VBROADCASTSS (AX)(R8*1), X6   // a[1][k]
 	VADDPS X4, X6, X6
 	VMINPS X1, X6, X1
-	VBROADCASTSS (R13), X7
+	VBROADCASTSS (R13), X7        // a[2][k]
 	VADDPS X4, X7, X7
 	VMINPS X2, X7, X2
-	VBROADCASTSS (R13)(R8*1), X8
+	VBROADCASTSS (R13)(R8*1), X8  // a[3][k]
 	VADDPS X4, X8, X8
 	VMINPS X3, X8, X3
 	ADDQ $4, AX
 	ADDQ $4, R13
 	ADDQ R8, BX
 	DECQ R11
-	JNZ  step_k
+	JNZ  strip_k
 	VMOVUPS X0, (DI)
 	VMOVUPS X1, (DI)(R8*1)
 	VMOVUPS X2, (R12)

@@ -20,8 +20,9 @@ const haveVecASM = true
 //go:noescape
 func panelVecF32(c, a, b *float32, t int)
 
-// step4VecF32 is the NEON 4×4 computing-block step — the Table I
-// program as real SIMD.
+// stripVecF32 is the NEON computing-block strip: C = min(C, A ⊗ B) for
+// a 4×4 C, a 4×k A band and a k×4 B band at row stride `stride` (k ≥ 1)
+// — the Table I program with the k loop count taken from an argument.
 //
 //go:noescape
-func step4VecF32(c, a, b *float32, stride int)
+func stripVecF32(c, a, b *float32, stride, k int)

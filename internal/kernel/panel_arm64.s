@@ -110,16 +110,20 @@ rownext:
 done:
 	RET
 
-// func step4VecF32(c, a, b *float32, stride int)
+// func stripVecF32(c, a, b *float32, stride, k int)
 //
-// One 4×4 computing-block step: the Table I program (loads, splats,
-// adds, compare-selects, stores) as real SIMD. Same update-chain
-// semantics and register roles as panelVecF32, fixed k sweep of 4.
-TEXT ·step4VecF32(SB), NOSPLIT, $0-32
+// One computing-block strip: the Table I program (loads, splats, adds,
+// compare-selects, stores) as real SIMD, with the k loop count taken
+// from an argument. C's four rows are loaded once, take k updates each,
+// and are stored once. Same update-chain semantics and register roles as
+// panelVecF32; the caller (stripF32) guarantees k >= 1 and that every
+// touched element is in bounds.
+TEXT ·stripVecF32(SB), NOSPLIT, $0-40
 	MOVD c+0(FP), R0
 	MOVD a+8(FP), R1
 	MOVD b+16(FP), R2
 	MOVD stride+24(FP), R3
+	MOVD k+32(FP), R17     // k countdown
 	LSL  $2, R3, R4        // stride bytes
 
 	MOVD R0, R8
@@ -135,8 +139,7 @@ TEXT ·step4VecF32(SB), NOSPLIT, $0-32
 	ADD  R4, R13, R14
 	ADD  R4, R14, R15
 	ADD  R4, R15, R16
-	MOVD $4, R17
-step_k:
+strip_k:
 	VLD1 (R12), [V4.S4]
 	ADD  R4, R12
 
@@ -169,7 +172,7 @@ step_k:
 	VBIT V6.B16, V5.B16, V3.B16
 
 	SUB  $1, R17
-	CBNZ R17, step_k
+	CBNZ R17, strip_k
 
 	VST1 [V0.S4], (R8)
 	VST1 [V1.S4], (R9)

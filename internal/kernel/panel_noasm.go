@@ -16,6 +16,6 @@ func panelVecF32(c, a, b *float32, t int) {
 }
 
 //npdp:hotpath
-func step4VecF32(c, a, b *float32, stride int) {
-	panic("kernel: step4VecF32 called on a GOARCH without vector kernels")
+func stripVecF32(c, a, b *float32, stride, k int) {
+	panic("kernel: stripVecF32 called on a GOARCH without vector kernels")
 }

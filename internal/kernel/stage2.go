@@ -17,89 +17,185 @@ import "cellnpdp/internal/semiring"
 //
 // so cell (a,b) depends on cells below it in its column and left of it in
 // its row. Computing blocks are therefore processed bottom-up and
-// left-to-right; per CB, contributions from finished CBs use the 4×4 SIMD
-// step and the boundary k-ranges that touch the CB itself fall back to
-// the original scalar code.
+// left-to-right. Per CB (p,q), the finished CBs below it are one strip
+// over L's row band p, the finished CBs left of it are one strip over R's
+// column band q, and the k-ranges that touch the CB itself run in
+// closeCB. Every cell sees its terms in ascending k within each of those
+// ranges — the order of the 4×4 CB-step formulation — so the result is
+// bit-identical to it, ±0 and NaN included.
+//
+// The element type is resolved once per call: float32 blocks take the
+// strip dispatch (the vector strip when enabled), every other width the
+// Go strip. The returned work record is StatsStage2OffDiag(t), the count
+// of 4×4 CB steps the strips cover plus the closure's relaxations.
 func Stage2OffDiag[E semiring.Elem](d, l, r []E, t int) Stats {
-	cbm := t / CB
-	var st Stats
-	for p := cbm - 1; p >= 0; p-- {
-		for q := 0; q < cbm; q++ {
-			// Finished CBs below in this column, weighted by L's row-band p.
-			for kp := p + 1; kp < cbm; kp++ {
-				Step4x4(d[p*CB*t+q*CB:], l[p*CB*t+kp*CB:], d[kp*CB*t+q*CB:], t)
-				st.CBSteps++
-			}
-			// Finished CBs left in this row, weighted by R's column-band q.
-			for kq := 0; kq < q; kq++ {
-				Step4x4(d[p*CB*t+q*CB:], d[p*CB*t+kq*CB:], r[kq*CB*t+q*CB:], t)
-				st.CBSteps++
-			}
-			st.ScalarRelax += innerScalar(d, l, r, t, p, q)
-		}
+	if d32, ok := any(d).([]float32); ok {
+		stage2OffDiagF32(d32, any(l).([]float32), any(r).([]float32), t)
+	} else {
+		stage2OffDiag(d, l, r, t)
 	}
-	return st
+	return StatsStage2OffDiag(t)
 }
 
-// innerScalar processes the k-ranges of CB (p,q) that involve the CB's
-// own cells — the original Figure 1 code of Figure 8's step 12. Rows run
-// bottom-up and columns left-to-right so every D value read is final.
-// It returns the number of scalar relaxations performed.
-func innerScalar[E semiring.Elem](d, l, r []E, t, p, q int) int64 {
-	var relax int64
-	for a := p*CB + CB - 1; a >= p*CB; a-- {
-		for b := q * CB; b < q*CB+CB; b++ {
-			v := d[a*t+b]
-			// k in this CB's row band: L[a][k] + D[k][b], k = a..(p+1)*CB-1.
-			for k := a; k < (p+1)*CB; k++ {
-				if w := l[a*t+k] + d[k*t+b]; w < v {
-					v = w
-				}
+// stage2OffDiag is Stage2OffDiag's body on the Go strip.
+// stage2OffDiagF32 is the same loop on the float32 strip dispatch; the
+// two change together.
+//
+//npdp:hotpath
+func stage2OffDiag[E semiring.Elem](d, l, r []E, t int) {
+	cbm := t / CB
+	for p := cbm - 1; p >= 0; p-- {
+		band := p * CB * t
+		for q := 0; q < cbm; q++ {
+			c := d[band+q*CB:]
+			if k := t - (p+1)*CB; k > 0 {
+				strip(c, l[band+(p+1)*CB:], d[band+CB*t+q*CB:], t, k)
 			}
-			// k in this CB's column band: D[a][k] + R[k][b], k = q*CB..b-1.
-			for k := q * CB; k < b; k++ {
-				if w := d[a*t+k] + r[k*t+b]; w < v {
-					v = w
-				}
+			if k := q * CB; k > 0 {
+				strip(c, d[band:], r[q*CB:], t, k)
 			}
-			d[a*t+b] = v
-			relax += int64((p+1)*CB-a) + int64(b-q*CB)
+			closeCB(d, l, r, t, p, q)
 		}
 	}
-	return relax
+}
+
+// stage2OffDiagF32 is stage2OffDiag with every strip sent through
+// stripF32.
+//
+//npdp:hotpath
+func stage2OffDiagF32(d, l, r []float32, t int) {
+	cbm := t / CB
+	for p := cbm - 1; p >= 0; p-- {
+		band := p * CB * t
+		for q := 0; q < cbm; q++ {
+			c := d[band+q*CB:]
+			if k := t - (p+1)*CB; k > 0 {
+				stripF32(c, l[band+(p+1)*CB:], d[band+CB*t+q*CB:], t, k)
+			}
+			if k := q * CB; k > 0 {
+				stripF32(c, d[band:], r[q*CB:], t, k)
+			}
+			closeCB(d, l, r, t, p, q)
+		}
+	}
 }
 
 // Stage2Diag computes a diagonal memory block D = MB(J,J) in place. A
 // diagonal block depends only on itself: for cell (a,b), every k in
 // [a, b) stays inside the tile. Computing blocks are processed in the
 // Figure 1 column order lifted to CB granularity (q ascending, p
-// descending), with middle CBs applied via the SIMD step and the two
-// boundary bands via the scalar inner code. The diagonal CBs themselves
-// are pure 4×4 triangles solved scalar.
+// descending). CB (p,q) above the diagonal takes the finished CBs
+// between it and the diagonal as one strip, then closeCB with D as both
+// L and R. The diagonal CBs themselves are 4×4 triangles solved scalar.
+// The element type is resolved once per call, as in Stage2OffDiag, and
+// the returned work record is StatsStage2Diag(t).
 func Stage2Diag[E semiring.Elem](d []E, t int) Stats {
+	if d32, ok := any(d).([]float32); ok {
+		stage2DiagF32(d32, t)
+	} else {
+		stage2Diag(d, t)
+	}
+	return StatsStage2Diag(t)
+}
+
+// stage2Diag is Stage2Diag's body on the Go strip. stage2DiagF32 is the
+// same loop on the float32 strip dispatch; the two change together.
+//
+//npdp:hotpath
+func stage2Diag[E semiring.Elem](d []E, t int) {
 	cbm := t / CB
-	var st Stats
 	for q := 0; q < cbm; q++ {
-		for p := q; p >= 0; p-- {
-			if p == q {
-				st.ScalarRelax += diagScalarCB(d, t, q)
-				continue
+		diagScalarCB(d, t, q)
+		for p := q - 1; p >= 0; p-- {
+			if k := (q - p - 1) * CB; k > 0 {
+				strip(d[p*CB*t+q*CB:], d[p*CB*t+(p+1)*CB:], d[(p+1)*CB*t+q*CB:], t, k)
 			}
-			for kp := p + 1; kp < q; kp++ {
-				Step4x4(d[p*CB*t+q*CB:], d[p*CB*t+kp*CB:], d[kp*CB*t+q*CB:], t)
-				st.CBSteps++
-			}
-			st.ScalarRelax += innerScalar(d, d, d, t, p, q)
+			closeCB(d, d, d, t, p, q)
 		}
 	}
-	return st
+}
+
+// stage2DiagF32 is stage2Diag with every strip sent through stripF32.
+//
+//npdp:hotpath
+func stage2DiagF32(d []float32, t int) {
+	cbm := t / CB
+	for q := 0; q < cbm; q++ {
+		diagScalarCB(d, t, q)
+		for p := q - 1; p >= 0; p-- {
+			if k := (q - p - 1) * CB; k > 0 {
+				stripF32(d[p*CB*t+q*CB:], d[p*CB*t+(p+1)*CB:], d[(p+1)*CB*t+q*CB:], t, k)
+			}
+			closeCB(d, d, d, t, p, q)
+		}
+	}
+}
+
+// closeCB processes the k-ranges of CB (p,q) that involve the CB's own
+// cells — the original Figure 1 code of Figure 8's step 12 — once both
+// strips have run. Rows run bottom-up, so every D value read below the
+// row is final. A row's four cells stay in locals while the L terms
+// (k = a..(p+1)·4-1) and then the R terms (k = q·4..b-1) are applied,
+// each in ascending k: the per-cell term order of a cell-by-cell scalar
+// pass, whose R terms read the row's cells to the left once final.
+//
+//npdp:hotpath
+func closeCB[E semiring.Elem](d, l, r []E, t, p, q int) {
+	hi, col := (p+1)*CB, q*CB
+	// R's in-CB terms R[k][b], k < b, from the diagonal CB (q,q).
+	r0 := r[col*t+col : col*t+col+CB]
+	r1 := r[(col+1)*t+col : (col+1)*t+col+CB]
+	r2 := r[(col+2)*t+col : (col+2)*t+col+CB]
+	r01, r02, r03 := r0[1], r0[2], r0[3]
+	r12, r13, r23 := r1[2], r1[3], r2[3]
+	for a := hi - 1; a >= p*CB; a-- {
+		row := d[a*t+col : a*t+col+CB]
+		x0, x1, x2, x3 := row[0], row[1], row[2], row[3]
+		// k = a reads the row's own cells from memory, which holds them
+		// as they were before this pass.
+		for i, s := range l[a*t+a : a*t+hi] {
+			dk := d[(a+i)*t+col : (a+i)*t+col+CB]
+			if w := s + dk[0]; w < x0 {
+				x0 = w
+			}
+			if w := s + dk[1]; w < x1 {
+				x1 = w
+			}
+			if w := s + dk[2]; w < x2 {
+				x2 = w
+			}
+			if w := s + dk[3]; w < x3 {
+				x3 = w
+			}
+		}
+		if w := x0 + r01; w < x1 {
+			x1 = w
+		}
+		if w := x0 + r02; w < x2 {
+			x2 = w
+		}
+		if w := x1 + r12; w < x2 {
+			x2 = w
+		}
+		if w := x0 + r03; w < x3 {
+			x3 = w
+		}
+		if w := x1 + r13; w < x3 {
+			x3 = w
+		}
+		if w := x2 + r23; w < x3 {
+			x3 = w
+		}
+		row[0], row[1], row[2], row[3] = x0, x1, x2, x3
+	}
 }
 
 // diagScalarCB solves the triangular 4×4 computing block (q,q) of a
 // diagonal tile with the original recurrence. For its cells, every k in
-// [a, b) lies inside the same CB. Returns scalar relaxations performed.
-func diagScalarCB[E semiring.Elem](d []E, t, q int) int64 {
-	var relax int64
+// [a, b) lies inside the same CB.
+//
+//npdp:hotpath
+func diagScalarCB[E semiring.Elem](d []E, t, q int) {
 	lo := q * CB
 	for b := lo; b < lo+CB; b++ {
 		for a := b - 1; a >= lo; a-- {
@@ -110,8 +206,6 @@ func diagScalarCB[E semiring.Elem](d []E, t, q int) int64 {
 				}
 			}
 			d[a*t+b] = v
-			relax += int64(b - a)
 		}
 	}
-	return relax
 }

@@ -76,20 +76,66 @@ func TestPanelVectorBitIdenticalToFallback(t *testing.T) {
 // dispatch-path call site in a diff.
 func a2(c []float32) []float32 { return c }
 
-func TestStep4x4F32MatchesGeneric(t *testing.T) {
+// adversarialBand is adversarialBlock data trimmed to exactly n
+// elements, length and capacity, so any access past n panics.
+func adversarialBand(n int, seed int64) []float32 {
+	side := 1
+	for side*side < n {
+		side++
+	}
+	return adversarialBlock(side, seed)[:n:n]
+}
+
+// The assembly strip must match the Go strip bit for bit over short,
+// CB-sized, ragged and full-tile k ranges and over strides from a bare
+// 4×4 up to a full tile row, on bands sized exactly to what the strip
+// touches.
+func TestStripVectorMatchesGo(t *testing.T) {
 	if !VectorEnabled() {
 		t.Skip("vector kernels unavailable on this host")
 	}
-	for _, stride := range []int{4, 8, 12, 88} {
-		a := adversarialBlock(stride, int64(stride)+1)
-		b := adversarialBlock(stride, int64(stride)+2)
-		c1 := adversarialBlock(stride, int64(stride)+3)
-		c2 := append([]float32(nil), c1...)
-		Step4x4F32(c1, a, b, stride)
-		Step4x4(c2, a, b, stride)
-		if i, ok := bitsEqual(c1, c2); !ok {
-			t.Fatalf("stride=%d: Step4x4F32 diverges from Step4x4 at %d", stride, i)
+	for _, k := range []int{1, 4, 5, 84} {
+		for _, stride := range []int{4, 8, 88} {
+			seed := int64(k*100 + stride)
+			a := adversarialBand(3*stride+k, seed)
+			b := adversarialBand((k-1)*stride+CB, seed+1)
+			cVec := adversarialBand(3*stride+CB, seed+2)
+			cGo := append([]float32(nil), cVec...)
+			stripVecF32(&cVec[0], &a[0], &b[0], stride, k)
+			strip(cGo, a, b, stride, k)
+			if i, ok := bitsEqual(cVec, cGo); !ok {
+				t.Fatalf("k=%d stride=%d: assembly strip diverges from Go strip at %d: %x vs %x",
+					k, stride, i, math.Float32bits(cVec[i]), math.Float32bits(cGo[i]))
+			}
 		}
+	}
+}
+
+// The strip dispatch must send a C block, A band or B band one element
+// shorter than the strip touches to the Go body, which panics on the
+// out-of-range access, never to the unguarded assembly.
+func TestStripVectorShortBandFallsBack(t *testing.T) {
+	const stride, k = 8, 5
+	for _, short := range []string{"C", "A", "B"} {
+		c := adversarialBand(3*stride+CB, 1)
+		a := adversarialBand(3*stride+k, 2)
+		b := adversarialBand((k-1)*stride+CB, 3)
+		switch short {
+		case "C":
+			c = c[: len(c)-1 : len(c)-1]
+		case "A":
+			a = a[: len(a)-1 : len(a)-1]
+		case "B":
+			b = b[: len(b)-1 : len(b)-1]
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("short %s: strip dispatch did not panic in the Go body", short)
+				}
+			}()
+			stripF32(c, a, b, stride, k)
+		}()
 	}
 }
 

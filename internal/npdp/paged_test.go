@@ -65,7 +65,10 @@ func TestPagedMatchesSerialF64(t *testing.T) {
 func TestPagedHealsTornWrites(t *testing.T) {
 	// A low-rate torn-write injector: some spilled finals page back in
 	// corrupt; the solve must demote the cone, recompute, and still match
-	// the serial answer bit-for-bit.
+	// the serial answer bit-for-bit. A torn spill that no consumer reads
+	// back, such as the last block's, shows up only when the table is
+	// materialized, so the solve and the copy run under one recovery
+	// ladder (SolvePagedTableCtx), as SolveCtx runs them.
 	src := workload.Chain[float32](96, 1234)
 	ref := solveRef(src)
 	tt := tri.ToTiled(src, 8)
@@ -78,8 +81,11 @@ func TestPagedHealsTornWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	got := pagedSolveToRowMajor(t, p, PagedOptions{Workers: 4, Logf: t.Logf})
-	if i, j, av, bv, diff := tri.FirstDiff[float32](ref, got); diff {
+	out, _, err := SolvePagedTableCtx(context.Background(), p, PagedOptions{Workers: 4, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("SolvePagedTableCtx: %v", err)
+	}
+	if i, j, av, bv, diff := tri.FirstDiff[float32](ref, tri.ToRowMajor(out)); diff {
 		t.Fatalf("first diff at (%d,%d): serial=%v paged=%v", i, j, av, bv)
 	}
 	if st := p.Stats(); st.FaultedPages == 0 {

@@ -142,7 +142,10 @@ go run ./cmd/cellnpdp -n 300 -engine parallel -timeout 30m \
 echo "== fuzz smoke: kernel equivalence (20s)"
 # Every selectable min-plus kernel (panel, vector asm, forced fallback,
 # CB-step) against the scalar reference on arbitrary tiles with ±Inf
-# sentinels; comparison is bit-exact.
+# sentinels, plus stage 2 (the vector strips, the forced fallback and
+# float64) on CB-aligned tiles, with a flag that scatters ±0 and NaN so
+# a reordered term shows as a flipped zero sign; comparison is
+# bit-exact.
 go test -run='^$' -fuzz FuzzKernelEquivalence -fuzztime 20s ./internal/kernel
 
 echo "== fuzz smoke: seal codec (20s)"

@@ -532,9 +532,11 @@ func (f *workerFleet) spawn() error {
 }
 
 // chaosHook builds the OnTaskDone callback implementing the seeded kill
-// schedule: kill k workers at completion counts drawn from the first
-// half of the wavefront, victims drawn from the live set. The hook runs
-// on the coordinator's event loop, so the SIGKILL happens off it.
+// schedule: kill k workers at accept counts drawn from the first half
+// of the wavefront, victims drawn from the live set. The count is the
+// coordinator's monotone Stats.Accepted, so heals only move the kills
+// earlier in the wavefront. The hook runs on the coordinator's event
+// loop, so the SIGKILL happens off it.
 func (f *workerFleet) chaosHook(tasks, kills int, seed int64, respawn bool) func(int, sched.Task) {
 	rng := rand.New(rand.NewSource(seed))
 	span := max(2, tasks/2)

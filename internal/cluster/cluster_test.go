@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"path/filepath"
 	"strings"
@@ -305,6 +306,72 @@ func TestClusterCorruptionHeals(t *testing.T) {
 		stats.SealMismatches, stats.HealRounds, stats.RecomputedTasks, stats.StaleResults)
 }
 
+// TestClusterAuditHeal corrupts an installed block on the coordinator
+// itself — a bit flip in the authoritative table after its seal — so
+// only the audit after the wave can find it. With Heal the ladder
+// demotes the block's cone, tasks already done run again, and
+// OnTaskDone still sees the monotone accept count; without Heal the
+// audit's finding is the typed error.
+func TestClusterAuditHeal(t *testing.T) {
+	ref := serialRef(t)
+	for _, heal := range []bool{true, false} {
+		t.Run(fmt.Sprintf("heal=%v", heal), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			tbl := testTable(t)
+			var stats Stats
+			opts := testOptions(&stats)
+			opts.Shards = 2
+			opts.Heal = heal
+			var calls []int
+			installed, flipped := false, false
+			opts.OnTaskDone = func(completed int, task sched.Task) {
+				// The hook runs on the event loop, the table's only writer.
+				calls = append(calls, completed)
+				installed = installed || (task.Bi == 0 && task.Bj == 0)
+				if completed >= 10 && installed && !flipped {
+					flipped = true
+					b := tbl.Block(0, 0)
+					b[1] = math.Float32frombits(math.Float32bits(b[1]) ^ 1)
+				}
+			}
+			addr, wait := startCoordinator(ctx, t, tbl, opts)
+			var wg sync.WaitGroup
+			for w := 0; w < 2; w++ {
+				startWorker(ctx, t, &wg, addr, WorkerOptions{Name: "w"})
+			}
+			err := wait()
+			cancel()
+			wg.Wait()
+			if !heal {
+				var corrupt *resilience.CorruptionError
+				if !errors.As(err, &corrupt) || len(corrupt.Blocks) != 1 || corrupt.Blocks[0] != [2]int{0, 0} {
+					t.Fatalf("Heal off returned %v, want a CorruptionError naming block (0,0)", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Coordinate: %v", err)
+			}
+			requireIdentical(t, ref, tbl)
+			if stats.SealMismatches != 1 || stats.HealRounds != 1 {
+				t.Fatalf("mismatches=%d healRounds=%d, want 1/1", stats.SealMismatches, stats.HealRounds)
+			}
+			if stats.Accepted-stats.Tasks != stats.RecomputedTasks {
+				t.Fatalf("accepted %d of %d tasks, but the heal recomputed %d", stats.Accepted, stats.Tasks, stats.RecomputedTasks)
+			}
+			for i, c := range calls {
+				if c != i+1 {
+					t.Fatalf("OnTaskDone call %d saw count %d, want %d (calls %v)", i+1, c, i+1, calls)
+				}
+			}
+			if len(calls) != stats.Accepted {
+				t.Fatalf("OnTaskDone ran %d times for %d accepts", len(calls), stats.Accepted)
+			}
+		})
+	}
+}
+
 // TestClusterHealOffFailsTyped proves that with healing disabled the
 // first corrupted boundary block aborts the run loudly with the typed
 // *resilience.ErrSealMismatch carrying block identity and both digests.
@@ -588,49 +655,84 @@ func TestWorkerSurvivesTrickledDispatch(t *testing.T) {
 	}
 }
 
-// TestDeclareDeadBumpsGenerations pins the documented zombie defense:
-// declaring a worker dead requeues its in-flight tasks under bumped
-// generations, so a late result the dead worker already produced can
-// never match the task's current generation again.
-func TestDeclareDeadBumpsGenerations(t *testing.T) {
+// whiteboxCoordinator builds coordinator state for a 4×4-block table
+// over an in-memory store, with no listener, pool or event loop: the
+// white-box tests drive its event-loop methods directly.
+func whiteboxCoordinator(t *testing.T, epoch uint32) *coordinator[float32] {
+	t.Helper()
 	g, err := sched.NewGraph(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := &coordinator[float32]{
-		opts:     Options{MaxInflight: 2, Logf: t.Logf},
-		g:        g,
-		shards:   NewSharding(g.SchedTiles, 1),
-		state:    make([]int, len(g.Tasks)),
-		gen:      make([]uint32, len(g.Tasks)),
-		inflight: make(map[int]*session[float32]),
-		sessions: make(map[*session[float32]]struct{}),
-	}
-	co.queues = make([][]int, co.shards.NumShards())
+	tbl := tri.NewTiled[float32](16, 4)
+	co := newCoordinator(tbl, g, Options{MaxInflight: 2, Logf: t.Logf, Epoch: epoch})
+	co.store = npdp.NewMemStore(tbl, false)
+	co.ladder = npdp.NewLadder(co.store, g, true, npdp.ParallelOptions{})
+	return co
+}
+
+// pipeSession registers a live session over an in-memory pipe, as admit
+// would but with no writer goroutine: its frames stay queued on out.
+func pipeSession(t *testing.T, co *coordinator[float32], id int) *session[float32] {
+	t.Helper()
 	c1, c2 := net.Pipe()
-	defer c2.Close()
-	sess := &session[float32]{id: 0, name: "zombie#0", conn: c1, out: make(chan outFrame, 4)}
+	t.Cleanup(func() { c1.Close(); c2.Close() })
+	sess := &session[float32]{
+		id: id, name: fmt.Sprintf("w#%d", id), conn: c1,
+		possess: make([]bool, co.t.Blocks()*(co.t.Blocks()+1)/2),
+		out:     make(chan outFrame, 8),
+	}
 	co.sessions[sess] = struct{}{}
-	for _, id := range []int{0, 1} {
-		co.state[id] = tsInflight
-		co.inflight[id] = sess
-		co.gen[id] = 3
-		sess.inflight++
+	return sess
+}
+
+// TestDeclareDeadBumpsGenerations pins the documented zombie defense:
+// declaring a worker dead puts its in-flight requests back at the front
+// of their FIFO, their next dispatch carries a higher generation, and a
+// late result from the dead worker — or any replay of the old
+// generation — is stale and never installs.
+func TestDeclareDeadBumpsGenerations(t *testing.T) {
+	co := whiteboxCoordinator(t, 0)
+	zombie := pipeSession(t, co, 0)
+	co.queues[0] = []int{0, 1} // two diagonal roots, dispatched at once
+	co.fillAll()
+	if co.inflight[0] != zombie || co.inflight[1] != zombie || co.gen[0] != 1 || co.gen[1] != 1 {
+		t.Fatalf("setup: inflight=%v gen=%v, want both tasks dispatched once to the zombie", co.inflight, co.gen)
 	}
-	co.declareDead(sess, errors.New("test kill"))
-	for _, id := range []int{0, 1} {
-		if co.gen[id] != 4 {
-			t.Fatalf("task %d generation = %d after death, want 4 (bumped)", id, co.gen[id])
-		}
-		if co.state[id] != tsQueued {
-			t.Fatalf("task %d state = %d after death, want requeued", id, co.state[id])
-		}
-	}
+	co.declareDead(zombie, errors.New("test kill"))
 	if len(co.inflight) != 0 {
 		t.Fatalf("%d tasks still marked in flight on a dead session", len(co.inflight))
 	}
+	if q := co.queues[0]; len(q) != 2 || q[0]+q[1] != 1 {
+		t.Fatalf("queue after death = %v, want tasks 0 and 1 requeued", q)
+	}
 	if co.stats.Redispatched != 2 || co.stats.WorkerDeaths != 1 {
 		t.Fatalf("stats = %+v, want 2 redispatched / 1 death", co.stats)
+	}
+
+	survivor := pipeSession(t, co, 1)
+	co.fill(survivor)
+	for range 2 {
+		f := <-survivor.out
+		msg, err := decodeTaskMsg(f.payload)
+		if err != nil || f.typ != frameDispatch {
+			t.Fatalf("survivor frame type %d: %v", f.typ, err)
+		}
+		if msg.Gen != 1 {
+			t.Fatalf("task %d re-dispatched at generation %d, want 1 (above the zombie's 0)", msg.TaskID, msg.Gen)
+		}
+	}
+	if err := co.handle(event[float32]{kind: evResult, sess: zombie, msg: taskMsg{TaskID: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.install(survivor, taskMsg{TaskID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if co.stats.StaleResults != 2 || co.stats.Accepted != 0 {
+		t.Fatalf("stale=%d accepted=%d, want both generation-0 results dropped as stale", co.stats.StaleResults, co.stats.Accepted)
+	}
+	if co.inflight[0] != survivor || co.inflight[1] != survivor || len(co.replies[0])+len(co.replies[1]) != 0 {
+		t.Fatal("a stale result disturbed the live dispatches")
 	}
 }
 
@@ -750,6 +852,45 @@ func TestClusterPagedMatchesSerial(t *testing.T) {
 	}
 	t.Logf("paged cluster: spilled=%d fetched=%d resident_peak=%d",
 		stats.PagerStats.SpilledBlocks, stats.PagerStats.FetchedBlocks, stats.PagerStats.ResidentPeak)
+}
+
+// TestClusterPagedCorruptionHeals runs the corruption heal over the
+// paged authoritative table: every cone heal demotes through the pager
+// between waves, and the solve still converges bit-identically with
+// real spill traffic.
+func TestClusterPagedCorruptionHeals(t *testing.T) {
+	ref := serialRef(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	tbl := testTable(t)
+	var stats Stats
+	opts := testOptions(&stats)
+	opts.Shards = 2
+	opts.Heal = true
+	opts.Logf = t.Logf
+	opts.SpillPath = filepath.Join(t.TempDir(), "cluster.npsp")
+	opts.MemoryBudget = 8 * (int64(testTile)*int64(testTile)*4 + 4)
+	addr, wait := startCoordinator(ctx, t, tbl, opts)
+	inject := &resilience.Injector{Rate: 0.25, Seed: 42, Kinds: []resilience.FaultKind{resilience.FaultCorrupt}}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		startWorker(ctx, t, &wg, addr, WorkerOptions{Name: "flaky", Inject: inject})
+	}
+	if err := wait(); err != nil {
+		t.Fatalf("Coordinate (paged): %v", err)
+	}
+	cancel()
+	wg.Wait()
+	requireIdentical(t, ref, tbl)
+	if stats.SealMismatches < 1 || stats.HealRounds < 1 {
+		t.Fatalf("no corruption was exercised: mismatches=%d healRounds=%d", stats.SealMismatches, stats.HealRounds)
+	}
+	ps := stats.PagerStats
+	if ps == nil || ps.SpilledBlocks == 0 || ps.FetchedBlocks == 0 {
+		t.Fatalf("budget below footprint but no spill traffic: %+v", ps)
+	}
+	t.Logf("mismatches=%d healRounds=%d spilled=%d fetched=%d",
+		stats.SealMismatches, stats.HealRounds, ps.SpilledBlocks, ps.FetchedBlocks)
 }
 
 // TestClusterPagedRejectsBadCombos pins the paged-mode option fences.

@@ -28,19 +28,29 @@ import (
 // all; everything a worker computes only becomes real when its result
 // blocks pass the seal audit at install time.
 //
+// The PPE task queue is the in-process one: each wave of the wavefront
+// is one sched.RunPoolCtx, which counts dependences, orders the ready
+// set critical-path first, and completes or cancels the wave. Its task
+// body only asks the event loop to run the task on a worker and waits
+// for the answer. The event loop keeps what the network needs:
+// sessions, heartbeats, operand possession, generations, epoch fences,
+// replication, and single-writer access to the store. Between waves it
+// runs the executor's post-run step, npdp.Ladder.Step.
+//
 // Failure model and recovery — the single-process ladder plus what the
 // network needs:
 //
-//	worker death      → re-dispatch its in-flight tasks to survivors
-//	                    under bumped per-task generations, so a zombie's
-//	                    late result is recognizably stale (no recompute
-//	                    of installed state — installed blocks are
+//	worker death      → its in-flight requests go back to the front of
+//	                    their shard FIFOs for the survivors; every
+//	                    dispatch of a task carries a higher generation
+//	                    than all earlier ones, so a zombie's late result
+//	                    is recognizably stale (installed blocks are
 //	                    seal-verified and never leave the coordinator)
 //	seal mismatch     → typed *resilience.ErrSealMismatch; with healing
-//	                    on, the ladder demotes the poisoned cone
-//	                    (sched.Graph.Cone) to pristine, the cone tasks'
-//	                    generations bump so stale results can never
-//	                    install, and only the cone is re-dispatched
+//	                    on, the wave stops dispatching, and between
+//	                    waves the ladder demotes the poisoned cone
+//	                    (sched.Graph.Cone) to pristine; the next wave
+//	                    runs only the cone
 //	corrupt page      → the same cone heal, whether or not Heal is set
 //	heal exhaustion   → one pristine restart of the whole solve
 //	still corrupt     → typed *resilience.CorruptionError
@@ -111,8 +121,9 @@ type Options struct {
 	// Stats, when non-nil, receives the run's counters at exit.
 	Stats *Stats
 	// OnTaskDone, when non-nil, is called from the event loop after each
-	// accepted task with the cumulative accept count — the hook chaos
-	// schedules key worker kills on. It must not block.
+	// accepted task with Stats.Accepted so far — monotone, since a healed
+	// task's re-install counts again — the hook chaos schedules key
+	// worker kills on. It must not block.
 	OnTaskDone func(completed int, task sched.Task)
 	// Logf, when non-nil, receives progress and failure-path logging.
 	Logf func(format string, args ...any)
@@ -160,8 +171,9 @@ type Stats struct {
 	Dispatched   int
 	Accepted     int
 	StaleResults int
-	// SealMismatches counts boundary blocks whose bytes failed the
-	// CRC32C seal audit at install time.
+	// SealMismatches counts blocks whose bytes failed a CRC32C seal: a
+	// result's wire seal at install time, and the audit or a spilled
+	// page's seal between waves.
 	SealMismatches int
 	// WorkerDeaths counts declared deaths (EOF, read error, heartbeat
 	// deadline); Redispatched counts in-flight tasks requeued by them.
@@ -223,13 +235,9 @@ func (s *Stats) Health() map[string]any {
 	}
 }
 
-// Task lifecycle states.
-const (
-	tsNotReady = iota
-	tsQueued
-	tsInflight
-	tsDone
-)
+// errHalted answers a pool request the current wave gave up on; it ends
+// the pool's wave and never surfaces.
+var errHalted = errors.New("cluster: wave halted")
 
 // session is one live worker connection. All fields except out are
 // owned by the event loop; the per-session reader goroutine only
@@ -322,26 +330,35 @@ type coordinator[E semiring.Elem] struct {
 	// heal budget, and the counters it fills into healStats.
 	ladder    *npdp.Ladder[E]
 	healStats resilience.HealStats
-	// pageErr records the first store failure hit inside a path that
-	// cannot return an error (dispatch, install); the event loop surfaces
-	// it after the current event, healing if it can.
-	pageErr error
-	g       *sched.Graph
-	shards  Sharding
-	stage1  perfmodel.Kernel
+	g         *sched.Graph
+	shards    Sharding
+	stage1    perfmodel.Kernel
 
 	epoch uint32
 
-	state     []int
-	gen       []uint32
-	inflight  map[int]*session[E]
-	queues    [][]int
+	// reqs carries the pool's requests (task IDs) to the event loop,
+	// buffered to the pool's slot count: each slot has at most one
+	// request open, so a send never blocks. replies[id] answers task
+	// id's request: nil once its result installed, errHalted when the
+	// wave gave it up.
+	reqs    chan int
+	replies []chan error
+	// queues are the per-shard FIFOs of requests waiting for a worker;
+	// inflight maps each dispatched request to its session.
+	queues   [][]int
+	inflight map[int]*session[E]
+	// gen counts each task's dispatches: the next one carries gen[id].
+	gen []uint32
+	// bad and fault are the current wave's detections — seal mismatches
+	// under Heal, and the first store failure. Either halts the wave.
+	bad   [][2]int
+	fault error
+
 	sessions  map[*session[E]]struct{}
 	events    chan event[E]
 	stop      chan struct{}
 	writers   sync.WaitGroup
 	nextSess  int
-	done      int
 	sinceCkpt int
 
 	// Replication state. replPullC is nil when no standby is
@@ -389,9 +406,6 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	if opts.WorkerlessAfter <= 0 {
 		opts.WorkerlessAfter = DefaultWorkerlessAfter
 	}
-	if opts.HealAttempts <= 0 {
-		opts.HealAttempts = npdp.DefaultHealAttempts
-	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
@@ -423,25 +437,11 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 		return fmt.Errorf("cluster: MemoryBudget requires SpillPath")
 	}
 
-	co := &coordinator[E]{
-		opts:     opts,
-		t:        t,
-		g:        g,
-		shards:   NewSharding(g.SchedTiles, opts.Shards),
-		stage1:   sel,
-		epoch:    opts.Epoch,
-		state:    make([]int, len(g.Tasks)),
-		gen:      make([]uint32, len(g.Tasks)),
-		inflight: make(map[int]*session[E]),
-		sessions: make(map[*session[E]]struct{}),
-		events:   make(chan event[E], 256),
-		stop:     make(chan struct{}),
-	}
-	co.queues = make([][]int, co.shards.NumShards())
-	co.stats.Tasks = len(g.Tasks)
-	co.stats.Epoch = co.epoch
+	co := newCoordinator(t, g, opts)
+	co.stage1 = sel
 
 	var p *pager.Pager[E]
+	var finalize func() error
 	if opts.SpillPath != "" {
 		elem := tableio.ElemWidth(e)
 		frameBytes := int64(t.Tile())*int64(t.Tile())*int64(elem) + 4
@@ -451,10 +451,21 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 		}
 		defer p.Close()
 		co.store = p
+		// The caller's table gets the materialized result inside the
+		// ladder's Step, so a final page that reads back corrupt only
+		// here heals like any other detection.
+		finalize = func() error {
+			if err := p.Materialize(t); err != nil {
+				return fmt.Errorf("cluster: materializing solved table from spill: %w", err)
+			}
+			return nil
+		}
 	} else {
 		co.store = npdp.NewMemStore(t, opts.Heal)
 	}
-	co.ladder = npdp.NewLadder(co.store, g, opts.HealAttempts, &co.healStats)
+	co.ladder = npdp.NewLadder(co.store, g, true, npdp.ParallelOptions{
+		Heal: opts.Heal, HealAttempts: opts.HealAttempts, HealStats: &co.healStats, Logf: opts.Logf,
+	})
 
 	if pre != nil {
 		if err := co.applyCheckpoint(pre); err != nil {
@@ -464,11 +475,6 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	} else if err := co.resume(); err != nil {
 		return err
 	}
-	for _, task := range g.Tasks {
-		if co.state[task.ID] != tsDone && co.depsDone(task.ID) {
-			co.enqueue(task.ID)
-		}
-	}
 
 	go co.acceptLoop(ln)
 	if opts.ReplicaAddr != "" || opts.ReplicaDial != nil {
@@ -476,7 +482,7 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 		co.writers.Add(1)
 		go co.runReplicator(ctx)
 	}
-	err = co.run(ctx)
+	err = co.run(ctx, finalize)
 	// The replicator reads the disposition after observing the stop
 	// close (the write below happens-before it). A silent death sends
 	// nothing — the standby's lease must expire, like a real crash.
@@ -509,14 +515,6 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	for sess := range co.sessions {
 		sess.conn.Close()
 	}
-	if err == nil && p != nil {
-		// The solve finished against the paged authority; the caller's
-		// table gets the materialized result (final page-ins included in
-		// the pager's traffic counters).
-		if merr := p.Materialize(t); merr != nil {
-			err = fmt.Errorf("cluster: materializing solved table from spill: %w", merr)
-		}
-	}
 	if opts.Stats != nil {
 		co.stats.HealRounds = co.healStats.HealRounds
 		co.stats.RecomputedTasks = co.healStats.RecomputedTasks
@@ -532,47 +530,168 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	return err
 }
 
+// newCoordinator builds the event loop's state for a solve of g over t;
+// coordinate adds the kernel choice, the store and the ladder.
+func newCoordinator[E semiring.Elem](t *tri.Tiled[E], g *sched.Graph, opts Options) *coordinator[E] {
+	co := &coordinator[E]{
+		opts:     opts,
+		t:        t,
+		g:        g,
+		shards:   NewSharding(g.SchedTiles, opts.Shards),
+		epoch:    opts.Epoch,
+		reqs:     make(chan int, g.SchedTiles),
+		replies:  make([]chan error, len(g.Tasks)),
+		inflight: make(map[int]*session[E]),
+		gen:      make([]uint32, len(g.Tasks)),
+		sessions: make(map[*session[E]]struct{}),
+		events:   make(chan event[E], 256),
+		stop:     make(chan struct{}),
+	}
+	for id := range co.replies {
+		co.replies[id] = make(chan error, 1)
+	}
+	co.queues = make([][]int, co.shards.NumShards())
+	co.stats.Tasks = len(g.Tasks)
+	co.stats.Epoch = co.epoch
+	return co
+}
+
 // run is the single-goroutine event loop; every piece of solve state is
-// confined to it.
-func (co *coordinator[E]) run(ctx context.Context) error {
+// confined to it. It runs waves until the ladder's Step, between waves,
+// reports the solve done or failed; a heal's demoted cone runs in the
+// next wave.
+func (co *coordinator[E]) run(ctx context.Context, finalize func() error) error {
 	ticker := time.NewTicker(co.opts.HeartbeatEvery)
 	defer ticker.Stop()
-	if done, err := co.maybeFinish(); done || err != nil {
-		return err // a resume can already be complete
-	}
 	for {
+		if err := co.wave(ctx, ticker.C); err != nil {
+			return err
+		}
+		done := npdp.Completed(co.store, co.g)
+		seen := co.healStats.CorruptBlocks + len(co.bad)
+		ids, err := co.ladder.Step(co.fault, co.bad, finalize)
+		// Step escalates the wave's mismatches together with whatever its
+		// own audit or a page-in found; those count as mismatches too.
+		co.stats.SealMismatches += max(co.healStats.CorruptBlocks-seen, 0)
+		if err != nil {
+			co.broadcastAbort(err)
+			return err
+		}
+		if ids == nil {
+			if co.opts.CheckpointPath != "" {
+				co.writeCheckpoint()
+			}
+			for sess := range co.sessions {
+				co.send(sess, frameDone, nil)
+			}
+			return nil
+		}
+		co.reset(ids, done)
+	}
+}
+
+// wave runs every task not yet final in the store through one
+// sched.RunPoolCtx with a slot per scheduling column: ready tasks have
+// pairwise distinct rows, so the pool never holds one back and the loop
+// sees the whole ready set. The pool's task body is request; the loop
+// serves requests and events until the pool drains. A detection halts
+// the wave (halt); Die, cancellation and fatal errors abandon it. Either
+// way the pool is joined before wave returns.
+func (co *coordinator[E]) wave(ctx context.Context, tick <-chan time.Time) error {
+	co.bad, co.fault = nil, nil
+	po := sched.PoolRunOptions{Completed: npdp.Completed(co.store, co.g)}
+	drained := make(chan error, 1)
+	go func() {
+		// The loop owns cancellation: it answers every request, so the
+		// pool drains when the loop stops it, never on its own.
+		drained <- sched.RunPoolCtx(context.WithoutCancel(ctx), co.g, co.g.SchedTiles, po, co.request)
+	}()
+	for {
+		var err error
 		select {
+		case <-drained:
+			return nil
+		case id := <-co.reqs:
+			q := co.taskShard(id)
+			co.queues[q] = append(co.queues[q], id)
+			co.fillAll()
 		case <-co.opts.Die:
 			// Chaos kill: no broadcast, no checkpoint, no farewell. The
 			// cluster must discover the death the hard way.
+			co.abandon(drained)
 			return ErrDied
 		case <-ctx.Done():
+			co.abandon(drained)
 			co.broadcastFail("coordinator context canceled")
 			return ctx.Err()
 		case pr := <-co.replPullC:
 			co.replReply(pr)
-		case now := <-ticker.C:
-			if err := co.tick(now); err != nil {
-				co.broadcastAbort(err)
-				return err
-			}
+		case now := <-tick:
+			err = co.tick(now)
 		case ev := <-co.events:
-			finished, err := co.handle(ev)
-			if err != nil {
-				co.broadcastAbort(err)
-				return err
-			}
-			if finished {
-				return nil
-			}
+			err = co.handle(ev)
 		}
-		// Store failures from paths that cannot return errors (dispatch,
-		// install) surface here, once per event.
-		if err := co.checkPageErr(); err != nil {
+		if err != nil {
+			co.abandon(drained)
 			co.broadcastAbort(err)
 			return err
 		}
 	}
+}
+
+// request is the pool's task body: it hands the task to the event loop
+// and waits for the answer. Any error ends the pool's wave; the pool's
+// own error is never read — the loop knows why it stopped the wave.
+func (co *coordinator[E]) request(_ int, task sched.Task) error {
+	co.reqs <- task.ID
+	return <-co.replies[task.ID]
+}
+
+// halt stops new dispatches for the current wave after a detection:
+// every queued request is answered, so the pool drains once the results
+// in flight are in (they still install).
+func (co *coordinator[E]) halt() {
+	for s, q := range co.queues {
+		for _, id := range q {
+			co.replies[id] <- errHalted
+		}
+		co.queues[s] = q[:0]
+	}
+}
+
+// abandon ends the wave at once: it answers every open request, queued
+// or in flight, then every late one until the pool has drained.
+func (co *coordinator[E]) abandon(drained <-chan error) {
+	co.halt()
+	for id := range co.inflight {
+		co.replies[id] <- errHalted
+	}
+	for {
+		select {
+		case id := <-co.reqs:
+			co.replies[id] <- errHalted
+		case <-drained:
+			return
+		}
+	}
+}
+
+// storeFault records a store failure met while dispatching or
+// installing and halts the wave; Step heals a corrupt final page and
+// returns anything else.
+func (co *coordinator[E]) storeFault(err error) {
+	co.opts.Logf("cluster: authoritative table: %v", err)
+	if co.fault == nil {
+		co.fault = fmt.Errorf("cluster: authoritative table failed: %w", err)
+	}
+	co.halt()
+}
+
+// release frees sess's pipeline slot for task id and answers its request.
+func (co *coordinator[E]) release(sess *session[E], id int, err error) {
+	delete(co.inflight, id)
+	sess.inflight--
+	co.replies[id] <- err
 }
 
 // replReply answers one replicator pull on the event loop: a full
@@ -596,8 +715,9 @@ func (co *coordinator[E]) replReply(pr replPull) {
 // blocks re-encoded from the authoritative table.
 func (co *coordinator[E]) snapshotDeltas() []resilience.Delta {
 	out := []resilience.Delta{{Kind: resilience.DeltaSyncBegin, Epoch: co.epoch}}
+	done := npdp.Completed(co.store, co.g)
 	for _, task := range co.g.Tasks {
-		if co.state[task.ID] != tsDone {
+		if !done[task.ID] {
 			continue
 		}
 		d := resilience.Delta{Kind: resilience.DeltaTaskDone, Epoch: co.epoch, TaskID: task.ID, Gen: co.gen[task.ID]}
@@ -637,18 +757,17 @@ func (co *coordinator[E]) replRecord(d resilience.Delta) {
 	co.stats.ReplRecords++
 }
 
-// handle processes one event; finished=true means every task installed
-// and the final audit passed.
-func (co *coordinator[E]) handle(ev event[E]) (finished bool, err error) {
+// handle processes one event; an error ends the run.
+func (co *coordinator[E]) handle(ev event[E]) error {
 	switch ev.kind {
 	case evConn:
-		return false, co.admit(ev.conn, ev.hello)
+		return co.admit(ev.conn, ev.hello)
 	case evReplConn:
-		return false, co.handleReplConn(ev.conn, ev.repl)
+		return co.handleReplConn(ev.conn, ev.repl)
 	case evFenced:
 		// The standby we replicate to has become the leader; we are
 		// deposed. Terminal — our epoch can never win again.
-		return false, &ErrEpochFenced{Epoch: co.epoch, Current: ev.repl.Epoch, Role: "coordinator"}
+		return &ErrEpochFenced{Epoch: co.epoch, Current: ev.repl.Epoch, Role: "coordinator"}
 	case evPing:
 		if !ev.sess.dead {
 			ev.sess.lastSeen = time.Now()
@@ -661,16 +780,17 @@ func (co *coordinator[E]) handle(ev event[E]) (finished bool, err error) {
 	case evResult:
 		if ev.sess.dead {
 			co.stats.StaleResults++
-			return false, nil
+			return nil
 		}
 		ev.sess.lastSeen = time.Now()
 		return co.install(ev.sess, ev.msg)
 	}
-	return false, nil
+	return nil
 }
 
 // tick runs the heartbeat pass: deadline dead workers, ping the rest,
-// and bound the zero-worker wait.
+// and bound the zero-worker wait. It runs only inside a wave, so tasks
+// are always outstanding.
 func (co *coordinator[E]) tick(now time.Time) error {
 	for sess := range co.sessions {
 		if now.Sub(sess.lastSeen) > co.opts.DeadlineAfter {
@@ -686,12 +806,18 @@ func (co *coordinator[E]) tick(now time.Time) error {
 			co.send(sess, framePing, nil)
 		}
 	}
-	if len(co.sessions) == 0 && co.done < len(co.g.Tasks) {
+	if len(co.sessions) == 0 {
 		if co.noWorkerSince.IsZero() {
 			co.noWorkerSince = now
 		} else if now.Sub(co.noWorkerSince) > co.opts.WorkerlessAfter {
+			left := 0
+			for _, done := range npdp.Completed(co.store, co.g) {
+				if !done {
+					left++
+				}
+			}
 			return fmt.Errorf("%w for %v with %d/%d tasks outstanding",
-				ErrNoWorkers, co.opts.WorkerlessAfter, len(co.g.Tasks)-co.done, len(co.g.Tasks))
+				ErrNoWorkers, co.opts.WorkerlessAfter, left, len(co.g.Tasks))
 		}
 	} else {
 		co.noWorkerSince = time.Time{}
@@ -910,11 +1036,12 @@ func (co *coordinator[E]) writeLoop(sess *session[E]) {
 	}
 }
 
-// declareDead removes a session and requeues its in-flight tasks at the
-// front of their shard queues under bumped generations — the
-// death-recovery rung of the ladder. The bump makes any result the dead
-// worker already produced recognizably stale on its own (defense in
-// depth beyond the closed conn and the dead-session drop in handle).
+// declareDead removes a session and puts its in-flight requests back at
+// the front of their shard FIFOs — the death-recovery rung of the
+// ladder; the pool never sees a death. Their next dispatch carries a
+// higher generation, which makes any result the dead worker already
+// produced recognizably stale on its own (defense in depth beyond the
+// closed conn and the dead-session drop in handle).
 func (co *coordinator[E]) declareDead(sess *session[E], cause error) {
 	if sess.dead {
 		return
@@ -933,8 +1060,6 @@ func (co *coordinator[E]) declareDead(sess *session[E], cause error) {
 	sort.Ints(requeued)
 	for _, id := range requeued {
 		delete(co.inflight, id)
-		co.state[id] = tsQueued
-		co.gen[id]++
 		q := co.taskShard(id)
 		co.queues[q] = append([]int{id}, co.queues[q]...)
 	}
@@ -954,61 +1079,8 @@ func (co *coordinator[E]) encodeBlock(bi, bj int) ([]byte, error) {
 	return encodeCells(cells), nil
 }
 
-// notePageErr records the first store failure from a path that cannot
-// return an error; the event loop surfaces it after the current event
-// (healing a corrupt final block, aborting otherwise).
-func (co *coordinator[E]) notePageErr(err error) {
-	if co.pageErr == nil {
-		co.pageErr = err
-	}
-}
-
-// checkPageErr drains recorded store failures through pageFault.
-// Healing re-dispatches, which can fault again, so this loops until
-// quiet; the ladder's per-block budget bounds the loop.
-func (co *coordinator[E]) checkPageErr() error {
-	for co.pageErr != nil {
-		err := co.pageErr
-		co.pageErr = nil
-		if err := co.pageFault(err); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pageFault routes a store failure through the ladder: a corrupt spilled
-// final block heals its cone whatever Heal says (the pager re-reads the
-// pristine region), anything else — a corrupt pristine block, spill-space
-// exhaustion, a persistent EIO — aborts the solve.
-func (co *coordinator[E]) pageFault(err error) error {
-	var pe *pager.ErrPageCorrupt
-	if errors.As(err, &pe) && !pe.Pristine {
-		co.opts.Logf("cluster: %v; healing its cone", pe)
-		return co.escalate([][2]int{{pe.Bi, pe.Bj}}, true)
-	}
-	return fmt.Errorf("cluster: authoritative table failed: %w", err)
-}
-
 // taskShard maps a task to the shard owning its scheduling column.
 func (co *coordinator[E]) taskShard(id int) int { return co.shards.Of(co.g.Tasks[id].Bj) }
-
-// depsDone reports whether every predecessor of task id is installed.
-func (co *coordinator[E]) depsDone(id int) bool {
-	for _, d := range co.g.Tasks[id].Deps {
-		if co.state[d] != tsDone {
-			return false
-		}
-	}
-	return true
-}
-
-// enqueue marks a task ready on its home shard's queue.
-func (co *coordinator[E]) enqueue(id int) {
-	co.state[id] = tsQueued
-	q := co.taskShard(id)
-	co.queues[q] = append(co.queues[q], id)
-}
 
 // fill pipelines dispatches to one worker up to MaxInflight: its own
 // shard's queue first, then work stealing from the lowest-index
@@ -1030,18 +1102,18 @@ func (co *coordinator[E]) fill(sess *session[E]) {
 		}
 		id := co.queues[q][0]
 		co.queues[q] = co.queues[q][1:]
-		if !co.dispatch(sess, id) {
-			// A spill page-in failed while assembling the dispatch; the
-			// task is requeued and the fault is recorded for the event
-			// loop. Stop filling — retrying now would fault again.
-			return
-		}
+		co.dispatch(sess, id)
 	}
 }
 
 // fillAll tops up every live worker, lowest session ID first for
-// deterministic test schedules.
+// deterministic test schedules. A halted wave dispatches nothing: it
+// answers every queued request instead.
 func (co *coordinator[E]) fillAll() {
+	if len(co.bad) > 0 || co.fault != nil {
+		co.halt()
+		return
+	}
 	order := make([]*session[E], 0, len(co.sessions))
 	for sess := range co.sessions {
 		order = append(order, sess)
@@ -1058,9 +1130,8 @@ func (co *coordinator[E]) fillAll() {
 // carrying its CRC32C seal. This is the DMA-of-nearest-operands step of
 // the paper's SPE procedure, lifted to the wire. In paged mode the
 // bytes come through the pager (resident frame or CRC-verified
-// page-in); a page-in failure requeues the task, records the fault for
-// the event loop, and reports false.
-func (co *coordinator[E]) dispatch(sess *session[E], id int) bool {
+// page-in); a page-in failure gives the request up and halts the wave.
+func (co *coordinator[E]) dispatch(sess *session[E], id int) {
 	task := co.g.Tasks[id]
 	msg := taskMsg{Epoch: co.epoch, Gen: co.gen[id], TaskID: id}
 	var marked []int
@@ -1084,32 +1155,23 @@ func (co *coordinator[E]) dispatch(sess *session[E], id int) bool {
 		co.stats.BytesStreamed += int64(len(raw))
 		return nil
 	}
-	abort := func(err error) bool {
-		// Nothing was sent: unmark possession claimed for this message.
-		for _, bid := range marked {
-			sess.possess[bid] = false
-		}
-		co.opts.Logf("cluster: paging in blocks for task %d failed: %v; requeueing", id, err)
-		co.enqueue(id)
-		co.notePageErr(err)
-		return false
-	}
-	for _, mb := range operandBlocks(task) {
-		if err := addBlock(mb[0], mb[1], true); err != nil {
-			return abort(err)
+	ops := operandBlocks(task)
+	for i, mb := range append(ops, task.MemoryBlockOrder()...) {
+		if err := addBlock(mb[0], mb[1], i < len(ops)); err != nil {
+			// Nothing was sent: unmark possession claimed for this message.
+			for _, bid := range marked {
+				sess.possess[bid] = false
+			}
+			co.replies[id] <- errHalted
+			co.storeFault(fmt.Errorf("paging in blocks for task %d: %w", id, err))
+			return
 		}
 	}
-	for _, mb := range task.MemoryBlockOrder() {
-		if err := addBlock(mb[0], mb[1], false); err != nil {
-			return abort(err)
-		}
-	}
-	co.state[id] = tsInflight
+	co.gen[id]++
 	co.inflight[id] = sess
 	sess.inflight++
 	co.stats.Dispatched++
 	co.send(sess, frameDispatch, msg.encode())
-	return true
 }
 
 // operandBlocks enumerates the memory blocks outside task that any of
@@ -1152,11 +1214,12 @@ func operandBlocks(task sched.Task) [][2]int {
 	return out
 }
 
-// install audits and installs one result. A generation mismatch is a
-// stale-version boundary block — a healed or restarted task's old
-// answer — and is dropped without error; a CRC mismatch is transport or
-// memory corruption and enters the heal ladder.
-func (co *coordinator[E]) install(sess *session[E], msg taskMsg) (finished bool, err error) {
+// install audits and installs one result. A result for any dispatch
+// other than the one its task's request waits on is stale — a
+// re-dispatched task's old answer — and is dropped without error; a CRC
+// mismatch is transport or memory corruption and halts the wave for the
+// ladder.
+func (co *coordinator[E]) install(sess *session[E], msg taskMsg) error {
 	// The epoch fence comes before everything else: a result produced
 	// under another leader's epoch (a pre-failover dispatch replayed at
 	// us, or a frame laundered through a deposed coordinator) must not
@@ -1165,32 +1228,29 @@ func (co *coordinator[E]) install(sess *session[E], msg taskMsg) (finished bool,
 	if msg.Epoch != co.epoch {
 		co.stats.FencedWrites++
 		co.opts.Logf("cluster: fenced result from %s: epoch %d, current %d", sess.name, msg.Epoch, co.epoch)
-		return false, nil
+		return nil
 	}
 	id := msg.TaskID
 	if id < 0 || id >= len(co.g.Tasks) {
 		co.declareDead(sess, fmt.Errorf("result for unknown task %d", id))
-		return false, nil
+		return nil
 	}
-	if msg.Gen != co.gen[id] || co.state[id] != tsInflight || co.inflight[id] != sess {
+	if co.inflight[id] != sess || msg.Gen+1 != co.gen[id] {
 		co.stats.StaleResults++
-		// The dispatch pipeline slot is only released if this session
-		// still owns one for the task; a heal already released it.
-		co.fill(sess)
-		return false, nil
+		return nil
 	}
 	task := co.g.Tasks[id]
 	own := task.MemoryBlockOrder()
 	if len(msg.Blocks) != len(own) {
 		co.declareDead(sess, fmt.Errorf("result for task %d carries %d blocks, want %d", id, len(msg.Blocks), len(own)))
-		return false, nil
+		return nil
 	}
 	var e E
 	width := tableio.ElemWidth(e)
 	for i, wb := range msg.Blocks {
 		if wb.Bi != own[i][0] || wb.Bj != own[i][1] || len(wb.Raw) != width*co.t.Tile()*co.t.Tile() {
 			co.declareDead(sess, fmt.Errorf("result for task %d block %d malformed", id, i))
-			return false, nil
+			return nil
 		}
 		if got := resilience.RawCRC(wb.Raw); got != wb.CRC {
 			co.stats.SealMismatches++
@@ -1202,12 +1262,12 @@ func (co *coordinator[E]) install(sess *session[E], msg taskMsg) (finished bool,
 			}
 			co.opts.Logf("cluster: %v (worker %s, gen %d)", mismatch, sess.name, msg.Gen)
 			if !co.opts.Heal {
-				return false, fmt.Errorf("cluster: installing boundary block from worker %s: %w", sess.name, mismatch)
+				return fmt.Errorf("cluster: installing boundary block from worker %s: %w", sess.name, mismatch)
 			}
-			sess.inflight--
-			delete(co.inflight, id)
-			co.state[id] = tsNotReady
-			return false, co.escalate([][2]int{{wb.Bi, wb.Bj}}, true)
+			co.release(sess, id, errHalted)
+			co.bad = append(co.bad, [2]int{wb.Bi, wb.Bj})
+			co.halt()
+			return nil
 		}
 	}
 	// The whole result audited clean; install it into the store, final.
@@ -1221,14 +1281,11 @@ func (co *coordinator[E]) install(sess *session[E], msg taskMsg) (finished bool,
 		}
 		if err != nil {
 			// Store trouble installing an audited result is not the
-			// worker's fault: put the task back on its queue and let the
-			// event loop surface the fault (heal or abort). Blocks already
-			// installed re-seal on the retry.
-			sess.inflight--
-			delete(co.inflight, id)
-			co.enqueue(id)
-			co.notePageErr(err)
-			return false, nil
+			// worker's fault. The task runs again in a later wave; blocks
+			// already installed re-seal then.
+			co.release(sess, id, errHalted)
+			co.storeFault(err)
+			return nil
 		}
 		co.ladder.Seal(wb.Bi, wb.Bj, wb.CRC)
 		// A clean install resets the block's heal budget: escalation is
@@ -1237,10 +1294,7 @@ func (co *coordinator[E]) install(sess *session[E], msg taskMsg) (finished bool,
 		co.ladder.Clean(wb.Bi, wb.Bj)
 		sess.possess[co.t.BlockID(wb.Bi, wb.Bj)] = true
 	}
-	sess.inflight--
-	delete(co.inflight, id)
-	co.state[id] = tsDone
-	co.done++
+	co.release(sess, id, nil)
 	co.stats.Accepted++
 	if co.replPullC != nil {
 		// Reusing the result's Raw slices is safe: frame payloads are
@@ -1251,117 +1305,34 @@ func (co *coordinator[E]) install(sess *session[E], msg taskMsg) (finished bool,
 		}
 		co.replRecord(d)
 	}
-	for _, succ := range task.Succs {
-		if co.state[succ] == tsNotReady && co.depsDone(succ) {
-			co.enqueue(succ)
-		}
-	}
 	if co.opts.OnTaskDone != nil {
-		co.opts.OnTaskDone(co.done, task)
+		co.opts.OnTaskDone(co.stats.Accepted, task)
 	}
 	co.maybeCheckpoint()
-	if done, err := co.maybeFinish(); done || err != nil {
-		return done, err
-	}
-	co.fillAll()
-	return false, nil
-}
-
-// escalate climbs the shared recovery ladder (npdp.Ladder) for blocks
-// that failed verification — the ladder demotes and unseals the tasks to
-// recompute — then does the network half: forget every worker's copy of
-// their blocks, bump their generations (so any result already in flight
-// for the old dispatch is recognizably stale), and re-dispatch only
-// them. healable gates recovery: Heal for a seal mismatch, always for a
-// corrupt final page. Exhaustion escalates to one pristine restart, then
-// to a typed CorruptionError.
-func (co *coordinator[E]) escalate(bad [][2]int, healable bool) error {
-	ids, restart, err := co.ladder.Escalate(bad, healable)
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		co.resetTask(id)
-	}
-	// Queued members were reset to tsNotReady above; drop them.
-	co.purgeQueues()
-	for _, id := range ids {
-		if co.depsDone(id) {
-			co.enqueue(id)
-		}
-	}
-	if restart {
-		co.opts.Logf("cluster: per-block heal budget exhausted; pristine restart")
-	} else {
-		co.opts.Logf("cluster: heal round %d: re-dispatching %d-task cone of %v", co.healStats.HealRounds, len(ids), bad)
-	}
-	co.fillAll()
+	co.fill(sess)
 	return nil
 }
 
-// resetTask reverts one task's network state after the ladder demoted
-// its blocks: no possession anywhere, generation bumped, completion
-// undone.
-func (co *coordinator[E]) resetTask(id int) {
-	for _, mb := range co.g.Tasks[id].MemoryBlockOrder() {
-		bid := co.t.BlockID(mb[0], mb[1])
-		for sess := range co.sessions {
-			sess.possess[bid] = false
-		}
-	}
-	if co.state[id] == tsDone {
-		co.done--
-	}
-	if s, ok := co.inflight[id]; ok {
-		s.inflight--
-		delete(co.inflight, id)
-	}
-	if co.state[id] == tsDone && co.replPullC != nil {
-		d := resilience.Delta{Kind: resilience.DeltaTaskReset, Epoch: co.epoch, TaskID: id}
-		for _, mb := range co.g.Tasks[id].MemoryBlockOrder() {
-			d.Blocks = append(d.Blocks, resilience.DeltaBlock{Bi: mb[0], Bj: mb[1]})
-		}
-		co.replRecord(d)
-	}
-	co.state[id] = tsNotReady
-	co.gen[id]++
-}
-
-// purgeQueues drops queue entries whose state is no longer queued.
-func (co *coordinator[E]) purgeQueues() {
-	for s := range co.queues {
-		kept := co.queues[s][:0]
-		for _, id := range co.queues[s] {
-			if co.state[id] == tsQueued {
-				kept = append(kept, id)
+// reset is the network half of a heal, run between waves after Step
+// demoted ids: no worker keeps a copy of their blocks, and the standby
+// un-does those that were complete (done, read before the demote).
+func (co *coordinator[E]) reset(ids []int, done []bool) {
+	for _, id := range ids {
+		mbs := co.g.Tasks[id].MemoryBlockOrder()
+		for _, mb := range mbs {
+			bid := co.t.BlockID(mb[0], mb[1])
+			for sess := range co.sessions {
+				sess.possess[bid] = false
 			}
 		}
-		co.queues[s] = kept
+		if done[id] && co.replPullC != nil {
+			d := resilience.Delta{Kind: resilience.DeltaTaskReset, Epoch: co.epoch, TaskID: id}
+			for _, mb := range mbs {
+				d.Blocks = append(d.Blocks, resilience.DeltaBlock{Bi: mb[0], Bj: mb[1]})
+			}
+			co.replRecord(d)
+		}
 	}
-}
-
-// maybeFinish runs the completion check: all tasks installed, then a
-// full post-solve seal audit (the defense against coordinator-side
-// memory corruption after install). A clean audit writes the final
-// checkpoint, releases the workers, and ends the run.
-func (co *coordinator[E]) maybeFinish() (bool, error) {
-	if co.done < len(co.g.Tasks) {
-		return false, nil
-	}
-	bad, err := co.ladder.Audit()
-	if err != nil {
-		// A final block that cannot be paged back in is a detection too.
-		return false, co.pageFault(err)
-	}
-	if len(bad) > 0 {
-		co.stats.SealMismatches += len(bad)
-		return false, co.escalate(bad, co.opts.Heal)
-	}
-	co.finalCheckpoint()
-	for sess := range co.sessions {
-		co.send(sess, frameDone, nil)
-	}
-	return true, nil
 }
 
 // maybeCheckpoint writes a periodic NPCK snapshot.
@@ -1374,25 +1345,16 @@ func (co *coordinator[E]) maybeCheckpoint() {
 	co.writeCheckpoint()
 }
 
-// finalCheckpoint persists the completed solve when a path is set.
-func (co *coordinator[E]) finalCheckpoint() {
-	if co.opts.CheckpointPath == "" {
-		return
-	}
-	co.writeCheckpoint()
-}
-
 func (co *coordinator[E]) writeCheckpoint() {
 	var e E
 	meta := resilience.Meta{
 		N: co.t.Len(), Tile: co.t.Tile(), SchedSide: co.opts.SchedSide,
 		Tasks: len(co.g.Tasks), ElemBytes: tableio.ElemWidth(e),
 	}
-	done := make([]bool, len(co.g.Tasks))
+	done := npdp.Completed(co.store, co.g)
 	var blocks [][2]int
 	for _, task := range co.g.Tasks {
-		if co.state[task.ID] == tsDone {
-			done[task.ID] = true
+		if done[task.ID] {
 			blocks = append(blocks, task.MemoryBlockOrder()...)
 		}
 	}
@@ -1442,16 +1404,11 @@ func (co *coordinator[E]) applyCheckpoint(ck *resilience.Checkpoint[E]) error {
 	if err := ck.Matches(co.t.Len(), co.t.Tile(), co.opts.SchedSide); err != nil {
 		return fmt.Errorf("cluster: applying checkpoint: %w", err)
 	}
-	if _, err := npdp.ApplyCheckpoint(co.store, co.g, ck, co.opts.Logf); err != nil {
+	restored, err := npdp.ApplyCheckpoint(co.store, co.g, ck, co.opts.Logf)
+	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	for id, done := range npdp.Completed(co.store, co.g) {
-		if done {
-			co.state[id] = tsDone
-			co.done++
-			co.stats.Resumed++
-		}
-	}
+	co.stats.Resumed = restored
 	return co.ladder.SealFinals()
 }
 

@@ -395,30 +395,12 @@ func TestSplitBrainFencedWrites(t *testing.T) {
 // whether a pre-failover replay (stale) or a forged future epoch — is
 // dropped before the generation logic runs, counts as a fenced write,
 // and releases no pipeline slot. A same-epoch stale-generation result
-// still takes the PR 7 stale path, not the fence.
+// still takes the stale path, not the fence.
 func TestInstallEpochFence(t *testing.T) {
-	g, err := sched.NewGraph(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	co := &coordinator[float32]{
-		opts:     Options{MaxInflight: 2, Logf: t.Logf},
-		g:        g,
-		shards:   NewSharding(g.SchedTiles, 1),
-		epoch:    2,
-		state:    make([]int, len(g.Tasks)),
-		gen:      make([]uint32, len(g.Tasks)),
-		inflight: make(map[int]*session[float32]),
-		sessions: make(map[*session[float32]]struct{}),
-	}
-	co.queues = make([][]int, co.shards.NumShards())
-	c1, c2 := net.Pipe()
-	defer c2.Close()
-	sess := &session[float32]{id: 0, name: "w#0", conn: c1, out: make(chan outFrame, 8)}
-	co.sessions[sess] = struct{}{}
-	co.state[0] = tsInflight
+	co := whiteboxCoordinator(t, 2)
+	sess := pipeSession(t, co, 0)
 	co.inflight[0] = sess
-	co.gen[0] = 5
+	co.gen[0] = 6 // the dispatch in flight carried generation 5
 	sess.inflight = 1
 
 	check := func(step string, wantFenced, wantStale int) {
@@ -426,8 +408,8 @@ func TestInstallEpochFence(t *testing.T) {
 		if co.stats.FencedWrites != wantFenced || co.stats.StaleResults != wantStale {
 			t.Fatalf("%s: fenced=%d stale=%d, want %d/%d", step, co.stats.FencedWrites, co.stats.StaleResults, wantFenced, wantStale)
 		}
-		if co.state[0] != tsInflight || co.inflight[0] != sess || sess.inflight != 1 {
-			t.Fatalf("%s: task state disturbed (state=%d inflight=%d)", step, co.state[0], sess.inflight)
+		if co.inflight[0] != sess || sess.inflight != 1 || len(co.replies[0]) != 0 {
+			t.Fatalf("%s: dispatch disturbed (inflight=%d, answered=%d)", step, sess.inflight, len(co.replies[0]))
 		}
 		if co.stats.Accepted != 0 {
 			t.Fatalf("%s: a rejected result was installed", step)
@@ -436,20 +418,20 @@ func TestInstallEpochFence(t *testing.T) {
 
 	// A pre-failover result replayed at the new leader: right task,
 	// right generation, stale epoch.
-	if fin, err := co.install(sess, taskMsg{Epoch: 1, Gen: 5, TaskID: 0}); fin || err != nil {
-		t.Fatalf("stale-epoch install = (%v, %v)", fin, err)
+	if err := co.install(sess, taskMsg{Epoch: 1, Gen: 5, TaskID: 0}); err != nil {
+		t.Fatalf("stale-epoch install: %v", err)
 	}
 	check("stale epoch", 1, 0)
 
 	// A forged frame from the future is equally not ours to install.
-	if fin, err := co.install(sess, taskMsg{Epoch: 3, Gen: 5, TaskID: 0}); fin || err != nil {
-		t.Fatalf("future-epoch install = (%v, %v)", fin, err)
+	if err := co.install(sess, taskMsg{Epoch: 3, Gen: 5, TaskID: 0}); err != nil {
+		t.Fatalf("future-epoch install: %v", err)
 	}
 	check("future epoch", 2, 0)
 
-	// Same epoch, stale generation: the PR 7 path, distinct counter.
-	if fin, err := co.install(sess, taskMsg{Epoch: 2, Gen: 4, TaskID: 0}); fin || err != nil {
-		t.Fatalf("stale-gen install = (%v, %v)", fin, err)
+	// Same epoch, stale generation: the stale path, distinct counter.
+	if err := co.install(sess, taskMsg{Epoch: 2, Gen: 4, TaskID: 0}); err != nil {
+		t.Fatalf("stale-gen install: %v", err)
 	}
 	check("stale generation", 2, 1)
 }

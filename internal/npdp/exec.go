@@ -2,14 +2,12 @@ package npdp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"cellnpdp/internal/kernel"
-	"cellnpdp/internal/pager"
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
@@ -43,9 +41,9 @@ func SolveStoreCtx[E semiring.Elem](ctx context.Context, s BlockStore[E], opts P
 	return solveStore(ctx, s, opts, nil)
 }
 
-// solveStore is SolveStoreCtx; finalize, when non-nil, runs after each
-// clean run, and a corrupt final page it reports is one more detection
-// for the ladder.
+// solveStore is SolveStoreCtx; finalize, when non-nil, is the ladder
+// Step's: it runs after each clean run, and a corrupt final page it
+// reports is one more detection.
 func solveStore[E semiring.Elem](ctx context.Context, s BlockStore[E], opts ParallelOptions, finalize func() error) (kernel.Stats, error) {
 	if err := kernel.CheckTile(s.Tile()); err != nil {
 		return kernel.Stats{}, err
@@ -105,7 +103,7 @@ func solveStore[E semiring.Elem](ctx context.Context, s BlockStore[E], opts Para
 		}
 		x.ck = newCheckpointer(ms, graph, opts)
 	}
-	if x.seal {
+	if x.ladder.seal {
 		if err := x.ladder.SealFinals(); err != nil {
 			return kernel.Stats{}, err
 		}
@@ -121,16 +119,15 @@ func solveStore[E semiring.Elem](ctx context.Context, s BlockStore[E], opts Para
 
 // executor runs one solve's tasks over a store.
 type executor[E semiring.Elem] struct {
-	store  BlockStore[E]
-	graph  *sched.Graph
-	mul    Stage1Func[E]
-	opts   ParallelOptions
-	ladder *Ladder[E]
-	ck     *checkpointer[E]
-	// seal turns on block sealing: digests at completion plus the
-	// post-run (and, with AuditEvery, online) audit. Off on the plain
-	// path, which then digests nothing.
-	seal      bool
+	store BlockStore[E]
+	graph *sched.Graph
+	mul   Stage1Func[E]
+	opts  ParallelOptions
+	// ladder's seal turns on block sealing: digests at completion plus
+	// the post-run (and, with AuditEvery, online) audit. Off on the
+	// plain path, which then digests nothing.
+	ladder    *Ladder[E]
+	ck        *checkpointer[E]
 	finalize  func() error // see solveStore; may be nil
 	perWorker []paddedStats
 	// hostFaults applies the injector's error/panic/delay plans at the top
@@ -151,8 +148,7 @@ func newExecutor[E semiring.Elem](s BlockStore[E], graph *sched.Graph, mul Stage
 		graph:      graph,
 		mul:        mul,
 		opts:       opts,
-		ladder:     NewLadder(s, graph, opts.HealAttempts, opts.HealStats),
-		seal:       seal,
+		ladder:     NewLadder(s, graph, seal, opts),
 		perWorker:  make([]paddedStats, max(opts.Workers, 1)),
 		hostFaults: true,
 	}
@@ -201,7 +197,7 @@ func (x *executor[E]) runTask(task sched.Task, attempt int) (kernel.Stats, error
 // seals are stored last.
 func (x *executor[E]) finish(taskID int, mbs [][2]int, own [][]E, attempt int) error {
 	var crcs []uint32
-	if x.seal {
+	if x.ladder.seal {
 		crcs = resilience.DigestThenFlip(own, x.opts.Inject, taskID, attempt)
 	}
 	for i, mb := range mbs {
@@ -218,7 +214,7 @@ func (x *executor[E]) finish(taskID int, mbs [][2]int, own [][]E, attempt int) e
 // exec is the pool's task body: the online audit, then retried attempts
 // of the task procedure behind the fault injector.
 func (x *executor[E]) exec(worker int, task sched.Task) error {
-	if x.seal && x.opts.AuditEvery > 0 && x.execs.Add(1)%int64(x.opts.AuditEvery) == 0 {
+	if x.ladder.seal && x.opts.AuditEvery > 0 && x.execs.Add(1)%int64(x.opts.AuditEvery) == 0 {
 		bad, err := x.ladder.Audit()
 		if err != nil {
 			return err
@@ -261,62 +257,20 @@ func (x *executor[E]) run(ctx context.Context, runIdx int) error {
 	return sched.RunPoolCtx(ctx, x.graph, x.opts.Workers, po, x.exec)
 }
 
-// solve is the recovery ladder around run: detect (a seal audit after
-// the run, an online audit abort, or a corrupt final page — during the
-// run or in finalize), heal the poisoned cone, one pristine restart,
-// then the typed error. ran says
-// the caller already executed the first run (the Cell engine's DES).
-// A solve with sealing on can fail, but never returns silently wrong.
+// solve is the recovery ladder around run: after each run the ladder's
+// Step audits, finalizes, and heals the poisoned cone or restarts once
+// until the solve is done or fails typed. ran says the caller already
+// executed the first run (the Cell engine's DES).
 func (x *executor[E]) solve(ctx context.Context, ran bool) error {
 	for runIdx := 0; ; runIdx++ {
 		var err error
 		if runIdx > 0 || !ran {
 			err = x.run(ctx, runIdx)
 		}
-		bad, healable, err := x.detect(err)
-		if bad == nil {
+		if ids, err := x.ladder.Step(err, nil, x.finalize); ids == nil {
 			return err
 		}
-		ids, restart, err := x.ladder.Escalate(bad, healable)
-		if err != nil {
-			return err
-		}
-		if x.opts.Logf != nil {
-			rung := "heal round: recomputing the poisoned cone of"
-			if restart {
-				rung = "heal budget exhausted: pristine restart of all"
-			}
-			x.opts.Logf("npdp: %d corrupt block(s) (first (%d,%d)); %s %d tasks", len(bad), bad[0][0], bad[0][1], rung, len(ids))
-		}
 	}
-}
-
-// detect classifies a run's outcome. It returns the blocks to escalate
-// and whether they may heal, or bad == nil and the error to return.
-func (x *executor[E]) detect(err error) (bad [][2]int, healable bool, _ error) {
-	var ce *resilience.CorruptionError
-	if x.seal && (err == nil || errors.As(err, &ce)) {
-		var aerr error
-		if bad, aerr = x.ladder.Audit(); aerr != nil {
-			err = aerr
-		} else if len(bad) > 0 {
-			return bad, x.opts.Heal, nil
-		}
-		// Otherwise clean, or an online audit aborted the run but the
-		// damage is gone (cannot happen: sealed blocks are immutable).
-	}
-	if err == nil && x.finalize != nil {
-		err = x.finalize()
-	}
-	var pe *pager.ErrPageCorrupt
-	if !errors.As(err, &pe) {
-		return nil, false, err // success, cancellation, spill-space exhaustion, task failure
-	}
-	if pe.Pristine {
-		// No earlier version to fall back to: the input itself is gone.
-		return nil, false, fmt.Errorf("npdp: paged solve unrecoverable: %w", pe)
-	}
-	return [][2]int{{pe.Bi, pe.Bj}}, true, nil
 }
 
 // checkpointer writes periodic NPCK snapshots of an in-memory solve.

@@ -23,10 +23,10 @@ const DefaultHealAttempts = 32
 // Ladder is the recovery state every engine shares — the in-process
 // executor over any BlockStore, the Cell engine's post-DES recovery and
 // the cluster coordinator. It owns the block seal table and the
-// escalation rule:
+// escalation rule, which all three climb through one post-run Step:
 //
 //	detect   a seal audit mismatch, or a *pager.ErrPageCorrupt on a
-//	         final block (the caller reports either through Escalate)
+//	         final block (Step finds either, or the caller hands it in)
 //	heal     demote and unseal the poisoned cone (sched.Graph.Cone of the
 //	         bad blocks' tasks); only the cone is recomputed
 //	restart  once a block has failed HealAttempts times in a row, demote
@@ -38,14 +38,16 @@ const DefaultHealAttempts = 32
 // a previously clean block never exhausts it.
 //
 // Seal, Audit and Clean are safe for concurrent use (online audits run
-// on pool workers); Escalate and SealFinals run between pool runs, or on
-// the coordinator's event loop.
+// on pool workers); SealFinals and Step run between pool runs.
 type Ladder[E semiring.Elem] struct {
 	store    BlockStore[E]
 	graph    *sched.Graph
 	seals    *resilience.SealTable
 	stats    *resilience.HealStats
 	attempts int
+	seal     bool // sealing is on: Step audits after each run
+	heal     bool // an audit-found mismatch may heal
+	logf     func(format string, args ...any)
 
 	mu        sync.Mutex // guards fails and serializes audits
 	fails     map[int]int
@@ -53,8 +55,10 @@ type Ladder[E semiring.Elem] struct {
 }
 
 // NewLadder builds the recovery state for a solve of graph g over s.
-// attempts ≤ 0 means DefaultHealAttempts; stats may be nil.
-func NewLadder[E semiring.Elem](s BlockStore[E], g *sched.Graph, attempts int, stats *resilience.HealStats) *Ladder[E] {
+// seal turns sealing on, so Step audits after each run; opts supplies
+// Heal, HealAttempts, HealStats and Logf.
+func NewLadder[E semiring.Elem](s BlockStore[E], g *sched.Graph, seal bool, opts ParallelOptions) *Ladder[E] {
+	attempts, stats := opts.HealAttempts, opts.HealStats
 	if attempts <= 0 {
 		attempts = DefaultHealAttempts
 	}
@@ -68,6 +72,9 @@ func NewLadder[E semiring.Elem](s BlockStore[E], g *sched.Graph, attempts int, s
 		seals:    resilience.NewSealTable(m * (m + 1) / 2),
 		stats:    stats,
 		attempts: attempts,
+		seal:     seal,
+		heal:     opts.Heal,
+		logf:     opts.Logf,
 		fails:    make(map[int]int),
 	}
 }
@@ -163,13 +170,13 @@ func (l *Ladder[E]) tasksOf(bad [][2]int) []int {
 	return ids
 }
 
-// Escalate climbs one rung for blocks that failed verification. healable
+// escalate climbs one rung for blocks that failed verification. healable
 // says whether this detection may be recovered at all: Heal gates seal
 // mismatches, while a corrupt final page always heals. It demotes and
 // unseals the tasks to recompute and returns their IDs (restart reports
 // the pristine-restart rung), or returns the typed CorruptionError once
 // the ladder is exhausted.
-func (l *Ladder[E]) Escalate(bad [][2]int, healable bool) (ids []int, restart bool, err error) {
+func (l *Ladder[E]) escalate(bad [][2]int, healable bool) (ids []int, restart bool, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.stats.CorruptBlocks += len(bad)
@@ -200,6 +207,55 @@ func (l *Ladder[E]) Escalate(bad [][2]int, healable bool) (ids []int, restart bo
 	l.stats.HealRounds++
 	l.stats.RecomputedTasks += len(ids)
 	return ids, false, nil
+}
+
+// Step is the ladder's post-run step. err is the run's outcome and bad
+// the blocks the run itself found corrupt that may heal (a cluster's
+// wire seal mismatches under Heal). With sealing on, a clean run — or
+// one an online audit aborted — is audited; a run that detected nothing
+// runs finalize (nil allowed), and a corrupt final page it reports is
+// one more detection. Any detection climbs one rung (escalate). Step
+// returns the demoted tasks to run again, or nil and the error to
+// return: nil once the solve is done. A solve with sealing on can fail,
+// but never returns silently wrong.
+func (l *Ladder[E]) Step(err error, bad [][2]int, finalize func() error) ([]int, error) {
+	healable := true
+	var ce *resilience.CorruptionError
+	if l.seal && (err == nil || errors.As(err, &ce)) {
+		found, aerr := l.Audit()
+		switch {
+		case aerr != nil:
+			err = aerr
+		case len(found) > 0:
+			bad, err, healable = append(bad, found...), nil, l.heal
+		}
+	}
+	if err == nil && len(bad) == 0 && finalize != nil {
+		err = finalize()
+	}
+	var pe *pager.ErrPageCorrupt
+	if errors.As(err, &pe) {
+		if pe.Pristine {
+			// No earlier version to fall back to: the input itself is gone.
+			return nil, fmt.Errorf("npdp: paged solve unrecoverable: %w", pe)
+		}
+		bad, err = append(bad, [2]int{pe.Bi, pe.Bj}), nil
+	}
+	if err != nil || len(bad) == 0 {
+		return nil, err // success, cancellation, spill-space exhaustion, task failure
+	}
+	ids, restart, err := l.escalate(bad, healable)
+	if err != nil {
+		return nil, err
+	}
+	if l.logf != nil {
+		rung := "heal round: recomputing the poisoned cone of"
+		if restart {
+			rung = "heal budget exhausted: pristine restart of all"
+		}
+		l.logf("npdp: %d corrupt block(s) (first (%d,%d)); %s %d tasks", len(bad), bad[0][0], bad[0][1], rung, len(ids))
+	}
+	return ids, nil
 }
 
 // demote reverts every block of the given tasks to pristine, unsealed.

@@ -180,8 +180,9 @@ func ComputeTask[E semiring.Elem](t *tri.Tiled[E], task sched.Task, mul Stage1Fu
 
 // Completed returns the pre-complete bitmap of g over s — the one
 // definition of a pre-complete task: task id is done iff all its memory
-// blocks are final. It seeds both the executor's pool and the cluster
-// coordinator's task states.
+// blocks are final. It seeds the pool of every run, the executor's and
+// each of the cluster coordinator's waves, and is the coordinator's only
+// record of which tasks are done.
 func Completed[E semiring.Elem](s BlockStore[E], g *sched.Graph) []bool {
 	done := make([]bool, len(g.Tasks))
 	for id, task := range g.Tasks {

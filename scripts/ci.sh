@@ -11,7 +11,8 @@
 # healed bit-identically (fallback disabled in both so recovery can't
 # mask a bug), plus a cluster chaos smoke that SIGKILLs a worker
 # mid-wavefront while corrupting boundary blocks and demands a
-# bit-identical finish, a coordinator-kill failover smoke that
+# bit-identical finish — once in memory, once with the coordinator's
+# table paged through a spill file — a coordinator-kill failover smoke that
 # SIGKILLs the primary coordinator mid-wavefront and demands the warm
 # standby take over and finish bit-identically, and an out-of-core
 # disk-fault smoke that pages a solve through a budget-bounded working
@@ -210,29 +211,47 @@ if grep "^paged " "${ooc_log}" | grep -qE " enospc_degradations=0 "; then
     exit 1
 fi
 
-echo "== smoke: cluster chaos (3 workers, seeded SIGKILL + silent corruption, heal, verify)"
+echo "== smoke: cluster chaos (3 workers, seeded SIGKILL + silent corruption, heal, verify; in memory and paged)"
 # Loopback coordinator/worker cluster under the race detector: the
 # seeded chaos schedule SIGKILLs one worker mid-wavefront and every
 # worker silently corrupts ~25% of its tasks; the coordinator must
 # redispatch the dead worker's in-flight tasks, heal each seal mismatch
 # through the poisoned cone, and finish bit-identical to the serial
-# engine. The greps prove the chaos actually fired — a run where
-# nothing died and nothing corrupted would pass vacuously.
+# engine. The paged arm runs the same chaos with the coordinator's
+# table in a spill file under a 200 KB budget, so every heal demotes
+# through the pager. The greps prove the chaos (and the paging)
+# actually fired — a run where nothing died, nothing corrupted or
+# nothing spilled would pass vacuously.
 cluster_log="$(mktemp)"
-trap 'rm -f "${healref}" "${ooc_ref}" "${ooc_log}" "${cluster_log}"' EXIT
-go run -race ./cmd/cellnpdp cluster -n 704 -cluster-workers 3 \
-    -chaos-kills 1 -chaos-seed 5 -faultrate 0.25 -faultseed 42 \
-    -heal -verify -timeout 10m 2>&1 | tee "${cluster_log}"
-grep -q "verified against serial engine: identical" "${cluster_log}"
-stats="$(grep "cluster: tasks=" "${cluster_log}")"
-if grep -qE " deaths=0 " <<<"${stats}"; then
-    echo "cluster chaos smoke: no worker death observed" >&2
-    exit 1
-fi
-if grep -qE " mismatches=0 " <<<"${stats}"; then
-    echo "cluster chaos smoke: no seal mismatch observed" >&2
-    exit 1
-fi
+cluster_spill="$(mktemp)"
+trap 'rm -f "${healref}" "${ooc_ref}" "${ooc_log}" "${cluster_log}" "${cluster_spill}"' EXIT
+for arm in memory paged; do
+    paged_args=()
+    if [[ "${arm}" == paged ]]; then
+        paged_args=(-spill "${cluster_spill}" -memory-budget 200000)
+    fi
+    go run -race ./cmd/cellnpdp cluster -n 704 -cluster-workers 3 \
+        -chaos-kills 1 -chaos-seed 5 -faultrate 0.25 -faultseed 42 \
+        ${paged_args[@]+"${paged_args[@]}"} \
+        -heal -verify -timeout 10m 2>&1 | tee "${cluster_log}"
+    grep -q "verified against serial engine: identical" "${cluster_log}"
+    stats="$(grep "cluster: tasks=" "${cluster_log}")"
+    if grep -qE " deaths=0 " <<<"${stats}"; then
+        echo "cluster chaos smoke (${arm}): no worker death observed" >&2
+        exit 1
+    fi
+    if grep -qE " mismatches=0 " <<<"${stats}"; then
+        echo "cluster chaos smoke (${arm}): no seal mismatch observed" >&2
+        exit 1
+    fi
+    if [[ "${arm}" == paged ]]; then
+        pstats="$(grep "^cluster paged: " "${cluster_log}")"
+        if grep -qE " spilled_blocks=0 " <<<"${pstats}"; then
+            echo "cluster chaos smoke (paged): the budget never spilled a block" >&2
+            exit 1
+        fi
+    fi
+done
 
 echo "== smoke: coordinator-kill failover (warm standby, SIGKILL primary mid-wavefront, verify)"
 # Coordinator HA under the race detector: the primary coordinator runs

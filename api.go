@@ -254,6 +254,21 @@ func (t *Table[E]) At(i, j int) (E, error) {
 	return t.rm.At(i, j), nil
 }
 
+// Row returns cells (i, i)..(i, n-1) in order, for bulk reads: row i
+// of the row-major triangle is one contiguous run, so a band of rows is
+// a handful of slices. The slice aliases the table's storage, like
+// bytes.Buffer.Bytes: a write through it is a write to the table, and a
+// later Set or Solve on t changes what it holds. An out-of-range i
+// returns the error At(i, i) does.
+func (t *Table[E]) Row(i int) ([]E, error) {
+	n := t.rm.Len()
+	if err := tri.CheckCell(n, i, i); err != nil {
+		return nil, err
+	}
+	row := t.rm.Row(i, i, n-1)
+	return row[:len(row):len(row)], nil
+}
+
 // Set stores v into cell (i, j); i ≤ j required.
 func (t *Table[E]) Set(i, j int, v E) error {
 	if err := tri.CheckCell(t.rm.Len(), i, j); err != nil {

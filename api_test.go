@@ -154,6 +154,46 @@ func TestSolveRejectsBad(t *testing.T) {
 	}
 }
 
+// Row is a view of cells (i,i)..(i,n-1): it reads what At reads, a
+// write through it is a write to the table, a Solve updates it in place,
+// and an out-of-range row fails with At's error.
+func TestTableRow(t *testing.T) {
+	const n = 12
+	tbl := buildRandom(t, n, 5)
+	views := make([][]float32, n)
+	for i := range views {
+		row, err := tbl.Row(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(row) != n-i {
+			t.Fatalf("row %d has %d cells, want %d", i, len(row), n-i)
+		}
+		views[i] = row
+	}
+	if _, err := Solve(tbl, Options{Engine: Parallel, Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range views {
+		for j := i; j < n; j++ {
+			if v, _ := tbl.At(i, j); row[j-i] != v {
+				t.Fatalf("row %d view holds %v at column %d after Solve, At reads %v", i, row[j-i], j, v)
+			}
+		}
+	}
+	views[3][2] = -7
+	if v, _ := tbl.At(3, 5); v != -7 {
+		t.Fatalf("write through row view: At(3,5) = %v, want -7", v)
+	}
+	for _, i := range []int{-1, n} {
+		_, rerr := tbl.Row(i)
+		_, aerr := tbl.At(i, i)
+		if rerr == nil || aerr == nil || rerr.Error() != aerr.Error() {
+			t.Fatalf("Row(%d) error %v, want At(%d,%d)'s %v", i, rerr, i, i, aerr)
+		}
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	tbl := buildRandom(t, 10, 3)
 	c := tbl.Clone()

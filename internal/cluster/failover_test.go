@@ -309,9 +309,16 @@ func TestSplitBrainFencedWrites(t *testing.T) {
 
 	var tstats Stats
 	var sstats StandbyStats
+	// The lease starts when the standby reads the primary's replication
+	// hello; a partition before that leaves nobody to take over. The
+	// first applied record comes after the hello, so the cutoff waits
+	// for it.
+	replicated := make(chan struct{})
+	var replOnce sync.Once
 	sbOpts := StandbyOptions{
 		Options:    testOptions(&tstats),
 		LeaseAfter: 800 * time.Millisecond,
+		OnDelta:    func(int) { replOnce.Do(func() { close(replicated) }) },
 		OnTakeover: func(uint32) {
 			// Heal the replication path the moment leadership changes, so
 			// the zombie primary's stream can find the new leader and be
@@ -350,6 +357,11 @@ func TestSplitBrainFencedWrites(t *testing.T) {
 	}
 	defer workProxy.Close()
 	cutoff = func() {
+		select {
+		case <-replicated:
+		case <-ctx.Done():
+			return
+		}
 		workProxy.Partition()
 		replProxy.Partition()
 	}

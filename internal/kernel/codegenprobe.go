@@ -24,11 +24,8 @@ func codegenProbeF32(c, a, b []float32, t int) Stats {
 	st.Add(PanelMinPlus(c, a, b, t))
 	st.Add(PanelMinPlusF32(c, a, b, t))
 	st.Add(panelMinPlusF32Go(c, a, b, t))
-	// Stage 2: the float32 bodies on the strip dispatch, and the generic
-	// bodies on the Go strip at both widths.
-	stage2OffDiag(c, a, b, t)
+	// Stage 2: the float32 bodies on the float32 strip dispatch.
 	stage2OffDiagF32(c, a, b, t)
-	stage2Diag(c, t)
 	stage2DiagF32(c, t)
 	return st
 }
@@ -36,9 +33,12 @@ func codegenProbeF32(c, a, b []float32, t int) Stats {
 func codegenProbeF64(c, a, b []float64, t int) Stats {
 	Step4x4(c, a, b, t)
 	st := MulMinPlus(c, a, b, t)
+	// The float64 dispatch: the guarded dispatcher, its generic Go
+	// fallback (PanelMinPlus), and the stage-2 bodies on stripF64.
 	st.Add(PanelMinPlus(c, a, b, t))
-	stage2OffDiag(c, a, b, t)
-	stage2Diag(c, t)
+	st.Add(PanelMinPlusF64(c, a, b, t))
+	stage2OffDiagF64(c, a, b, t)
+	stage2DiagF64(c, t)
 	return st
 }
 

@@ -20,12 +20,15 @@ var vecCapable = haveVecASM && simd.VectorAvailable()
 // path; it must not be flipped while solves are running.
 var vecEnabled = vecCapable
 
-// VectorEnabled reports whether PanelMinPlusF32 and the float32 stage-2
-// strips currently dispatch to the GOARCH vector assembly.
+// VectorEnabled reports whether the panel and stage-2 strip dispatchers
+// currently send conforming blocks to the GOARCH vector assembly: float32
+// on AVX2 and NEON, float64 on AVX2 only (NEON float64 keeps the Go
+// kernels).
 func VectorEnabled() bool { return vecEnabled }
 
 // VectorISA names the instruction set the vector kernels use when
-// enabled: "avx2", "neon", or "none".
+// enabled: "avx2" (float32 and float64), "neon" (float32 only), or
+// "none".
 func VectorISA() string {
 	if !vecEnabled {
 		return "none"
@@ -57,6 +60,20 @@ func stripF32(c, a, b []float32, stride, k int) {
 	if vecEnabled && k > 0 && stride >= CB &&
 		len(c) >= 3*stride+CB && len(a) >= 3*stride+k && len(b) >= (k-1)*stride+CB {
 		stripVecF32(&c[0], &a[0], &b[0], stride, k)
+		return
+	}
+	strip(c, a, b, stride, k)
+}
+
+// stripF64 is stripF32 at double width: the AVX2 strip where the GOARCH
+// has one (haveVecF64ASM) and vector dispatch is on, the Go strip
+// otherwise. The guard is the same memory-safety contract.
+//
+//npdp:hotpath
+func stripF64(c, a, b []float64, stride, k int) {
+	if haveVecF64ASM && vecEnabled && k > 0 && stride >= CB &&
+		len(c) >= 3*stride+CB && len(a) >= 3*stride+k && len(b) >= (k-1)*stride+CB {
+		stripVecF64(&c[0], &a[0], &b[0], stride, k)
 		return
 	}
 	strip(c, a, b, stride, k)

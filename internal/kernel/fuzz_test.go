@@ -17,12 +17,16 @@ import (
 // Go and in assembly). Comparison is Float32bits/Float64bits-exact:
 // bit-identity is the repo invariant, not approximate equality.
 //
-// On CB-aligned sides it also runs stage 2 (Stage2OffDiag with c as D
-// and a, b as L, R; Stage2Diag on c) on the vector strips, the forced
-// fallback and at float64. Flag bit 4 scatters ±0 and NaN and makes the
-// other values nonnegative, so zero terms decide many minima: under the
-// strict-< update the first of two equal terms wins, and a reordered
-// term shows as a flipped zero sign.
+// Each width draws its own instance, so the float64 values use the
+// mantissa bits float32 lacks, and runs its panel dispatcher
+// (PanelMinPlusF32, PanelMinPlusF64: the vector kernel on conforming
+// tiles where the host has one) and its forced fallback. On CB-aligned
+// sides it also runs stage 2 (Stage2OffDiag with c as D and a, b as L,
+// R; Stage2Diag on c) on the strip dispatch and the forced fallback.
+// Flag bit 4 scatters ±0 and NaN and makes the other values
+// nonnegative, so zero terms decide many minima: under the strict-<
+// update the first of two equal terms wins, and a reordered term shows
+// as a flipped zero sign.
 func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(uint32(1), uint8(8), uint8(0))
 	f.Add(uint32(7), uint8(13), uint8(3)) // odd side + both sentinels
@@ -33,103 +37,78 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint32, side, flags uint8) {
 		ts := int(side)%96 + 1
 		rng := rand.New(rand.NewSource(int64(seed)))
-		gen := func() []float32 {
-			s := make([]float32, ts*ts)
-			for i := range s {
-				s[i] = float32(rng.NormFloat64() * 16)
-			}
-			return s
-		}
-		a, b, c := gen(), gen(), gen()
-		if flags&4 != 0 {
-			negZero := float32(math.Copysign(0, -1))
-			for _, s := range [][]float32{a, b, c} {
-				for i := range s {
-					switch rng.Intn(16) {
-					case 0, 1:
-						s[i] = 0
-					case 2, 3:
-						s[i] = negZero
-					case 4:
-						s[i] = float32(math.NaN())
-					default:
-						s[i] = float32(math.Abs(float64(s[i])))
-					}
-				}
-			}
-		}
-		if flags&1 != 0 {
-			for i := 0; i < 1+ts/4; i++ {
-				a[rng.Intn(len(a))] = float32(math.Inf(1))
-				c[rng.Intn(len(c))] = float32(math.Inf(1))
-			}
-		}
-		if flags&2 != 0 {
-			for i := 0; i < 1+ts/8; i++ {
-				b[rng.Intn(len(b))] = float32(math.Inf(-1))
-			}
-		}
-
-		ref := append([]float32(nil), c...)
-		ScalarMulMinPlus(ref, a, b, ts)
-
-		check := func(name string, got []float32) {
-			t.Helper()
-			for i := range ref {
-				if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
-					t.Fatalf("%s (t=%d flags=%d): cell %d = %v (bits %#x), scalar reference %v (bits %#x)",
-						name, ts, flags, i, got[i], math.Float32bits(got[i]), ref[i], math.Float32bits(ref[i]))
-				}
-			}
-		}
-
-		run := func(name string, k func(c, a, b []float32, t int) Stats) {
-			cc := append([]float32(nil), c...)
-			k(cc, a, b, ts)
-			check(name, cc)
-		}
-		run("PanelMinPlus", PanelMinPlus[float32])
-		run("panelMinPlusF32Go", panelMinPlusF32Go)
-		run("PanelMinPlusF32", PanelMinPlusF32) // vector asm on conforming tiles
-		func() {
-			defer SetVectorEnabled(false)()
-			run("PanelMinPlusF32/fallback", PanelMinPlusF32)
-		}()
-		if ts%CB == 0 {
-			run("MulMinPlus", MulMinPlus[float32])
-		}
-
-		// float64 mirrors of the same instance: the generic kernels must
-		// agree with the scalar reference at double width too.
-		a64, b64, c64 := widen(a), widen(b), widen(c)
-		ref64 := append([]float64(nil), c64...)
-		ScalarMulMinPlus(ref64, a64, b64, ts)
-		check64 := func(name string, got []float64) {
-			t.Helper()
-			for i := range ref64 {
-				if math.Float64bits(got[i]) != math.Float64bits(ref64[i]) {
-					t.Fatalf("%s (t=%d flags=%d): cell %d = %v, scalar reference %v", name, ts, flags, i, got[i], ref64[i])
-				}
-			}
-		}
-		cc := append([]float64(nil), c64...)
-		PanelMinPlus(cc, a64, b64, ts)
-		check64("PanelMinPlus[f64]", cc)
-		if ts%CB == 0 {
-			cc = append([]float64(nil), c64...)
-			MulMinPlus(cc, a64, b64, ts)
-			check64("MulMinPlus[f64]", cc)
-		}
-
-		if ts%CB == 0 {
-			fuzzStage2(t, "Stage2", ts, flags, c, a, b)
-			func() {
-				defer SetVectorEnabled(false)()
-				fuzzStage2(t, "Stage2/fallback", ts, flags, c, a, b)
-			}()
-			fuzzStage2(t, "Stage2[f64]", ts, flags, c64, a64, b64)
-		}
+		fuzzWidth(t, "f32", rng, ts, flags, panelMinPlusF32Go, PanelMinPlusF32)
+		fuzzWidth(t, "f64", rng, ts, flags, PanelMinPlus[float64], PanelMinPlusF64)
 	})
+}
+
+// fuzzWidth draws one instance at width E and runs FuzzKernelEquivalence's
+// checks on it: the generic panel, the width's Go panel body, its
+// dispatcher with vector dispatch on and forced off, MulMinPlus, and
+// stage 2 on and off the vector strips.
+func fuzzWidth[E semiring.Elem](t *testing.T, name string, rng *rand.Rand, ts int, flags uint8,
+	goPanel, dispatch func(c, a, b []E, t int) Stats) {
+	t.Helper()
+	gen := func() []E {
+		s := make([]E, ts*ts)
+		for i := range s {
+			s[i] = E(rng.NormFloat64() * 16)
+		}
+		return s
+	}
+	a, b, c := gen(), gen(), gen()
+	if flags&4 != 0 {
+		for _, s := range [][]E{a, b, c} {
+			for i := range s {
+				switch rng.Intn(16) {
+				case 0, 1:
+					s[i] = 0
+				case 2, 3:
+					s[i] = E(math.Copysign(0, -1))
+				case 4:
+					s[i] = E(math.NaN())
+				default:
+					s[i] = E(math.Abs(float64(s[i])))
+				}
+			}
+		}
+	}
+	if flags&1 != 0 {
+		for i := 0; i < 1+ts/4; i++ {
+			a[rng.Intn(len(a))] = E(math.Inf(1))
+			c[rng.Intn(len(c))] = E(math.Inf(1))
+		}
+	}
+	if flags&2 != 0 {
+		for i := 0; i < 1+ts/8; i++ {
+			b[rng.Intn(len(b))] = E(math.Inf(-1))
+		}
+	}
+
+	ref := append([]E(nil), c...)
+	ScalarMulMinPlus(ref, a, b, ts)
+	run := func(kname string, k func(c, a, b []E, t int) Stats) {
+		t.Helper()
+		cc := append([]E(nil), c...)
+		k(cc, a, b, ts)
+		requireBits(t, kname+"["+name+"]", ts, flags, cc, ref)
+	}
+	run("PanelMinPlus", PanelMinPlus[E])
+	run("panel Go body", goPanel)
+	run("panel dispatch", dispatch) // vector asm on conforming tiles
+	func() {
+		defer SetVectorEnabled(false)()
+		run("panel dispatch/fallback", dispatch)
+	}()
+	if ts%CB != 0 {
+		return
+	}
+	run("MulMinPlus", MulMinPlus[E])
+	fuzzStage2(t, "Stage2["+name+"]", ts, flags, c, a, b)
+	func() {
+		defer SetVectorEnabled(false)()
+		fuzzStage2(t, "Stage2/fallback["+name+"]", ts, flags, c, a, b)
+	}()
 }
 
 // fuzzStage2 runs Stage2OffDiag(d, l, r) and Stage2Diag(d) on copies of
@@ -256,14 +235,6 @@ func cbOrderStage2Diag[E semiring.Elem](d []E, t int) {
 			d[a*t+b] = v
 		}
 	}
-}
-
-func widen(s []float32) []float64 {
-	out := make([]float64, len(s))
-	for i, v := range s {
-		out[i] = float64(v)
-	}
-	return out
 }
 
 // TestForcedFallbackDetection pins the two fallback switches the CI race

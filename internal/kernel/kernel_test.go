@@ -172,8 +172,8 @@ func refStage2OffDiag(d, l, r []float32, t int) {
 	}
 }
 
-func triangularize(b []float32, t int) {
-	inf := semiring.Inf[float32]()
+func triangularize[E semiring.Elem](b []E, t int) {
+	inf := semiring.Inf[E]()
 	for i := 0; i < t; i++ {
 		for j := 0; j < i; j++ {
 			b[i*t+j] = inf
@@ -237,21 +237,57 @@ func TestStage2DiagMatchesRef(t *testing.T) {
 }
 
 // The exported stage-2 wrappers resolve the element type once per
-// memory block of every solve; that switch must not allocate.
+// memory block of every solve; that switch must not allocate, on the
+// vector strips or the forced fallback, and neither may the float64
+// panel dispatch.
 func TestStage2DoesNotAllocate(t *testing.T) {
 	d32, l32, r32 := randBlock(88, 1), randBlock(88, 2), randBlock(88, 3)
 	d64, l64, r64 := randBlock64(64, 4), randBlock64(64, 5), randBlock64(64, 6)
-	for _, c := range []struct {
-		name string
-		run  func()
-	}{
-		{"Stage2OffDiag[float32] t=88", func() { Stage2OffDiag(d32, l32, r32, 88) }},
-		{"Stage2Diag[float32] t=88", func() { Stage2Diag(d32, 88) }},
-		{"Stage2OffDiag[float64] t=64", func() { Stage2OffDiag(d64, l64, r64, 64) }},
-		{"Stage2Diag[float64] t=64", func() { Stage2Diag(d64, 64) }},
-	} {
-		if n := testing.AllocsPerRun(10, c.run); n != 0 {
-			t.Errorf("%s: %v allocations per call, want 0", c.name, n)
+	for _, vec := range []bool{true, false} {
+		restore := SetVectorEnabled(vec)
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{"Stage2OffDiag[float32] t=88", func() { Stage2OffDiag(d32, l32, r32, 88) }},
+			{"Stage2Diag[float32] t=88", func() { Stage2Diag(d32, 88) }},
+			{"Stage2OffDiag[float64] t=64", func() { Stage2OffDiag(d64, l64, r64, 64) }},
+			{"Stage2Diag[float64] t=64", func() { Stage2Diag(d64, 64) }},
+			{"PanelMinPlusF64 t=64", func() { PanelMinPlusF64(d64, l64, r64, 64) }},
+		} {
+			if n := testing.AllocsPerRun(10, c.run); n != 0 {
+				t.Errorf("%s (vector %v): %v allocations per call, want 0", c.name, vec, n)
+			}
+		}
+		restore()
+	}
+}
+
+// cost is a named element type: the ~float64 in semiring.Elem admits
+// it, and stage 2 runs it on the float64 body.
+type cost float64
+
+func TestStage2NamedElementType(t *testing.T) {
+	const tile = 16
+	l, r := randBlock64(tile, 7), randBlock64(tile, 8)
+	triangularize(l, tile)
+	triangularize(r, tile)
+	d := randBlock64(tile, 9)
+	named := func(x []float64) []cost {
+		out := make([]cost, len(x))
+		for i, v := range x {
+			out[i] = cost(v)
+		}
+		return out
+	}
+	dn, ln, rn := named(d), named(l), named(r)
+	Stage2OffDiag(d, l, r, tile)
+	Stage2OffDiag(dn, ln, rn, tile)
+	Stage2Diag(l, tile)
+	Stage2Diag(ln, tile)
+	for i := range d {
+		if float64(dn[i]) != d[i] || float64(ln[i]) != l[i] {
+			t.Fatalf("cell %d: named type off-diag %v diag %v, float64 %v %v", i, dn[i], ln[i], d[i], l[i])
 		}
 	}
 }

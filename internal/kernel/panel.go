@@ -104,6 +104,24 @@ func PanelMinPlusF32(c, a, b []float32, t int) Stats {
 	return panelMinPlusF32Go(c, a, b, t)
 }
 
+// PanelMinPlusF64 is PanelMinPlusF32 for double precision, the engines'
+// float64 stage-1 kernel. On AVX2 hosts a CB-aligned tile runs the 4×f64
+// assembly panel (panel_amd64.s), whose VMINPD has the same
+// keep-old-on-ties/NaN semantics as VMINPS; elsewhere — NEON, other
+// GOARCHes, ragged tiles, a forced fallback — it runs the generic Go
+// panel. The guards are the assembly's memory-safety contract, as in
+// PanelMinPlusF32.
+//
+//npdp:hotpath
+func PanelMinPlusF64(c, a, b []float64, t int) Stats {
+	if haveVecF64ASM && vecEnabled && t >= CB && t%CB == 0 &&
+		len(c) >= t*t && len(a) >= t*t && len(b) >= t*t {
+		panelVecF64(&c[0], &a[0], &b[0], t)
+		return panelStats(t)
+	}
+	return PanelMinPlus(c, a, b, t)
+}
+
 // panelMinPlusF32Go is the pure-Go fallback body of PanelMinPlusF32: the
 // 4×t panel sweep restructured so gc keeps the innermost loop free of
 // bounds checks and loop-carried dependences — four independent

@@ -11,6 +11,10 @@ package kernel
 // haveVecASM gates dispatch: this GOARCH ships the assembly kernels.
 const haveVecASM = true
 
+// haveVecF64ASM gates float64 dispatch: AVX2 also carries the 4×f64
+// panel and strip.
+const haveVecF64ASM = true
+
 // panelVecF32 is the AVX2 4×t panel product: C = min(C, A ⊗ B) over
 // t×t row-major float32 blocks, t a positive multiple of CB. Register
 // layout: 4 rows × 8 columns of C accumulate in four YMM registers
@@ -30,3 +34,18 @@ func panelVecF32(c, a, b *float32, t int)
 //
 //go:noescape
 func stripVecF32(c, a, b *float32, stride, k int)
+
+// panelVecF64 is the AVX2 4×t panel product over t×t row-major float64
+// blocks, t a positive multiple of CB. Four rows × 8 columns of C
+// accumulate in eight YMM registers (four doubles each) across the full
+// k sweep; a 4-wide tail covers t ≡ 4 (mod 8). Bit-identical to
+// MulMinPlus (see PanelMinPlusF64's dispatch comment).
+//
+//go:noescape
+func panelVecF64(c, a, b *float64, t int)
+
+// stripVecF64 is stripVecF32 at double width: each of C's four rows is
+// one YMM register across the k updates.
+//
+//go:noescape
+func stripVecF64(c, a, b *float64, stride, k int)

@@ -180,3 +180,191 @@ strip_k:
 	VMOVUPS X3, (R12)(R8*1)
 	VZEROUPPER
 	RET
+
+// Double-precision kernels: the same update chain at four float64 lanes
+// per YMM register. VMINPD has VMINPS's src1<src2?src1:src2 semantics,
+// so with src1 = w and src2 = c ties, ±0 and NaN keep the old C value
+// exactly like the scalar `if w < c`. A computing-block row of four
+// doubles is one YMM register, where the float32 kernels need half of
+// one.
+
+// func panelVecF64(c, a, b *float64, t int)
+//
+// Register plan:
+//	DI  c panel base (rows r..r+3)     SI  a panel base
+//	DX  b base                         CX  t (elements)
+//	R8  row stride in bytes (8t)       R9  r    R10 j    R11 k
+//	R14 c column base (rows r,r+1)     R12 c column base (rows r+2,r+3)
+//	AX  a row r   k-pointer            R13 a row r+2 k-pointer
+//	BX  b[k][j] pointer
+//	Y0..Y7 4×8 C accumulator panel: row i, columns j..j+3 in Y(2i) and
+//	       j+4..j+7 in Y(2i+1)
+//	Y8, Y9 b[k][j..j+8)   Y10..Y13 splats of a[r..r+3][k]   Y14, Y15 sums
+TEXT ·panelVecF64(SB), NOSPLIT, $0-32
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ t+24(FP), CX
+	MOVQ CX, R8
+	SHLQ $3, R8           // stride bytes = 8t
+
+	XORQ R9, R9           // r = 0
+f64rowloop:
+	CMPQ R9, CX
+	JGE  f64done
+	XORQ R10, R10         // j = 0
+
+f64colloop8:                  // 8-wide columns while j+8 <= t
+	LEAQ 8(R10), AX
+	CMPQ AX, CX
+	JG   f64coltail
+
+	LEAQ (DI)(R10*8), R14 // &c[(r+0)*t + j]
+	LEAQ (R14)(R8*2), R12 // &c[(r+2)*t + j]
+	VMOVUPD (R14), Y0
+	VMOVUPD 32(R14), Y1
+	VMOVUPD (R14)(R8*1), Y2
+	VMOVUPD 32(R14)(R8*1), Y3
+	VMOVUPD (R12), Y4
+	VMOVUPD 32(R12), Y5
+	VMOVUPD (R12)(R8*1), Y6
+	VMOVUPD 32(R12)(R8*1), Y7
+	LEAQ (DX)(R10*8), BX  // &b[0*t + j]
+	MOVQ SI, AX           // &a[(r+0)*t + 0]
+	LEAQ (SI)(R8*2), R13  // &a[(r+2)*t + 0]
+	XORQ R11, R11         // k = 0
+f64kloop8:
+	VMOVUPD (BX), Y8              // b[k][j..j+4)
+	VMOVUPD 32(BX), Y9            // b[k][j+4..j+8)
+	VBROADCASTSD (AX), Y10        // a[r+0][k]
+	VADDPD Y8, Y10, Y14           // w = s0 + bv
+	VMINPD Y0, Y14, Y0            // c = w < c ? w : c
+	VADDPD Y9, Y10, Y15
+	VMINPD Y1, Y15, Y1
+	VBROADCASTSD (AX)(R8*1), Y11  // a[r+1][k]
+	VADDPD Y8, Y11, Y14
+	VMINPD Y2, Y14, Y2
+	VADDPD Y9, Y11, Y15
+	VMINPD Y3, Y15, Y3
+	VBROADCASTSD (R13), Y12       // a[r+2][k]
+	VADDPD Y8, Y12, Y14
+	VMINPD Y4, Y14, Y4
+	VADDPD Y9, Y12, Y15
+	VMINPD Y5, Y15, Y5
+	VBROADCASTSD (R13)(R8*1), Y13 // a[r+3][k]
+	VADDPD Y8, Y13, Y14
+	VMINPD Y6, Y14, Y6
+	VADDPD Y9, Y13, Y15
+	VMINPD Y7, Y15, Y7
+	ADDQ $8, AX
+	ADDQ $8, R13
+	ADDQ R8, BX                   // next b row
+	INCQ R11
+	CMPQ R11, CX
+	JL   f64kloop8
+	VMOVUPD Y0, (R14)
+	VMOVUPD Y1, 32(R14)
+	VMOVUPD Y2, (R14)(R8*1)
+	VMOVUPD Y3, 32(R14)(R8*1)
+	VMOVUPD Y4, (R12)
+	VMOVUPD Y5, 32(R12)
+	VMOVUPD Y6, (R12)(R8*1)
+	VMOVUPD Y7, 32(R12)(R8*1)
+	ADDQ $8, R10
+	JMP  f64colloop8
+
+f64coltail:                   // 4-wide tail: t ≡ 4 (mod 8) leaves one
+	CMPQ R10, CX
+	JGE  f64rownext
+	LEAQ (DI)(R10*8), R14
+	LEAQ (R14)(R8*2), R12
+	VMOVUPD (R14), Y0
+	VMOVUPD (R14)(R8*1), Y1
+	VMOVUPD (R12), Y2
+	VMOVUPD (R12)(R8*1), Y3
+	LEAQ (DX)(R10*8), BX
+	MOVQ SI, AX
+	LEAQ (SI)(R8*2), R13
+	XORQ R11, R11
+f64kloop4:
+	VMOVUPD (BX), Y4
+	VBROADCASTSD (AX), Y5
+	VADDPD Y4, Y5, Y5
+	VMINPD Y0, Y5, Y0
+	VBROADCASTSD (AX)(R8*1), Y6
+	VADDPD Y4, Y6, Y6
+	VMINPD Y1, Y6, Y1
+	VBROADCASTSD (R13), Y7
+	VADDPD Y4, Y7, Y7
+	VMINPD Y2, Y7, Y2
+	VBROADCASTSD (R13)(R8*1), Y8
+	VADDPD Y4, Y8, Y8
+	VMINPD Y3, Y8, Y3
+	ADDQ $8, AX
+	ADDQ $8, R13
+	ADDQ R8, BX
+	INCQ R11
+	CMPQ R11, CX
+	JL   f64kloop4
+	VMOVUPD Y0, (R14)
+	VMOVUPD Y1, (R14)(R8*1)
+	VMOVUPD Y2, (R12)
+	VMOVUPD Y3, (R12)(R8*1)
+	ADDQ $4, R10
+	JMP  f64coltail
+
+f64rownext:
+	LEAQ (DI)(R8*4), DI   // c += 4 rows
+	LEAQ (SI)(R8*4), SI   // a += 4 rows
+	ADDQ $4, R9
+	JMP  f64rowloop
+
+f64done:
+	VZEROUPPER
+	RET
+
+// func stripVecF64(c, a, b *float64, stride, k int)
+//
+// stripVecF32 at double width: each of C's four rows is one YMM
+// register, loaded once, given k updates and stored once. The caller
+// (stripF64) guarantees k >= 1 and that every touched element is in
+// bounds.
+TEXT ·stripVecF64(SB), NOSPLIT, $0-40
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), AX
+	MOVQ b+16(FP), BX
+	MOVQ stride+24(FP), R8
+	MOVQ k+32(FP), R11
+	SHLQ $3, R8           // stride bytes
+
+	LEAQ (DI)(R8*2), R12
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(R8*1), Y1
+	VMOVUPD (R12), Y2
+	VMOVUPD (R12)(R8*1), Y3
+	LEAQ (AX)(R8*2), R13  // &a[2*stride + 0]
+f64strip_k:
+	VMOVUPD (BX), Y4              // b[k][0..4)
+	VBROADCASTSD (AX), Y5         // a[0][k]
+	VADDPD Y4, Y5, Y5
+	VMINPD Y0, Y5, Y0
+	VBROADCASTSD (AX)(R8*1), Y6   // a[1][k]
+	VADDPD Y4, Y6, Y6
+	VMINPD Y1, Y6, Y1
+	VBROADCASTSD (R13), Y7        // a[2][k]
+	VADDPD Y4, Y7, Y7
+	VMINPD Y2, Y7, Y2
+	VBROADCASTSD (R13)(R8*1), Y8  // a[3][k]
+	VADDPD Y4, Y8, Y8
+	VMINPD Y3, Y8, Y3
+	ADDQ $8, AX
+	ADDQ $8, R13
+	ADDQ R8, BX
+	DECQ R11
+	JNZ  f64strip_k
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(R8*1)
+	VMOVUPD Y2, (R12)
+	VMOVUPD Y3, (R12)(R8*1)
+	VZEROUPPER
+	RET

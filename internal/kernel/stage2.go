@@ -1,6 +1,10 @@
 package kernel
 
-import "cellnpdp/internal/semiring"
+import (
+	"unsafe"
+
+	"cellnpdp/internal/semiring"
+)
 
 // Stage2OffDiag resolves the inner dependences of an off-diagonal memory
 // block D = MB(I,J) after stage 1 has accumulated every middle-tile
@@ -24,43 +28,32 @@ import "cellnpdp/internal/semiring"
 // ranges — the order of the 4×4 CB-step formulation — so the result is
 // bit-identical to it, ±0 and NaN included.
 //
-// The element type is resolved once per call: float32 blocks take the
-// strip dispatch (the vector strip when enabled), every other width the
-// Go strip. The returned work record is StatsStage2OffDiag(t), the count
-// of 4×4 CB steps the strips cover plus the closure's relaxations.
+// The element type is resolved once per call: each width runs its own
+// body on its own strip dispatch (stripF32, stripF64), which takes the
+// vector strip where the host has one and the Go strip otherwise. The
+// returned work record is StatsStage2OffDiag(t), the count of 4×4 CB
+// steps the strips cover plus the closure's relaxations.
 func Stage2OffDiag[E semiring.Elem](d, l, r []E, t int) Stats {
-	if d32, ok := any(d).([]float32); ok {
-		stage2OffDiagF32(d32, any(l).([]float32), any(r).([]float32), t)
+	var e E
+	if unsafe.Sizeof(e) == 4 {
+		stage2OffDiagF32(asWidth[float32](d), asWidth[float32](l), asWidth[float32](r), t)
 	} else {
-		stage2OffDiag(d, l, r, t)
+		stage2OffDiagF64(asWidth[float64](d), asWidth[float64](l), asWidth[float64](r), t)
 	}
 	return StatsStage2OffDiag(t)
 }
 
-// stage2OffDiag is Stage2OffDiag's body on the Go strip.
-// stage2OffDiagF32 is the same loop on the float32 strip dispatch; the
-// two change together.
-//
-//npdp:hotpath
-func stage2OffDiag[E semiring.Elem](d, l, r []E, t int) {
-	cbm := t / CB
-	for p := cbm - 1; p >= 0; p-- {
-		band := p * CB * t
-		for q := 0; q < cbm; q++ {
-			c := d[band+q*CB:]
-			if k := t - (p+1)*CB; k > 0 {
-				strip(c, l[band+(p+1)*CB:], d[band+CB*t+q*CB:], t, k)
-			}
-			if k := q * CB; k > 0 {
-				strip(c, d[band:], r[q*CB:], t, k)
-			}
-			closeCB(d, l, r, t, p, q)
-		}
-	}
+// asWidth views cells as F, the float type of the same size: E is
+// ~float32 or ~float64, so it has F's memory layout, and a named element
+// type (type Cost float64) runs its width's body like float64 itself.
+// The caller picks F by unsafe.Sizeof.
+func asWidth[F float32 | float64, E semiring.Elem](cells []E) []F {
+	return unsafe.Slice((*F)(unsafe.Pointer(unsafe.SliceData(cells))), len(cells))
 }
 
-// stage2OffDiagF32 is stage2OffDiag with every strip sent through
-// stripF32.
+// stage2OffDiagF32 is Stage2OffDiag's body on the float32 strip
+// dispatch. stage2OffDiagF64 is the same loop at double width; the two
+// change together.
 //
 //npdp:hotpath
 func stage2OffDiagF32(d, l, r []float32, t int) {
@@ -80,6 +73,27 @@ func stage2OffDiagF32(d, l, r []float32, t int) {
 	}
 }
 
+// stage2OffDiagF64 is stage2OffDiagF32 with every strip sent through
+// stripF64.
+//
+//npdp:hotpath
+func stage2OffDiagF64(d, l, r []float64, t int) {
+	cbm := t / CB
+	for p := cbm - 1; p >= 0; p-- {
+		band := p * CB * t
+		for q := 0; q < cbm; q++ {
+			c := d[band+q*CB:]
+			if k := t - (p+1)*CB; k > 0 {
+				stripF64(c, l[band+(p+1)*CB:], d[band+CB*t+q*CB:], t, k)
+			}
+			if k := q * CB; k > 0 {
+				stripF64(c, d[band:], r[q*CB:], t, k)
+			}
+			closeCB(d, l, r, t, p, q)
+		}
+	}
+}
+
 // Stage2Diag computes a diagonal memory block D = MB(J,J) in place. A
 // diagonal block depends only on itself: for cell (a,b), every k in
 // [a, b) stays inside the tile. Computing blocks are processed in the
@@ -90,32 +104,18 @@ func stage2OffDiagF32(d, l, r []float32, t int) {
 // The element type is resolved once per call, as in Stage2OffDiag, and
 // the returned work record is StatsStage2Diag(t).
 func Stage2Diag[E semiring.Elem](d []E, t int) Stats {
-	if d32, ok := any(d).([]float32); ok {
-		stage2DiagF32(d32, t)
+	var e E
+	if unsafe.Sizeof(e) == 4 {
+		stage2DiagF32(asWidth[float32](d), t)
 	} else {
-		stage2Diag(d, t)
+		stage2DiagF64(asWidth[float64](d), t)
 	}
 	return StatsStage2Diag(t)
 }
 
-// stage2Diag is Stage2Diag's body on the Go strip. stage2DiagF32 is the
-// same loop on the float32 strip dispatch; the two change together.
-//
-//npdp:hotpath
-func stage2Diag[E semiring.Elem](d []E, t int) {
-	cbm := t / CB
-	for q := 0; q < cbm; q++ {
-		diagScalarCB(d, t, q)
-		for p := q - 1; p >= 0; p-- {
-			if k := (q - p - 1) * CB; k > 0 {
-				strip(d[p*CB*t+q*CB:], d[p*CB*t+(p+1)*CB:], d[(p+1)*CB*t+q*CB:], t, k)
-			}
-			closeCB(d, d, d, t, p, q)
-		}
-	}
-}
-
-// stage2DiagF32 is stage2Diag with every strip sent through stripF32.
+// stage2DiagF32 is Stage2Diag's body on the float32 strip dispatch.
+// stage2DiagF64 is the same loop at double width; the two change
+// together.
 //
 //npdp:hotpath
 func stage2DiagF32(d []float32, t int) {
@@ -125,6 +125,22 @@ func stage2DiagF32(d []float32, t int) {
 		for p := q - 1; p >= 0; p-- {
 			if k := (q - p - 1) * CB; k > 0 {
 				stripF32(d[p*CB*t+q*CB:], d[p*CB*t+(p+1)*CB:], d[(p+1)*CB*t+q*CB:], t, k)
+			}
+			closeCB(d, d, d, t, p, q)
+		}
+	}
+}
+
+// stage2DiagF64 is stage2DiagF32 with every strip sent through stripF64.
+//
+//npdp:hotpath
+func stage2DiagF64(d []float64, t int) {
+	cbm := t / CB
+	for q := 0; q < cbm; q++ {
+		diagScalarCB(d, t, q)
+		for p := q - 1; p >= 0; p-- {
+			if k := (q - p - 1) * CB; k > 0 {
+				stripF64(d[p*CB*t+q*CB:], d[p*CB*t+(p+1)*CB:], d[(p+1)*CB*t+q*CB:], t, k)
 			}
 			closeCB(d, d, d, t, p, q)
 		}

@@ -1,9 +1,12 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
+	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/simd"
 )
 
@@ -13,14 +16,16 @@ import (
 // values: ±Inf sentinels, NaN, and ±0 — the cases where a careless
 // vector min (FMIN, or swapped VMINPS operands) diverges bitwise.
 
-// adversarialBlock builds a t×t block mixing regular values with ±Inf,
-// NaN and ±0 at deterministic positions.
-func adversarialBlock(t int, seed int64) []float32 {
-	b := randBlock(t, seed)
-	specials := []float32{
-		float32(math.Inf(1)), float32(math.Inf(-1)),
-		float32(math.NaN()), 0, float32(math.Copysign(0, -1)),
+// adversarialBlock builds a t×t block mixing regular values (full
+// mantissa at each width) with ±Inf, NaN and ±0 at deterministic
+// positions.
+func adversarialBlock[E semiring.Elem](t int, seed int64) []E {
+	rng := rand.New(rand.NewSource(seed))
+	b := make([]E, t*t)
+	for i := range b {
+		b[i] = E(rng.Float64() * 100)
 	}
+	specials := []E{E(math.Inf(1)), E(math.Inf(-1)), E(math.NaN()), 0, E(math.Copysign(0, -1))}
 	for i := range b {
 		if (int64(i)*2654435761+seed)%11 == 0 {
 			b[i] = specials[(int(seed)+i)%len(specials)]
@@ -29,61 +34,50 @@ func adversarialBlock(t int, seed int64) []float32 {
 	return b
 }
 
-func bitsEqual(a, b []float32) (int, bool) {
-	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-			return i, false
-		}
-	}
-	return 0, true
-}
-
 func TestPanelVectorBitIdenticalToFallback(t *testing.T) {
 	if !VectorEnabled() {
 		t.Skip("vector kernels unavailable on this host")
 	}
-	for _, tile := range []int{4, 8, 12, 16, 20, 24, 32, 64, 88, 92} {
-		a := adversarialBlock(tile, int64(tile))
-		b := adversarialBlock(tile, int64(tile)+100)
-		cVec := adversarialBlock(tile, int64(tile)+200)
-		cGo := append([]float32(nil), cVec...)
-		cRef := append([]float32(nil), cVec...)
+	panelVectorBitIdentical(t, PanelMinPlusF32)
+	panelVectorBitIdentical(t, PanelMinPlusF64) // the Go panel on NEON
+}
 
-		stVec := PanelMinPlusF32(a2(cVec), a, b, tile)
+func panelVectorBitIdentical[E semiring.Elem](t *testing.T, dispatch func(c, a, b []E, t int) Stats) {
+	t.Helper()
+	for _, tile := range []int{4, 8, 12, 16, 20, 24, 32, 64, 88, 92} {
+		a := adversarialBlock[E](tile, int64(tile))
+		b := adversarialBlock[E](tile, int64(tile)+100)
+		cVec := adversarialBlock[E](tile, int64(tile)+200)
+		cGo := append([]E(nil), cVec...)
+		cRef := append([]E(nil), cVec...)
+
+		stVec := dispatch(cVec, a, b, tile)
 		func() {
 			defer SetVectorEnabled(false)()
 			if VectorEnabled() {
 				t.Fatal("SetVectorEnabled(false) did not force the fallback")
 			}
-			PanelMinPlusF32(cGo, a, b, tile)
+			dispatch(cGo, a, b, tile)
 		}()
 		stRef := MulMinPlus(cRef, a, b, tile)
 
-		if i, ok := bitsEqual(cVec, cGo); !ok {
-			t.Fatalf("tile=%d: vector diverges from Go fallback at (%d,%d): %x vs %x",
-				tile, i/tile, i%tile, math.Float32bits(cVec[i]), math.Float32bits(cGo[i]))
-		}
-		if i, ok := bitsEqual(cVec, cRef); !ok {
-			t.Fatalf("tile=%d: vector diverges from MulMinPlus at (%d,%d)", tile, i/tile, i%tile)
-		}
+		name := fmt.Sprintf("%T tile=%d", *new(E), tile)
+		requireBits(t, name+": vector vs Go fallback", tile, 0, cVec, cGo)
+		requireBits(t, name+": vector vs MulMinPlus", tile, 0, cVec, cRef)
 		if stVec != stRef {
-			t.Errorf("tile=%d: vector stats %+v != reference %+v", tile, stVec, stRef)
+			t.Errorf("%s: vector stats %+v != reference %+v", name, stVec, stRef)
 		}
 	}
 }
 
-// a2 is the identity; it exists so the vector call above reads as the
-// dispatch-path call site in a diff.
-func a2(c []float32) []float32 { return c }
-
 // adversarialBand is adversarialBlock data trimmed to exactly n
 // elements, length and capacity, so any access past n panics.
-func adversarialBand(n int, seed int64) []float32 {
+func adversarialBand[E semiring.Elem](n int, seed int64) []E {
 	side := 1
 	for side*side < n {
 		side++
 	}
-	return adversarialBlock(side, seed)[:n:n]
+	return adversarialBlock[E](side, seed)[:n:n]
 }
 
 // The assembly strip must match the Go strip bit for bit over short,
@@ -94,18 +88,28 @@ func TestStripVectorMatchesGo(t *testing.T) {
 	if !VectorEnabled() {
 		t.Skip("vector kernels unavailable on this host")
 	}
+	stripVectorMatchesGo(t, stripVecF32)
+	if haveVecF64ASM {
+		stripVectorMatchesGo(t, stripVecF64)
+	}
+}
+
+func stripVectorMatchesGo[E semiring.Elem](t *testing.T, vec func(c, a, b *E, stride, k int)) {
+	t.Helper()
 	for _, k := range []int{1, 4, 5, 84} {
 		for _, stride := range []int{4, 8, 88} {
 			seed := int64(k*100 + stride)
-			a := adversarialBand(3*stride+k, seed)
-			b := adversarialBand((k-1)*stride+CB, seed+1)
-			cVec := adversarialBand(3*stride+CB, seed+2)
-			cGo := append([]float32(nil), cVec...)
-			stripVecF32(&cVec[0], &a[0], &b[0], stride, k)
+			a := adversarialBand[E](3*stride+k, seed)
+			b := adversarialBand[E]((k-1)*stride+CB, seed+1)
+			cVec := adversarialBand[E](3*stride+CB, seed+2)
+			cGo := append([]E(nil), cVec...)
+			vec(&cVec[0], &a[0], &b[0], stride, k)
 			strip(cGo, a, b, stride, k)
-			if i, ok := bitsEqual(cVec, cGo); !ok {
-				t.Fatalf("k=%d stride=%d: assembly strip diverges from Go strip at %d: %x vs %x",
-					k, stride, i, math.Float32bits(cVec[i]), math.Float32bits(cGo[i]))
+			for i := range cVec {
+				if bitsOf(cVec[i]) != bitsOf(cGo[i]) {
+					t.Fatalf("%T k=%d stride=%d: assembly strip diverges from Go strip at %d: %x vs %x",
+						cVec[i], k, stride, i, bitsOf(cVec[i]), bitsOf(cGo[i]))
+				}
 			}
 		}
 	}
@@ -115,11 +119,17 @@ func TestStripVectorMatchesGo(t *testing.T) {
 // shorter than the strip touches to the Go body, which panics on the
 // out-of-range access, never to the unguarded assembly.
 func TestStripVectorShortBandFallsBack(t *testing.T) {
+	stripShortBandFallsBack(t, stripF32)
+	stripShortBandFallsBack(t, stripF64)
+}
+
+func stripShortBandFallsBack[E semiring.Elem](t *testing.T, dispatch func(c, a, b []E, stride, k int)) {
+	t.Helper()
 	const stride, k = 8, 5
 	for _, short := range []string{"C", "A", "B"} {
-		c := adversarialBand(3*stride+CB, 1)
-		a := adversarialBand(3*stride+k, 2)
-		b := adversarialBand((k-1)*stride+CB, 3)
+		c := adversarialBand[E](3*stride+CB, 1)
+		a := adversarialBand[E](3*stride+k, 2)
+		b := adversarialBand[E]((k-1)*stride+CB, 3)
 		switch short {
 		case "C":
 			c = c[: len(c)-1 : len(c)-1]
@@ -131,10 +141,10 @@ func TestStripVectorShortBandFallsBack(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("short %s: strip dispatch did not panic in the Go body", short)
+					t.Errorf("%T short %s: strip dispatch did not panic in the Go body", c[0], short)
 				}
 			}()
-			stripF32(c, a, b, stride, k)
+			dispatch(c, a, b, stride, k)
 		}()
 	}
 }
@@ -143,16 +153,20 @@ func TestStripVectorShortBandFallsBack(t *testing.T) {
 // fallback (which panics on real out-of-range access like any Go code)
 // rather than into unguarded assembly.
 func TestPanelVectorRaggedFallsBack(t *testing.T) {
+	panelRaggedFallsBack(t, PanelMinPlusF32)
+	panelRaggedFallsBack(t, PanelMinPlusF64)
+}
+
+func panelRaggedFallsBack[E semiring.Elem](t *testing.T, dispatch func(c, a, b []E, t int) Stats) {
+	t.Helper()
 	for _, tile := range []int{1, 2, 3, 5, 7, 9, 15} {
-		a := randBlock(tile, int64(tile))
-		b := randBlock(tile, int64(tile)+1)
-		c1 := randBlock(tile, int64(tile)+2)
-		c2 := append([]float32(nil), c1...)
-		PanelMinPlusF32(c1, a, b, tile)
+		a := adversarialBlock[E](tile, int64(tile))
+		b := adversarialBlock[E](tile, int64(tile)+1)
+		c1 := adversarialBlock[E](tile, int64(tile)+2)
+		c2 := append([]E(nil), c1...)
+		dispatch(c1, a, b, tile)
 		ScalarMulMinPlus(c2, a, b, tile)
-		if i, ok := bitsEqual(c1, c2); !ok {
-			t.Fatalf("tile=%d: ragged dispatch diverges from scalar reference at %d", tile, i)
-		}
+		requireBits(t, fmt.Sprintf("%T ragged dispatch vs scalar reference", c1[0]), tile, 0, c1, c2)
 	}
 }
 
@@ -176,6 +190,30 @@ func BenchmarkPanelF32Vector(b *testing.B) {
 
 func BenchmarkPanelF32Go(b *testing.B) {
 	benchPanel(b, false)
+}
+
+func BenchmarkPanelF64Vector(b *testing.B) {
+	benchPanelF64(b, true)
+}
+
+func BenchmarkPanelF64Go(b *testing.B) {
+	benchPanelF64(b, false)
+}
+
+func benchPanelF64(b *testing.B, vec bool) {
+	defer SetVectorEnabled(vec)()
+	if vec && (!VectorEnabled() || !haveVecF64ASM) {
+		b.Skip("float64 vector kernels unavailable")
+	}
+	const tile = 64
+	a := randBlock64(tile, 1)
+	bb := randBlock64(tile, 2)
+	c := randBlock64(tile, 3)
+	b.SetBytes(int64(tile) * int64(tile) * int64(tile) * 8)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		PanelMinPlusF64(c, a, bb, tile)
+	}
 }
 
 func benchPanel(b *testing.B, vec bool) {

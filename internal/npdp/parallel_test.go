@@ -109,7 +109,8 @@ func TestParallelAblationConfigsMatchSerial(t *testing.T) {
 }
 
 // TestParallelF64FastPathRouting makes sure the float64 table takes the
-// generic panel (no fast-path mixup) and still matches serial exactly.
+// float64 dispatch (PanelMinPlusF64 and the float64 stage-2 bodies, no
+// float32 fast-path mixup) and still matches serial exactly.
 func TestParallelF64FastPathRouting(t *testing.T) {
 	src := workload.Dense[float64](96, 3)
 	ref := solveRef(src)

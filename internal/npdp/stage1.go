@@ -24,8 +24,9 @@ type Stage1Func[E semiring.Elem] func(c, a, b []E, t int) kernel.Stats
 //
 // KernelAuto consults the Section V calibration via
 // perfmodel.PickKernel. KernelPanel and KernelVector both map to the
-// panel entry points, whose internal dispatch engages the assembly
-// exactly when the vector ISA is live — forcing the pure-Go body on a
+// panel entry points (PanelMinPlusF32, PanelMinPlusF64), whose internal
+// dispatch engages the assembly exactly when the vector ISA is live and
+// has a kernel at the element width — forcing the pure-Go body on a
 // vector-capable machine is a process-level switch
 // (kernel.SetVectorEnabled or CELLNPDP_FORCE_SCALAR=1), not a per-solve
 // one. KernelFourRussians is rejected: the lattice kernel is not a
@@ -56,6 +57,11 @@ func ResolveStage1Shape[E semiring.Elem](sel perfmodel.Kernel, tile, n int) (Sta
 		if isF32 {
 			return func(c, a, b []E, ts int) kernel.Stats {
 				return kernel.PanelMinPlusF32(any(c).([]float32), any(a).([]float32), any(b).([]float32), ts)
+			}, nil
+		}
+		if _, isF64 := any(e).(float64); isF64 {
+			return func(c, a, b []E, ts int) kernel.Stats {
+				return kernel.PanelMinPlusF64(any(c).([]float64), any(a).([]float64), any(b).([]float64), ts)
 			}, nil
 		}
 		return kernel.PanelMinPlus[E], nil

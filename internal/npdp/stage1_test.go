@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cellnpdp/internal/perfmodel"
+	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tri"
 	"cellnpdp/internal/workload"
 )
@@ -35,17 +36,26 @@ func TestPickKernelHoisted(t *testing.T) {
 	}
 }
 
+// Every explicit stage-1 kernel, and the model's pick, matches serial
+// at both widths; tile 20 (≡ 4 mod 8) runs the vector panels' 4-wide
+// column tail.
 func TestStage1ExplicitKernelsBitIdentical(t *testing.T) {
-	src := workload.Chain[float32](200, 41)
+	explicitKernelsBitIdentical[float32](t)
+	explicitKernelsBitIdentical[float64](t)
+}
+
+func explicitKernelsBitIdentical[E semiring.Elem](t *testing.T) {
+	t.Helper()
+	src := workload.Chain[E](200, 41)
 	ref := solveRef(src)
-	for _, sel := range []perfmodel.Kernel{perfmodel.KernelScalar, perfmodel.KernelPanel, perfmodel.KernelVector} {
+	for _, sel := range []perfmodel.Kernel{perfmodel.KernelAuto, perfmodel.KernelScalar, perfmodel.KernelPanel, perfmodel.KernelVector} {
 		tt := tri.ToTiled(src, 20)
 		if _, err := SolveParallel(tt, ParallelOptions{Workers: 3, Stage1: sel}); err != nil {
-			t.Fatalf("Stage1=%v: %v", sel, err)
+			t.Fatalf("%T Stage1=%v: %v", *new(E), sel, err)
 		}
 		got := tri.ToRowMajor(tt)
-		if i, j, av, bv, diff := tri.FirstDiff[float32](ref, got); diff {
-			t.Fatalf("Stage1=%v: first diff at (%d,%d): serial=%v got=%v", sel, i, j, av, bv)
+		if i, j, av, bv, diff := tri.FirstDiff[E](ref, got); diff {
+			t.Fatalf("%T Stage1=%v: first diff at (%d,%d): serial=%v got=%v", *new(E), sel, i, j, av, bv)
 		}
 	}
 }

@@ -31,7 +31,8 @@ const (
 	KernelScalar
 	// KernelPanel is the register-blocked pure-Go panel.
 	KernelPanel
-	// KernelVector is the AVX2/NEON assembly panel (float32 only).
+	// KernelVector is the assembly panel: AVX2 at both widths, NEON at
+	// float32.
 	KernelVector
 	// KernelFourRussians is the two-vector lattice kernel
 	// (internal/fourrussians; integer 0/1-difference DPs only).
@@ -74,8 +75,9 @@ type Shape struct {
 	// N is the total problem size (DP points) — the Four-Russians
 	// decision is asymptotic, so it needs n, not just t.
 	N int
-	// Float32 reports single-precision elements; the assembly vector
-	// kernels exist only for float32.
+	// Float32 reports single-precision elements. The AVX2 vector
+	// kernels cover both widths; the NEON ones cover float32 only, so a
+	// float64 shape on "neon" takes the Go panel.
 	Float32 bool
 	// Lattice reports a 0/1-difference integer DP (Nussinov max-pairs):
 	// the only workload where Four-Russians is sound.
@@ -188,8 +190,9 @@ func PickCount() int64 { return pickCount.Load() }
 //
 //   - Lattice shapes beyond the measured Four-Russians crossover take
 //     the O(n³/log n) kernel — its win is asymptotic, not per-cell.
-//   - float32 shapes take the vector panel when the ISA is present and
-//     calibration agrees it is cheapest (it always is where supported).
+//   - Shapes the ISA has a vector panel for (float32 on AVX2 and NEON,
+//     float64 on AVX2) take it when calibration agrees it is cheapest
+//     (it always is where supported).
 //   - Everything else takes the Go panel; KernelScalar survives only
 //     as an explicit override (ablations, NoPanelKernel).
 func PickKernel(shape Shape, arch, isa string) Kernel {
@@ -205,12 +208,21 @@ func PickKernel(shape Shape, arch, isa string) Kernel {
 	if v, ok := cal.nsPerCell(KernelPanel, shape.Block); ok {
 		bestCost = v
 	}
-	if shape.Float32 && isa != "none" && shape.Block%4 == 0 {
+	if vectorWidth(shape.Float32, isa) && shape.Block%4 == 0 {
 		if v, ok := cal.nsPerCell(KernelVector, shape.Block); ok && (bestCost == 0 || v < bestCost) {
 			best = KernelVector
 		}
 	}
 	return best
+}
+
+// vectorWidth reports whether isa has an assembly panel at the shape's
+// element width: every vector ISA carries float32, and AVX2 float64 too.
+func vectorWidth(f32 bool, isa string) bool {
+	if f32 {
+		return isa != "none"
+	}
+	return isa == "avx2"
 }
 
 // FormatCalibration renders a calibration as the persisted file body —

@@ -48,9 +48,12 @@ func TestPickKernelVector(t *testing.T) {
 	if k := PickKernel(Shape{Block: 32, N: 2048, Float32: true}, "riscv64", "none"); k != KernelPanel {
 		t.Fatalf("f32 shape without ISA picked %v, want panel", k)
 	}
-	// float64: no assembly form exists.
-	if k := PickKernel(Shape{Block: 32, N: 2048}, "amd64", "avx2"); k != KernelPanel {
-		t.Fatalf("f64 shape picked %v, want panel", k)
+	// float64: AVX2 has a 4×f64 panel, NEON has none.
+	if k := PickKernel(Shape{Block: 32, N: 2048}, "amd64", "avx2"); k != KernelVector {
+		t.Fatalf("f64 shape on avx2 picked %v, want vector", k)
+	}
+	if k := PickKernel(Shape{Block: 32, N: 2048}, "arm64", "neon"); k != KernelPanel {
+		t.Fatalf("f64 shape on neon picked %v, want panel", k)
 	}
 }
 

@@ -25,28 +25,34 @@ import (
 // instead of restarting, Charm++/Cilk-style task replay on the NPDP
 // dependence graph.
 
-// sealCastagnoli is the CRC32C table block seals use — the same
-// hardware-accelerated polynomial the serving layer digests with.
+// sealCastagnoli is the CRC32C table block seals and the serving
+// layer's result digests use (hardware-accelerated on amd64/arm64).
 var sealCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// sealChunkBytes is the scratch size BlockCRC encodes through: 2048
+// sealChunkBytes is the scratch size UpdateCRC encodes through: 2048
 // float32 or 1024 float64 cells per crc32.Update call.
 const sealChunkBytes = 8 << 10
 
-// sealScratch recycles BlockCRC's encode buffers. A stack array would
+// sealScratch recycles UpdateCRC's encode buffers. A stack array would
 // escape into crc32.Update and cost one heap allocation per digest.
 var sealScratch = sync.Pool{New: func() any { return new([sealChunkBytes]byte) }}
 
 // BlockCRC digests a memory block's cells into the CRC32C seal value:
 // each cell serialized little-endian at its element width, exactly the
 // byte stream the tableio and checkpoint codecs use, so
-// BlockCRC(cells) == RawCRC(encoded cells). It encodes chunk by chunk
-// through tableio.EncodeCells into pooled scratch and allocates nothing.
-func BlockCRC[E semiring.Elem](cells []E) uint32 {
+// BlockCRC(cells) == RawCRC(encoded cells). It is UpdateCRC(0, cells).
+func BlockCRC[E semiring.Elem](cells []E) uint32 { return UpdateCRC(0, cells) }
+
+// UpdateCRC is the chained form of BlockCRC: it returns the seal CRC32C
+// of the byte stream crc already covers followed by cells' encoding, so
+// UpdateCRC(UpdateCRC(0, x), y) == BlockCRC(x ++ y). Rows of a table
+// digest through it one contiguous run at a time. It encodes chunk by
+// chunk through tableio.EncodeCells into pooled scratch and allocates
+// nothing.
+func UpdateCRC[E semiring.Elem](crc uint32, cells []E) uint32 {
 	var e E
 	width := tableio.ElemWidth(e)
 	buf := sealScratch.Get().(*[sealChunkBytes]byte)
-	var crc uint32
 	for len(cells) > 0 {
 		n := min(len(cells), sealChunkBytes/width)
 		tableio.EncodeCells(buf[:], cells[:n])
@@ -55,6 +61,49 @@ func BlockCRC[E semiring.Elem](cells []E) uint32 {
 	}
 	sealScratch.Put(buf)
 	return crc
+}
+
+// CombineCRC returns the seal CRC32C of a byte stream A followed by B
+// from crcA, crcB and B's length in bytes, without reading either
+// stream: CombineCRC(RawCRC(a), RawCRC(b), len(b)) == RawCRC(a ++ b).
+// It is zlib's crc32_combine on the Castagnoli polynomial: crcA is
+// carried through len2 bytes of zeros as a product with x^(8·len2)
+// mod P in GF(2), and CRC's linearity does the rest. Digests that keep
+// one CRC per band and one over the whole stream encode each cell once
+// and combine the bands.
+func CombineCRC(crcA, crcB uint32, len2 int) uint32 {
+	// x2n = x^(2^k) mod P for k = 3.., starting at x^8 (one byte).
+	x2n := uint32(1) << 30 // x^1 in the reflected bit order
+	for k := 0; k < 3; k++ {
+		x2n = mulModP(x2n, x2n)
+	}
+	p := uint32(1) << 31 // x^0
+	for n := uint64(len2); n != 0; n >>= 1 {
+		if n&1 != 0 {
+			p = mulModP(x2n, p)
+		}
+		x2n = mulModP(x2n, x2n)
+	}
+	return mulModP(p, crcA) ^ crcB
+}
+
+// mulModP multiplies two polynomials modulo the reflected Castagnoli
+// polynomial; a must be nonzero.
+func mulModP(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; ; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+			if a&(m-1) == 0 {
+				return p
+			}
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crc32.Castagnoli
+		} else {
+			b >>= 1
+		}
+	}
 }
 
 // RawCRC is the seal polynomial's CRC32C over raw bytes. Over cells

@@ -123,6 +123,51 @@ func TestBlockCRCAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestUpdateCRCChains: chaining UpdateCRC over any split of a block,
+// across chunk boundaries and with empty pieces, is BlockCRC of the
+// whole, and CombineCRC joins two pieces' seals into the whole's.
+func TestUpdateCRCChains(t *testing.T) {
+	chainsAt[float32](t, 2048)
+	chainsAt[float64](t, 1024)
+}
+
+func chainsAt[E semiring.Elem](t *testing.T, chunk int) {
+	t.Helper()
+	var e E
+	width := tableio.ElemWidth(e)
+	cells := katCells[E](2*chunk + 3)
+	want := BlockCRC(cells)
+	for _, cut := range []int{0, 1, 7, chunk - 1, chunk, chunk + 1, 2*chunk + 3} {
+		head, tail := cells[:cut], cells[cut:]
+		if got := UpdateCRC(UpdateCRC(0, head), tail); got != want {
+			t.Errorf("%T cut %d: chained UpdateCRC %08x, BlockCRC %08x", e, cut, got, want)
+		}
+		if got := CombineCRC(BlockCRC(head), BlockCRC(tail), width*len(tail)); got != want {
+			t.Errorf("%T cut %d: CombineCRC %08x, BlockCRC %08x", e, cut, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { UpdateCRC(1, cells) }); n != 0 {
+		t.Errorf("UpdateCRC(%T) allocates %v times per call", e, n)
+	}
+}
+
+// CombineCRC over raw byte streams of every length up to 300, so each
+// bit of the length's binary expansion is exercised at least once.
+func TestCombineCRCByteLengths(t *testing.T) {
+	raw := make([]byte, 300)
+	for i := range raw {
+		raw[i] = byte(katMix(uint64(i)))
+	}
+	for cut := 0; cut <= len(raw); cut++ {
+		for _, end := range []int{cut, min(cut+1, len(raw)), len(raw)} {
+			a, b := raw[:cut], raw[cut:end]
+			if got, want := CombineCRC(RawCRC(a), RawCRC(b), len(b)), RawCRC(raw[:end]); got != want {
+				t.Fatalf("bytes [0,%d)+[%d,%d): CombineCRC %08x, RawCRC %08x", cut, cut, end, got, want)
+			}
+		}
+	}
+}
+
 // TestCorruptBitAlwaysDetectable asserts the silent-fault model's core
 // property: every CorruptBit flip, for any draw, changes the block's
 // CRC — an injected corruption can never slip past a seal audit.

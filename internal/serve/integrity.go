@@ -2,10 +2,10 @@ package serve
 
 import (
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 
 	"cellnpdp"
+	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/tableio"
 )
 
@@ -17,10 +17,14 @@ import (
 // complementary residual spot check re-evaluates the NPDP recurrence at
 // sampled cells, catching corruption that happened *during* the solve,
 // which a post-hoc checksum by construction cannot see.
-
-// castagnoli is the CRC32C polynomial table (hardware-accelerated on
-// amd64/arm64, the reason serving checksums prefer it over IEEE).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+//
+// Both passes read the table a row at a time through Table.Row, one
+// contiguous view per row. The digest runs each row through the block
+// seals' codec (resilience.UpdateCRC: the tableio cell encoding into
+// CRC32C) and joins the bands into the whole-table CRC with
+// resilience.CombineCRC, so each cell is encoded once per digest: it
+// costs about what sealing the table's blocks costs, and stays
+// byte-identical to a CRC32C over the cells' encoding in row order.
 
 // Digest holds per-band CRC32C checksums of a solved table: the rows are
 // cut into bands of BandRows rows, each digested separately so a
@@ -33,37 +37,31 @@ type Digest struct {
 }
 
 // DigestTable computes the per-band CRC32C digest of t. bandRows <= 0
-// defaults to 64.
+// defaults to 64. A band's CRC covers its rows' cells (i,i)..(i,n-1) in
+// row order, each in the tableio element encoding; Whole covers every
+// row, and is combined from the bands rather than encoded again.
 func DigestTable[E cellnpdp.Elem](t *cellnpdp.Table[E], bandRows int) (Digest, error) {
 	if bandRows <= 0 {
 		bandRows = 64
 	}
 	n := t.Len()
-	d := Digest{N: n, BandRows: bandRows}
-	whole := crc32.New(castagnoli)
-	buf := make([]byte, 8)
 	var e E
 	width := tableio.ElemWidth(e)
+	d := Digest{N: n, BandRows: bandRows, Bands: make([]uint32, 0, (n+bandRows-1)/bandRows)}
 	for lo := 0; lo < n; lo += bandRows {
-		hi := lo + bandRows
-		if hi > n {
-			hi = n
-		}
-		band := crc32.New(castagnoli)
-		for i := lo; i < hi; i++ {
-			for j := i; j < n; j++ {
-				v, err := t.At(i, j)
-				if err != nil {
-					return Digest{}, err
-				}
-				tableio.PutElem(buf, v)
-				band.Write(buf[:width])
-				whole.Write(buf[:width])
+		var band uint32
+		cells := 0
+		for i := lo; i < min(lo+bandRows, n); i++ {
+			row, err := t.Row(i)
+			if err != nil {
+				return Digest{}, err
 			}
+			band = resilience.UpdateCRC(band, row)
+			cells += len(row)
 		}
-		d.Bands = append(d.Bands, band.Sum32())
+		d.Bands = append(d.Bands, band)
+		d.Whole = resilience.CombineCRC(d.Whole, band, width*cells)
 	}
-	d.Whole = whole.Sum32()
 	return d, nil
 }
 
@@ -110,10 +108,11 @@ func ResidualSpotCheck[E cellnpdp.Elem](t *cellnpdp.Table[E], samples int, seed 
 	for s := 0; s < samples; s++ {
 		i := rng.Intn(n)
 		j := i + rng.Intn(n-i)
-		v, err := t.At(i, j)
+		ri, err := t.Row(i)
 		if err != nil {
 			return checked, err
 		}
+		v := ri[j-i]
 		if v != v { // NaN never leaves a healthy engine
 			return checked, fmt.Errorf("serve: residual check: d[%d][%d] is NaN", i, j)
 		}
@@ -125,15 +124,11 @@ func ResidualSpotCheck[E cellnpdp.Elem](t *cellnpdp.Table[E], samples int, seed 
 			continue
 		}
 		for k := i + 1; k < j; k++ {
-			a, err := t.At(i, k)
+			rk, err := t.Row(k)
 			if err != nil {
 				return checked, err
 			}
-			b, err := t.At(k, j)
-			if err != nil {
-				return checked, err
-			}
-			if w := a + b; w < v {
+			if w := ri[k-i] + rk[j-k]; w < v {
 				return checked, fmt.Errorf("serve: residual check: d[%d][%d] = %v exceeds d[%d][%d]+d[%d][%d] = %v — not a min-plus fixed point",
 					i, j, v, i, k, k, j, w)
 			}

@@ -1,24 +1,35 @@
 package serve
 
 import (
+	"fmt"
+	"hash/crc32"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"cellnpdp"
+	"cellnpdp/internal/tableio"
 	"cellnpdp/internal/workload"
 )
 
 // solvedTable returns a solved chain instance for integrity tests.
 func solvedTable(t *testing.T, n int) *cellnpdp.Table[float32] {
 	t.Helper()
-	src := workload.Chain[float32](n, 7)
-	tbl, err := cellnpdp.NewTable[float32](n)
+	return solvedChain[float32](t, n, 7)
+}
+
+// solvedChain returns the serial solve of the seeded chain instance at
+// width E.
+func solvedChain[E cellnpdp.Elem](t *testing.T, n int, seed int64) *cellnpdp.Table[E] {
+	t.Helper()
+	tbl, err := cellnpdp.NewTable[E](n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i+1 < n; i++ {
-		if err := tbl.Set(i, i+1, src.At(i, i+1)); err != nil {
+	for i, v := range workload.ChainSuperdiagonal[E](n, seed) {
+		if err := tbl.Set(i, i+1, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -26,6 +37,120 @@ func solvedTable(t *testing.T, n int) *cellnpdp.Table[float32] {
 		t.Fatal(err)
 	}
 	return tbl
+}
+
+// perCellDigest is the digest as a CRC32C over one cell at a time, read
+// through At: the definition DigestTable's row-at-a-time codec must
+// reproduce byte for byte.
+func perCellDigest[E cellnpdp.Elem](t *testing.T, tbl *cellnpdp.Table[E], bandRows int) Digest {
+	t.Helper()
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	n := tbl.Len()
+	d := Digest{N: n, BandRows: bandRows}
+	whole := crc32.New(castagnoli)
+	buf := make([]byte, 8)
+	var e E
+	width := tableio.ElemWidth(e)
+	for lo := 0; lo < n; lo += bandRows {
+		band := crc32.New(castagnoli)
+		for i := lo; i < min(lo+bandRows, n); i++ {
+			for j := i; j < n; j++ {
+				v, err := tbl.At(i, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tableio.PutElem(buf, v)
+				band.Write(buf[:width])
+				whole.Write(buf[:width])
+			}
+		}
+		d.Bands = append(d.Bands, band.Sum32())
+	}
+	d.Whole = whole.Sum32()
+	return d
+}
+
+func requireDigest(t *testing.T, name string, got, want Digest) {
+	t.Helper()
+	if got.N != want.N || got.BandRows != want.BandRows || got.Whole != want.Whole || !slices.Equal(got.Bands, want.Bands) {
+		t.Fatalf("%s: digest n=%d band=%d bands=%#08x whole=%#08x, want n=%d band=%d bands=%#08x whole=%#08x",
+			name, got.N, got.BandRows, got.Bands, got.Whole, want.N, want.BandRows, want.Bands, want.Whole)
+	}
+}
+
+// The digest is on the wire (clients verify the response's crc32c), so
+// its values are pinned: these are the per-cell digest's values for the
+// seed-7 chain instances, at both widths.
+func TestDigestKnownAnswers(t *testing.T) {
+	for _, c := range []struct {
+		n, band int
+		f32     []uint32
+		whole32 uint32
+		f64     []uint32
+		whole64 uint32
+	}{
+		{2, 0, []uint32{0x422c3c59}, 0x422c3c59, []uint32{0xd85a0957}, 0xd85a0957},
+		{3, 1, []uint32{0x934e84b2, 0x65f37cc9, 0x48674bc7}, 0x7e878d7c,
+			[]uint32{0x94f52ef4, 0xdc24dff9, 0x8c28b28a}, 0x1884addc},
+		{100, 16, []uint32{0xfc294614, 0x2e42f70c, 0xb6a65d78, 0xe5c3c991, 0x262d75ed, 0xbaaab7b6, 0x078624ad}, 0x4b48f984,
+			[]uint32{0x9792c918, 0xc01b087b, 0x105e6806, 0x23f8a333, 0x04c347dc, 0x54886393, 0xe8e3eef6}, 0xf40d7e39},
+		{257, 64, []uint32{0x2ac2e248, 0xa535d53e, 0xb6c2b785, 0x17310898, 0x48674bc7}, 0x74538b3f,
+			[]uint32{0x7cc903c4, 0xc909b2f9, 0x2934acfa, 0xfafe97ab, 0x8c28b28a}, 0x07bd11fc},
+	} {
+		band := c.band
+		if band == 0 {
+			band = 64
+		}
+		d32, err := DigestTable(solvedChain[float32](t, c.n, 7), c.band)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireDigest(t, fmt.Sprintf("float32 n=%d", c.n), d32, Digest{N: c.n, BandRows: band, Bands: c.f32, Whole: c.whole32})
+		d64, err := DigestTable(solvedChain[float64](t, c.n, 7), c.band)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireDigest(t, fmt.Sprintf("float64 n=%d", c.n), d64, Digest{N: c.n, BandRows: band, Bands: c.f64, Whole: c.whole64})
+	}
+}
+
+// DigestTable against the per-cell definition over every band edge case
+// (one-row bands, bands that do not divide n, one band wider than the
+// table) on arbitrary cell values: ±0, NaN and ±Inf included.
+func TestDigestMatchesPerCell(t *testing.T) {
+	for _, n := range []int{2, 3, 63, 64, 65, 257} {
+		for _, band := range []int{1, 7, 64, n + 5} {
+			digestMatchesPerCell[float32](t, n, band)
+			digestMatchesPerCell[float64](t, n, band)
+		}
+	}
+}
+
+func digestMatchesPerCell[E cellnpdp.Elem](t *testing.T, n, band int) {
+	t.Helper()
+	tbl, err := cellnpdp.NewTable[E](n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(n*1000 + band)))
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := E(rng.NormFloat64() * 1e3)
+			if rng.Intn(8) == 0 {
+				v = E(specials[rng.Intn(len(specials))])
+			}
+			if err := tbl.Set(i, j, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, err := DigestTable(tbl, band)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e E
+	requireDigest(t, fmt.Sprintf("%T n=%d band=%d", e, n, band), got, perCellDigest(t, tbl, band))
 }
 
 func TestDigestRoundTrip(t *testing.T) {

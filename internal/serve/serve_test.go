@@ -106,6 +106,34 @@ func TestSolveDoublePrecision(t *testing.T) {
 	}
 }
 
+// The response's crc32c is what clients verify, so it is pinned at both
+// precisions to the per-cell digest's values for the seed-3 chain
+// instances.
+func TestSolveResponseCRCKnownAnswers(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, c := range []struct {
+		precision string
+		n, bands  int
+		crc       string
+	}{
+		{"single", 64, 1, "80d6f752"},
+		{"single", 200, 4, "59dbb673"},
+		{"double", 64, 1, "0350fa75"},
+		{"double", 200, 4, "43484267"},
+	} {
+		resp, body := post(t, ts, SolveRequest{N: c.n, Precision: c.precision, Seed: 3})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s n=%d: status = %d, body %s", c.precision, c.n, resp.StatusCode, body)
+		}
+		if sr := decodeSolve(t, body); sr.Integrity.CRC32C != c.crc || sr.Integrity.Bands != c.bands {
+			t.Fatalf("%s n=%d: crc32c %s over %d bands, want %s over %d", c.precision, c.n,
+				sr.Integrity.CRC32C, sr.Integrity.Bands, c.crc, c.bands)
+		}
+	}
+}
+
 func TestSolveBadRequests(t *testing.T) {
 	s := New(Config{MaxN: 512})
 	ts := httptest.NewServer(s.Handler())

@@ -256,15 +256,14 @@ func solveOne[E cellnpdp.Elem](s *Server, w http.ResponseWriter, ctx context.Con
 		// Build the seeded instance fresh each attempt: diagonal zero,
 		// superdiagonal from the chain workload, everything else at
 		// infinity. A retry must not reuse a possibly-corrupted table.
-		src := workload.Chain[E](req.N, req.Seed)
 		var err error
 		t, err = cellnpdp.NewTable[E](req.N)
 		if err != nil {
 			s.reject(w, http.StatusInternalServerError, 0, "allocating table: %v", err)
 			return
 		}
-		for i := 0; i+1 < req.N; i++ {
-			if err := t.Set(i, i+1, src.At(i, i+1)); err != nil {
+		for i, v := range workload.ChainSuperdiagonal[E](req.N, req.Seed) {
+			if err := t.Set(i, i+1, v); err != nil {
 				s.reject(w, http.StatusInternalServerError, 0, "building instance: %v", err)
 				return
 			}

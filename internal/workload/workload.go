@@ -17,15 +17,28 @@ import (
 // from [1, 100), every other cell at infinity. The recurrence then builds
 // all longer spans from adjacent ones, touching every dependence class.
 func Chain[E semiring.Elem](n int, seed int64) *tri.RowMajor[E] {
-	rng := rand.New(rand.NewSource(seed))
 	m := tri.NewRowMajor[E](n)
 	for i := 0; i < n; i++ {
 		m.Set(i, i, 0)
-		if i+1 < n {
-			m.Set(i, i+1, E(1+rng.Float64()*99))
-		}
+	}
+	for i, v := range ChainSuperdiagonal[E](n, seed) {
+		m.Set(i, i+1, v)
 	}
 	return m
+}
+
+// ChainSuperdiagonal returns the only cells of Chain(n, seed) that are
+// neither 0 nor infinity: element i is d[i][i+1]. A caller that builds
+// the instance in its own table (the serving layer) starts from this
+// instead of a throwaway n-point Chain table; Chain is built on it, so
+// the instance has one definition.
+func ChainSuperdiagonal[E semiring.Elem](n int, seed int64) []E {
+	rng := rand.New(rand.NewSource(seed))
+	sup := make([]E, max(n-1, 0))
+	for i := range sup {
+		sup[i] = E(1 + rng.Float64()*99)
+	}
+	return sup
 }
 
 // Dense returns an n-point instance with every upper-triangle cell

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -27,6 +28,30 @@ func TestChainDeterministic(t *testing.T) {
 	}
 	if !diff {
 		t.Error("different seeds produced identical instances")
+	}
+}
+
+// ChainSuperdiagonal is Chain's superdiagonal at both widths, and both
+// draw d[i][i+1] = 1 + 99·Float64() in ascending i from one source.
+func TestChainSuperdiagonalMatchesChain(t *testing.T) {
+	superdiagonalMatchesChain[float32](t)
+	superdiagonalMatchesChain[float64](t)
+}
+
+func superdiagonalMatchesChain[E semiring.Elem](t *testing.T) {
+	t.Helper()
+	for _, n := range []int{1, 2, 3, 100} {
+		sup := ChainSuperdiagonal[E](n, 11)
+		if len(sup) != n-1 {
+			t.Fatalf("n=%d: %d superdiagonal cells, want %d", n, len(sup), n-1)
+		}
+		m := Chain[E](n, 11)
+		rng := rand.New(rand.NewSource(11))
+		for i, v := range sup {
+			if want := E(1 + rng.Float64()*99); v != want || m.At(i, i+1) != v {
+				t.Fatalf("n=%d: d[%d][%d]: superdiagonal %v, Chain %v, draw %v", n, i, i+1, v, m.At(i, i+1), want)
+			}
+		}
 	}
 }
 

@@ -8,8 +8,8 @@
 # fault-injection solves proving
 # the resilience layer end to end: 5% loud faults healed through
 # retries, and 5% silent corruption caught by the block seals and
-# healed bit-identically (fallback disabled in both so recovery can't
-# mask a bug), plus a cluster chaos smoke that SIGKILLs a worker
+# healed bit-identically at single and double precision (fallback
+# disabled in both so recovery can't mask a bug), plus a cluster chaos smoke that SIGKILLs a worker
 # mid-wavefront while corrupting boundary blocks and demands a
 # bit-identical finish — once in memory, once with the coordinator's
 # table paged through a spill file — a coordinator-kill failover smoke that
@@ -143,10 +143,11 @@ go run ./cmd/cellnpdp -n 300 -engine parallel -timeout 30m \
 echo "== fuzz smoke: kernel equivalence (20s)"
 # Every selectable min-plus kernel (panel, vector asm, forced fallback,
 # CB-step) against the scalar reference on arbitrary tiles with ±Inf
-# sentinels, plus stage 2 (the vector strips, the forced fallback and
-# float64) on CB-aligned tiles, with a flag that scatters ±0 and NaN so
-# a reordered term shows as a flipped zero sign; comparison is
-# bit-exact.
+# sentinels, plus stage 2 (the vector strips and the forced fallback)
+# on CB-aligned tiles, at both widths — each width draws its own
+# values, so float64 runs its own dispatchers on full-mantissa inputs —
+# with a flag that scatters ±0 and NaN so a reordered term shows as a
+# flipped zero sign; comparison is bit-exact.
 go test -run='^$' -fuzz FuzzKernelEquivalence -fuzztime 20s ./internal/kernel
 
 echo "== fuzz smoke: seal codec (20s)"
@@ -160,17 +161,27 @@ echo "== fuzz smoke: cell codec (20s)"
 # same bytes, equal to the per-cell element stream, at both widths.
 go test -run='^$' -fuzz FuzzCellCodec -fuzztime 20s ./internal/tableio
 
-echo "== smoke: self-healing solve (5% silent corruption, bit-identical to serial)"
+echo "== smoke: self-healing solve (5% silent corruption, bit-identical to serial; single and double)"
 # Inject silent bit flips (no error return — only the block seals can
 # catch them), heal with fallback disabled so the poisoned-cone path is
 # what's proven, and demand bit-identical output to the serial engine.
-# Run under the race detector: sealing and auditing race the pool.
+# Run under the race detector: sealing and auditing race the pool. The
+# double arm runs the float64 kernels (the 4×f64 AVX2 panel and strips
+# on AVX2 hosts). The grep proves a heal fired in each arm — a run that
+# corrupted nothing would pass vacuously.
 healref="$(mktemp)"
-trap 'rm -f "${healref}"' EXIT
-go run ./cmd/cellnpdp -n 300 -engine serial -save "${healref}"
-go run -race ./cmd/cellnpdp -n 300 -engine parallel -timeout 30m \
-    -faultkinds corrupt -faultrate 0.05 -faultseed 7 \
-    -heal -fallback=false -check "${healref}"
+heallog="$(mktemp)"
+trap 'rm -f "${healref}" "${heallog}"' EXIT
+for prec in single double; do
+    go run ./cmd/cellnpdp -n 300 -prec "${prec}" -engine serial -save "${healref}"
+    go run -race ./cmd/cellnpdp -n 300 -prec "${prec}" -engine parallel -timeout 30m \
+        -faultkinds corrupt -faultrate 0.05 -faultseed 7 \
+        -heal -fallback=false -check "${healref}" 2>&1 | tee "${heallog}"
+    if ! grep -qE "^detected [1-9][0-9]* corrupt blocks; [1-9][0-9]* heal rounds" "${heallog}"; then
+        echo "self-healing smoke (${prec}): no heal fired" >&2
+        exit 1
+    fi
+done
 
 echo "== fuzz smoke: spill index codec (20s)"
 # Same discipline for the NPSX spill index: truncated, bit-flipped or
@@ -190,7 +201,7 @@ echo "== smoke: out-of-core disk faults (torn writes healed + ENOSPC degraded, v
 # filled up would pass vacuously.
 ooc_ref="$(mktemp)"
 ooc_log="$(mktemp)"
-trap 'rm -f "${healref}" "${ooc_ref}" "${ooc_log}"' EXIT
+trap 'rm -f "${healref}" "${heallog}" "${ooc_ref}" "${ooc_log}"' EXIT
 go run ./cmd/cellnpdp -n 400 -engine serial -save "${ooc_ref}"
 go run -race ./cmd/cellnpdp -n 400 -engine parallel -workers 2 \
     -block 1024 -memory-budget 16384 -timeout 10m \
@@ -224,7 +235,7 @@ echo "== smoke: cluster chaos (3 workers, seeded SIGKILL + silent corruption, he
 # nothing spilled would pass vacuously.
 cluster_log="$(mktemp)"
 cluster_spill="$(mktemp)"
-trap 'rm -f "${healref}" "${ooc_ref}" "${ooc_log}" "${cluster_log}" "${cluster_spill}"' EXIT
+trap 'rm -f "${healref}" "${heallog}" "${ooc_ref}" "${ooc_log}" "${cluster_log}" "${cluster_spill}"' EXIT
 for arm in memory paged; do
     paged_args=()
     if [[ "${arm}" == paged ]]; then
@@ -264,7 +275,7 @@ echo "== smoke: coordinator-kill failover (warm standby, SIGKILL primary mid-wav
 # prove the takeover actually happened — failover that never fired
 # would pass vacuously.
 failover_log="$(mktemp)"
-trap 'rm -f "${healref}" "${ooc_ref}" "${ooc_log}" "${cluster_log}" "${failover_log}"' EXIT
+trap 'rm -f "${healref}" "${heallog}" "${ooc_ref}" "${ooc_log}" "${cluster_log}" "${cluster_spill}" "${failover_log}"' EXIT
 go run -race ./cmd/cellnpdp cluster -n 1536 -cluster-workers 3 \
     -chaos-kill-coordinator -heartbeat 25ms -deadline 500ms -lease 1s \
     -verify -timeout 10m 2>&1 | tee "${failover_log}"

@@ -13,7 +13,6 @@ import (
 	"cellnpdp/internal/cellsim"
 	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/npdp"
-	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/pipeline"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/simd"
@@ -547,12 +546,10 @@ func BenchmarkGraphBuild_Full(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLockfree isolates the scheduler rebuild: the same
-// dependence graph driven through the lock-free RunPool (atomic
-// dependence counters, no mutex on the completion path) versus the seed's
-// mutex-guarded RunPoolLocked, with trivial task bodies so dispatch
-// overhead dominates.
-func benchPoolDispatch(b *testing.B, run func(*sched.Graph, int, func(int, sched.Task) error) error) {
+// BenchmarkPoolDispatch measures the lock-free pool's dispatch
+// throughput (atomic dependence counters, no mutex on the completion
+// path) with trivial task bodies, so dispatch overhead dominates.
+func BenchmarkPoolDispatch(b *testing.B) {
 	g, err := sched.NewGraph(96, 1) // 4656 tiny tasks
 	if err != nil {
 		b.Fatal(err)
@@ -561,15 +558,12 @@ func benchPoolDispatch(b *testing.B, run func(*sched.Graph, int, func(int, sched
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := run(g, workers, func(int, sched.Task) error { return nil }); err != nil {
+		if err := sched.RunPool(g, workers, func(int, sched.Task) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(len(g.Tasks)*b.N)/b.Elapsed().Seconds(), "tasks/s")
 }
-
-func BenchmarkAblationLockfree_LockFree(b *testing.B) { benchPoolDispatch(b, sched.RunPool) }
-func BenchmarkAblationLockfree_Mutex(b *testing.B)    { benchPoolDispatch(b, sched.RunPoolLocked) }
 
 // BenchmarkAblationPanel isolates the stage-1 kernel rebuild on one
 // paper-sized memory-block product: the register-blocked 4×t panel kernel
@@ -596,29 +590,6 @@ func benchStage1(b *testing.B, mul func(c, a, bb []float32, t int) kernel.Stats)
 func BenchmarkAblationPanel_Panel(b *testing.B)   { benchStage1(b, kernel.PanelMinPlusF32) }
 func BenchmarkAblationPanel_Generic(b *testing.B) { benchStage1(b, kernel.PanelMinPlus[float32]) }
 func BenchmarkAblationPanel_CBStep(b *testing.B)  { benchStage1(b, kernel.MulMinPlus[float32]) }
-
-// BenchmarkAblationEngine runs the whole parallel engine at the Fig-10b
-// scale in the seed configuration (mutex pool + CB-step stage 1) and the
-// PR-1 configuration (lock-free pool + panel stage 1); the workers sweep
-// at n=2048 lives in the bench/ module.
-func benchEngineConfig(b *testing.B, opts npdp.ParallelOptions) {
-	src := workload.Chain[float32](1024, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tt := tri.ToTiled(src, 88)
-		if _, err := npdp.SolveParallel(tt, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationEngine_Seed(b *testing.B) {
-	benchEngineConfig(b, npdp.ParallelOptions{Workers: 8, MutexPool: true, Stage1: perfmodel.KernelScalar})
-}
-
-func BenchmarkAblationEngine_PR1(b *testing.B) {
-	benchEngineConfig(b, npdp.ParallelOptions{Workers: 8})
-}
 
 // BenchmarkAblationWavefront compares the paper's task-queue parallel
 // procedure against the prior work's barrier-synchronized wavefront.

@@ -123,54 +123,6 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzSealTable checks the block-seal codec on arbitrary bytes: a
-// truncated, bit-flipped, or record-reordered seal stream must never
-// verify — the reader either rejects it or decodes a table whose
-// re-encoding is byte-identical canonical form. Either way it must not
-// panic.
-func FuzzSealTable(f *testing.F) {
-	st := resilience.NewSealTable(12)
-	st.Seal(0, 0xdeadbeef)
-	st.Seal(5, 0)
-	st.Seal(11, 0x12345678)
-	var buf bytes.Buffer
-	if err := st.WriteSeals(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(append([]byte(nil), valid[:len(valid)-3]...)) // truncated checksum
-	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)/2] ^= 0x10
-	f.Add(flipped)
-	reordered := append([]byte(nil), valid...)
-	if len(reordered) > 30 {
-		// Swap the first two 8-byte records.
-		for i := 14; i < 22; i++ {
-			reordered[i], reordered[i+8] = reordered[i+8], reordered[i]
-		}
-	}
-	f.Add(reordered)
-	f.Add([]byte("NPSLgarbage"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := resilience.ReadSeals(bytes.NewReader(data))
-		if err != nil {
-			return // rejection is fine; panics are not
-		}
-		// Anything accepted must re-encode to exactly the bytes read:
-		// the format is canonical, so two distinct byte streams can
-		// never decode to the same seal set.
-		var out bytes.Buffer
-		if err := got.WriteSeals(&out); err != nil {
-			t.Fatalf("re-encoding accepted seals failed: %v", err)
-		}
-		if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
-			t.Fatal("accepted seal stream did not round-trip canonically")
-		}
-	})
-}
-
 // FuzzFoldRNA checks the folding pipeline end to end on arbitrary ASCII:
 // parse errors are fine, but accepted sequences must fold, trace back and
 // validate.

@@ -9,19 +9,19 @@ import (
 )
 
 func bareStmt() {
-	resilience.WriteSeals() // want `WriteSeals's error discarded`
+	resilience.SaveCheckpointFile() // want `SaveCheckpointFile's error discarded`
 }
 
 func inGo() {
-	go resilience.WriteSeals() // want `discarded by go statement`
+	go resilience.SaveCheckpointFile() // want `discarded by go statement`
 }
 
 func inDefer() {
-	defer resilience.WriteSeals() // want `discarded by defer`
+	defer resilience.SaveCheckpointFile() // want `discarded by defer`
 }
 
 func blank() {
-	_ = resilience.WriteSeals() // want `WriteSeals's error assigned to _`
+	_ = resilience.SaveCheckpointFile() // want `SaveCheckpointFile's error assigned to _`
 }
 
 func blankTuple(buf []byte) int {
@@ -30,16 +30,16 @@ func blankTuple(buf []byte) int {
 }
 
 func checkedDropped() bool {
-	err := resilience.WriteSeals() // want `nil-checked but never consumed`
+	err := resilience.SaveCheckpointFile() // want `nil-checked but never consumed`
 	return err == nil
 }
 
 func propagated() error {
-	return resilience.WriteSeals() // ok: caller receives it
+	return resilience.SaveCheckpointFile() // ok: caller receives it
 }
 
 func wrapped() error {
-	if err := resilience.WriteSeals(); err != nil {
+	if err := resilience.SaveCheckpointFile(); err != nil {
 		return err // ok: consumed by return
 	}
 	return nil
@@ -48,7 +48,7 @@ func wrapped() error {
 func record(err error) {}
 
 func consumedByCall() {
-	err := resilience.WriteSeals()
+	err := resilience.SaveCheckpointFile()
 	if err != nil {
 		record(err) // ok: consumed by a call
 	}

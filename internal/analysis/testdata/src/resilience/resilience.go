@@ -21,8 +21,9 @@ type PanicError struct{ TaskID int }
 
 func (e *PanicError) Error() string { return "panic" }
 
-// WriteSeals seals blocks; the error is the only corruption record.
-func WriteSeals() error { return errors.New("seal") }
+// SaveCheckpointFile writes a snapshot; the error is the only record
+// that it was lost.
+func SaveCheckpointFile() error { return errors.New("checkpoint") }
 
 // Audit returns corruption evidence directly.
 func Audit() *CorruptionError { return nil }

@@ -18,7 +18,6 @@ package baseline
 import (
 	"fmt"
 
-	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tri"
@@ -91,15 +90,4 @@ func solveBlock[E semiring.Elem](m *tri.RowMajor[E], rowLo, colLo, tile int) int
 		}
 	}
 	return relax
-}
-
-// DefaultTile returns a block side sized to the paper's 32 KB working-set
-// target for the given element width, matching npdp.DefaultTile's budget
-// so comparisons tile equally.
-func DefaultTile(blockBytes, elemBytes int) int {
-	side := kernel.CB
-	for (side+kernel.CB)*(side+kernel.CB)*elemBytes <= blockBytes {
-		side += kernel.CB
-	}
-	return side
 }

@@ -62,12 +62,3 @@ func TestTanRejectsBadOptions(t *testing.T) {
 		t.Error("0 tile accepted")
 	}
 }
-
-func TestDefaultTile(t *testing.T) {
-	if got := DefaultTile(32*1024, 4); got != 88 {
-		t.Errorf("DefaultTile(32K,4) = %d, want 88", got)
-	}
-	if got := DefaultTile(32*1024, 8); got != 64 {
-		t.Errorf("DefaultTile(32K,8) = %d, want 64", got)
-	}
-}

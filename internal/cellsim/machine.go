@@ -131,24 +131,19 @@ func (m *Machine) channelOf(spe int) int {
 	return ch
 }
 
-// transfer books a DMA of `bytes` bytes issued by SPE `spe` at virtual
-// time `issue` and returns its completion time: the channel serves the
-// bus bytes through the fluid bandwidth model, then the command pays the
-// unloaded DMA latency. Small transfers are dominated by the latency
-// term, which is what makes the row-major layout's per-row (and the
-// original algorithm's per-element) DMA slow (Sections III and VI-D).
-// transferHomed books a DMA whose data is homed on memory channel `home`.
-// Remote transfers (home differs from the SPE's chip) additionally cross
-// the inter-chip link; both resources book capacity and the slower one
-// determines completion.
-func (m *Machine) transferHomed(spe int, bytes int, home int, issue float64) float64 {
-	return m.transferBatch(spe, bytes, 1, home, issue)
-}
-
-// transferBatch books `commands` DMA commands moving `bytes` in total as
-// one capacity reservation — timing-equivalent to issuing them back to
-// back, in O(1). Scattered-row fetches (one command per row of a tiled
-// block) use it so paper-scale models stay cheap.
+// transferBatch books `commands` DMA commands moving `bytes` in total,
+// issued by SPE `spe` at virtual time `issue`, and returns their
+// completion time: the channel serves the bus bytes through the fluid
+// bandwidth model, then the commands pay the unloaded DMA latency. Small
+// transfers are dominated by the latency term, which is what makes the
+// row-major layout's per-row (and the original algorithm's per-element)
+// DMA slow (Sections III and VI-D). The data is homed on memory channel
+// `home` (out of range = the SPE's own chip); remote transfers
+// additionally cross the inter-chip link, both resources book capacity,
+// and the slower one determines completion. The commands are one
+// capacity reservation — timing-equivalent to issuing them back to
+// back, in O(1) — so scattered-row fetches (one command per row of a
+// tiled block) keep paper-scale models cheap.
 func (m *Machine) transferBatch(spe int, bytes, commands, home int, issue float64) float64 {
 	// Cell DMA moves quadword multiples; smaller requests still occupy a
 	// full 16-byte granule on the bus. The controller additionally spends
@@ -168,10 +163,6 @@ func (m *Machine) transferBatch(spe int, bytes, commands, home int, issue float6
 		}
 	}
 	return done + m.Config.DMALatency
-}
-
-func (m *Machine) transfer(spe int, bytes int, issue float64) float64 {
-	return m.transferHomed(spe, bytes, m.channelOf(spe), issue)
 }
 
 // Reset clears statistics and channel state, and resets every SPE clock

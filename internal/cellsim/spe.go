@@ -76,13 +76,9 @@ func (s *SPE) WaitAll() {
 	}
 }
 
-// bookDMA records a transfer on a tag group and in the machine stats.
-func (s *SPE) bookDMA(bytes int, tag int, get bool) {
-	s.bookDMAHomed(bytes, tag, get, -1)
-}
-
-// bookDMAHomed records a transfer whose main-memory data is homed on the
-// given memory channel (-1 = the SPE's own chip).
+// bookDMAHomed records a transfer on a tag group and in the machine
+// stats; its main-memory data is homed on the given memory channel
+// (-1 = the SPE's own chip).
 func (s *SPE) bookDMAHomed(bytes int, tag int, get bool, home int) {
 	s.bookDMABatch(bytes, 1, tag, get, home)
 }
@@ -179,8 +175,6 @@ func (s *SPE) GetTimed(bytes int, tag int) { s.bookDMAHomed(bytes, tag, true, -1
 // GetTimedHomed is GetTimed for data homed on the given channel.
 func (s *SPE) GetTimedHomed(bytes int, tag int, home int) { s.bookDMAHomed(bytes, tag, true, home) }
 
-// PutTimed books a DMA put of the given byte count without copying.
-func (s *SPE) PutTimed(bytes int, tag int) { s.bookDMAHomed(bytes, tag, false, -1) }
-
-// PutTimedHomed is PutTimed for data homed on the given channel.
+// PutTimedHomed books a DMA put of the given byte count, for data homed
+// on the given channel, without copying.
 func (s *SPE) PutTimedHomed(bytes int, tag int, home int) { s.bookDMAHomed(bytes, tag, false, home) }

@@ -486,77 +486,114 @@ func TestClusterFreshMismatchesDontExhaust(t *testing.T) {
 // TestClusterCheckpointResume interrupts a run mid-wavefront, then
 // resumes from the NPCK snapshot with fresh workers: the resumed run
 // pre-completes checkpointed tasks and still converges bit-identically.
-// A third run resumes the final checkpoint with no workers at all and
-// must finish instantly.
+// A cancelled run writes periodic snapshots every 3 accepts, or none
+// (CheckpointEvery 0); either way its final snapshot holds all 10 tasks
+// it accepted. A run killed through Die leaves no snapshot, as SIGKILL
+// would. A third run resumes the final checkpoint with no workers at all
+// and must finish instantly.
 func TestClusterCheckpointResume(t *testing.T) {
 	ref := serialRef(t)
-	ckpt := filepath.Join(t.TempDir(), "cluster.npck")
+	for _, c := range []struct {
+		name  string
+		every int
+		die   bool
+	}{
+		{"every=3", 3, false},
+		{"every=0", 0, false},
+		{"died", 0, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ckpt := filepath.Join(t.TempDir(), "cluster.npck")
 
-	// Run 1: cancel after 10 accepts; periodic snapshots every 3.
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	defer cancel1()
-	tbl1 := testTable(t)
-	var stats1 Stats
-	var once sync.Once
-	opts1 := testOptions(&stats1)
-	opts1.CheckpointPath = ckpt
-	opts1.CheckpointEvery = 3
-	opts1.OnTaskDone = func(completed int, _ sched.Task) {
-		if completed == 10 {
-			once.Do(func() { go cancel1() })
-		}
-	}
-	addr1, wait1 := startCoordinator(ctx1, t, tbl1, opts1)
-	var wg1 sync.WaitGroup
-	startWorker(ctx1, t, &wg1, addr1, WorkerOptions{Name: "w"})
-	if err := wait1(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
-	}
-	wg1.Wait()
-	if stats1.Checkpoints < 1 {
-		t.Fatalf("interrupted run wrote no checkpoints")
-	}
+			// Run 1: cancel (or kill) after 10 accepts.
+			ctx1, cancel1 := context.WithCancel(context.Background())
+			defer cancel1()
+			tbl1 := testTable(t)
+			var stats1 Stats
+			var once sync.Once
+			die := make(chan struct{})
+			opts1 := testOptions(&stats1)
+			opts1.CheckpointPath = ckpt
+			opts1.CheckpointEvery = c.every
+			if c.die {
+				opts1.Die = die
+			}
+			opts1.OnTaskDone = func(completed int, _ sched.Task) {
+				if completed == 10 {
+					once.Do(func() {
+						if c.die {
+							close(die)
+						} else {
+							go cancel1()
+						}
+					})
+				}
+			}
+			addr1, wait1 := startCoordinator(ctx1, t, tbl1, opts1)
+			var wg1 sync.WaitGroup
+			startWorker(ctx1, t, &wg1, addr1, WorkerOptions{Name: "w"})
+			err := wait1()
+			cancel1()
+			wg1.Wait()
+			want := context.Canceled
+			if c.die {
+				want = ErrDied
+			}
+			if !errors.Is(err, want) {
+				t.Fatalf("interrupted run returned %v, want %v", err, want)
+			}
+			if c.die && stats1.Checkpoints != 0 {
+				t.Fatalf("killed run wrote %d checkpoints, want none", stats1.Checkpoints)
+			}
+			if !c.die && stats1.Checkpoints < 1 {
+				t.Fatalf("interrupted run wrote no checkpoints")
+			}
 
-	// Run 2: resume and finish.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel2()
-	tbl2 := testTable(t)
-	var stats2 Stats
-	opts2 := testOptions(&stats2)
-	opts2.CheckpointPath = ckpt
-	opts2.Resume = true
-	opts2.Logf = t.Logf
-	addr2, wait2 := startCoordinator(ctx2, t, tbl2, opts2)
-	var wg2 sync.WaitGroup
-	startWorker(ctx2, t, &wg2, addr2, WorkerOptions{Name: "w"})
-	if err := wait2(); err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	cancel2()
-	wg2.Wait()
-	requireIdentical(t, ref, tbl2)
-	if stats2.Resumed < 3 {
-		t.Fatalf("resumed only %d tasks from a checkpoint holding at least one 3-task period", stats2.Resumed)
-	}
-	if stats2.Resumed+stats2.Accepted != stats2.Tasks {
-		t.Fatalf("resumed %d + accepted %d != %d tasks", stats2.Resumed, stats2.Accepted, stats2.Tasks)
-	}
+			// Run 2: resume and finish.
+			ctx2, cancel2 := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel2()
+			tbl2 := testTable(t)
+			var stats2 Stats
+			opts2 := testOptions(&stats2)
+			opts2.CheckpointPath = ckpt
+			opts2.Resume = true
+			opts2.Logf = t.Logf
+			addr2, wait2 := startCoordinator(ctx2, t, tbl2, opts2)
+			var wg2 sync.WaitGroup
+			startWorker(ctx2, t, &wg2, addr2, WorkerOptions{Name: "w"})
+			if err := wait2(); err != nil {
+				t.Fatalf("resumed run: %v", err)
+			}
+			cancel2()
+			wg2.Wait()
+			requireIdentical(t, ref, tbl2)
+			if c.die && stats2.Resumed != 0 {
+				t.Fatalf("resumed %d tasks after a kill that left no snapshot", stats2.Resumed)
+			}
+			if !c.die && stats2.Resumed < 10 {
+				t.Fatalf("resumed only %d tasks; the interrupted run accepted 10", stats2.Resumed)
+			}
+			if stats2.Resumed+stats2.Accepted != stats2.Tasks {
+				t.Fatalf("resumed %d + accepted %d != %d tasks", stats2.Resumed, stats2.Accepted, stats2.Tasks)
+			}
 
-	// Run 3: the final checkpoint covers everything; no workers needed.
-	ctx3, cancel3 := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel3()
-	tbl3 := testTable(t)
-	var stats3 Stats
-	opts3 := testOptions(&stats3)
-	opts3.CheckpointPath = ckpt
-	opts3.Resume = true
-	_, wait3 := startCoordinator(ctx3, t, tbl3, opts3)
-	if err := wait3(); err != nil {
-		t.Fatalf("fully-resumed run: %v", err)
-	}
-	requireIdentical(t, ref, tbl3)
-	if stats3.Resumed != stats3.Tasks || stats3.Dispatched != 0 {
-		t.Fatalf("full resume still dispatched work: resumed=%d/%d dispatched=%d", stats3.Resumed, stats3.Tasks, stats3.Dispatched)
+			// Run 3: the final checkpoint covers everything; no workers needed.
+			ctx3, cancel3 := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel3()
+			tbl3 := testTable(t)
+			var stats3 Stats
+			opts3 := testOptions(&stats3)
+			opts3.CheckpointPath = ckpt
+			opts3.Resume = true
+			_, wait3 := startCoordinator(ctx3, t, tbl3, opts3)
+			if err := wait3(); err != nil {
+				t.Fatalf("fully-resumed run: %v", err)
+			}
+			requireIdentical(t, ref, tbl3)
+			if stats3.Resumed != stats3.Tasks || stats3.Dispatched != 0 {
+				t.Fatalf("full resume still dispatched work: resumed=%d/%d dispatched=%d", stats3.Resumed, stats3.Tasks, stats3.Dispatched)
+			}
+		})
 	}
 }
 

@@ -136,9 +136,6 @@ type Options struct {
 	// standby at that address (see RunStandby); the replication link is
 	// best-effort and never blocks or fails the solve.
 	ReplicaAddr string
-	// ReplicaDial overrides the replication connection factory (tests
-	// inject proxies); nil means a plain TCP dial of ReplicaAddr.
-	ReplicaDial func(ctx context.Context) (net.Conn, error)
 	// Die, when non-nil, kills the event loop the instant it is
 	// closed: run returns ErrDied with no fail broadcast, no final
 	// checkpoint, and no replication farewell — the in-process analogue
@@ -211,28 +208,6 @@ type Stats struct {
 	// counters when the run used a paged authoritative table (SpillPath
 	// set); nil otherwise.
 	PagerStats *pager.Stats
-}
-
-// Health renders the counters in the shape serve.Config.ClusterHealth
-// expects, keyed to match the /healthz "cluster" object. It reads a
-// snapshot, so call it on a Stats copy taken after the run (or on one
-// the caller synchronizes itself).
-func (s *Stats) Health() map[string]any {
-	return map[string]any{
-		"tasks":           s.Tasks,
-		"accepted":        s.Accepted,
-		"dispatched":      s.Dispatched,
-		"worker_deaths":   s.WorkerDeaths,
-		"redispatched":    s.Redispatched,
-		"stale_results":   s.StaleResults,
-		"seal_mismatches": s.SealMismatches,
-		"heal_rounds":     s.HealRounds,
-		"epoch":           s.Epoch,
-		"fenced_writes":   s.FencedWrites,
-		"failovers":       s.Failovers,
-		"repl_records":    s.ReplRecords,
-		"repl_resyncs":    s.ReplResyncs,
-	}
 }
 
 // errHalted answers a pool request the current wave gave up on; it ends
@@ -477,7 +452,7 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	}
 
 	go co.acceptLoop(ln)
-	if opts.ReplicaAddr != "" || opts.ReplicaDial != nil {
+	if opts.ReplicaAddr != "" {
 		co.replPullC = make(chan replPull)
 		co.writers.Add(1)
 		go co.runReplicator(ctx)
@@ -559,8 +534,17 @@ func newCoordinator[E semiring.Elem](t *tri.Tiled[E], g *sched.Graph, opts Optio
 // run is the single-goroutine event loop; every piece of solve state is
 // confined to it. It runs waves until the ladder's Step, between waves,
 // reports the solve done or failed; a heal's demoted cone runs in the
-// next wave.
-func (co *coordinator[E]) run(ctx context.Context, finalize func() error) error {
+// next wave. With a CheckpointPath the final snapshot is written however
+// the run ends — done, failed or cancelled — except on ErrDied, which
+// must leave only what a SIGKILL leaves.
+func (co *coordinator[E]) run(ctx context.Context, finalize func() error) (err error) {
+	if co.opts.CheckpointPath != "" {
+		defer func() {
+			if !errors.Is(err, ErrDied) {
+				co.writeCheckpoint()
+			}
+		}()
+	}
 	ticker := time.NewTicker(co.opts.HeartbeatEvery)
 	defer ticker.Stop()
 	for {
@@ -578,9 +562,6 @@ func (co *coordinator[E]) run(ctx context.Context, finalize func() error) error 
 			return err
 		}
 		if ids == nil {
-			if co.opts.CheckpointPath != "" {
-				co.writeCheckpoint()
-			}
 			for sess := range co.sessions {
 				co.send(sess, frameDone, nil)
 			}
@@ -1345,20 +1326,10 @@ func (co *coordinator[E]) maybeCheckpoint() {
 	co.writeCheckpoint()
 }
 
+// writeCheckpoint writes an NPCK snapshot through the ladder's verified
+// writer (npdp.Ladder.SaveCheckpoint), the one the executor uses.
 func (co *coordinator[E]) writeCheckpoint() {
-	var e E
-	meta := resilience.Meta{
-		N: co.t.Len(), Tile: co.t.Tile(), SchedSide: co.opts.SchedSide,
-		Tasks: len(co.g.Tasks), ElemBytes: tableio.ElemWidth(e),
-	}
-	done := npdp.Completed(co.store, co.g)
-	var blocks [][2]int
-	for _, task := range co.g.Tasks {
-		if done[task.ID] {
-			blocks = append(blocks, task.MemoryBlockOrder()...)
-		}
-	}
-	if err := resilience.SaveCheckpointFile(co.opts.CheckpointPath, meta, done, co.t, blocks); err != nil {
+	if err := co.ladder.SaveCheckpoint(co.opts.CheckpointPath, co.t); err != nil {
 		co.stats.CheckpointErrors++
 		co.opts.Logf("cluster: checkpoint write failed: %v", err)
 		return

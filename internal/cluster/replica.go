@@ -53,21 +53,14 @@ func (co *coordinator[E]) runReplicator(ctx context.Context) {
 		<-co.stop
 		cancel()
 	}()
-	dial := co.opts.ReplicaDial
-	if dial == nil {
-		addr := co.opts.ReplicaAddr
-		dial = func(ctx context.Context) (net.Conn, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addr)
-		}
-	}
+	var d net.Dialer
 	backoff := resilience.RetryPolicy{BaseDelay: 100 * time.Millisecond, Jitter: true}
 	attempt := 0
 	for {
 		if co.stopped() {
 			return // never connected at shutdown: the standby's lease decides
 		}
-		conn, err := dial(rctx)
+		conn, err := d.DialContext(rctx, "tcp", co.opts.ReplicaAddr)
 		if err != nil {
 			attempt++
 			if attempt == 1 || attempt%8 == 0 {

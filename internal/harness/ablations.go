@@ -161,24 +161,6 @@ func Ablations(cfg Config) (*stats.Table, error) {
 	t.AddRow("register-blocked panel stage-1 kernel (measured, 1 core)",
 		stats.Seconds(tPanel), stats.Seconds(tCBStep), stats.Ratio(tCBStep/tPanel))
 
-	// 9. Lock-free task completion vs the mutex-guarded pool (measured,
-	// small tiles so dispatch overhead is visible next to kernel time).
-	t9a := tri.ToTiled(src, 16)
-	tLockfree := timeIt(func() {
-		_, err = npdp.SolveParallel(t9a, npdp.ParallelOptions{Workers: cfg.workers()})
-	})
-	if err != nil {
-		return nil, err
-	}
-	t9b := tri.ToTiled(src, 16)
-	tMutex := timeIt(func() {
-		_, err = npdp.SolveParallel(t9b, npdp.ParallelOptions{Workers: cfg.workers(), MutexPool: true})
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow(fmt.Sprintf("lock-free task completion (measured, %d cores, tile 16)", cfg.workers()),
-		stats.Seconds(tLockfree), stats.Seconds(tMutex), stats.Ratio(tMutex/tLockfree))
 	t.AddNote("'effect' is without/with — how much the design choice buys; values < 1.0x mean the simplification costs a little and buys scheduling-state size instead")
 	return t, nil
 }

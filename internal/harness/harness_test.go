@@ -236,8 +236,8 @@ func TestAblationsShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 9 {
-		t.Fatalf("ablations rows = %d, want 9 (7 seed + panel kernel + lock-free pool)", len(tbl.Rows))
+	if len(tbl.Rows) != 8 {
+		t.Fatalf("ablations rows = %d, want 8 (7 seed + panel kernel)", len(tbl.Rows))
 	}
 	// The modeled rows must show genuine benefits.
 	for _, row := range tbl.Rows {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"cellnpdp"
 	"cellnpdp/internal/npdp"
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/stats"
@@ -63,7 +64,9 @@ func Resilience(cfg Config) (*stats.Table, error) {
 	}
 
 	// Kill-and-resume through the checkpoint codec: unretried faults kill
-	// the run, a second run resumes the survivors and must still match.
+	// the run, and a second run resumes the survivors through the public
+	// ResumePath (ApplyCheckpoint into a MemStore, then SolveStoreCtx) and
+	// must still match.
 	dir, err := os.MkdirTemp("", "cellnpdp-resilience")
 	if err != nil {
 		return nil, err
@@ -79,33 +82,38 @@ func Resilience(cfg Config) (*stats.Table, error) {
 	}); err == nil {
 		return nil, fmt.Errorf("kill run survived rate-0.4 unretried faults")
 	}
-	snap, err := resilience.LoadCheckpointFile[float32](ck)
+	resumed, err := cellnpdp.NewTable[float32](n)
 	if err != nil {
 		return nil, err
 	}
-	resumedSrc := cfg.chainF32(n)
-	resumed := tri.ToTiled(resumedSrc, tile)
-	if err := snap.Apply(resumed); err != nil {
-		return nil, err
+	src := cfg.chainF32(n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			if err := resumed.Set(i, j, src.At(i, j)); err != nil {
+				return nil, err
+			}
+		}
 	}
-	secs, err := func() (float64, error) {
-		var err error
-		s := timeIt(func() {
-			_, err = npdp.SolveParallel(resumed, npdp.ParallelOptions{
-				Workers: cfg.workers(), SchedSide: 1, Completed: snap.Done,
-			})
-		})
-		return s, err
-	}()
+	res, err := cellnpdp.Solve(resumed, cellnpdp.Options{
+		Engine: cellnpdp.Parallel, Workers: cfg.workers(), SchedSide: 1,
+		ResumePath: ck, NoFallback: true,
+	})
 	if err != nil {
 		return nil, err
 	}
-	tri.Copy(resumedSrc, resumed)
-	if i, j, a, b, diff := tri.FirstDiff[float32](ref, resumedSrc); diff {
-		return nil, fmt.Errorf("resumed solve diverged at (%d,%d): %v vs %v", i, j, a, b)
+	for i := 0; i < n; i++ {
+		row, err := resumed.Row(i)
+		if err != nil {
+			return nil, err
+		}
+		for j, v := range row {
+			if want := ref.At(i, i+j); v != want {
+				return nil, fmt.Errorf("resumed solve diverged at (%d,%d): %v vs %v", i, i+j, v, want)
+			}
+		}
 	}
-	t.AddRow("kill+resume", "0", fmt.Sprintf("%.2f", secs*1e3), "-",
-		fmt.Sprintf("yes (%d/%d tasks restored)", snap.DoneCount(), len(snap.Done)))
+	t.AddRow("kill+resume", "0", fmt.Sprintf("%.2f", res.WallSeconds*1e3), "-",
+		fmt.Sprintf("yes (%d tasks restored)", res.ResumedTasks))
 	t.AddNote("Faults are deterministic per seed; retried memory-block recomputation is idempotent, so every surviving row is bit-identical to the serial reference.")
 	return t, nil
 }

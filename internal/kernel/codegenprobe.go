@@ -13,17 +13,15 @@ package kernel
 
 func codegenProbeF32(c, a, b []float32, t int) Stats {
 	Step4x4(c, a, b, t)
-	// The vector-dispatch layer: the exported dispatchers and the pure-Go
-	// fallback body. Calling panelMinPlusF32Go directly matters — on
-	// GOARCHes with an assembly panel the dispatchers jump to the asm stub
-	// for conforming tiles, and without this call the fallback's
-	// diagnostics could vanish from the gate while the function still
-	// guards every ragged tile (the non-vacuous check in the gate backs
-	// this up).
+	// The vector-dispatch layer: the guarded dispatcher and its generic
+	// Go fallback (PanelMinPlus), called directly — on GOARCHes with an
+	// assembly panel the dispatcher jumps to the asm stub for conforming
+	// tiles, and without this call the fallback's diagnostics could
+	// vanish from the gate while it still guards every ragged tile (the
+	// non-vacuous check in the gate backs this up).
 	st := MulMinPlus(c, a, b, t)
 	st.Add(PanelMinPlus(c, a, b, t))
 	st.Add(PanelMinPlusF32(c, a, b, t))
-	st.Add(panelMinPlusF32Go(c, a, b, t))
 	// Stage 2: the float32 bodies on the float32 strip dispatch.
 	stage2OffDiagF32(c, a, b, t)
 	stage2DiagF32(c, t)

@@ -37,17 +37,17 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint32, side, flags uint8) {
 		ts := int(side)%96 + 1
 		rng := rand.New(rand.NewSource(int64(seed)))
-		fuzzWidth(t, "f32", rng, ts, flags, panelMinPlusF32Go, PanelMinPlusF32)
-		fuzzWidth(t, "f64", rng, ts, flags, PanelMinPlus[float64], PanelMinPlusF64)
+		fuzzWidth(t, "f32", rng, ts, flags, PanelMinPlusF32)
+		fuzzWidth(t, "f64", rng, ts, flags, PanelMinPlusF64)
 	})
 }
 
 // fuzzWidth draws one instance at width E and runs FuzzKernelEquivalence's
-// checks on it: the generic panel, the width's Go panel body, its
-// dispatcher with vector dispatch on and forced off, MulMinPlus, and
-// stage 2 on and off the vector strips.
+// checks on it: the generic panel (the dispatchers' Go fallback), the
+// width's dispatcher with vector dispatch on and forced off, MulMinPlus,
+// and stage 2 on and off the vector strips.
 func fuzzWidth[E semiring.Elem](t *testing.T, name string, rng *rand.Rand, ts int, flags uint8,
-	goPanel, dispatch func(c, a, b []E, t int) Stats) {
+	dispatch func(c, a, b []E, t int) Stats) {
 	t.Helper()
 	gen := func() []E {
 		s := make([]E, ts*ts)
@@ -94,7 +94,6 @@ func fuzzWidth[E semiring.Elem](t *testing.T, name string, rng *rand.Rand, ts in
 		requireBits(t, kname+"["+name+"]", ts, flags, cc, ref)
 	}
 	run("PanelMinPlus", PanelMinPlus[E])
-	run("panel Go body", goPanel)
 	run("panel dispatch", dispatch) // vector asm on conforming tiles
 	func() {
 		defer SetVectorEnabled(false)()
@@ -276,7 +275,7 @@ func TestForcedFallbackDetection(t *testing.T) {
 	ref := append([]float32(nil), c...)
 	ScalarMulMinPlus(ref, a, b, ts)
 	got := append([]float32(nil), c...)
-	PanelMinPlusF32(got, a, b, ts) // must run panelMinPlusF32Go here
+	PanelMinPlusF32(got, a, b, ts) // must run the PanelMinPlus fallback here
 	for i := range ref {
 		if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
 			t.Fatalf("forced-fallback panel diverges at cell %d: %v vs %v", i, got[i], ref[i])

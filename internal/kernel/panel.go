@@ -83,12 +83,14 @@ func PanelMinPlus[E semiring.Elem](c, a, b []E, t int) Stats {
 // supported vector ISA (AVX2 on amd64, NEON on arm64 — see
 // internal/simd's feature detection) and a CB-aligned tile it dispatches
 // to the hand-written assembly kernel (panel_amd64.s / panel_arm64.s);
-// otherwise it runs the restructured pure-Go panel body. Both paths are
-// bit-identical to MulMinPlus: the assembly performs the same
-// (s + v, strictly-less, keep-old-on-ties/NaN) update chain in the same
-// k order, using compare semantics (VMINPS's src1<src2?src1:src2 on
-// amd64, FCMGT+BIT on arm64) that match the scalar `if w < c` exactly,
-// including ±0 and NaN operands.
+// otherwise — ragged tiles, other GOARCHes, a forced fallback
+// (CELLNPDP_FORCE_SCALAR / simd.SetForceFallback) — it runs the generic
+// Go panel, PanelMinPlus. Both paths are bit-identical to MulMinPlus:
+// the assembly performs the same (s + v, strictly-less,
+// keep-old-on-ties/NaN) update chain in the same k order, using compare
+// semantics (VMINPS's src1<src2?src1:src2 on amd64, FCMGT+BIT on arm64)
+// that match the scalar `if w < c` exactly, including ±0 and NaN
+// operands.
 //
 // The vecEnabled read and the length guards are per block-product, not
 // per element; the guards also give the assembly its memory-safety
@@ -101,7 +103,7 @@ func PanelMinPlusF32(c, a, b []float32, t int) Stats {
 		panelVecF32(&c[0], &a[0], &b[0], t)
 		return panelStats(t)
 	}
-	return panelMinPlusF32Go(c, a, b, t)
+	return PanelMinPlus(c, a, b, t)
 }
 
 // PanelMinPlusF64 is PanelMinPlusF32 for double precision, the engines'
@@ -120,67 +122,6 @@ func PanelMinPlusF64(c, a, b []float64, t int) Stats {
 		return panelStats(t)
 	}
 	return PanelMinPlus(c, a, b, t)
-}
-
-// panelMinPlusF32Go is the pure-Go fallback body of PanelMinPlusF32: the
-// 4×t panel sweep restructured so gc keeps the innermost loop free of
-// bounds checks and loop-carried dependences — four independent
-// min/add chains per iteration, row slices hoisted and length-matched
-// (verified by the codegen gate). It is the kernel the engines run when
-// the vector ISA is unavailable or the fallback is forced
-// (CELLNPDP_FORCE_SCALAR / simd.SetForceFallback), and the oracle the
-// ablation benches time the assembly against.
-//
-//npdp:hotpath
-func panelMinPlusF32Go(c, a, b []float32, t int) Stats {
-	r := 0
-	for ; r+CB <= t; r += CB {
-		c0 := c[(r+0)*t : (r+0)*t+t]
-		c1 := c[(r+1)*t : (r+1)*t+t]
-		c2 := c[(r+2)*t : (r+2)*t+t]
-		c3 := c[(r+3)*t : (r+3)*t+t]
-		a0 := a[(r+0)*t : (r+0)*t+t]
-		a1 := a[(r+1)*t : (r+1)*t+t]
-		a2 := a[(r+2)*t : (r+2)*t+t]
-		a3 := a[(r+3)*t : (r+3)*t+t]
-		for k := 0; k < t; k++ {
-			s0, s1, s2, s3 := a0[k], a1[k], a2[k], a3[k]
-			bk := b[k*t : k*t+t]
-			bk = bk[:len(c0)]
-			x1 := c1[:len(bk)]
-			x2 := c2[:len(bk)]
-			x3 := c3[:len(bk)]
-			for j, v := range bk {
-				if w := s0 + v; w < c0[j] {
-					c0[j] = w
-				}
-				if w := s1 + v; w < x1[j] {
-					x1[j] = w
-				}
-				if w := s2 + v; w < x2[j] {
-					x2[j] = w
-				}
-				if w := s3 + v; w < x3[j] {
-					x3[j] = w
-				}
-			}
-		}
-	}
-	for ; r < t; r++ {
-		cr := c[r*t : r*t+t]
-		ar := a[r*t : r*t+t]
-		for k := 0; k < t; k++ {
-			s := ar[k]
-			bk := b[k*t : k*t+t]
-			bk = bk[:len(cr)]
-			for j, v := range bk {
-				if w := s + v; w < cr[j] {
-					cr[j] = w
-				}
-			}
-		}
-	}
-	return panelStats(t)
 }
 
 // panelStats returns the work record of one panel product on tile side t,

@@ -34,17 +34,6 @@ type CellOptions struct {
 	// ScalarRelaxCycles is the modeled cycles of one scalar relaxation
 	// on an SPU (latency-bound scalar code on a SIMD core).
 	ScalarRelaxCycles float64
-	// CallOverheadCycles is the per-kernel-call control cost on the SPU
-	// (loop prologue, DMA issue, tag-status reads, software-pipeline
-	// ramp). Smaller memory blocks mean more calls for the same work —
-	// part of Section VI-D's small-block penalty. 0 uses the default.
-	CallOverheadCycles float64
-	// Stage1 overrides the functional stage-1 kernel, as in
-	// ParallelOptions.Stage1. The modeled cycle accounting is unchanged
-	// — the SPE's Table I kernel is what the simulator times — so this
-	// only affects host-side wall time of functional runs. Timing-only
-	// runs (ModelCell) ignore it.
-	Stage1 perfmodel.Kernel
 	// RowMajorDMA models the prior works' tiling on the row-major
 	// layout (Figure 4): a block's rows are scattered in memory, so each
 	// block fetch issues one DMA command per row instead of one for the
@@ -76,7 +65,10 @@ type CellOptions struct {
 	HealStats *resilience.HealStats
 }
 
-// DefaultCallOverheadCycles is the modeled per-kernel-call control cost.
+// DefaultCallOverheadCycles is the modeled per-kernel-call control cost
+// on the SPU (loop prologue, DMA issue, tag-status reads,
+// software-pipeline ramp). Smaller memory blocks mean more calls for the
+// same work — part of Section VI-D's small-block penalty.
 const DefaultCallOverheadCycles = 1000
 
 // DefaultScalarRelaxCycles is the modeled cost of one scalar
@@ -113,18 +105,7 @@ func (o CellOptions) Validate(m *cellsim.Machine) error {
 	if o.ScalarRelaxCycles <= 0 {
 		return fmt.Errorf("npdp: ScalarRelaxCycles must be positive, got %g", o.ScalarRelaxCycles)
 	}
-	if o.CallOverheadCycles < 0 {
-		return fmt.Errorf("npdp: CallOverheadCycles must be non-negative, got %g", o.CallOverheadCycles)
-	}
 	return nil
-}
-
-// callOverhead returns the per-call control cost, defaulted.
-func (o CellOptions) callOverhead() float64 {
-	if o.CallOverheadCycles > 0 {
-		return o.CallOverheadCycles
-	}
-	return DefaultCallOverheadCycles
 }
 
 // CellResult reports a CellNPDP run.
@@ -308,7 +289,7 @@ func (e *cellEngine[E]) computeMB(spe *cellsim.SPE, bufs *speBuffers[E], bi, bj 
 			}
 		}
 		e.stats.Add(st)
-		e.advance(spe, e.opts.computeCycles(st)+e.opts.callOverhead(), "diag")
+		e.advance(spe, e.opts.computeCycles(st)+DefaultCallOverheadCycles, "diag")
 		return e.putBlock(spe, bufs.d, bj, bj, tagPut)
 	}
 
@@ -377,7 +358,7 @@ func (e *cellEngine[E]) computeMB(spe *cellsim.SPE, bufs *speBuffers[E], bi, bj 
 			e.mul(bufs.d.Data, bufs.a[cur].Data, bufs.b[cur].Data, t)
 		}
 		e.stats.Add(st)
-		e.advance(spe, e.opts.computeCycles(st)+e.opts.callOverhead(), "mul")
+		e.advance(spe, e.opts.computeCycles(st)+DefaultCallOverheadCycles, "mul")
 	}
 
 	e.wait(spe, tagLR)
@@ -386,7 +367,7 @@ func (e *cellEngine[E]) computeMB(spe *cellsim.SPE, bufs *speBuffers[E], bi, bj 
 		kernel.Stage2OffDiag(bufs.d.Data, bufs.a[lr].Data, bufs.b[lr].Data, t)
 	}
 	e.stats.Add(st)
-	e.advance(spe, e.opts.computeCycles(st)+e.opts.callOverhead(), "stage2")
+	e.advance(spe, e.opts.computeCycles(st)+DefaultCallOverheadCycles, "stage2")
 	return e.putBlock(spe, bufs.d, bi, bj, tagPut)
 }
 
@@ -530,8 +511,10 @@ func SolveCellCtx[E semiring.Elem](ctx context.Context, t *tri.Tiled[E], m *cell
 	}
 	m.Reset()
 	// Stage-1 kernel selection is hoisted here — once per solve, never
-	// inside computeMB's per-middle-tile dispatch loop.
-	mul, err := ResolveStage1[E](opts.Stage1, t)
+	// inside computeMB's per-middle-tile dispatch loop. The modeled cycle
+	// accounting does not depend on it: the simulator times the SPE's
+	// Table I kernel.
+	mul, err := ResolveStage1[E](perfmodel.KernelAuto, t)
 	if err != nil {
 		return CellResult{}, err
 	}

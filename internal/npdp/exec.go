@@ -11,6 +11,7 @@ import (
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
+	"cellnpdp/internal/tri"
 )
 
 // paddedStats is one worker's kernel.Stats padded out to two cache lines
@@ -35,8 +36,7 @@ type paddedStats struct {
 // only — a pager's committed index is its checkpoint), and the shared
 // recovery Ladder. Sealing is off by default, so the plain path digests
 // nothing. Task failures surface as *resilience.TaskError carrying the
-// task identity and attempt count. The MutexPool ablation bypasses all
-// of it (plain locked pool).
+// task identity and attempt count.
 func SolveStoreCtx[E semiring.Elem](ctx context.Context, s BlockStore[E], opts ParallelOptions) (kernel.Stats, error) {
 	return solveStore(ctx, s, opts, nil)
 }
@@ -69,39 +69,14 @@ func solveStore[E semiring.Elem](ctx context.Context, s BlockStore[E], opts Para
 	if err != nil {
 		return kernel.Stats{}, err
 	}
-	for id, done := range opts.Completed {
-		if !done || id >= len(graph.Tasks) {
-			continue
-		}
-		for _, mb := range graph.Tasks[id].MemoryBlockOrder() {
-			if _, err := s.Acquire(mb[0], mb[1]); err != nil {
-				return kernel.Stats{}, err
-			}
-			err := s.Complete(mb[0], mb[1])
-			s.Release(mb[0], mb[1])
-			if err != nil {
-				return kernel.Stats{}, err
-			}
-		}
-	}
-	x := newExecutor(s, graph, mul, opts, !opts.MutexPool && (opts.Seal || opts.Heal || opts.AuditEvery > 0))
+	x := newExecutor(s, graph, mul, opts, opts.Seal || opts.Heal || opts.AuditEvery > 0)
 	x.finalize = finalize
-	if opts.MutexPool {
-		// Ablation baseline: the mutex-guarded seed pool, without the
-		// fault-tolerance plumbing.
-		err = sched.RunPoolLocked(graph, opts.Workers, func(worker int, task sched.Task) error {
-			st, err := x.runTask(task, 0)
-			x.perWorker[worker].Stats.Add(st)
-			return err
-		})
-		return x.total(), err
-	}
 	if opts.CheckpointPath != "" {
 		ms, ok := s.(*MemStore[E])
 		if !ok {
 			return kernel.Stats{}, fmt.Errorf("npdp: CheckpointPath needs an in-memory store (a pager's committed spill index is its checkpoint)")
 		}
-		x.ck = newCheckpointer(ms, graph, opts)
+		x.ck = newCheckpointer(ms, x.ladder, opts)
 	}
 	if x.ladder.seal {
 		if err := x.ladder.SealFinals(); err != nil {
@@ -273,37 +248,25 @@ func (x *executor[E]) solve(ctx context.Context, ran bool) error {
 	}
 }
 
-// checkpointer writes periodic NPCK snapshots of an in-memory solve.
-// The completion bitmap is read from the store's final marks; a final
-// block is immutable, so a snapshot only reads settled bytes, and the
-// mutex orders concurrent OnTaskDone calls.
+// checkpointer writes periodic NPCK snapshots of an in-memory solve
+// through the ladder's verified writer. The mutex orders concurrent
+// OnTaskDone calls.
 type checkpointer[E semiring.Elem] struct {
-	mu    sync.Mutex
-	path  string
-	every int
-	meta  resilience.Meta
-	graph *sched.Graph
-	store *MemStore[E]
-	since int
-	err   error // first snapshot failure; surfaced after the run
+	mu     sync.Mutex
+	path   string
+	every  int
+	table  *tri.Tiled[E]
+	ladder *Ladder[E]
+	since  int
+	err    error // first snapshot failure; surfaced after the run
 }
 
-func newCheckpointer[E semiring.Elem](s *MemStore[E], graph *sched.Graph, opts ParallelOptions) *checkpointer[E] {
+func newCheckpointer[E semiring.Elem](s *MemStore[E], l *Ladder[E], opts ParallelOptions) *checkpointer[E] {
 	every := opts.CheckpointEvery
 	if every <= 0 {
 		every = 16
 	}
-	var e E
-	return &checkpointer[E]{
-		path:  opts.CheckpointPath,
-		every: every,
-		meta: resilience.Meta{
-			N: s.Len(), Tile: s.Tile(), SchedSide: graph.SchedSide,
-			Tasks: len(graph.Tasks), ElemBytes: elemBytes(e),
-		},
-		graph: graph,
-		store: s,
-	}
+	return &checkpointer[E]{path: opts.CheckpointPath, every: every, table: s.Tiled, ladder: l}
 }
 
 func (c *checkpointer[E]) taskDone(sched.Task) {
@@ -315,21 +278,14 @@ func (c *checkpointer[E]) taskDone(sched.Task) {
 	}
 }
 
-// save writes a snapshot of every complete task's memory blocks; the
-// caller holds c.mu. After the first failure snapshots stop (the stored
-// error is surfaced when the solve returns).
+// save writes a snapshot (Ladder.SaveCheckpoint); the caller holds
+// c.mu. After the first failure snapshots stop (the stored error is
+// surfaced when the solve returns).
 func (c *checkpointer[E]) save() {
 	if c.err != nil {
 		return
 	}
-	done := Completed[E](c.store, c.graph)
-	var blocks [][2]int
-	for id, d := range done {
-		if d {
-			blocks = append(blocks, c.graph.Tasks[id].MemoryBlockOrder()...)
-		}
-	}
-	c.err = resilience.SaveCheckpointFile(c.path, c.meta, done, c.store.Tiled, blocks)
+	c.err = c.ladder.SaveCheckpoint(c.path, c.table)
 }
 
 // final writes a last snapshot when the solve failed part-way (so resume

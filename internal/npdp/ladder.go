@@ -9,6 +9,7 @@ import (
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
+	"cellnpdp/internal/tri"
 )
 
 // DefaultHealAttempts bounds how many times in a row one memory block
@@ -37,8 +38,9 @@ const DefaultHealAttempts = 32
 // that verifies clean again (Clean) starts over, and fresh corruption on
 // a previously clean block never exhausts it.
 //
-// Seal, Audit and Clean are safe for concurrent use (online audits run
-// on pool workers); SealFinals and Step run between pool runs.
+// Seal, Audit, Clean and SaveCheckpoint are safe for concurrent use
+// (online audits and periodic snapshots run on pool workers); SealFinals
+// and Step run between pool runs.
 type Ladder[E semiring.Elem] struct {
 	store    BlockStore[E]
 	graph    *sched.Graph
@@ -256,6 +258,62 @@ func (l *Ladder[E]) Step(err error, bad [][2]int, finalize func() error) ([]int,
 		l.logf("npdp: %d corrupt block(s) (first (%d,%d)); %s %d tasks", len(bad), bad[0][0], bad[0][1], rung, len(ids))
 	}
 	return ids, nil
+}
+
+// SaveCheckpoint atomically writes an NPCK snapshot of the tasks complete
+// in the store to path; t is the table behind the store. With sealing on
+// it re-digests those tasks' blocks first and leaves out the Graph.Cone
+// of every task with a block that is unsealed or fails its seal, so a
+// snapshot never holds a corrupt block or a value computed from one. It
+// is the one snapshot writer: the executor's periodic and final
+// snapshots and the cluster coordinator's all go through it. It reads
+// only final blocks, so it may run while a pool computes others.
+func (l *Ladder[E]) SaveCheckpoint(path string, t *tri.Tiled[E]) error {
+	done := Completed(l.store, l.graph)
+	if l.seal {
+		var bad []int
+		for id, d := range done {
+			if d && !l.verified(id) {
+				bad = append(bad, id)
+			}
+		}
+		for _, id := range l.graph.Cone(bad) {
+			done[id] = false
+		}
+	}
+	var blocks [][2]int
+	for id, d := range done {
+		if d {
+			blocks = append(blocks, l.graph.Tasks[id].MemoryBlockOrder()...)
+		}
+	}
+	var e E
+	meta := resilience.Meta{
+		N: t.Len(), Tile: t.Tile(), SchedSide: l.graph.SchedSide,
+		Tasks: len(l.graph.Tasks), ElemBytes: elemBytes(e),
+	}
+	return resilience.SaveCheckpointFile(path, meta, done, t, blocks)
+}
+
+// verified reports whether every block of task id is sealed and still
+// digests to its seal. A block the store cannot hand back is not.
+func (l *Ladder[E]) verified(id int) bool {
+	for _, mb := range l.graph.Tasks[id].MemoryBlockOrder() {
+		want, ok := l.seals.Sealed(l.id(mb[0], mb[1]))
+		if !ok {
+			return false
+		}
+		cells, err := l.store.Acquire(mb[0], mb[1])
+		if err != nil {
+			return false
+		}
+		got := resilience.BlockCRC(cells)
+		l.store.Release(mb[0], mb[1])
+		if got != want {
+			return false
+		}
+	}
+	return true
 }
 
 // demote reverts every block of the given tasks to pristine, unsealed.

@@ -25,10 +25,6 @@ type ParallelOptions struct {
 	// task) instead of the paper's two-edge simplification — the
 	// Section IV-B ablation.
 	FullDeps bool
-	// MutexPool routes scheduling through the mutex-guarded seed pool
-	// (sched.RunPoolLocked) instead of the lock-free one — the
-	// BenchmarkAblationLockfree baseline.
-	MutexPool bool
 	// Stage1 overrides stage-1 kernel selection. The zero value
 	// (perfmodel.KernelAuto) consults the Section V calibration via
 	// perfmodel.PickKernel once per solve; explicit KernelScalar /
@@ -43,24 +39,18 @@ type ParallelOptions struct {
 	// idempotent monotone min toward the same fixed point: the block's
 	// dependences are final before the task starts, so recomputing over a
 	// partially-updated block converges to bit-identical values. The zero
-	// value never retries. Ignored under MutexPool.
+	// value never retries.
 	Retry resilience.RetryPolicy
 	// Inject, when non-nil, is the deterministic fault-injection harness:
 	// each (task, attempt) pair is independently faulted per its plan.
-	// Ignored under MutexPool.
 	Inject *resilience.Injector
-	// Completed marks scheduler tasks (by ID, for the graph this solve
-	// builds) already finished by an earlier run: their memory blocks are
-	// marked final in the store, so only the remainder executes. The
-	// caller must have restored those blocks' values (ApplyCheckpoint does
-	// both). A store's own final marks, such as a pager's committed spill
-	// index, pre-complete tasks without it.
-	Completed []bool
 	// CheckpointPath, when non-empty, enables periodic snapshots: after
 	// every CheckpointEvery task completions (default 16) the completion
 	// bitmap and all completed tasks' memory blocks are atomically written
 	// to this file, and a final snapshot is written when the solve fails
-	// part-way. Ignored under MutexPool.
+	// part-way. Under sealing a snapshot holds only tasks whose blocks
+	// verify, and nothing computed from one that does not
+	// (Ladder.SaveCheckpoint).
 	CheckpointPath string
 	// CheckpointEvery is the snapshot period in completed tasks; 0 means
 	// 16.
@@ -69,7 +59,7 @@ type ParallelOptions struct {
 	// digested into a lock-free CRC32C seal table and re-verified by a
 	// post-solve audit (plus the online audit when AuditEvery > 0), so a
 	// silent corruption is always detected, never returned as a wrong
-	// answer. Implied by Heal or AuditEvery > 0; ignored under MutexPool.
+	// answer. Implied by Heal or AuditEvery > 0.
 	Seal bool
 	// Heal enables poisoned-cone recovery on seal mismatch (the shared
 	// Ladder): the corrupted block's task and its transitive successor
@@ -106,8 +96,9 @@ func SolveParallel[E semiring.Elem](t *tri.Tiled[E], opts ParallelOptions) (kern
 
 // SolveParallelCtx is SolveParallel with the fault-tolerance layer wired
 // in: SolveStoreCtx over a MemStore of t, which keeps a pristine copy of
-// the table only when Heal is set. Completed seeds the store's final
-// marks, so those tasks are pre-complete.
+// the table only when Heal is set. Every task starts incomplete; a
+// resume applies its checkpoint to a store (ApplyCheckpoint) and calls
+// SolveStoreCtx.
 func SolveParallelCtx[E semiring.Elem](ctx context.Context, t *tri.Tiled[E], opts ParallelOptions) (kernel.Stats, error) {
-	return SolveStoreCtx[E](ctx, NewMemStore(t, opts.Heal && !opts.MutexPool), opts)
+	return SolveStoreCtx[E](ctx, NewMemStore(t, opts.Heal), opts)
 }

@@ -77,10 +77,10 @@ func TestParallelRejectsBadOptions(t *testing.T) {
 	}
 }
 
-// TestParallelAblationConfigsMatchSerial covers the seed-shaped ablation
-// paths: the mutex-pool scheduler and the CB-step stage-1 kernel (alone
-// and combined) must stay bit-identical to the serial reference and
-// report the same stats as the default engine.
+// TestParallelAblationConfigsMatchSerial covers the ablation paths: the
+// unsimplified full-dependence graph and the CB-step stage-1 kernel
+// (alone and combined) must stay bit-identical to the serial reference
+// and report the same stats as the default engine.
 func TestParallelAblationConfigsMatchSerial(t *testing.T) {
 	src := workload.Chain[float32](180, 9)
 	ref := solveRef(src)
@@ -90,9 +90,9 @@ func TestParallelAblationConfigsMatchSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, opts := range []ParallelOptions{
-		{Workers: 4, SchedSide: 2, MutexPool: true},
+		{Workers: 4, FullDeps: true},
 		{Workers: 4, SchedSide: 2, Stage1: perfmodel.KernelScalar},
-		{Workers: 4, SchedSide: 2, MutexPool: true, Stage1: perfmodel.KernelScalar},
+		{Workers: 4, SchedSide: 2, FullDeps: true, Stage1: perfmodel.KernelScalar},
 	} {
 		tt := tri.ToTiled(src, 16)
 		st, err := SolveParallel(tt, opts)

@@ -70,25 +70,6 @@ type Stats struct {
 	ResidentPeak, OverBudget int64
 }
 
-// Health is the /healthz view of the counters, keyed the way the serve
-// layer exports them.
-func (s Stats) Health() map[string]any {
-	return map[string]any{
-		"spilled_blocks":      s.SpilledBlocks,
-		"spilled_bytes":       s.SpilledBytes,
-		"fetched_blocks":      s.FetchedBlocks,
-		"fetched_bytes":       s.FetchedBytes,
-		"pristine_reads":      s.PristineReads,
-		"faulted_pages":       s.FaultedPages,
-		"page_heals":          s.PageHeals,
-		"enospc_degradations": s.ENOSPCDegradations,
-		"evictions":           s.Evictions,
-		"commits":             s.Commits,
-		"resident_peak":       s.ResidentPeak,
-		"over_budget":         s.OverBudget,
-	}
-}
-
 // DiskBytes is the total spill traffic in both directions — the
 // achieved figure reported against the cachesim I/O lower bound.
 func (s Stats) DiskBytes() int64 {
@@ -345,9 +326,8 @@ func (p *Pager[E]) Tile() int    { return p.geom.Tile }
 func (p *Pager[E]) Blocks() int  { return p.m }
 func (p *Pager[E]) NBlocks() int { return p.geom.NBlocks }
 
-// Path returns the spill data file path; IndexPath the index beside it.
-func (p *Pager[E]) Path() string      { return p.path }
-func (p *Pager[E]) IndexPath() string { return p.idxPath }
+// Path returns the spill data file path.
+func (p *Pager[E]) Path() string { return p.path }
 
 // blockID maps tile coordinates to the dense upper-triangle index —
 // the same row-major-over-the-triangle order tri.Tiled.BlockID uses.

@@ -48,8 +48,7 @@ import (
 //	records  nfinal × { id uint32, crc uint32 }, ids strictly ascending
 //	crc      uint32  CRC-32 (IEEE) of every preceding byte
 //
-// Like the NPSL seal stream, the strictly-ascending id requirement makes
-// the encoding canonical: truncated, bit-flipped, or reordered input
+// The strictly-ascending id requirement makes the encoding canonical: truncated, bit-flipped, or reordered input
 // fails the checksum or the ordering check, never decodes to a different
 // final set. The index is published with the atomic temp+rename
 // discipline (pid-tagged temps, resilience.CreateOwnedTemp), so a

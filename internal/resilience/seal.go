@@ -1,12 +1,8 @@
 package resilience
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -195,144 +191,6 @@ func (s *SealTable) Unseal(id int) {
 func (s *SealTable) Sealed(id int) (crc uint32, ok bool) {
 	v := s.seals[id].Load()
 	return uint32(v), v&sealedBit != 0
-}
-
-// SealedCount returns how many blocks currently hold seals.
-func (s *SealTable) SealedCount() int {
-	n := 0
-	for i := range s.seals {
-		if s.seals[i].Load()&sealedBit != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// Verify re-digests cells and compares against block id's seal. An
-// unsealed block verifies trivially (there is nothing to check yet).
-func (s *SealTable) Verify(id int, cells func() uint32) bool {
-	want, ok := s.Sealed(id)
-	if !ok {
-		return true
-	}
-	return cells() == want
-}
-
-// Seal-record serialization ("NPSL"), so seals can travel beside a
-// checkpoint and be fuzzed adversarially:
-//
-//	magic   [4]byte "NPSL"
-//	version uint16 (currently 1)
-//	blocks  uint32 total block slots
-//	sealed  uint32 number of records
-//	records sealed × { id uint32, crc uint32 }, ids strictly ascending
-//	crc     uint32 CRC-32 (IEEE) of every preceding byte
-//
-// The strictly-ascending id requirement makes the encoding canonical:
-// truncated, bit-flipped, or record-reordered input fails the trailing
-// checksum or the ordering check — it never decodes to a different
-// seal set that would then verify.
-
-// SealMagic identifies the seal-record format.
-const SealMagic = "NPSL"
-
-// SealVersion is the current seal-record format version.
-const SealVersion uint16 = 1
-
-// maxSealBlocks bounds the block count a reader will believe, matching
-// the checkpoint reader's triangle bound so a hostile header cannot
-// force a huge allocation before the checksum rejects it.
-const maxSealBlocks = maxCheckpointBlocks * (maxCheckpointBlocks + 1) / 2
-
-// WriteSeals serializes the table's sealed records.
-func (s *SealTable) WriteSeals(w io.Writer) error {
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriter(io.MultiWriter(w, crc))
-	var ids []int
-	for i := range s.seals {
-		if s.seals[i].Load()&sealedBit != 0 {
-			ids = append(ids, i)
-		}
-	}
-	sort.Ints(ids)
-	var magic [4]byte
-	copy(magic[:], SealMagic)
-	for _, v := range []any{magic, SealVersion, uint32(len(s.seals)), uint32(len(ids))} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("resilience: writing seal header: %w", err)
-		}
-	}
-	for _, id := range ids {
-		c, _ := s.Sealed(id)
-		if err := binary.Write(bw, binary.LittleEndian, [2]uint32{uint32(id), c}); err != nil {
-			return fmt.Errorf("resilience: writing seal record: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	if _, err := w.Write(tail[:]); err != nil {
-		return fmt.Errorf("resilience: writing seal checksum: %w", err)
-	}
-	return nil
-}
-
-// ReadSeals decodes and fully validates a seal-record stream: magic,
-// version, plausible sizes, strictly ascending in-range ids, and the
-// trailing CRC. Corrupt, truncated, or reordered input returns an error.
-func ReadSeals(r io.Reader) (*SealTable, error) {
-	crc := crc32.NewIEEE()
-	br := bufio.NewReader(r)
-	tr := io.TeeReader(br, crc)
-	var hdr struct {
-		Magic   [4]byte
-		Version uint16
-		Blocks  uint32
-		Sealed  uint32
-	}
-	if err := binary.Read(tr, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("resilience: reading seal header: %w", err)
-	}
-	if string(hdr.Magic[:]) != SealMagic {
-		return nil, fmt.Errorf("resilience: bad seal magic %q", hdr.Magic)
-	}
-	if hdr.Version != SealVersion {
-		return nil, fmt.Errorf("resilience: unsupported seal version %d", hdr.Version)
-	}
-	if hdr.Blocks > maxSealBlocks {
-		return nil, fmt.Errorf("resilience: implausible seal-table size %d", hdr.Blocks)
-	}
-	if hdr.Sealed > hdr.Blocks {
-		return nil, fmt.Errorf("resilience: %d seal records exceed %d block slots", hdr.Sealed, hdr.Blocks)
-	}
-	st := NewSealTable(int(hdr.Blocks))
-	prev := -1
-	for i := 0; i < int(hdr.Sealed); i++ {
-		var rec [2]uint32
-		if err := binary.Read(tr, binary.LittleEndian, &rec); err != nil {
-			return nil, fmt.Errorf("resilience: reading seal record %d: %w", i, err)
-		}
-		id := int(rec[0])
-		if id >= int(hdr.Blocks) {
-			return nil, fmt.Errorf("resilience: seal record for block %d beyond %d slots", id, hdr.Blocks)
-		}
-		if id <= prev {
-			return nil, fmt.Errorf("resilience: seal records out of order (%d after %d)", id, prev)
-		}
-		prev = id
-		st.Seal(id, rec[1])
-	}
-	sum := crc.Sum32()
-	var tail [4]byte
-	if _, err := io.ReadFull(br, tail[:]); err != nil {
-		return nil, fmt.Errorf("resilience: reading seal checksum: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != sum {
-		return nil, fmt.Errorf("resilience: seal checksum mismatch: file %08x, computed %08x", got, sum)
-	}
-	return st, nil
 }
 
 // ErrSealMismatch reports that one memory block's bytes do not digest to

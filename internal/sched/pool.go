@@ -42,9 +42,7 @@ func RunPool(g *Graph, workers int, exec func(worker int, t Task) error) error {
 // dependence counter, the last predecessor to decrement it enqueues the
 // task, and a shared atomic countdown closes the queue after the final
 // completion. No mutex is taken anywhere on the hot path, so completion
-// throughput scales with workers instead of serializing behind one lock
-// (RunPoolLocked keeps the mutex-guarded variant as the ablation
-// baseline).
+// throughput scales with workers instead of serializing behind one lock.
 //
 // Dispatch is critical-path-first: root tasks (the diagonal scheduling
 // blocks) enqueue ahead of everything else, and the graph constructors
@@ -278,85 +276,6 @@ func checkReachable(g *Graph) error {
 	}
 	if seen != n {
 		return fmt.Errorf("sched: %d tasks never became ready (dependence cycle?)", n-seen)
-	}
-	return nil
-}
-
-// RunPoolLocked is the seed scheduler kept as the ablation baseline for
-// RunPool's lock-free completion path: every completion takes one global
-// mutex to decrement successor counters, and after an error the graph is
-// still fully drained through no-op executions. Benchmarked against
-// RunPool by BenchmarkAblationLockfree; engines select it via their
-// ablation options.
-func RunPoolLocked(g *Graph, workers int, exec func(worker int, t Task) error) error {
-	if workers <= 0 {
-		return fmt.Errorf("sched: worker count must be positive, got %d", workers)
-	}
-	n := len(g.Tasks)
-	ready := make(chan int, n)
-
-	var mu sync.Mutex
-	pending := make([]int, n) // remaining notifications per task
-	remaining := n
-	var firstErr error
-
-	for i, t := range g.Tasks {
-		pending[i] = len(t.Deps)
-		if pending[i] == 0 {
-			ready <- i
-		}
-	}
-
-	complete := func(id int) {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, s := range g.Tasks[id].Succs {
-			pending[s]--
-			if pending[s] == 0 {
-				ready <- s
-			}
-		}
-		remaining--
-		if remaining == 0 {
-			close(ready)
-		}
-	}
-
-	fail := func(err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for id := range ready {
-				mu.Lock()
-				errored := firstErr != nil
-				mu.Unlock()
-				if !errored {
-					if err := exec(worker, g.Tasks[id]); err != nil {
-						fail(err)
-					}
-				}
-				complete(id)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	if firstErr != nil {
-		return firstErr
-	}
-	if remaining != 0 {
-		return fmt.Errorf("sched: %d tasks never became ready (dependence cycle?)", remaining)
 	}
 	return nil
 }

@@ -134,45 +134,6 @@ func TestRunPoolDetectsCycle(t *testing.T) {
 	}
 }
 
-// TestRunPoolLockedStillCorrect keeps the ablation baseline honest: the
-// mutex-guarded pool must execute every task exactly once in dependence
-// order, like the lock-free one.
-func TestRunPoolLockedStillCorrect(t *testing.T) {
-	g, err := NewGraph(12, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	count := map[int]int{}
-	done := map[int]bool{}
-	err = RunPoolLocked(g, 4, func(_ int, task Task) error {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, d := range task.Deps {
-			if !done[d] {
-				return fmt.Errorf("task %d before dep %d", task.ID, d)
-			}
-		}
-		count[task.ID]++
-		done[task.ID] = true
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(count) != len(g.Tasks) {
-		t.Fatalf("executed %d distinct tasks, want %d", len(count), len(g.Tasks))
-	}
-	for id, c := range count {
-		if c != 1 {
-			t.Errorf("task %d executed %d times", id, c)
-		}
-	}
-	if err := RunPoolLocked(g, 0, func(int, Task) error { return nil }); err == nil {
-		t.Error("0 workers accepted by locked pool")
-	}
-}
-
 // TestSuccsSortedByCriticalPath pins the dispatch priority baked into the
 // graph constructors: every successor list is ordered nearest-diagonal
 // first, so completions release the heads of the longest remaining

@@ -52,7 +52,7 @@ func Min[E Elem](a, b E) E {
 }
 
 // MinIdx returns the smaller of a and b along with which argument won
-// (0 for a, 1 for b). Tracebacks use it to recover argmin decisions.
+// (0 for a, 1 for b); a tie keeps a.
 func MinIdx[E Elem](a, b E) (E, int) {
 	if b < a {
 		return b, 1

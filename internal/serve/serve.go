@@ -70,33 +70,13 @@ type Config struct {
 	// PredictFactor calibrates the Section V model's seconds into this
 	// host's wall seconds for deadline shedding. 0 = 1.
 	PredictFactor float64
-	// ResidualSamples and CRCBandRows tune the integrity checks.
-	// 0 = 64 each.
+	// ResidualSamples is how many cells the residual spot check
+	// re-evaluates. 0 = 64.
 	ResidualSamples int
-	CRCBandRows     int
 	// Logf receives operational messages; nil is silent.
 	Logf func(format string, args ...any)
 	// Clock is the time source, injectable for tests; nil = time.Now.
 	Clock func() time.Time
-	// ClusterHealth, when non-nil, is polled by GET /healthz and its
-	// snapshot reported under "cluster" — the seam a co-located
-	// cluster coordinator publishes its live counters through,
-	// including the HA triple an operator watches during failover:
-	// "epoch" (the leadership term serving writes), "fenced_writes"
-	// (results rejected from deposed leaders or stale workers), and
-	// "failovers" (1 when this coordinator resumed from a replica).
-	ClusterHealth func() map[string]any
-	// PagerHealth, when non-nil, is polled by GET /healthz and its
-	// snapshot reported under "pager" — the seam an out-of-core solve
-	// (a paged engine run or a paged cluster coordinator) publishes its
-	// spill counters through. The keys an operator watches during a
-	// disk incident: "spilled_blocks" (final blocks written out),
-	// "faulted_pages" (page-ins that failed CRC or I/O),
-	// "page_heals" (faults recovered by retry or pristine demote), and
-	// "enospc_degradations" (spills abandoned for lack of disk space —
-	// the pager is running in-memory past its budget). pager.Stats
-	// .Health() renders the expected map.
-	PagerHealth func() map[string]any
 }
 
 func (c Config) workers() int { return c.Workers } // 0 delegates to cellnpdp
@@ -307,12 +287,6 @@ type Health struct {
 	Degraded                   int64            `json:"degraded_solves"`
 	Healed                     int64            `json:"healed_solves"`
 	Outcomes                   map[string]int64 `json:"outcomes"`
-	// Cluster carries the co-located coordinator's snapshot when
-	// Config.ClusterHealth is wired; absent otherwise.
-	Cluster map[string]any `json:"cluster,omitempty"`
-	// Pager carries the out-of-core spill pager's snapshot when
-	// Config.PagerHealth is wired; absent otherwise.
-	Pager map[string]any `json:"pager,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -337,12 +311,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.draining.Load() {
 		h.Status = "draining"
-	}
-	if s.cfg.ClusterHealth != nil {
-		h.Cluster = s.cfg.ClusterHealth()
-	}
-	if s.cfg.PagerHealth != nil {
-		h.Pager = s.cfg.PagerHealth()
 	}
 	s.mu.Lock()
 	h.Degraded = s.degraded

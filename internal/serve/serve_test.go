@@ -4,18 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"cellnpdp"
-	"cellnpdp/internal/cluster"
-	"cellnpdp/internal/pager"
-	"cellnpdp/internal/tri"
 )
 
 // post sends a SolveRequest to the test server and decodes the outcome.
@@ -639,217 +634,5 @@ func TestDrainWaitsForInflight(t *testing.T) {
 	}
 	if got := s.Outcomes(); got[200] != 1 || got[503] != 1 {
 		t.Fatalf("outcomes = %v, want one 200 and one 503", got)
-	}
-}
-
-func TestHealthzClusterSnapshot(t *testing.T) {
-	s := New(Config{
-		ClusterHealth: func() map[string]any {
-			return map[string]any{"tasks": 36, "worker_deaths": 1}
-		},
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	if h.Cluster == nil || h.Cluster["tasks"] != float64(36) || h.Cluster["worker_deaths"] != float64(1) {
-		t.Fatalf("healthz cluster snapshot = %v", h.Cluster)
-	}
-
-	// Without the seam the field stays absent from the wire entirely.
-	s2 := New(Config{})
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	resp2, err := http.Get(ts2.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var raw map[string]json.RawMessage
-	if err := json.NewDecoder(resp2.Body).Decode(&raw); err != nil {
-		t.Fatal(err)
-	}
-	if _, present := raw["cluster"]; present {
-		t.Fatal("healthz carries a cluster field with no provider wired")
-	}
-}
-
-// pagerTable builds a small tiled table with distinct cell values for
-// the out-of-core healthz tests.
-func pagerTable() *tri.Tiled[float32] {
-	src := tri.NewTiled[float32](40, 8) // 5 tiles per side, 15 blocks
-	for i := 0; i < 40; i++ {
-		for j := i; j < 40; j++ {
-			src.Set(i, j, float32(i*100+j))
-		}
-	}
-	return src
-}
-
-// pagerTouchAll pages every block through the pager twice —
-// Acquire/Complete/Release then a refetch pass — so a four-frame budget
-// forces spills on pass one and final-slot fetches on pass two. A
-// corrupt final block (injected flip that survived the read retry) is
-// healed the way the engines do: demote to pristine and refetch.
-func pagerTouchAll(t *testing.T, p *pager.Pager[float32], m int) {
-	t.Helper()
-	for pass := 0; pass < 2; pass++ {
-		for bi := 0; bi < m; bi++ {
-			for bj := bi; bj < m; bj++ {
-				_, err := p.Acquire(bi, bj)
-				var pe *pager.ErrPageCorrupt
-				if errors.As(err, &pe) && !pe.Pristine {
-					p.Demote(bi, bj)
-					_, err = p.Acquire(bi, bj)
-				}
-				if err != nil {
-					t.Fatalf("Acquire(%d,%d): %v", bi, bj, err)
-				}
-				if err := p.Complete(bi, bj); err != nil {
-					t.Fatalf("Complete(%d,%d): %v", bi, bj, err)
-				}
-				p.Release(bi, bj)
-			}
-		}
-	}
-}
-
-// TestHealthzPagerCounters drives a REAL out-of-core pager — a
-// 15-block table paged through four frames under deterministic
-// read-side bit flips — through the PagerHealth seam and asserts the
-// counters an operator watches during a disk incident land on the
-// wire live (two polls straddling the workload see the change).
-func TestHealthzPagerCounters(t *testing.T) {
-	src := pagerTable()
-	p, err := pager.Create(filepath.Join(t.TempDir(), "t.npsp"), src, pager.Options{
-		Frames: 4,
-		Faults: &pager.DiskFaults{Rate: 0.25, Seed: 11, Kinds: []pager.DiskFaultKind{pager.DiskFaultFlip}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-
-	s := New(Config{PagerHealth: func() map[string]any { return p.Stats().Health() }})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	poll := func() map[string]any {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var h Health
-		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-			t.Fatal(err)
-		}
-		if h.Pager == nil {
-			t.Fatal("healthz pager section missing with provider wired")
-		}
-		return h.Pager
-	}
-
-	before := poll()
-	if got := before["spilled_blocks"]; got != float64(0) {
-		t.Fatalf("spilled_blocks before any paging = %v, want 0", got)
-	}
-
-	pagerTouchAll(t, p, src.Blocks())
-
-	after := poll()
-	for _, key := range []string{"spilled_blocks", "fetched_blocks", "faulted_pages", "page_heals"} {
-		v, ok := after[key].(float64)
-		if !ok || v <= 0 {
-			t.Errorf("healthz pager[%q] = %v, want > 0 (full: %v)", key, after[key], after)
-		}
-	}
-	// No ENOSPC was injected; the counter must still be on the wire so
-	// an operator can trust its zero.
-	if v, ok := after["enospc_degradations"].(float64); !ok || v != 0 {
-		t.Errorf("healthz pager[enospc_degradations] = %v, want present and 0", after["enospc_degradations"])
-	}
-}
-
-// TestHealthzPagerENOSPCDegradation forces the other arm of the disk
-// ladder: every spill write draws ENOSPC, so the pager degrades to a
-// growing in-memory set and the degradation counter — not the spill
-// counter — moves on /healthz.
-func TestHealthzPagerENOSPCDegradation(t *testing.T) {
-	src := pagerTable()
-	p, err := pager.Create(filepath.Join(t.TempDir(), "t.npsp"), src, pager.Options{
-		Frames: 4,
-		Faults: &pager.DiskFaults{Rate: 1, Seed: 1, Kinds: []pager.DiskFaultKind{pager.DiskFaultENOSPC}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	pagerTouchAll(t, p, src.Blocks())
-
-	s := New(Config{PagerHealth: func() map[string]any { return p.Stats().Health() }})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := h.Pager["enospc_degradations"].(float64); !ok || v < 1 {
-		t.Fatalf("healthz pager[enospc_degradations] = %v, want >= 1 (full: %v)", h.Pager["enospc_degradations"], h.Pager)
-	}
-	if v, ok := h.Pager["spilled_blocks"].(float64); !ok || v != 0 {
-		t.Fatalf("healthz pager[spilled_blocks] = %v, want 0 after sticky ENOSPC degradation", h.Pager["spilled_blocks"])
-	}
-}
-
-// TestHealthzFailoverCounters wires a REAL cluster.Stats snapshot —
-// mid-failover shape: epoch bumped, a fenced write from the deposed
-// leader, a resume from replica — through the ClusterHealth seam and
-// asserts the HA triple an operator watches lands on the wire.
-func TestHealthzFailoverCounters(t *testing.T) {
-	stats := &cluster.Stats{
-		Tasks:        300,
-		Accepted:     270,
-		Epoch:        2,
-		FencedWrites: 3,
-		Failovers:    1,
-		ReplRecords:  30,
-		ReplResyncs:  1,
-	}
-	s := New(Config{ClusterHealth: stats.Health})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var h Health
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		t.Fatal(err)
-	}
-	for key, want := range map[string]float64{
-		"epoch":         2,
-		"fenced_writes": 3,
-		"failovers":     1,
-		"repl_records":  30,
-		"repl_resyncs":  1,
-	} {
-		if got := h.Cluster[key]; got != want {
-			t.Fatalf("healthz cluster[%q] = %v, want %v (full: %v)", key, got, want, h.Cluster)
-		}
 	}
 }

@@ -286,7 +286,7 @@ func solveOne[E cellnpdp.Elem](s *Server, w http.ResponseWriter, ctx context.Con
 		// recurrence, then re-verify the digest immediately before
 		// serializing — any mutation in between becomes a heal-and-retry
 		// and then a 500, never a silently wrong answer.
-		digest, err = DigestTable(t, s.cfg.CRCBandRows)
+		digest, err = DigestTable(t, 0)
 		if err != nil {
 			s.reject(w, http.StatusInternalServerError, 0, "digesting result: %v", err)
 			return

@@ -61,9 +61,6 @@ func (m *RowMajor[E]) Row(i, lo, hi int) []E {
 // Cells exposes the whole backing store (for trace generation and I/O).
 func (m *RowMajor[E]) Cells() []E { return m.cells }
 
-// RowOffsets exposes the per-row flat offsets (for trace generation).
-func (m *RowMajor[E]) RowOffsets() []int { return m.rowOff }
-
 // Clone returns a deep copy.
 func (m *RowMajor[E]) Clone() *RowMajor[E] {
 	c := &RowMajor[E]{n: m.n, cells: make([]E, len(m.cells)), rowOff: m.rowOff}

@@ -59,9 +59,6 @@ func NewTiled[E semiring.Elem](n, tile int) *Tiled[E] {
 // Len returns the logical problem size n.
 func (t *Tiled[E]) Len() int { return t.n }
 
-// PaddedLen returns the padded problem size Blocks()*Tile().
-func (t *Tiled[E]) PaddedLen() int { return t.np }
-
 // Tile returns the memory-block side length in cells.
 func (t *Tiled[E]) Tile() int { return t.tile }
 

@@ -82,39 +82,48 @@ func TestSolveCtxCancelNoGoroutineLeak(t *testing.T) {
 }
 
 // TestSolveResumeBitIdentical is the acceptance property: a solve killed
-// part-way by injected faults, resumed from its checkpoint, produces a
-// table bit-identical to an uninterrupted serial solve.
+// part-way, resumed from its checkpoint, produces a table bit-identical
+// to an uninterrupted serial solve. Loud faults kill the run mid-way.
+// Silent corruption kills it only at the seal audit, after the flipped
+// blocks and every task computed from them are complete, so the
+// snapshot must leave those tasks out instead of resuming them.
 func TestSolveResumeBitIdentical(t *testing.T) {
 	ref := chainTable(t, 400)
 	if _, err := cellnpdp.Solve(ref, cellnpdp.Options{Engine: cellnpdp.Serial}); err != nil {
 		t.Fatal(err)
 	}
+	for _, c := range []struct {
+		name string
+		kill cellnpdp.Options
+		want any // pointer to the error type the killed run returns
+	}{
+		{"loud faults", cellnpdp.Options{FaultRate: 0.4, FaultSeed: 5}, new(*resilience.TaskError)},
+		{"silent corruption", cellnpdp.Options{BlockBytes: 4096, FaultRate: 0.3, FaultSeed: 1, FaultKinds: "corrupt"},
+			new(*resilience.CorruptionError)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ck := filepath.Join(t.TempDir(), "solve.npck")
+			kill := c.kill
+			kill.Engine, kill.Workers, kill.NoFallback = cellnpdp.Parallel, 2, true
+			kill.CheckpointPath, kill.CheckpointEvery = ck, 1
+			if _, err := cellnpdp.Solve(chainTable(t, 400), kill); !errors.As(err, c.want) {
+				t.Fatalf("faulted run returned %v, want %T", err, c.want)
+			}
 
-	ck := filepath.Join(t.TempDir(), "solve.npck")
-	killed := chainTable(t, 400)
-	_, err := cellnpdp.Solve(killed, cellnpdp.Options{
-		Engine: cellnpdp.Parallel, Workers: 2,
-		FaultRate: 0.4, FaultSeed: 5,
-		CheckpointPath: ck, CheckpointEvery: 1,
-		NoFallback: true,
-	})
-	var te *resilience.TaskError
-	if !errors.As(err, &te) {
-		t.Fatalf("faulted run returned %v, want a task-identified failure", err)
+			resumed := chainTable(t, 400)
+			res, err := cellnpdp.Solve(resumed, cellnpdp.Options{
+				Engine: cellnpdp.Parallel, Workers: 2, BlockBytes: c.kill.BlockBytes,
+				ResumePath: ck, NoFallback: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ResumedTasks == 0 {
+				t.Fatal("resume restored no tasks; checkpoint was empty")
+			}
+			assertTablesIdentical(t, ref, resumed, "resumed vs serial")
+		})
 	}
-
-	resumed := chainTable(t, 400)
-	res, err := cellnpdp.Solve(resumed, cellnpdp.Options{
-		Engine: cellnpdp.Parallel, Workers: 2,
-		ResumePath: ck,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ResumedTasks == 0 {
-		t.Fatal("resume restored no tasks; checkpoint was empty")
-	}
-	assertTablesIdentical(t, ref, resumed, "resumed vs serial")
 }
 
 // TestSolveFaultsRecoverViaRetry asserts the 5%-injection acceptance

@@ -3,8 +3,9 @@
 # npdplint invariant suite plus its hot-path codegen regression gate,
 # the full test suite under the race detector, the benchmark's smoke test
 # (bench/ is its own module, so go test ./... never builds it), short
-# fuzz smokes of the checkpoint and seal codecs and of the bulk cell
-# codec every seal, slot and frame encodes through, and smoke
+# fuzz smokes of the checkpoint and spill-index codecs, of kernel
+# equivalence, and of the bulk cell codec every seal, slot and frame
+# encodes through, and smoke
 # fault-injection solves proving
 # the resilience layer end to end: 5% loud faults healed through
 # retries, and 5% silent corruption caught by the block seals and
@@ -149,11 +150,6 @@ echo "== fuzz smoke: kernel equivalence (20s)"
 # with a flag that scatters ±0 and NaN so a reordered term shows as a
 # flipped zero sign; comparison is bit-exact.
 go test -run='^$' -fuzz FuzzKernelEquivalence -fuzztime 20s ./internal/kernel
-
-echo "== fuzz smoke: seal codec (20s)"
-# Same discipline for the NPSL seal stream: truncated, bit-flipped or
-# reordered seal records must never verify.
-go test -run='^$' -fuzz FuzzSealTable -fuzztime 20s .
 
 echo "== fuzz smoke: cell codec (20s)"
 # The bulk cell codec under every seal, spill slot, checkpoint and wire

@@ -89,7 +89,7 @@ type Options struct {
 	// count in Table III / Figure 10(b). Defaults to GOMAXPROCS, capped
 	// at 16 for Cell. The Parallel engine dispatches tasks through a
 	// lock-free ready queue and computes stage 1 with register-blocked
-	// panel kernels (a float32 fast path when the element type allows).
+	// panel kernels (assembly on AVX-512, AVX2 and NEON hosts).
 	Workers int
 	// BlockBytes is the memory-block budget the tile side is derived
 	// from; defaults to the paper's 32 KB.
@@ -281,10 +281,10 @@ func (t *Table[E]) Set(i, j int, v E) error {
 // Clone returns a deep copy.
 func (t *Table[E]) Clone() *Table[E] { return &Table[E]{rm: t.rm.Clone()} }
 
-// precisionOf maps the element type to the paper's precision enum.
+// precisionOf maps the element type to the paper's precision enum by
+// its width, so a named element type sizes like its underlying type.
 func precisionOf[E Elem]() npdp.Precision {
-	var e E
-	if _, ok := any(e).(float64); ok {
+	if semiring.Width[E]() == 8 {
 		return npdp.Double
 	}
 	return npdp.Single

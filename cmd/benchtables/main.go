@@ -32,16 +32,14 @@ func main() {
 		workers = flag.Int("workers", 0, "CPU workers for measured runs (0 = min(GOMAXPROCS, 8))")
 		seed    = flag.Int64("seed", 1, "workload seed")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables (with -run)")
-		calib   = flag.String("calibrate", "", "measure this machine's per-kernel stage-1 costs and write the calibration file (normally scripts/kernel_calibration.txt) to this path")
+		calib   = flag.String("calibrate", "", "measure this machine's per-kernel stage-1 costs and write them as this host's [arch/isa] section of the calibration file at this path (normally scripts/kernel_calibration.txt), keeping the other sections")
 	)
 	flag.Parse()
 
 	if *calib != "" {
-		cal := perfmodel.Calibrate(nil)
-		if err := os.WriteFile(*calib, []byte(perfmodel.FormatCalibration(cal)), 0o644); err != nil {
+		if err := calibrate(*calib); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("wrote %s (%s/%s)\n", *calib, cal.Arch, cal.ISA)
 		return
 	}
 	// Best-effort: a persisted calibration sharpens PickKernel for the
@@ -77,4 +75,25 @@ func main() {
 	if err := harness.RunAll(cfg); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// calibrate measures this host's kernels and writes them into the
+// calibration file at path as the host's [arch/isa] section, replacing
+// an earlier measurement of the same host kind and keeping every other
+// host's section. A missing file is created; a malformed one is left
+// alone and reported.
+func calibrate(path string) error {
+	body, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	if _, err := perfmodel.ParseCalibration(string(body), runtime.GOARCH, kernel.VectorISA()); err != nil {
+		return fmt.Errorf("%s: %v", path, err)
+	}
+	cal := perfmodel.Calibrate(nil)
+	if err := os.WriteFile(path, []byte(perfmodel.MergeCalibration(string(body), cal)), 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote [%s/%s] to %s\n", cal.Arch, cal.ISA, path)
+	return nil
 }

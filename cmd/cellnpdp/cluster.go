@@ -176,9 +176,8 @@ type clusterConfig struct {
 // clusterSolve runs coordinator or loopback mode at one element type.
 func clusterSolve[E semiring.Elem](ctx context.Context, cfg clusterConfig) error {
 	precName := "single"
-	var e E
 	prec := npdp.Single
-	if _, isF64 := any(e).(float64); isF64 {
+	if semiring.Width[E]() == 8 {
 		prec, precName = npdp.Double, "double"
 	}
 	tile, err := npdp.DefaultTile(cfg.block, prec)

@@ -392,8 +392,7 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	sel := opts.Stage1
 	var e E
 	if sel == perfmodel.KernelAuto {
-		_, isF32 := any(e).(float32)
-		sel = perfmodel.PickKernel(perfmodel.Shape{Block: t.Tile(), N: t.Len(), Float32: isF32},
+		sel = perfmodel.PickKernel(perfmodel.Shape{Block: t.Tile(), N: t.Len(), Float32: semiring.Width[E]() == 4},
 			runtime.GOARCH, kernel.VectorISA())
 	}
 	// Resolving validates the pin (and rejects the lattice kernel) with

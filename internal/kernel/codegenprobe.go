@@ -22,9 +22,11 @@ func codegenProbeF32(c, a, b []float32, t int) Stats {
 	st := MulMinPlus(c, a, b, t)
 	st.Add(PanelMinPlus(c, a, b, t))
 	st.Add(PanelMinPlusF32(c, a, b, t))
-	// Stage 2: the float32 bodies on the float32 strip dispatch.
+	// Stage 2: the float32 bodies on the float32 band and strip
+	// dispatch, and the band dispatch's strip fallback on its own.
 	stage2OffDiagF32(c, a, b, t)
 	stage2DiagF32(c, t)
+	bandF32(c, a, b, t, t, t)
 	return st
 }
 
@@ -32,11 +34,13 @@ func codegenProbeF64(c, a, b []float64, t int) Stats {
 	Step4x4(c, a, b, t)
 	st := MulMinPlus(c, a, b, t)
 	// The float64 dispatch: the guarded dispatcher, its generic Go
-	// fallback (PanelMinPlus), and the stage-2 bodies on stripF64.
+	// fallback (PanelMinPlus), the stage-2 bodies on bandF64 and
+	// stripF64, and the band dispatch on its own.
 	st.Add(PanelMinPlus(c, a, b, t))
 	st.Add(PanelMinPlusF64(c, a, b, t))
 	stage2OffDiagF64(c, a, b, t)
 	stage2DiagF64(c, t)
+	bandF64(c, a, b, t, t, t)
 	return st
 }
 

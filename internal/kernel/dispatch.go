@@ -20,18 +20,31 @@ var vecCapable = haveVecASM && simd.VectorAvailable()
 // path; it must not be flipped while solves are running.
 var vecEnabled = vecCapable
 
-// VectorEnabled reports whether the panel and stage-2 strip dispatchers
-// currently send conforming blocks to the GOARCH vector assembly: float32
-// on AVX2 and NEON, float64 on AVX2 only (NEON float64 keeps the Go
-// kernels).
+// bandCapable records whether the host runs the AVX-512 band kernels
+// (bandVecF32, bandVecF64). Immutable after init.
+var bandCapable = haveBandASM && vecCapable && simd.VectorISA() == "avx512"
+
+// bandEnabled is the AVX-512 half of the dispatch switch: band dispatch
+// needs it and vecEnabled. It starts at bandCapable and changes only
+// through the package's tests, which clear it to run the AVX2 bodies on
+// an AVX-512 host; no option or environment variable reaches it.
+var bandEnabled = bandCapable
+
+// VectorEnabled reports whether the panel and stage-2 dispatchers
+// currently send conforming blocks to the GOARCH vector assembly: both
+// widths on AVX-512 (the band kernels) and AVX2, float32 on NEON (NEON
+// float64 keeps the Go kernels).
 func VectorEnabled() bool { return vecEnabled }
 
 // VectorISA names the instruction set the vector kernels use when
-// enabled: "avx2" (float32 and float64), "neon" (float32 only), or
-// "none".
+// enabled: "avx512" or "avx2" (float32 and float64), "neon" (float32
+// only), or "none".
 func VectorISA() string {
-	if !vecEnabled {
+	switch {
+	case !vecEnabled:
 		return "none"
+	case bandCapable && !bandEnabled:
+		return "avx2"
 	}
 	return simd.VectorISA()
 }
@@ -77,4 +90,40 @@ func stripF64(c, a, b []float64, stride, k int) {
 		return
 	}
 	strip(c, a, b, stride, k)
+}
+
+// bandF32 is the float32 band dispatch: C = min(C, A ⊗ B) for C's four
+// rows over cols columns, a 4×k A band and a k×cols B band at row
+// stride `stride`, cols a positive multiple of CB. On AVX-512 it is one
+// bandVecF32 call when the slices hold every element the band touches;
+// the guard is the assembly's whole memory-safety contract, because its
+// masked loads and stores suppress faults, so an over-wide band would
+// read and write past C's row instead of panicking. Elsewhere it runs
+// stripF32 over each 4-column group, in column order: every cell sees
+// the same terms in the same ascending k either way.
+//
+//npdp:hotpath
+func bandF32(c, a, b []float32, stride, cols, k int) {
+	if haveBandASM && vecEnabled && bandEnabled && k > 0 && cols > 0 && stride >= cols &&
+		len(c) >= 3*stride+cols && len(a) >= 3*stride+k && len(b) >= (k-1)*stride+cols {
+		bandVecF32(&c[0], &a[0], &b[0], stride, cols, k)
+		return
+	}
+	for j := 0; j < cols; j += CB {
+		stripF32(c[j:], a, b[j:], stride, k)
+	}
+}
+
+// bandF64 is bandF32 at double width, on bandVecF64 and stripF64.
+//
+//npdp:hotpath
+func bandF64(c, a, b []float64, stride, cols, k int) {
+	if haveBandASM && vecEnabled && bandEnabled && k > 0 && cols > 0 && stride >= cols &&
+		len(c) >= 3*stride+cols && len(a) >= 3*stride+k && len(b) >= (k-1)*stride+cols {
+		bandVecF64(&c[0], &a[0], &b[0], stride, cols, k)
+		return
+	}
+	for j := 0; j < cols; j += CB {
+		stripF64(c[j:], a, b[j:], stride, k)
+	}
 }

@@ -1,0 +1,161 @@
+package kernel
+
+import (
+	"fmt"
+	"testing"
+
+	"cellnpdp/internal/semiring"
+)
+
+// atLevels runs fn once per dispatch level this host can run, widest
+// first: the AVX-512 band kernels, the AVX2 (or NEON) panels and
+// strips, and the pure-Go bodies. It passes the level's name, the ISA it
+// dispatches to ("avx512", "avx2", "neon") or "go". The AVX2 level on an
+// AVX-512 host is the package's test-only seam: it clears bandEnabled,
+// which no option or environment variable reaches, so the AVX2 bodies
+// stay tested on hosts that would never run them.
+func atLevels(fn func(level string)) {
+	for _, l := range []struct{ vec, band bool }{{true, true}, {true, false}, {false, false}} {
+		if l.vec && !vecCapable || l.band && !bandCapable {
+			continue
+		}
+		func() {
+			vec, band := vecEnabled, bandEnabled
+			defer func() { vecEnabled, bandEnabled = vec, band }()
+			vecEnabled, bandEnabled = l.vec, l.band
+			name := VectorISA()
+			if name == "none" {
+				name = "go"
+			}
+			fn(name)
+		}()
+	}
+}
+
+// The seam must name three distinct levels on an AVX-512 host, and the
+// default dispatch must be the widest one.
+func TestDispatchLevels(t *testing.T) {
+	var names []string
+	atLevels(func(level string) { names = append(names, level) })
+	if names[len(names)-1] != "go" {
+		t.Fatalf("levels %v do not end with the Go bodies", names)
+	}
+	if bandCapable {
+		if got := fmt.Sprint(names); got != "[avx512 avx2 go]" {
+			t.Fatalf("AVX-512 host runs levels %s, want [avx512 avx2 go]", got)
+		}
+		if VectorISA() != "avx512" {
+			t.Fatalf("default dispatch on an AVX-512 host is %q", VectorISA())
+		}
+	}
+}
+
+// The band dispatch at every level must match the Go strips bit for
+// bit over the column counts that exercise each opmask shape (one ZMM
+// partly masked, one full and one masked, full passes plus a tail), k
+// from one step to a full tile, and strides equal to and wider than
+// cols. C, A and B are exact-length views of longer arrays. The cells
+// right of each C row's cols-th column and past C's end hold a
+// sentinel the band must leave untouched, while the cells around A and
+// B are zeros that would pull any wrongly stored lane below it.
+func TestBandMatchesStrips(t *testing.T) {
+	bandMatchesStrips(t, bandF32)
+	bandMatchesStrips(t, bandF64)
+}
+
+func bandMatchesStrips[E semiring.Elem](t *testing.T, band func(c, a, b []E, stride, cols, k int)) {
+	t.Helper()
+	const tile, pad = 92, 40
+	sentinel := E(1e30)
+	for _, cols := range []int{4, 8, 12, 16, 20, 24, 28, 32, 36, tile} {
+		for _, k := range []int{1, 2, tile} {
+			for _, stride := range []int{cols, cols + 12} {
+				seed := int64(cols*1000 + k*10 + stride)
+				c := bandView(adversarialBand[E](3*stride+cols, seed), stride, cols, 4, pad, sentinel)
+				a := bandView(adversarialBand[E](3*stride+k, seed+1), stride, k, 4, pad, 0)
+				b := bandView(adversarialBand[E]((k-1)*stride+cols, seed+2), stride, cols, k, pad, 0)
+				nc, na, nb := 3*stride+cols, 3*stride+k, (k-1)*stride+cols
+				want := append([]E(nil), c...)
+				for j := 0; j < cols; j += CB {
+					strip(want[j:nc:nc], a[:na:na], b[j:nb:nb], stride, k)
+				}
+				atLevels(func(level string) {
+					got := append([]E(nil), c...)
+					band(got[:nc:nc], a[:na:na], b[:nb:nb], stride, cols, k)
+					for i := range want {
+						if bitsOf(got[i]) != bitsOf(want[i]) {
+							t.Fatalf("%T %s cols=%d k=%d stride=%d: cell %d (row %d, col %d) = %v, strips give %v",
+								got[i], level, cols, k, stride, i, i/stride, i%stride, got[i], want[i])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// bandView lays data, rows×width cells at row stride `stride`, into an
+// array pad cells longer than data, filling the cells past each row's
+// width and past data's end with fill.
+func bandView[E semiring.Elem](data []E, stride, width, rows, pad int, fill E) []E {
+	out := make([]E, len(data)+pad)
+	for i := range out {
+		if i < len(data) && i%stride < width && i/stride < rows {
+			out[i] = data[i]
+		} else {
+			out[i] = fill
+		}
+	}
+	return out
+}
+
+// The band dispatch must send a C block, A band or B band one element
+// shorter than the band touches to a Go body, which panics on the
+// out-of-range access, at every level. The masked assembly would
+// otherwise read and write past the slice without faulting.
+func TestBandShortFallsBack(t *testing.T) {
+	bandShortFallsBack(t, bandF32)
+	bandShortFallsBack(t, bandF64)
+}
+
+func bandShortFallsBack[E semiring.Elem](t *testing.T, dispatch func(c, a, b []E, stride, cols, k int)) {
+	t.Helper()
+	const stride, cols, k = 40, 36, 5
+	for _, short := range []string{"C", "A", "B"} {
+		atLevels(func(level string) {
+			c := adversarialBand[E](3*stride+cols, 1)
+			a := adversarialBand[E](3*stride+k, 2)
+			b := adversarialBand[E]((k-1)*stride+cols, 3)
+			switch short {
+			case "C":
+				c = c[: len(c)-1 : len(c)-1]
+			case "A":
+				a = a[: len(a)-1 : len(a)-1]
+			case "B":
+				b = b[: len(b)-1 : len(b)-1]
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%T %s short %s: band dispatch did not panic in a Go body", c[0], level, short)
+				}
+			}()
+			dispatch(c, a, b, stride, cols, k)
+		})
+	}
+}
+
+// BenchmarkStage2OffDiag times the float32 off-diagonal stage 2 at the
+// default tile on every dispatch level.
+func BenchmarkStage2OffDiag(b *testing.B) {
+	const tile = 88
+	d, l, r := randBlock(tile, 1), randBlock(tile, 2), randBlock(tile, 3)
+	triangularize(l, tile)
+	triangularize(r, tile)
+	atLevels(func(level string) {
+		b.Run(level, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Stage2OffDiag(d, l, r, tile)
+			}
+		})
+	})
+}

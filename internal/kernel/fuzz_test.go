@@ -20,9 +20,10 @@ import (
 // Each width draws its own instance, so the float64 values use the
 // mantissa bits float32 lacks, and runs its panel dispatcher
 // (PanelMinPlusF32, PanelMinPlusF64: the vector kernel on conforming
-// tiles where the host has one) and its forced fallback. On CB-aligned
-// sides it also runs stage 2 (Stage2OffDiag with c as D and a, b as L,
-// R; Stage2Diag on c) on the strip dispatch and the forced fallback.
+// tiles where the host has one) at every dispatch level the host can
+// run: the AVX-512 bands, the AVX2 panels and strips, and the Go
+// bodies. On CB-aligned sides it also runs stage 2 (Stage2OffDiag with
+// c as D and a, b as L, R; Stage2Diag on c) at every level.
 // Flag bit 4 scatters ±0 and NaN and makes the other values
 // nonnegative, so zero terms decide many minima: under the strict-<
 // update the first of two equal terms wins, and a reordered term shows
@@ -44,8 +45,8 @@ func FuzzKernelEquivalence(f *testing.F) {
 
 // fuzzWidth draws one instance at width E and runs FuzzKernelEquivalence's
 // checks on it: the generic panel (the dispatchers' Go fallback), the
-// width's dispatcher with vector dispatch on and forced off, MulMinPlus,
-// and stage 2 on and off the vector strips.
+// width's dispatcher at every dispatch level, MulMinPlus, and stage 2 at
+// every level.
 func fuzzWidth[E semiring.Elem](t *testing.T, name string, rng *rand.Rand, ts int, flags uint8,
 	dispatch func(c, a, b []E, t int) Stats) {
 	t.Helper()
@@ -94,20 +95,16 @@ func fuzzWidth[E semiring.Elem](t *testing.T, name string, rng *rand.Rand, ts in
 		requireBits(t, kname+"["+name+"]", ts, flags, cc, ref)
 	}
 	run("PanelMinPlus", PanelMinPlus[E])
-	run("panel dispatch", dispatch) // vector asm on conforming tiles
-	func() {
-		defer SetVectorEnabled(false)()
-		run("panel dispatch/fallback", dispatch)
-	}()
+	atLevels(func(level string) {
+		run("panel dispatch/"+level, dispatch) // vector asm on conforming tiles
+	})
 	if ts%CB != 0 {
 		return
 	}
 	run("MulMinPlus", MulMinPlus[E])
-	fuzzStage2(t, "Stage2["+name+"]", ts, flags, c, a, b)
-	func() {
-		defer SetVectorEnabled(false)()
-		fuzzStage2(t, "Stage2/fallback["+name+"]", ts, flags, c, a, b)
-	}()
+	atLevels(func(level string) {
+		fuzzStage2(t, "Stage2/"+level+"["+name+"]", ts, flags, c, a, b)
+	})
 }
 
 // fuzzStage2 runs Stage2OffDiag(d, l, r) and Stage2Diag(d) on copies of

@@ -183,23 +183,26 @@ func triangularize[E semiring.Elem](b []E, t int) {
 }
 
 func TestStage2OffDiagMatchesRef(t *testing.T) {
-	for _, tile := range []int{4, 8, 16, 24} {
+	for _, tile := range []int{4, 8, 16, 24, 36} {
 		l := randBlock(tile, 10)
 		r := randBlock(tile, 11)
 		triangularize(l, tile)
 		triangularize(r, tile)
-		d1 := randBlock(tile, 12)
-		d2 := append([]float32(nil), d1...)
-		st := Stage2OffDiag(d1, l, r, tile)
-		refStage2OffDiag(d2, l, r, tile)
-		for i := range d1 {
-			if d1[i] != d2[i] {
-				t.Fatalf("tile=%d: Stage2OffDiag diverges at cell (%d,%d)", tile, i/tile, i%tile)
+		d := randBlock(tile, 12)
+		want := append([]float32(nil), d...)
+		refStage2OffDiag(want, l, r, tile)
+		atLevels(func(level string) {
+			got := append([]float32(nil), d...)
+			st := Stage2OffDiag(got, l, r, tile)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s tile=%d: Stage2OffDiag diverges at cell (%d,%d)", level, tile, i/tile, i%tile)
+				}
 			}
-		}
-		if want := StatsStage2OffDiag(tile); st != want {
-			t.Errorf("tile=%d: stats = %+v, want analytic %+v", tile, st, want)
-		}
+			if want := StatsStage2OffDiag(tile); st != want {
+				t.Errorf("%s tile=%d: stats = %+v, want analytic %+v", level, tile, st, want)
+			}
+		})
 	}
 }
 
@@ -220,31 +223,32 @@ func refStage2Diag(d []float32, t int) {
 
 func TestStage2DiagMatchesRef(t *testing.T) {
 	for _, tile := range []int{4, 8, 16, 28} {
-		d1 := randBlock(tile, 20)
-		triangularize(d1, tile)
-		d2 := append([]float32(nil), d1...)
-		st := Stage2Diag(d1, tile)
-		refStage2Diag(d2, tile)
-		for i := range d1 {
-			if d1[i] != d2[i] {
-				t.Fatalf("tile=%d: Stage2Diag diverges at cell (%d,%d)", tile, i/tile, i%tile)
+		d := randBlock(tile, 20)
+		triangularize(d, tile)
+		want := append([]float32(nil), d...)
+		refStage2Diag(want, tile)
+		atLevels(func(level string) {
+			got := append([]float32(nil), d...)
+			st := Stage2Diag(got, tile)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s tile=%d: Stage2Diag diverges at cell (%d,%d)", level, tile, i/tile, i%tile)
+				}
 			}
-		}
-		if want := StatsStage2Diag(tile); st != want {
-			t.Errorf("tile=%d: stats = %+v, want analytic %+v", tile, st, want)
-		}
+			if want := StatsStage2Diag(tile); st != want {
+				t.Errorf("%s tile=%d: stats = %+v, want analytic %+v", level, tile, st, want)
+			}
+		})
 	}
 }
 
 // The exported stage-2 wrappers resolve the element type once per
-// memory block of every solve; that switch must not allocate, on the
-// vector strips or the forced fallback, and neither may the float64
-// panel dispatch.
+// memory block of every solve; that switch must not allocate at any
+// dispatch level, and neither may the panel dispatch.
 func TestStage2DoesNotAllocate(t *testing.T) {
 	d32, l32, r32 := randBlock(88, 1), randBlock(88, 2), randBlock(88, 3)
 	d64, l64, r64 := randBlock64(64, 4), randBlock64(64, 5), randBlock64(64, 6)
-	for _, vec := range []bool{true, false} {
-		restore := SetVectorEnabled(vec)
+	atLevels(func(level string) {
 		for _, c := range []struct {
 			name string
 			run  func()
@@ -253,14 +257,14 @@ func TestStage2DoesNotAllocate(t *testing.T) {
 			{"Stage2Diag[float32] t=88", func() { Stage2Diag(d32, 88) }},
 			{"Stage2OffDiag[float64] t=64", func() { Stage2OffDiag(d64, l64, r64, 64) }},
 			{"Stage2Diag[float64] t=64", func() { Stage2Diag(d64, 64) }},
+			{"PanelMinPlusF32 t=88", func() { PanelMinPlusF32(d32, l32, r32, 88) }},
 			{"PanelMinPlusF64 t=64", func() { PanelMinPlusF64(d64, l64, r64, 64) }},
 		} {
 			if n := testing.AllocsPerRun(10, c.run); n != 0 {
-				t.Errorf("%s (vector %v): %v allocations per call, want 0", c.name, vec, n)
+				t.Errorf("%s (%s): %v allocations per call, want 0", c.name, level, n)
 			}
 		}
-		restore()
-	}
+	})
 }
 
 // cost is a named element type: the ~float64 in semiring.Elem admits

@@ -78,38 +78,47 @@ func PanelMinPlus[E semiring.Elem](c, a, b []E, t int) Stats {
 	return panelStats(t)
 }
 
-// PanelMinPlusF32 is the non-generic single-precision fast path the
-// parallel engine selects for float32 tables. On hardware with a
-// supported vector ISA (AVX2 on amd64, NEON on arm64 — see
-// internal/simd's feature detection) and a CB-aligned tile it dispatches
-// to the hand-written assembly kernel (panel_amd64.s / panel_arm64.s);
-// otherwise — ragged tiles, other GOARCHes, a forced fallback
-// (CELLNPDP_FORCE_SCALAR / simd.SetForceFallback) — it runs the generic
-// Go panel, PanelMinPlus. Both paths are bit-identical to MulMinPlus:
-// the assembly performs the same (s + v, strictly-less,
-// keep-old-on-ties/NaN) update chain in the same k order, using compare
-// semantics (VMINPS's src1<src2?src1:src2 on amd64, FCMGT+BIT on arm64)
-// that match the scalar `if w < c` exactly, including ±0 and NaN
-// operands.
+// PanelMinPlusF32 is the engines' float32 stage-1 kernel. On hardware
+// with a supported vector ISA (AVX-512 or AVX2 on amd64, NEON on arm64
+// — see internal/simd's feature detection) and a CB-aligned tile it
+// dispatches to hand-written assembly: on AVX-512, t/4 band calls
+// (bandVecF32), one per 4-row band of C with cols = k = t; on AVX2 and
+// NEON, one panel call (panel_amd64.s / panel_arm64.s). Otherwise —
+// ragged tiles, other GOARCHes, a forced fallback (CELLNPDP_FORCE_SCALAR
+// / simd.SetForceFallback) — it runs the generic Go panel,
+// PanelMinPlus. Every path is bit-identical to MulMinPlus: the assembly
+// performs the same (s + v, strictly-less, keep-old-on-ties/NaN) update
+// chain in the same k order, using compare semantics (VMINPS's
+// src1<src2?src1:src2 on amd64, FCMGT+BIT on arm64) that match the
+// scalar `if w < c` exactly, including ±0 and NaN operands.
 //
-// The vecEnabled read and the length guards are per block-product, not
+// The dispatch reads and the length guards are per block-product, not
 // per element; the guards also give the assembly its memory-safety
-// contract (it performs no bounds checks of its own).
+// contract (it performs no bounds checks of its own). Each band call's
+// extent, C's and A's rows r..r+3 and all of B, lies inside the t×t
+// blocks the guard admits.
 //
 //npdp:hotpath
 func PanelMinPlusF32(c, a, b []float32, t int) Stats {
 	if vecEnabled && t >= CB && t%CB == 0 &&
 		len(c) >= t*t && len(a) >= t*t && len(b) >= t*t {
-		panelVecF32(&c[0], &a[0], &b[0], t)
+		if haveBandASM && bandEnabled {
+			for r := 0; r < t; r += CB {
+				bandVecF32(&c[r*t], &a[r*t], &b[0], t, t, t)
+			}
+		} else {
+			panelVecF32(&c[0], &a[0], &b[0], t)
+		}
 		return panelStats(t)
 	}
 	return PanelMinPlus(c, a, b, t)
 }
 
 // PanelMinPlusF64 is PanelMinPlusF32 for double precision, the engines'
-// float64 stage-1 kernel. On AVX2 hosts a CB-aligned tile runs the 4×f64
-// assembly panel (panel_amd64.s), whose VMINPD has the same
-// keep-old-on-ties/NaN semantics as VMINPS; elsewhere — NEON, other
+// float64 stage-1 kernel. A CB-aligned tile runs the AVX-512 band
+// kernel (bandVecF64) once per 4-row band on AVX-512 hosts and the 4×f64
+// AVX2 panel (panel_amd64.s) on AVX2 hosts; VMINPD has the same
+// keep-old-on-ties/NaN semantics as VMINPS. Elsewhere — NEON, other
 // GOARCHes, ragged tiles, a forced fallback — it runs the generic Go
 // panel. The guards are the assembly's memory-safety contract, as in
 // PanelMinPlusF32.
@@ -118,7 +127,13 @@ func PanelMinPlusF32(c, a, b []float32, t int) Stats {
 func PanelMinPlusF64(c, a, b []float64, t int) Stats {
 	if haveVecF64ASM && vecEnabled && t >= CB && t%CB == 0 &&
 		len(c) >= t*t && len(a) >= t*t && len(b) >= t*t {
-		panelVecF64(&c[0], &a[0], &b[0], t)
+		if haveBandASM && bandEnabled {
+			for r := 0; r < t; r += CB {
+				bandVecF64(&c[r*t], &a[r*t], &b[0], t, t, t)
+			}
+		} else {
+			panelVecF64(&c[0], &a[0], &b[0], t)
+		}
 		return panelStats(t)
 	}
 	return PanelMinPlus(c, a, b, t)

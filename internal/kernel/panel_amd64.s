@@ -368,3 +368,221 @@ f64strip_k:
 	VMOVUPD Y3, (R12)(R8*1)
 	VZEROUPPER
 	RET
+
+// AVX-512 band kernels: C[4×cols] = min(C, A[4×k] ⊗ B[k×cols]) at row
+// stride `stride`, the same update chain as the kernels above at 16
+// float32 or 8 float64 lanes per ZMM register. The register plan is
+// panelVecF64's at twice the width:
+//
+//	Z0..Z7   C accumulators: row i, columns j..j+L in Z(2i) and
+//	         j+L..j+2L in Z(2i+1) (L = 16 float32 or 8 float64 lanes)
+//	Z8, Z9   b[k][j..j+2L)
+//	Z10..Z13 splats of a[0..3][k]
+//	Z14, Z15 sums
+//
+// so one pass holds a 4×32 float32 or 4×16 float64 block of C in
+// registers for the whole k sweep. Each pass builds opmasks from the
+// columns left: K1 covers the first ZMM of every row, K2 the second.
+// Full passes set every bit; the last pass of a ragged width clears the
+// bits past cols, and the zero-masking loads (VMOVUPx.Z) and masked
+// stores neither read nor write those lanes, so any cols runs without
+// touching memory past C's row, B's row or the slices' ends. The masks
+// are built with baseline shifts and KMOVW (16 bits, of which the
+// float64 ops read the low 8), so the kernels need AVX512F alone.
+// Operand order is the AVX2 kernels': VMINPx Z0, Z14, Z0 is
+// Z0 = (Z14 < Z0) ? Z14 : Z0, w as src1 and c as src2.
+//
+// Register plan (general purpose):
+//	DI  c base   SI  a base   DX  b base   R8  stride in bytes
+//	R9  cols     R10 k        R11 j        CX  rem, then k count
+//	R14 &c[0][j] R12 &c[2][j] AX  a row 0 k-pointer
+//	R13 a row 2 k-pointer     BX  b[k][j] pointer
+//
+// The callers (bandF32, bandF64) guarantee k >= 1, cols >= 1 and that
+// C's four rows, A's four k-wide rows and B's k rows are in bounds.
+
+// func bandVecF32(c, a, b *float32, stride, cols, k int)
+TEXT ·bandVecF32(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ stride+24(FP), R8
+	MOVQ cols+32(FP), R9
+	MOVQ k+40(FP), R10
+	SHLQ $2, R8           // stride bytes
+	XORQ R11, R11         // j = 0
+
+b32pass:                      // one 32-column pass per iteration
+	CMPQ R11, R9
+	JGE  b32done
+	MOVQ R9, CX
+	SUBQ R11, CX          // rem = cols - j
+	MOVL $0xFFFF, AX      // K1 bits: columns j..j+16
+	MOVL $0xFFFF, BX      // K2 bits: columns j+16..j+32
+	CMPQ CX, $32
+	JGE  b32masks
+	CMPQ CX, $16
+	JGE  b32hi
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX               // K1 = (1 << rem) - 1
+	XORL BX, BX           // K2 = 0
+	JMP  b32masks
+b32hi:
+	SUBQ $16, CX
+	MOVL $1, BX
+	SHLL CX, BX
+	DECL BX               // K2 = (1 << (rem - 16)) - 1
+b32masks:
+	KMOVW AX, K1
+	KMOVW BX, K2
+	LEAQ (DI)(R11*4), R14 // &c[0][j]
+	LEAQ (R14)(R8*2), R12 // &c[2][j]
+	VMOVUPS.Z (R14), K1, Z0
+	VMOVUPS.Z 64(R14), K2, Z1
+	VMOVUPS.Z (R14)(R8*1), K1, Z2
+	VMOVUPS.Z 64(R14)(R8*1), K2, Z3
+	VMOVUPS.Z (R12), K1, Z4
+	VMOVUPS.Z 64(R12), K2, Z5
+	VMOVUPS.Z (R12)(R8*1), K1, Z6
+	VMOVUPS.Z 64(R12)(R8*1), K2, Z7
+	LEAQ (DX)(R11*4), BX  // &b[0][j]
+	MOVQ SI, AX           // &a[0][0]
+	LEAQ (SI)(R8*2), R13  // &a[2][0]
+	MOVQ R10, CX          // k steps
+b32k:
+	VMOVUPS.Z (BX), K1, Z8        // b[k][j..j+16)
+	VMOVUPS.Z 64(BX), K2, Z9      // b[k][j+16..j+32)
+	VBROADCASTSS (AX), Z10        // a[0][k]
+	VADDPS Z8, Z10, Z14           // w = a[0][k] + b[k][j..]
+	VMINPS Z0, Z14, Z0            // c = w < c ? w : c
+	VADDPS Z9, Z10, Z15
+	VMINPS Z1, Z15, Z1
+	VBROADCASTSS (AX)(R8*1), Z11  // a[1][k]
+	VADDPS Z8, Z11, Z14
+	VMINPS Z2, Z14, Z2
+	VADDPS Z9, Z11, Z15
+	VMINPS Z3, Z15, Z3
+	VBROADCASTSS (R13), Z12       // a[2][k]
+	VADDPS Z8, Z12, Z14
+	VMINPS Z4, Z14, Z4
+	VADDPS Z9, Z12, Z15
+	VMINPS Z5, Z15, Z5
+	VBROADCASTSS (R13)(R8*1), Z13 // a[3][k]
+	VADDPS Z8, Z13, Z14
+	VMINPS Z6, Z14, Z6
+	VADDPS Z9, Z13, Z15
+	VMINPS Z7, Z15, Z7
+	ADDQ $4, AX
+	ADDQ $4, R13
+	ADDQ R8, BX                   // next b row
+	DECQ CX
+	JNZ  b32k
+	VMOVUPS Z0, K1, (R14)
+	VMOVUPS Z1, K2, 64(R14)
+	VMOVUPS Z2, K1, (R14)(R8*1)
+	VMOVUPS Z3, K2, 64(R14)(R8*1)
+	VMOVUPS Z4, K1, (R12)
+	VMOVUPS Z5, K2, 64(R12)
+	VMOVUPS Z6, K1, (R12)(R8*1)
+	VMOVUPS Z7, K2, 64(R12)(R8*1)
+	ADDQ $32, R11
+	JMP  b32pass
+
+b32done:
+	VZEROUPPER
+	RET
+
+// func bandVecF64(c, a, b *float64, stride, cols, k int)
+//
+// bandVecF32 at double width: 8 lanes per ZMM, 16 columns per pass.
+TEXT ·bandVecF64(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ stride+24(FP), R8
+	MOVQ cols+32(FP), R9
+	MOVQ k+40(FP), R10
+	SHLQ $3, R8           // stride bytes
+	XORQ R11, R11         // j = 0
+
+b64pass:                      // one 16-column pass per iteration
+	CMPQ R11, R9
+	JGE  b64done
+	MOVQ R9, CX
+	SUBQ R11, CX          // rem = cols - j
+	MOVL $0xFF, AX        // K1 bits: columns j..j+8
+	MOVL $0xFF, BX        // K2 bits: columns j+8..j+16
+	CMPQ CX, $16
+	JGE  b64masks
+	CMPQ CX, $8
+	JGE  b64hi
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX               // K1 = (1 << rem) - 1
+	XORL BX, BX           // K2 = 0
+	JMP  b64masks
+b64hi:
+	SUBQ $8, CX
+	MOVL $1, BX
+	SHLL CX, BX
+	DECL BX               // K2 = (1 << (rem - 8)) - 1
+b64masks:
+	KMOVW AX, K1
+	KMOVW BX, K2
+	LEAQ (DI)(R11*8), R14 // &c[0][j]
+	LEAQ (R14)(R8*2), R12 // &c[2][j]
+	VMOVUPD.Z (R14), K1, Z0
+	VMOVUPD.Z 64(R14), K2, Z1
+	VMOVUPD.Z (R14)(R8*1), K1, Z2
+	VMOVUPD.Z 64(R14)(R8*1), K2, Z3
+	VMOVUPD.Z (R12), K1, Z4
+	VMOVUPD.Z 64(R12), K2, Z5
+	VMOVUPD.Z (R12)(R8*1), K1, Z6
+	VMOVUPD.Z 64(R12)(R8*1), K2, Z7
+	LEAQ (DX)(R11*8), BX  // &b[0][j]
+	MOVQ SI, AX           // &a[0][0]
+	LEAQ (SI)(R8*2), R13  // &a[2][0]
+	MOVQ R10, CX          // k steps
+b64k:
+	VMOVUPD.Z (BX), K1, Z8        // b[k][j..j+8)
+	VMOVUPD.Z 64(BX), K2, Z9      // b[k][j+8..j+16)
+	VBROADCASTSD (AX), Z10        // a[0][k]
+	VADDPD Z8, Z10, Z14           // w = a[0][k] + b[k][j..]
+	VMINPD Z0, Z14, Z0            // c = w < c ? w : c
+	VADDPD Z9, Z10, Z15
+	VMINPD Z1, Z15, Z1
+	VBROADCASTSD (AX)(R8*1), Z11  // a[1][k]
+	VADDPD Z8, Z11, Z14
+	VMINPD Z2, Z14, Z2
+	VADDPD Z9, Z11, Z15
+	VMINPD Z3, Z15, Z3
+	VBROADCASTSD (R13), Z12       // a[2][k]
+	VADDPD Z8, Z12, Z14
+	VMINPD Z4, Z14, Z4
+	VADDPD Z9, Z12, Z15
+	VMINPD Z5, Z15, Z5
+	VBROADCASTSD (R13)(R8*1), Z13 // a[3][k]
+	VADDPD Z8, Z13, Z14
+	VMINPD Z6, Z14, Z6
+	VADDPD Z9, Z13, Z15
+	VMINPD Z7, Z15, Z7
+	ADDQ $8, AX
+	ADDQ $8, R13
+	ADDQ R8, BX                   // next b row
+	DECQ CX
+	JNZ  b64k
+	VMOVUPD Z0, K1, (R14)
+	VMOVUPD Z1, K2, 64(R14)
+	VMOVUPD Z2, K1, (R14)(R8*1)
+	VMOVUPD Z3, K2, 64(R14)(R8*1)
+	VMOVUPD Z4, K1, (R12)
+	VMOVUPD Z5, K2, 64(R12)
+	VMOVUPD Z6, K1, (R12)(R8*1)
+	VMOVUPD Z7, K2, 64(R12)(R8*1)
+	ADDQ $16, R11
+	JMP  b64pass
+
+b64done:
+	VZEROUPPER
+	RET

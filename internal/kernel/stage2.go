@@ -1,10 +1,6 @@
 package kernel
 
-import (
-	"unsafe"
-
-	"cellnpdp/internal/semiring"
-)
+import "cellnpdp/internal/semiring"
 
 // Stage2OffDiag resolves the inner dependences of an off-diagonal memory
 // block D = MB(I,J) after stage 1 has accumulated every middle-tile
@@ -28,66 +24,62 @@ import (
 // ranges — the order of the 4×4 CB-step formulation — so the result is
 // bit-identical to it, ±0 and NaN included.
 //
+// The below-band strips of one CB row band p are issued together, as
+// one band call over all t columns (bandF32, bandF64), before the
+// row's left-to-right pass. That keeps every cell's term order: the
+// strip for CB (p,q) reads only L and the finished rows below band p,
+// and writes only CB (p,q), so running it ahead of the other CBs' left
+// strips and closures changes no value it reads, and each cell still
+// takes its below-band terms first.
+//
 // The element type is resolved once per call: each width runs its own
-// body on its own strip dispatch (stripF32, stripF64), which takes the
-// vector strip where the host has one and the Go strip otherwise. The
-// returned work record is StatsStage2OffDiag(t), the count of 4×4 CB
-// steps the strips cover plus the closure's relaxations.
+// body on its own band and strip dispatch, which takes the AVX-512 band
+// kernel, the vector strips or the Go strips, whichever the host has.
+// The returned work record is StatsStage2OffDiag(t), the count of 4×4
+// CB steps the strips cover plus the closure's relaxations.
 func Stage2OffDiag[E semiring.Elem](d, l, r []E, t int) Stats {
-	var e E
-	if unsafe.Sizeof(e) == 4 {
-		stage2OffDiagF32(asWidth[float32](d), asWidth[float32](l), asWidth[float32](r), t)
+	if semiring.Width[E]() == 4 {
+		stage2OffDiagF32(semiring.AsWidth[float32](d), semiring.AsWidth[float32](l), semiring.AsWidth[float32](r), t)
 	} else {
-		stage2OffDiagF64(asWidth[float64](d), asWidth[float64](l), asWidth[float64](r), t)
+		stage2OffDiagF64(semiring.AsWidth[float64](d), semiring.AsWidth[float64](l), semiring.AsWidth[float64](r), t)
 	}
 	return StatsStage2OffDiag(t)
 }
 
-// asWidth views cells as F, the float type of the same size: E is
-// ~float32 or ~float64, so it has F's memory layout, and a named element
-// type (type Cost float64) runs its width's body like float64 itself.
-// The caller picks F by unsafe.Sizeof.
-func asWidth[F float32 | float64, E semiring.Elem](cells []E) []F {
-	return unsafe.Slice((*F)(unsafe.Pointer(unsafe.SliceData(cells))), len(cells))
-}
-
-// stage2OffDiagF32 is Stage2OffDiag's body on the float32 strip
-// dispatch. stage2OffDiagF64 is the same loop at double width; the two
-// change together.
+// stage2OffDiagF32 is Stage2OffDiag's body on the float32 band and
+// strip dispatch. stage2OffDiagF64 is the same loop at double width; the
+// two change together.
 //
 //npdp:hotpath
 func stage2OffDiagF32(d, l, r []float32, t int) {
 	cbm := t / CB
 	for p := cbm - 1; p >= 0; p-- {
 		band := p * CB * t
+		if k := t - (p+1)*CB; k > 0 {
+			bandF32(d[band:], l[band+(p+1)*CB:], d[band+CB*t:], t, t, k)
+		}
 		for q := 0; q < cbm; q++ {
-			c := d[band+q*CB:]
-			if k := t - (p+1)*CB; k > 0 {
-				stripF32(c, l[band+(p+1)*CB:], d[band+CB*t+q*CB:], t, k)
-			}
 			if k := q * CB; k > 0 {
-				stripF32(c, d[band:], r[q*CB:], t, k)
+				stripF32(d[band+q*CB:], d[band:], r[q*CB:], t, k)
 			}
 			closeCB(d, l, r, t, p, q)
 		}
 	}
 }
 
-// stage2OffDiagF64 is stage2OffDiagF32 with every strip sent through
-// stripF64.
+// stage2OffDiagF64 is stage2OffDiagF32 on bandF64 and stripF64.
 //
 //npdp:hotpath
 func stage2OffDiagF64(d, l, r []float64, t int) {
 	cbm := t / CB
 	for p := cbm - 1; p >= 0; p-- {
 		band := p * CB * t
+		if k := t - (p+1)*CB; k > 0 {
+			bandF64(d[band:], l[band+(p+1)*CB:], d[band+CB*t:], t, t, k)
+		}
 		for q := 0; q < cbm; q++ {
-			c := d[band+q*CB:]
-			if k := t - (p+1)*CB; k > 0 {
-				stripF64(c, l[band+(p+1)*CB:], d[band+CB*t+q*CB:], t, k)
-			}
 			if k := q * CB; k > 0 {
-				stripF64(c, d[band:], r[q*CB:], t, k)
+				stripF64(d[band+q*CB:], d[band:], r[q*CB:], t, k)
 			}
 			closeCB(d, l, r, t, p, q)
 		}
@@ -104,11 +96,10 @@ func stage2OffDiagF64(d, l, r []float64, t int) {
 // The element type is resolved once per call, as in Stage2OffDiag, and
 // the returned work record is StatsStage2Diag(t).
 func Stage2Diag[E semiring.Elem](d []E, t int) Stats {
-	var e E
-	if unsafe.Sizeof(e) == 4 {
-		stage2DiagF32(asWidth[float32](d), t)
+	if semiring.Width[E]() == 4 {
+		stage2DiagF32(semiring.AsWidth[float32](d), t)
 	} else {
-		stage2DiagF64(asWidth[float64](d), t)
+		stage2DiagF64(semiring.AsWidth[float64](d), t)
 	}
 	return StatsStage2Diag(t)
 }

@@ -42,16 +42,17 @@ func TestPanelVectorBitIdenticalToFallback(t *testing.T) {
 	panelVectorBitIdentical(t, PanelMinPlusF64) // the Go panel on NEON
 }
 
+// panelVectorBitIdentical runs the dispatcher at every vector dispatch
+// level (the AVX-512 bands and the AVX2 panel on an AVX-512 host) and
+// compares each with the Go fallback and MulMinPlus.
 func panelVectorBitIdentical[E semiring.Elem](t *testing.T, dispatch func(c, a, b []E, t int) Stats) {
 	t.Helper()
-	for _, tile := range []int{4, 8, 12, 16, 20, 24, 32, 64, 88, 92} {
+	for _, tile := range []int{4, 8, 12, 16, 20, 24, 32, 36, 64, 88, 92} {
 		a := adversarialBlock[E](tile, int64(tile))
 		b := adversarialBlock[E](tile, int64(tile)+100)
-		cVec := adversarialBlock[E](tile, int64(tile)+200)
-		cGo := append([]E(nil), cVec...)
-		cRef := append([]E(nil), cVec...)
-
-		stVec := dispatch(cVec, a, b, tile)
+		c := adversarialBlock[E](tile, int64(tile)+200)
+		cGo := append([]E(nil), c...)
+		cRef := append([]E(nil), c...)
 		func() {
 			defer SetVectorEnabled(false)()
 			if VectorEnabled() {
@@ -61,12 +62,19 @@ func panelVectorBitIdentical[E semiring.Elem](t *testing.T, dispatch func(c, a, 
 		}()
 		stRef := MulMinPlus(cRef, a, b, tile)
 
-		name := fmt.Sprintf("%T tile=%d", *new(E), tile)
-		requireBits(t, name+": vector vs Go fallback", tile, 0, cVec, cGo)
-		requireBits(t, name+": vector vs MulMinPlus", tile, 0, cVec, cRef)
-		if stVec != stRef {
-			t.Errorf("%s: vector stats %+v != reference %+v", name, stVec, stRef)
-		}
+		atLevels(func(level string) {
+			if level == "go" {
+				return
+			}
+			cVec := append([]E(nil), c...)
+			stVec := dispatch(cVec, a, b, tile)
+			name := fmt.Sprintf("%T %s tile=%d", *new(E), level, tile)
+			requireBits(t, name+": vector vs Go fallback", tile, 0, cVec, cGo)
+			requireBits(t, name+": vector vs MulMinPlus", tile, 0, cVec, cRef)
+			if stVec != stRef {
+				t.Errorf("%s: vector stats %+v != reference %+v", name, stVec, stRef)
+			}
+		})
 	}
 }
 
@@ -80,37 +88,49 @@ func adversarialBand[E semiring.Elem](n int, seed int64) []E {
 	return adversarialBlock[E](side, seed)[:n:n]
 }
 
-// The assembly strip must match the Go strip bit for bit over short,
-// CB-sized, ragged and full-tile k ranges and over strides from a bare
-// 4×4 up to a full tile row, on bands sized exactly to what the strip
-// touches.
+// The strip dispatch and a one-group band must match the Go strip bit
+// for bit at every dispatch level (the AVX2 strip and the AVX-512 band
+// on an AVX-512 host, the vector strip alone on AVX2 and NEON), over
+// short, CB-sized, ragged and full-tile k ranges and over strides from a
+// bare 4×4 up to a full tile row, on bands sized exactly to what the
+// strip touches.
 func TestStripVectorMatchesGo(t *testing.T) {
 	if !VectorEnabled() {
 		t.Skip("vector kernels unavailable on this host")
 	}
-	stripVectorMatchesGo(t, stripVecF32)
-	if haveVecF64ASM {
-		stripVectorMatchesGo(t, stripVecF64)
-	}
+	stripVectorMatchesGo(t, stripF32, bandF32)
+	stripVectorMatchesGo(t, stripF64, bandF64)
 }
 
-func stripVectorMatchesGo[E semiring.Elem](t *testing.T, vec func(c, a, b *E, stride, k int)) {
+func stripVectorMatchesGo[E semiring.Elem](t *testing.T, stripD func(c, a, b []E, stride, k int),
+	bandD func(c, a, b []E, stride, cols, k int)) {
 	t.Helper()
 	for _, k := range []int{1, 4, 5, 84} {
 		for _, stride := range []int{4, 8, 88} {
 			seed := int64(k*100 + stride)
 			a := adversarialBand[E](3*stride+k, seed)
 			b := adversarialBand[E]((k-1)*stride+CB, seed+1)
-			cVec := adversarialBand[E](3*stride+CB, seed+2)
-			cGo := append([]E(nil), cVec...)
-			vec(&cVec[0], &a[0], &b[0], stride, k)
+			c := adversarialBand[E](3*stride+CB, seed+2)
+			cGo := append([]E(nil), c...)
 			strip(cGo, a, b, stride, k)
-			for i := range cVec {
-				if bitsOf(cVec[i]) != bitsOf(cGo[i]) {
-					t.Fatalf("%T k=%d stride=%d: assembly strip diverges from Go strip at %d: %x vs %x",
-						cVec[i], k, stride, i, bitsOf(cVec[i]), bitsOf(cGo[i]))
+			atLevels(func(level string) {
+				for _, d := range []struct {
+					name string
+					run  func(c []E)
+				}{
+					{"strip", func(c []E) { stripD(c, a, b, stride, k) }},
+					{"band", func(c []E) { bandD(c, a, b, stride, CB, k) }},
+				} {
+					got := append([]E(nil), c...)
+					d.run(got)
+					for i := range got {
+						if bitsOf(got[i]) != bitsOf(cGo[i]) {
+							t.Fatalf("%T %s %s k=%d stride=%d: dispatch diverges from Go strip at %d: %x vs %x",
+								got[i], level, d.name, k, stride, i, bitsOf(got[i]), bitsOf(cGo[i]))
+						}
+					}
 				}
-			}
+			})
 		}
 	}
 }

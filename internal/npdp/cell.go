@@ -518,13 +518,12 @@ func SolveCellCtx[E semiring.Elem](ctx context.Context, t *tri.Tiled[E], m *cell
 	if err != nil {
 		return CellResult{}, err
 	}
-	var e E
 	eng := &cellEngine[E]{
 		ctx:       ctx,
 		data:      t,
 		tile:      t.Tile(),
 		blocks:    t.Blocks(),
-		elemBytes: elemBytes(e),
+		elemBytes: semiring.Width[E](),
 		machine:   m,
 		opts:      opts,
 		mul:       mul,
@@ -558,14 +557,4 @@ func ModelCell(n, tile int, prec Precision, m *cellsim.Machine, opts CellOptions
 		opts:      opts,
 	}
 	return eng.run()
-}
-
-// elemBytes returns the byte width of a semiring element.
-func elemBytes(e any) int {
-	switch e.(type) {
-	case float64:
-		return 8
-	default:
-		return 4
-	}
 }

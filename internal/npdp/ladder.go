@@ -287,10 +287,9 @@ func (l *Ladder[E]) SaveCheckpoint(path string, t *tri.Tiled[E]) error {
 			blocks = append(blocks, l.graph.Tasks[id].MemoryBlockOrder()...)
 		}
 	}
-	var e E
 	meta := resilience.Meta{
 		N: t.Len(), Tile: t.Tile(), SchedSide: l.graph.SchedSide,
-		Tasks: len(l.graph.Tasks), ElemBytes: elemBytes(e),
+		Tasks: len(l.graph.Tasks), ElemBytes: semiring.Width[E](),
 	}
 	return resilience.SaveCheckpointFile(path, meta, done, t, blocks)
 }

@@ -43,8 +43,7 @@ func SolveOriginalSPE[E semiring.Elem](m *tri.RowMajor[E], mach *cellsim.Machine
 	}
 	mach.Reset()
 	spe := mach.SPEs[0]
-	var e E
-	eb := elemBytes(e)
+	eb := semiring.Width[E]()
 	chunkElems := OriginalSPEChunkBytes / eb
 	rowBuf, err := cellsim.Alloc[E](spe, chunkElems, eb)
 	if err != nil {

@@ -39,8 +39,7 @@ func ResolveStage1[E semiring.Elem](sel perfmodel.Kernel, t *tri.Tiled[E]) (Stag
 // shape but do not hold the table in memory — the paged solve resolves
 // its kernel from the pager's geometry before any block is resident.
 func ResolveStage1Shape[E semiring.Elem](sel perfmodel.Kernel, tile, n int) (Stage1Func[E], error) {
-	var e E
-	_, isF32 := any(e).(float32)
+	isF32 := semiring.Width[E]() == 4
 	if sel == perfmodel.KernelAuto {
 		sel = perfmodel.PickKernel(perfmodel.Shape{
 			Block:   tile,
@@ -56,15 +55,12 @@ func ResolveStage1Shape[E semiring.Elem](sel perfmodel.Kernel, tile, n int) (Sta
 	case perfmodel.KernelPanel, perfmodel.KernelVector:
 		if isF32 {
 			return func(c, a, b []E, ts int) kernel.Stats {
-				return kernel.PanelMinPlusF32(any(c).([]float32), any(a).([]float32), any(b).([]float32), ts)
+				return kernel.PanelMinPlusF32(semiring.AsWidth[float32](c), semiring.AsWidth[float32](a), semiring.AsWidth[float32](b), ts)
 			}, nil
 		}
-		if _, isF64 := any(e).(float64); isF64 {
-			return func(c, a, b []E, ts int) kernel.Stats {
-				return kernel.PanelMinPlusF64(any(c).([]float64), any(a).([]float64), any(b).([]float64), ts)
-			}, nil
-		}
-		return kernel.PanelMinPlus[E], nil
+		return func(c, a, b []E, ts int) kernel.Stats {
+			return kernel.PanelMinPlusF64(semiring.AsWidth[float64](c), semiring.AsWidth[float64](a), semiring.AsWidth[float64](b), ts)
+		}, nil
 	case perfmodel.KernelFourRussians:
 		return nil, fmt.Errorf("npdp: the Four-Russians kernel solves lattice DPs, not min-plus block products (use zuker.MaxPairs)")
 	}

@@ -13,14 +13,16 @@ import (
 // empirical constants the Section V model needs before PickKernel can
 // rank kernels the way the paper ranks block sizes. It times the scalar
 // CB-step reference, the pure-Go panel (vector dispatch forced off) and
-// the vector panel (where the ISA exists) over the given block sides,
+// the vector kernel (where the ISA exists) over the given block sides
+// (by default 16, 32, 64 and 88, the engines' float32 tile at the
+// paper's 32 KB block),
 // and probes the Four-Russians crossover against the serial Nussinov
 // reference. Runs take a few hundred milliseconds; the result is meant
-// to be persisted (FormatCalibration → scripts/kernel_calibration.txt)
+// to be persisted (MergeCalibration → scripts/kernel_calibration.txt)
 // and reloaded, not measured per process.
 func Calibrate(blocks []int) *Calibration {
 	if len(blocks) == 0 {
-		blocks = []int{16, 32, 64}
+		blocks = []int{16, 32, 64, 88}
 	}
 	cal := &Calibration{
 		Arch:      runtime.GOARCH,

@@ -13,7 +13,8 @@ import (
 // This file extends the Section V model from "which block size" to
 // "which kernel": the engines now have several bit-identical stage-1
 // implementations (scalar CB-step reference, register-blocked Go panel,
-// AVX2/NEON vector panel, and the Four-Russians lattice kernel), and
+// AVX-512/AVX2/NEON vector kernel, and the Four-Russians lattice
+// kernel), and
 // the same measured-constants-into-closed-form discipline the paper
 // uses for N₂ picks between them. Per-kernel ns/cell is calibrated once
 // per machine (scripts/kernel_calibration.txt, regenerated like the
@@ -31,8 +32,8 @@ const (
 	KernelScalar
 	// KernelPanel is the register-blocked pure-Go panel.
 	KernelPanel
-	// KernelVector is the assembly panel: AVX2 at both widths, NEON at
-	// float32.
+	// KernelVector is the assembly kernel: the AVX-512 bands or the
+	// AVX2 panel at both widths, the NEON panel at float32.
 	KernelVector
 	// KernelFourRussians is the two-vector lattice kernel
 	// (internal/fourrussians; integer 0/1-difference DPs only).
@@ -75,9 +76,9 @@ type Shape struct {
 	// N is the total problem size (DP points) — the Four-Russians
 	// decision is asymptotic, so it needs n, not just t.
 	N int
-	// Float32 reports single-precision elements. The AVX2 vector
-	// kernels cover both widths; the NEON ones cover float32 only, so a
-	// float64 shape on "neon" takes the Go panel.
+	// Float32 reports single-precision elements. The AVX-512 and AVX2
+	// vector kernels cover both widths; the NEON ones cover float32
+	// only, so a float64 shape on "neon" takes the Go panel.
 	Float32 bool
 	// Lattice reports a 0/1-difference integer DP (Nussinov max-pairs):
 	// the only workload where Four-Russians is sound.
@@ -88,7 +89,7 @@ type Shape struct {
 type Calibration struct {
 	// Arch is the GOARCH the numbers were measured on.
 	Arch string
-	// ISA is the vector ISA in use ("avx2", "neon", "none").
+	// ISA is the vector ISA in use ("avx512", "avx2", "neon", "none").
 	ISA string
 	// NsPerCell maps kernel → block side → measured ns per relaxed
 	// cell. Missing entries fall back to the kernel's worst measured
@@ -190,8 +191,8 @@ func PickCount() int64 { return pickCount.Load() }
 //
 //   - Lattice shapes beyond the measured Four-Russians crossover take
 //     the O(n³/log n) kernel — its win is asymptotic, not per-cell.
-//   - Shapes the ISA has a vector panel for (float32 on AVX2 and NEON,
-//     float64 on AVX2) take it when calibration agrees it is cheapest
+//   - Shapes the ISA has a vector kernel for (float32 everywhere,
+//     float64 on AVX-512 and AVX2) take it when calibration agrees it is cheapest
 //     (it always is where supported).
 //   - Everything else takes the Go panel; KernelScalar survives only
 //     as an explicit override (ablations, NoPanelKernel).
@@ -216,22 +217,62 @@ func PickKernel(shape Shape, arch, isa string) Kernel {
 	return best
 }
 
-// vectorWidth reports whether isa has an assembly panel at the shape's
-// element width: every vector ISA carries float32, and AVX2 float64 too.
+// vectorWidth reports whether isa has an assembly kernel at the shape's
+// element width: every vector ISA carries float32, and AVX-512 and AVX2
+// carry float64 too.
 func vectorWidth(f32 bool, isa string) bool {
 	if f32 {
 		return isa != "none"
 	}
-	return isa == "avx2"
+	return isa == "avx512" || isa == "avx2"
 }
 
 // FormatCalibration renders a calibration as the persisted file body —
 // the same normalized-text discipline as the codegen baseline.
 func FormatCalibration(c *Calibration) string {
+	return "# stage-1 kernel calibration: measured ns/cell per kernel × block side,\n" +
+		"# plus the Four-Russians crossover n, one [arch/isa] section per host\n" +
+		"# kind. Regenerate this host's section with:\n" +
+		"#   go run ./cmd/benchtables -calibrate scripts/kernel_calibration.txt\n" +
+		formatSection(c)
+}
+
+// MergeCalibration returns the calibration file body with c's
+// [arch/isa] section replaced by c, or appended when body has none;
+// the header and every other section keep their lines and their order.
+// An empty body yields FormatCalibration(c).
+func MergeCalibration(body string, c *Calibration) string {
+	if strings.TrimSpace(body) == "" {
+		return FormatCalibration(c)
+	}
+	head := fmt.Sprintf("[%s/%s]", c.Arch, c.ISA)
 	var b strings.Builder
-	b.WriteString("# stage-1 kernel calibration: measured ns/cell per kernel × block side,\n")
-	b.WriteString("# plus the Four-Russians crossover n. Regenerate with:\n")
-	b.WriteString("#   go run ./cmd/benchtables -calibrate scripts/kernel_calibration.txt\n")
+	replaced, inSection := false, false
+	for _, line := range strings.SplitAfter(body, "\n") {
+		if t := strings.TrimSpace(line); strings.HasPrefix(t, "[") && strings.HasSuffix(t, "]") {
+			inSection = t == head
+			if inSection && !replaced {
+				b.WriteString(formatSection(c))
+				replaced = true
+			}
+		}
+		if !inSection {
+			b.WriteString(line)
+		}
+	}
+	if !replaced {
+		if !strings.HasSuffix(body, "\n") {
+			b.WriteString("\n")
+		}
+		b.WriteString(formatSection(c))
+	}
+	return b.String()
+}
+
+// formatSection renders c's [arch/isa] section: its header line, the
+// crossover and one kernel/block/ns row per measurement, sorted.
+func formatSection(c *Calibration) string {
+	var b strings.Builder
 	fmt.Fprintf(&b, "[%s/%s]\n", c.Arch, c.ISA)
 	fmt.Fprintf(&b, "fourrussians-crossover\t%d\n", c.FourRussiansCrossover)
 	type row struct {

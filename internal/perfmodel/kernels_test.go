@@ -55,6 +55,42 @@ func TestPickKernelVector(t *testing.T) {
 	if k := PickKernel(Shape{Block: 32, N: 2048}, "arm64", "neon"); k != KernelPanel {
 		t.Fatalf("f64 shape on neon picked %v, want panel", k)
 	}
+	// AVX-512 carries both widths on its band kernels.
+	for _, f32 := range []bool{true, false} {
+		if k := PickKernel(Shape{Block: 32, N: 2048, Float32: f32}, "amd64", "avx512"); k != KernelVector {
+			t.Fatalf("Float32=%v shape on avx512 picked %v, want vector", f32, k)
+		}
+	}
+}
+
+// Regenerating one host's calibration must replace only that host's
+// section: the header and the other sections keep their lines and
+// order, and a host with no section yet is appended.
+func TestMergeCalibrationKeepsOtherSections(t *testing.T) {
+	avx2 := &Calibration{Arch: "amd64", ISA: "avx2", NsPerCell: map[Kernel]map[int]float64{KernelVector: {32: 0.05}}, FourRussiansCrossover: 768}
+	neon := &Calibration{Arch: "arm64", ISA: "neon", NsPerCell: map[Kernel]map[int]float64{KernelVector: {32: 0.09}}, FourRussiansCrossover: 640}
+	body := FormatCalibration(avx2) + formatSection(neon)
+
+	newAVX2 := &Calibration{Arch: "amd64", ISA: "avx2", NsPerCell: map[Kernel]map[int]float64{KernelVector: {32: 0.04, 88: 0.041}}, FourRussiansCrossover: 512}
+	merged := MergeCalibration(body, newAVX2)
+	if want := FormatCalibration(newAVX2) + formatSection(neon); merged != want {
+		t.Fatalf("replacing [amd64/avx2]:\n%s\nwant\n%s", merged, want)
+	}
+
+	avx512 := &Calibration{Arch: "amd64", ISA: "avx512", NsPerCell: map[Kernel]map[int]float64{KernelVector: {88: 0.03}}, FourRussiansCrossover: 768}
+	merged = MergeCalibration(body, avx512)
+	if want := body + formatSection(avx512); merged != want {
+		t.Fatalf("appending [amd64/avx512]:\n%s\nwant\n%s", merged, want)
+	}
+	for _, c := range []*Calibration{avx2, neon, avx512} {
+		got, err := ParseCalibration(merged, c.Arch, c.ISA)
+		if err != nil || got == nil || got.ISA != c.ISA || got.FourRussiansCrossover != c.FourRussiansCrossover {
+			t.Fatalf("section [%s/%s] after merge: %+v, %v", c.Arch, c.ISA, got, err)
+		}
+	}
+	if got := MergeCalibration("", avx2); got != FormatCalibration(avx2) {
+		t.Fatalf("merging into an empty file:\n%s", got)
+	}
 }
 
 func TestPickCountAdvances(t *testing.T) {

@@ -5,11 +5,35 @@
 // applications, which use weighted variants of the same recurrence.
 package semiring
 
+import "unsafe"
+
 // Elem constrains the element types supported by the optimized engines.
 // The paper evaluates single precision (4 lanes per 128-bit register) and
 // double precision (2 lanes).
 type Elem interface {
 	~float32 | ~float64
+}
+
+// Width returns E's size in bytes: 4 for ~float32, 8 for ~float64. It is
+// the one test of an element's precision: a named element type
+// (type Cost float64) has its underlying type's width, so it shares that
+// type's encoding, tile sizing and kernels. Testing the exact type
+// (any(e).(float64)) would miss it.
+func Width[E Elem]() int {
+	var e E
+	return int(unsafe.Sizeof(e))
+}
+
+// AsWidth views cells as F, the float type of E's width, without
+// copying: E is ~float32 or ~float64, so it has F's memory layout, and
+// a named element type runs its width's code like the float type
+// itself. The caller picks F by Width; a mismatched F panics.
+func AsWidth[F float32 | float64, E Elem](cells []E) []F {
+	var f F
+	if unsafe.Sizeof(f) != uintptr(Width[E]()) {
+		panic("semiring: AsWidth across element widths")
+	}
+	return unsafe.Slice((*F)(unsafe.Pointer(unsafe.SliceData(cells))), len(cells))
 }
 
 // Inf returns the additive identity of the min-plus semiring (the "no

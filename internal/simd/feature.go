@@ -9,8 +9,8 @@ import (
 // (internal/kernel's GOARCH-specific assembly). The emulated Table I
 // instruction stream elsewhere in this package models the paper's SPU;
 // this file answers the narrower question the dispatchers need at run
-// time: does the host actually have the 8-lane (AVX2) or 4-lane (NEON)
-// min-plus datapath the assembly targets?
+// time: does the host actually have the 16-lane (AVX-512), 8-lane (AVX2)
+// or 4-lane (NEON) min-plus datapath the assembly targets?
 //
 // Detection runs once at package init. Tests and operators can force the
 // pure-Go fallback two ways: the CELLNPDP_FORCE_SCALAR environment
@@ -23,9 +23,15 @@ import (
 // whole process.
 const ForceScalarEnv = "CELLNPDP_FORCE_SCALAR"
 
-// hasVector reports the raw detection result for this GOARCH (set by the
-// per-arch init in feature_*.go). It never changes after init.
-var hasVector bool
+// hasVector reports the raw detection result for this GOARCH and
+// vectorISAName names the detected instruction set (both set by the
+// per-arch init in feature_amd64.go and feature_arm64.go; other GOARCHes
+// have no vector kernels and keep the zero values). Neither changes
+// after init.
+var (
+	hasVector     bool
+	vectorISAName = "none"
+)
 
 // forced is 1 when the fallback is forced (env or SetForceFallback).
 var forced atomic.Int32
@@ -42,7 +48,8 @@ func VectorAvailable() bool {
 	return hasVector && forced.Load() == 0
 }
 
-// VectorISA names the vector instruction set the kernels would use:
+// VectorISA names the widest vector instruction set the kernels would
+// use: "avx512" (AVX512F with the OS saving ZMM and opmask state),
 // "avx2", "neon", or "none" (unsupported hardware or forced fallback).
 func VectorISA() string {
 	if !VectorAvailable() {

@@ -7,8 +7,7 @@ package simd
 // can run on has the 4-lane single-precision datapath the NEON kernels
 // use. The forced-fallback switch in feature.go still applies.
 
-const vectorISAName = "neon"
-
 func init() {
+	vectorISAName = "neon"
 	hasVector = true
 }

@@ -88,36 +88,27 @@ func Read[E semiring.Elem](r io.Reader) (*tri.RowMajor[E], error) {
 	return m, nil
 }
 
-// ElemWidth returns the byte width of E (4 for float32, 8 for float64).
-// Exported so sibling codecs (the resilience checkpoint format) share the
-// exact element encoding.
-func ElemWidth(e any) int {
-	if _, ok := e.(float64); ok {
-		return 8
-	}
-	return 4
-}
+// ElemWidth returns the byte width of E (4 for ~float32, 8 for
+// ~float64; see semiring.Width). Exported so sibling codecs (the
+// resilience checkpoint format) share the exact element encoding.
+func ElemWidth[E semiring.Elem](E) int { return semiring.Width[E]() }
 
 // PutElem encodes v into buf (little-endian IEEE). It codes one cell;
 // blocks and rows go through EncodeCells.
 func PutElem[E semiring.Elem](buf []byte, v E) {
-	switch x := any(v).(type) {
-	case float32:
-		binary.LittleEndian.PutUint32(buf, math.Float32bits(x))
-	case float64:
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(x))
+	if semiring.Width[E]() == 4 {
+		binary.LittleEndian.PutUint32(buf, math.Float32bits(float32(v)))
+	} else {
+		binary.LittleEndian.PutUint64(buf, math.Float64bits(float64(v)))
 	}
 }
 
 // GetElem decodes an element from buf.
 func GetElem[E semiring.Elem](buf []byte) E {
-	var e E
-	switch any(e).(type) {
-	case float32:
+	if semiring.Width[E]() == 4 {
 		return E(math.Float32frombits(binary.LittleEndian.Uint32(buf)))
-	default:
-		return E(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
 	}
+	return E(math.Float64frombits(binary.LittleEndian.Uint64(buf)))
 }
 
 // EncodeCells writes cells into the front of dst in the element
@@ -125,16 +116,13 @@ func GetElem[E semiring.Elem](buf []byte) E {
 // little-endian IEEE at ElemWidth bytes per cell. dst must hold
 // ElemWidth·len(cells) bytes. It is the one bulk cell codec — the block
 // seal digest, spill slots, checkpoints, the table file and the cluster
-// wire all encode through it — so it type-switches once per call and
-// then runs a bounds-check-free loop for the width.
+// wire all encode through it — so it picks the width once per call and
+// then runs a bounds-check-free loop for it.
 func EncodeCells[E semiring.Elem](dst []byte, cells []E) {
-	switch c := any(cells).(type) {
-	case []float32:
-		encode32(dst[:4*len(c)], c)
-	case []float64:
-		encode64(dst[:8*len(c)], c)
-	default:
-		panic(fmt.Sprintf("tableio: no cell encoding for %T", cells))
+	if semiring.Width[E]() == 4 {
+		encode32(dst[:4*len(cells)], semiring.AsWidth[float32](cells))
+	} else {
+		encode64(dst[:8*len(cells)], semiring.AsWidth[float64](cells))
 	}
 }
 
@@ -142,13 +130,10 @@ func EncodeCells[E semiring.Elem](dst []byte, cells []E) {
 // EncodeCells bit for bit (NaN payloads included). src must hold
 // ElemWidth·len(dst) bytes.
 func DecodeCells[E semiring.Elem](dst []E, src []byte) {
-	switch d := any(dst).(type) {
-	case []float32:
-		decode32(d, src[:4*len(d)])
-	case []float64:
-		decode64(d, src[:8*len(d)])
-	default:
-		panic(fmt.Sprintf("tableio: no cell encoding for %T", dst))
+	if semiring.Width[E]() == 4 {
+		decode32(semiring.AsWidth[float32](dst), src[:4*len(dst)])
+	} else {
+		decode64(semiring.AsWidth[float64](dst), src[:8*len(dst)])
 	}
 }
 

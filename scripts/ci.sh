@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Repo-wide verification gate: formatting, vet, pinned staticcheck, the
-# npdplint invariant suite plus its hot-path codegen regression gate,
-# the full test suite under the race detector, the benchmark's smoke test
+# Repo-wide verification gate: formatting, vet, cross-GOARCH builds,
+# pinned staticcheck, the npdplint invariant suite plus its hot-path
+# codegen regression gate, the full test suite under the race detector
+# (the kernel tests run every dispatch level the host has: the AVX-512
+# band kernels, the AVX2 panels and strips, and the pure-Go bodies),
+# the benchmark's smoke test
 # (bench/ is its own module, so go test ./... never builds it), short
 # fuzz smokes of the checkpoint and spill-index codecs, of kernel
 # equivalence, and of the bulk cell codec every seal, slot and frame
@@ -40,6 +43,13 @@ go vet ./...
 echo "== go vet (asmdecl) internal/kernel on amd64 + arm64"
 GOARCH=amd64 go vet ./internal/kernel ./internal/simd
 GOARCH=arm64 go vet ./internal/kernel ./internal/simd
+
+# CPU detection and the assembly stubs are per-GOARCH files (amd64
+# detection, arm64 NEON, panic stubs everywhere else), so build the
+# whole module for an arch with no assembly (386) and for arm64 too.
+echo "== go build ./... on 386 + arm64"
+GOARCH=386 go build ./...
+GOARCH=arm64 go build ./...
 
 # staticcheck is mandatory and pinned, so every run checks the same
 # rule set regardless of what the host has installed. The one
@@ -109,12 +119,13 @@ echo "== bench smoke: (cd bench && go test .)"
 (cd bench && go test .)
 
 echo "== go test -race (forced pure-Go kernels: CELLNPDP_FORCE_SCALAR=1, GOAMD64=v1)"
-# The vector dispatch has two halves: the assembly fast path (covered
-# above on AVX2 hosts) and the pure-Go fallback every other machine
-# runs. Force the fallback process-wide — the env var folds into
-# detection at init — and pin GOAMD64=v1 so the compiler cannot assume
-# AVX either, then re-run the packages whose kernels and dispatch state
-# differ between the two worlds.
+# The vector dispatch has three levels: the AVX-512 band kernels, the
+# AVX2 (or NEON) panels and strips, and the pure-Go fallback every other
+# machine runs. The kernel tests above run each level the host has
+# through a test-only seam; this pass instead forces the fallback
+# process-wide — the env var folds into detection at init — and pins
+# GOAMD64=v1 so the compiler cannot assume AVX either, then re-runs the
+# packages whose kernels and dispatch state differ between the worlds.
 CELLNPDP_FORCE_SCALAR=1 GOAMD64=v1 go test -race -timeout 30m \
     ./internal/kernel ./internal/simd ./internal/npdp ./internal/perfmodel \
     ./internal/fourrussians ./internal/zuker .
@@ -142,10 +153,11 @@ go run ./cmd/cellnpdp -n 300 -engine parallel -timeout 30m \
     -faultrate 0.05 -faultseed 7 -retries 3 -fallback=false
 
 echo "== fuzz smoke: kernel equivalence (20s)"
-# Every selectable min-plus kernel (panel, vector asm, forced fallback,
-# CB-step) against the scalar reference on arbitrary tiles with ±Inf
-# sentinels, plus stage 2 (the vector strips and the forced fallback)
-# on CB-aligned tiles, at both widths — each width draws its own
+# Every selectable min-plus kernel (Go panel, CB-step, and the panel
+# dispatch at each dispatch level the host has: AVX-512 bands, AVX2 or
+# NEON panels, Go fallback) against the scalar reference on arbitrary
+# tiles with ±Inf sentinels, plus stage 2 at each level (band, strips,
+# Go) on CB-aligned tiles, at both widths — each width draws its own
 # values, so float64 runs its own dispatchers on full-mantissa inputs —
 # with a flag that scatters ±0 and NaN so a reordered term shows as a
 # flipped zero sign; comparison is bit-exact.
@@ -162,9 +174,10 @@ echo "== smoke: self-healing solve (5% silent corruption, bit-identical to seria
 # catch them), heal with fallback disabled so the poisoned-cone path is
 # what's proven, and demand bit-identical output to the serial engine.
 # Run under the race detector: sealing and auditing race the pool. The
-# double arm runs the float64 kernels (the 4×f64 AVX2 panel and strips
-# on AVX2 hosts). The grep proves a heal fired in each arm — a run that
-# corrupted nothing would pass vacuously.
+# double arm runs the float64 kernels (the AVX-512 band kernels on
+# AVX-512 hosts, the 4×f64 AVX2 panel and strips on AVX2 hosts). The
+# grep proves a heal fired in each arm — a run that corrupted nothing
+# would pass vacuously.
 healref="$(mktemp)"
 heallog="$(mktemp)"
 trap 'rm -f "${healref}" "${heallog}"' EXIT

@@ -103,13 +103,22 @@ func (f *DiskFaults) draw(op uint64) uint64 {
 // domain downgrades to DiskFaultNone (the op count still advances, so
 // read and write schedules stay aligned with the global sequence).
 func (f *DiskFaults) plan(domain []DiskFaultKind) DiskFaultKind {
+	k, _ := f.planOp(domain)
+	return k
+}
+
+// planOp is plan that also returns the operation index it claimed, so
+// whatever else the operation draws derives from that index and not
+// from the counter, which concurrent operations keep advancing.
+func (f *DiskFaults) planOp(domain []DiskFaultKind) (DiskFaultKind, uint64) {
 	if f == nil || f.Rate <= 0 {
-		return DiskFaultNone
+		return DiskFaultNone, 0
 	}
-	h := f.draw(f.ops.Add(1) - 1)
+	op := f.ops.Add(1) - 1
+	h := f.draw(op)
 	u := float64(h>>11) / (1 << 53)
 	if u >= f.Rate {
-		return DiskFaultNone
+		return DiskFaultNone, op
 	}
 	kinds := f.Kinds
 	if len(kinds) == 0 {
@@ -118,16 +127,17 @@ func (f *DiskFaults) plan(domain []DiskFaultKind) DiskFaultKind {
 	k := kinds[splitmix64(h)%uint64(len(kinds))]
 	for _, d := range domain {
 		if k == d {
-			return k
+			return k, op
 		}
 	}
-	return DiskFaultNone
+	return DiskFaultNone, op
 }
 
-// bitDraw returns the deterministic draw a DiskFaultFlip uses to pick
-// the flipped bit, decorrelated from the fault decision itself.
-func (f *DiskFaults) bitDraw() uint64 {
-	return splitmix64(f.draw(f.ops.Load()) ^ 0xc2b2ae3d27d4eb4f)
+// bitDraw returns the deterministic draw a DiskFaultFlip of operation op
+// uses to pick the flipped bit, decorrelated from the fault decision
+// itself. It mixes draw(op+1), the value a serial run has always used.
+func (f *DiskFaults) bitDraw(op uint64) uint64 {
+	return splitmix64(f.draw(op+1) ^ 0xc2b2ae3d27d4eb4f)
 }
 
 var (
@@ -163,7 +173,7 @@ func (f *DiskFaults) writeAt(file interface {
 func (f *DiskFaults) readAt(file interface {
 	ReadAt([]byte, int64) (int, error)
 }, buf []byte, off int64) (DiskFaultKind, error) {
-	k := f.plan(readFaultDomain)
+	k, op := f.planOp(readFaultDomain)
 	if k == DiskFaultEIO {
 		return k, fmt.Errorf("pager: injected read fault: %w", syscall.EIO)
 	}
@@ -171,7 +181,7 @@ func (f *DiskFaults) readAt(file interface {
 		return DiskFaultNone, err
 	}
 	if k == DiskFaultFlip && len(buf) > 0 {
-		bit := f.bitDraw() % uint64(len(buf)*8)
+		bit := f.bitDraw(op) % uint64(len(buf)*8)
 		buf[bit/8] ^= 1 << (bit % 8)
 	}
 	return k, nil

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"syscall"
 
@@ -107,44 +106,56 @@ type Options struct {
 // (Acquire) while a task reads or computes it, and becomes final
 // (Complete) when its computing task finishes — final blocks are
 // immutable, which is what makes spill-once-on-eviction sound. Eviction
-// takes the least-recently-used unpinned frame: clean blocks drop
+// takes the least-recently-acquired unpinned frame: clean blocks drop
 // (pristine is already on disk), final blocks spill to their final slot
 // first. Pinning is the dependence-cone guard: the engine pins a task's
 // stage-1 operands before dispatch, so the wavefront's working set can
 // never be evicted under it.
+//
+// Concurrency: the mutex guards bookkeeping only — the frame map, the
+// LRU list, the per-block marks and the counters. Every pread, CRC and
+// codec pass over a slot, pwrite and fsync runs outside it. A frame is
+// loading (its one loader is reading the block; other callers wait on
+// cond), resident, or spilling (its final block is being written; the
+// cells stay readable, but no caller pins the frame and no eviction
+// takes it until the write returns).
 type Pager[E semiring.Elem] struct {
-	mu sync.Mutex
+	mu   sync.Mutex
+	cond sync.Cond // broadcast when a load or spill settles or a commit ends
 
-	f        *os.File
-	path     string
-	idxPath  string
-	geom     spillGeom
-	m        int // blocks per side
-	opts     Options
-	frames   map[int]*frameOf[E]
-	free     []*frameOf[E] // frames reclaimed by eviction, reused by the next page-in
-	slot     []byte        // the one slot buffer every page-in and spill goes through
+	f       *os.File
+	path    string
+	idxPath string
+	geom    spillGeom
+	m       int // blocks per side
+	opts    Options
+
+	frames   map[int]*frameOf[E] // every loading, resident and spilling frame
+	lru      frameList[E]        // resident and spilling frames, least recently acquired first
+	free     []*frameOf[E]       // frames reclaimed by eviction or Demote
+	slots    [][]byte            // spare slot buffers for the reads and spills outside the mutex
+	resident int                 // resident plus spilling frames: the budgeted set
+	busy     int                 // loading frames plus spills and reads in flight outside the mutex
 	final    []bool
 	spilled  []bool
 	crc      []uint32
 	corrupt  map[int]bool
 	noSpill  bool // sticky ENOSPC degradation: stop spilling, grow resident
-	tick     uint64
 	sinceCmt int
 	closed   bool
 	stats    Stats
 	prefetch chan struct{} // limits in-flight async prefetches (double buffer)
 
+	// Group commits: one commit runs at a time (committing); spills ask
+	// the committer goroutine for another (commitWanted), and committer
+	// is closed when that goroutine exits (nil while none runs).
+	committing   bool
+	commitWanted bool
+	committer    chan struct{}
+
 	// lastSpillErr is the most recent spill failure, carried into an
 	// *ErrSpillSpace if degradation later hits the hard ceiling.
 	lastSpillErr error
-}
-
-// frameOf is one resident block's frame.
-type frameOf[E semiring.Elem] struct {
-	cells   []E
-	pins    int
-	lastUse uint64
 }
 
 const (
@@ -304,13 +315,13 @@ func newPager[E semiring.Elem](path, idxPath string, g spillGeom, records []inde
 		m:        (g.N + g.Tile - 1) / g.Tile,
 		opts:     opts,
 		frames:   make(map[int]*frameOf[E]),
-		slot:     make([]byte, g.slotBytes()),
 		final:    make([]bool, g.NBlocks),
 		spilled:  make([]bool, g.NBlocks),
 		crc:      make([]uint32, g.NBlocks),
 		corrupt:  make(map[int]bool),
 		prefetch: make(chan struct{}, prefetchSlots),
 	}
+	p.cond.L = &p.mu
 	for _, rec := range records {
 		p.final[rec.ID] = true
 		p.spilled[rec.ID] = true
@@ -345,19 +356,26 @@ func (p *Pager[E]) blockID(bi, bj int) int {
 // A final block that fails its digest check (after one retry) is
 // reported as *ErrPageCorrupt for the engine's cone heal; a pristine
 // block that fails every retry has no earlier version and is
-// unrecoverable.
+// unrecoverable. A block another caller is loading is waited for, not
+// read twice, and so is a block whose spill is being written.
 func (p *Pager[E]) Acquire(bi, bj int) ([]E, error) {
 	id := p.blockID(bi, bj)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return nil, fmt.Errorf("pager: acquire on closed pager")
-	}
-	if fr, ok := p.frames[id]; ok {
-		fr.pins++
-		p.tick++
-		fr.lastUse = p.tick
-		return fr.cells, nil
+	for {
+		if p.closed {
+			return nil, fmt.Errorf("pager: acquire on closed pager")
+		}
+		fr, ok := p.frames[id]
+		if !ok {
+			break
+		}
+		if fr.state == frameResident {
+			fr.pins++
+			p.lru.moveToBack(fr)
+			return fr.cells, nil
+		}
+		p.cond.Wait()
 	}
 	fr, err := p.pageInLocked(id, bi, bj)
 	if err != nil {
@@ -411,16 +429,19 @@ func (p *Pager[E]) IsFinal(bi, bj int) bool {
 // pristine slot. This is the heal primitive — the engine demotes a
 // corrupt block's whole dependence cone (sched.Graph.Cone) and re-runs
 // those tasks, exactly the in-memory poisoned-cone discipline. Demoting
-// the block that faulted counts as a page heal.
+// the block that faulted counts as a page heal. A load or spill of the
+// block in flight settles first.
 func (p *Pager[E]) Demote(bi, bj int) {
 	id := p.blockID(bi, bj)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if fr, ok := p.frames[id]; ok {
-		delete(p.frames, id)
-		if fr.pins == 0 {
-			p.free = append(p.free, fr)
-		}
+	fr, ok := p.frames[id]
+	for ok && fr.state != frameResident {
+		p.cond.Wait()
+		fr, ok = p.frames[id]
+	}
+	if ok {
+		p.dropLocked(fr)
 	}
 	p.final[id] = false
 	p.spilled[id] = false
@@ -434,7 +455,8 @@ func (p *Pager[E]) Demote(bi, bj int) {
 // Prefetch starts an asynchronous page-in of block (bi, bj) without
 // pinning it — the disk half of the cellsim double-buffer discipline
 // (compute block k while block k+1 streams in). At most two prefetches
-// are in flight; extras and already-resident blocks are no-ops. A
+// are in flight; extras and already-resident or loading blocks are
+// no-ops. The read runs beside the workers, outside the mutex. A
 // prefetch that faults is silently dropped: the eventual Acquire
 // re-reads synchronously and surfaces the typed error.
 func (p *Pager[E]) Prefetch(bi, bj int) {
@@ -463,29 +485,45 @@ func (p *Pager[E]) Prefetch(bi, bj int) {
 	}()
 }
 
-// pageInLocked is one page-in: read and verify block id's slot, decode
-// it into a recycled frame, then install that frame, evicting to stay
-// within the budget. The unpinned frame is returned. Caller holds p.mu.
+// pageInLocked is one page-in, by the block's one loader. It claims
+// block id with a loading frame, then reads the block's slot into a
+// spare slot buffer outside the mutex and verifies it; only verified
+// bytes are decoded into the frame, so a rejected read changes no
+// resident or recycled frame. The frame joins the resident set once
+// eviction has made room for it. The unpinned frame is returned. Caller
+// holds p.mu, which is released for the read and for any spill the
+// eviction needs.
 func (p *Pager[E]) pageInLocked(id, bi, bj int) (*frameOf[E], error) {
-	payload, err := p.readSlotLocked(id, bi, bj)
-	if err != nil {
-		return nil, err
-	}
 	fr := p.takeFrameLocked()
-	tableio.DecodeCells(fr.cells, payload)
-	if err := p.makeRoomLocked(); err != nil {
+	fr.id, fr.state, fr.pins = id, frameLoading, 0
+	p.frames[id] = fr
+	p.busy++
+	src := p.sourceLocked(id)
+	slot := p.takeSlotLocked()
+	p.mu.Unlock()
+	failed, err := p.readSlot(fr.cells, slot, src, bi, bj)
+	p.mu.Lock()
+	p.slots = append(p.slots, slot)
+	p.countReadLocked(src, failed, err == nil)
+	if err == nil {
+		err = p.makeRoomLocked()
+	} else {
+		p.corrupt[id] = true
+	}
+	p.busy--
+	p.cond.Broadcast()
+	if err != nil {
+		delete(p.frames, id)
 		p.free = append(p.free, fr)
 		return nil, err
 	}
-	if len(p.frames) >= p.opts.Frames {
+	if p.resident >= p.opts.Frames {
 		p.stats.OverBudget++
 	}
-	p.tick++
-	fr.pins, fr.lastUse = 0, p.tick
-	p.frames[id] = fr
-	if n := int64(len(p.frames)); n > p.stats.ResidentPeak {
-		p.stats.ResidentPeak = n
-	}
+	fr.state = frameResident
+	p.lru.pushBack(fr)
+	p.resident++
+	p.stats.ResidentPeak = max(p.stats.ResidentPeak, int64(p.resident))
 	return fr, nil
 }
 
@@ -503,35 +541,53 @@ func (p *Pager[E]) takeFrameLocked() *frameOf[E] {
 	return fr
 }
 
-// makeRoomLocked evicts least-recently-used unpinned frames until the
+// takeSlotLocked pops a spare slot buffer, or allocates one while fewer
+// exist than reads and spills in flight. Caller holds p.mu.
+func (p *Pager[E]) takeSlotLocked() []byte {
+	n := len(p.slots)
+	if n == 0 {
+		return make([]byte, p.geom.slotBytes())
+	}
+	slot := p.slots[n-1]
+	p.slots[n-1] = nil
+	p.slots = p.slots[:n-1]
+	return slot
+}
+
+// makeRoomLocked evicts least-recently-acquired frames until the
 // resident count is under budget. When nothing is evictable (all
-// pinned, or final blocks that cannot spill in no-spill mode) the
-// resident set grows past the budget — the graceful-degradation tier —
-// unless the hard ceiling says otherwise. Caller holds p.mu.
+// pinned or spilling, or final blocks that cannot spill in no-spill
+// mode) the resident set grows past the budget — the graceful-
+// degradation tier — unless the hard ceiling says otherwise. Caller
+// holds p.mu.
 func (p *Pager[E]) makeRoomLocked() error {
-	for len(p.frames) >= p.opts.Frames {
-		victim := -1
-		var oldest uint64
-		for id, fr := range p.frames {
-			if fr.pins > 0 {
-				continue
-			}
-			if p.final[id] && !p.spilled[id] && p.noSpill {
-				continue // unspillable under ENOSPC degradation
-			}
-			if victim < 0 || fr.lastUse < oldest {
-				victim, oldest = id, fr.lastUse
-			}
-		}
-		if victim < 0 {
+	for p.resident >= p.opts.Frames {
+		fr := p.victimLocked()
+		if fr == nil {
 			break // nothing evictable: degrade by growing the resident set
 		}
-		if !p.evictLocked(victim) {
+		if !p.evictLocked(fr) {
 			break // spill failed; the block must stay resident
 		}
 	}
-	if p.opts.HardFrames > 0 && len(p.frames) >= p.opts.HardFrames {
-		return &ErrSpillSpace{Resident: len(p.frames), Limit: p.opts.HardFrames, Err: p.lastSpillErr}
+	if p.opts.HardFrames > 0 && p.resident >= p.opts.HardFrames {
+		return &ErrSpillSpace{Resident: p.resident, Limit: p.opts.HardFrames, Err: p.lastSpillErr}
+	}
+	return nil
+}
+
+// victimLocked walks the LRU list from its cold end to the first frame
+// eviction may take, skipping pinned and spilling frames and, under
+// ENOSPC degradation, final blocks that cannot spill. Caller holds p.mu.
+func (p *Pager[E]) victimLocked() *frameOf[E] {
+	for fr := p.lru.head; fr != nil; fr = fr.next {
+		if fr.pins > 0 || fr.state != frameResident {
+			continue
+		}
+		if p.noSpill && p.final[fr.id] && !p.spilled[fr.id] {
+			continue // unspillable under ENOSPC degradation
+		}
+		return fr
 	}
 	return nil
 }
@@ -539,32 +595,54 @@ func (p *Pager[E]) makeRoomLocked() error {
 // evictLocked reclaims one frame, spilling a final block's content to
 // its final slot first. Returns false when the block could not be
 // evicted (its spill failed) — the caller then stops evicting and lets
-// the resident set grow. Caller holds p.mu.
-func (p *Pager[E]) evictLocked(id int) bool {
-	fr := p.frames[id]
-	if p.final[id] && !p.spilled[id] {
-		if p.noSpill || !p.spillLocked(id, fr.cells) {
-			return false
-		}
+// the resident set grow. No caller pins a spilling frame, so a frame
+// whose spill returned is still unpinned. Caller holds p.mu.
+func (p *Pager[E]) evictLocked(fr *frameOf[E]) bool {
+	if p.final[fr.id] && !p.spilled[fr.id] && !p.spillLocked(fr) {
+		return false
 	}
-	delete(p.frames, id)
-	p.free = append(p.free, fr)
+	p.dropLocked(fr)
 	p.stats.Evictions++
 	return true
 }
 
-// spillLocked writes block id's final slot (payload + CRC trailer) and
-// marks it spilled. ENOSPC flips the sticky no-spill degradation; EIO
-// leaves the block resident for a later retry. Caller holds p.mu.
-func (p *Pager[E]) spillLocked(id int, cells []E) bool {
-	buf := p.slot
-	encodeSlot(cells, buf)
+// dropLocked takes a resident frame out of the resident set and
+// recycles it, unless a caller still pins it. Caller holds p.mu.
+func (p *Pager[E]) dropLocked(fr *frameOf[E]) {
+	p.lru.remove(fr)
+	delete(p.frames, fr.id)
+	p.resident--
+	if fr.pins == 0 {
+		p.free = append(p.free, fr)
+	}
+}
+
+// spillLocked writes final block fr's slot (payload + CRC trailer) and
+// marks it spilled. The encoding and the write run outside the mutex
+// with the frame marked spilling, which keeps its cells unchanged: an
+// unpinned final block has no writer, and no caller pins it until the
+// write returns. ENOSPC flips the sticky no-spill degradation; EIO
+// leaves the block resident for a later retry. Every CommitEvery spills
+// ask the committer for a group commit. Caller holds p.mu.
+func (p *Pager[E]) spillLocked(fr *frameOf[E]) bool {
+	id := fr.id
+	fr.state = frameSpilling
+	p.busy++
+	slot := p.takeSlotLocked()
+	p.mu.Unlock()
+	encodeSlot(fr.cells, slot)
+	off := p.geom.slotOff(regionFinal, id)
 	var err error
 	if p.opts.Faults != nil {
-		_, err = p.opts.Faults.writeAt(p.f, buf, p.geom.slotOff(regionFinal, id))
+		_, err = p.opts.Faults.writeAt(p.f, slot, off)
 	} else {
-		_, err = p.f.WriteAt(buf, p.geom.slotOff(regionFinal, id))
+		_, err = p.f.WriteAt(slot, off)
 	}
+	p.mu.Lock()
+	fr.state = frameResident
+	p.slots = append(p.slots, slot)
+	p.busy--
+	p.cond.Broadcast()
 	if err != nil {
 		p.lastSpillErr = err
 		if isNoSpace(err) {
@@ -583,9 +661,153 @@ func (p *Pager[E]) spillLocked(id int, cells []E) bool {
 	}
 	p.spilled[id] = true
 	p.stats.SpilledBlocks++
-	p.stats.SpilledBytes += int64(len(buf))
+	p.stats.SpilledBytes += p.geom.slotBytes()
 	if p.sinceCmt++; p.sinceCmt >= p.opts.CommitEvery {
 		p.sinceCmt = 0
+		p.requestCommitLocked()
+	}
+	return true
+}
+
+// slotSource is where a page-in of one block reads: the final slot when
+// one is trusted, the pristine slot otherwise, with the region's retry
+// budget (finalReadRetries, pristineReadRetries).
+type slotSource struct {
+	region  int
+	off     int64
+	sealed  bool   // a final slot: the payload must also digest to seal
+	seal    uint32 // the CRC32C Complete recorded
+	retries int
+}
+
+// sourceLocked decides block id's authoritative version. Caller holds
+// p.mu.
+func (p *Pager[E]) sourceLocked(id int) slotSource {
+	if p.final[id] && p.spilled[id] {
+		return slotSource{region: regionFinal, off: p.geom.slotOff(regionFinal, id), sealed: true, seal: p.crc[id], retries: finalReadRetries}
+	}
+	return slotSource{region: regionPristine, off: p.geom.slotOff(regionPristine, id), retries: pristineReadRetries}
+}
+
+// readSlot reads src's slot into the slot buffer and verifies it before
+// anything uses it: the CRC32C over the payload bytes is checked
+// against the slot's trailer and, for a final block, against its seal.
+// A fault is retried within src's budget. Only verified bytes are
+// decoded, into cells. It returns the number of failed attempts; no
+// lock is held.
+func (p *Pager[E]) readSlot(cells []E, slot []byte, src slotSource, bi, bj int) (int, error) {
+	payload := slot[:len(slot)-4]
+	var bad *ErrPageCorrupt
+	for attempt := 0; attempt <= src.retries; attempt++ {
+		var err error
+		if p.opts.Faults != nil {
+			_, err = p.opts.Faults.readAt(p.f, slot, src.off)
+		} else {
+			_, err = p.f.ReadAt(slot, src.off)
+		}
+		if err != nil {
+			bad = &ErrPageCorrupt{Bi: bi, Bj: bj, Pristine: !src.sealed, Err: err}
+		} else if got, trailer := resilience.RawCRC(payload), trailerCRC(slot); got != trailer || (src.sealed && got != src.seal) {
+			bad = &ErrPageCorrupt{Bi: bi, Bj: bj, Pristine: !src.sealed, Want: src.seal, Got: got}
+			if !src.sealed {
+				bad.Want = trailer // the pristine trailer is self-describing
+			}
+		} else {
+			tableio.DecodeCells(cells, payload)
+			return attempt, nil
+		}
+	}
+	return src.retries + 1, bad
+}
+
+// countReadLocked records one page-in's outcome: its failed attempts, a
+// heal when a retry recovered the page, and a verified read's bytes
+// against its region. Caller holds p.mu.
+func (p *Pager[E]) countReadLocked(src slotSource, failed int, ok bool) {
+	p.stats.FaultedPages += int64(failed)
+	if !ok {
+		return
+	}
+	if failed > 0 {
+		p.stats.PageHeals++ // a retry recovered the page
+	}
+	nbytes := p.geom.slotBytes()
+	if src.region == regionFinal {
+		p.stats.FetchedBlocks++
+		p.stats.FetchedBytes += nbytes
+	} else {
+		p.stats.PristineReads++
+		p.stats.PristineBytes += nbytes
+	}
+}
+
+// Commit publishes the index of every final block whose spill has
+// written — the durability point a restart resumes from — after joining
+// any commit already in flight. The data file is fsynced before the
+// index is written, fsynced and renamed, so a committed record never
+// trusts unsynced bytes.
+func (p *Pager[E]) Commit() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.commitLocked()
+}
+
+// commitLocked is one commit, run after the one in flight: the records
+// are snapshotted under the mutex, so they cover only spills whose
+// writes have returned; the data fsync and the index temp+fsync+rename
+// then run outside it. Caller holds p.mu.
+func (p *Pager[E]) commitLocked() error {
+	for p.committing {
+		p.cond.Wait()
+	}
+	p.committing = true
+	var records []indexRecord
+	for id, final := range p.final {
+		if final && p.spilled[id] {
+			records = append(records, indexRecord{ID: id, CRC: p.crc[id]})
+		}
+	}
+	p.mu.Unlock()
+	err := p.f.Sync()
+	if err != nil {
+		err = fmt.Errorf("pager: syncing spill file: %w", err)
+	} else {
+		err = commitIndex(p.idxPath, p.geom, records)
+	}
+	p.mu.Lock()
+	p.committing = false
+	p.cond.Broadcast()
+	if err != nil {
+		return err
+	}
+	p.stats.Commits++
+	return nil
+}
+
+// requestCommitLocked asks for a group commit without waiting for it.
+// The pager's committer goroutine runs commits while they are wanted,
+// then exits; requests that arrive during a commit share the next one.
+// After Close starts, Close publishes the last commit itself. Caller
+// holds p.mu.
+func (p *Pager[E]) requestCommitLocked() {
+	if p.closed {
+		return
+	}
+	p.commitWanted = true
+	if p.committer == nil {
+		p.committer = make(chan struct{})
+		go p.runCommits(p.committer)
+	}
+}
+
+// runCommits is the committer goroutine; it closes done on exit, which
+// Close waits for.
+func (p *Pager[E]) runCommits(done chan struct{}) {
+	defer close(done)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.commitWanted && !p.closed {
+		p.commitWanted = false
 		if err := p.commitLocked(); err != nil && p.opts.Logf != nil {
 			// A failed periodic commit is not fatal mid-solve: the
 			// previous committed index stays valid, only resume coverage
@@ -593,97 +815,14 @@ func (p *Pager[E]) spillLocked(id int, cells []E) bool {
 			p.opts.Logf("pager: periodic index commit failed: %v", err)
 		}
 	}
-	return true
-}
-
-// readSlotLocked reads block id's authoritative version from disk —
-// the final slot when one is trusted, the pristine slot otherwise — into
-// the slot buffer and returns its payload bytes, valid until the next
-// slot operation. The CRC32C is checked over the payload bytes before
-// anything decodes them: against the slot's trailer and, for a final
-// block, against its recorded seal. A fault is retried within the
-// region's budget (finalReadRetries, pristineReadRetries). Caller holds
-// p.mu.
-func (p *Pager[E]) readSlotLocked(id, bi, bj int) ([]byte, error) {
-	region, want, sealed, retries := regionPristine, uint32(0), false, pristineReadRetries
-	if p.final[id] && p.spilled[id] {
-		region, want, sealed, retries = regionFinal, p.crc[id], true, finalReadRetries
-	}
-	buf := p.slot
-	payload := buf[:len(buf)-4]
-	off := p.geom.slotOff(region, id)
-	var bad *ErrPageCorrupt
-	for attempt := 0; attempt <= retries; attempt++ {
-		var err error
-		if p.opts.Faults != nil {
-			_, err = p.opts.Faults.readAt(p.f, buf, off)
-		} else {
-			_, err = p.f.ReadAt(buf, off)
-		}
-		if err != nil {
-			bad = &ErrPageCorrupt{Bi: bi, Bj: bj, Pristine: !sealed, Err: err}
-		} else if got, trailer := resilience.RawCRC(payload), trailerCRC(buf); got != trailer || (sealed && got != want) {
-			bad = &ErrPageCorrupt{Bi: bi, Bj: bj, Pristine: !sealed, Want: want, Got: got}
-			if !sealed {
-				bad.Want = trailer // the pristine trailer is self-describing
-			}
-		} else {
-			if attempt > 0 {
-				p.stats.PageHeals++ // a retry recovered the page
-			}
-			p.countReadLocked(region, len(buf))
-			return payload, nil
-		}
-		p.stats.FaultedPages++
-	}
-	p.corrupt[id] = true
-	return nil, bad
-}
-
-// countReadLocked attributes one successful page-in to its region.
-func (p *Pager[E]) countReadLocked(region, nbytes int) {
-	if region == regionFinal {
-		p.stats.FetchedBlocks++
-		p.stats.FetchedBytes += int64(nbytes)
-	} else {
-		p.stats.PristineReads++
-		p.stats.PristineBytes += int64(nbytes)
-	}
-}
-
-// Commit fsyncs the data file and atomically publishes the index of
-// every spilled final block — the durability point a restart resumes
-// from. The data sync is ordered before the index rename, so a
-// committed record never trusts unsynced bytes.
-func (p *Pager[E]) Commit() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.commitLocked()
-}
-
-// commitLocked is Commit's body; caller holds p.mu.
-func (p *Pager[E]) commitLocked() error {
-	if err := p.f.Sync(); err != nil {
-		return fmt.Errorf("pager: syncing spill file: %w", err)
-	}
-	var records []indexRecord
-	for id := 0; id < p.geom.NBlocks; id++ {
-		if p.final[id] && p.spilled[id] {
-			records = append(records, indexRecord{ID: id, CRC: p.crc[id]})
-		}
-	}
-	sort.Slice(records, func(i, j int) bool { return records[i].ID < records[j].ID })
-	if err := commitIndex(p.idxPath, p.geom, records); err != nil {
-		return err
-	}
-	p.stats.Commits++
-	return nil
+	p.committer = nil
 }
 
 // Materialize copies every block's current content — resident frames
 // first, otherwise the authoritative disk version — into dst, which
 // must have the pager's geometry. It is how a finished solve's table
-// leaves the pager.
+// leaves the pager. A block a stray prefetch is still loading is waited
+// for.
 func (p *Pager[E]) Materialize(dst *tri.Tiled[E]) error {
 	if dst.Len() != p.geom.N || dst.Tile() != p.geom.Tile {
 		return fmt.Errorf("pager: cannot materialize (n=%d tile=%d) into table (n=%d tile=%d)",
@@ -691,18 +830,32 @@ func (p *Pager[E]) Materialize(dst *tri.Tiled[E]) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	slot := p.takeSlotLocked()
+	defer func() { p.slots = append(p.slots, slot) }()
 	for bi := 0; bi < p.m; bi++ {
 		for bj := bi; bj < p.m; bj++ {
 			id := p.blockID(bi, bj)
-			if fr, ok := p.frames[id]; ok {
+			fr, ok := p.frames[id]
+			for ok && fr.state == frameLoading {
+				p.cond.Wait()
+				fr, ok = p.frames[id]
+			}
+			if ok {
 				copy(dst.Block(bi, bj), fr.cells)
 				continue
 			}
-			payload, err := p.readSlotLocked(id, bi, bj)
+			src := p.sourceLocked(id)
+			p.busy++
+			p.mu.Unlock()
+			failed, err := p.readSlot(dst.Block(bi, bj), slot, src, bi, bj)
+			p.mu.Lock()
+			p.busy--
+			p.cond.Broadcast()
+			p.countReadLocked(src, failed, err == nil)
 			if err != nil {
+				p.corrupt[id] = true
 				return err
 			}
-			tableio.DecodeCells(dst.Block(bi, bj), payload)
 		}
 	}
 	return nil
@@ -712,7 +865,7 @@ func (p *Pager[E]) Materialize(dst *tri.Tiled[E]) error {
 func (p *Pager[E]) Resident() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.frames)
+	return p.resident
 }
 
 // Stats returns a snapshot of the counters.
@@ -722,12 +875,12 @@ func (p *Pager[E]) Stats() Stats {
 	return p.stats
 }
 
-// Close flushes resident final blocks to their spill slots, commits the
-// index one last time, and closes the spill file. The files stay on
-// disk — they are the resume state; callers that do not want resume
-// delete them. Flush failures (a disk in ENOSPC degradation) are not
-// errors: those blocks simply resume from pristine, which is correct,
-// just slower.
+// Close lets the page-ins, spills and commit in flight finish, flushes
+// resident final blocks to their spill slots, commits the index one
+// last time, and closes the spill file. The files stay on disk — they
+// are the resume state; callers that do not want resume delete them.
+// Flush failures (a disk in ENOSPC degradation) are not errors: those
+// blocks simply resume from pristine, which is correct, just slower.
 func (p *Pager[E]) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -735,13 +888,25 @@ func (p *Pager[E]) Close() error {
 		return nil
 	}
 	p.closed = true
-	for id, fr := range p.frames {
+	for p.busy > 0 {
+		p.cond.Wait()
+	}
+	if done := p.committer; done != nil {
+		p.mu.Unlock()
+		<-done
+		p.mu.Lock()
+	}
+	var flush []*frameOf[E]
+	for fr := p.lru.head; fr != nil; fr = fr.next {
+		if p.final[fr.id] && !p.spilled[fr.id] && fr.pins == 0 {
+			flush = append(flush, fr)
+		}
+	}
+	for _, fr := range flush {
 		if p.noSpill {
 			break
 		}
-		if p.final[id] && !p.spilled[id] && fr.pins == 0 {
-			p.spillLocked(id, fr.cells)
-		}
+		p.spillLocked(fr)
 	}
 	err := p.commitLocked()
 	if closeErr := p.f.Close(); err == nil && closeErr != nil {

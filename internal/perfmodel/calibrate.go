@@ -3,6 +3,7 @@ package perfmodel
 import (
 	"math/rand"
 	"runtime"
+	"sort"
 	"time"
 
 	"cellnpdp/internal/fourrussians"
@@ -53,23 +54,31 @@ func Calibrate(blocks []int) *Calibration {
 	return cal
 }
 
-// timeNsPerCell times fn (one t×t panel product = t³ relaxed cells)
-// with enough repetitions to swamp timer granularity.
+// timeNsPerCell times fn (one t×t panel product = t³ relaxed cells): it
+// doubles the repetitions until one trial takes at least 5 ms, so timer
+// granularity is swamped, then returns the median of five such trials,
+// so one descheduled trial on a shared host does not become the
+// calibration.
 func timeNsPerCell(t int, fn func()) float64 {
 	fn() // warm caches and page in
 	cells := float64(t) * float64(t) * float64(t)
-	reps := 1
-	for {
+	trial := func(reps int) time.Duration {
 		start := time.Now()
 		for i := 0; i < reps; i++ {
 			fn()
 		}
-		el := time.Since(start)
-		if el >= 2*time.Millisecond || reps >= 1<<20 {
-			return float64(el.Nanoseconds()) / (cells * float64(reps))
-		}
+		return time.Since(start)
+	}
+	reps := 1
+	for reps < 1<<20 && trial(reps) < 5*time.Millisecond {
 		reps *= 2
 	}
+	var trials [5]float64
+	for k := range trials {
+		trials[k] = float64(trial(reps).Nanoseconds()) / (cells * float64(reps))
+	}
+	sort.Float64s(trials[:])
+	return trials[len(trials)/2]
 }
 
 // fourRussiansCrossover finds the smallest probed n where the

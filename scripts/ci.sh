@@ -20,8 +20,10 @@
 # SIGKILLs the primary coordinator mid-wavefront and demands the warm
 # standby take over and finish bit-identically, and an out-of-core
 # disk-fault smoke that pages a solve through a budget-bounded working
-# set while injecting torn spill writes (must heal) and ENOSPC (must
-# degrade gracefully), both bit-identical to serial.
+# set while injecting torn spill writes (must heal), bit flips on
+# page-in reads (must heal) and ENOSPC (must degrade gracefully), all
+# bit-identical to serial. The pager's concurrency stress test also
+# runs twenty times under the race detector.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -112,6 +114,12 @@ echo "== go test -race ./..."
 # timeout, so set an explicit generous one.
 go test -race -timeout 30m ./...
 
+echo "== go test -race -count=20 (pager concurrency stress)"
+# Loads, spills and commits run outside the pager's mutex, so one pass
+# of the stress test samples only one interleaving; twenty under the
+# race detector sample more.
+go test -race -count=20 -run '^TestConcurrentPagerStress$' ./internal/pager
+
 echo "== bench smoke: (cd bench && go test .)"
 # Every benchmark workload at n=512 against this checkout's sources, so a
 # change to anything the benchmark calls fails here rather than in the
@@ -198,16 +206,19 @@ echo "== fuzz smoke: spill index codec (20s)"
 # a slot the committed index does not vouch for.
 go test -run='^$' -fuzz FuzzSpillRoundTrip -fuzztime 20s ./internal/pager
 
-echo "== smoke: out-of-core disk faults (torn writes healed + ENOSPC degraded, verify)"
-# The paged solve under the race detector, both arms of the disk-failure
-# ladder. Arm 1: torn spill writes — the CRC trailer lands in the
-# missing suffix, so the refetch detects corruption and the solve must
-# demote the block's cone to pristine and recompute (page_heals). Arm 2:
-# every spill write draws ENOSPC — the pager must degrade to a growing
-# in-memory working set and still finish (enospc_degradations). Both
-# runs must be bit-identical to the serial engine, and the greps prove
-# each failure actually fired — a run where nothing tore and nothing
-# filled up would pass vacuously.
+echo "== smoke: out-of-core disk faults (torn writes + bit flips healed, ENOSPC degraded, verify)"
+# The paged solve under the race detector, three arms of the
+# disk-failure ladder. Arm 1: torn spill writes — the CRC trailer lands
+# in the missing suffix, so the refetch detects corruption and the solve
+# must demote the block's cone to pristine and recompute (page_heals).
+# Arm 2: bit rot on page-in reads — each flip fails the slot's CRC
+# outside the pager's mutex, concurrently with the other loaders, and
+# must heal by a re-read or through the cone (page_heals). Arm 3: every
+# spill write draws ENOSPC — the pager must degrade to a growing
+# in-memory working set and still finish (enospc_degradations). Every
+# run must be bit-identical to the serial engine, and the greps prove
+# each failure actually fired — a run where nothing tore, nothing
+# flipped and nothing filled up would pass vacuously.
 ooc_ref="$(mktemp)"
 ooc_log="$(mktemp)"
 trap 'rm -f "${healref}" "${heallog}" "${ooc_ref}" "${ooc_log}"' EXIT
@@ -219,6 +230,15 @@ go run -race ./cmd/cellnpdp -n 400 -engine parallel -workers 2 \
 grep -q "verified against .*: identical" "${ooc_log}"
 if grep "^paged " "${ooc_log}" | grep -qE " page_heals=0 "; then
     echo "out-of-core smoke: torn writes never triggered a heal" >&2
+    exit 1
+fi
+go run -race ./cmd/cellnpdp -n 400 -engine parallel -workers 2 \
+    -block 1024 -memory-budget 16384 -timeout 10m \
+    -disk-faultrate 0.02 -disk-faultseed 11 -disk-faultkinds flip \
+    -check "${ooc_ref}" 2>&1 | tee "${ooc_log}"
+grep -q "verified against .*: identical" "${ooc_log}"
+if grep "^paged " "${ooc_log}" | grep -qE " page_heals=0 "; then
+    echo "out-of-core smoke: read bit flips never triggered a heal" >&2
     exit 1
 fi
 go run -race ./cmd/cellnpdp -n 400 -engine parallel -workers 2 \

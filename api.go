@@ -581,7 +581,8 @@ func resumeCheckpoint[E Elem](store npdp.BlockStore[E], n, tile, schedSide int, 
 // openPager creates (or, under ResumeSpill, reopens) the spill-backed
 // block store for a paged solve: the NDL table lives in a CRC-sealed,
 // versioned file and only a MemoryBudget-sized working set stays
-// resident. cleanup closes the pager and removes a private spill file.
+// resident. cleanup closes a named spill file, or discards a private
+// one and removes its directory.
 func openPager[E Elem](t *Table[E], tile, workers int, opts Options, diskFaultKinds []pager.DiskFaultKind) (*pager.Pager[E], func(), error) {
 	elem := int64(precisionOf[E]().ElemBytes())
 	frameBytes := int64(tile)*int64(tile)*elem + 4
@@ -629,7 +630,14 @@ func openPager[E Elem](t *Table[E], tile, workers int, opts Options, diskFaultKi
 			return nil, nil, fmt.Errorf("cellnpdp: create spill: %w", err)
 		}
 	}
-	return p, func() { p.Close(); removeDir() }, nil
+	if opts.SpillPath != "" {
+		// A named spill file is the resume state: Close flushes and
+		// commits it.
+		return p, func() { p.Close() }, nil
+	}
+	// A private spill is deleted at the end, so it needs no final flush
+	// or commit.
+	return p, func() { p.Discard(); removeDir() }, nil
 }
 
 // degradable reports whether a parallel failure is a compute-layer fault

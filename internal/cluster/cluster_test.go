@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -27,6 +28,9 @@ const (
 	testTile = 32
 	testSeed = 99
 )
+
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
 
 // serialRef solves the test workload with SolveSerial — the bit-identity
 // oracle every cluster run is audited against.
@@ -648,9 +652,9 @@ func TestWorkerSurvivesTrickledDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One real dispatch (task 0 has no operand blocks; the worker's
-	// zeroed table is a valid input), framed, then fed to the worker in
-	// two pieces: 3 bytes of header, a pause spanning six heartbeat
-	// read slices, then the rest.
+	// table, which tri.NewTiled fills with +Inf, is a valid input),
+	// framed, then fed to the worker in two pieces: 3 bytes of header, a
+	// pause spanning six heartbeat read slices, then the rest.
 	var frame bytes.Buffer
 	if err := writeFrame(&frame, frameDispatch, taskMsg{Gen: 0, TaskID: 0}.encode()); err != nil {
 		t.Fatal(err)
@@ -692,16 +696,29 @@ func TestWorkerSurvivesTrickledDispatch(t *testing.T) {
 	}
 }
 
+// sendMsg frames and flushes one message on a buffered writer.
+func sendMsg(w *bufio.Writer, typ byte, payload []byte) error {
+	if err := writeFrame(w, typ, payload); err != nil {
+		return err
+	}
+	return w.Flush()
+}
+
 // whiteboxCoordinator builds coordinator state for a 4×4-block table
 // over an in-memory store, with no listener, pool or event loop: the
 // white-box tests drive its event-loop methods directly.
 func whiteboxCoordinator(t *testing.T, epoch uint32) *coordinator[float32] {
 	t.Helper()
-	g, err := sched.NewGraph(4, 1)
+	return whiteboxCoordinatorOf(t, tri.NewTiled[float32](16, 4), epoch)
+}
+
+// whiteboxCoordinatorOf is whiteboxCoordinator over the table tbl.
+func whiteboxCoordinatorOf(t *testing.T, tbl *tri.Tiled[float32], epoch uint32) *coordinator[float32] {
+	t.Helper()
+	g, err := sched.NewGraph(tbl.Blocks(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := tri.NewTiled[float32](16, 4)
 	co := newCoordinator(tbl, g, Options{MaxInflight: 2, Logf: t.Logf, Epoch: epoch})
 	co.store = npdp.NewMemStore(tbl, false)
 	co.ladder = npdp.NewLadder(co.store, g, true, npdp.ParallelOptions{})
@@ -770,6 +787,109 @@ func TestDeclareDeadBumpsGenerations(t *testing.T) {
 	}
 	if co.inflight[0] != survivor || co.inflight[1] != survivor || len(co.replies[0])+len(co.replies[1]) != 0 {
 		t.Fatal("a stale result disturbed the live dispatches")
+	}
+}
+
+// allocPerOp runs op once to warm the frame pool, then n more times,
+// and returns the bytes allocated per run.
+func allocPerOp(n int, op func()) uint64 {
+	op()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// TestDispatchBuildsFramesInPlace pins the coordinator's dispatch path:
+// each block is encoded once, straight into a pooled frame, so with the
+// queued frame handed back as writeLoop does, a dispatch of a task with
+// eight operand blocks allocates less than one encoded block.
+func TestDispatchBuildsFramesInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers on purpose")
+	}
+	co := whiteboxCoordinatorOf(t, testTable(t), 1)
+	sess := pipeSession(t, co, 0)
+	id, ok := co.g.TaskID(0, 4)
+	if !ok {
+		t.Fatal("no task at (0,4)")
+	}
+	ops := len(operandBlocks(co.g.Tasks[id]))
+	if ops < 4 {
+		t.Fatalf("task (0,4) has %d operand blocks, want >= 4", ops)
+	}
+	var f outFrame
+	per := allocPerOp(100, func() {
+		co.dispatch(sess, id)
+		f = <-sess.out
+		putFrame(f.buf)
+		// Undo the dispatch so the next one streams every block again.
+		delete(co.inflight, id)
+		sess.inflight--
+		clear(sess.possess)
+	})
+	blockBytes := uint64(4 * testTile * testTile)
+	t.Logf("%d B allocated per dispatch of %d blocks (one block is %d B)", per, ops+1, blockBytes)
+	if per >= blockBytes {
+		t.Errorf("a dispatch allocates %d B, want < %d (one encoded block)", per, blockBytes)
+	}
+	co.dispatch(sess, id)
+	f = <-sess.out
+	msg, err := decodeTaskMsg(f.payload)
+	if err != nil || f.typ != frameDispatch || len(msg.Blocks) != ops+1 {
+		t.Fatalf("dispatch frame = (type %d, %d blocks, %v), want %d blocks", f.typ, len(msg.Blocks), err, ops+1)
+	}
+	for _, wb := range msg.Blocks {
+		if want := resilience.BlockCRC(co.t.Block(wb.Bi, wb.Bj)); wb.CRC != want || resilience.RawCRC(wb.Raw) != want {
+			t.Fatalf("block (%d,%d) sealed %08x, want %08x", wb.Bi, wb.Bj, wb.CRC, want)
+		}
+	}
+}
+
+// TestWorkerResultBuiltInPlace pins the worker's result path the same
+// way: executing a dispatch into the session's reused result buffer
+// allocates less than one encoded block.
+func TestWorkerResultBuiltInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers on purpose")
+	}
+	co := whiteboxCoordinatorOf(t, testTable(t), 1)
+	sess := pipeSession(t, co, 0)
+	id, _ := co.g.TaskID(0, 4)
+	co.dispatch(sess, id)
+	msg, err := decodeTaskMsg((<-sess.out).payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wt := tri.NewTiled[float32](testN, testTile)
+	mul, err := npdp.ResolveStage1(perfmodel.KernelScalar, wt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var result []byte
+	per := allocPerOp(100, func() {
+		if result, err = executeDispatch(wt, co.g, mul, msg, nil, result); err != nil {
+			t.Fatal(err)
+		}
+	})
+	blockBytes := uint64(4 * testTile * testTile)
+	t.Logf("%d B allocated per executed dispatch (one block is %d B)", per, blockBytes)
+	if per >= blockBytes {
+		t.Errorf("executing a dispatch allocates %d B, want < %d (one encoded block)", per, blockBytes)
+	}
+	typ, payload, err := readFrame(bytes.NewReader(result))
+	if err != nil || typ != frameResult {
+		t.Fatalf("result frame = (type %d, %v)", typ, err)
+	}
+	back, err := decodeTaskMsg(payload)
+	if err != nil || back.TaskID != id || len(back.Blocks) != 1 {
+		t.Fatalf("result = (%+v, %v), want one block of task %d", back, err, id)
+	}
+	if wb := back.Blocks[0]; wb.CRC != resilience.BlockCRC(wt.Block(0, 4)) || resilience.RawCRC(wb.Raw) != wb.CRC {
+		t.Fatalf("result block sealed %08x, want the digest of the computed block", wb.CRC)
 	}
 }
 

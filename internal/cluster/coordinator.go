@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -234,10 +237,13 @@ type session[E semiring.Elem] struct {
 	dead     bool
 }
 
-// outFrame is one queued outbound frame.
+// outFrame is one queued outbound frame: buf holds the whole pooled
+// wire frame, which the session writer sends in one Write and then
+// returns to the pool, and payload is its payload.
 type outFrame struct {
 	typ     byte
 	payload []byte
+	buf     *frameBuf
 }
 
 // outboundQueueCap sizes a session's outbound queue: room for the
@@ -268,6 +274,9 @@ type event[E semiring.Elem] struct {
 	repl  replHelloMsg
 	sess  *session[E]
 	msg   taskMsg
+	// frame holds an evResult's wire frame, which msg's block bytes view;
+	// the event loop returns it to the pool once the result is handled.
+	frame *frameBuf
 	text  string
 	err   error
 }
@@ -758,6 +767,7 @@ func (co *coordinator[E]) handle(ev event[E]) error {
 	case evDead:
 		co.declareDead(ev.sess, ev.err)
 	case evResult:
+		defer putFrame(ev.frame)
 		if ev.sess.dead {
 			co.stats.StaleResults++
 			return nil
@@ -948,58 +958,78 @@ func (co *coordinator[E]) handleReplConn(conn net.Conn, repl replHelloMsg) error
 	return nil
 }
 
-// readLoop decodes a session's frames and posts them to the event loop.
+// readLoop is a session's reader goroutine: readFrames posts each result
+// and ping to the event loop as it arrives, and the event that ended the
+// stream goes last.
 func (co *coordinator[E]) readLoop(sess *session[E]) {
+	co.post(co.readFrames(sess))
+}
+
+// readFrames reads a session's frames through a buffer over a rolling
+// read deadline, a backstop only: liveness is judged by the event loop
+// against lastSeen. Each result frame lands in a pooled buffer that
+// passes to the event loop with the result; every other frame reuses
+// the buffer the reader holds. It returns the event that ends the
+// stream: a death, or the worker's own failure report.
+func (co *coordinator[E]) readFrames(sess *session[E]) event[E] {
+	br := bufio.NewReader(&sessionReader{conn: sess.conn, window: 2 * co.opts.DeadlineAfter})
+	fb := getFrame()
+	defer func() { putFrame(fb) }()
 	for {
-		// The read deadline is a backstop only; liveness is judged by the
-		// event loop against lastSeen.
-		sess.conn.SetReadDeadline(time.Now().Add(2 * co.opts.DeadlineAfter))
-		typ, payload, err := readFrame(sess.conn)
+		typ, payload, frame, err := readFrameInto(br, fb.b)
+		fb.b = frame
 		if err != nil {
-			co.post(event[E]{kind: evDead, sess: sess, err: err})
-			return
+			return event[E]{kind: evDead, sess: sess, err: err}
 		}
 		switch typ {
 		case frameResult:
 			msg, err := decodeTaskMsg(payload)
 			if err != nil {
-				co.post(event[E]{kind: evDead, sess: sess, err: err})
-				return
+				return event[E]{kind: evDead, sess: sess, err: err}
 			}
-			co.post(event[E]{kind: evResult, sess: sess, msg: msg})
+			co.post(event[E]{kind: evResult, sess: sess, msg: msg, frame: fb})
+			fb = getFrame()
 		case framePing:
 			co.post(event[E]{kind: evPing, sess: sess})
 		case frameFail:
 			f, _ := decodeFail(payload)
-			co.post(event[E]{kind: evFail, sess: sess, text: f.Reason})
-			return
+			return event[E]{kind: evFail, sess: sess, text: f.Reason}
 		default:
-			co.post(event[E]{kind: evDead, sess: sess, err: fmt.Errorf("unexpected frame type %d", typ)})
-			return
+			return event[E]{kind: evDead, sess: sess, err: fmt.Errorf("unexpected frame type %d", typ)}
 		}
 	}
 }
 
-// send enqueues one frame on the session's writer goroutine without
+// send frames payload into a pooled buffer and queues it for the
+// session's writer goroutine. Returns whether the frame was queued.
+func (co *coordinator[E]) send(sess *session[E], typ byte, payload []byte) bool {
+	return co.queue(sess, newFrame(typ, payload))
+}
+
+// queue hands a built frame to the session's writer goroutine without
 // ever blocking the event loop; a full queue means the writer has
 // stalled past what the pipeline can legitimately produce, and the
-// session is declared dead. Returns whether the frame was queued.
-func (co *coordinator[E]) send(sess *session[E], typ byte, payload []byte) bool {
+// session is declared dead. A frame that is not queued goes back to the
+// pool. Returns whether the frame was queued.
+func (co *coordinator[E]) queue(sess *session[E], fb *frameBuf) bool {
 	if sess.dead {
+		putFrame(fb)
 		return false
 	}
 	select {
-	case sess.out <- outFrame{typ: typ, payload: payload}:
+	case sess.out <- outFrame{typ: fb.b[0], payload: framePayload(fb.b), buf: fb}:
 		return true
 	default:
+		putFrame(fb)
 		co.declareDead(sess, fmt.Errorf("outbound queue full (%d frames): writer stalled", cap(sess.out)))
 		return false
 	}
 }
 
 // writeLoop is a session's writer goroutine: it drains the outbound
-// queue onto the conn, each frame under a write deadline, so a slow or
-// partitioned worker can never stall the event loop — dispatch frames
+// queue onto the conn, each frame in one Write under a write deadline
+// and then back to the pool, so a slow or partitioned worker can never
+// stall the event loop — dispatch frames
 // run to many MB, and a synchronous write would block heartbeats and
 // dispatch to every other worker for up to the deadline per frame. A
 // write error posts the death and abandons the rest of the queue; a
@@ -1009,7 +1039,9 @@ func (co *coordinator[E]) writeLoop(sess *session[E]) {
 	defer co.writers.Done()
 	for f := range sess.out {
 		sess.conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
-		if err := writeFrame(sess.conn, f.typ, f.payload); err != nil {
+		_, err := sess.conn.Write(f.buf.b)
+		putFrame(f.buf)
+		if err != nil {
 			co.post(event[E]{kind: evDead, sess: sess, err: fmt.Errorf("write: %w", err)})
 			return
 		}
@@ -1108,50 +1140,62 @@ func (co *coordinator[E]) fillAll() {
 // their installed final values plus its own blocks at pristine values —
 // each only if the worker does not already hold those exact bytes, each
 // carrying its CRC32C seal. This is the DMA-of-nearest-operands step of
-// the paper's SPE procedure, lifted to the wire. In paged mode the
-// bytes come through the pager (resident frame or CRC-verified
-// page-in); a page-in failure gives the request up and halts the wave.
+// the paper's SPE procedure, lifted to the wire: each block is encoded
+// once, between its store Acquire and Release, straight into the pooled
+// frame that carries it. In paged mode the bytes come through the pager
+// (resident frame or CRC-verified page-in); a page-in failure gives the
+// request up and halts the wave.
 func (co *coordinator[E]) dispatch(sess *session[E], id int) {
 	task := co.g.Tasks[id]
-	msg := taskMsg{Epoch: co.epoch, Gen: co.gen[id], TaskID: id}
+	ops := operandBlocks(task)
+	blocks := append(ops, task.MemoryBlockOrder()...)
+	var e E
+	blockBytes := tableio.ElemWidth(e) * co.t.Tile() * co.t.Tile()
+	size := frameHeaderLen + taskHeaderLen + frameTrailerLen
+	for _, mb := range blocks {
+		if !sess.possess[co.t.BlockID(mb[0], mb[1])] {
+			size += blockHeaderLen + blockBytes
+		}
+	}
+	fb := getFrame()
+	frame := beginTaskFrame(slices.Grow(fb.b[:0], size), frameDispatch, co.epoch, co.gen[id], id)
+	nblocks := 0
 	var marked []int
-	addBlock := func(bi, bj int, final bool) error {
-		bid := co.t.BlockID(bi, bj)
+	for i, mb := range blocks {
+		bid := co.t.BlockID(mb[0], mb[1])
 		if sess.possess[bid] {
-			return nil
+			continue
 		}
-		raw, err := co.encodeBlock(bi, bj)
+		cells, err := co.store.Acquire(mb[0], mb[1])
 		if err != nil {
-			return err
+			// Nothing was sent: unmark possession claimed for this message.
+			for _, bid := range marked {
+				sess.possess[bid] = false
+			}
+			fb.b = frame
+			putFrame(fb)
+			co.replies[id] <- errHalted
+			co.storeFault(fmt.Errorf("paging in blocks for task %d: %w", id, err))
+			return
 		}
-		msg.Blocks = append(msg.Blocks, wireBlock{Bi: bi, Bj: bj, CRC: resilience.RawCRC(raw), Raw: raw})
-		if final {
+		frame = appendSealedBlock(frame, mb[0], mb[1], cells)
+		co.store.Release(mb[0], mb[1])
+		nblocks++
+		if i < len(ops) {
 			// Operands are final; own pristine blocks are not — the
 			// worker overwrites them, so they are never "possessed".
 			sess.possess[bid] = true
 			marked = append(marked, bid)
 		}
 		co.stats.BlocksStreamed++
-		co.stats.BytesStreamed += int64(len(raw))
-		return nil
+		co.stats.BytesStreamed += int64(blockBytes)
 	}
-	ops := operandBlocks(task)
-	for i, mb := range append(ops, task.MemoryBlockOrder()...) {
-		if err := addBlock(mb[0], mb[1], i < len(ops)); err != nil {
-			// Nothing was sent: unmark possession claimed for this message.
-			for _, bid := range marked {
-				sess.possess[bid] = false
-			}
-			co.replies[id] <- errHalted
-			co.storeFault(fmt.Errorf("paging in blocks for task %d: %w", id, err))
-			return
-		}
-	}
+	fb.b = endTaskFrame(frame, nblocks)
 	co.gen[id]++
 	co.inflight[id] = sess
 	sess.inflight++
 	co.stats.Dispatched++
-	co.send(sess, frameDispatch, msg.encode())
+	co.queue(sess, fb)
 }
 
 // operandBlocks enumerates the memory blocks outside task that any of
@@ -1277,11 +1321,11 @@ func (co *coordinator[E]) install(sess *session[E], msg taskMsg) error {
 	co.release(sess, id, nil)
 	co.stats.Accepted++
 	if co.replPullC != nil {
-		// Reusing the result's Raw slices is safe: frame payloads are
-		// never recycled after decode.
+		// The result's frame goes back to the pool once handle returns,
+		// so the record keeps copies of the block bytes.
 		d := resilience.Delta{Kind: resilience.DeltaTaskDone, Epoch: co.epoch, TaskID: id, Gen: msg.Gen}
 		for _, wb := range msg.Blocks {
-			d.Blocks = append(d.Blocks, resilience.DeltaBlock{Bi: wb.Bi, Bj: wb.Bj, CRC: wb.CRC, Raw: wb.Raw})
+			d.Blocks = append(d.Blocks, resilience.DeltaBlock{Bi: wb.Bi, Bj: wb.Bj, CRC: wb.CRC, Raw: bytes.Clone(wb.Raw)})
 		}
 		co.replRecord(d)
 	}

@@ -14,12 +14,14 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+	"sync"
 
+	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tableio"
 )
@@ -95,54 +97,108 @@ const (
 // while still rejecting a nonsense length before allocation.
 const maxFramePayload = 1 << 30
 
+// Byte counts of the fixed parts of the layouts above.
+const (
+	frameHeaderLen  = 5  // kind, payload length
+	frameTrailerLen = 4  // crc
+	taskHeaderLen   = 16 // epoch, gen, task, nblocks
+	blockHeaderLen  = 16 // bi, bj, crc, nbytes
+)
+
 // castagnoli is the CRC32C table frame checksums use (the polynomial
 // of the block seals, resilience.BlockCRC and resilience.RawCRC).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// writeFrame emits one checksummed frame.
+// frameBuf is a pooled buffer holding one whole wire frame: header,
+// payload and trailer, so a frame is built once in place and leaves in
+// one Write. It has one owner at a time. The event loop builds a
+// dispatch frame and the session writer returns it after the write; a
+// session reader fills a result frame and the event loop returns it
+// after installing or dropping the result. Nothing may keep a view into
+// a frame once it is back in the pool.
+type frameBuf struct{ b []byte }
+
+var framePool = sync.Pool{New: func() any { return new(frameBuf) }}
+
+func getFrame() *frameBuf { return framePool.Get().(*frameBuf) }
+
+// putFrame returns f to the pool; a nil f is a no-op.
+func putFrame(f *frameBuf) {
+	if f != nil {
+		f.b = f.b[:0]
+		framePool.Put(f)
+	}
+}
+
+// beginFrame resets buf to the start of a frame of kind typ; the payload
+// is appended after it, and endFrame closes the frame.
+func beginFrame(buf []byte, typ byte) []byte { return append(buf[:0], typ, 0, 0, 0, 0) }
+
+// endFrame patches the payload length of the frame begun in frame and
+// appends the CRC32C of its kind byte and payload.
+func endFrame(frame []byte) []byte {
+	payload := frame[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(frame[1:], uint32(len(payload)))
+	crc := crc32.Update(crc32.Checksum(frame[:1], castagnoli), castagnoli, payload)
+	return binary.LittleEndian.AppendUint32(frame, crc)
+}
+
+// framePayload is the payload of a whole frame.
+func framePayload(frame []byte) []byte {
+	return frame[frameHeaderLen : len(frame)-frameTrailerLen]
+}
+
+// newFrame builds the whole frame of kind typ around payload in a pooled
+// buffer.
+func newFrame(typ byte, payload []byte) *frameBuf {
+	fb := getFrame()
+	fb.b = endFrame(append(beginFrame(fb.b, typ), payload...))
+	return fb
+}
+
+// writeFrame emits one checksummed frame in one Write.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	crc := crc32.Update(crc32.Checksum(hdr[:1], castagnoli), castagnoli, payload)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("cluster: writing frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("cluster: writing frame payload: %w", err)
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc)
-	if _, err := w.Write(tail[:]); err != nil {
-		return fmt.Errorf("cluster: writing frame checksum: %w", err)
+	fb := newFrame(typ, payload)
+	_, err := w.Write(fb.b)
+	putFrame(fb)
+	if err != nil {
+		return fmt.Errorf("cluster: writing frame: %w", err)
 	}
 	return nil
 }
 
-// readFrame reads and verifies one frame.
+// readFrame reads and verifies one frame into a fresh buffer.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+	typ, payload, _, err = readFrameInto(r, nil)
+	return typ, payload, err
+}
+
+// readFrameInto reads and verifies one frame into buf's storage, grown
+// as needed. It returns the frame kind, the payload and the buffer,
+// which now holds the whole frame; the payload is a view into it. The
+// header comes first in its own read, so a length over the limit is
+// rejected before any buffer grows.
+func readFrameInto(r io.Reader, buf []byte) (typ byte, payload, frame []byte, err error) {
+	frame = append(buf[:0], 0, 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return 0, nil, frame, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
+	n := binary.LittleEndian.Uint32(frame[1:])
 	if n > maxFramePayload {
-		return 0, nil, fmt.Errorf("cluster: frame payload %d exceeds limit", n)
+		return 0, nil, frame, fmt.Errorf("cluster: frame payload %d exceeds limit", n)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("cluster: reading frame payload: %w", err)
+	size := frameHeaderLen + int(n) + frameTrailerLen
+	frame = slices.Grow(frame, size-len(frame))[:size]
+	if _, err := io.ReadFull(r, frame[frameHeaderLen:]); err != nil {
+		return 0, nil, frame, fmt.Errorf("cluster: reading frame body: %w", err)
 	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return 0, nil, fmt.Errorf("cluster: reading frame checksum: %w", err)
-	}
-	want := binary.LittleEndian.Uint32(tail[:])
-	got := crc32.Update(crc32.Checksum(hdr[:1], castagnoli), castagnoli, payload)
+	payload = framePayload(frame)
+	want := binary.LittleEndian.Uint32(frame[size-frameTrailerLen:])
+	got := crc32.Update(crc32.Checksum(frame[:1], castagnoli), castagnoli, payload)
 	if got != want {
-		return 0, nil, fmt.Errorf("cluster: frame checksum mismatch: got %08x, want %08x", got, want)
+		return 0, nil, frame, fmt.Errorf("cluster: frame checksum mismatch: got %08x, want %08x", got, want)
 	}
-	return hdr[0], payload, nil
+	return frame[0], payload, frame, nil
 }
 
 // helloMsg is a worker's opening frame. Epoch is the highest epoch the
@@ -264,22 +320,67 @@ type taskMsg struct {
 }
 
 func (m taskMsg) encode() []byte {
-	size := 16
+	size := taskHeaderLen
 	for _, b := range m.Blocks {
-		size += 16 + len(b.Raw)
+		size += blockHeaderLen + len(b.Raw)
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Epoch)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Gen)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.TaskID))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(m.Blocks)))
+	buf := appendTaskHeader(make([]byte, 0, size), m.Epoch, m.Gen, m.TaskID, len(m.Blocks))
 	for _, b := range m.Blocks {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.Bi))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(b.Bj))
-		buf = binary.LittleEndian.AppendUint32(buf, b.CRC)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(b.Raw)))
+		buf = appendBlockHeader(buf, b.Bi, b.Bj, b.CRC, len(b.Raw))
 		buf = append(buf, b.Raw...)
 	}
+	return buf
+}
+
+// appendTaskHeader appends the task-message header.
+func appendTaskHeader(buf []byte, epoch, gen uint32, taskID, nblocks int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, epoch)
+	buf = binary.LittleEndian.AppendUint32(buf, gen)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(taskID))
+	return binary.LittleEndian.AppendUint32(buf, uint32(nblocks))
+}
+
+// appendBlockHeader appends the header of one block of a task message.
+func appendBlockHeader(buf []byte, bi, bj int, crc uint32, nbytes int) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(bi))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(bj))
+	buf = binary.LittleEndian.AppendUint32(buf, crc)
+	return binary.LittleEndian.AppendUint32(buf, uint32(nbytes))
+}
+
+// beginTaskFrame resets buf to a whole task frame of kind typ (dispatch
+// or result) with its task header. Blocks follow through appendBlock or
+// appendSealedBlock, and endTaskFrame closes the frame: the same bytes
+// writeFrame emits for taskMsg.encode, with each block encoded once,
+// straight from its cells.
+func beginTaskFrame(buf []byte, typ byte, epoch, gen uint32, taskID int) []byte {
+	return appendTaskHeader(beginFrame(buf, typ), epoch, gen, taskID, 0)
+}
+
+// endTaskFrame patches the block count of a task frame and closes it.
+func endTaskFrame(frame []byte, nblocks int) []byte {
+	binary.LittleEndian.PutUint32(frame[frameHeaderLen+12:], uint32(nblocks))
+	return endFrame(frame)
+}
+
+// appendBlock appends block (bi, bj) of a task frame: its header with
+// the given seal, then its cells through tableio.EncodeCells.
+func appendBlock[E semiring.Elem](buf []byte, bi, bj int, seal uint32, cells []E) []byte {
+	var e E
+	nbytes := tableio.ElemWidth(e) * len(cells)
+	buf = appendBlockHeader(buf, bi, bj, seal, nbytes)
+	off := len(buf)
+	buf = slices.Grow(buf, nbytes)[:off+nbytes]
+	tableio.EncodeCells(buf[off:], cells)
+	return buf
+}
+
+// appendSealedBlock is appendBlock sealed with resilience.RawCRC over the
+// bytes it just encoded: by construction resilience.BlockCRC(cells).
+func appendSealedBlock[E semiring.Elem](buf []byte, bi, bj int, cells []E) []byte {
+	off := len(buf)
+	buf = appendBlock(buf, bi, bj, 0, cells)
+	binary.LittleEndian.PutUint32(buf[off+8:], resilience.RawCRC(buf[off+blockHeaderLen:]))
 	return buf
 }
 
@@ -368,14 +469,6 @@ func decodeCells[E semiring.Elem](dst []E, raw []byte) error {
 	}
 	tableio.DecodeCells(dst, raw)
 	return nil
-}
-
-// sendMsg frames and flushes one message on a buffered writer.
-func sendMsg(w *bufio.Writer, typ byte, payload []byte) error {
-	if err := writeFrame(w, typ, payload); err != nil {
-		return err
-	}
-	return w.Flush()
 }
 
 // replHelloMsg opens a primary's replication stream to a standby: the

@@ -3,10 +3,13 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 
 	"cellnpdp/internal/resilience"
+	"cellnpdp/internal/semiring"
+	"cellnpdp/internal/tableio"
 )
 
 // TestFrameRoundTrip pins the frame codec: what writeFrame emits,
@@ -125,5 +128,78 @@ func TestWireCRCEqualsBlockSeal(t *testing.T) {
 	}
 	if err := decodeCells(dst, encodeCells(f32)[:7]); err == nil {
 		t.Fatal("short cell stream accepted")
+	}
+}
+
+// knownAnswerCells fills one tile-4 block from bit patterns, so the
+// awkward values travel exactly: -0, +Inf, a NaN with a payload, the
+// smallest subnormal, then four ordinary values per half block.
+func knownAnswerCells[E semiring.Elem](block int) []E {
+	var e E
+	w := tableio.ElemWidth(e)
+	negZero, inf, nan := uint64(0x80000000), uint64(0x7f800000), uint64(0x7fc0beef)
+	one, step := uint64(0x3f800000), uint64(0x100000)
+	if w == 8 {
+		negZero, inf, nan = 1<<63, 0x7ff0000000000000, 0x7ff80000deadbeef
+		one, step = 0x3ff0000000000000, 1<<44
+	}
+	cells := make([]E, 16)
+	buf := make([]byte, 8)
+	for i := range cells {
+		bits := one + uint64(block)*step + uint64(i)
+		if i%8 < 4 {
+			bits = []uint64{negZero, inf, nan, 1}[i%8]
+		}
+		binary.LittleEndian.PutUint64(buf, bits)
+		cells[i] = tableio.GetElem[E](buf[:w])
+	}
+	return cells
+}
+
+// TestTaskFrameKnownAnswer pins the wire bytes of task frames built in
+// place against constants captured from the frame codec before frames
+// were built in place, writeFrame(typ, taskMsg{...}.encode()), so the
+// format cannot drift while ProtoVersion stays 2.
+func TestTaskFrameKnownAnswer(t *testing.T) {
+	const dispatchHex = "" +
+		"03b0000000030000000200000005000000020000000000000001000000c50f1b" +
+		"2d40000000000000800000807fefbec07f010000000400803f0500803f060080" +
+		"3f0700803f000000800000807fefbec07f010000000c00803f0d00803f0e0080" +
+		"3f0f00803f01000000010000004b9ee0c940000000000000800000807fefbec0" +
+		"7f010000000400903f0500903f0600903f0700903f000000800000807fefbec0" +
+		"7f010000000c00903f0d00903f0e00903f0f00903f9bffeeb2"
+	const resultHex = "" +
+		"04a00000000700000001000000090000000100000002000000030000000b89e6" +
+		"8a800000000000000000000080000000000000f07fefbeadde0000f87f010000" +
+		"0000000000040000000020f03f050000000020f03f060000000020f03f070000" +
+		"000020f03f0000000000000080000000000000f07fefbeadde0000f87f010000" +
+		"00000000000c0000000020f03f0d0000000020f03f0e0000000020f03f0f0000" +
+		"000020f03f6869091f"
+
+	// A float32 dispatch the way the coordinator builds it.
+	dispatch := beginTaskFrame(nil, frameDispatch, 3, 2, 5)
+	dispatch = appendSealedBlock(dispatch, 0, 1, knownAnswerCells[float32](0))
+	dispatch = appendSealedBlock(dispatch, 1, 1, knownAnswerCells[float32](1))
+	dispatch = endTaskFrame(dispatch, 2)
+
+	// A float64 result the way a worker builds it, seals from
+	// DigestThenFlip.
+	cells := knownAnswerCells[float64](2)
+	crcs := resilience.DigestThenFlip([][]float64{cells}, nil, 9, 1)
+	result := beginTaskFrame(nil, frameResult, 7, 1, 9)
+	result = appendBlock(result, 2, 3, crcs[0], cells)
+	result = endTaskFrame(result, 1)
+
+	for _, tc := range []struct {
+		name string
+		got  []byte
+		want string
+	}{{"float32 dispatch", dispatch, dispatchHex}, {"float64 result", result, resultHex}} {
+		if got := hex.EncodeToString(tc.got); got != tc.want {
+			t.Errorf("%s frame:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		if _, _, err := readFrame(bytes.NewReader(tc.got)); err != nil {
+			t.Errorf("%s frame does not read back: %v", tc.name, err)
+		}
 	}
 }

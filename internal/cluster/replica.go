@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -95,7 +94,6 @@ func (co *coordinator[E]) runReplicator(ctx context.Context) {
 // us, or the run ends (which delivers the final disposition in-band).
 func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 	var e E
-	bw := bufio.NewWriter(conn)
 	hello := replHelloMsg{
 		Epoch:       co.epoch,
 		ElemBytes:   tableio.ElemWidth(e),
@@ -109,7 +107,7 @@ func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 		Name:        "primary",
 	}
 	conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	if err := sendMsg(bw, frameReplHello, hello.encode()); err != nil {
+	if err := writeFrame(conn, frameReplHello, hello.encode()); err != nil {
 		return false, err
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -158,7 +156,7 @@ func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 	for {
 		select {
 		case <-co.stop:
-			co.sendReplFinal(conn, bw, full)
+			co.sendReplFinal(conn, full)
 			return false, nil
 		case <-readerDone:
 			select {
@@ -173,7 +171,7 @@ func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 		select {
 		case co.replPullC <- pull:
 		case <-co.stop:
-			co.sendReplFinal(conn, bw, full)
+			co.sendReplFinal(conn, full)
 			return false, nil
 		case <-readerDone:
 			select {
@@ -189,7 +187,7 @@ func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 		full = false
 		for _, d := range batch {
 			conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
-			if err := sendMsg(bw, frameDelta, d.Encode()); err != nil {
+			if err := writeFrame(conn, frameDelta, d.Encode()); err != nil {
 				return false, err
 			}
 		}
@@ -197,7 +195,7 @@ func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 			// Nothing to push: renew the standby's lease and idle one
 			// heartbeat.
 			conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
-			if err := sendMsg(bw, framePing, nil); err != nil {
+			if err := writeFrame(conn, framePing, nil); err != nil {
 				return false, err
 			}
 			t := time.NewTimer(co.opts.HeartbeatEvery)
@@ -216,7 +214,7 @@ func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 // fail (the standby surfaces the error), or nothing for a silent death.
 // needFull means this session never flushed its opening resync, so the
 // tail below must be a whole snapshot rather than incremental records.
-func (co *coordinator[E]) sendReplFinal(conn net.Conn, bw *bufio.Writer, needFull bool) {
+func (co *coordinator[E]) sendReplFinal(conn net.Conn, needFull bool) {
 	f := co.replFinal
 	if f.typ == 0 {
 		return
@@ -233,7 +231,7 @@ func (co *coordinator[E]) sendReplFinal(conn net.Conn, bw *bufio.Writer, needFul
 		}
 		for _, d := range tail {
 			conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
-			if err := sendMsg(bw, frameDelta, d.Encode()); err != nil {
+			if err := writeFrame(conn, frameDelta, d.Encode()); err != nil {
 				return
 			}
 		}
@@ -243,7 +241,7 @@ func (co *coordinator[E]) sendReplFinal(conn net.Conn, bw *bufio.Writer, needFul
 		payload = failMsg{Reason: f.reason}.encode()
 	}
 	conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
-	sendMsg(bw, f.typ, payload)
+	writeFrame(conn, f.typ, payload)
 }
 
 // stopped reports whether the run has ended.
@@ -413,7 +411,9 @@ func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 		}
 	}
 
-	tail := func(c net.Conn) {
+	// readStream posts a replication stream's pings and deltas to the
+	// event loop and returns the event that ends the stream.
+	readStream := func(c net.Conn) standbyEv {
 		// Rolling-progress deadline, window = the lease: a stream making
 		// progress never times out, and a read parked past the lease is a
 		// dead primary by this protocol's own definition — the event loop
@@ -422,8 +422,7 @@ func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 		for {
 			typ, payload, err := readFrame(sr)
 			if err != nil {
-				post(standbyEv{kind: sbLost, conn: c, err: err})
-				return
+				return standbyEv{kind: sbLost, conn: c, err: err}
 			}
 			switch typ {
 			case framePing:
@@ -431,25 +430,22 @@ func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 			case frameDelta:
 				d, derr := resilience.DecodeDelta(payload)
 				if derr != nil {
-					post(standbyEv{kind: sbLost, conn: c, err: derr})
-					return
+					return standbyEv{kind: sbLost, conn: c, err: derr}
 				}
 				if !post(standbyEv{kind: sbDelta, conn: c, delta: d}) {
-					return
+					return standbyEv{kind: sbLost, conn: c} // the standby has stopped
 				}
 			case frameDone:
-				post(standbyEv{kind: sbDone, conn: c})
-				return
+				return standbyEv{kind: sbDone, conn: c}
 			case frameFail:
 				f, _ := decodeFail(payload)
-				post(standbyEv{kind: sbFail, conn: c, reason: f.Reason})
-				return
+				return standbyEv{kind: sbFail, conn: c, reason: f.Reason}
 			default:
-				post(standbyEv{kind: sbLost, conn: c, err: fmt.Errorf("cluster: unexpected frame type %d on replication stream", typ)})
-				return
+				return standbyEv{kind: sbLost, conn: c, err: fmt.Errorf("cluster: unexpected frame type %d on replication stream", typ)}
 			}
 		}
 	}
+	tail := func(c net.Conn) { post(readStream(c)) }
 
 	var (
 		sstats   StandbyStats

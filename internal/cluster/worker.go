@@ -220,11 +220,10 @@ func runSession(ctx context.Context, conn net.Conn, opts WorkerOptions, highest 
 		}
 	}()
 
-	bw := bufio.NewWriter(conn)
 	sr := &sessionReader{conn: conn, window: opts.HandshakeTimeout}
 	br := bufio.NewReader(sr)
 	conn.SetWriteDeadline(time.Now().Add(opts.HandshakeTimeout))
-	if err := sendMsg(bw, frameHello, helloMsg{Epoch: *highest, Name: opts.Name}.encode()); err != nil {
+	if err := writeFrame(conn, frameHello, helloMsg{Epoch: *highest, Name: opts.Name}.encode()); err != nil {
 		return sessLost, err
 	}
 	typ, payload, err := readFrame(br)
@@ -265,17 +264,18 @@ func runSession(ctx context.Context, conn net.Conn, opts WorkerOptions, highest 
 		opts.Name, welcome.Slot, welcome.Shards, welcome.Epoch, welcome.N, welcome.Tile, perfmodel.Kernel(welcome.Stage1))
 	switch welcome.ElemBytes {
 	case 4:
-		return workerSession[float32](ctx, conn, sr, br, bw, welcome, opts, highest)
+		return workerSession[float32](ctx, conn, sr, br, welcome, opts, highest)
 	case 8:
-		return workerSession[float64](ctx, conn, sr, br, bw, welcome, opts, highest)
+		return workerSession[float64](ctx, conn, sr, br, welcome, opts, highest)
 	}
 	return sessLost, fmt.Errorf("cluster: unsupported element width %d", welcome.ElemBytes)
 }
 
 // workerSession executes one connection's dispatch loop at a concrete
-// element type.
+// element type. It reads every frame into one reused buffer and builds
+// every result frame in another, which leaves in one Write.
 func workerSession[E semiring.Elem](ctx context.Context, conn net.Conn, sr *sessionReader, br *bufio.Reader,
-	bw *bufio.Writer, welcome welcomeMsg, opts WorkerOptions, highest *uint32) (sessOutcome, error) {
+	welcome welcomeMsg, opts WorkerOptions, highest *uint32) (sessOutcome, error) {
 	t := tri.NewTiled[E](welcome.N, welcome.Tile)
 	g, err := sched.NewGraph(t.Blocks(), welcome.SchedSide)
 	if err != nil {
@@ -285,7 +285,8 @@ func workerSession[E semiring.Elem](ctx context.Context, conn net.Conn, sr *sess
 	if err != nil {
 		// The coordinator pinned a kernel this build cannot resolve;
 		// that is terminal, not a reconnect case.
-		sendMsg(bw, frameFail, failMsg{Reason: err.Error()}.encode())
+		conn.SetWriteDeadline(time.Now().Add(opts.HandshakeTimeout))
+		writeFrame(conn, frameFail, failMsg{Reason: err.Error()}.encode())
 		return sessTerminal, err
 	}
 	heartbeat := time.Duration(welcome.HeartbeatMS) * time.Millisecond
@@ -310,6 +311,7 @@ func workerSession[E semiring.Elem](ctx context.Context, conn net.Conn, sr *sess
 	}
 	outcome := sessLost
 	lastSeen := time.Now()
+	var rbuf, result []byte
 	for {
 		if err := ctx.Err(); err != nil {
 			return worked(outcome), err
@@ -330,7 +332,7 @@ func workerSession[E semiring.Elem](ctx context.Context, conn net.Conn, sr *sess
 					return worked(outcome), fmt.Errorf("cluster: coordinator silent for %v", deadline)
 				}
 				conn.SetWriteDeadline(time.Now().Add(deadline))
-				if err := sendMsg(bw, framePing, nil); err != nil {
+				if err := writeFrame(conn, framePing, nil); err != nil {
 					return worked(outcome), err
 				}
 				continue
@@ -338,7 +340,8 @@ func workerSession[E semiring.Elem](ctx context.Context, conn net.Conn, sr *sess
 			return worked(outcome), err
 		}
 		sr.window = deadline
-		typ, payload, err := readFrame(br)
+		typ, payload, frame, err := readFrameInto(br, rbuf)
+		rbuf = frame
 		if err != nil {
 			return worked(outcome), err
 		}
@@ -374,22 +377,22 @@ func workerSession[E semiring.Elem](ctx context.Context, conn net.Conn, sr *sess
 				// it would produce a result the fence must then catch.
 				conn.SetWriteDeadline(time.Now().Add(deadline))
 				ferr := &ErrEpochFenced{Epoch: msg.Epoch, Current: welcome.Epoch, Role: "worker"}
-				sendMsg(bw, frameFail, failMsg{Reason: ferr.Error()}.encode())
+				writeFrame(conn, frameFail, failMsg{Reason: ferr.Error()}.encode())
 				return worked(outcome), ferr
 			}
-			result, err := executeDispatch(t, g, mul, msg, opts.Inject)
+			result, err = executeDispatch(t, g, mul, msg, opts.Inject, result)
 			if err != nil {
 				// A bad dispatch payload (CRC mismatch on an operand
 				// block, unknown task) poisons this session's table;
 				// report and reconnect fresh.
 				conn.SetWriteDeadline(time.Now().Add(deadline))
-				sendMsg(bw, frameFail, failMsg{Reason: err.Error()}.encode())
+				writeFrame(conn, frameFail, failMsg{Reason: err.Error()}.encode())
 				return worked(outcome), err
 			}
 			outcome = sessWorked
 			conn.SetWriteDeadline(time.Now().Add(deadline))
-			if err := sendMsg(bw, frameResult, result.encode()); err != nil {
-				return worked(outcome), err
+			if _, err := conn.Write(result); err != nil {
+				return worked(outcome), fmt.Errorf("cluster: writing result: %w", err)
 			}
 		default:
 			return worked(outcome), fmt.Errorf("cluster: unexpected frame type %d", typ)
@@ -404,29 +407,29 @@ func netTimeout(err error) bool {
 }
 
 // executeDispatch installs a dispatch's blocks (seal-verified), computes
-// the task, and builds the sealed result. The seal of each produced
-// block digests the computed bytes before the injector may flip a bit,
-// so injected corruption is silent to the computation but visible to
-// the coordinator's install audit — the same fault model as the
-// single-process heal loop.
+// the task, and builds the sealed result frame in buf's storage, which
+// it returns. The seal of each produced block digests the computed bytes
+// before the injector may flip a bit, so injected corruption is silent
+// to the computation but visible to the coordinator's install audit —
+// the same fault model as the single-process heal loop.
 func executeDispatch[E semiring.Elem](t *tri.Tiled[E], g *sched.Graph, mul npdp.Stage1Func[E],
-	msg taskMsg, inject *resilience.Injector) (taskMsg, error) {
+	msg taskMsg, inject *resilience.Injector, buf []byte) ([]byte, error) {
 	if msg.TaskID < 0 || msg.TaskID >= len(g.Tasks) {
-		return taskMsg{}, fmt.Errorf("cluster: dispatch for unknown task %d", msg.TaskID)
+		return buf, fmt.Errorf("cluster: dispatch for unknown task %d", msg.TaskID)
 	}
 	task := g.Tasks[msg.TaskID]
 	for _, wb := range msg.Blocks {
 		if wb.Bi < 0 || wb.Bi > wb.Bj || wb.Bj >= t.Blocks() {
-			return taskMsg{}, fmt.Errorf("cluster: dispatch block (%d,%d) outside the block triangle", wb.Bi, wb.Bj)
+			return buf, fmt.Errorf("cluster: dispatch block (%d,%d) outside the block triangle", wb.Bi, wb.Bj)
 		}
 		if got := resilience.RawCRC(wb.Raw); got != wb.CRC {
-			return taskMsg{}, &resilience.ErrSealMismatch{
+			return buf, &resilience.ErrSealMismatch{
 				Bi: wb.Bi, Bj: wb.Bj, BlockID: t.BlockID(wb.Bi, wb.Bj), TaskID: msg.TaskID,
 				Want: wb.CRC, Got: got,
 			}
 		}
 		if err := decodeCells(t.Block(wb.Bi, wb.Bj), wb.Raw); err != nil {
-			return taskMsg{}, err
+			return buf, err
 		}
 	}
 	npdp.ComputeTask(t, task, mul)
@@ -437,13 +440,9 @@ func executeDispatch[E semiring.Elem](t *tri.Tiled[E], g *sched.Graph, mul npdp.
 		cells[i] = t.Block(mb[0], mb[1])
 	}
 	crcs := resilience.DigestThenFlip(cells, inject, task.ID, int(msg.Gen))
-	result := taskMsg{Epoch: msg.Epoch, Gen: msg.Gen, TaskID: msg.TaskID, Blocks: make([]wireBlock, len(own))}
+	frame := beginTaskFrame(buf, frameResult, msg.Epoch, msg.Gen, msg.TaskID)
 	for i, mb := range own {
-		result.Blocks[i] = wireBlock{
-			Bi: mb[0], Bj: mb[1],
-			CRC: crcs[i],
-			Raw: encodeCells(cells[i]),
-		}
+		frame = appendBlock(frame, mb[0], mb[1], crcs[i], cells[i])
 	}
-	return result, nil
+	return endTaskFrame(frame, len(own)), nil
 }

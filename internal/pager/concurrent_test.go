@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -372,6 +373,102 @@ func TestCommitAndCloseJoinBackgroundCommit(t *testing.T) {
 			t.Fatalf("reopened block (%d,%d) has other cells", bi, bj)
 		}
 		p2.Release(bi, bj)
+	}
+}
+
+// completeAll completes every block of p with finalCells through its
+// frame budget, as a paged solve does, so blocks spill and commits run.
+func completeAll(t *testing.T, p *Pager[float32], src *tri.Tiled[float32]) {
+	t.Helper()
+	m := src.Blocks()
+	for id := 0; id < p.NBlocks(); id++ {
+		bi, bj := blockCoords(m, id)
+		cells, err := p.Acquire(bi, bj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(cells, finalCells(src, bi, bj))
+		if err := p.Complete(bi, bj); err != nil {
+			t.Fatal(err)
+		}
+		p.Release(bi, bj)
+	}
+}
+
+// requireGone fails unless the spill file and its index are deleted.
+func requireGone(t *testing.T, path string) {
+	t.Helper()
+	for _, f := range []string{path, path + ".idx"} {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Errorf("%s still there after Discard (stat: %v)", f, err)
+		}
+	}
+}
+
+// TestDiscardSkipsFinalFlush: after a solve's worth of completions,
+// Discard spills and commits nothing more — the resident final blocks
+// Close would flush stay unwritten — deletes the spill file and its
+// index, and leaves a later Close nothing to do.
+func TestDiscardSkipsFinalFlush(t *testing.T) {
+	src := testTable(40, 8)
+	path := filepath.Join(t.TempDir(), "t.npsp")
+	p, err := Create(path, src, Options{Frames: 4, CommitEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	completeAll(t, p, src)
+	p.mu.Lock()
+	done := p.committer
+	p.mu.Unlock()
+	if done != nil {
+		<-done // the group commits the spills asked for are all in
+	}
+	before := p.Stats()
+	if before.SpilledBlocks == 0 || before.Commits == 0 || p.Resident() == 0 {
+		t.Fatalf("setup spilled %d blocks, committed %d times, left %d resident; want all three > 0",
+			before.SpilledBlocks, before.Commits, p.Resident())
+	}
+	if err := p.Discard(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close after Discard: %v", err)
+	}
+	after := p.Stats()
+	if after.SpilledBlocks != before.SpilledBlocks || after.Commits != before.Commits {
+		t.Errorf("Discard spilled %d blocks and committed %d times, want neither",
+			after.SpilledBlocks-before.SpilledBlocks, after.Commits-before.Commits)
+	}
+	requireGone(t, path)
+}
+
+// TestDiscardJoinsBackgroundCommit: Discard waits for a group commit
+// the committer goroutine is running before it deletes the files, so
+// the commit's index rename cannot bring the index back afterwards.
+func TestDiscardJoinsBackgroundCommit(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		src := testTable(40, 8)
+		path := filepath.Join(t.TempDir(), "t.npsp")
+		p, err := Create(path, src, Options{Frames: 4, CommitEvery: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		completeAll(t, p, src)
+		p.mu.Lock()
+		p.requestCommitLocked()
+		done := p.committer
+		p.mu.Unlock()
+		if err := p.Discard(); err != nil {
+			t.Fatal(err)
+		}
+		if done != nil {
+			select {
+			case <-done:
+			default:
+				t.Fatal("Discard returned while the committer goroutine still ran")
+			}
+		}
+		requireGone(t, path)
 	}
 }
 

@@ -884,17 +884,8 @@ func (p *Pager[E]) Stats() Stats {
 func (p *Pager[E]) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if !p.quiesceLocked() {
 		return nil
-	}
-	p.closed = true
-	for p.busy > 0 {
-		p.cond.Wait()
-	}
-	if done := p.committer; done != nil {
-		p.mu.Unlock()
-		<-done
-		p.mu.Lock()
 	}
 	var flush []*frameOf[E]
 	for fr := p.lru.head; fr != nil; fr = fr.next {
@@ -915,16 +906,45 @@ func (p *Pager[E]) Close() error {
 	return err
 }
 
-// Remove deletes the spill data file and index — the cleanup for solves
-// that do not keep resume state. Call after Close.
-func (p *Pager[E]) Remove() error {
-	var first error
+// Discard ends a pager whose files hold no resume state: like Close it
+// lets the page-ins, spills and commit in flight finish, but it flushes
+// and commits nothing, then closes the spill file and deletes it and its
+// index. A later Close or Discard is a no-op.
+func (p *Pager[E]) Discard() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.quiesceLocked() {
+		return nil
+	}
+	var err error
+	if closeErr := p.f.Close(); closeErr != nil {
+		err = fmt.Errorf("pager: closing spill file: %w", closeErr)
+	}
 	for _, path := range []string{p.path, p.idxPath} {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) && first == nil {
-			first = err
+		if rmErr := os.Remove(path); rmErr != nil && !os.IsNotExist(rmErr) && err == nil {
+			err = rmErr
 		}
 	}
-	return first
+	return err
+}
+
+// quiesceLocked marks the pager closed, then waits for the page-ins,
+// spills and commit in flight and for the committer goroutine to exit.
+// It reports false if the pager was already closed. Caller holds p.mu.
+func (p *Pager[E]) quiesceLocked() bool {
+	if p.closed {
+		return false
+	}
+	p.closed = true
+	for p.busy > 0 || p.committing {
+		p.cond.Wait()
+	}
+	if done := p.committer; done != nil {
+		p.mu.Unlock()
+		<-done
+		p.mu.Lock()
+	}
+	return true
 }
 
 // encodeSlot serializes cells into a slot buffer: the payload in the

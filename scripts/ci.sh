@@ -23,7 +23,9 @@
 # set while injecting torn spill writes (must heal), bit flips on
 # page-in reads (must heal) and ENOSPC (must degrade gracefully), all
 # bit-identical to serial. The pager's concurrency stress test also
-# runs twenty times under the race detector.
+# runs twenty times under the race detector, and the cluster package's
+# tests five times: frame buffers change owner between the event loop,
+# the session writers and the readers.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -119,6 +121,13 @@ echo "== go test -race -count=20 (pager concurrency stress)"
 # of the stress test samples only one interleaving; twenty under the
 # race detector sample more.
 go test -race -count=20 -run '^TestConcurrentPagerStress$' ./internal/pager
+
+echo "== go test -race -count=5 ./internal/cluster (frame-buffer ownership)"
+# Pooled frame buffers pass between the event loop, the session writers
+# and the session readers, so one pass under the race detector samples
+# one interleaving of those hand-offs; five sample more (about two
+# minutes on a 2-vCPU host).
+go test -race -count=5 ./internal/cluster
 
 echo "== bench smoke: (cd bench && go test .)"
 # Every benchmark workload at n=512 against this checkout's sources, so a

@@ -204,8 +204,8 @@ func Format(records []Record) string {
 }
 
 // FormatBaseline renders the full per-GOARCH baseline file body. The
-// kernel package compiles differently per architecture (panel_amd64.go
-// vs panel_arm64.go vs panel_noasm.go, and the arm64 backend's own BCE
+// kernel package compiles differently per architecture (band_amd64.go
+// vs band_arm64.go and the stub files, and the arm64 backend's own BCE
 // decisions), so each checked GOARCH gets its own section.
 func FormatBaseline(sections map[string][]Record) string {
 	var b strings.Builder
@@ -315,8 +315,8 @@ func Compare(current, baseline []Record) (regressions, improvements []string) {
 }
 
 // resolvePackage asks the go tool for pkg's directory and file list
-// under goarch's build constraints (panel_amd64.go vs panel_arm64.go vs
-// panel_noasm.go select differently per arch).
+// under goarch's build constraints (band_amd64.go, band_arm64.go and
+// the stub files select differently per arch).
 func resolvePackage(pkg, goarch string) (dir string, goFiles []string, err error) {
 	cmd := exec.Command("go", "list", "-json=Dir,GoFiles", pkg)
 	cmd.Env = archEnv(goarch)

@@ -122,10 +122,10 @@ func runGoSpawn(pass *Pass) error {
 // goStmtTied reports whether the spawned work is bound to a recognized
 // lifecycle.
 func goStmtTied(info *types.Info, decls map[types.Object]*ast.FuncDecl, varLits map[types.Object]*ast.FuncLit, gs *ast.GoStmt) bool {
-	seen := make(map[*ast.BlockStmt]bool)
+	seen := make(map[*ast.BlockStmt]int)
 	// Function-literal spawn: inspect the literal body.
 	if lit, ok := unparen(gs.Call.Fun).(*ast.FuncLit); ok {
-		return bodyHasLifecycle(info, decls, varLits, lit.Body, seen)
+		return bodyHasLifecycle(info, decls, varLits, lit.Body, 1, seen)
 	}
 	// Spawning a cancel func is itself a lifecycle action: the call
 	// tears a context down and returns.
@@ -140,12 +140,12 @@ func goStmtTied(info *types.Info, decls map[types.Object]*ast.FuncDecl, varLits 
 			obj = fn.Origin()
 		}
 		if fd, ok := decls[obj]; ok {
-			if bodyHasLifecycle(info, decls, varLits, fd.Body, seen) {
+			if bodyHasLifecycle(info, decls, varLits, fd.Body, 1, seen) {
 				return true
 			}
 		} else if lit := varLits[obj]; lit != nil {
 			// A local func variable bound to exactly one literal.
-			if bodyHasLifecycle(info, decls, varLits, lit.Body, seen) {
+			if bodyHasLifecycle(info, decls, varLits, lit.Body, 1, seen) {
 				return true
 			}
 		} else {
@@ -163,21 +163,25 @@ func goStmtTied(info *types.Info, decls map[types.Object]*ast.FuncDecl, varLits 
 }
 
 // lifecycleDepth bounds how many call levels bodyHasLifecycle follows:
-// a session loop reporting through one local post() closure is depth 2;
-// anything deeper is structure the analyzer should not guess at.
+// the spawned body is depth 1, and a session loop reporting through one
+// local post() closure is depth 2; anything deeper than 3 is structure
+// the analyzer should not guess at.
 const lifecycleDepth = 3
 
 // bodyHasLifecycle scans a spawned body (including nested literals —
 // a watcher the goroutine itself starts still witnesses the regime) for
 // any of the recognized lifecycle markers. Calls to same-package
-// functions and to locals bound to a single literal are followed up to
-// lifecycleDepth bodies: a tail loop whose exit signalling lives in a
-// post() closure is still tied.
-func bodyHasLifecycle(info *types.Info, decls map[types.Object]*ast.FuncDecl, varLits map[types.Object]*ast.FuncLit, body *ast.BlockStmt, seen map[*ast.BlockStmt]bool) bool {
-	if body == nil || seen[body] {
+// functions and to locals bound to a single literal are followed while
+// depth, the body's call level, is below lifecycleDepth: a tail loop
+// whose exit signalling lives in a post() closure is still tied, however
+// many sibling helpers it calls first. seen holds the shallowest depth
+// each body was scanned at; a body scanned at that depth or shallower
+// found nothing, so it is not scanned again, which also ends cycles.
+func bodyHasLifecycle(info *types.Info, decls map[types.Object]*ast.FuncDecl, varLits map[types.Object]*ast.FuncLit, body *ast.BlockStmt, depth int, seen map[*ast.BlockStmt]int) bool {
+	if body == nil || seen[body] != 0 && seen[body] <= depth {
 		return false
 	}
-	seen[body] = true
+	seen[body] = depth
 	tied := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if tied {
@@ -199,7 +203,7 @@ func bodyHasLifecycle(info *types.Info, decls map[types.Object]*ast.FuncDecl, va
 				tied = true
 				break
 			}
-			if len(seen) >= lifecycleDepth {
+			if depth >= lifecycleDepth {
 				break
 			}
 			if obj := calleeObject(info, n); obj != nil {
@@ -207,9 +211,9 @@ func bodyHasLifecycle(info *types.Info, decls map[types.Object]*ast.FuncDecl, va
 					obj = fn.Origin()
 				}
 				if fd, ok := decls[obj]; ok {
-					tied = bodyHasLifecycle(info, decls, varLits, fd.Body, seen)
+					tied = bodyHasLifecycle(info, decls, varLits, fd.Body, depth+1, seen)
 				} else if lit := varLits[obj]; lit != nil {
-					tied = bodyHasLifecycle(info, decls, varLits, lit.Body, seen)
+					tied = bodyHasLifecycle(info, decls, varLits, lit.Body, depth+1, seen)
 				}
 			}
 		case *ast.Ident:

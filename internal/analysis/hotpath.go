@@ -7,8 +7,9 @@ import (
 )
 
 // HotPath guards the Go analogue of the paper's Table I register
-// kernel: functions annotated //npdp:hotpath (the stage-1 panel kernels
-// and the 4×4 CB step) form a closed, allocation-free call universe.
+// kernel: functions annotated //npdp:hotpath (the stage-1 panel and band
+// dispatchers, the stage-2 bodies and the 4×4 CB step) form a closed,
+// allocation-free call universe.
 // Inside an annotated function the analyzer rejects everything that
 // would put an allocation, a dynamic dispatch, or scheduler work on the
 // per-element path:
@@ -22,7 +23,7 @@ import (
 //     (len/cap/copy/min/max and panic are exempt).
 //
 // Body-less //go:noescape declarations — assembly kernel stubs like
-// panelVecF32 — are legal leaves of the call universe: they have no Go
+// bandAVX2F32 — are legal leaves of the call universe: they have no Go
 // body to allocate or dispatch from, and the noescape pragma pins the
 // property the analyzer exists to protect (arguments stay off the
 // heap). A //go:noescape declaration WITH a body is still rejected the

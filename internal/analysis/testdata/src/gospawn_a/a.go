@@ -172,6 +172,41 @@ func litVarIndirect(events chan int) {
 	go tail()
 }
 
+// siblingHelpers: the loop calls two same-package helpers before the
+// post that ties it. The depth bound counts call levels, not bodies
+// visited, so the helpers do not use up the post's level.
+func siblingHelpers(events chan int) {
+	post := func(v int) {
+		events <- v
+	}
+	tail := func() {
+		for i := 0; i < 10; i++ {
+			stepOne(i)
+			stepTwo(i)
+			post(i)
+		}
+	}
+	go tail()
+}
+
+func stepOne(i int) { _ = i }
+
+func stepTwo(i int) { _ = i + 1 }
+
+// tooDeep: the only lifecycle sits four call levels down, past
+// lifecycleDepth, so the spawn is still reported.
+func tooDeep(events chan int) {
+	go levelOne(events) // want `goroutine has no lifecycle`
+}
+
+func levelOne(events chan int) { levelTwo(events) }
+
+func levelTwo(events chan int) { levelThree(events) }
+
+func levelThree(events chan int) { levelFour(events) }
+
+func levelFour(events chan int) { events <- 1 }
+
 // cancelSpawn: spawning a context.CancelFunc is itself a lifecycle
 // action — the call tears a context down and returns.
 func cancelSpawn(ctx context.Context) {

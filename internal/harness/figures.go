@@ -184,7 +184,7 @@ func breakdownCPU[E interface{ ~float32 | ~float64 }](cfg Config, build func(int
 func Fig10b(cfg Config) (*stats.Table, error) {
 	return breakdownCPU(cfg, cfg.chainF32, paperTile(npdp.Single),
 		"Figure 10(b) — speedup breakdown on the host CPU, single precision (measured)",
-		"paper averages on Nehalem: NDL 7.14x, SPE procedure 5.28x (SSE), 8 cores 7.22x; Go's CB-kernel bar reflects ILP/locality only — no SIMD intrinsics")
+		"paper averages on Nehalem: NDL 7.14x, SPE procedure 5.28x (SSE), 8 cores 7.22x; here the +CB kernel bar runs stage 1 on the scalar CB kernel (MulMinPlus) and the +parallel bar on the vector band kernels (stage 2 runs on the bands in both), so the stage-1 SIMD factor sits inside the +parallel bar")
 }
 
 // Fig11b regenerates Figure 11(b): the measured double-precision CPU

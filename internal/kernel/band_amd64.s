@@ -2,8 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2 min-plus kernels. Semantics contract (the bit-identity invariant):
-// every C element must follow the exact scalar update chain
+// Band kernels: C[4×cols] = min(C, A[4×k] ⊗ B[k×cols]) at a row stride,
+// the one min-plus primitive, on AVX2 and on AVX-512. Semantics contract
+// (the bit-identity invariant): every C element must follow the exact
+// scalar update chain
 //
 //	for k ascending: w = a[r][k] + b[k][j]; if w < c { c = w }
 //
@@ -13,68 +15,69 @@
 // AVX operands reversed from Intel: `VMINPS Y0, Y5, Y0` is Intel
 // `vminps ymm0, ymm5, ymm0`, i.e. Y0 = (Y5 < Y0) ? Y5 : Y0.
 //
-// The callers (dispatch.go) guarantee: t is a positive multiple of 4 and
-// all three blocks hold at least t*t elements — there are no bounds
-// checks here.
+// The callers (bandF32, bandF64 in dispatch.go) guarantee: k >= 1, cols
+// is a positive multiple of 4 no wider than the row stride, and C's four
+// rows, A's four k-wide rows and B's k rows are in bounds — there are no
+// bounds checks here.
 
-// func panelVecF32(c, a, b *float32, t int)
+// func bandAVX2F32(c, a, b *float32, stride, cols, k int)
+//
+// The AVX2 float32 band: 4×8 YMM passes while 8 columns remain, then a
+// 4-wide XMM tail for cols ≡ 4 (mod 8) — at cols = 4 the tail alone,
+// Table I's program with the k loop count taken from an argument.
 //
 // Register plan:
-//	DI  c panel base (rows r..r+3)     SI  a panel base
-//	DX  b base                         CX  t (elements)
-//	R8  row stride in bytes (4t)       R9  r    R10 j    R11 k
-//	R14 c column base (rows r,r+1)     R12 c column base (rows r+2,r+3)
-//	AX  a row r   k-pointer            R13 a row r+2 k-pointer
+//	DI  c base (rows 0..3)             SI  a base
+//	DX  b base                         CX  cols
+//	R8  row stride in bytes            R9  k    R10 j    R11 k count
+//	R14 c column base (rows 0,1)       R12 c column base (rows 2,3)
+//	AX  a row 0 k-pointer              R13 a row 2 k-pointer
 //	BX  b[k][j] pointer
-//	Y0..Y3 4×8 C accumulator panel     Y4 b[k][j..j+8)   Y5..Y8 scratch
-TEXT ·panelVecF32(SB), NOSPLIT, $0-32
+//	Y0..Y3 4×8 C accumulators   Y4 b[k][j..j+8)   Y5..Y8 scratch
+TEXT ·bandAVX2F32(SB), NOSPLIT, $0-48
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
-	MOVQ t+24(FP), CX
-	MOVQ CX, R8
-	SHLQ $2, R8           // stride bytes = 4t
-
-	XORQ R9, R9           // r = 0
-rowloop:
-	CMPQ R9, CX
-	JGE  done
+	MOVQ stride+24(FP), R8
+	MOVQ cols+32(FP), CX
+	MOVQ k+40(FP), R9
+	SHLQ $2, R8           // stride bytes
 	XORQ R10, R10         // j = 0
 
-colloop8:                     // 8-wide columns while j+8 <= t
+colloop8:                     // 8-wide columns while j+8 <= cols
 	LEAQ 8(R10), AX
 	CMPQ AX, CX
 	JG   coltail
 
-	LEAQ (DI)(R10*4), R14 // &c[(r+0)*t + j]
-	LEAQ (R14)(R8*2), R12 // &c[(r+2)*t + j]
+	LEAQ (DI)(R10*4), R14 // &c[0][j]
+	LEAQ (R14)(R8*2), R12 // &c[2][j]
 	VMOVUPS (R14), Y0
 	VMOVUPS (R14)(R8*1), Y1
 	VMOVUPS (R12), Y2
 	VMOVUPS (R12)(R8*1), Y3
-	LEAQ (DX)(R10*4), BX  // &b[0*t + j]
-	MOVQ SI, AX           // &a[(r+0)*t + 0]
-	LEAQ (SI)(R8*2), R13  // &a[(r+2)*t + 0]
+	LEAQ (DX)(R10*4), BX  // &b[0][j]
+	MOVQ SI, AX           // &a[0][0]
+	LEAQ (SI)(R8*2), R13  // &a[2][0]
 	XORQ R11, R11         // k = 0
 kloop8:
 	VMOVUPS (BX), Y4              // b[k][j..j+8)
-	VBROADCASTSS (AX), Y5         // a[r+0][k]
+	VBROADCASTSS (AX), Y5         // a[0][k]
 	VADDPS Y4, Y5, Y5             // w0 = s0 + bv
 	VMINPS Y0, Y5, Y0             // c0 = w0 < c0 ? w0 : c0
-	VBROADCASTSS (AX)(R8*1), Y6   // a[r+1][k]
+	VBROADCASTSS (AX)(R8*1), Y6   // a[1][k]
 	VADDPS Y4, Y6, Y6
 	VMINPS Y1, Y6, Y1
-	VBROADCASTSS (R13), Y7        // a[r+2][k]
+	VBROADCASTSS (R13), Y7        // a[2][k]
 	VADDPS Y4, Y7, Y7
 	VMINPS Y2, Y7, Y2
-	VBROADCASTSS (R13)(R8*1), Y8  // a[r+3][k]
+	VBROADCASTSS (R13)(R8*1), Y8  // a[3][k]
 	VADDPS Y4, Y8, Y8
 	VMINPS Y3, Y8, Y3
 	ADDQ $4, AX
 	ADDQ $4, R13
 	ADDQ R8, BX                   // next b row
 	INCQ R11
-	CMPQ R11, CX
+	CMPQ R11, R9
 	JL   kloop8
 	VMOVUPS Y0, (R14)
 	VMOVUPS Y1, (R14)(R8*1)
@@ -83,9 +86,9 @@ kloop8:
 	ADDQ $8, R10
 	JMP  colloop8
 
-coltail:                      // 4-wide tail: t ≡ 4 (mod 8) leaves one
+coltail:                      // 4-wide tail: cols ≡ 4 (mod 8) leaves one
 	CMPQ R10, CX
-	JGE  rownext
+	JGE  done
 	LEAQ (DI)(R10*4), R14
 	LEAQ (R14)(R8*2), R12
 	VMOVUPS (R14), X0
@@ -114,7 +117,7 @@ kloop4:
 	ADDQ $4, R13
 	ADDQ R8, BX
 	INCQ R11
-	CMPQ R11, CX
+	CMPQ R11, R9
 	JL   kloop4
 	VMOVUPS X0, (R14)
 	VMOVUPS X1, (R14)(R8*1)
@@ -123,61 +126,7 @@ kloop4:
 	ADDQ $4, R10
 	JMP  coltail
 
-rownext:
-	LEAQ (DI)(R8*4), DI   // c += 4 rows
-	LEAQ (SI)(R8*4), SI   // a += 4 rows
-	ADDQ $4, R9
-	JMP  rowloop
-
 done:
-	VZEROUPPER
-	RET
-
-// func stripVecF32(c, a, b *float32, stride, k int)
-//
-// One computing-block strip on XMM registers: the Table I program
-// (loads, splats, adds, compare-selects, stores) as real SIMD, with the
-// k loop count taken from an argument. C's four rows are loaded once,
-// take k updates each, and are stored once. Same update-chain semantics
-// as panelVecF32; the caller (stripF32) guarantees k >= 1 and that every
-// touched element is in bounds.
-TEXT ·stripVecF32(SB), NOSPLIT, $0-40
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), AX
-	MOVQ b+16(FP), BX
-	MOVQ stride+24(FP), R8
-	MOVQ k+32(FP), R11
-	SHLQ $2, R8           // stride bytes
-
-	LEAQ (DI)(R8*2), R12
-	VMOVUPS (DI), X0
-	VMOVUPS (DI)(R8*1), X1
-	VMOVUPS (R12), X2
-	VMOVUPS (R12)(R8*1), X3
-	LEAQ (AX)(R8*2), R13  // &a[2*stride + 0]
-strip_k:
-	VMOVUPS (BX), X4              // b[k][0..4)
-	VBROADCASTSS (AX), X5         // a[0][k]
-	VADDPS X4, X5, X5
-	VMINPS X0, X5, X0
-	VBROADCASTSS (AX)(R8*1), X6   // a[1][k]
-	VADDPS X4, X6, X6
-	VMINPS X1, X6, X1
-	VBROADCASTSS (R13), X7        // a[2][k]
-	VADDPS X4, X7, X7
-	VMINPS X2, X7, X2
-	VBROADCASTSS (R13)(R8*1), X8  // a[3][k]
-	VADDPS X4, X8, X8
-	VMINPS X3, X8, X3
-	ADDQ $4, AX
-	ADDQ $4, R13
-	ADDQ R8, BX
-	DECQ R11
-	JNZ  strip_k
-	VMOVUPS X0, (DI)
-	VMOVUPS X1, (DI)(R8*1)
-	VMOVUPS X2, (R12)
-	VMOVUPS X3, (R12)(R8*1)
 	VZEROUPPER
 	RET
 
@@ -188,39 +137,38 @@ strip_k:
 // doubles is one YMM register, where the float32 kernels need half of
 // one.
 
-// func panelVecF64(c, a, b *float64, t int)
+// func bandAVX2F64(c, a, b *float64, stride, cols, k int)
+//
+// The AVX2 float64 band: 4×8 passes in eight YMM registers while 8
+// columns remain, then a 4-wide YMM tail for cols ≡ 4 (mod 8).
 //
 // Register plan:
-//	DI  c panel base (rows r..r+3)     SI  a panel base
-//	DX  b base                         CX  t (elements)
-//	R8  row stride in bytes (8t)       R9  r    R10 j    R11 k
-//	R14 c column base (rows r,r+1)     R12 c column base (rows r+2,r+3)
-//	AX  a row r   k-pointer            R13 a row r+2 k-pointer
+//	DI  c base (rows 0..3)             SI  a base
+//	DX  b base                         CX  cols
+//	R8  row stride in bytes            R9  k    R10 j    R11 k count
+//	R14 c column base (rows 0,1)       R12 c column base (rows 2,3)
+//	AX  a row 0 k-pointer              R13 a row 2 k-pointer
 //	BX  b[k][j] pointer
-//	Y0..Y7 4×8 C accumulator panel: row i, columns j..j+3 in Y(2i) and
+//	Y0..Y7 4×8 C accumulators: row i, columns j..j+3 in Y(2i) and
 //	       j+4..j+7 in Y(2i+1)
-//	Y8, Y9 b[k][j..j+8)   Y10..Y13 splats of a[r..r+3][k]   Y14, Y15 sums
-TEXT ·panelVecF64(SB), NOSPLIT, $0-32
+//	Y8, Y9 b[k][j..j+8)   Y10..Y13 splats of a[0..3][k]   Y14, Y15 sums
+TEXT ·bandAVX2F64(SB), NOSPLIT, $0-48
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
-	MOVQ t+24(FP), CX
-	MOVQ CX, R8
-	SHLQ $3, R8           // stride bytes = 8t
-
-	XORQ R9, R9           // r = 0
-f64rowloop:
-	CMPQ R9, CX
-	JGE  f64done
+	MOVQ stride+24(FP), R8
+	MOVQ cols+32(FP), CX
+	MOVQ k+40(FP), R9
+	SHLQ $3, R8           // stride bytes
 	XORQ R10, R10         // j = 0
 
-f64colloop8:                  // 8-wide columns while j+8 <= t
+f64colloop8:                  // 8-wide columns while j+8 <= cols
 	LEAQ 8(R10), AX
 	CMPQ AX, CX
 	JG   f64coltail
 
-	LEAQ (DI)(R10*8), R14 // &c[(r+0)*t + j]
-	LEAQ (R14)(R8*2), R12 // &c[(r+2)*t + j]
+	LEAQ (DI)(R10*8), R14 // &c[0][j]
+	LEAQ (R14)(R8*2), R12 // &c[2][j]
 	VMOVUPD (R14), Y0
 	VMOVUPD 32(R14), Y1
 	VMOVUPD (R14)(R8*1), Y2
@@ -229,29 +177,29 @@ f64colloop8:                  // 8-wide columns while j+8 <= t
 	VMOVUPD 32(R12), Y5
 	VMOVUPD (R12)(R8*1), Y6
 	VMOVUPD 32(R12)(R8*1), Y7
-	LEAQ (DX)(R10*8), BX  // &b[0*t + j]
-	MOVQ SI, AX           // &a[(r+0)*t + 0]
-	LEAQ (SI)(R8*2), R13  // &a[(r+2)*t + 0]
+	LEAQ (DX)(R10*8), BX  // &b[0][j]
+	MOVQ SI, AX           // &a[0][0]
+	LEAQ (SI)(R8*2), R13  // &a[2][0]
 	XORQ R11, R11         // k = 0
 f64kloop8:
 	VMOVUPD (BX), Y8              // b[k][j..j+4)
 	VMOVUPD 32(BX), Y9            // b[k][j+4..j+8)
-	VBROADCASTSD (AX), Y10        // a[r+0][k]
+	VBROADCASTSD (AX), Y10        // a[0][k]
 	VADDPD Y8, Y10, Y14           // w = s0 + bv
 	VMINPD Y0, Y14, Y0            // c = w < c ? w : c
 	VADDPD Y9, Y10, Y15
 	VMINPD Y1, Y15, Y1
-	VBROADCASTSD (AX)(R8*1), Y11  // a[r+1][k]
+	VBROADCASTSD (AX)(R8*1), Y11  // a[1][k]
 	VADDPD Y8, Y11, Y14
 	VMINPD Y2, Y14, Y2
 	VADDPD Y9, Y11, Y15
 	VMINPD Y3, Y15, Y3
-	VBROADCASTSD (R13), Y12       // a[r+2][k]
+	VBROADCASTSD (R13), Y12       // a[2][k]
 	VADDPD Y8, Y12, Y14
 	VMINPD Y4, Y14, Y4
 	VADDPD Y9, Y12, Y15
 	VMINPD Y5, Y15, Y5
-	VBROADCASTSD (R13)(R8*1), Y13 // a[r+3][k]
+	VBROADCASTSD (R13)(R8*1), Y13 // a[3][k]
 	VADDPD Y8, Y13, Y14
 	VMINPD Y6, Y14, Y6
 	VADDPD Y9, Y13, Y15
@@ -260,7 +208,7 @@ f64kloop8:
 	ADDQ $8, R13
 	ADDQ R8, BX                   // next b row
 	INCQ R11
-	CMPQ R11, CX
+	CMPQ R11, R9
 	JL   f64kloop8
 	VMOVUPD Y0, (R14)
 	VMOVUPD Y1, 32(R14)
@@ -273,9 +221,9 @@ f64kloop8:
 	ADDQ $8, R10
 	JMP  f64colloop8
 
-f64coltail:                   // 4-wide tail: t ≡ 4 (mod 8) leaves one
+f64coltail:                   // 4-wide tail: cols ≡ 4 (mod 8) leaves one
 	CMPQ R10, CX
-	JGE  f64rownext
+	JGE  f64done
 	LEAQ (DI)(R10*8), R14
 	LEAQ (R14)(R8*2), R12
 	VMOVUPD (R14), Y0
@@ -304,7 +252,7 @@ f64kloop4:
 	ADDQ $8, R13
 	ADDQ R8, BX
 	INCQ R11
-	CMPQ R11, CX
+	CMPQ R11, R9
 	JL   f64kloop4
 	VMOVUPD Y0, (R14)
 	VMOVUPD Y1, (R14)(R8*1)
@@ -313,66 +261,13 @@ f64kloop4:
 	ADDQ $4, R10
 	JMP  f64coltail
 
-f64rownext:
-	LEAQ (DI)(R8*4), DI   // c += 4 rows
-	LEAQ (SI)(R8*4), SI   // a += 4 rows
-	ADDQ $4, R9
-	JMP  f64rowloop
-
 f64done:
 	VZEROUPPER
 	RET
 
-// func stripVecF64(c, a, b *float64, stride, k int)
-//
-// stripVecF32 at double width: each of C's four rows is one YMM
-// register, loaded once, given k updates and stored once. The caller
-// (stripF64) guarantees k >= 1 and that every touched element is in
-// bounds.
-TEXT ·stripVecF64(SB), NOSPLIT, $0-40
-	MOVQ c+0(FP), DI
-	MOVQ a+8(FP), AX
-	MOVQ b+16(FP), BX
-	MOVQ stride+24(FP), R8
-	MOVQ k+32(FP), R11
-	SHLQ $3, R8           // stride bytes
-
-	LEAQ (DI)(R8*2), R12
-	VMOVUPD (DI), Y0
-	VMOVUPD (DI)(R8*1), Y1
-	VMOVUPD (R12), Y2
-	VMOVUPD (R12)(R8*1), Y3
-	LEAQ (AX)(R8*2), R13  // &a[2*stride + 0]
-f64strip_k:
-	VMOVUPD (BX), Y4              // b[k][0..4)
-	VBROADCASTSD (AX), Y5         // a[0][k]
-	VADDPD Y4, Y5, Y5
-	VMINPD Y0, Y5, Y0
-	VBROADCASTSD (AX)(R8*1), Y6   // a[1][k]
-	VADDPD Y4, Y6, Y6
-	VMINPD Y1, Y6, Y1
-	VBROADCASTSD (R13), Y7        // a[2][k]
-	VADDPD Y4, Y7, Y7
-	VMINPD Y2, Y7, Y2
-	VBROADCASTSD (R13)(R8*1), Y8  // a[3][k]
-	VADDPD Y4, Y8, Y8
-	VMINPD Y3, Y8, Y3
-	ADDQ $8, AX
-	ADDQ $8, R13
-	ADDQ R8, BX
-	DECQ R11
-	JNZ  f64strip_k
-	VMOVUPD Y0, (DI)
-	VMOVUPD Y1, (DI)(R8*1)
-	VMOVUPD Y2, (R12)
-	VMOVUPD Y3, (R12)(R8*1)
-	VZEROUPPER
-	RET
-
-// AVX-512 band kernels: C[4×cols] = min(C, A[4×k] ⊗ B[k×cols]) at row
-// stride `stride`, the same update chain as the kernels above at 16
-// float32 or 8 float64 lanes per ZMM register. The register plan is
-// panelVecF64's at twice the width:
+// AVX-512 band kernels: the same band and update chain as the AVX2
+// kernels above at 16 float32 or 8 float64 lanes per ZMM register. The
+// register plan is bandAVX2F64's at twice the width:
 //
 //	Z0..Z7   C accumulators: row i, columns j..j+L in Z(2i) and
 //	         j+L..j+2L in Z(2i+1) (L = 16 float32 or 8 float64 lanes)
@@ -385,8 +280,8 @@ f64strip_k:
 // columns left: K1 covers the first ZMM of every row, K2 the second.
 // Full passes set every bit; the last pass of a ragged width clears the
 // bits past cols, and the zero-masking loads (VMOVUPx.Z) and masked
-// stores neither read nor write those lanes, so any cols runs without
-// touching memory past C's row, B's row or the slices' ends. The masks
+// stores neither read nor write those lanes, so the kernels touch no
+// memory past C's row, B's row or the slices' ends. The masks
 // are built with baseline shifts and KMOVW (16 bits, of which the
 // float64 ops read the low 8), so the kernels need AVX512F alone.
 // Operand order is the AVX2 kernels': VMINPx Z0, Z14, Z0 is
@@ -398,11 +293,11 @@ f64strip_k:
 //	R14 &c[0][j] R12 &c[2][j] AX  a row 0 k-pointer
 //	R13 a row 2 k-pointer     BX  b[k][j] pointer
 //
-// The callers (bandF32, bandF64) guarantee k >= 1, cols >= 1 and that
-// C's four rows, A's four k-wide rows and B's k rows are in bounds.
+// The callers send them bands wider than 4 columns: a 4-column band
+// runs faster on the AVX2 kernels' 4-wide tail than in one masked pass.
 
-// func bandVecF32(c, a, b *float32, stride, cols, k int)
-TEXT ·bandVecF32(SB), NOSPLIT, $0-48
+// func bandAVX512F32(c, a, b *float32, stride, cols, k int)
+TEXT ·bandAVX512F32(SB), NOSPLIT, $0-48
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX
@@ -493,10 +388,10 @@ b32done:
 	VZEROUPPER
 	RET
 
-// func bandVecF64(c, a, b *float64, stride, cols, k int)
+// func bandAVX512F64(c, a, b *float64, stride, cols, k int)
 //
-// bandVecF32 at double width: 8 lanes per ZMM, 16 columns per pass.
-TEXT ·bandVecF64(SB), NOSPLIT, $0-48
+// bandAVX512F32 at double width: 8 lanes per ZMM, 16 columns per pass.
+TEXT ·bandAVX512F64(SB), NOSPLIT, $0-48
 	MOVQ c+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ b+16(FP), DX

@@ -13,17 +13,17 @@ package kernel
 
 func codegenProbeF32(c, a, b []float32, t int) Stats {
 	Step4x4(c, a, b, t)
-	// The vector-dispatch layer: the guarded dispatcher and its generic
-	// Go fallback (PanelMinPlus), called directly — on GOARCHes with an
-	// assembly panel the dispatcher jumps to the asm stub for conforming
-	// tiles, and without this call the fallback's diagnostics could
+	// The vector-dispatch layer: the panel dispatcher and its generic
+	// Go fallback (PanelMinPlus), called directly — on GOARCHes with
+	// assembly bands the dispatcher sends conforming tiles to the band
+	// dispatch, and without this call the fallback's diagnostics could
 	// vanish from the gate while it still guards every ragged tile (the
 	// non-vacuous check in the gate backs this up).
 	st := MulMinPlus(c, a, b, t)
 	st.Add(PanelMinPlus(c, a, b, t))
 	st.Add(PanelMinPlusF32(c, a, b, t))
-	// Stage 2: the float32 bodies on the float32 band and strip
-	// dispatch, and the band dispatch's strip fallback on its own.
+	// Stage 2: the float32 bodies on the float32 band dispatch, and the
+	// band dispatch on its own.
 	stage2OffDiagF32(c, a, b, t)
 	stage2DiagF32(c, t)
 	bandF32(c, a, b, t, t, t)
@@ -33,9 +33,9 @@ func codegenProbeF32(c, a, b []float32, t int) Stats {
 func codegenProbeF64(c, a, b []float64, t int) Stats {
 	Step4x4(c, a, b, t)
 	st := MulMinPlus(c, a, b, t)
-	// The float64 dispatch: the guarded dispatcher, its generic Go
-	// fallback (PanelMinPlus), the stage-2 bodies on bandF64 and
-	// stripF64, and the band dispatch on its own.
+	// The float64 dispatch: the panel dispatcher, its generic Go
+	// fallback (PanelMinPlus), the stage-2 bodies on bandF64, and the
+	// band dispatch on its own.
 	st.Add(PanelMinPlus(c, a, b, t))
 	st.Add(PanelMinPlusF64(c, a, b, t))
 	stage2OffDiagF64(c, a, b, t)

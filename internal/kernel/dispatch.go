@@ -1,53 +1,69 @@
 package kernel
 
-import "cellnpdp/internal/simd"
+import (
+	"errors"
+	"runtime"
+
+	"cellnpdp/internal/simd"
+)
 
 // Vector-kernel dispatch state. The hot-path kernels cannot call
 // internal/simd's detection functions per invocation (the //npdp:hotpath
 // closed call universe admits only annotated functions and assembly
 // stubs), so the result of detection is cached here once, at package
-// init, as a plain bool the dispatchers read. simd's init runs first
+// init, as the level the dispatchers read. simd's init runs first
 // (kernel imports simd), so the CELLNPDP_FORCE_SCALAR environment
 // variable is already folded in.
 
-// vecCapable records whether this process could ever run the assembly
-// kernels: the GOARCH has them and the hardware + environment allow it.
-// Immutable after init.
-var vecCapable = haveVecASM && simd.VectorAvailable()
+// isa is a dispatch level: the instruction set bandF32 and bandF64 send
+// guarded bands to.
+type isa uint8
 
-// vecEnabled is the live dispatch switch. It starts at vecCapable and is
-// only changed by SetVectorEnabled, which tests use to force the pure-Go
-// path; it must not be flipped while solves are running.
-var vecEnabled = vecCapable
+const (
+	isaGo isa = iota // the Go strips and panel
+	isaNEON
+	isaAVX2
+	isaAVX512
+)
 
-// bandCapable records whether the host runs the AVX-512 band kernels
-// (bandVecF32, bandVecF64). Immutable after init.
-var bandCapable = haveBandASM && vecCapable && simd.VectorISA() == "avx512"
+// isaNames names each level as VectorISA reports it.
+var isaNames = [...]string{isaGo: "none", isaNEON: "neon", isaAVX2: "avx2", isaAVX512: "avx512"}
 
-// bandEnabled is the AVX-512 half of the dispatch switch: band dispatch
-// needs it and vecEnabled. It starts at bandCapable and changes only
-// through the package's tests, which clear it to run the AVX2 bodies on
-// an AVX-512 host; no option or environment variable reaches it.
-var bandEnabled = bandCapable
+// detected is the widest level this process can run: the GOARCH has its
+// kernels and the hardware and environment allow them. Immutable after
+// init.
+var detected = func() isa {
+	for l, name := range isaNames {
+		if name == simd.VectorISA() {
+			return isa(l)
+		}
+	}
+	return isaGo
+}()
+
+// live is the level the dispatchers run. It starts at detected and is
+// changed only by SetVectorEnabled and by the package's tests, which set
+// every level the host has (AVX2 on an AVX-512 host included); no option
+// or environment variable reaches a level between detected and Go. It
+// must not change while solves are running.
+var live = detected
+
+// errNoVecASM is the panic value of the GOARCH stubs that stand in for
+// another GOARCH's kernels. A package-level error keeps the panic's
+// argument from escaping, so the stubs add nothing to the codegen gate's
+// baseline.
+var errNoVecASM = errors.New("kernel: vector kernel called on a GOARCH without it")
 
 // VectorEnabled reports whether the panel and stage-2 dispatchers
 // currently send conforming blocks to the GOARCH vector assembly: both
-// widths on AVX-512 (the band kernels) and AVX2, float32 on NEON (NEON
-// float64 keeps the Go kernels).
-func VectorEnabled() bool { return vecEnabled }
+// widths on AVX-512 and AVX2, float32 on NEON (NEON float64 keeps the Go
+// kernels).
+func VectorEnabled() bool { return live != isaGo }
 
 // VectorISA names the instruction set the vector kernels use when
 // enabled: "avx512" or "avx2" (float32 and float64), "neon" (float32
 // only), or "none".
-func VectorISA() string {
-	switch {
-	case !vecEnabled:
-		return "none"
-	case bandCapable && !bandEnabled:
-		return "avx2"
-	}
-	return simd.VectorISA()
-}
+func VectorISA() string { return isaNames[live] }
 
 // SetVectorEnabled forces the dispatchers onto the pure-Go fallback
 // (false) or restores vector dispatch (true, a no-op on hardware without
@@ -56,74 +72,68 @@ func VectorISA() string {
 //
 //	defer kernel.SetVectorEnabled(false)()
 func SetVectorEnabled(on bool) (restore func()) {
-	prev := vecEnabled
-	vecEnabled = on && vecCapable
-	return func() { vecEnabled = prev }
-}
-
-// stripF32 is the float32 strip dispatch: the GOARCH assembly strip
-// when vector dispatch is on and the slices hold every element it
-// touches (C's four rows, A's four k-wide rows, B's k rows, all 4 wide
-// at row stride `stride`), the Go strip otherwise. The guard is the
-// assembly's whole memory-safety contract, so an out-of-range strip
-// reaches the Go body and panics like any Go access.
-//
-//npdp:hotpath
-func stripF32(c, a, b []float32, stride, k int) {
-	if vecEnabled && k > 0 && stride >= CB &&
-		len(c) >= 3*stride+CB && len(a) >= 3*stride+k && len(b) >= (k-1)*stride+CB {
-		stripVecF32(&c[0], &a[0], &b[0], stride, k)
-		return
+	prev := live
+	live = isaGo
+	if on {
+		live = detected
 	}
-	strip(c, a, b, stride, k)
+	return func() { live = prev }
 }
 
-// stripF64 is stripF32 at double width: the AVX2 strip where the GOARCH
-// has one (haveVecF64ASM) and vector dispatch is on, the Go strip
-// otherwise. The guard is the same memory-safety contract.
-//
-//npdp:hotpath
-func stripF64(c, a, b []float64, stride, k int) {
-	if haveVecF64ASM && vecEnabled && k > 0 && stride >= CB &&
-		len(c) >= 3*stride+CB && len(a) >= 3*stride+k && len(b) >= (k-1)*stride+CB {
-		stripVecF64(&c[0], &a[0], &b[0], stride, k)
-		return
-	}
-	strip(c, a, b, stride, k)
-}
-
-// bandF32 is the float32 band dispatch: C = min(C, A ⊗ B) for C's four
-// rows over cols columns, a 4×k A band and a k×cols B band at row
-// stride `stride`, cols a positive multiple of CB. On AVX-512 it is one
-// bandVecF32 call when the slices hold every element the band touches;
-// the guard is the assembly's whole memory-safety contract, because its
-// masked loads and stores suppress faults, so an over-wide band would
-// read and write past C's row instead of panicking. Elsewhere it runs
-// stripF32 over each 4-column group, in column order: every cell sees
-// the same terms in the same ascending k either way.
+// bandF32 is the float32 band dispatch, the one entry point of the
+// vector kernels: C = min(C, A ⊗ B) for C's four rows over cols columns,
+// a 4×k A band and a k×cols B band at row stride `stride`, cols a
+// positive multiple of CB. When the live level is a vector level and
+// the slices hold every element the band touches, it runs that level's
+// kernel: the AVX-512 band for cols > CB and the AVX2 band otherwise on
+// AVX-512 (a 4-column band runs faster on the AVX2 band's 4-wide tail
+// than in one masked ZMM pass), the AVX2 band on AVX2, the NEON strip
+// per 4-column group on NEON. Elsewhere it runs the Go strip per
+// 4-column group, in column order: every cell sees the same terms in the
+// same ascending k either way. The guard is the assembly's whole
+// memory-safety contract — the AVX2 tail has no mask and the AVX-512
+// masks suppress faults — so an out-of-range band reaches the Go body
+// and panics like any Go access.
 //
 //npdp:hotpath
 func bandF32(c, a, b []float32, stride, cols, k int) {
-	if haveBandASM && vecEnabled && bandEnabled && k > 0 && cols > 0 && stride >= cols &&
+	if live != isaGo && k > 0 && cols > 0 && cols%CB == 0 && stride >= cols &&
 		len(c) >= 3*stride+cols && len(a) >= 3*stride+k && len(b) >= (k-1)*stride+cols {
-		bandVecF32(&c[0], &a[0], &b[0], stride, cols, k)
+		if runtime.GOARCH == "arm64" {
+			for j := 0; j < cols; j += CB {
+				stripNEONF32(&c[j], &a[0], &b[j], stride, k)
+			}
+			return
+		}
+		pc, pa, pb := &c[0], &a[0], &b[0]
+		if live == isaAVX512 && cols > CB {
+			bandAVX512F32(pc, pa, pb, stride, cols, k)
+		} else {
+			bandAVX2F32(pc, pa, pb, stride, cols, k)
+		}
 		return
 	}
 	for j := 0; j < cols; j += CB {
-		stripF32(c[j:], a, b[j:], stride, k)
+		strip(c[j:], a, b[j:], stride, k)
 	}
 }
 
-// bandF64 is bandF32 at double width, on bandVecF64 and stripF64.
+// bandF64 is bandF32 at double width, on the AVX-512 and AVX2 float64
+// bands. NEON has no float64 kernel, so arm64 runs the Go strips.
 //
 //npdp:hotpath
 func bandF64(c, a, b []float64, stride, cols, k int) {
-	if haveBandASM && vecEnabled && bandEnabled && k > 0 && cols > 0 && stride >= cols &&
+	if runtime.GOARCH == "amd64" && live != isaGo && k > 0 && cols > 0 && cols%CB == 0 && stride >= cols &&
 		len(c) >= 3*stride+cols && len(a) >= 3*stride+k && len(b) >= (k-1)*stride+cols {
-		bandVecF64(&c[0], &a[0], &b[0], stride, cols, k)
+		pc, pa, pb := &c[0], &a[0], &b[0]
+		if live == isaAVX512 && cols > CB {
+			bandAVX512F64(pc, pa, pb, stride, cols, k)
+		} else {
+			bandAVX2F64(pc, pa, pb, stride, cols, k)
+		}
 		return
 	}
 	for j := 0; j < cols; j += CB {
-		stripF64(c[j:], a, b[j:], stride, k)
+		strip(c[j:], a, b[j:], stride, k)
 	}
 }

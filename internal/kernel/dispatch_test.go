@@ -8,21 +8,20 @@ import (
 )
 
 // atLevels runs fn once per dispatch level this host can run, widest
-// first: the AVX-512 band kernels, the AVX2 (or NEON) panels and
-// strips, and the pure-Go bodies. It passes the level's name, the ISA it
-// dispatches to ("avx512", "avx2", "neon") or "go". The AVX2 level on an
-// AVX-512 host is the package's test-only seam: it clears bandEnabled,
-// which no option or environment variable reaches, so the AVX2 bodies
-// stay tested on hosts that would never run them.
+// first: the detected vector level, AVX2 below AVX-512, and the pure-Go
+// bodies. It passes the level's name, the ISA it dispatches to
+// ("avx512", "avx2", "neon") or "go". The AVX2 level on an AVX-512 host
+// is the package's test-only seam: it sets the live level, which no
+// option or environment variable reaches, so the AVX2 bands stay tested
+// on hosts that would never run them.
 func atLevels(fn func(level string)) {
-	for _, l := range []struct{ vec, band bool }{{true, true}, {true, false}, {false, false}} {
-		if l.vec && !vecCapable || l.band && !bandCapable {
+	for _, l := range []isa{isaAVX512, isaAVX2, isaNEON, isaGo} {
+		if l != detected && l != isaGo && !(l == isaAVX2 && detected == isaAVX512) {
 			continue
 		}
 		func() {
-			vec, band := vecEnabled, bandEnabled
-			defer func() { vecEnabled, bandEnabled = vec, band }()
-			vecEnabled, bandEnabled = l.vec, l.band
+			defer func(prev isa) { live = prev }(live)
+			live = l
 			name := VectorISA()
 			if name == "none" {
 				name = "go"
@@ -40,7 +39,7 @@ func TestDispatchLevels(t *testing.T) {
 	if names[len(names)-1] != "go" {
 		t.Fatalf("levels %v do not end with the Go bodies", names)
 	}
-	if bandCapable {
+	if detected == isaAVX512 {
 		if got := fmt.Sprint(names); got != "[avx512 avx2 go]" {
 			t.Fatalf("AVX-512 host runs levels %s, want [avx512 avx2 go]", got)
 		}
@@ -52,12 +51,10 @@ func TestDispatchLevels(t *testing.T) {
 
 // The band dispatch at every level must match the Go strips bit for
 // bit over the column counts that exercise each opmask shape (one ZMM
-// partly masked, one full and one masked, full passes plus a tail), k
-// from one step to a full tile, and strides equal to and wider than
-// cols. C, A and B are exact-length views of longer arrays. The cells
-// right of each C row's cols-th column and past C's end hold a
-// sentinel the band must leave untouched, while the cells around A and
-// B are zeros that would pull any wrongly stored lane below it.
+// partly masked, one full and one masked, full passes plus a tail) and
+// each AVX2 shape (the 4-wide tail alone, 8-wide passes with and
+// without it), k from one step to a full tile, and strides equal to and
+// wider than cols.
 func TestBandMatchesStrips(t *testing.T) {
 	bandMatchesStrips(t, bandF32)
 	bandMatchesStrips(t, bandF64)
@@ -65,33 +62,47 @@ func TestBandMatchesStrips(t *testing.T) {
 
 func bandMatchesStrips[E semiring.Elem](t *testing.T, band func(c, a, b []E, stride, cols, k int)) {
 	t.Helper()
-	const tile, pad = 92, 40
-	sentinel := E(1e30)
+	const tile = 92
 	for _, cols := range []int{4, 8, 12, 16, 20, 24, 28, 32, 36, tile} {
 		for _, k := range []int{1, 2, tile} {
 			for _, stride := range []int{cols, cols + 12} {
 				seed := int64(cols*1000 + k*10 + stride)
-				c := bandView(adversarialBand[E](3*stride+cols, seed), stride, cols, 4, pad, sentinel)
-				a := bandView(adversarialBand[E](3*stride+k, seed+1), stride, k, 4, pad, 0)
-				b := bandView(adversarialBand[E]((k-1)*stride+cols, seed+2), stride, cols, k, pad, 0)
-				nc, na, nb := 3*stride+cols, 3*stride+k, (k-1)*stride+cols
-				want := append([]E(nil), c...)
-				for j := 0; j < cols; j += CB {
-					strip(want[j:nc:nc], a[:na:na], b[j:nb:nb], stride, k)
-				}
-				atLevels(func(level string) {
-					got := append([]E(nil), c...)
-					band(got[:nc:nc], a[:na:na], b[:nb:nb], stride, cols, k)
-					for i := range want {
-						if bitsOf(got[i]) != bitsOf(want[i]) {
-							t.Fatalf("%T %s cols=%d k=%d stride=%d: cell %d (row %d, col %d) = %v, strips give %v",
-								got[i], level, cols, k, stride, i, i/stride, i%stride, got[i], want[i])
-						}
-					}
-				})
+				checkBand(t, band, adversarialBand[E](3*stride+cols, seed), adversarialBand[E](3*stride+k, seed+1),
+					adversarialBand[E]((k-1)*stride+cols, seed+2), stride, cols, k)
 			}
 		}
 	}
+}
+
+// checkBand runs band at every dispatch level on a C block, A band and
+// B band holding cData, aData and bData (3·stride+cols, 3·stride+k and
+// (k-1)·stride+cols cells at row stride `stride`) and requires the Go
+// strips' result bit for bit. C, A and B are exact-length views of
+// longer arrays. The cells right of each C row's cols-th column and
+// past C's end hold a sentinel the band must leave untouched, while the
+// cells around A and B are zeros that would pull any wrongly stored
+// lane below it.
+func checkBand[E semiring.Elem](t *testing.T, band func(c, a, b []E, stride, cols, k int), cData, aData, bData []E, stride, cols, k int) {
+	t.Helper()
+	const pad = 40
+	c := bandView(cData, stride, cols, 4, pad, E(1e30))
+	a := bandView(aData, stride, k, 4, pad, 0)
+	b := bandView(bData, stride, cols, k, pad, 0)
+	nc, na, nb := len(cData), len(aData), len(bData)
+	want := append([]E(nil), c...)
+	for j := 0; j < cols; j += CB {
+		strip(want[j:nc:nc], a[:na:na], b[j:nb:nb], stride, k)
+	}
+	atLevels(func(level string) {
+		got := append([]E(nil), c...)
+		band(got[:nc:nc], a[:na:na], b[:nb:nb], stride, cols, k)
+		for i := range want {
+			if bitsOf(got[i]) != bitsOf(want[i]) {
+				t.Fatalf("%T %s cols=%d k=%d stride=%d: cell %d (row %d, col %d) = %v, strips give %v",
+					got[i], level, cols, k, stride, i, i/stride, i%stride, got[i], want[i])
+			}
+		}
+	})
 }
 
 // bandView lays data, rows×width cells at row stride `stride`, into an
@@ -111,8 +122,9 @@ func bandView[E semiring.Elem](data []E, stride, width, rows, pad int, fill E) [
 
 // The band dispatch must send a C block, A band or B band one element
 // shorter than the band touches to a Go body, which panics on the
-// out-of-range access, at every level. The masked assembly would
-// otherwise read and write past the slice without faulting.
+// out-of-range access, at every level. The assembly would otherwise
+// read and write past the slice, the masked AVX-512 passes without
+// faulting.
 func TestBandShortFallsBack(t *testing.T) {
 	bandShortFallsBack(t, bandF32)
 	bandShortFallsBack(t, bandF64)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cellnpdp/internal/semiring"
-	"cellnpdp/internal/simd"
 )
 
 // FuzzKernelEquivalence drives every selectable min-plus kernel against
@@ -19,11 +18,13 @@ import (
 //
 // Each width draws its own instance, so the float64 values use the
 // mantissa bits float32 lacks, and runs its panel dispatcher
-// (PanelMinPlusF32, PanelMinPlusF64: the vector kernel on conforming
-// tiles where the host has one) at every dispatch level the host can
-// run: the AVX-512 bands, the AVX2 panels and strips, and the Go
-// bodies. On CB-aligned sides it also runs stage 2 (Stage2OffDiag with
-// c as D and a, b as L, R; Stage2Diag on c) at every level.
+// (PanelMinPlusF32, PanelMinPlusF64: the vector bands on conforming
+// tiles where the host has them) and one band call of a drawn shape
+// (bandF32, bandF64, against the Go strips, with sentinels around C) at
+// every dispatch level the host can run: the AVX-512 bands, the AVX2
+// bands, and the Go bodies. On CB-aligned sides it also runs stage 2
+// (Stage2OffDiag with c as D and a, b as L, R; Stage2Diag on c) at
+// every level.
 // Flag bit 4 scatters ±0 and NaN and makes the other values
 // nonnegative, so zero terms decide many minima: under the strict-<
 // update the first of two equal terms wins, and a reordered term shows
@@ -38,17 +39,17 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint32, side, flags uint8) {
 		ts := int(side)%96 + 1
 		rng := rand.New(rand.NewSource(int64(seed)))
-		fuzzWidth(t, "f32", rng, ts, flags, PanelMinPlusF32)
-		fuzzWidth(t, "f64", rng, ts, flags, PanelMinPlusF64)
+		fuzzWidth(t, "f32", rng, ts, flags, PanelMinPlusF32, bandF32)
+		fuzzWidth(t, "f64", rng, ts, flags, PanelMinPlusF64, bandF64)
 	})
 }
 
 // fuzzWidth draws one instance at width E and runs FuzzKernelEquivalence's
 // checks on it: the generic panel (the dispatchers' Go fallback), the
-// width's dispatcher at every dispatch level, MulMinPlus, and stage 2 at
-// every level.
+// width's dispatcher at every dispatch level, one band at every level,
+// MulMinPlus, and stage 2 at every level.
 func fuzzWidth[E semiring.Elem](t *testing.T, name string, rng *rand.Rand, ts int, flags uint8,
-	dispatch func(c, a, b []E, t int) Stats) {
+	dispatch func(c, a, b []E, t int) Stats, band func(c, a, b []E, stride, cols, k int)) {
 	t.Helper()
 	gen := func() []E {
 		s := make([]E, ts*ts)
@@ -98,6 +99,13 @@ func fuzzWidth[E semiring.Elem](t *testing.T, name string, rng *rand.Rand, ts in
 	atLevels(func(level string) {
 		run("panel dispatch/"+level, dispatch) // vector asm on conforming tiles
 	})
+	// The band contract, straight: cols a positive multiple of CB (CB
+	// itself for sides up to 4), k ≥ 1, a stride ≥ cols, and the
+	// instance's values laid into the bands with sentinels around C.
+	cols := CB * (1 + (ts-1)/CB)
+	k := 1 + rng.Intn(ts)
+	stride := cols + rng.Intn(2*CB+1)
+	checkBand(t, band, cycled(c, 3*stride+cols), cycled(a, 3*stride+k), cycled(b, (k-1)*stride+cols), stride, cols, k)
 	if ts%CB != 0 {
 		return
 	}
@@ -142,6 +150,15 @@ func fuzzStage2[E semiring.Elem](t *testing.T, name string, ts int, flags uint8,
 		t.Fatalf("%s Diag (t=%d): stats %+v, want %+v", name, ts, st, StatsStage2Diag(ts))
 	}
 	requireBits(t, name+" Diag", ts, flags, got, refDiag)
+}
+
+// cycled returns n values of src, repeated from its start as needed.
+func cycled[E semiring.Elem](src []E, n int) []E {
+	out := make([]E, n)
+	for i := range out {
+		out[i] = src[i%len(src)]
+	}
+	return out
 }
 
 // nonnegDiag returns a copy of the t×t block x with |x[i][i]| on its
@@ -233,30 +250,19 @@ func cbOrderStage2Diag[E semiring.Elem](d []E, t int) {
 	}
 }
 
-// TestForcedFallbackDetection pins the two fallback switches the CI race
-// suite depends on: simd.SetForceFallback flips detection to "none"
-// process-wide (layering over CELLNPDP_FORCE_SCALAR), and
-// kernel.SetVectorEnabled flips this package's cached dispatch bit. Both
-// must leave the kernels bit-identical — forcing the fallback is a
-// performance decision, never a semantic one.
+// TestForcedFallbackDetection pins the in-process fallback switch:
+// kernel.SetVectorEnabled(false) moves dispatch to the Go bodies and
+// VectorISA reports it, and the kernels stay bit-identical — forcing the
+// fallback is a performance decision, never a semantic one. (The
+// process-wide switch, CELLNPDP_FORCE_SCALAR, is folded into detection
+// at init; CI's forced-scalar pass runs this package under it.)
 func TestForcedFallbackDetection(t *testing.T) {
-	defer simd.SetForceFallback(true)()
-	if simd.VectorAvailable() {
-		t.Fatal("VectorAvailable must be false under SetForceFallback")
-	}
-	if isa := simd.VectorISA(); isa != "none" {
-		t.Fatalf("VectorISA under forced fallback = %q, want none", isa)
-	}
-
-	// The kernel package caches detection at init, so the simd-level
-	// force does not retroactively change dispatch — that is what
-	// SetVectorEnabled is for.
 	defer SetVectorEnabled(false)()
 	if VectorEnabled() {
 		t.Fatal("VectorEnabled must be false after SetVectorEnabled(false)")
 	}
-	if isa := VectorISA(); isa != "none" {
-		t.Fatalf("kernel.VectorISA with vector disabled = %q, want none", isa)
+	if name := VectorISA(); name != "none" {
+		t.Fatalf("kernel.VectorISA with vector disabled = %q, want none", name)
 	}
 
 	const ts = 16

@@ -60,8 +60,8 @@ func Step4x4[E semiring.Elem](c, a, b []E, stride int) {
 // 4×k A band and a k×4 B band, all at row stride `stride`. It is the
 // Table I program with the k loop count taken from an argument: each C
 // row stays in locals across the whole k range, with terms applied in
-// ascending k. It is the Go body of the strip dispatch and the oracle
-// the assembly strip is tested against.
+// ascending k. It is the Go body of the band dispatch, one call per
+// 4-column group, and the oracle the assembly bands are tested against.
 //
 //npdp:hotpath
 func strip[E semiring.Elem](c, a, b []E, stride, k int) {

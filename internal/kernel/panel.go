@@ -1,6 +1,10 @@
 package kernel
 
-import "cellnpdp/internal/semiring"
+import (
+	"runtime"
+
+	"cellnpdp/internal/semiring"
+)
 
 // Panel kernels for stage 1: the same min-plus block product as
 // MulMinPlus, restructured from 4×4 computing-block steps into 4×t
@@ -78,65 +82,47 @@ func PanelMinPlus[E semiring.Elem](c, a, b []E, t int) Stats {
 	return panelStats(t)
 }
 
-// PanelMinPlusF32 is the engines' float32 stage-1 kernel. On hardware
-// with a supported vector ISA (AVX-512 or AVX2 on amd64, NEON on arm64
-// — see internal/simd's feature detection) and a CB-aligned tile it
-// dispatches to hand-written assembly: on AVX-512, t/4 band calls
-// (bandVecF32), one per 4-row band of C with cols = k = t; on AVX2 and
-// NEON, one panel call (panel_amd64.s / panel_arm64.s). Otherwise —
-// ragged tiles, other GOARCHes, a forced fallback (CELLNPDP_FORCE_SCALAR
-// / simd.SetForceFallback) — it runs the generic Go panel,
-// PanelMinPlus. Every path is bit-identical to MulMinPlus: the assembly
-// performs the same (s + v, strictly-less, keep-old-on-ties/NaN) update
+// PanelMinPlusF32 is the engines' float32 stage-1 kernel. At a vector
+// dispatch level (AVX-512 or AVX2 on amd64, NEON on arm64 — see
+// internal/simd's feature detection) a CB-aligned tile runs as t/4 band
+// calls (bandF32), one per 4-row band of C with cols = k = t, which send
+// it to that level's assembly. Otherwise — ragged tiles, other
+// GOARCHes, a forced fallback (CELLNPDP_FORCE_SCALAR or
+// SetVectorEnabled(false)) — it runs the generic Go panel,
+// PanelMinPlus. Every path is bit-identical to MulMinPlus: each cell
+// takes the same (s + v, strictly-less, keep-old-on-ties/NaN) update
 // chain in the same k order, using compare semantics (VMINPS's
 // src1<src2?src1:src2 on amd64, FCMGT+BIT on arm64) that match the
-// scalar `if w < c` exactly, including ±0 and NaN operands.
-//
-// The dispatch reads and the length guards are per block-product, not
-// per element; the guards also give the assembly its memory-safety
-// contract (it performs no bounds checks of its own). Each band call's
-// extent, C's and A's rows r..r+3 and all of B, lies inside the t×t
-// blocks the guard admits.
+// scalar `if w < c` exactly, including ±0 and NaN operands. The band
+// dispatch's guard is the assembly's memory-safety contract, so a short
+// block reaches a Go body and panics.
 //
 //npdp:hotpath
 func PanelMinPlusF32(c, a, b []float32, t int) Stats {
-	if vecEnabled && t >= CB && t%CB == 0 &&
-		len(c) >= t*t && len(a) >= t*t && len(b) >= t*t {
-		if haveBandASM && bandEnabled {
-			for r := 0; r < t; r += CB {
-				bandVecF32(&c[r*t], &a[r*t], &b[0], t, t, t)
-			}
-		} else {
-			panelVecF32(&c[0], &a[0], &b[0], t)
-		}
-		return panelStats(t)
+	if live == isaGo || t%CB != 0 {
+		return PanelMinPlus(c, a, b, t)
 	}
-	return PanelMinPlus(c, a, b, t)
+	for r := 0; r < t; r += CB {
+		bandF32(c[r*t:], a[r*t:], b, t, t, t)
+	}
+	return StatsMulMinPlus(t)
 }
 
 // PanelMinPlusF64 is PanelMinPlusF32 for double precision, the engines'
-// float64 stage-1 kernel. A CB-aligned tile runs the AVX-512 band
-// kernel (bandVecF64) once per 4-row band on AVX-512 hosts and the 4×f64
-// AVX2 panel (panel_amd64.s) on AVX2 hosts; VMINPD has the same
-// keep-old-on-ties/NaN semantics as VMINPS. Elsewhere — NEON, other
-// GOARCHes, ragged tiles, a forced fallback — it runs the generic Go
-// panel. The guards are the assembly's memory-safety contract, as in
-// PanelMinPlusF32.
+// float64 stage-1 kernel: t/4 bandF64 calls at the amd64 vector levels
+// (VMINPD has VMINPS's keep-old-on-ties/NaN semantics), the generic Go
+// panel elsewhere — NEON, which has no float64 kernel, other GOARCHes,
+// ragged tiles and a forced fallback.
 //
 //npdp:hotpath
 func PanelMinPlusF64(c, a, b []float64, t int) Stats {
-	if haveVecF64ASM && vecEnabled && t >= CB && t%CB == 0 &&
-		len(c) >= t*t && len(a) >= t*t && len(b) >= t*t {
-		if haveBandASM && bandEnabled {
-			for r := 0; r < t; r += CB {
-				bandVecF64(&c[r*t], &a[r*t], &b[0], t, t, t)
-			}
-		} else {
-			panelVecF64(&c[0], &a[0], &b[0], t)
-		}
-		return panelStats(t)
+	if runtime.GOARCH != "amd64" || live == isaGo || t%CB != 0 {
+		return PanelMinPlus(c, a, b, t)
 	}
-	return PanelMinPlus(c, a, b, t)
+	for r := 0; r < t; r += CB {
+		bandF64(c[r*t:], a[r*t:], b, t, t, t)
+	}
+	return StatsMulMinPlus(t)
 }
 
 // panelStats returns the work record of one panel product on tile side t,

@@ -32,11 +32,11 @@ import "cellnpdp/internal/semiring"
 // strips and closures changes no value it reads, and each cell still
 // takes its below-band terms first.
 //
-// The element type is resolved once per call: each width runs its own
-// body on its own band and strip dispatch, which takes the AVX-512 band
-// kernel, the vector strips or the Go strips, whichever the host has.
-// The returned work record is StatsStage2OffDiag(t), the count of 4×4
-// CB steps the strips cover plus the closure's relaxations.
+// Every strip is a band call with cols = CB. The element type is
+// resolved once per call: each width runs its own body on its own band
+// dispatch, which takes the vector bands or the Go strips, whichever the
+// host has. The returned work record is StatsStage2OffDiag(t), the count
+// of 4×4 CB steps the strips cover plus the closure's relaxations.
 func Stage2OffDiag[E semiring.Elem](d, l, r []E, t int) Stats {
 	if semiring.Width[E]() == 4 {
 		stage2OffDiagF32(semiring.AsWidth[float32](d), semiring.AsWidth[float32](l), semiring.AsWidth[float32](r), t)
@@ -46,9 +46,9 @@ func Stage2OffDiag[E semiring.Elem](d, l, r []E, t int) Stats {
 	return StatsStage2OffDiag(t)
 }
 
-// stage2OffDiagF32 is Stage2OffDiag's body on the float32 band and
-// strip dispatch. stage2OffDiagF64 is the same loop at double width; the
-// two change together.
+// stage2OffDiagF32 is Stage2OffDiag's body on the float32 band
+// dispatch. stage2OffDiagF64 is the same loop at double width; the two
+// change together.
 //
 //npdp:hotpath
 func stage2OffDiagF32(d, l, r []float32, t int) {
@@ -60,14 +60,14 @@ func stage2OffDiagF32(d, l, r []float32, t int) {
 		}
 		for q := 0; q < cbm; q++ {
 			if k := q * CB; k > 0 {
-				stripF32(d[band+q*CB:], d[band:], r[q*CB:], t, k)
+				bandF32(d[band+q*CB:], d[band:], r[q*CB:], t, CB, k)
 			}
 			closeCB(d, l, r, t, p, q)
 		}
 	}
 }
 
-// stage2OffDiagF64 is stage2OffDiagF32 on bandF64 and stripF64.
+// stage2OffDiagF64 is stage2OffDiagF32 on bandF64.
 //
 //npdp:hotpath
 func stage2OffDiagF64(d, l, r []float64, t int) {
@@ -79,7 +79,7 @@ func stage2OffDiagF64(d, l, r []float64, t int) {
 		}
 		for q := 0; q < cbm; q++ {
 			if k := q * CB; k > 0 {
-				stripF64(d[band+q*CB:], d[band:], r[q*CB:], t, k)
+				bandF64(d[band+q*CB:], d[band:], r[q*CB:], t, CB, k)
 			}
 			closeCB(d, l, r, t, p, q)
 		}
@@ -104,7 +104,7 @@ func Stage2Diag[E semiring.Elem](d []E, t int) Stats {
 	return StatsStage2Diag(t)
 }
 
-// stage2DiagF32 is Stage2Diag's body on the float32 strip dispatch.
+// stage2DiagF32 is Stage2Diag's body on the float32 band dispatch.
 // stage2DiagF64 is the same loop at double width; the two change
 // together.
 //
@@ -115,14 +115,14 @@ func stage2DiagF32(d []float32, t int) {
 		diagScalarCB(d, t, q)
 		for p := q - 1; p >= 0; p-- {
 			if k := (q - p - 1) * CB; k > 0 {
-				stripF32(d[p*CB*t+q*CB:], d[p*CB*t+(p+1)*CB:], d[(p+1)*CB*t+q*CB:], t, k)
+				bandF32(d[p*CB*t+q*CB:], d[p*CB*t+(p+1)*CB:], d[(p+1)*CB*t+q*CB:], t, CB, k)
 			}
 			closeCB(d, d, d, t, p, q)
 		}
 	}
 }
 
-// stage2DiagF64 is stage2DiagF32 with every strip sent through stripF64.
+// stage2DiagF64 is stage2DiagF32 with every strip sent through bandF64.
 //
 //npdp:hotpath
 func stage2DiagF64(d []float64, t int) {
@@ -131,7 +131,7 @@ func stage2DiagF64(d []float64, t int) {
 		diagScalarCB(d, t, q)
 		for p := q - 1; p >= 0; p-- {
 			if k := (q - p - 1) * CB; k > 0 {
-				stripF64(d[p*CB*t+q*CB:], d[p*CB*t+(p+1)*CB:], d[(p+1)*CB*t+q*CB:], t, k)
+				bandF64(d[p*CB*t+q*CB:], d[p*CB*t+(p+1)*CB:], d[(p+1)*CB*t+q*CB:], t, CB, k)
 			}
 			closeCB(d, d, d, t, p, q)
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cellnpdp/internal/semiring"
-	"cellnpdp/internal/simd"
 )
 
 // Bit-identity of the vector dispatch path against the pure-Go fallback
@@ -43,7 +42,7 @@ func TestPanelVectorBitIdenticalToFallback(t *testing.T) {
 }
 
 // panelVectorBitIdentical runs the dispatcher at every vector dispatch
-// level (the AVX-512 bands and the AVX2 panel on an AVX-512 host) and
+// level (the AVX-512 and the AVX2 bands on an AVX-512 host) and
 // compares each with the Go fallback and MulMinPlus.
 func panelVectorBitIdentical[E semiring.Elem](t *testing.T, dispatch func(c, a, b []E, t int) Stats) {
 	t.Helper()
@@ -88,22 +87,21 @@ func adversarialBand[E semiring.Elem](n int, seed int64) []E {
 	return adversarialBlock[E](side, seed)[:n:n]
 }
 
-// The strip dispatch and a one-group band must match the Go strip bit
-// for bit at every dispatch level (the AVX2 strip and the AVX-512 band
-// on an AVX-512 host, the vector strip alone on AVX2 and NEON), over
-// short, CB-sized, ragged and full-tile k ranges and over strides from a
-// bare 4×4 up to a full tile row, on bands sized exactly to what the
-// strip touches.
+// A one-group band (cols = CB, the stage-2 strip) must match the Go
+// strip bit for bit at every dispatch level (the AVX2 band's 4-wide tail
+// on AVX-512 and AVX2 hosts, the NEON strip on arm64), over short,
+// CB-sized, ragged and full-tile k ranges and over strides from a bare
+// 4×4 up to a full tile row, on bands sized exactly to what the strip
+// touches.
 func TestStripVectorMatchesGo(t *testing.T) {
 	if !VectorEnabled() {
 		t.Skip("vector kernels unavailable on this host")
 	}
-	stripVectorMatchesGo(t, stripF32, bandF32)
-	stripVectorMatchesGo(t, stripF64, bandF64)
+	stripVectorMatchesGo(t, bandF32)
+	stripVectorMatchesGo(t, bandF64)
 }
 
-func stripVectorMatchesGo[E semiring.Elem](t *testing.T, stripD func(c, a, b []E, stride, k int),
-	bandD func(c, a, b []E, stride, cols, k int)) {
+func stripVectorMatchesGo[E semiring.Elem](t *testing.T, band func(c, a, b []E, stride, cols, k int)) {
 	t.Helper()
 	for _, k := range []int{1, 4, 5, 84} {
 		for _, stride := range []int{4, 8, 88} {
@@ -114,20 +112,12 @@ func stripVectorMatchesGo[E semiring.Elem](t *testing.T, stripD func(c, a, b []E
 			cGo := append([]E(nil), c...)
 			strip(cGo, a, b, stride, k)
 			atLevels(func(level string) {
-				for _, d := range []struct {
-					name string
-					run  func(c []E)
-				}{
-					{"strip", func(c []E) { stripD(c, a, b, stride, k) }},
-					{"band", func(c []E) { bandD(c, a, b, stride, CB, k) }},
-				} {
-					got := append([]E(nil), c...)
-					d.run(got)
-					for i := range got {
-						if bitsOf(got[i]) != bitsOf(cGo[i]) {
-							t.Fatalf("%T %s %s k=%d stride=%d: dispatch diverges from Go strip at %d: %x vs %x",
-								got[i], level, d.name, k, stride, i, bitsOf(got[i]), bitsOf(cGo[i]))
-						}
+				got := append([]E(nil), c...)
+				band(got, a, b, stride, CB, k)
+				for i := range got {
+					if bitsOf(got[i]) != bitsOf(cGo[i]) {
+						t.Fatalf("%T %s k=%d stride=%d: band dispatch diverges from Go strip at %d: %x vs %x",
+							got[i], level, k, stride, i, bitsOf(got[i]), bitsOf(cGo[i]))
 					}
 				}
 			})
@@ -135,37 +125,38 @@ func stripVectorMatchesGo[E semiring.Elem](t *testing.T, stripD func(c, a, b []E
 	}
 }
 
-// The strip dispatch must send a C block, A band or B band one element
-// shorter than the strip touches to the Go body, which panics on the
-// out-of-range access, never to the unguarded assembly.
+// A one-group band whose C block, A band or B band is one element
+// shorter than the strip touches must reach the Go body, which panics
+// on the out-of-range access, at every level — never the unguarded
+// assembly, whose 4-wide tail has no mask.
 func TestStripVectorShortBandFallsBack(t *testing.T) {
-	stripShortBandFallsBack(t, stripF32)
-	stripShortBandFallsBack(t, stripF64)
+	stripShortBandFallsBack(t, bandF32)
+	stripShortBandFallsBack(t, bandF64)
 }
 
-func stripShortBandFallsBack[E semiring.Elem](t *testing.T, dispatch func(c, a, b []E, stride, k int)) {
+func stripShortBandFallsBack[E semiring.Elem](t *testing.T, dispatch func(c, a, b []E, stride, cols, k int)) {
 	t.Helper()
 	const stride, k = 8, 5
 	for _, short := range []string{"C", "A", "B"} {
-		c := adversarialBand[E](3*stride+CB, 1)
-		a := adversarialBand[E](3*stride+k, 2)
-		b := adversarialBand[E]((k-1)*stride+CB, 3)
-		switch short {
-		case "C":
-			c = c[: len(c)-1 : len(c)-1]
-		case "A":
-			a = a[: len(a)-1 : len(a)-1]
-		case "B":
-			b = b[: len(b)-1 : len(b)-1]
-		}
-		func() {
+		atLevels(func(level string) {
+			c := adversarialBand[E](3*stride+CB, 1)
+			a := adversarialBand[E](3*stride+k, 2)
+			b := adversarialBand[E]((k-1)*stride+CB, 3)
+			switch short {
+			case "C":
+				c = c[: len(c)-1 : len(c)-1]
+			case "A":
+				a = a[: len(a)-1 : len(a)-1]
+			case "B":
+				b = b[: len(b)-1 : len(b)-1]
+			}
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%T short %s: strip dispatch did not panic in the Go body", c[0], short)
+					t.Errorf("%T %s short %s: band dispatch did not panic in the Go body", c[0], level, short)
 				}
 			}()
-			dispatch(c, a, b, stride, k)
-		}()
+			dispatch(c, a, b, stride, CB, k)
+		})
 	}
 }
 
@@ -199,32 +190,33 @@ func TestVectorISAConsistent(t *testing.T) {
 		t.Fatal("forced fallback but VectorISA != none")
 	}
 	restore()
-	if simd.VectorAvailable() && haveVecASM && !VectorEnabled() {
+	if detected != isaGo && !VectorEnabled() {
 		t.Fatal("restore did not re-enable vector dispatch")
 	}
 }
 
+// BenchmarkPanelF32Vector and BenchmarkPanelF64Vector time the stage-1
+// dispatchers on every dispatch level, as BenchmarkStage2OffDiag does;
+// the Go benchmarks time the Go panel alone.
 func BenchmarkPanelF32Vector(b *testing.B) {
-	benchPanel(b, true)
+	atLevels(func(level string) { b.Run(level, benchPanel) })
 }
 
 func BenchmarkPanelF32Go(b *testing.B) {
-	benchPanel(b, false)
+	defer SetVectorEnabled(false)()
+	benchPanel(b)
 }
 
 func BenchmarkPanelF64Vector(b *testing.B) {
-	benchPanelF64(b, true)
+	atLevels(func(level string) { b.Run(level, benchPanelF64) })
 }
 
 func BenchmarkPanelF64Go(b *testing.B) {
-	benchPanelF64(b, false)
+	defer SetVectorEnabled(false)()
+	benchPanelF64(b)
 }
 
-func benchPanelF64(b *testing.B, vec bool) {
-	defer SetVectorEnabled(vec)()
-	if vec && (!VectorEnabled() || !haveVecF64ASM) {
-		b.Skip("float64 vector kernels unavailable")
-	}
+func benchPanelF64(b *testing.B) {
 	const tile = 64
 	a := randBlock64(tile, 1)
 	bb := randBlock64(tile, 2)
@@ -236,11 +228,7 @@ func benchPanelF64(b *testing.B, vec bool) {
 	}
 }
 
-func benchPanel(b *testing.B, vec bool) {
-	defer SetVectorEnabled(vec)()
-	if vec && !VectorEnabled() {
-		b.Skip("vector kernels unavailable")
-	}
+func benchPanel(b *testing.B) {
 	const tile = 88
 	a := randBlock(tile, 1)
 	bb := randBlock(tile, 2)

@@ -24,12 +24,12 @@ type Stage1Func[E semiring.Elem] func(c, a, b []E, t int) kernel.Stats
 //
 // KernelAuto consults the Section V calibration via
 // perfmodel.PickKernel. KernelPanel and KernelVector both map to the
-// panel entry points (PanelMinPlusF32, PanelMinPlusF64), whose internal
-// dispatch engages the assembly exactly when the vector ISA is live and
-// has a kernel at the element width — forcing the pure-Go body on a
-// vector-capable machine is a process-level switch
-// (kernel.SetVectorEnabled or CELLNPDP_FORCE_SCALAR=1), not a per-solve
-// one. KernelFourRussians is rejected: the lattice kernel is not a
+// panel entry points (PanelMinPlusF32, PanelMinPlusF64), which run t/4
+// assembly band calls exactly when a vector level is live and has a
+// band kernel at the element width, and the Go panel otherwise —
+// forcing the pure-Go body on a vector-capable machine is a
+// process-level switch (kernel.SetVectorEnabled or
+// CELLNPDP_FORCE_SCALAR=1), not a per-solve one. KernelFourRussians is rejected: the lattice kernel is not a
 // min-plus block product (use zuker.MaxPairs for that workload).
 func ResolveStage1[E semiring.Elem](sel perfmodel.Kernel, t *tri.Tiled[E]) (Stage1Func[E], error) {
 	return ResolveStage1Shape[E](sel, t.Tile(), t.Len())

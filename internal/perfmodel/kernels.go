@@ -32,8 +32,8 @@ const (
 	KernelScalar
 	// KernelPanel is the register-blocked pure-Go panel.
 	KernelPanel
-	// KernelVector is the assembly kernel: the AVX-512 bands or the
-	// AVX2 panel at both widths, the NEON panel at float32.
+	// KernelVector is the assembly band kernel, t/4 bands per block
+	// product: AVX-512 or AVX2 at both widths, NEON at float32.
 	KernelVector
 	// KernelFourRussians is the two-vector lattice kernel
 	// (internal/fourrussians; integer 0/1-difference DPs only).

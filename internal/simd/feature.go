@@ -1,9 +1,6 @@
 package simd
 
-import (
-	"os"
-	"sync/atomic"
-)
+import "os"
 
 // Runtime CPU-feature detection for the real vector kernels
 // (internal/kernel's GOARCH-specific assembly). The emulated Table I
@@ -12,11 +9,12 @@ import (
 // time: does the host actually have the 16-lane (AVX-512), 8-lane (AVX2)
 // or 4-lane (NEON) min-plus datapath the assembly targets?
 //
-// Detection runs once at package init. Tests and operators can force the
-// pure-Go fallback two ways: the CELLNPDP_FORCE_SCALAR environment
-// variable (read at init, so it covers whole-process runs like the CI
-// race suite) and SetForceFallback (scoped, for tests that exercise both
-// paths in one process).
+// Detection runs once at package init, and so does the one way to force
+// the pure-Go fallback process-wide: the CELLNPDP_FORCE_SCALAR
+// environment variable (CI's forced-scalar race pass sets it). The
+// answers never change after init; internal/kernel caches them then.
+// Tests that run both paths in one process switch internal/kernel's
+// dispatch instead (kernel.SetVectorEnabled).
 
 // ForceScalarEnv is the environment variable that, when set to a
 // non-empty value other than "0", disables the vector kernels for the
@@ -33,44 +31,16 @@ var (
 	vectorISAName = "none"
 )
 
-// forced is 1 when the fallback is forced (env or SetForceFallback).
-var forced atomic.Int32
+// forced reports whether ForceScalarEnv forces the fallback. Set once,
+// at init.
+var forced = os.Getenv(ForceScalarEnv) != "" && os.Getenv(ForceScalarEnv) != "0"
 
-func init() {
-	if v := os.Getenv(ForceScalarEnv); v != "" && v != "0" {
-		forced.Store(1)
-	}
-}
-
-// VectorAvailable reports whether the GOARCH-specific vector kernels may
-// be used: the hardware supports them and the fallback is not forced.
-func VectorAvailable() bool {
-	return hasVector && forced.Load() == 0
-}
-
-// VectorISA names the widest vector instruction set the kernels would
+// VectorISA names the widest vector instruction set the kernels may
 // use: "avx512" (AVX512F with the OS saving ZMM and opmask state),
 // "avx2", "neon", or "none" (unsupported hardware or forced fallback).
 func VectorISA() string {
-	if !VectorAvailable() {
+	if !hasVector || forced {
 		return "none"
 	}
 	return vectorISAName
-}
-
-// SetForceFallback forces (or un-forces) the pure-Go fallback and
-// returns a restore function. Tests use it to drive both paths:
-//
-//	defer simd.SetForceFallback(true)()
-//
-// It layers on top of the environment variable: restoring never
-// un-forces an env-forced process.
-func SetForceFallback(force bool) (restore func()) {
-	prev := forced.Load()
-	if force {
-		forced.Store(1)
-	} else if os.Getenv(ForceScalarEnv) == "" || os.Getenv(ForceScalarEnv) == "0" {
-		forced.Store(0)
-	}
-	return func() { forced.Store(prev) }
 }

@@ -12,7 +12,7 @@ import (
 // silently fall back to a narrower ISA while every bit-identity test
 // still passed.
 func TestDetectionMatchesCPUInfo(t *testing.T) {
-	if forced.Load() != 0 {
+	if forced {
 		t.Skip("vector fallback forced")
 	}
 	raw, err := os.ReadFile("/proc/cpuinfo")

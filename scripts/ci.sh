@@ -2,9 +2,9 @@
 # Repo-wide verification gate: formatting, vet, cross-GOARCH builds,
 # pinned staticcheck, the npdplint invariant suite plus its hot-path
 # codegen regression gate, the full test suite under the race detector
-# (the kernel tests run every dispatch level the host has: the AVX-512
-# band kernels, the AVX2 panels and strips, and the pure-Go bodies),
-# the benchmark's smoke test
+# (the kernel tests run every dispatch level the host has: the band
+# kernel on AVX-512, on AVX2 (or NEON), and in Go), every kernel
+# benchmark once, the benchmark's smoke test
 # (bench/ is its own module, so go test ./... never builds it), short
 # fuzz smokes of the checkpoint and spill-index codecs, of kernel
 # equivalence, and of the bulk cell codec every seal, slot and frame
@@ -129,6 +129,11 @@ echo "== go test -race -count=5 ./internal/cluster (frame-buffer ownership)"
 # minutes on a 2-vCPU host).
 go test -race -count=5 ./internal/cluster
 
+echo "== kernel benchmarks, one iteration each"
+# Benchmarks never run under go test ./..., so a benchmark body the
+# kernel code broke would otherwise go unnoticed until someone timed it.
+go test -run '^$' -bench . -benchtime 1x ./internal/kernel
+
 echo "== bench smoke: (cd bench && go test .)"
 # Every benchmark workload at n=512 against this checkout's sources, so a
 # change to anything the benchmark calls fails here rather than in the
@@ -136,9 +141,9 @@ echo "== bench smoke: (cd bench && go test .)"
 (cd bench && go test .)
 
 echo "== go test -race (forced pure-Go kernels: CELLNPDP_FORCE_SCALAR=1, GOAMD64=v1)"
-# The vector dispatch has three levels: the AVX-512 band kernels, the
-# AVX2 (or NEON) panels and strips, and the pure-Go fallback every other
-# machine runs. The kernel tests above run each level the host has
+# The vector dispatch has three levels of one band kernel: AVX-512,
+# AVX2 (or NEON), and the pure-Go fallback every other machine runs.
+# The kernel tests above run each level the host has
 # through a test-only seam; this pass instead forces the fallback
 # process-wide — the env var folds into detection at init — and pins
 # GOAMD64=v1 so the compiler cannot assume AVX either, then re-runs the
@@ -172,9 +177,10 @@ go run ./cmd/cellnpdp -n 300 -engine parallel -timeout 30m \
 echo "== fuzz smoke: kernel equivalence (20s)"
 # Every selectable min-plus kernel (Go panel, CB-step, and the panel
 # dispatch at each dispatch level the host has: AVX-512 bands, AVX2 or
-# NEON panels, Go fallback) against the scalar reference on arbitrary
-# tiles with ±Inf sentinels, plus stage 2 at each level (band, strips,
-# Go) on CB-aligned tiles, at both widths — each width draws its own
+# NEON bands, Go fallback) against the scalar reference on arbitrary
+# tiles with ±Inf sentinels, one band of a drawn shape against the Go
+# strips with sentinels around it, plus stage 2 at each level on
+# CB-aligned tiles, at both widths — each width draws its own
 # values, so float64 runs its own dispatchers on full-mantissa inputs —
 # with a flag that scatters ±0 and NaN so a reordered term shows as a
 # flipped zero sign; comparison is bit-exact.
@@ -192,7 +198,7 @@ echo "== smoke: self-healing solve (5% silent corruption, bit-identical to seria
 # what's proven, and demand bit-identical output to the serial engine.
 # Run under the race detector: sealing and auditing race the pool. The
 # double arm runs the float64 kernels (the AVX-512 band kernels on
-# AVX-512 hosts, the 4×f64 AVX2 panel and strips on AVX2 hosts). The
+# AVX-512 hosts, the AVX2 float64 band on AVX2 hosts). The
 # grep proves a heal fired in each arm — a run that corrupted nothing
 # would pass vacuously.
 healref="$(mktemp)"

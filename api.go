@@ -11,8 +11,8 @@
 //
 //   - Serial: the original Figure 1 loop (the correctness reference).
 //   - Tiled: the serial tiled algorithm on the paper's block-sequential
-//     "new data layout", using the two-stage memory-block procedure with
-//     4×4 computing blocks.
+//     "new data layout", using the two-stage memory-block procedure on
+//     the same kernels as Parallel, on one core.
 //   - Parallel: the tier-2 task-queue procedure on real goroutines —
 //     the fastest way to actually solve big instances on the host.
 //   - Cell: the full CellNPDP algorithm executed on a simulated IBM QS20
@@ -92,10 +92,10 @@ type Options struct {
 	// panel kernels (assembly on AVX-512, AVX2 and NEON hosts).
 	Workers int
 	// BlockBytes is the memory-block budget the tile side is derived
-	// from; defaults to the paper's 32 KB.
+	// from; 0 means the paper's 32 KB. Negative values are rejected.
 	BlockBytes int
-	// SchedSide is the scheduling-block side in memory blocks; defaults
-	// to 1 (one task per memory block).
+	// SchedSide is the scheduling-block side in memory blocks; 0 means 1
+	// (one task per memory block). Negative values are rejected.
 	SchedSide int
 	// SingleChip runs the Cell engine on a one-chip, 8-SPE machine
 	// instead of the dual-Cell QS20 blade.
@@ -133,30 +133,34 @@ type Options struct {
 	AuditEvery int
 	// CheckpointPath, when non-empty, makes the Parallel engine
 	// periodically snapshot completed work (and always snapshot on
-	// failure) to this file for later resume.
+	// failure) to this file for later resume. The other engines reject
+	// it.
 	CheckpointPath string
 	// CheckpointEvery is the snapshot period in completed tasks; 0 means
-	// 16.
+	// 16. Negative values are rejected.
 	CheckpointEvery int
 	// ResumePath, when non-empty, resumes a Parallel solve from a
 	// checkpoint written by an earlier run with identical geometry:
 	// completed tasks' blocks are restored and only the remainder
-	// executes.
+	// executes. The other engines reject it.
 	ResumePath string
 	// NoFallback disables the Parallel→Tiled graceful degradation, so a
 	// parallel compute failure surfaces instead of being recovered.
 	NoFallback bool
 	// MemoryBudget, when positive, runs the Tiled and Parallel engines
 	// out of core: the NDL table lives in a crash-consistent spill file
-	// and only a working set of roughly MemoryBudget bytes of blocks
-	// stays resident (clamped up to the minimum the worker count needs).
-	// The budget is soft — disk failures degrade to residency growth
-	// rather than data loss. The spill file is one block store under the
-	// same executor, so FaultRate, MaxRetries, AuditEvery, Heal and
-	// SchedSide all apply; only CheckpointPath/ResumePath are rejected
-	// (the committed spill index is the checkpoint), a paged solve never
-	// degrades to the in-memory Tiled engine, and Serial and Cell reject
-	// it.
+	// and, while the solve runs, only a working set of roughly
+	// MemoryBudget bytes of blocks stays resident (clamped up to the
+	// minimum the worker count needs). Around the solve a whole tiled
+	// table is still built twice, each briefly: once to write the spill
+	// file's pristine region, and once to materialize the result before
+	// it is copied back into the table. The budget is soft — disk
+	// failures degrade to residency growth rather than data loss. The
+	// spill file is one block store under the same executor, so
+	// FaultRate, MaxRetries, AuditEvery, Heal and SchedSide all apply;
+	// only CheckpointPath/ResumePath are rejected (the committed spill
+	// index is the checkpoint), a paged solve never degrades to the
+	// in-memory Tiled engine, and Serial and Cell reject it.
 	MemoryBudget int64
 	// SpillPath locates the spill data file (its index rides beside it at
 	// SpillPath+".idx"). Empty means a private temp file removed after
@@ -290,6 +294,24 @@ func precisionOf[E Elem]() npdp.Precision {
 	return npdp.Single
 }
 
+// geometry resolves the tile side and scheduling-block side of a solve
+// from BlockBytes (0 means the paper's 32 KB) and SchedSide (0 means 1),
+// rejecting negative values rather than silently defaulting them.
+func geometry[E Elem](opts Options) (tile, schedSide int, err error) {
+	if opts.BlockBytes < 0 {
+		return 0, 0, fmt.Errorf("cellnpdp: BlockBytes must be non-negative, got %d", opts.BlockBytes)
+	}
+	if opts.SchedSide < 0 {
+		return 0, 0, fmt.Errorf("cellnpdp: SchedSide must be non-negative, got %d", opts.SchedSide)
+	}
+	blockBytes := opts.BlockBytes
+	if blockBytes == 0 {
+		blockBytes = 32 * 1024
+	}
+	tile, err = npdp.DefaultTile(blockBytes, precisionOf[E]())
+	return tile, max(opts.SchedSide, 1), err
+}
+
 // cbStepCycles returns the modeled computing-block step cost for E.
 func cbStepCycles[E Elem]() float64 {
 	if precisionOf[E]() == npdp.Double {
@@ -334,6 +356,9 @@ func SolveCtx[E Elem](ctx context.Context, t *Table[E], opts Options) (*Result, 
 	if opts.AuditEvery < 0 {
 		return nil, fmt.Errorf("cellnpdp: AuditEvery must be non-negative, got %d", opts.AuditEvery)
 	}
+	if opts.CheckpointEvery < 0 {
+		return nil, fmt.Errorf("cellnpdp: CheckpointEvery must be non-negative, got %d", opts.CheckpointEvery)
+	}
 	faultKinds, err := resilience.ParseFaultKinds(opts.FaultKinds)
 	if err != nil {
 		return nil, fmt.Errorf("cellnpdp: %w", err)
@@ -357,22 +382,16 @@ func SolveCtx[E Elem](ctx context.Context, t *Table[E], opts Options) (*Result, 
 			return nil, fmt.Errorf("cellnpdp: ResumeSpill requires SpillPath")
 		}
 	}
+	if (opts.CheckpointPath != "" || opts.ResumePath != "") && opts.Engine != Parallel {
+		return nil, fmt.Errorf("cellnpdp: CheckpointPath/ResumePath support the Parallel engine, not %v", opts.Engine)
+	}
 	if opts.DiskFaultRate < 0 || opts.DiskFaultRate > 1 {
 		return nil, fmt.Errorf("cellnpdp: DiskFaultRate must be in [0, 1], got %g", opts.DiskFaultRate)
 	}
 	if opts.DiskFaultRate > 0 && !paged {
 		return nil, fmt.Errorf("cellnpdp: DiskFaultRate requires MemoryBudget (there is no spill I/O to fault)")
 	}
-	blockBytes := opts.BlockBytes
-	if blockBytes <= 0 {
-		blockBytes = 32 * 1024
-	}
-	schedSide := opts.SchedSide
-	if schedSide <= 0 {
-		schedSide = 1
-	}
-	prec := precisionOf[E]()
-	tile, err := npdp.DefaultTile(blockBytes, prec)
+	tile, schedSide, err := geometry[E](opts)
 	if err != nil {
 		return nil, err
 	}
@@ -424,7 +443,7 @@ func SolveCtx[E Elem](ctx context.Context, t *Table[E], opts Options) (*Result, 
 			UseSIMD:           true,
 			DoubleBuffer:      true,
 			CBStepCycles:      cbStepCycles[E](),
-			ScalarRelaxCycles: npdp.ScalarRelaxCyclesFor(prec),
+			ScalarRelaxCycles: npdp.ScalarRelaxCyclesFor(precisionOf[E]()),
 			Seal:              sealOn(opts, faultKinds),
 			Heal:              opts.Heal,
 			HealAttempts:      opts.HealAttempts,
@@ -696,7 +715,10 @@ type SolveEstimate struct {
 	// FootprintBytes is the total the solve pins: table + staging, plus
 	// the checkpoint bound when Options.CheckpointPath is set. Under
 	// MemoryBudget the tiled table's contribution is capped at the
-	// budget — the resident working set replaces the full table.
+	// budget: that is the resident working set while the solve runs.
+	// Creating the spill file before it and materializing the result
+	// after it each still build a whole tiled table (TableBytes) for a
+	// moment, which this figure leaves out.
 	FootprintBytes int64
 	// PredictedSeconds is T_All = max(T_M, T_C) from the Section V
 	// model, instantiated with the solve's geometry and worker count.
@@ -709,8 +731,9 @@ type SolveEstimate struct {
 }
 
 // EstimateSolve predicts the memory footprint and model time of a solve
-// with the given options, without running it. The same defaulting as
-// SolveCtx applies (workers, block budget, scheduling side).
+// with the given options, without running it. The same defaulting and
+// the same rejection of negative values as SolveCtx apply (workers,
+// block budget, scheduling side).
 func EstimateSolve[E Elem](n int, opts Options) (SolveEstimate, error) {
 	if err := tri.CheckSize(n); err != nil {
 		return SolveEstimate{}, err
@@ -722,20 +745,11 @@ func EstimateSolve[E Elem](n int, opts Options) (SolveEstimate, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	blockBytes := opts.BlockBytes
-	if blockBytes <= 0 {
-		blockBytes = 32 * 1024
-	}
-	schedSide := opts.SchedSide
-	if schedSide <= 0 {
-		schedSide = 1
-	}
-	prec := precisionOf[E]()
-	tile, err := npdp.DefaultTile(blockBytes, prec)
+	tile, schedSide, err := geometry[E](opts)
 	if err != nil {
 		return SolveEstimate{}, err
 	}
-	elem := int64(prec.ElemBytes())
+	elem := int64(precisionOf[E]().ElemBytes())
 	m := int64((n + tile - 1) / tile)
 	nblocks := m * (m + 1) / 2
 	ms := (m + int64(schedSide) - 1) / int64(schedSide)

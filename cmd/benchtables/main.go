@@ -42,13 +42,6 @@ func main() {
 		}
 		return
 	}
-	// Best-effort: a persisted calibration sharpens PickKernel for the
-	// measured runs; defaults stay active when the file or section is
-	// missing.
-	if _, err := perfmodel.LoadCalibrationFile("scripts/kernel_calibration.txt", runtime.GOARCH, kernel.VectorISA()); err != nil {
-		log.Print(err)
-	}
-
 	if *list {
 		for _, e := range harness.All() {
 			fmt.Printf("%-14s %s\n", e.Name, e.Desc)

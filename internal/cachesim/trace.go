@@ -5,14 +5,16 @@ import (
 	"cellnpdp/internal/tri"
 )
 
-// The trace generators replay the exact loop nests of the engines as
-// address streams: TraceOriginal mirrors npdp.SolveSerial on the
-// row-major layout, TraceTiled mirrors npdp.SolveTiled (stage 1 + stage 2
-// as the paper's 4×4 computing-block steps, each loading and storing its
-// C block; the host's stage-2 strips touch the same cells but keep C in
-// registers across a strip) on the new data layout, and
-// TraceTiledRowMajor replays the tiled computation on the row-major
-// layout (the prior work's tiling, Figure 4). Values never affect the
+// The trace generators replay loop nests as address streams:
+// TraceOriginal mirrors npdp.SolveSerial on the row-major layout,
+// TraceTiled models the paper's CB-step loop on the new data layout
+// (npdp.SolveTiled's block order, with stage 1 and stage 2 as 4×4
+// computing-block steps, each loading and storing its C block; the
+// host's band kernels touch the same cells but keep C in registers
+// across a band, so TraceTiled is the paper's procedure, not
+// SolveTiled's kernel), and TraceTiledRowMajor replays the tiled
+// computation on the row-major layout (the prior work's tiling,
+// Figure 4). Values never affect the
 // access pattern — every relaxation reads and writes the same cells
 // regardless of which side wins the min — so the streams carry addresses
 // only.
@@ -147,8 +149,8 @@ func (r *tiledReplay) run(m int) {
 	}
 }
 
-// TraceTiled replays the tiled engine on the new data layout: every
-// block's cells are consecutive in memory.
+// TraceTiled replays the paper's CB-step tiled procedure on the new
+// data layout: every block's cells are consecutive in memory.
 func TraceTiled(h *Hierarchy, n, tile, elemBytes int) {
 	layout := tri.NewTiled[float32](n, tile)
 	r := &tiledReplay{

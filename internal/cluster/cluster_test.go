@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"cellnpdp/internal/npdp"
-	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/tri"
@@ -57,11 +56,9 @@ func requireIdentical(t *testing.T, ref *tri.RowMajor[float32], got *tri.Tiled[f
 }
 
 // testOptions returns coordinator options tuned for fast tests: short
-// heartbeats, pinned scalar kernel (identical on every worker by
-// construction), and a bounded workerless wait.
+// heartbeats and a bounded workerless wait.
 func testOptions(stats *Stats) Options {
 	return Options{
-		Stage1:          perfmodel.KernelScalar,
 		HeartbeatEvery:  50 * time.Millisecond,
 		DeadlineAfter:   2 * time.Second,
 		WorkerlessAfter: 10 * time.Second,
@@ -646,7 +643,7 @@ func TestWorkerSurvivesTrickledDispatch(t *testing.T) {
 	bw := bufio.NewWriter(conn)
 	welcome := welcomeMsg{
 		ElemBytes: 4, N: 8, Tile: 4, SchedSide: 1, Shards: 1, Slot: 0,
-		Stage1: uint8(perfmodel.KernelScalar), HeartbeatMS: 50, DeadlineMS: 2000,
+		HeartbeatMS: 50, DeadlineMS: 2000,
 	}
 	if err := sendMsg(bw, frameWelcome, welcome.encode()); err != nil {
 		t.Fatal(err)
@@ -719,7 +716,7 @@ func whiteboxCoordinatorOf(t *testing.T, tbl *tri.Tiled[float32], epoch uint32) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := newCoordinator(tbl, g, Options{MaxInflight: 2, Logf: t.Logf, Epoch: epoch})
+	co := newCoordinator(tbl, g, Options{Logf: t.Logf, Epoch: epoch})
 	co.store = npdp.NewMemStore(tbl, false)
 	co.ladder = npdp.NewLadder(co.store, g, true, npdp.ParallelOptions{})
 	return co
@@ -865,13 +862,9 @@ func TestWorkerResultBuiltInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	wt := tri.NewTiled[float32](testN, testTile)
-	mul, err := npdp.ResolveStage1(perfmodel.KernelScalar, wt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var result []byte
 	per := allocPerOp(100, func() {
-		if result, err = executeDispatch(wt, co.g, mul, msg, nil, result); err != nil {
+		if result, err = executeDispatch(wt, co.g, npdp.Stage1[float32](), msg, nil, result); err != nil {
 			t.Fatal(err)
 		}
 	})

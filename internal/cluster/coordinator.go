@@ -7,16 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
 	"time"
 
-	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/npdp"
 	"cellnpdp/internal/pager"
-	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
@@ -60,9 +57,13 @@ import (
 //	all workers gone  → wait WorkerlessAfter for reconnects, then a loud
 //	                    typed error (never a hang)
 
+// maxInflight is the per-worker dispatch pipeline depth: one task
+// computing while the next one's operands stream in. A depth of 4
+// kept cluster-2048's p50 within noise of 2.
+const maxInflight = 2
+
 // Defaults for Options zero values.
 const (
-	DefaultMaxInflight     = 2
 	DefaultHeartbeatEvery  = 500 * time.Millisecond
 	DefaultDeadlineAfter   = 5 * time.Second
 	DefaultWorkerlessAfter = 60 * time.Second
@@ -81,14 +82,6 @@ type Options struct {
 	// SchedSide is the scheduling-block side g in memory blocks
 	// (ParallelOptions.SchedSide); 0 means 1.
 	SchedSide int
-	// Stage1 pins the stage-1 kernel for the whole cluster; KernelAuto
-	// consults the Section V calibration once, coordinator-side, and the
-	// choice travels in the welcome so every worker computes with the
-	// same kernel — a requirement for cluster-wide bit-identity.
-	Stage1 perfmodel.Kernel
-	// MaxInflight is the per-worker dispatch pipeline depth; 0 means
-	// DefaultMaxInflight.
-	MaxInflight int
 	// HeartbeatEvery is the ping period (both directions); 0 means
 	// DefaultHeartbeatEvery.
 	HeartbeatEvery time.Duration
@@ -253,7 +246,7 @@ type outFrame struct {
 // writer has been stalled on a frame while the event loop kept
 // producing — the session is declared dead rather than ever blocking
 // the loop.
-func outboundQueueCap(maxInflight int) int { return 4*maxInflight + 16 }
+const outboundQueueCap = 4*maxInflight + 16
 
 type evKind int
 
@@ -316,7 +309,6 @@ type coordinator[E semiring.Elem] struct {
 	healStats resilience.HealStats
 	g         *sched.Graph
 	shards    Sharding
-	stage1    perfmodel.Kernel
 
 	epoch uint32
 
@@ -378,9 +370,6 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	if opts.SchedSide < 0 {
 		return fmt.Errorf("cluster: scheduling-block side must be positive, got %d", opts.SchedSide)
 	}
-	if opts.MaxInflight <= 0 {
-		opts.MaxInflight = DefaultMaxInflight
-	}
 	if opts.HeartbeatEvery <= 0 {
 		opts.HeartbeatEvery = DefaultHeartbeatEvery
 	}
@@ -398,18 +387,6 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	if err != nil {
 		return err
 	}
-	sel := opts.Stage1
-	var e E
-	if sel == perfmodel.KernelAuto {
-		sel = perfmodel.PickKernel(perfmodel.Shape{Block: t.Tile(), N: t.Len(), Float32: semiring.Width[E]() == 4},
-			runtime.GOARCH, kernel.VectorISA())
-	}
-	// Resolving validates the pin (and rejects the lattice kernel) with
-	// the exact rules workers will apply.
-	if _, err := npdp.ResolveStage1(sel, t); err != nil {
-		return err
-	}
-
 	if opts.Epoch == 0 {
 		opts.Epoch = 1
 	}
@@ -421,11 +398,11 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	}
 
 	co := newCoordinator(t, g, opts)
-	co.stage1 = sel
 
 	var p *pager.Pager[E]
 	var finalize func() error
 	if opts.SpillPath != "" {
+		var e E
 		elem := tableio.ElemWidth(e)
 		frameBytes := int64(t.Tile())*int64(t.Tile())*int64(elem) + 4
 		frames := int(opts.MemoryBudget / frameBytes)
@@ -514,7 +491,7 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 }
 
 // newCoordinator builds the event loop's state for a solve of g over t;
-// coordinate adds the kernel choice, the store and the ladder.
+// coordinate adds the store and the ladder.
 func newCoordinator[E semiring.Elem](t *tri.Tiled[E], g *sched.Graph, opts Options) *coordinator[E] {
 	co := &coordinator[E]{
 		opts:     opts,
@@ -908,7 +885,7 @@ func (co *coordinator[E]) admit(conn net.Conn, hello helloMsg) error {
 		conn:     conn,
 		shard:    shard,
 		possess:  make([]bool, co.t.Blocks()*(co.t.Blocks()+1)/2),
-		out:      make(chan outFrame, outboundQueueCap(co.opts.MaxInflight)),
+		out:      make(chan outFrame, outboundQueueCap),
 		lastSeen: time.Now(),
 	}
 	co.nextSess++
@@ -922,7 +899,6 @@ func (co *coordinator[E]) admit(conn net.Conn, hello helloMsg) error {
 		SchedSide:   co.opts.SchedSide,
 		Shards:      co.shards.NumShards(),
 		Slot:        shard,
-		Stage1:      uint8(co.stage1),
 		HeartbeatMS: uint32(co.opts.HeartbeatEvery / time.Millisecond),
 		DeadlineMS:  uint32(co.opts.DeadlineAfter / time.Millisecond),
 		Epoch:       co.epoch,
@@ -1094,11 +1070,11 @@ func (co *coordinator[E]) encodeBlock(bi, bj int) ([]byte, error) {
 // taskShard maps a task to the shard owning its scheduling column.
 func (co *coordinator[E]) taskShard(id int) int { return co.shards.Of(co.g.Tasks[id].Bj) }
 
-// fill pipelines dispatches to one worker up to MaxInflight: its own
+// fill pipelines dispatches to one worker up to maxInflight: its own
 // shard's queue first, then work stealing from the lowest-index
 // non-empty queue so a dead shard's backlog drains through survivors.
 func (co *coordinator[E]) fill(sess *session[E]) {
-	for !sess.dead && sess.inflight < co.opts.MaxInflight {
+	for !sess.dead && sess.inflight < maxInflight {
 		q := sess.shard
 		if len(co.queues[q]) == 0 {
 			q = -1

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -570,24 +571,28 @@ func TestVersionMismatchFailsFast(t *testing.T) {
 		opts := testOptions(nil)
 		opts.WorkerlessAfter = 10 * time.Second
 		addr, _ := startCoordinator(ctx, t, tbl, opts)
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		conn.SetDeadline(time.Now().Add(10 * time.Second))
-		hello := helloMsg{Name: "old"}.encode()
-		binary.LittleEndian.PutUint16(hello[4:], 1) // an archaic build
-		if err := writeFrame(conn, frameHello, hello); err != nil {
-			t.Fatal(err)
-		}
-		typ, payload, err := readFrame(conn)
-		if err != nil || typ != frameFail {
-			t.Fatalf("reply = (%d, %v), want a reasoned fail frame", typ, err)
-		}
-		f, _ := decodeFail(payload)
-		if !strings.Contains(f.Reason, "protocol version 1") {
-			t.Fatalf("rejection reason %q does not name the version skew", f.Reason)
+		// Version 1 is an archaic build; a version-2 build still
+		// expects the stage-1 kernel byte in the welcome.
+		for _, v := range []uint16{1, 2} {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(10 * time.Second))
+			hello := helloMsg{Name: "old"}.encode()
+			binary.LittleEndian.PutUint16(hello[4:], v)
+			if err := writeFrame(conn, frameHello, hello); err != nil {
+				t.Fatal(err)
+			}
+			typ, payload, err := readFrame(conn)
+			if err != nil || typ != frameFail {
+				t.Fatalf("version %d: reply = (%d, %v), want a reasoned fail frame", v, typ, err)
+			}
+			f, _ := decodeFail(payload)
+			if !strings.Contains(f.Reason, fmt.Sprintf("protocol version %d,", v)) {
+				t.Fatalf("version %d: rejection reason %q does not name the version skew", v, f.Reason)
+			}
 		}
 	})
 	t.Run("worker-rejects-old-coordinator", func(t *testing.T) {
@@ -643,13 +648,13 @@ func TestEpochProtoRoundTrips(t *testing.T) {
 		t.Fatalf("hello round trip = (%+v, %v)", h, err)
 	}
 	w := welcomeMsg{ElemBytes: 8, N: 512, Tile: 64, SchedSide: 1, Shards: 2, Slot: 1,
-		Stage1: 1, HeartbeatMS: 100, DeadlineMS: 900, Epoch: 4}
+		HeartbeatMS: 100, DeadlineMS: 900, Epoch: 4}
 	gotW, err := decodeWelcome(w.encode())
 	if err != nil || gotW != w {
 		t.Fatalf("welcome round trip = (%+v, %v), want %+v", gotW, err, w)
 	}
 	r := replHelloMsg{Epoch: 4, ElemBytes: 4, N: 256, Tile: 32, SchedSide: 2, Shards: 3,
-		Stage1: 2, HeartbeatMS: 50, DeadlineMS: 2000, Name: "primary"}
+		HeartbeatMS: 50, DeadlineMS: 2000, Name: "primary"}
 	gotR, err := decodeReplHello(r.encode())
 	if err != nil || gotR != r {
 		t.Fatalf("replication hello round trip = (%+v, %v), want %+v", gotR, err, r)

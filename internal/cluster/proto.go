@@ -39,8 +39,9 @@ import (
 //	         name (epoch = highest the worker has ever been welcomed at,
 //	         0 on first contact)
 //	welcome  version uint16, elem uint16, n uint64, tile uint32,
-//	         sched uint32, shards uint32, slot uint32, stage1 uint8,
+//	         sched uint32, shards uint32, slot uint32,
 //	         heartbeatMS uint32, deadlineMS uint32, epoch uint32
+//	         (40 bytes)
 //	dispatch epoch uint32, gen uint32, task uint32, nblocks uint32,
 //	         then per block: bi uint32, bj uint32, crc uint32,
 //	         nbytes uint32, cells
@@ -54,10 +55,10 @@ import (
 //	         it means re-home, to a deposed coordinator it is terminal)
 //	rhello   magic "NPCL", version uint16, epoch uint32, elem uint16,
 //	         n uint64, tile uint32, sched uint32, shards uint32,
-//	         stage1 uint8, heartbeatMS uint32, deadlineMS uint32,
-//	         nameLen uint16, name (a primary opening its replication
-//	         stream to a standby: the full job description, so a
-//	         takeover resumes with identical geometry and kernel)
+//	         heartbeatMS uint32, deadlineMS uint32, nameLen uint16,
+//	         name (42 bytes plus the name; a primary opening its
+//	         replication stream to a standby: the full job description,
+//	         so a takeover resumes with identical geometry)
 //	rwelcome epoch uint32 (the standby accepting the stream)
 //	delta    one resilience NPKD delta record (see resilience/delta.go)
 //
@@ -72,8 +73,10 @@ const ProtoMagic = "NPCL"
 
 // ProtoVersion is the current protocol version; coordinator and worker
 // must match exactly. Version 2 added epoch fencing and the standby
-// replication stream.
-const ProtoVersion uint16 = 2
+// replication stream; version 3 dropped the stage-1 kernel byte from
+// the welcome and the replication hello (every host runs its own
+// ISA's bit-identical kernels).
+const ProtoVersion uint16 = 3
 
 // Frame kinds.
 const (
@@ -103,6 +106,8 @@ const (
 	frameTrailerLen = 4  // crc
 	taskHeaderLen   = 16 // epoch, gen, task, nblocks
 	blockHeaderLen  = 16 // bi, bj, crc, nbytes
+	welcomeLen      = 40 // the whole welcome
+	replHelloLen    = 42 // rhello up to the name
 )
 
 // castagnoli is the CRC32C table frame checksums use (the polynomial
@@ -236,9 +241,7 @@ func decodeHello(p []byte) (helloMsg, error) {
 }
 
 // welcomeMsg is the coordinator's job description: everything a worker
-// needs to rebuild the scheduling graph, size its local table, and pin
-// the same stage-1 kernel the coordinator selected (bit-identity across
-// the cluster requires one kernel choice for the whole solve).
+// needs to rebuild the scheduling graph and size its local table.
 type welcomeMsg struct {
 	ElemBytes   int
 	N           int
@@ -246,14 +249,13 @@ type welcomeMsg struct {
 	SchedSide   int
 	Shards      int
 	Slot        int
-	Stage1      uint8
 	HeartbeatMS uint32
 	DeadlineMS  uint32
 	Epoch       uint32
 }
 
 func (m welcomeMsg) encode() []byte {
-	buf := make([]byte, 0, 41)
+	buf := make([]byte, 0, welcomeLen)
 	buf = binary.LittleEndian.AppendUint16(buf, ProtoVersion)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(m.ElemBytes))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.N))
@@ -261,7 +263,6 @@ func (m welcomeMsg) encode() []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.SchedSide))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Shards))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Slot))
-	buf = append(buf, m.Stage1)
 	buf = binary.LittleEndian.AppendUint32(buf, m.HeartbeatMS)
 	buf = binary.LittleEndian.AppendUint32(buf, m.DeadlineMS)
 	return binary.LittleEndian.AppendUint32(buf, m.Epoch)
@@ -274,8 +275,8 @@ func decodeWelcome(p []byte) (welcomeMsg, error) {
 	if v := binary.LittleEndian.Uint16(p[0:]); v != ProtoVersion {
 		return welcomeMsg{}, &ErrProtocolVersion{Got: v, Want: ProtoVersion}
 	}
-	if len(p) != 41 {
-		return welcomeMsg{}, fmt.Errorf("cluster: welcome length %d, want 41", len(p))
+	if len(p) != welcomeLen {
+		return welcomeMsg{}, fmt.Errorf("cluster: welcome length %d, want %d", len(p), welcomeLen)
 	}
 	m := welcomeMsg{
 		ElemBytes:   int(binary.LittleEndian.Uint16(p[2:])),
@@ -284,10 +285,9 @@ func decodeWelcome(p []byte) (welcomeMsg, error) {
 		SchedSide:   int(binary.LittleEndian.Uint32(p[16:])),
 		Shards:      int(binary.LittleEndian.Uint32(p[20:])),
 		Slot:        int(binary.LittleEndian.Uint32(p[24:])),
-		Stage1:      p[28],
-		HeartbeatMS: binary.LittleEndian.Uint32(p[29:]),
-		DeadlineMS:  binary.LittleEndian.Uint32(p[33:]),
-		Epoch:       binary.LittleEndian.Uint32(p[37:]),
+		HeartbeatMS: binary.LittleEndian.Uint32(p[28:]),
+		DeadlineMS:  binary.LittleEndian.Uint32(p[32:]),
+		Epoch:       binary.LittleEndian.Uint32(p[36:]),
 	}
 	if m.ElemBytes != 4 && m.ElemBytes != 8 {
 		return welcomeMsg{}, fmt.Errorf("cluster: welcome element width %d not 4 or 8", m.ElemBytes)
@@ -472,9 +472,9 @@ func decodeCells[E semiring.Elem](dst []E, raw []byte) error {
 }
 
 // replHelloMsg opens a primary's replication stream to a standby: the
-// complete job description (geometry, kernel, liveness parameters), so
-// the standby can validate its table matches and, on takeover, run the
-// resumed solve with identical scheduling and bit-identical kernels.
+// complete job description (geometry, liveness parameters), so the
+// standby can validate its table matches and, on takeover, run the
+// resumed solve with identical scheduling.
 type replHelloMsg struct {
 	Epoch       uint32
 	ElemBytes   int
@@ -482,14 +482,13 @@ type replHelloMsg struct {
 	Tile        int
 	SchedSide   int
 	Shards      int
-	Stage1      uint8
 	HeartbeatMS uint32
 	DeadlineMS  uint32
 	Name        string
 }
 
 func (m replHelloMsg) encode() []byte {
-	buf := make([]byte, 0, 43+len(m.Name))
+	buf := make([]byte, 0, replHelloLen+len(m.Name))
 	buf = append(buf, ProtoMagic...)
 	buf = binary.LittleEndian.AppendUint16(buf, ProtoVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, m.Epoch)
@@ -498,7 +497,6 @@ func (m replHelloMsg) encode() []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Tile))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.SchedSide))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Shards))
-	buf = append(buf, m.Stage1)
 	buf = binary.LittleEndian.AppendUint32(buf, m.HeartbeatMS)
 	buf = binary.LittleEndian.AppendUint32(buf, m.DeadlineMS)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Name)))
@@ -512,7 +510,7 @@ func decodeReplHello(p []byte) (replHelloMsg, error) {
 	if v := binary.LittleEndian.Uint16(p[4:]); v != ProtoVersion {
 		return replHelloMsg{}, &ErrProtocolVersion{Got: v, Want: ProtoVersion}
 	}
-	if len(p) < 43 {
+	if len(p) < replHelloLen {
 		return replHelloMsg{}, fmt.Errorf("cluster: replication hello truncated")
 	}
 	m := replHelloMsg{
@@ -522,15 +520,14 @@ func decodeReplHello(p []byte) (replHelloMsg, error) {
 		Tile:        int(binary.LittleEndian.Uint32(p[20:])),
 		SchedSide:   int(binary.LittleEndian.Uint32(p[24:])),
 		Shards:      int(binary.LittleEndian.Uint32(p[28:])),
-		Stage1:      p[32],
-		HeartbeatMS: binary.LittleEndian.Uint32(p[33:]),
-		DeadlineMS:  binary.LittleEndian.Uint32(p[37:]),
+		HeartbeatMS: binary.LittleEndian.Uint32(p[32:]),
+		DeadlineMS:  binary.LittleEndian.Uint32(p[36:]),
 	}
-	n := int(binary.LittleEndian.Uint16(p[41:]))
-	if len(p) != 43+n {
+	n := int(binary.LittleEndian.Uint16(p[40:]))
+	if len(p) != replHelloLen+n {
 		return replHelloMsg{}, fmt.Errorf("cluster: replication hello length mismatch")
 	}
-	m.Name = string(p[43:])
+	m.Name = string(p[replHelloLen:])
 	if m.ElemBytes != 4 && m.ElemBytes != 8 {
 		return replHelloMsg{}, fmt.Errorf("cluster: replication hello element width %d not 4 or 8", m.ElemBytes)
 	}

@@ -47,7 +47,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		t.Fatalf("hello round trip = (%+v, %v)", h, err)
 	}
 	w := welcomeMsg{ElemBytes: 4, N: 1024, Tile: 88, SchedSide: 2, Shards: 4, Slot: 3,
-		Stage1: 2, HeartbeatMS: 500, DeadlineMS: 5000}
+		HeartbeatMS: 500, DeadlineMS: 5000}
 	got, err := decodeWelcome(w.encode())
 	if err != nil || got != w {
 		t.Fatalf("welcome round trip = (%+v, %v), want %+v", got, err, w)
@@ -159,7 +159,7 @@ func knownAnswerCells[E semiring.Elem](block int) []E {
 // TestTaskFrameKnownAnswer pins the wire bytes of task frames built in
 // place against constants captured from the frame codec before frames
 // were built in place, writeFrame(typ, taskMsg{...}.encode()), so the
-// format cannot drift while ProtoVersion stays 2.
+// format cannot drift; version 3 left task frames as version 2 had them.
 func TestTaskFrameKnownAnswer(t *testing.T) {
 	const dispatchHex = "" +
 		"03b0000000030000000200000005000000020000000000000001000000c50f1b" +
@@ -200,6 +200,72 @@ func TestTaskFrameKnownAnswer(t *testing.T) {
 		}
 		if _, _, err := readFrame(bytes.NewReader(tc.got)); err != nil {
 			t.Errorf("%s frame does not read back: %v", tc.name, err)
+		}
+	}
+}
+
+// TestHandshakeKnownAnswer pins the version-3 hello, welcome and
+// replication-hello payloads. The expected bytes are written out field
+// by field from the layout in proto.go, so a codec change that moves,
+// adds or drops a field fails here even when encode and decode agree.
+func TestHandshakeKnownAnswer(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		got    []byte
+		want   string
+		decode func([]byte) (any, error)
+		msg    any
+	}{{
+		name: "hello",
+		got:  helloMsg{Epoch: 5, Name: "w1"}.encode(),
+		want: "4e50434c" + // magic "NPCL"
+			"0300" + // version 3
+			"05000000" + // epoch 5
+			"0200" + "7731", // name "w1"
+		decode: func(p []byte) (any, error) { return decodeHello(p) },
+		msg:    helloMsg{Epoch: 5, Name: "w1"},
+	}, {
+		name: "welcome",
+		got: welcomeMsg{ElemBytes: 8, N: 2048, Tile: 64, SchedSide: 2, Shards: 3, Slot: 1,
+			HeartbeatMS: 500, DeadlineMS: 5000, Epoch: 7}.encode(),
+		want: "0300" + // version 3
+			"0800" + // elem 8
+			"0008000000000000" + // n 2048
+			"40000000" + // tile 64
+			"02000000" + // sched 2
+			"03000000" + // shards 3
+			"01000000" + // slot 1
+			"f4010000" + // heartbeatMS 500
+			"88130000" + // deadlineMS 5000
+			"07000000", // epoch 7
+		decode: func(p []byte) (any, error) { return decodeWelcome(p) },
+		msg: welcomeMsg{ElemBytes: 8, N: 2048, Tile: 64, SchedSide: 2, Shards: 3, Slot: 1,
+			HeartbeatMS: 500, DeadlineMS: 5000, Epoch: 7},
+	}, {
+		name: "rhello",
+		got: replHelloMsg{Epoch: 7, ElemBytes: 4, N: 1024, Tile: 88, SchedSide: 1, Shards: 2,
+			HeartbeatMS: 50, DeadlineMS: 2000, Name: "primary"}.encode(),
+		want: "4e50434c" + // magic "NPCL"
+			"0300" + // version 3
+			"07000000" + // epoch 7
+			"0400" + // elem 4
+			"0004000000000000" + // n 1024
+			"58000000" + // tile 88
+			"01000000" + // sched 1
+			"02000000" + // shards 2
+			"32000000" + // heartbeatMS 50
+			"d0070000" + // deadlineMS 2000
+			"0700" + "7072696d617279", // name "primary"
+		decode: func(p []byte) (any, error) { return decodeReplHello(p) },
+		msg: replHelloMsg{Epoch: 7, ElemBytes: 4, N: 1024, Tile: 88, SchedSide: 1, Shards: 2,
+			HeartbeatMS: 50, DeadlineMS: 2000, Name: "primary"},
+	}} {
+		if got := hex.EncodeToString(tc.got); got != tc.want {
+			t.Errorf("%s payload:\n got %s\nwant %s", tc.name, got, tc.want)
+		}
+		want, _ := hex.DecodeString(tc.want)
+		if back, err := tc.decode(want); err != nil || back != tc.msg {
+			t.Errorf("%s: decoding the documented bytes = (%+v, %v), want %+v", tc.name, back, err, tc.msg)
 		}
 	}
 }

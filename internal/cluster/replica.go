@@ -7,7 +7,6 @@ import (
 	"net"
 	"time"
 
-	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tableio"
@@ -101,7 +100,6 @@ func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 		Tile:        co.t.Tile(),
 		SchedSide:   co.opts.SchedSide,
 		Shards:      co.shards.NumShards(),
-		Stage1:      uint8(co.stage1),
 		HeartbeatMS: uint32(co.opts.HeartbeatEvery / time.Millisecond),
 		DeadlineMS:  uint32(co.opts.DeadlineAfter / time.Millisecond),
 		Name:        "primary",
@@ -258,9 +256,9 @@ func (co *coordinator[E]) stopped() bool {
 type StandbyOptions struct {
 	// Options configures the coordinator the standby becomes on
 	// takeover. Geometry-and-schedule fields (SchedSide, Shards,
-	// Stage1, HeartbeatEvery, DeadlineAfter) are overridden by the
-	// primary's replication hello — one schedule and one kernel choice
-	// cluster-wide is what makes the resumed solve bit-identical.
+	// HeartbeatEvery, DeadlineAfter) are overridden by the primary's
+	// replication hello, so the resumed solve keeps the primary's
+	// schedule and liveness timing.
 	Options
 	// LeaseAfter is how long the standby tolerates silence (no deltas,
 	// no pings) from the primary before assuming leadership; 0 means
@@ -508,7 +506,6 @@ func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 			copts.Epoch = epoch
 			copts.SchedSide = curHello.SchedSide
 			copts.Shards = curHello.Shards
-			copts.Stage1 = perfmodel.Kernel(curHello.Stage1)
 			copts.HeartbeatEvery = time.Duration(curHello.HeartbeatMS) * time.Millisecond
 			copts.DeadlineAfter = time.Duration(curHello.DeadlineMS) * time.Millisecond
 			if opts.OnTakeover != nil {

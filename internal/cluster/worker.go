@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cellnpdp/internal/npdp"
-	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
@@ -20,11 +19,11 @@ import (
 // A worker is an SPE of the distributed solve: it holds a local-store
 // table, receives the operand blocks of each dispatched task (the DMA
 // analogue), computes with the exact engine code path the
-// single-process solvers use (npdp.ComputeTask over the pinned stage-1
-// kernel), seals its results with CRC32C, and streams them back. It is
-// entirely stateless across connections: a reconnect starts a fresh
-// session with an empty local table, and the coordinator re-streams
-// whatever the worker lacks.
+// single-process solvers use (npdp.ComputeTask over npdp.Stage1, the
+// host's band kernels), seals its results with CRC32C, and streams
+// them back. It is entirely stateless across connections: a reconnect
+// starts a fresh session with an empty local table, and the
+// coordinator re-streams whatever the worker lacks.
 
 // WorkerOptions configures RunWorker.
 type WorkerOptions struct {
@@ -260,8 +259,8 @@ func runSession(ctx context.Context, conn net.Conn, opts WorkerOptions, highest 
 		return sessRejected, &ErrEpochFenced{Epoch: welcome.Epoch, Current: *highest, Role: "coordinator"}
 	}
 	*highest = welcome.Epoch
-	opts.Logf("cluster: worker %s joined shard %d/%d at epoch %d (n=%d tile=%d stage1=%v)",
-		opts.Name, welcome.Slot, welcome.Shards, welcome.Epoch, welcome.N, welcome.Tile, perfmodel.Kernel(welcome.Stage1))
+	opts.Logf("cluster: worker %s joined shard %d/%d at epoch %d (n=%d tile=%d)",
+		opts.Name, welcome.Slot, welcome.Shards, welcome.Epoch, welcome.N, welcome.Tile)
 	switch welcome.ElemBytes {
 	case 4:
 		return workerSession[float32](ctx, conn, sr, br, welcome, opts, highest)
@@ -281,14 +280,7 @@ func workerSession[E semiring.Elem](ctx context.Context, conn net.Conn, sr *sess
 	if err != nil {
 		return sessLost, err
 	}
-	mul, err := npdp.ResolveStage1(perfmodel.Kernel(welcome.Stage1), t)
-	if err != nil {
-		// The coordinator pinned a kernel this build cannot resolve;
-		// that is terminal, not a reconnect case.
-		conn.SetWriteDeadline(time.Now().Add(opts.HandshakeTimeout))
-		writeFrame(conn, frameFail, failMsg{Reason: err.Error()}.encode())
-		return sessTerminal, err
-	}
+	mul := npdp.Stage1[E]()
 	heartbeat := time.Duration(welcome.HeartbeatMS) * time.Millisecond
 	deadline := time.Duration(welcome.DeadlineMS) * time.Millisecond
 	if heartbeat <= 0 {

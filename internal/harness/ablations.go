@@ -7,7 +7,6 @@ import (
 	"cellnpdp/internal/cellsim"
 	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/npdp"
-	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/pipeline"
 	"cellnpdp/internal/simd"
 	"cellnpdp/internal/stats"
@@ -72,7 +71,7 @@ func Ablations(cfg Config) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("4x4 computing-block kernel (measured, 1 core)",
+	t.AddRow(fmt.Sprintf("computing-block procedure on the band kernels, %s (measured, 1 core)", kernel.VectorISA()),
 		stats.Seconds(tKern), stats.Seconds(tNDL), stats.Ratio(tNDL/tKern))
 
 	// 3. Software pipelining in the SPE kernel (modeled cycles).
@@ -143,22 +142,23 @@ func Ablations(cfg Config) (*stats.Table, error) {
 	t.AddRow(fmt.Sprintf("task queue vs barrier wavefront (measured, %d cores)", cfg.workers()),
 		stats.Seconds(tSimple), stats.Seconds(tWave), stats.Ratio(tWave/tSimple))
 
-	// 8. Register-blocked panel stage-1 kernel vs 4×4 CB steps (measured).
-	t8a := tri.ToTiled(src, ndlTile)
+	// 8. One t×t stage-1 product on Stage1 vs 4×4 CB steps (measured,
+	// repeated on the same operands, as BenchmarkAblationPanel times it).
+	const reps = 200
+	pa, pb := tt.Block(0, 1), tt.Block(1, 2)
+	pc := append([]float32(nil), tt.Block(0, 2)...)
+	mul := npdp.Stage1[float32]()
 	tPanel := timeIt(func() {
-		_, err = npdp.SolveParallel(t8a, npdp.ParallelOptions{Workers: 1})
+		for i := 0; i < reps; i++ {
+			mul(pc, pa, pb, ndlTile)
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	t8b := tri.ToTiled(src, ndlTile)
 	tCBStep := timeIt(func() {
-		_, err = npdp.SolveParallel(t8b, npdp.ParallelOptions{Workers: 1, Stage1: perfmodel.KernelScalar})
+		for i := 0; i < reps; i++ {
+			kernel.MulMinPlus(pc, pa, pb, ndlTile)
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("register-blocked panel stage-1 kernel (measured, 1 core)",
+	t.AddRow(fmt.Sprintf("band stage-1 kernel, %s, vs 4x4 CB steps (measured, %d products of %dx%d, 1 core)", kernel.VectorISA(), reps, ndlTile, ndlTile),
 		stats.Seconds(tPanel), stats.Seconds(tCBStep), stats.Ratio(tCBStep/tPanel))
 
 	t.AddNote("'effect' is without/with — how much the design choice buys; values < 1.0x mean the simplification costs a little and buys scheduling-state size instead")

@@ -6,7 +6,6 @@ import (
 
 	"cellnpdp/internal/cellsim"
 	"cellnpdp/internal/kernel"
-	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
@@ -154,9 +153,8 @@ type cellEngine[E semiring.Elem] struct {
 	// present.
 	recovery  *executor[E]
 	workerBuf []*speBuffers[E] // per-worker buffer sets, allocated on first task
-	// mul is the functional stage-1 kernel, resolved once per solve by
-	// SolveCellCtx — hoisted out of computeMB's //npdp:dispatch loop so
-	// selection never runs per middle tile. nil in timing-only runs.
+	// mul is the functional stage-1 kernel (Stage1); nil in timing-only
+	// runs.
 	mul Stage1Func[E]
 }
 
@@ -380,7 +378,7 @@ func (e *cellEngine[E]) run() (CellResult, error) {
 		return CellResult{}, err
 	}
 	if (e.opts.Seal || e.opts.Heal) && e.data != nil {
-		e.recovery = newExecutor[E](NewMemStore(e.data, e.opts.Heal), graph, e.mul, ParallelOptions{
+		e.recovery = newExecutor[E](NewMemStore(e.data, e.opts.Heal), graph, ParallelOptions{
 			Workers:      1,
 			Heal:         e.opts.Heal,
 			HealAttempts: e.opts.HealAttempts,
@@ -510,14 +508,8 @@ func SolveCellCtx[E semiring.Elem](ctx context.Context, t *tri.Tiled[E], m *cell
 		return CellResult{}, err
 	}
 	m.Reset()
-	// Stage-1 kernel selection is hoisted here — once per solve, never
-	// inside computeMB's per-middle-tile dispatch loop. The modeled cycle
-	// accounting does not depend on it: the simulator times the SPE's
-	// Table I kernel.
-	mul, err := ResolveStage1[E](perfmodel.KernelAuto, t)
-	if err != nil {
-		return CellResult{}, err
-	}
+	// The modeled cycle accounting does not depend on the host kernel:
+	// the simulator times the SPE's Table I kernel.
 	eng := &cellEngine[E]{
 		ctx:       ctx,
 		data:      t,
@@ -526,7 +518,7 @@ func SolveCellCtx[E semiring.Elem](ctx context.Context, t *tri.Tiled[E], m *cell
 		elemBytes: semiring.Width[E](),
 		machine:   m,
 		opts:      opts,
-		mul:       mul,
+		mul:       Stage1[E](),
 	}
 	return eng.run()
 }

@@ -63,13 +63,7 @@ func solveStore[E semiring.Elem](ctx context.Context, s BlockStore[E], opts Para
 	if err != nil {
 		return kernel.Stats{}, err
 	}
-	// Stage-1 kernel selection is hoisted here — once per solve, never
-	// inside the per-block dispatch loops.
-	mul, err := ResolveStage1Shape[E](opts.Stage1, s.Tile(), s.Len())
-	if err != nil {
-		return kernel.Stats{}, err
-	}
-	x := newExecutor(s, graph, mul, opts, opts.Seal || opts.Heal || opts.AuditEvery > 0)
+	x := newExecutor(s, graph, opts, opts.Seal || opts.Heal || opts.AuditEvery > 0)
 	x.finalize = finalize
 	if opts.CheckpointPath != "" {
 		ms, ok := s.(*MemStore[E])
@@ -117,11 +111,11 @@ type executor[E semiring.Elem] struct {
 	execs       atomic.Int64
 }
 
-func newExecutor[E semiring.Elem](s BlockStore[E], graph *sched.Graph, mul Stage1Func[E], opts ParallelOptions, seal bool) *executor[E] {
+func newExecutor[E semiring.Elem](s BlockStore[E], graph *sched.Graph, opts ParallelOptions, seal bool) *executor[E] {
 	return &executor[E]{
 		store:      s,
 		graph:      graph,
-		mul:        mul,
+		mul:        Stage1[E](),
 		opts:       opts,
 		ladder:     NewLadder(s, graph, seal, opts),
 		perWorker:  make([]paddedStats, max(opts.Workers, 1)),

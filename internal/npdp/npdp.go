@@ -63,9 +63,10 @@ func SolveSerialCtx[E semiring.Elem](ctx context.Context, m *tri.RowMajor[E]) (i
 
 // SolveTiled runs the tiled flowchart (Figure 4(b)) serially on the new
 // data layout, in place: memory blocks in column order, each computed
-// with stage 1 (middle-tile min-plus products, no inner dependences) and
-// stage 2 (inner dependences via computing blocks). The tile side must be
-// a positive multiple of kernel.CB.
+// with the block procedure every engine runs — stage 1 (middle-tile
+// min-plus products on Stage1, no inner dependences) and stage 2 (inner
+// dependences via computing blocks). The tile side must be a positive
+// multiple of kernel.CB.
 func SolveTiled[E semiring.Elem](t *tri.Tiled[E]) (kernel.Stats, error) {
 	return SolveTiledCtx(context.Background(), t)
 }
@@ -77,24 +78,15 @@ func SolveTiledCtx[E semiring.Elem](ctx context.Context, t *tri.Tiled[E]) (kerne
 	if err := kernel.CheckTile(t.Tile()); err != nil {
 		return kernel.Stats{}, err
 	}
+	mul := Stage1[E]()
 	var st kernel.Stats
-	m := t.Blocks()
-	ts := t.Tile()
-	for bj := 0; bj < m; bj++ {
+	for bj := 0; bj < t.Blocks(); bj++ {
 		//npdp:dispatch
 		for bi := bj; bi >= 0; bi-- {
 			if err := ctx.Err(); err != nil {
 				return st, err
 			}
-			if bi == bj {
-				st.Add(kernel.Stage2Diag(t.Block(bj, bj), ts))
-				continue
-			}
-			d := t.Block(bi, bj)
-			for k := bi + 1; k < bj; k++ {
-				st.Add(kernel.MulMinPlus(d, t.Block(bi, k), t.Block(k, bj), ts))
-			}
-			st.Add(kernel.Stage2OffDiag(d, t.Block(bi, bi), t.Block(bj, bj), ts))
+			st.Add(computeTableBlock(t, bi, bj, mul))
 		}
 	}
 	return st, nil

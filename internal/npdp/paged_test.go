@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cellnpdp/internal/pager"
-	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tri"
@@ -173,17 +172,13 @@ func TestPagedResumeAfterSimulatedKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mul, err := ResolveStage1Shape[float32](perfmodel.KernelAuto, p.Tile(), p.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := tt.Blocks()
 	total := m * (m + 1) / 2
 	graph, err := sched.NewGraph(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := newExecutor[float32](p, graph, mul, ParallelOptions{Workers: 1}, false)
+	x := newExecutor[float32](p, graph, ParallelOptions{Workers: 1}, false)
 	donePartial := 0
 	for d := 0; d < m && donePartial < total/3; d++ {
 		for bi := 0; bi+d < m && donePartial < total/3; bi++ {

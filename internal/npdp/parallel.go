@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"cellnpdp/internal/kernel"
-	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tri"
@@ -25,15 +24,6 @@ type ParallelOptions struct {
 	// task) instead of the paper's two-edge simplification — the
 	// Section IV-B ablation.
 	FullDeps bool
-	// Stage1 overrides stage-1 kernel selection. The zero value
-	// (perfmodel.KernelAuto) consults the Section V calibration via
-	// perfmodel.PickKernel once per solve; explicit KernelScalar /
-	// KernelPanel / KernelVector pin a kernel for ablations.
-	// KernelFourRussians is rejected (lattice DPs go through
-	// zuker.MaxPairs, not the min-plus engines). KernelScalar is the
-	// 4×4-step MulMinPlus reference — the BenchmarkAblationPanel
-	// baseline.
-	Stage1 perfmodel.Kernel
 	// Retry governs per-task retries of transient failures. Retrying a
 	// memory-block task in place is safe because every relaxation is an
 	// idempotent monotone min toward the same fixed point: the block's

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/tri"
 	"cellnpdp/internal/workload"
 )
@@ -77,10 +76,10 @@ func TestParallelRejectsBadOptions(t *testing.T) {
 	}
 }
 
-// TestParallelAblationConfigsMatchSerial covers the ablation paths: the
-// unsimplified full-dependence graph and the CB-step stage-1 kernel
-// (alone and combined) must stay bit-identical to the serial reference
-// and report the same stats as the default engine.
+// TestParallelAblationConfigsMatchSerial covers the ablation path: the
+// unsimplified full-dependence graph, with and without scheduling
+// blocks, must stay bit-identical to the serial reference and report
+// the same stats as the default engine.
 func TestParallelAblationConfigsMatchSerial(t *testing.T) {
 	src := workload.Chain[float32](180, 9)
 	ref := solveRef(src)
@@ -91,8 +90,7 @@ func TestParallelAblationConfigsMatchSerial(t *testing.T) {
 	}
 	for _, opts := range []ParallelOptions{
 		{Workers: 4, FullDeps: true},
-		{Workers: 4, SchedSide: 2, Stage1: perfmodel.KernelScalar},
-		{Workers: 4, SchedSide: 2, FullDeps: true, Stage1: perfmodel.KernelScalar},
+		{Workers: 4, SchedSide: 2, FullDeps: true},
 	} {
 		tt := tri.ToTiled(src, 16)
 		st, err := SolveParallel(tt, opts)

@@ -3,42 +3,54 @@ package npdp
 import (
 	"testing"
 
+	"cellnpdp/internal/cellsim"
 	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tri"
 	"cellnpdp/internal/workload"
 )
 
-// TestPickKernelHoisted pins the hoisting contract documented on
-// ResolveStage1: one model consult per solve, no matter how many block
-// products the solve performs. A regression that moves the selection
-// back inside the //npdp:dispatch stage-1 loop makes the count scale
-// with O(blocks³) and fails loudly here.
+// TestPickKernelHoisted pins that no engine consults the Section V
+// model: every engine runs Stage1, whose ISA level internal/kernel
+// picks once per process. A regression that puts a model consult back
+// into a solve, let alone into the //npdp:dispatch stage-1 loop, makes
+// the count non-zero here.
 func TestPickKernelHoisted(t *testing.T) {
 	src := workload.Chain[float32](256, 99) // 16 blocks of 16 → hundreds of block products
-	tt := tri.ToTiled(src, 16)
-	before := perfmodel.PickCount()
-	if _, err := SolveParallel(tt, ParallelOptions{Workers: 2, SchedSide: 2}); err != nil {
+	mach, err := cellsim.NewMachine(cellsim.QS20())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := perfmodel.PickCount() - before; got != 1 {
-		t.Fatalf("SolveParallel consulted PickKernel %d times, want exactly 1", got)
-	}
-
-	// An explicit kernel choice bypasses the model entirely.
-	tt2 := tri.ToTiled(src, 16)
-	before = perfmodel.PickCount()
-	if _, err := SolveParallel(tt2, ParallelOptions{Workers: 2, Stage1: perfmodel.KernelScalar}); err != nil {
-		t.Fatal(err)
-	}
-	if got := perfmodel.PickCount() - before; got != 0 {
-		t.Fatalf("explicit Stage1 consulted PickKernel %d times, want 0", got)
+	for _, e := range []struct {
+		name  string
+		solve func(*tri.Tiled[float32]) error
+	}{
+		{"SolveParallel", func(tt *tri.Tiled[float32]) error {
+			_, err := SolveParallel(tt, ParallelOptions{Workers: 2, SchedSide: 2})
+			return err
+		}},
+		{"SolveTiled", func(tt *tri.Tiled[float32]) error {
+			_, err := SolveTiled(tt)
+			return err
+		}},
+		{"SolveCell", func(tt *tri.Tiled[float32]) error {
+			_, err := SolveCell(tt, mach, cellOpts(4))
+			return err
+		}},
+	} {
+		before := perfmodel.PickCount()
+		if err := e.solve(tri.ToTiled(src, 16)); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		if got := perfmodel.PickCount() - before; got != 0 {
+			t.Fatalf("%s consulted PickKernel %d times, want 0", e.name, got)
+		}
 	}
 }
 
-// Every explicit stage-1 kernel, and the model's pick, matches serial
-// at both widths; tile 20 (≡ 4 mod 8) runs the vector panels' 4-wide
-// column tail.
+// Every named stage-1 kernel, run through the block procedure, matches
+// serial at both widths; tile 20 (≡ 4 mod 8) runs the vector panels'
+// 4-wide column tail.
 func TestStage1ExplicitKernelsBitIdentical(t *testing.T) {
 	explicitKernelsBitIdentical[float32](t)
 	explicitKernelsBitIdentical[float64](t)
@@ -50,19 +62,25 @@ func explicitKernelsBitIdentical[E semiring.Elem](t *testing.T) {
 	ref := solveRef(src)
 	for _, sel := range []perfmodel.Kernel{perfmodel.KernelAuto, perfmodel.KernelScalar, perfmodel.KernelPanel, perfmodel.KernelVector} {
 		tt := tri.ToTiled(src, 20)
-		if _, err := SolveParallel(tt, ParallelOptions{Workers: 3, Stage1: sel}); err != nil {
-			t.Fatalf("%T Stage1=%v: %v", *new(E), sel, err)
+		mul, err := ResolveStage1(sel, tt)
+		if err != nil {
+			t.Fatalf("%T %v: %v", *new(E), sel, err)
+		}
+		for bj := 0; bj < tt.Blocks(); bj++ {
+			for bi := bj; bi >= 0; bi-- {
+				computeTableBlock(tt, bi, bj, mul)
+			}
 		}
 		got := tri.ToRowMajor(tt)
 		if i, j, av, bv, diff := tri.FirstDiff[E](ref, got); diff {
-			t.Fatalf("%T Stage1=%v: first diff at (%d,%d): serial=%v got=%v", *new(E), sel, i, j, av, bv)
+			t.Fatalf("%T %v: first diff at (%d,%d): serial=%v got=%v", *new(E), sel, i, j, av, bv)
 		}
 	}
 }
 
 func TestStage1RejectsFourRussians(t *testing.T) {
 	tt := tri.ToTiled(workload.Chain[float32](32, 1), 8)
-	if _, err := SolveParallel(tt, ParallelOptions{Workers: 1, Stage1: perfmodel.KernelFourRussians}); err == nil {
-		t.Fatal("SolveParallel accepted the Four-Russians kernel for a min-plus solve")
+	if _, err := ResolveStage1(perfmodel.KernelFourRussians, tt); err == nil {
+		t.Fatal("ResolveStage1 accepted the Four-Russians kernel for a min-plus block product")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"cellnpdp/internal/kernel"
-	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tri"
 )
@@ -29,10 +28,7 @@ func SolveWavefrontBarrier[E semiring.Elem](t *tri.Tiled[E], workers int) (kerne
 		return kernel.Stats{}, fmt.Errorf("npdp: workers must be positive, got %d", workers)
 	}
 	m := t.Blocks()
-	mul, err := ResolveStage1[E](perfmodel.KernelAuto, t)
-	if err != nil {
-		return kernel.Stats{}, err
-	}
+	mul := Stage1[E]()
 	perWorker := make([]kernel.Stats, workers)
 	for wave := 0; wave < m; wave++ {
 		// Blocks (i, i+wave) for i = 0..m-1-wave, strided across workers.

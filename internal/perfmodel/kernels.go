@@ -19,14 +19,19 @@ import (
 // uses for N₂ picks between them. Per-kernel ns/cell is calibrated once
 // per machine (scripts/kernel_calibration.txt, regenerated like the
 // codegen baseline), and PickKernel evaluates the calibrated costs for
-// a concrete workload shape.
+// a concrete workload shape. The min-plus engines do not consult it:
+// they all run npdp.Stage1, whose body the ISA level picks. For a
+// min-plus shape PickKernel names that running kernel (the benchmark's
+// stage-1 model ratio reads it); for a lattice shape it decides the
+// Four-Russians kernel.
 
 // Kernel identifies one stage-1 implementation.
 type Kernel int
 
 // The stage-1 kernels, in escalation order.
 const (
-	// KernelAuto lets PickKernel decide (the options zero value).
+	// KernelAuto is the zero value: whatever the ISA level runs
+	// (npdp.ResolveStage1 maps it to npdp.Stage1).
 	KernelAuto Kernel = iota
 	// KernelScalar is the 4×4 CB-step reference (kernel.MulMinPlus).
 	KernelScalar
@@ -181,8 +186,8 @@ func ActiveCalibration(arch, isa string) *Calibration {
 }
 
 // PickCount returns the number of PickKernel calls since process start.
-// The engines hoist selection to once per solve; the regression test
-// asserts this counter grows by exactly one per solve, not per block.
+// The engines never call PickKernel; the regression test asserts this
+// counter does not grow during a solve.
 func PickCount() int64 { return pickCount.Load() }
 
 // PickKernel selects the stage-1 kernel for a workload the way
@@ -194,8 +199,9 @@ func PickCount() int64 { return pickCount.Load() }
 //   - Shapes the ISA has a vector kernel for (float32 everywhere,
 //     float64 on AVX-512 and AVX2) take it when calibration agrees it is cheapest
 //     (it always is where supported).
-//   - Everything else takes the Go panel; KernelScalar survives only
-//     as an explicit override (ablations, NoPanelKernel).
+//   - Everything else takes the Go panel. KernelScalar is never
+//     picked; it survives as the reference ablations time against
+//     npdp.Stage1 (npdp.ResolveStage1).
 func PickKernel(shape Shape, arch, isa string) Kernel {
 	pickCount.Add(1)
 	cal := ActiveCalibration(arch, isa)

@@ -225,17 +225,33 @@ func TestSolveCorruptionDetectedWithoutHeal(t *testing.T) {
 
 // TestSolveHealOptionValidation pins the new knobs' range checks.
 func TestSolveHealOptionValidation(t *testing.T) {
+	ck := filepath.Join(t.TempDir(), "solve.npck")
 	cases := []cellnpdp.Options{
 		{Engine: cellnpdp.Parallel, HealAttempts: -1},
 		{Engine: cellnpdp.Parallel, AuditEvery: -1},
 		{Engine: cellnpdp.Parallel, FaultKinds: "corupt"},
 		{Engine: cellnpdp.Parallel, FaultRate: -0.5},
 		{Engine: cellnpdp.Parallel, FaultRate: 1.5},
+		{Engine: cellnpdp.Parallel, SchedSide: -1},
+		{Engine: cellnpdp.Parallel, BlockBytes: -1},
+		{Engine: cellnpdp.Parallel, CheckpointEvery: -1},
+		// Only the Parallel engine checkpoints and resumes.
+		{Engine: cellnpdp.Serial, CheckpointPath: ck},
+		{Engine: cellnpdp.Tiled, CheckpointPath: ck},
+		{Engine: cellnpdp.Cell, CheckpointPath: ck},
+		{Engine: cellnpdp.Serial, ResumePath: ck},
+		{Engine: cellnpdp.Tiled, ResumePath: ck},
+		{Engine: cellnpdp.Cell, ResumePath: ck},
 	}
 	for _, opts := range cases {
 		tbl := chainTable(t, 64)
 		if _, err := cellnpdp.Solve(tbl, opts); err == nil {
 			t.Fatalf("options %+v accepted", opts)
+		}
+	}
+	for _, opts := range []cellnpdp.Options{{SchedSide: -1}, {BlockBytes: -1}} {
+		if _, err := cellnpdp.EstimateSolve[float32](64, opts); err == nil {
+			t.Fatalf("EstimateSolve accepted options %+v", opts)
 		}
 	}
 }

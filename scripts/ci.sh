@@ -4,7 +4,8 @@
 # codegen regression gate, the full test suite under the race detector
 # (the kernel tests run every dispatch level the host has: the band
 # kernel on AVX-512, on AVX2 (or NEON), and in Go), every kernel
-# benchmark once, the benchmark's smoke test
+# benchmark and every root-package benchmark once, the benchmark's
+# smoke test
 # (bench/ is its own module, so go test ./... never builds it), short
 # fuzz smokes of the checkpoint and spill-index codecs, of kernel
 # equivalence, and of the bulk cell codec every seal, slot and frame
@@ -129,10 +130,12 @@ echo "== go test -race -count=5 ./internal/cluster (frame-buffer ownership)"
 # minutes on a 2-vCPU host).
 go test -race -count=5 ./internal/cluster
 
-echo "== kernel benchmarks, one iteration each"
+echo "== kernel and root-package benchmarks, one iteration each"
 # Benchmarks never run under go test ./..., so a benchmark body the
-# kernel code broke would otherwise go unnoticed until someone timed it.
+# kernel or engine code broke would otherwise go unnoticed until someone
+# timed it.
 go test -run '^$' -bench . -benchtime 1x ./internal/kernel
+go test -run '^$' -bench . -benchtime 1x .
 
 echo "== bench smoke: (cd bench && go test .)"
 # Every benchmark workload at n=512 against this checkout's sources, so a

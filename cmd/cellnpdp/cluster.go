@@ -327,8 +327,8 @@ func standbySolve[E semiring.Elem](ctx context.Context, cfg clusterConfig, tbl *
 // chaosCoordinatorKill is `-chaos-kill-coordinator`: the coordinator
 // runs as a SUBPROCESS replicating to an in-process warm standby, so a
 // real SIGKILL lands on a real process mid-wavefront. The kill is keyed
-// on REPLICATED progress (the standby's delta count), proving the
-// takeover resumes from genuinely shipped state; workers dial the
+// on REPLICATED progress (the standby's replicated-task count), proving
+// the takeover resumes from genuinely shipped state; workers dial the
 // "primary,standby" rotation list and re-home through the epoch fence.
 // The run FAILS if the primary finishes before the kill fires — a
 // chaos run that never exercised failover proves nothing.

@@ -10,8 +10,8 @@ import (
 
 // AllocBound guards every decode path against the PR 7 alloc-bomb
 // class: a count or length lifted out of wire or disk bytes (a cluster
-// frame, an NPKD delta, an NPSP spill index, an NPCK checkpoint) fed
-// straight into make() hands a hostile or corrupt peer a gigabyte
+// frame, an NPSP spill index, an NPCK checkpoint) fed straight into
+// make() hands a hostile or corrupt peer a gigabyte
 // allocation for sixteen bytes of input. The PR 7 review caught exactly
 // that — an unbounded `nblocks` from a task frame — by hand; this
 // analyzer finds the class statically.

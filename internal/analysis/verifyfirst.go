@@ -18,18 +18,18 @@ import (
 // makes both orderings structural.
 //
 // A sealed record is any struct that pairs a uint32 CRC-named field
-// with a []byte payload field (wireBlock, resilience.DeltaBlock). In
-// every function (encoders exempted by name — serialization writes the
-// seal, it does not trust it), a read of the payload field is rejected
-// unless it is lexically preceded by a CRC check: an ==/!= comparison
+// with a []byte payload field (wireBlock). In every function (encoders
+// exempted by name — serialization writes the seal, it does not trust
+// it), a read of the payload field is rejected unless it is lexically
+// preceded by a CRC check: an ==/!= comparison
 // mentioning the record type's CRC field or a CRC-computing call
 // (RawCRC, crc32.Checksum, hash/crc32 functions). len/cap of the
 // payload and feeding it to the CRC computation itself are always
 // allowed — sizing and digesting are how the check is built.
 //
 // An epoch-carrying frame is a struct with an Epoch field next to Gen
-// or Blocks (taskMsg, resilience.Delta). Per variable: if the function
-// fences it (compares its .Epoch), every read of its .Gen or .Blocks
+// or Blocks (taskMsg). Per variable: if the function fences it
+// (compares its .Epoch), every read of its .Gen or .Blocks
 // must come after the fence — install-before-fence is exactly the
 // deposed-leader write PR 8 exists to reject. Functions that never
 // fence a variable are exempt: they handle pre-fenced values their

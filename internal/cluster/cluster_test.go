@@ -41,7 +41,7 @@ func serialRef(t *testing.T) *tri.RowMajor[float32] {
 }
 
 // testTable builds the fresh tiled input the coordinator solves in place.
-func testTable(t *testing.T) *tri.Tiled[float32] {
+func testTable(t testing.TB) *tri.Tiled[float32] {
 	t.Helper()
 	return tri.ToTiled(workload.Chain[float32](testN, testSeed), testTile)
 }
@@ -710,7 +710,7 @@ func whiteboxCoordinator(t *testing.T, epoch uint32) *coordinator[float32] {
 }
 
 // whiteboxCoordinatorOf is whiteboxCoordinator over the table tbl.
-func whiteboxCoordinatorOf(t *testing.T, tbl *tri.Tiled[float32], epoch uint32) *coordinator[float32] {
+func whiteboxCoordinatorOf(t testing.TB, tbl *tri.Tiled[float32], epoch uint32) *coordinator[float32] {
 	t.Helper()
 	g, err := sched.NewGraph(tbl.Blocks(), 1)
 	if err != nil {
@@ -724,7 +724,7 @@ func whiteboxCoordinatorOf(t *testing.T, tbl *tri.Tiled[float32], epoch uint32) 
 
 // pipeSession registers a live session over an in-memory pipe, as admit
 // would but with no writer goroutine: its frames stay queued on out.
-func pipeSession(t *testing.T, co *coordinator[float32], id int) *session[float32] {
+func pipeSession(t testing.TB, co *coordinator[float32], id int) *session[float32] {
 	t.Helper()
 	c1, c2 := net.Pipe()
 	t.Cleanup(func() { c1.Close(); c2.Close() })
@@ -1054,6 +1054,7 @@ func TestClusterPagedRejectsBadCombos(t *testing.T) {
 	}{
 		{"spill+checkpoint", func(o *Options) { o.SpillPath = "x.npsp"; o.CheckpointPath = "x.npck" }, "incompatible"},
 		{"budget-without-spill", func(o *Options) { o.MemoryBudget = 1 << 20 }, "requires SpillPath"},
+		{"spill+resume", func(o *Options) { o.SpillPath = "x.npsp"; o.Resume = true }, "Resume requires CheckpointPath"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -112,7 +111,7 @@ type Options struct {
 	// (0 disables periodic snapshots; the final one still writes).
 	CheckpointEvery int
 	// Resume pre-completes tasks from CheckpointPath when a valid
-	// snapshot with matching geometry exists.
+	// snapshot with matching geometry exists; it requires CheckpointPath.
 	Resume bool
 	// Stats, when non-nil, receives the run's counters at exit.
 	Stats *Stats
@@ -141,9 +140,10 @@ type Options struct {
 	// with the crash-consistent block pager instead of the in-memory
 	// table: installed boundary blocks are sealed into a CRC-verified
 	// spill file, heals demote to the on-disk pristine region, and only a
-	// MemoryBudget-sized working set stays resident.
-	// Incompatible with CheckpointPath — the committed spill index is the
-	// checkpoint.
+	// MemoryBudget-sized working set stays resident. The spill file is
+	// scratch: it is created fresh and never resumed from. Incompatible
+	// with CheckpointPath, whose snapshots read the in-memory table,
+	// which paging leaves stale.
 	SpillPath string
 	// MemoryBudget caps the pager's resident working set in bytes; 0
 	// leaves only the pager's minimum. Requires SpillPath.
@@ -261,10 +261,11 @@ const (
 )
 
 type event[E semiring.Elem] struct {
-	kind  evKind
-	conn  net.Conn
+	kind evKind
+	conn net.Conn
+	// hello is a worker's or a replication stream's hello; an evFenced
+	// carries the fencing side's epoch in hello.Epoch.
 	hello helloMsg
-	repl  replHelloMsg
 	sess  *session[E]
 	msg   taskMsg
 	// frame holds an evResult's wire frame, which msg's block bytes view;
@@ -275,11 +276,12 @@ type event[E semiring.Elem] struct {
 }
 
 // replPull is the replicator goroutine asking the event loop for the
-// next batch of completion-log records. full forces a snapshot resync
+// next batch of completion-log records, each a whole record frame that
+// the reply hands to the replicator. full forces a snapshot resync
 // (every stream (re)connect opens with one).
 type replPull struct {
 	full  bool
-	reply chan []resilience.Delta // cap 1; the loop replies synchronously
+	reply chan []*frameBuf // cap 1; the loop replies synchronously
 }
 
 // maxReplPending bounds the queued completion log while the replication
@@ -338,10 +340,11 @@ type coordinator[E semiring.Elem] struct {
 	sinceCkpt int
 
 	// Replication state. replPullC is nil when no standby is
-	// configured; replPending/replFullSync are event-loop-owned;
+	// configured; replPending/replFullSync are event-loop-owned until
+	// close(co.stop), which hands replPending to the replicator;
 	// replFinal is written once before close(co.stop).
 	replPullC    chan replPull
-	replPending  []resilience.Delta
+	replPending  []*frameBuf
 	replFullSync bool
 	replFinal    replFinal
 
@@ -360,9 +363,10 @@ func Coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	return coordinate(ctx, ln, t, opts, nil)
 }
 
-// coordinate is the shared coordinator body. pre, when non-nil, is a
-// replicated checkpoint a standby resumes from after taking over.
-func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Tiled[E], opts Options, pre *resilience.Checkpoint[E]) error {
+// coordinate is the shared coordinator body. replica, when non-nil, is
+// the store over t a standby built from the replication stream: the
+// takeover runs on it, and its final blocks are the resumed tasks.
+func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Tiled[E], opts Options, replica *npdp.MemStore[E]) error {
 	defer ln.Close()
 	if opts.SchedSide == 0 {
 		opts.SchedSide = 1
@@ -391,17 +395,22 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 		opts.Epoch = 1
 	}
 	if opts.SpillPath != "" && opts.CheckpointPath != "" {
-		return fmt.Errorf("cluster: SpillPath is incompatible with CheckpointPath — the committed spill index is the checkpoint")
+		return fmt.Errorf("cluster: SpillPath is incompatible with CheckpointPath — snapshots read the in-memory table, which a paged coordinator leaves stale")
 	}
 	if opts.MemoryBudget != 0 && opts.SpillPath == "" {
 		return fmt.Errorf("cluster: MemoryBudget requires SpillPath")
+	}
+	if opts.Resume && opts.CheckpointPath == "" {
+		return fmt.Errorf("cluster: Resume requires CheckpointPath")
 	}
 
 	co := newCoordinator(t, g, opts)
 
 	var p *pager.Pager[E]
 	var finalize func() error
-	if opts.SpillPath != "" {
+	if replica != nil {
+		co.store = replica
+	} else if opts.SpillPath != "" {
 		var e E
 		elem := tableio.ElemWidth(e)
 		frameBytes := int64(t.Tile())*int64(t.Tile())*int64(elem) + 4
@@ -427,11 +436,16 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 		Heal: opts.Heal, HealAttempts: opts.HealAttempts, HealStats: &co.healStats, Logf: opts.Logf,
 	})
 
-	if pre != nil {
-		if err := co.applyCheckpoint(pre); err != nil {
-			return err
+	if replica != nil {
+		for _, done := range npdp.Completed(co.store, g) {
+			if done {
+				co.stats.Resumed++
+			}
 		}
 		co.stats.Failovers = 1
+		if err := co.ladder.SealFinals(); err != nil {
+			return err
+		}
 	} else if err := co.resume(); err != nil {
 		return err
 	}
@@ -666,9 +680,10 @@ func (co *coordinator[E]) release(sess *session[E], id int, err error) {
 func (co *coordinator[E]) replReply(pr replPull) {
 	if pr.full || co.replFullSync {
 		co.replFullSync = false
+		putFrames(co.replPending)
 		co.replPending = nil
 		co.stats.ReplResyncs++
-		pr.reply <- co.snapshotDeltas()
+		pr.reply <- co.snapshotRecords()
 		return
 	}
 	batch := co.replPending
@@ -676,50 +691,60 @@ func (co *coordinator[E]) replReply(pr replPull) {
 	pr.reply <- batch
 }
 
-// snapshotDeltas renders the full completion log as of now: a sync
-// marker, then one done record per completed task with its installed
-// blocks re-encoded from the authoritative table.
-func (co *coordinator[E]) snapshotDeltas() []resilience.Delta {
-	out := []resilience.Delta{{Kind: resilience.DeltaSyncBegin, Epoch: co.epoch}}
+// snapshotRecords renders the full completion log as of now: an rsync
+// record, then an rdone record per completed task with its blocks
+// encoded from the store, as dispatch encodes them.
+func (co *coordinator[E]) snapshotRecords() []*frameBuf {
+	out := []*frameBuf{newRecord(frameReplSync, co.epoch, 0)}
 	done := npdp.Completed(co.store, co.g)
 	for _, task := range co.g.Tasks {
 		if !done[task.ID] {
 			continue
 		}
-		d := resilience.Delta{Kind: resilience.DeltaTaskDone, Epoch: co.epoch, TaskID: task.ID, Gen: co.gen[task.ID]}
-		readable := true
-		for _, mb := range task.MemoryBlockOrder() {
-			raw, err := co.encodeBlock(mb[0], mb[1])
-			if err != nil {
+		fb := getFrame()
+		frame := beginTaskFrame(fb.b, frameReplDone, co.epoch, co.gen[task.ID], task.ID)
+		own := task.MemoryBlockOrder()
+		var err error
+		for _, mb := range own {
+			var cells []E
+			if cells, err = co.store.Acquire(mb[0], mb[1]); err != nil {
 				// Replication is best-effort: omit this task's record and
 				// let the standby recompute it after takeover rather than
 				// stall the solve on a spill read.
 				co.opts.Logf("cluster: snapshot read of block (%d,%d) failed: %v; omitting task %d", mb[0], mb[1], err, task.ID)
-				readable = false
 				break
 			}
-			d.Blocks = append(d.Blocks, resilience.DeltaBlock{Bi: mb[0], Bj: mb[1], CRC: resilience.RawCRC(raw), Raw: raw})
+			frame = appendSealedBlock(frame, mb[0], mb[1], cells)
+			co.store.Release(mb[0], mb[1])
 		}
-		if readable {
-			out = append(out, d)
+		fb.b = frame
+		if err != nil {
+			putFrame(fb)
+			continue
 		}
+		fb.b = endTaskFrame(frame, len(own))
+		out = append(out, fb)
 	}
 	return out
 }
 
-// replRecord queues one completion-log record for the standby. A full
-// queue (stream down or slow) drops everything and schedules a resync —
-// replication is best-effort and never backpressures the solve.
-func (co *coordinator[E]) replRecord(d resilience.Delta) {
-	if co.replPullC == nil || co.replFullSync {
+// replRecord queues one completion-log record frame for the standby; a
+// record it does not queue goes back to the pool. A full queue (stream
+// down or slow) drops everything and schedules a resync — replication
+// is best-effort and never backpressures the solve.
+func (co *coordinator[E]) replRecord(fb *frameBuf) {
+	if co.replFullSync {
+		putFrame(fb)
 		return
 	}
 	if len(co.replPending) >= maxReplPending {
+		putFrames(co.replPending)
+		putFrame(fb)
 		co.replPending = nil
 		co.replFullSync = true
 		return
 	}
-	co.replPending = append(co.replPending, d)
+	co.replPending = append(co.replPending, fb)
 	co.stats.ReplRecords++
 }
 
@@ -729,11 +754,11 @@ func (co *coordinator[E]) handle(ev event[E]) error {
 	case evConn:
 		return co.admit(ev.conn, ev.hello)
 	case evReplConn:
-		return co.handleReplConn(ev.conn, ev.repl)
+		return co.handleReplConn(ev.conn, ev.hello)
 	case evFenced:
 		// The standby we replicate to has become the leader; we are
 		// deposed. Terminal — our epoch can never win again.
-		return &ErrEpochFenced{Epoch: co.epoch, Current: ev.repl.Epoch, Role: "coordinator"}
+		return &ErrEpochFenced{Epoch: co.epoch, Current: ev.hello.Epoch, Role: "coordinator"}
 	case evPing:
 		if !ev.sess.dead {
 			ev.sess.lastSeen = time.Now()
@@ -829,13 +854,13 @@ func (co *coordinator[E]) acceptLoop(ln net.Listener) {
 				// worker listener and the standby listener are the same
 				// port once a standby takes over). The event loop judges
 				// its epoch.
-				repl, err := decodeReplHello(payload)
+				hello, _, err := decodeReplHello(payload)
 				if err != nil {
 					conn.Close()
 					return
 				}
 				conn.SetReadDeadline(time.Time{})
-				co.post(event[E]{kind: evReplConn, conn: conn, repl: repl})
+				co.post(event[E]{kind: evReplConn, conn: conn, hello: hello})
 			default:
 				conn.Close()
 			}
@@ -891,24 +916,12 @@ func (co *coordinator[E]) admit(conn net.Conn, hello helloMsg) error {
 	co.nextSess++
 	co.writers.Add(1)
 	go co.writeLoop(sess)
-	var e E
-	welcome := welcomeMsg{
-		ElemBytes:   tableio.ElemWidth(e),
-		N:           co.t.Len(),
-		Tile:        co.t.Tile(),
-		SchedSide:   co.opts.SchedSide,
-		Shards:      co.shards.NumShards(),
-		Slot:        shard,
-		HeartbeatMS: uint32(co.opts.HeartbeatEvery / time.Millisecond),
-		DeadlineMS:  uint32(co.opts.DeadlineAfter / time.Millisecond),
-		Epoch:       co.epoch,
-	}
 	co.sessions[sess] = struct{}{}
 	if len(co.sessions) > co.stats.PeakWorkers {
 		co.stats.PeakWorkers = len(co.sessions)
 	}
 	co.opts.Logf("cluster: worker %s joined (shard %d of %d)", sess.name, shard, co.shards.NumShards())
-	if !co.send(sess, frameWelcome, welcome.encode()) {
+	if !co.send(sess, frameWelcome, co.welcome(shard).encode()) {
 		return nil
 	}
 	go co.readLoop(sess)
@@ -916,16 +929,35 @@ func (co *coordinator[E]) admit(conn net.Conn, hello helloMsg) error {
 	return nil
 }
 
+// welcome is the job description for shard slot: what a worker needs to
+// rebuild the graph and size its table, and what a standby needs to take
+// the solve over with identical geometry. It reads only state fixed at
+// construction, so any goroutine may call it.
+func (co *coordinator[E]) welcome(slot int) welcomeMsg {
+	var e E
+	return welcomeMsg{
+		ElemBytes:   tableio.ElemWidth(e),
+		N:           co.t.Len(),
+		Tile:        co.t.Tile(),
+		SchedSide:   co.opts.SchedSide,
+		Shards:      co.shards.NumShards(),
+		Slot:        slot,
+		HeartbeatMS: uint32(co.opts.HeartbeatEvery / time.Millisecond),
+		DeadlineMS:  uint32(co.opts.DeadlineAfter / time.Millisecond),
+		Epoch:       co.epoch,
+	}
+}
+
 // handleReplConn judges a replication hello that arrived on the worker
 // listener: a stale pusher (a deposed primary that has not yet noticed)
 // is fenced, a pusher from the future means we are the deposed one.
-func (co *coordinator[E]) handleReplConn(conn net.Conn, repl replHelloMsg) error {
-	if repl.Epoch > co.epoch {
+func (co *coordinator[E]) handleReplConn(conn net.Conn, hello helloMsg) error {
+	if hello.Epoch > co.epoch {
 		conn.Close()
-		return &ErrEpochFenced{Epoch: co.epoch, Current: repl.Epoch, Role: "coordinator"}
+		return &ErrEpochFenced{Epoch: co.epoch, Current: hello.Epoch, Role: "coordinator"}
 	}
 	co.stats.FencedWrites++
-	co.opts.Logf("cluster: fenced replication stream %q at stale epoch %d (current %d)", repl.Name, repl.Epoch, co.epoch)
+	co.opts.Logf("cluster: fenced replication stream %q at stale epoch %d (current %d)", hello.Name, hello.Epoch, co.epoch)
 	go func() {
 		conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
 		writeFrame(conn, frameFenced, encodeEpoch(co.epoch))
@@ -1054,17 +1086,6 @@ func (co *coordinator[E]) declareDead(sess *session[E], cause error) {
 	co.stats.Redispatched += len(requeued)
 	co.opts.Logf("cluster: worker %s dead (%v); requeued %d in-flight tasks", sess.name, cause, len(requeued))
 	co.fillAll()
-}
-
-// encodeBlock reads block (bi, bj) from the authoritative store — in
-// place, or a CRC-verified page-in — and encodes it for the wire.
-func (co *coordinator[E]) encodeBlock(bi, bj int) ([]byte, error) {
-	cells, err := co.store.Acquire(bi, bj)
-	if err != nil {
-		return nil, err
-	}
-	defer co.store.Release(bi, bj)
-	return encodeCells(cells), nil
 }
 
 // taskShard maps a task to the shard owning its scheduling column.
@@ -1240,18 +1261,11 @@ func (co *coordinator[E]) install(sess *session[E], msg taskMsg) error {
 		return nil
 	}
 	task := co.g.Tasks[id]
-	own := task.MemoryBlockOrder()
-	if len(msg.Blocks) != len(own) {
-		co.declareDead(sess, fmt.Errorf("result for task %d carries %d blocks, want %d", id, len(msg.Blocks), len(own)))
+	if err := ownBlocks(co.t, task, msg.Blocks); err != nil {
+		co.declareDead(sess, fmt.Errorf("result for task %d %v", id, err))
 		return nil
 	}
-	var e E
-	width := tableio.ElemWidth(e)
-	for i, wb := range msg.Blocks {
-		if wb.Bi != own[i][0] || wb.Bj != own[i][1] || len(wb.Raw) != width*co.t.Tile()*co.t.Tile() {
-			co.declareDead(sess, fmt.Errorf("result for task %d block %d malformed", id, i))
-			return nil
-		}
+	for _, wb := range msg.Blocks {
 		if got := resilience.RawCRC(wb.Raw); got != wb.CRC {
 			co.stats.SealMismatches++
 			mismatch := &resilience.ErrSealMismatch{
@@ -1297,19 +1311,36 @@ func (co *coordinator[E]) install(sess *session[E], msg taskMsg) error {
 	co.release(sess, id, nil)
 	co.stats.Accepted++
 	if co.replPullC != nil {
-		// The result's frame goes back to the pool once handle returns,
-		// so the record keeps copies of the block bytes.
-		d := resilience.Delta{Kind: resilience.DeltaTaskDone, Epoch: co.epoch, TaskID: id, Gen: msg.Gen}
-		for _, wb := range msg.Blocks {
-			d.Blocks = append(d.Blocks, resilience.DeltaBlock{Bi: wb.Bi, Bj: wb.Bj, CRC: wb.CRC, Raw: bytes.Clone(wb.Raw)})
-		}
-		co.replRecord(d)
+		// The standby's record is the audited result under its own frame
+		// kind. The result's frame goes back to the pool once handle
+		// returns, so the record frame takes the one copy of its blocks.
+		fb := getFrame()
+		frame := msg.encodeBlocks(beginTaskFrame(fb.b, frameReplDone, co.epoch, msg.Gen, id))
+		fb.b = endTaskFrame(frame, len(msg.Blocks))
+		co.replRecord(fb)
 	}
 	if co.opts.OnTaskDone != nil {
 		co.opts.OnTaskDone(co.stats.Accepted, task)
 	}
 	co.maybeCheckpoint()
 	co.fill(sess)
+	return nil
+}
+
+// ownBlocks checks that blocks are exactly task's own memory blocks, in
+// MemoryBlockOrder, each a whole block of t's geometry: the structure
+// install demands of a result and a standby of an rdone record.
+func ownBlocks[E semiring.Elem](t *tri.Tiled[E], task sched.Task, blocks []wireBlock) error {
+	own := task.MemoryBlockOrder()
+	if len(blocks) != len(own) {
+		return fmt.Errorf("carries %d blocks, want %d", len(blocks), len(own))
+	}
+	var e E
+	for i, wb := range blocks {
+		if wb.Bi != own[i][0] || wb.Bj != own[i][1] || len(wb.Raw) != tableio.ElemWidth(e)*t.Tile()*t.Tile() {
+			return fmt.Errorf("block %d malformed", i)
+		}
+	}
 	return nil
 }
 
@@ -1326,11 +1357,7 @@ func (co *coordinator[E]) reset(ids []int, done []bool) {
 			}
 		}
 		if done[id] && co.replPullC != nil {
-			d := resilience.Delta{Kind: resilience.DeltaTaskReset, Epoch: co.epoch, TaskID: id}
-			for _, mb := range mbs {
-				d.Blocks = append(d.Blocks, resilience.DeltaBlock{Bi: mb[0], Bj: mb[1]})
-			}
-			co.replRecord(d)
+			co.replRecord(newRecord(frameReplReset, co.epoch, id))
 		}
 	}
 }
@@ -1361,7 +1388,7 @@ func (co *coordinator[E]) writeCheckpoint() {
 // and is pid-aware, so a peer coordinator sharing the directory keeps
 // its in-flight temp.
 func (co *coordinator[E]) resume() error {
-	if !co.opts.Resume || co.opts.CheckpointPath == "" {
+	if !co.opts.Resume {
 		return nil
 	}
 	if _, err := resilience.RemoveStaleTemps(co.opts.CheckpointPath); err != nil {
@@ -1378,27 +1405,12 @@ func (co *coordinator[E]) resume() error {
 		co.opts.Logf("cluster: ignoring checkpoint: %v", err)
 		return nil
 	}
-	if err := co.applyCheckpoint(ck); err != nil {
-		return err
-	}
-	co.opts.Logf("cluster: resumed %d/%d tasks from %s", co.stats.Resumed, len(co.g.Tasks), co.opts.CheckpointPath)
-	return nil
-}
-
-// applyCheckpoint pre-completes tasks from a validated snapshot —
-// either a loaded NPCK file (resume) or a replica's delta-built shadow
-// (failover takeover) — through npdp.ApplyCheckpoint, the same function
-// a single-process resume uses. A task is done iff all its blocks are
-// final in the store; restored blocks are sealed so audits cover them.
-func (co *coordinator[E]) applyCheckpoint(ck *resilience.Checkpoint[E]) error {
-	if err := ck.Matches(co.t.Len(), co.t.Tile(), co.opts.SchedSide); err != nil {
-		return fmt.Errorf("cluster: applying checkpoint: %w", err)
-	}
-	restored, err := npdp.ApplyCheckpoint(co.store, co.g, ck, co.opts.Logf)
-	if err != nil {
+	// npdp.ApplyCheckpoint is the function a single-process resume uses:
+	// a task is done iff all its blocks are final in the store.
+	if co.stats.Resumed, err = npdp.ApplyCheckpoint(co.store, co.g, ck, co.opts.Logf); err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	co.stats.Resumed = restored
+	co.opts.Logf("cluster: resumed %d/%d tasks from %s", co.stats.Resumed, len(co.g.Tasks), co.opts.CheckpointPath)
 	return co.ladder.SealFinals()
 }
 

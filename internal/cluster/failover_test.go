@@ -273,7 +273,7 @@ func TestFailoverPrimaryFinishesClean(t *testing.T) {
 		t.Fatalf("standby replicated %d of %d tasks at release", sstats.ReplicatedTasks, pstats.Tasks)
 	}
 	// The strongest check in the file: the standby's table was built
-	// exclusively from streamed NPKD records, and must still be
+	// exclusively from streamed rdone records, and must still be
 	// bit-identical to the serial oracle.
 	requireIdentical(t, ref, sbTbl)
 	requireIdentical(t, ref, priTbl)
@@ -572,8 +572,9 @@ func TestVersionMismatchFailsFast(t *testing.T) {
 		opts.WorkerlessAfter = 10 * time.Second
 		addr, _ := startCoordinator(ctx, t, tbl, opts)
 		// Version 1 is an archaic build; a version-2 build still
-		// expects the stage-1 kernel byte in the welcome.
-		for _, v := range []uint16{1, 2} {
+		// expects the stage-1 kernel byte in the welcome; a version-3
+		// build speaks the NPKD replication stream.
+		for _, v := range []uint16{1, 2, 3} {
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				t.Fatal(err)
@@ -638,10 +639,11 @@ func TestVersionMismatchFailsFast(t *testing.T) {
 	})
 }
 
-// TestEpochProtoRoundTrips covers the PR 8 codec surface: epoch-bearing
-// hellos and welcomes, the replication hello with its full job
-// description, and the bare epoch payload — plus truncation at every
-// boundary, which must error rather than hang or mis-parse.
+// TestEpochProtoRoundTrips covers the epoch codec surface: epoch-bearing
+// hellos and welcomes, the replication hello (a hello plus the welcome
+// carrying the full job description), and the bare epoch payload — plus
+// truncation at every boundary, which must error rather than hang or
+// mis-parse.
 func TestEpochProtoRoundTrips(t *testing.T) {
 	h, err := decodeHello(helloMsg{Epoch: 9, Name: "w"}.encode())
 	if err != nil || h.Epoch != 9 || h.Name != "w" {
@@ -653,19 +655,20 @@ func TestEpochProtoRoundTrips(t *testing.T) {
 	if err != nil || gotW != w {
 		t.Fatalf("welcome round trip = (%+v, %v), want %+v", gotW, err, w)
 	}
-	r := replHelloMsg{Epoch: 4, ElemBytes: 4, N: 256, Tile: 32, SchedSide: 2, Shards: 3,
-		HeartbeatMS: 50, DeadlineMS: 2000, Name: "primary"}
-	gotR, err := decodeReplHello(r.encode())
-	if err != nil || gotR != r {
-		t.Fatalf("replication hello round trip = (%+v, %v), want %+v", gotR, err, r)
+	rh := helloMsg{Epoch: 4, Name: "primary"}
+	rw := welcomeMsg{ElemBytes: 4, N: 256, Tile: 32, SchedSide: 2, Shards: 3,
+		HeartbeatMS: 50, DeadlineMS: 2000, Epoch: 4}
+	wire := append(rh.encode(), rw.encode()...)
+	gotH, gotW, err := decodeReplHello(wire)
+	if err != nil || gotH != rh || gotW != rw {
+		t.Fatalf("replication hello round trip = (%+v, %+v, %v), want %+v, %+v", gotH, gotW, err, rh, rw)
 	}
-	wire := r.encode()
 	for cut := 0; cut < len(wire); cut++ {
-		if _, err := decodeReplHello(wire[:cut]); err == nil {
+		if _, _, err := decodeReplHello(wire[:cut]); err == nil {
 			t.Fatalf("replication hello truncated at %d accepted", cut)
 		}
 	}
-	if _, err := decodeReplHello(append(r.encode(), 0)); err == nil {
+	if _, _, err := decodeReplHello(append(wire, 0)); err == nil {
 		t.Fatal("trailing bytes after replication hello accepted")
 	}
 	ep, err := decodeEpoch(encodeEpoch(7))

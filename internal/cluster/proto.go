@@ -53,14 +53,17 @@ import (
 //	         retryable, unlike fail)
 //	fenced   epoch uint32 (the fencing side's current epoch; to a worker
 //	         it means re-home, to a deposed coordinator it is terminal)
-//	rhello   magic "NPCL", version uint16, epoch uint32, elem uint16,
-//	         n uint64, tile uint32, sched uint32, shards uint32,
-//	         heartbeatMS uint32, deadlineMS uint32, nameLen uint16,
-//	         name (42 bytes plus the name; a primary opening its
+//	rhello   a hello, then a welcome with slot 0 (a primary opening its
 //	         replication stream to a standby: the full job description,
 //	         so a takeover resumes with identical geometry)
 //	rwelcome epoch uint32 (the standby accepting the stream)
-//	delta    one resilience NPKD delta record (see resilience/delta.go)
+//	rdone    same layout as result: a task the primary installed, with
+//	         its own blocks at their final bytes and their seals
+//	rreset   same layout, gen 0, no blocks: a heal or restart demoted
+//	         the task
+//	rsync    same layout, gen 0, task 0, no blocks: forget every task;
+//	         each stream (re)connect opens with one, then an rdone per
+//	         completed task
 //
 // Block cells travel in the canonical tableio element encoding
 // (little-endian at the element width), so the per-block crc field —
@@ -75,8 +78,9 @@ const ProtoMagic = "NPCL"
 // must match exactly. Version 2 added epoch fencing and the standby
 // replication stream; version 3 dropped the stage-1 kernel byte from
 // the welcome and the replication hello (every host runs its own
-// ISA's bit-identical kernels).
-const ProtoVersion uint16 = 3
+// ISA's bit-identical kernels); version 4 made the replication hello a
+// hello plus a welcome and every replication record a task message.
+const ProtoVersion uint16 = 4
 
 // Frame kinds.
 const (
@@ -91,7 +95,9 @@ const (
 	frameFenced
 	frameReplHello
 	frameReplWelcome
-	frameDelta
+	frameReplDone
+	frameReplReset
+	frameReplSync
 )
 
 // maxFramePayload bounds what a reader will buffer for one frame. The
@@ -107,7 +113,6 @@ const (
 	taskHeaderLen   = 16 // epoch, gen, task, nblocks
 	blockHeaderLen  = 16 // bi, bj, crc, nbytes
 	welcomeLen      = 40 // the whole welcome
-	replHelloLen    = 42 // rhello up to the name
 )
 
 // castagnoli is the CRC32C table frame checksums use (the polynomial
@@ -151,6 +156,13 @@ func endFrame(frame []byte) []byte {
 // framePayload is the payload of a whole frame.
 func framePayload(frame []byte) []byte {
 	return frame[frameHeaderLen : len(frame)-frameTrailerLen]
+}
+
+// putFrames returns every frame of fs to the pool.
+func putFrames(fs []*frameBuf) {
+	for _, f := range fs {
+		putFrame(f)
+	}
 }
 
 // newFrame builds the whole frame of kind typ around payload in a pooled
@@ -306,12 +318,13 @@ type wireBlock struct {
 	Raw    []byte
 }
 
-// taskMsg is the shared payload of dispatch and result frames: one task,
-// the leader epoch and dispatch generation it belongs to, and the blocks
-// travelling with it (operands + pristine own blocks outward, computed
-// own blocks back). The epoch is sealed under the frame CRC with
-// everything else, so a deposed leader cannot launder a stale result by
-// rewriting it.
+// taskMsg is the shared payload of dispatch, result and replication
+// record frames: one task, the leader epoch and dispatch generation it
+// belongs to, and the blocks travelling with it (operands + pristine own
+// blocks outward, computed own blocks back, installed own blocks to the
+// standby). The epoch is sealed under the frame CRC with everything
+// else, so a deposed leader cannot launder a stale result by rewriting
+// it.
 type taskMsg struct {
 	Epoch  uint32
 	Gen    uint32
@@ -324,7 +337,12 @@ func (m taskMsg) encode() []byte {
 	for _, b := range m.Blocks {
 		size += blockHeaderLen + len(b.Raw)
 	}
-	buf := appendTaskHeader(make([]byte, 0, size), m.Epoch, m.Gen, m.TaskID, len(m.Blocks))
+	return m.encodeBlocks(appendTaskHeader(make([]byte, 0, size), m.Epoch, m.Gen, m.TaskID, len(m.Blocks)))
+}
+
+// encodeBlocks appends m's blocks to buf, headers, seals and cells as
+// they are.
+func (m taskMsg) encodeBlocks(buf []byte) []byte {
 	for _, b := range m.Blocks {
 		buf = appendBlockHeader(buf, b.Bi, b.Bj, b.CRC, len(b.Raw))
 		buf = append(buf, b.Raw...)
@@ -348,8 +366,8 @@ func appendBlockHeader(buf []byte, bi, bj int, crc uint32, nbytes int) []byte {
 	return binary.LittleEndian.AppendUint32(buf, uint32(nbytes))
 }
 
-// beginTaskFrame resets buf to a whole task frame of kind typ (dispatch
-// or result) with its task header. Blocks follow through appendBlock or
+// beginTaskFrame resets buf to a whole task frame of kind typ (dispatch,
+// result or replication record) with its task header. Blocks follow through appendBlock or
 // appendSealedBlock, and endTaskFrame closes the frame: the same bytes
 // writeFrame emits for taskMsg.encode, with each block encoded once,
 // straight from its cells.
@@ -361,6 +379,14 @@ func beginTaskFrame(buf []byte, typ byte, epoch, gen uint32, taskID int) []byte 
 func endTaskFrame(frame []byte, nblocks int) []byte {
 	binary.LittleEndian.PutUint32(frame[frameHeaderLen+12:], uint32(nblocks))
 	return endFrame(frame)
+}
+
+// newRecord builds a blockless replication record (rreset or rsync) in
+// a pooled buffer.
+func newRecord(typ byte, epoch uint32, taskID int) *frameBuf {
+	fb := getFrame()
+	fb.b = endTaskFrame(beginTaskFrame(fb.b, typ, epoch, 0, taskID), 0)
+	return fb
 }
 
 // appendBlock appends block (bi, bj) of a task frame: its header with
@@ -449,16 +475,6 @@ func decodeFail(p []byte) (failMsg, error) {
 	return failMsg{Reason: string(p[2:])}, nil
 }
 
-// encodeCells serializes a block's cells in the canonical tableio
-// element encoding — the byte stream resilience.BlockCRC digests, so
-// resilience.RawCRC of it is the block's seal.
-func encodeCells[E semiring.Elem](cells []E) []byte {
-	var e E
-	out := make([]byte, tableio.ElemWidth(e)*len(cells))
-	tableio.EncodeCells(out, cells)
-	return out
-}
-
 // decodeCells deserializes raw wire bytes into dst, enforcing the exact
 // length the destination block requires.
 func decodeCells[E semiring.Elem](dst []E, raw []byte) error {
@@ -471,70 +487,19 @@ func decodeCells[E semiring.Elem](dst []E, raw []byte) error {
 	return nil
 }
 
-// replHelloMsg opens a primary's replication stream to a standby: the
-// complete job description (geometry, liveness parameters), so the
-// standby can validate its table matches and, on takeover, run the
-// resumed solve with identical scheduling.
-type replHelloMsg struct {
-	Epoch       uint32
-	ElemBytes   int
-	N           int
-	Tile        int
-	SchedSide   int
-	Shards      int
-	HeartbeatMS uint32
-	DeadlineMS  uint32
-	Name        string
-}
-
-func (m replHelloMsg) encode() []byte {
-	buf := make([]byte, 0, replHelloLen+len(m.Name))
-	buf = append(buf, ProtoMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, ProtoVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, m.Epoch)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(m.ElemBytes))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.N))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Tile))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.SchedSide))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Shards))
-	buf = binary.LittleEndian.AppendUint32(buf, m.HeartbeatMS)
-	buf = binary.LittleEndian.AppendUint32(buf, m.DeadlineMS)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Name)))
-	return append(buf, m.Name...)
-}
-
-func decodeReplHello(p []byte) (replHelloMsg, error) {
-	if len(p) < 6 || string(p[:4]) != ProtoMagic {
-		return replHelloMsg{}, fmt.Errorf("cluster: bad replication hello magic")
+// decodeReplHello splits an rhello payload into its hello and its
+// welcome, each checked by its own decoder.
+func decodeReplHello(p []byte) (helloMsg, welcomeMsg, error) {
+	n := 12
+	if len(p) >= n {
+		n += int(binary.LittleEndian.Uint16(p[10:]))
 	}
-	if v := binary.LittleEndian.Uint16(p[4:]); v != ProtoVersion {
-		return replHelloMsg{}, &ErrProtocolVersion{Got: v, Want: ProtoVersion}
+	h, err := decodeHello(p[:min(n, len(p))])
+	if err != nil {
+		return helloMsg{}, welcomeMsg{}, err
 	}
-	if len(p) < replHelloLen {
-		return replHelloMsg{}, fmt.Errorf("cluster: replication hello truncated")
-	}
-	m := replHelloMsg{
-		Epoch:       binary.LittleEndian.Uint32(p[6:]),
-		ElemBytes:   int(binary.LittleEndian.Uint16(p[10:])),
-		N:           int(binary.LittleEndian.Uint64(p[12:])),
-		Tile:        int(binary.LittleEndian.Uint32(p[20:])),
-		SchedSide:   int(binary.LittleEndian.Uint32(p[24:])),
-		Shards:      int(binary.LittleEndian.Uint32(p[28:])),
-		HeartbeatMS: binary.LittleEndian.Uint32(p[32:]),
-		DeadlineMS:  binary.LittleEndian.Uint32(p[36:]),
-	}
-	n := int(binary.LittleEndian.Uint16(p[40:]))
-	if len(p) != replHelloLen+n {
-		return replHelloMsg{}, fmt.Errorf("cluster: replication hello length mismatch")
-	}
-	m.Name = string(p[replHelloLen:])
-	if m.ElemBytes != 4 && m.ElemBytes != 8 {
-		return replHelloMsg{}, fmt.Errorf("cluster: replication hello element width %d not 4 or 8", m.ElemBytes)
-	}
-	if m.N <= 0 || m.Tile <= 0 || m.SchedSide <= 0 || m.Shards <= 0 {
-		return replHelloMsg{}, fmt.Errorf("cluster: replication hello geometry implausible: %+v", m)
-	}
-	return m, nil
+	w, err := decodeWelcome(p[n:])
+	return h, w, err
 }
 
 // encodeEpoch is the shared payload of fenced and rwelcome frames: the

@@ -99,6 +99,16 @@ func TestDecodeTaskMsgBoundsBlockCount(t *testing.T) {
 	}
 }
 
+// encodeCells serializes a block's cells in the canonical tableio
+// element encoding — the byte stream resilience.BlockCRC digests, so
+// resilience.RawCRC of it is the block's seal.
+func encodeCells[E semiring.Elem](cells []E) []byte {
+	var e E
+	out := make([]byte, tableio.ElemWidth(e)*len(cells))
+	tableio.EncodeCells(out, cells)
+	return out
+}
+
 // TestWireCRCEqualsBlockSeal pins the load-bearing identity: the CRC32C
 // of the wire cell bytes equals resilience.BlockCRC of the decoded
 // cells, for both element widths. One digest is both transport check
@@ -204,11 +214,17 @@ func TestTaskFrameKnownAnswer(t *testing.T) {
 	}
 }
 
-// TestHandshakeKnownAnswer pins the version-3 hello, welcome and
+// TestHandshakeKnownAnswer pins the version-4 hello, welcome and
 // replication-hello payloads. The expected bytes are written out field
 // by field from the layout in proto.go, so a codec change that moves,
 // adds or drops a field fails here even when encode and decode agree.
 func TestHandshakeKnownAnswer(t *testing.T) {
+	type rhello struct {
+		h helloMsg
+		w welcomeMsg
+	}
+	job := welcomeMsg{ElemBytes: 4, N: 1024, Tile: 88, SchedSide: 1, Shards: 2,
+		HeartbeatMS: 50, DeadlineMS: 2000, Epoch: 7}
 	for _, tc := range []struct {
 		name   string
 		got    []byte
@@ -219,7 +235,7 @@ func TestHandshakeKnownAnswer(t *testing.T) {
 		name: "hello",
 		got:  helloMsg{Epoch: 5, Name: "w1"}.encode(),
 		want: "4e50434c" + // magic "NPCL"
-			"0300" + // version 3
+			"0400" + // version 4
 			"05000000" + // epoch 5
 			"0200" + "7731", // name "w1"
 		decode: func(p []byte) (any, error) { return decodeHello(p) },
@@ -228,7 +244,7 @@ func TestHandshakeKnownAnswer(t *testing.T) {
 		name: "welcome",
 		got: welcomeMsg{ElemBytes: 8, N: 2048, Tile: 64, SchedSide: 2, Shards: 3, Slot: 1,
 			HeartbeatMS: 500, DeadlineMS: 5000, Epoch: 7}.encode(),
-		want: "0300" + // version 3
+		want: "0400" + // version 4
 			"0800" + // elem 8
 			"0008000000000000" + // n 2048
 			"40000000" + // tile 64
@@ -243,22 +259,26 @@ func TestHandshakeKnownAnswer(t *testing.T) {
 			HeartbeatMS: 500, DeadlineMS: 5000, Epoch: 7},
 	}, {
 		name: "rhello",
-		got: replHelloMsg{Epoch: 7, ElemBytes: 4, N: 1024, Tile: 88, SchedSide: 1, Shards: 2,
-			HeartbeatMS: 50, DeadlineMS: 2000, Name: "primary"}.encode(),
-		want: "4e50434c" + // magic "NPCL"
-			"0300" + // version 3
+		got:  append(helloMsg{Epoch: 7, Name: "primary"}.encode(), job.encode()...),
+		want: "4e50434c" + // hello: magic "NPCL"
+			"0400" + // version 4
 			"07000000" + // epoch 7
+			"0700" + "7072696d617279" + // name "primary"
+			"0400" + // welcome: version 4
 			"0400" + // elem 4
 			"0004000000000000" + // n 1024
 			"58000000" + // tile 88
 			"01000000" + // sched 1
 			"02000000" + // shards 2
+			"00000000" + // slot 0
 			"32000000" + // heartbeatMS 50
 			"d0070000" + // deadlineMS 2000
-			"0700" + "7072696d617279", // name "primary"
-		decode: func(p []byte) (any, error) { return decodeReplHello(p) },
-		msg: replHelloMsg{Epoch: 7, ElemBytes: 4, N: 1024, Tile: 88, SchedSide: 1, Shards: 2,
-			HeartbeatMS: 50, DeadlineMS: 2000, Name: "primary"},
+			"07000000", // epoch 7
+		decode: func(p []byte) (any, error) {
+			h, w, err := decodeReplHello(p)
+			return rhello{h, w}, err
+		},
+		msg: rhello{helloMsg{Epoch: 7, Name: "primary"}, job},
 	}} {
 		if got := hex.EncodeToString(tc.got); got != tc.want {
 			t.Errorf("%s payload:\n got %s\nwant %s", tc.name, got, tc.want)
@@ -266,6 +286,48 @@ func TestHandshakeKnownAnswer(t *testing.T) {
 		want, _ := hex.DecodeString(tc.want)
 		if back, err := tc.decode(want); err != nil || back != tc.msg {
 			t.Errorf("%s: decoding the documented bytes = (%+v, %v), want %+v", tc.name, back, err, tc.msg)
+		}
+	}
+}
+
+// TestReplicationRecordKnownAnswer pins whole rdone, rreset and rsync
+// frames, written field by field from the layout in proto.go; the seal
+// and frame CRC32C values were computed apart from this package. The
+// rdone is built both ways the coordinator builds one: from the store's
+// cells as a resync snapshot does, and from an installed result's blocks
+// as install does.
+func TestReplicationRecordKnownAnswer(t *testing.T) {
+	const rdoneHex = "0c" + "30000000" + // kind rdone, payload 48 bytes
+		"03000000" + "02000000" + "05000000" + "01000000" + // epoch 3, gen 2, task 5, 1 block
+		"01000000" + "02000000" + "0a69ba9e" + "10000000" + // bi 1, bj 2, seal, 16 bytes
+		"0000803f" + "00000040" + "00004040" + "00008040" + // cells 1, 2, 3, 4
+		"9222c053" // frame crc
+	const rresetHex = "0d" + "10000000" + // kind rreset, payload 16 bytes
+		"03000000" + "00000000" + "05000000" + "00000000" + // epoch 3, gen 0, task 5, no blocks
+		"98e85170"
+	const rsyncHex = "0e" + "10000000" + // kind rsync, payload 16 bytes
+		"03000000" + "00000000" + "00000000" + "00000000" + // epoch 3, gen 0, task 0, no blocks
+		"33735df8"
+
+	snap := beginTaskFrame(nil, frameReplDone, 3, 2, 5)
+	snap = endTaskFrame(appendSealedBlock(snap, 1, 2, []float32{1, 2, 3, 4}), 1)
+	result, err := decodeTaskMsg(framePayload(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	installed := endTaskFrame(result.encodeBlocks(beginTaskFrame(nil, frameReplDone, 3, result.Gen, result.TaskID)), 1)
+	for _, tc := range []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"snapshot rdone", snap, rdoneHex},
+		{"installed rdone", installed, rdoneHex},
+		{"rreset", newRecord(frameReplReset, 3, 5).b, rresetHex},
+		{"rsync", newRecord(frameReplSync, 3, 0).b, rsyncHex},
+	} {
+		if got := hex.EncodeToString(tc.got); got != tc.want {
+			t.Errorf("%s frame:\n got %s\nwant %s", tc.name, got, tc.want)
 		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"net"
 	"time"
 
+	"cellnpdp/internal/npdp"
 	"cellnpdp/internal/resilience"
+	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tableio"
 	"cellnpdp/internal/tri"
@@ -17,10 +19,13 @@ import (
 // completion log and takes over its wavefront when the primary goes
 // silent. The direction of replication is primary-dials-standby — the
 // primary is the only side that knows a solve exists — and the stream
-// reuses the cluster frame codec: a replication hello carrying the full
-// job description, then one frameDelta per completion-log record (NPKD,
-// see resilience/delta.go), with pings renewing the standby's lease
-// while the wavefront is quiet.
+// speaks the task protocol: a replication hello (a hello, then the
+// welcome a worker would get), then one task message per completion-log
+// record, with pings renewing the standby's lease while the wavefront is
+// quiet. An rdone record is a result frame under its own kind; rreset
+// and rsync carry no blocks. The standby checks each rdone the way
+// install checks a worker's result and writes its blocks into a block
+// store over its own table, which a takeover coordinator then runs on.
 //
 // The failover ladder (DESIGN.md §10):
 //
@@ -32,11 +37,11 @@ import (
 //	                 address; their hellos carry the highest epoch seen,
 //	                 so a zombie primary that answers first deposes
 //	                 itself instead of splitting the brain
-//	resume         → the replicated checkpoint pre-completes every
+//	resume         → the replica's final blocks pre-complete every
 //	                 fully-replicated task; the remaining wavefront
-//	                 re-dispatches and the solve finishes bit-identical
-//	                 (min-plus relaxation is idempotent, so recomputing
-//	                 a partially-replicated task cannot change bytes)
+//	                 re-dispatches from pristine bytes and the solve
+//	                 finishes bit-identical (a task's blocks are
+//	                 installed and demoted together, never in part)
 
 // runReplicator is the primary-side push goroutine: it maintains one
 // connection to the standby, opens every (re)connect with a full-state
@@ -92,20 +97,9 @@ func (co *coordinator[E]) runReplicator(ctx context.Context) {
 // then incremental pulls until the stream breaks, the standby fences
 // us, or the run ends (which delivers the final disposition in-band).
 func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
-	var e E
-	hello := replHelloMsg{
-		Epoch:       co.epoch,
-		ElemBytes:   tableio.ElemWidth(e),
-		N:           co.t.Len(),
-		Tile:        co.t.Tile(),
-		SchedSide:   co.opts.SchedSide,
-		Shards:      co.shards.NumShards(),
-		HeartbeatMS: uint32(co.opts.HeartbeatEvery / time.Millisecond),
-		DeadlineMS:  uint32(co.opts.DeadlineAfter / time.Millisecond),
-		Name:        "primary",
-	}
+	hello := append(helloMsg{Epoch: co.epoch, Name: "primary"}.encode(), co.welcome(0).encode()...)
 	conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	if err := writeFrame(conn, frameReplHello, hello.encode()); err != nil {
+	if err := writeFrame(conn, frameReplHello, hello); err != nil {
 		return false, err
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -117,7 +111,7 @@ func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 	case frameReplWelcome:
 	case frameFenced:
 		cur, _ := decodeEpoch(payload)
-		co.post(event[E]{kind: evFenced, repl: replHelloMsg{Epoch: cur}})
+		co.post(event[E]{kind: evFenced, hello: helloMsg{Epoch: cur}})
 		return true, &ErrEpochFenced{Epoch: co.epoch, Current: cur, Role: "coordinator"}
 	case frameFail:
 		f, _ := decodeFail(payload)
@@ -143,7 +137,7 @@ func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 			if typ == frameFenced {
 				if cur, derr := decodeEpoch(payload); derr == nil {
 					readerFenced <- cur
-					co.post(event[E]{kind: evFenced, repl: replHelloMsg{Epoch: cur}})
+					co.post(event[E]{kind: evFenced, hello: helloMsg{Epoch: cur}})
 				}
 				return
 			}
@@ -165,7 +159,7 @@ func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 			}
 		default:
 		}
-		pull := replPull{full: full, reply: make(chan []resilience.Delta, 1)}
+		pull := replPull{full: full, reply: make(chan []*frameBuf, 1)}
 		select {
 		case co.replPullC <- pull:
 		case <-co.stop:
@@ -183,11 +177,8 @@ func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 		// within the same select case, so this receive cannot hang.
 		batch := <-pull.reply
 		full = false
-		for _, d := range batch {
-			conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
-			if err := writeFrame(conn, frameDelta, d.Encode()); err != nil {
-				return false, err
-			}
+		if err := co.writeRecords(conn, batch); err != nil {
+			return false, err
 		}
 		if len(batch) == 0 {
 			// Nothing to push: renew the standby's lease and idle one
@@ -213,26 +204,22 @@ func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 // needFull means this session never flushed its opening resync, so the
 // tail below must be a whole snapshot rather than incremental records.
 func (co *coordinator[E]) sendReplFinal(conn net.Conn, needFull bool) {
-	f := co.replFinal
-	if f.typ == 0 {
-		return
+	// The event loop has exited — close(co.stop) is the release barrier —
+	// so the un-pulled tail of the completion log now belongs to this
+	// goroutine. Flushing it before the done frame means the standby's
+	// clean-finish return holds the complete solved table, not the table
+	// minus the last batch.
+	f, tail := co.replFinal, co.replPending
+	co.replPending = nil
+	if f.typ != frameDone {
+		putFrames(tail)
+		tail = nil
+	} else if needFull || co.replFullSync {
+		putFrames(tail)
+		tail = co.snapshotRecords()
 	}
-	if f.typ == frameDone {
-		// The event loop has exited — close(co.stop) is the release
-		// barrier — so the un-pulled tail of the completion log is stable
-		// and safe to read from this goroutine. Flushing it before the
-		// done frame means the standby's clean-finish return hands back
-		// the complete solved table, not the table minus the last batch.
-		tail := co.replPending
-		if needFull || co.replFullSync {
-			tail = co.snapshotDeltas()
-		}
-		for _, d := range tail {
-			conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
-			if err := writeFrame(conn, frameDelta, d.Encode()); err != nil {
-				return
-			}
-		}
+	if f.typ == 0 || co.writeRecords(conn, tail) != nil {
+		return
 	}
 	var payload []byte
 	if f.typ == frameFail {
@@ -240,6 +227,23 @@ func (co *coordinator[E]) sendReplFinal(conn net.Conn, needFull bool) {
 	}
 	conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
 	writeFrame(conn, f.typ, payload)
+}
+
+// writeRecords writes each record frame in one Write and returns it to
+// the pool; after a failed Write the rest go back unwritten.
+func (co *coordinator[E]) writeRecords(conn net.Conn, records []*frameBuf) error {
+	var err error
+	for _, fb := range records {
+		if err == nil {
+			conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
+			_, err = conn.Write(fb.b)
+		}
+		putFrame(fb)
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: writing replication record: %w", err)
+	}
+	return nil
 }
 
 // stopped reports whether the run has ended.
@@ -260,7 +264,7 @@ type StandbyOptions struct {
 	// replication hello, so the resumed solve keeps the primary's
 	// schedule and liveness timing.
 	Options
-	// LeaseAfter is how long the standby tolerates silence (no deltas,
+	// LeaseAfter is how long the standby tolerates silence (no records,
 	// no pings) from the primary before assuming leadership; 0 means
 	// twice the effective DeadlineAfter. It must exceed the primary's
 	// heartbeat period by enough to absorb scheduling jitter, or the
@@ -285,15 +289,15 @@ type StandbyStats struct {
 	TookOver bool
 	// Epoch is the epoch the standby took over at (0 if it never did).
 	Epoch uint32
-	// Records / Resyncs count applied delta records and full-state
-	// resyncs (every stream (re)connect starts one).
+	// Records / Resyncs count applied replication records and
+	// full-state resyncs (every stream (re)connect starts one).
 	Records int
 	Resyncs int
 	// FencedWrites counts replication frames rejected for a stale
 	// epoch while standing by.
 	FencedWrites int
-	// ReplicatedTasks is the completed-task count in the replica
-	// checkpoint when the standby phase ended.
+	// ReplicatedTasks is the completed-task count in the replica when
+	// the standby phase ended.
 	ReplicatedTasks int
 }
 
@@ -301,36 +305,47 @@ type StandbyStats struct {
 const (
 	sbReplConn = iota
 	sbPing
-	sbDelta
+	sbRecord
 	sbDone
 	sbFail
 	sbLost
 )
 
 type standbyEv struct {
-	kind   int
-	conn   net.Conn
-	hello  replHelloMsg
-	delta  resilience.Delta
-	reason string
-	err    error
+	kind    int
+	conn    net.Conn
+	hello   helloMsg
+	welcome welcomeMsg
+	typ     byte    // an sbRecord's frame kind
+	msg     taskMsg // an sbRecord's record
+	reason  string
+	err     error
 }
 
 // RunStandby runs a warm-standby coordinator: it accepts the primary's
-// replication stream on ln, folds completion-log deltas into an
-// in-memory checkpoint, and — if the primary goes silent past the
-// lease — takes over the solve on the same listener at epoch+1,
-// resuming from the replicated state. Worker connections arriving
-// before takeover are answered with a retryable "standby" frame so
-// their reconnect rotation keeps probing.
+// replication stream on ln, writes the completed tasks' blocks into a
+// block store over t, and — if the primary goes silent past the lease —
+// takes over the solve on the same listener at epoch+1, resuming from
+// the replicated state. Worker connections arriving before takeover are
+// answered with a retryable "standby" frame so their reconnect rotation
+// keeps probing. The replica lives in memory, so SpillPath and
+// MemoryBudget are rejected.
 //
 // Returns nil without taking over when the primary reports the solve
-// complete (the replicated result is applied to t), the primary's
+// complete (the replicated result is already in t), the primary's
 // error when it reports failure, or the takeover coordinator's result
 // after a failover. The lease clock only starts at first contact from
 // a primary; cancel ctx to abandon a standby that never hears one.
 func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Tiled[E], opts StandbyOptions) error {
 	defer ln.Close()
+	if opts.SpillPath != "" || opts.MemoryBudget != 0 {
+		return errors.New("cluster: a standby keeps its replica in memory; SpillPath and MemoryBudget are not supported")
+	}
+	// The replica keeps a pristine copy of the input, taken here while t
+	// still holds it: a reset must restore input bytes, because a healed
+	// task may have been computed from a corrupt operand, and recomputing
+	// never raises a min-plus value that is already too low.
+	replica := npdp.NewMemStore(t, true)
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
@@ -392,7 +407,7 @@ func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 			}
 			c.Close()
 		case frameReplHello:
-			m, derr := decodeReplHello(payload)
+			h, w, derr := decodeReplHello(payload)
 			if derr != nil {
 				var vErr *ErrProtocolVersion
 				if errors.As(derr, &vErr) {
@@ -403,13 +418,13 @@ func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 				return
 			}
 			c.SetReadDeadline(time.Time{})
-			post(standbyEv{kind: sbReplConn, conn: c, hello: m})
+			post(standbyEv{kind: sbReplConn, conn: c, hello: h, welcome: w})
 		default:
 			c.Close()
 		}
 	}
 
-	// readStream posts a replication stream's pings and deltas to the
+	// readStream posts a replication stream's pings and records to the
 	// event loop and returns the event that ends the stream.
 	readStream := func(c net.Conn) standbyEv {
 		// Rolling-progress deadline, window = the lease: a stream making
@@ -425,12 +440,12 @@ func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 			switch typ {
 			case framePing:
 				post(standbyEv{kind: sbPing, conn: c})
-			case frameDelta:
-				d, derr := resilience.DecodeDelta(payload)
+			case frameReplDone, frameReplReset, frameReplSync:
+				msg, derr := decodeTaskMsg(payload)
 				if derr != nil {
 					return standbyEv{kind: sbLost, conn: c, err: derr}
 				}
-				if !post(standbyEv{kind: sbDelta, conn: c, delta: d}) {
+				if !post(standbyEv{kind: sbRecord, conn: c, typ: typ, msg: msg}) {
 					return standbyEv{kind: sbLost, conn: c} // the standby has stopped
 				}
 			case frameDone:
@@ -447,9 +462,10 @@ func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 
 	var (
 		sstats   StandbyStats
-		ck       *resilience.Checkpoint[E]
+		g        *sched.Graph // the adopted stream's task graph
 		cur      net.Conn
-		curHello replHelloMsg
+		curHello helloMsg
+		curJob   welcomeMsg
 		maxSeen  uint32 = 1
 		doneN    int
 		leaseT   *time.Timer
@@ -501,56 +517,51 @@ func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 			sstats.Epoch = epoch
 			flushStats()
 			opts.Logf("cluster: standby lease expired after %v; taking over at epoch %d with %d/%d tasks replicated",
-				lease, epoch, doneN, len(ck.Done))
+				lease, epoch, doneN, len(g.Tasks))
 			copts := opts.Options
 			copts.Epoch = epoch
-			copts.SchedSide = curHello.SchedSide
-			copts.Shards = curHello.Shards
-			copts.HeartbeatEvery = time.Duration(curHello.HeartbeatMS) * time.Millisecond
-			copts.DeadlineAfter = time.Duration(curHello.DeadlineMS) * time.Millisecond
+			copts.SchedSide = curJob.SchedSide
+			copts.Shards = curJob.Shards
+			copts.HeartbeatEvery = time.Duration(curJob.HeartbeatMS) * time.Millisecond
+			copts.DeadlineAfter = time.Duration(curJob.DeadlineMS) * time.Millisecond
 			if opts.OnTakeover != nil {
 				opts.OnTakeover(epoch)
 			}
-			return coordinate(ctx, &gateListener{ch: conns, real: ln}, t, copts, ck)
+			return coordinate(ctx, &gateListener{ch: conns, real: ln}, t, copts, replica)
 
 		case ev := <-events:
 			if ev.kind == sbReplConn {
-				m := ev.hello
-				if m.N != t.Len() || m.Tile != t.Tile() || m.ElemBytes != width {
+				h, w := ev.hello, ev.welcome
+				if w.N != t.Len() || w.Tile != t.Tile() || w.ElemBytes != width {
 					ev.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 					writeFrame(ev.conn, frameFail, failMsg{Reason: fmt.Sprintf(
 						"standby geometry n=%d tile=%d elem=%d does not match stream n=%d tile=%d elem=%d",
-						t.Len(), t.Tile(), width, m.N, m.Tile, m.ElemBytes)}.encode())
+						t.Len(), t.Tile(), width, w.N, w.Tile, w.ElemBytes)}.encode())
 					ev.conn.Close()
 					continue
 				}
-				if m.Epoch < maxSeen {
-					fence(ev.conn, m.Epoch)
+				if h.Epoch < maxSeen {
+					fence(ev.conn, h.Epoch)
 					continue
 				}
-				// Adopt the stream. Rebuilding the checkpoint is safe:
-				// every stream opens with a full resync, so no increment
-				// is ever lost to the reset.
-				mblocks := (m.N + m.Tile - 1) / m.Tile
-				ms := (mblocks + m.SchedSide - 1) / m.SchedSide
-				meta := resilience.Meta{
-					N: m.N, Tile: m.Tile, SchedSide: m.SchedSide,
-					Tasks: ms * (ms + 1) / 2, ElemBytes: m.ElemBytes,
-				}
-				nck, err := resilience.NewCheckpoint[E](meta)
+				ng, err := sched.NewGraph(t.Blocks(), w.SchedSide)
 				if err != nil {
 					ev.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 					writeFrame(ev.conn, frameFail, failMsg{Reason: err.Error()}.encode())
 					ev.conn.Close()
 					continue
 				}
+				// Adopt the stream. Clearing the replica is safe: every
+				// stream opens with a full resync, so no increment is ever
+				// lost to the clear.
 				if cur != nil {
 					cur.Close()
 				}
-				cur, curHello, ck, doneN = ev.conn, m, nck, 0
-				maxSeen = m.Epoch
+				clearReplica(replica)
+				cur, curHello, curJob, g, doneN = ev.conn, h, w, ng, 0
+				maxSeen = h.Epoch
 				ev.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-				if err := writeFrame(ev.conn, frameReplWelcome, encodeEpoch(m.Epoch)); err != nil {
+				if err := writeFrame(ev.conn, frameReplWelcome, encodeEpoch(h.Epoch)); err != nil {
 					ev.conn.Close()
 					cur = nil
 					continue
@@ -563,7 +574,7 @@ func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 					resetLease(leaseT, leaseC, lease)
 				}
 				opts.Logf("cluster: standby tailing %s at epoch %d (n=%d tile=%d shards=%d)",
-					m.Name, m.Epoch, m.N, m.Tile, m.Shards)
+					h.Name, h.Epoch, w.N, w.Tile, w.Shards)
 				go tail(ev.conn)
 				continue
 			}
@@ -573,22 +584,21 @@ func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 			switch ev.kind {
 			case sbPing:
 				resetLease(leaseT, leaseC, lease)
-			case sbDelta:
-				d := ev.delta
-				if d.Epoch != curHello.Epoch {
-					fence(cur, d.Epoch)
+			case sbRecord:
+				if ev.msg.Epoch != curHello.Epoch {
+					fence(cur, ev.msg.Epoch)
 					cur = nil
 					continue
 				}
 				resetLease(leaseT, leaseC, lease)
-				if err := applyDelta(ck, d, &doneN); err != nil {
-					opts.Logf("cluster: standby rejecting delta: %v", err)
+				if err := applyRecord(replica, g, ev.typ, ev.msg, &doneN); err != nil {
+					opts.Logf("cluster: standby rejecting record: %v", err)
 					cur.Close()
 					cur = nil
 					continue
 				}
 				sstats.Records++
-				if d.Kind == resilience.DeltaSyncBegin {
+				if ev.typ == frameReplSync {
 					sstats.Resyncs++
 				}
 				if opts.OnDelta != nil {
@@ -597,13 +607,13 @@ func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 			case sbLost:
 				// The stream broke but the lease keeps ticking from the
 				// last good frame: a primary that is alive will redial,
-				// a dead one will run the lease out.
+				// a dead one will run the lease out. Closing the conn is
+				// what tells a live primary the stream is gone, even
+				// when only this side's read deadline ended it.
 				opts.Logf("cluster: standby lost replication stream: %v", ev.err)
+				cur.Close()
 				cur = nil
 			case sbDone:
-				if err := ck.Apply(t); err != nil {
-					return fmt.Errorf("cluster: standby applying final state: %w", err)
-				}
 				flushStats()
 				opts.Logf("cluster: primary finished; standby releasing (%d tasks replicated)", doneN)
 				cur.Close()
@@ -616,35 +626,70 @@ func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	}
 }
 
-// applyDelta folds one validated record into the replica checkpoint.
-func applyDelta[E semiring.Elem](ck *resilience.Checkpoint[E], d resilience.Delta, doneN *int) error {
-	switch d.Kind {
-	case resilience.DeltaSyncBegin:
-		ck.Reset()
+// applyRecord folds one fenced replication record into the replica over
+// graph g, keeping doneN the count of its completed tasks. A task's
+// blocks are installed and demoted together: rdone installs them final,
+// rreset demotes them to their input bytes, rsync demotes every block.
+// An rdone is checked the way install checks a worker's result — task in
+// range, exactly the task's blocks in order, each a whole block whose
+// bytes match its seal — before anything is written, so a record that
+// fails leaves the replica unchanged.
+func applyRecord[E semiring.Elem](s *npdp.MemStore[E], g *sched.Graph, typ byte, msg taskMsg, doneN *int) error {
+	if typ != frameReplDone && len(msg.Blocks) != 0 {
+		return fmt.Errorf("cluster: replication record of kind %d carries %d blocks, want none", typ, len(msg.Blocks))
+	}
+	if typ == frameReplSync {
+		clearReplica(s)
 		*doneN = 0
-	case resilience.DeltaTaskDone:
-		for _, b := range d.Blocks {
-			//nolint:npdplint(verifyfirst) DecodeDelta re-digested every block seal before this record could exist
-			if err := ck.PutBlock(b.Bi, b.Bj, b.Raw); err != nil {
-				return err
-			}
+		return nil
+	}
+	if msg.TaskID < 0 || msg.TaskID >= len(g.Tasks) {
+		return fmt.Errorf("cluster: replication record for unknown task %d", msg.TaskID)
+	}
+	task := g.Tasks[msg.TaskID]
+	own := task.MemoryBlockOrder()
+	final := s.IsFinal(own[0][0], own[0][1])
+	if typ == frameReplReset {
+		for _, mb := range own {
+			s.Demote(mb[0], mb[1])
 		}
-		if d.TaskID >= 0 && d.TaskID < len(ck.Done) && !ck.Done[d.TaskID] {
-			*doneN++
-		}
-		if err := ck.MarkDone(d.TaskID); err != nil {
-			return err
-		}
-	case resilience.DeltaTaskReset:
-		if d.TaskID >= 0 && d.TaskID < len(ck.Done) && ck.Done[d.TaskID] {
+		if final {
 			*doneN--
 		}
-		ck.ClearDone(d.TaskID)
-		for _, b := range d.Blocks {
-			ck.DropBlock(b.Bi, b.Bj)
+		return nil
+	}
+	if err := ownBlocks(s.Tiled, task, msg.Blocks); err != nil {
+		return fmt.Errorf("cluster: record for task %d %v", msg.TaskID, err)
+	}
+	for _, wb := range msg.Blocks {
+		if got := resilience.RawCRC(wb.Raw); got != wb.CRC {
+			return fmt.Errorf("cluster: record for task %d block (%d,%d) seal mismatch: got %08x, want %08x",
+				msg.TaskID, wb.Bi, wb.Bj, got, wb.CRC)
 		}
 	}
+	for _, wb := range msg.Blocks {
+		// A MemStore's Acquire and Complete never fail.
+		cells, _ := s.Acquire(wb.Bi, wb.Bj)
+		tableio.DecodeCells(cells, wb.Raw)
+		s.Complete(wb.Bi, wb.Bj)
+		s.Release(wb.Bi, wb.Bj)
+	}
+	if !final {
+		*doneN++
+	}
 	return nil
+}
+
+// clearReplica demotes every final block of the replica to its input
+// bytes.
+func clearReplica[E semiring.Elem](s *npdp.MemStore[E]) {
+	for bi := 0; bi < s.Blocks(); bi++ {
+		for bj := bi; bj < s.Blocks(); bj++ {
+			if s.IsFinal(bi, bj) {
+				s.Demote(bi, bj)
+			}
+		}
+	}
 }
 
 // resetLease re-arms the lease timer, draining a stale expiry so a

@@ -11,6 +11,7 @@ import (
 	"cellnpdp/internal/cluster"
 	"cellnpdp/internal/npdp"
 	"cellnpdp/internal/resilience"
+	"cellnpdp/internal/sched"
 	"cellnpdp/internal/stats"
 	"cellnpdp/internal/tri"
 )
@@ -45,8 +46,12 @@ func failoverTasks(n int) int {
 // runFailover solves the standard instance on an in-process loopback
 // cluster with a warm standby, kills the primary (the Die seam, the
 // in-process SIGKILL) once killAfter tasks have been REPLICATED, and
-// measures the standby's recovery. The takeover result is verified
-// bit-identical to the serial reference before returning.
+// measures the standby's recovery. The standby trails the primary, so
+// once the primary has accepted killAfter tasks the workers' writes to
+// it are held until the kill: the primary cannot finish first, and its
+// event loop keeps replicating until the standby catches up. The
+// takeover result is verified bit-identical to the serial reference
+// before returning.
 func runFailover(ctx context.Context, cfg Config, n, workers int, ref *tri.RowMajor[float32]) (failoverRun, error) {
 	priTbl := tri.ToTiled(cfg.chainF32(n), failoverTileSide)
 	sbTbl := tri.ToTiled(cfg.chainF32(n), failoverTileSide)
@@ -86,6 +91,7 @@ func runFailover(ctx context.Context, cfg Config, n, workers int, ref *tri.RowMa
 		StandbyStats: &run.sstats,
 	}
 
+	hold := make(chan struct{})
 	var priStats cluster.Stats
 	priOpts := cluster.Options{
 		Shards:         workers,
@@ -93,12 +99,27 @@ func runFailover(ctx context.Context, cfg Config, n, workers int, ref *tri.RowMa
 		ReplicaAddr:    sbLn.Addr().String(),
 		Die:            die,
 		Stats:          &priStats,
+		OnTaskDone: func(completed int, _ sched.Task) {
+			// completed counts up by one per call, so this closes once.
+			if completed == run.killAfter {
+				close(hold)
+			}
+		},
+	}
+	priAddr := priLn.Addr().String()
+	dial := func(ctx context.Context, addr string) (net.Conn, error) {
+		var d net.Dialer
+		c, err := d.DialContext(ctx, "tcp", addr)
+		if err != nil || addr != priAddr {
+			return c, err
+		}
+		return &heldConn{Conn: c, hold: hold, release: die, done: runCtx.Done()}, nil
 	}
 
 	priErr := make(chan error, 1)
 	go func() { priErr <- cluster.Coordinate(runCtx, priLn, priTbl, priOpts) }()
 
-	addrs := priLn.Addr().String() + "," + sbLn.Addr().String()
+	addrs := priAddr + "," + sbLn.Addr().String()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -112,6 +133,7 @@ func runFailover(ctx context.Context, cfg Config, n, workers int, ref *tri.RowMa
 					MaxDelay:  50 * time.Millisecond,
 					Jitter:    true,
 				},
+				Dial: dial,
 			})
 			if err != nil && !errors.Is(err, context.Canceled) {
 				fmt.Fprintf(cfg.out(), "failover harness: worker w%d: %v\n", w, err)
@@ -141,6 +163,26 @@ func runFailover(ctx context.Context, cfg Config, n, workers int, ref *tri.RowMa
 		return failoverRun{}, fmt.Errorf("takeover solve diverged at (%d,%d): %v vs %v", i, j, a, b)
 	}
 	return run, nil
+}
+
+// heldConn is a worker's connection to the primary. Once hold closes,
+// each Write waits until release closes or the run ends.
+type heldConn struct {
+	net.Conn
+	hold, release, done <-chan struct{}
+}
+
+func (c *heldConn) Write(p []byte) (int, error) {
+	select {
+	case <-c.hold:
+		select {
+		case <-c.release:
+		case <-c.done:
+		}
+	default:
+	}
+	//nolint:npdplint(netdeadline) the worker arms the write deadline before every Write
+	return c.Conn.Write(p)
 }
 
 // Failover is the experiment entry point (see FailoverCtx).

@@ -801,9 +801,10 @@ func (p *Pager[E]) requestCommitLocked() {
 }
 
 // runCommits is the committer goroutine; it closes done on exit, which
-// Close waits for.
+// Close waits for. It clears committer and closes done in one critical
+// section, so a Close or Discard that finds no committer knows none is
+// left to wait for.
 func (p *Pager[E]) runCommits(done chan struct{}) {
-	defer close(done)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.commitWanted && !p.closed {
@@ -816,6 +817,7 @@ func (p *Pager[E]) runCommits(done chan struct{}) {
 		}
 	}
 	p.committer = nil
+	close(done)
 }
 
 // Materialize copies every block's current content — resident frames

@@ -7,7 +7,7 @@
 # benchmark and every root-package benchmark once, the benchmark's
 # smoke test
 # (bench/ is its own module, so go test ./... never builds it), short
-# fuzz smokes of the checkpoint and spill-index codecs, of kernel
+# fuzz smokes of the checkpoint, spill-index and task-message codecs, of kernel
 # equivalence, and of the bulk cell codec every seal, slot and frame
 # encodes through, and smoke
 # fault-injection solves proving
@@ -23,10 +23,11 @@
 # disk-fault smoke that pages a solve through a budget-bounded working
 # set while injecting torn spill writes (must heal), bit flips on
 # page-in reads (must heal) and ENOSPC (must degrade gracefully), all
-# bit-identical to serial. The pager's concurrency stress test also
-# runs twenty times under the race detector, and the cluster package's
-# tests five times: frame buffers change owner between the event loop,
-# the session writers and the readers.
+# bit-identical to serial. The pager's concurrency stress and
+# committer-join tests also run twenty times under the race detector,
+# the cluster package's tests five times (frame buffers change owner
+# between the event loop, the session writers and the readers), and the
+# harness failover experiment ten times.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,11 +118,12 @@ echo "== go test -race ./..."
 # timeout, so set an explicit generous one.
 go test -race -timeout 30m ./...
 
-echo "== go test -race -count=20 (pager concurrency stress)"
+echo "== go test -race -count=20 (pager concurrency stress, committer join)"
 # Loads, spills and commits run outside the pager's mutex, so one pass
 # of the stress test samples only one interleaving; twenty under the
-# race detector sample more.
-go test -race -count=20 -run '^TestConcurrentPagerStress$' ./internal/pager
+# race detector sample more, and as many of Discard racing the
+# background committer's exit.
+go test -race -count=20 -run '^TestConcurrentPagerStress$|^TestDiscardJoinsBackgroundCommit$' ./internal/pager
 
 echo "== go test -race -count=5 ./internal/cluster (frame-buffer ownership)"
 # Pooled frame buffers pass between the event loop, the session writers
@@ -129,6 +131,12 @@ echo "== go test -race -count=5 ./internal/cluster (frame-buffer ownership)"
 # one interleaving of those hand-offs; five sample more (about two
 # minutes on a 2-vCPU host).
 go test -race -count=5 ./internal/cluster
+
+echo "== go test -count=10 (harness failover experiment)"
+# The experiment kills the primary once the standby has replicated a
+# quarter of the tasks; ten runs check the kill lands mid-wavefront
+# every time.
+go test -count=10 -run '^TestFailoverExperiment$' ./internal/harness
 
 echo "== kernel and root-package benchmarks, one iteration each"
 # Benchmarks never run under go test ./..., so a benchmark body the
@@ -223,6 +231,12 @@ echo "== fuzz smoke: spill index codec (20s)"
 # oversized index bytes must be rejected, never crash or page in from
 # a slot the committed index does not vouch for.
 go test -run='^$' -fuzz FuzzSpillRoundTrip -fuzztime 20s ./internal/pager
+
+echo "== fuzz smoke: task-message decoder (20s)"
+# decodeTaskMsg parses every dispatch, result and replication record
+# off the network: arbitrary payloads must be rejected or re-encode to
+# the same bytes, never crash or over-allocate.
+go test -run='^$' -fuzz FuzzTaskMsg -fuzztime 20s ./internal/cluster
 
 echo "== smoke: out-of-core disk faults (torn writes + bit flips healed, ENOSPC degraded, verify)"
 # The paged solve under the race detector, three arms of the

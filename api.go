@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"cellnpdp/internal/cellsim"
-	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/npdp"
 	"cellnpdp/internal/pager"
 	"cellnpdp/internal/perfmodel"
@@ -148,24 +147,31 @@ type Options struct {
 	// parallel compute failure surfaces instead of being recovered.
 	NoFallback bool
 	// MemoryBudget, when positive, runs the Tiled and Parallel engines
-	// out of core: the NDL table lives in a crash-consistent spill file
-	// and, while the solve runs, only a working set of roughly
-	// MemoryBudget bytes of blocks stays resident (clamped up to the
-	// minimum the worker count needs). Around the solve a whole tiled
-	// table is still built twice, each briefly: once to write the spill
-	// file's pristine region, and once to materialize the result before
-	// it is copied back into the table. The budget is soft — disk
-	// failures degrade to residency growth rather than data loss. The
-	// spill file is one block store under the same executor, so
-	// FaultRate, MaxRetries, AuditEvery, Heal and SchedSide all apply;
-	// only CheckpointPath/ResumePath are rejected (the committed spill
-	// index is the checkpoint), a paged solve never degrades to the
-	// in-memory Tiled engine, and Serial and Cell reject it.
+	// out of core: the NDL table lives in a spill file and, while the
+	// solve runs, only a working set of roughly MemoryBudget bytes of
+	// blocks stays resident (clamped up to the minimum the worker count
+	// needs). No tiled copy of the table is built around the solve: the
+	// spill file's pristine region is written block by block from the
+	// table, and each solved block is copied straight back into it once
+	// its page-in verifies. The table is written only by that copy-out,
+	// so a solve that fails before it leaves the table as it was; one
+	// that fails inside it, on a page fault that cannot be healed, may
+	// leave some cells holding solved values, as a cancelled Serial
+	// solve does. The budget is soft — disk failures degrade to
+	// residency growth rather than data loss. The spill file is one
+	// block store under the same executor, so FaultRate, MaxRetries,
+	// AuditEvery, Heal and SchedSide all apply; only
+	// CheckpointPath/ResumePath are rejected (the committed spill index
+	// is the checkpoint), a paged solve never degrades to the in-memory
+	// Tiled engine, and Serial and Cell reject it.
 	MemoryBudget int64
 	// SpillPath locates the spill data file (its index rides beside it at
-	// SpillPath+".idx"). Empty means a private temp file removed after
-	// the solve; a named path persists across SIGKILL for ResumeSpill.
-	// Requires MemoryBudget > 0.
+	// SpillPath+".idx"). A named file is crash-consistent resume state:
+	// it is synced and its index committed as the solve spills, so it
+	// persists across SIGKILL for ResumeSpill. Empty means a private temp
+	// file, removed after the solve, that nothing can reopen: it is never
+	// synced and no index is ever committed for it. Requires
+	// MemoryBudget > 0.
 	SpillPath string
 	// ResumeSpill resumes a paged solve from an existing spill file at
 	// SpillPath: blocks recovered from the committed index are trusted
@@ -475,13 +481,16 @@ func SolveCtx[E Elem](ctx context.Context, t *Table[E], opts Options) (*Result, 
 // every out-of-core solve: it builds the block store (an in-memory
 // MemStore, or a pager under MemoryBudget), restores any checkpoint or
 // spill state into it, and runs npdp.SolveStoreCtx with the
-// fault-tolerance options, which combine freely. The row-major source is
-// only overwritten after a successful solve, so an in-memory failure can
-// degrade to the serial Tiled engine from clean input (unless
-// NoFallback), and a paged failure leaves the caller's table untouched
-// and — with a named SpillPath — the committed spill index on disk for
-// ResumeSpill. Paged solves never degrade: the Tiled engine would hold
-// the whole table and break the budget.
+// fault-tolerance options, which combine freely. An in-memory solve
+// overwrites the row-major source only after it succeeds, so a failure
+// can degrade to the serial Tiled engine from clean input (unless
+// NoFallback). A paged solve (solvePaged) writes the source only in its
+// final copy-out: a failure before that leaves the caller's table
+// untouched and — with a named SpillPath — the committed spill index on
+// disk for ResumeSpill; a failure inside it, on a page fault that cannot
+// be healed, may leave some cells holding solved values, as a cancelled
+// Serial solve does. Paged solves never degrade: the Tiled engine would
+// hold the whole table and break the budget.
 func solveStore[E Elem](ctx context.Context, t *Table[E], res *Result, tile, workers, schedSide int, paged bool, opts Options, faultKinds []resilience.FaultKind, diskFaultKinds []pager.DiskFaultKind) (int64, error) {
 	hs := &resilience.HealStats{}
 	defer func() { // the ladder's counters reach the Result on every path
@@ -511,53 +520,20 @@ func solveStore[E Elem](ctx context.Context, t *Table[E], res *Result, tile, wor
 	if opts.FaultRate > 0 {
 		popts.Inject = &resilience.Injector{Rate: opts.FaultRate, Seed: opts.FaultSeed, Kinds: faultKinds}
 	}
-	var store npdp.BlockStore[E]
-	var p *pager.Pager[E]
-	var tt *tri.Tiled[E]
-	var err error
 	if paged {
-		res.Paged = true
-		var cleanup func()
-		p, cleanup, err = openPager(t, tile, workers, opts, diskFaultKinds)
-		if err != nil {
+		return solvePaged(ctx, t, res, tile, workers, schedSide, popts, opts, diskFaultKinds)
+	}
+	tt := tri.ToTiled(t.rm, tile)
+	store := npdp.NewMemStore(tt, opts.Heal)
+	var err error
+	if opts.ResumePath != "" {
+		if res.ResumedTasks, err = resumeCheckpoint(store, t.Len(), tile, schedSide, opts); err != nil {
 			return 0, err
 		}
-		// Close (deferred) commits the index, so a graceful failure with
-		// a named SpillPath is resumable.
-		defer cleanup()
-		store = p
-		if opts.ResumeSpill {
-			graph, err := sched.NewGraph(p.Blocks(), schedSide)
-			if err != nil {
-				return 0, err
-			}
-			for _, done := range npdp.Completed[E](p, graph) {
-				if done {
-					res.ResumedTasks++
-				}
-			}
-		}
-	} else {
-		tt = tri.ToTiled(t.rm, tile)
-		store = npdp.NewMemStore(tt, opts.Heal)
-		if opts.ResumePath != "" {
-			if res.ResumedTasks, err = resumeCheckpoint(store, t.Len(), tile, schedSide, opts); err != nil {
-				return 0, err
-			}
-		}
 	}
-	var st kernel.Stats
-	if paged {
-		tt, st, err = npdp.SolvePagedTableCtx(ctx, p, popts)
-		// Read after materialization — the final page-ins are disk
-		// traffic the bound comparison must see.
-		stats := p.Stats()
-		res.PagerStats = &stats
-	} else {
-		st, err = npdp.SolveStoreCtx(ctx, store, popts)
-	}
+	st, err := npdp.SolveStoreCtx(ctx, store, popts)
 	if err != nil {
-		if paged || !degradable(err) || opts.NoFallback {
+		if !degradable(err) || opts.NoFallback {
 			return 0, err
 		}
 		if opts.Logf != nil {
@@ -570,6 +546,42 @@ func solveStore[E Elem](ctx context.Context, t *Table[E], res *Result, tile, wor
 		}
 	}
 	tri.Copy(t.rm, tt)
+	return st.Relaxations(), nil
+}
+
+// solvePaged is solveStore's out-of-core path: the pager is created from
+// the row-major table, or reopened under ResumeSpill, and the solved
+// blocks are copied back into it inside the recovery ladder
+// (npdp.SolvePagedTableCtx), so no tiled copy of the table is built on
+// either side of the solve.
+func solvePaged[E Elem](ctx context.Context, t *Table[E], res *Result, tile, workers, schedSide int, popts npdp.ParallelOptions, opts Options, diskFaultKinds []pager.DiskFaultKind) (int64, error) {
+	res.Paged = true
+	p, cleanup, err := openPager(t, tile, workers, opts, diskFaultKinds)
+	if err != nil {
+		return 0, err
+	}
+	// A named spill file's Close (deferred) commits the index, so a
+	// graceful failure is resumable.
+	defer cleanup()
+	if opts.ResumeSpill {
+		graph, err := sched.NewGraph(p.Blocks(), schedSide)
+		if err != nil {
+			return 0, err
+		}
+		for _, done := range npdp.Completed[E](p, graph) {
+			if done {
+				res.ResumedTasks++
+			}
+		}
+	}
+	st, err := npdp.SolvePagedTableCtx(ctx, p, t.rm, popts)
+	// Read after the copy-out — its page-ins are disk traffic the bound
+	// comparison must see.
+	stats := p.Stats()
+	res.PagerStats = &stats
+	if err != nil {
+		return 0, err
+	}
 	return st.Relaxations(), nil
 }
 
@@ -600,8 +612,11 @@ func resumeCheckpoint[E Elem](store npdp.BlockStore[E], n, tile, schedSide int, 
 // openPager creates (or, under ResumeSpill, reopens) the spill-backed
 // block store for a paged solve: the NDL table lives in a CRC-sealed,
 // versioned file and only a MemoryBudget-sized working set stays
-// resident. cleanup closes a named spill file, or discards a private
-// one and removes its directory.
+// resident. A named SpillPath is resume state, so its pager is durable;
+// a private spill lives in a temp dir this call makes and cleanup
+// removes, and nothing reopens it, so its pager is scratch and is never
+// synced or committed. cleanup closes a named spill file, or discards a
+// private one and removes its directory.
 func openPager[E Elem](t *Table[E], tile, workers int, opts Options, diskFaultKinds []pager.DiskFaultKind) (*pager.Pager[E], func(), error) {
 	elem := int64(precisionOf[E]().ElemBytes())
 	frameBytes := int64(tile)*int64(tile)*elem + 4
@@ -623,7 +638,9 @@ func openPager[E Elem](t *Table[E], tile, workers int, opts Options, diskFaultKi
 	}
 	path := opts.SpillPath
 	removeDir := func() {}
-	if path == "" {
+	if path != "" {
+		popts.CommitEvery = pager.DurableCommitEvery
+	} else {
 		dir, err := os.MkdirTemp("", "cellnpdp-spill-")
 		if err != nil {
 			return nil, nil, fmt.Errorf("cellnpdp: spill temp dir: %w", err)
@@ -643,7 +660,7 @@ func openPager[E Elem](t *Table[E], tile, workers int, opts Options, diskFaultKi
 			return nil, nil, fmt.Errorf("cellnpdp: spill file is an n=%d tile=%d instance, solve wants n=%d tile=%d", p.Len(), p.Tile(), t.Len(), tile)
 		}
 	} else {
-		p, err = pager.Create(path, tri.ToTiled(t.rm, tile), popts)
+		p, err = pager.CreateFromRows(path, t.rm, tile, popts)
 		if err != nil {
 			removeDir()
 			return nil, nil, fmt.Errorf("cellnpdp: create spill: %w", err)
@@ -654,8 +671,6 @@ func openPager[E Elem](t *Table[E], tile, workers int, opts Options, diskFaultKi
 		// commits it.
 		return p, func() { p.Close() }, nil
 	}
-	// A private spill is deleted at the end, so it needs no final flush
-	// or commit.
 	return p, func() { p.Discard(); removeDir() }, nil
 }
 
@@ -715,10 +730,9 @@ type SolveEstimate struct {
 	// FootprintBytes is the total the solve pins: table + staging, plus
 	// the checkpoint bound when Options.CheckpointPath is set. Under
 	// MemoryBudget the tiled table's contribution is capped at the
-	// budget: that is the resident working set while the solve runs.
-	// Creating the spill file before it and materializing the result
-	// after it each still build a whole tiled table (TableBytes) for a
-	// moment, which this figure leaves out.
+	// budget: that is the resident working set while the solve runs,
+	// and the spill file is written from and copied back into the
+	// staging table one block at a time.
 	FootprintBytes int64
 	// PredictedSeconds is T_All = max(T_M, T_C) from the Section V
 	// model, instantiated with the solve's geometry and worker count.

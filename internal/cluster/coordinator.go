@@ -137,13 +137,13 @@ type Options struct {
 	// of SIGKILL for failover tests and the harness.
 	Die <-chan struct{}
 	// SpillPath, when set, backs the coordinator's authoritative table
-	// with the crash-consistent block pager instead of the in-memory
-	// table: installed boundary blocks are sealed into a CRC-verified
-	// spill file, heals demote to the on-disk pristine region, and only a
+	// with the block pager instead of the in-memory table: installed
+	// boundary blocks are sealed into a CRC-verified spill file, heals
+	// demote to the on-disk pristine region, and only a
 	// MemoryBudget-sized working set stays resident. The spill file is
-	// scratch: it is created fresh and never resumed from. Incompatible
-	// with CheckpointPath, whose snapshots read the in-memory table,
-	// which paging leaves stale.
+	// scratch: it is created fresh, never synced or committed, and never
+	// resumed from. Incompatible with CheckpointPath, whose snapshots
+	// read the in-memory table, which paging leaves stale.
 	SpillPath string
 	// MemoryBudget caps the pager's resident working set in bytes; 0
 	// leaves only the pager's minimum. Requires SpillPath.

@@ -160,17 +160,33 @@ func (x *executor[E]) runTask(task sched.Task, attempt int) (kernel.Stats, error
 	return st, x.finish(task.ID, mbs, own, attempt)
 }
 
+// sealedStore is a BlockStore that keeps its own seal of every final
+// block (the pager: its spills, page-ins and committed index check it).
+// CompleteSealed is Complete with that seal handed in.
+type sealedStore interface {
+	CompleteSealed(bi, bj int, crc uint32) error
+}
+
 // finish completes a computed task whose own blocks are pinned. With
 // sealing on, the blocks are digested and the planned FaultCorrupt flip
-// lands (resilience.DigestThenFlip) before Complete publishes them; the
-// seals are stored last.
+// lands (resilience.DigestThenFlip) before Complete publishes them; a
+// sealed store is handed the digests of the bytes the task computed,
+// never of flipped ones, and the ladder's seals are stored last.
 func (x *executor[E]) finish(taskID int, mbs [][2]int, own [][]E, attempt int) error {
 	var crcs []uint32
+	var ss sealedStore
 	if x.ladder.seal {
 		crcs = resilience.DigestThenFlip(own, x.opts.Inject, taskID, attempt)
+		ss, _ = x.store.(sealedStore)
 	}
 	for i, mb := range mbs {
-		if err := x.store.Complete(mb[0], mb[1]); err != nil {
+		var err error
+		if ss != nil {
+			err = ss.CompleteSealed(mb[0], mb[1], crcs[i])
+		} else {
+			err = x.store.Complete(mb[0], mb[1])
+		}
+		if err != nil {
 			return err
 		}
 		if crcs != nil {

@@ -88,24 +88,26 @@ func TestStoreMatrixMatchesSerial(t *testing.T) {
 	}
 }
 
-// solveMatrixCase runs one matrix case on a fresh tiled copy of src and
-// returns the solved table.
-func solveMatrixCase(src *tri.RowMajor[float32], tile int, paged, torn bool, spill string, opts ParallelOptions) (*tri.Tiled[float32], error) {
-	tt := tri.ToTiled(src, tile)
+// solveMatrixCase runs one matrix case on a fresh copy of src and
+// returns the solved table: a tiled copy in memory, or a row-major one
+// the paged solve streams its blocks from and back into.
+func solveMatrixCase(src *tri.RowMajor[float32], tile int, paged, torn bool, spill string, opts ParallelOptions) (tri.Table[float32], error) {
 	if !paged {
+		tt := tri.ToTiled(src, tile)
 		_, err := SolveParallel(tt, opts)
 		return tt, err
 	}
-	m := tt.Blocks()
+	m := (src.Len() + tile - 1) / tile
 	po := pager.Options{Frames: m * (m + 1) / 2 / 4}
 	if torn {
 		po.Faults = &pager.DiskFaults{Rate: 0.05, Seed: 11, Kinds: []pager.DiskFaultKind{pager.DiskFaultTorn}}
 	}
-	p, err := pager.Create(spill, tt, po)
+	p, err := pager.CreateFromRows(spill, src, tile, po)
 	if err != nil {
 		return nil, err
 	}
 	defer p.Close()
-	out, _, err := SolvePagedTableCtx(context.Background(), p, opts)
+	out := src.Clone()
+	_, err = SolvePagedTableCtx(context.Background(), p, out, opts)
 	return out, err
 }

@@ -35,25 +35,23 @@ type PagedOptions = ParallelOptions
 // space). CheckpointPath is rejected: the committed index is the
 // checkpoint.
 //
-// On success every block is final; the caller materializes the solved
-// table with p.Materialize, or solves with SolvePagedTableCtx.
+// On success every block is final; the caller copies the solved table
+// out with p.Materialize, or solves with SolvePagedTableCtx.
 func SolvePagedCtx[E semiring.Elem](ctx context.Context, p *pager.Pager[E], opts PagedOptions) (kernel.Stats, error) {
 	return SolveStoreCtx[E](ctx, p, opts)
 }
 
-// SolvePagedTableCtx is SolvePagedCtx followed by materializing the
-// solved table inside the same recovery ladder: a final block that pages
-// in corrupt only during the copy — a torn spill no consumer read back,
-// such as the last block — is healed like any other detection, and the
-// copy is retried. The table is allocated only once the solve is done,
-// so it never adds to the solve's working set.
-func SolvePagedTableCtx[E semiring.Elem](ctx context.Context, p *pager.Pager[E], opts PagedOptions) (*tri.Tiled[E], kernel.Stats, error) {
-	var dst *tri.Tiled[E]
-	st, err := solveStore[E](ctx, p, opts, func() error {
-		if dst == nil {
-			dst = tri.NewTiled[E](p.Len(), p.Tile())
-		}
-		return p.Materialize(dst)
-	})
-	return dst, st, err
+// SolvePagedTableCtx is SolvePagedCtx followed by copying the solved
+// table out of the pager into dst, a row-major table of the pager's
+// problem size, inside the same recovery ladder: a final block that
+// pages in corrupt only during the copy — a torn spill no consumer read
+// back, such as the last block — is healed like any other detection,
+// and the copy is retried. Each block goes straight from its frame or
+// verified slot to dst's rows (pager.MaterializeRows), so no tiled
+// table is built and nothing adds to the solve's working set. dst is
+// written only by that copy: a solve that fails before it leaves dst as
+// it was, and one that fails inside it, on a page fault that cannot be
+// healed, may leave some cells holding solved values.
+func SolvePagedTableCtx[E semiring.Elem](ctx context.Context, p *pager.Pager[E], dst *tri.RowMajor[E], opts PagedOptions) (kernel.Stats, error) {
+	return solveStore[E](ctx, p, opts, func() error { return p.MaterializeRows(dst) })
 }

@@ -9,14 +9,19 @@
 //
 // Robustness contract: every slot carries the block's CRC32C
 // (resilience.BlockCRC — the same digest the in-memory seal layer and
-// the cluster wire frames use), the spill index that decides which
-// final slots a restart may trust is committed with the atomic
-// temp+rename discipline (data fsync ordered first), and every page-in
-// re-verifies the digest over the slot's bytes before decoding them.
-// Torn writes, bit rot, and EIO therefore surface as typed
-// *ErrPageCorrupt for the engine's poisoned-cone heal; ENOSPC degrades
-// to a growing in-memory working set; a SIGKILL mid-spill leaves a
-// committed index a restart resumes from bit-identically.
+// the cluster wire frames use), and every page-in re-verifies the
+// digest over the slot's bytes before decoding them. Torn writes, bit
+// rot, and EIO therefore surface as typed *ErrPageCorrupt for the
+// engine's poisoned-cone heal; ENOSPC degrades to a growing in-memory
+// working set.
+//
+// Whether a spill file is also resume state is decided once, when the
+// pager is made (Options.CommitEvery). A durable file's index, which
+// decides which final slots a restart may trust, is committed with the
+// atomic temp+rename discipline (data fsync ordered first), so a
+// SIGKILL mid-spill leaves a committed index a restart resumes from
+// bit-identically. A scratch file — a solve's private spill, which
+// nothing ever reopens — is never synced and has no index.
 package pager
 
 import (
@@ -88,8 +93,13 @@ type Options struct {
 	// set past it, the pager fails with *ErrSpillSpace instead. 0 means
 	// unlimited (degrade all the way to fully in-memory).
 	HardFrames int
-	// CommitEvery is the index-commit period in spilled blocks; 0 means
-	// 16. Commit() and Close() always publish regardless.
+	// CommitEvery decides whether the spill file is resume state. A
+	// positive value makes it durable: Create syncs the file and
+	// commits an empty index, every CommitEvery spills ask for a group
+	// commit, and Close flushes the resident final blocks and commits
+	// once more (DurableCommitEvery is the usual period). 0 (or less)
+	// makes it scratch: no sync, no index, and no commit unless the
+	// caller calls Commit itself.
 	CommitEvery int
 	// Faults, when non-nil, is the deterministic disk-fault injector.
 	Faults *DiskFaults
@@ -158,10 +168,14 @@ type Pager[E semiring.Elem] struct {
 	lastSpillErr error
 }
 
+// DurableCommitEvery is the commit period of a resumable spill file:
+// a restart recomputes at most this many spilled blocks past the last
+// committed index.
+const DurableCommitEvery = 16
+
 const (
-	minFrames          = 4
-	defaultCommitEvery = 16
-	prefetchSlots      = 2 // the cellsim double-buffer depth
+	minFrames     = 4
+	prefetchSlots = 2 // the cellsim double-buffer depth
 	// Re-reads before a page is declared corrupt. A corrupt final page
 	// heals through the engine's ladder, so one retry suffices. A
 	// pristine page has no version below it, and Create wrote it outside
@@ -173,21 +187,40 @@ const (
 	regionFinal         = 1
 )
 
-// Create builds a fresh spill file at path from the source table and
-// returns a pager over it: the header and every block's pristine slot
-// are written through a pid-tagged temp and atomically renamed into
-// place (a crash mid-create leaves only a sweepable temp, never a
-// half-valid spill file), then an empty index is committed beside it at
-// `<path>.idx`. Stale temps of crashed predecessors are swept first.
-// The source table is not retained — callers drop it so the solve's
-// footprint is the frame budget, not the table.
+// Create builds a fresh spill file at path from the tiled source table
+// and returns a pager over it: the header and every block's pristine
+// slot are written through a pid-tagged temp and atomically renamed
+// into place, so a crash mid-create leaves only a sweepable temp, never
+// a half-valid spill file. A durable pager (CommitEvery > 0) syncs the
+// file before the rename and then commits an empty index beside it at
+// `<path>.idx`; a scratch pager does neither, and removes a stale index
+// there, so no index ever describes its file. Stale temps of crashed
+// predecessors are swept first. The source table is not retained —
+// callers drop it so the solve's footprint is the frame budget, not the
+// table.
 func Create[E semiring.Elem](path string, src *tri.Tiled[E], opts Options) (*Pager[E], error) {
+	return create(path, src.Len(), src.Tile(), opts, func(bi, bj int, _ []E) []E { return src.Block(bi, bj) })
+}
+
+// CreateFromRows is Create from a row-major source table cut into
+// tile×tile memory blocks. It builds no tiled copy of the table: each
+// block is gathered into one block buffer (tri.GatherBlock) and written
+// from there.
+func CreateFromRows[E semiring.Elem](path string, src *tri.RowMajor[E], tile int, opts Options) (*Pager[E], error) {
+	return create(path, src.Len(), tile, opts, func(bi, bj int, buf []E) []E {
+		tri.GatherBlock(buf, src, tile, bi, bj)
+		return buf
+	})
+}
+
+// create is Create over any source: block returns the cells of block
+// (bi, bj), using buf, a one-block buffer, if it needs room for them.
+func create[E semiring.Elem](path string, n, tile int, opts Options, block func(bi, bj int, buf []E) []E) (*Pager[E], error) {
 	var e E
-	g := spillGeom{
-		N:       src.Len(),
-		Tile:    src.Tile(),
-		Elem:    tableio.ElemWidth(e),
-		NBlocks: src.Blocks() * (src.Blocks() + 1) / 2,
+	g := spillGeom{N: n, Tile: tile, Elem: tableio.ElemWidth(e)}
+	if tile > 0 {
+		m := (n + tile - 1) / tile
+		g.NBlocks = m * (m + 1) / 2
 	}
 	if err := g.check(); err != nil {
 		return nil, err
@@ -198,18 +231,26 @@ func Create[E semiring.Elem](path string, src *tri.Tiled[E], opts Options) (*Pag
 			return nil, err
 		}
 	}
+	durable := opts.CommitEvery > 0
+	if !durable {
+		if err := os.Remove(idxPath); err != nil && !os.IsNotExist(err) {
+			return nil, fmt.Errorf("pager: removing stale spill index: %w", err)
+		}
+	}
 	tmp, err := resilience.CreateOwnedTemp(path)
 	if err != nil {
 		return nil, fmt.Errorf("pager: creating spill temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := writePristineRegion(tmp, g, src); err != nil {
+	if err := writePristineRegion(tmp, g, block); err != nil {
 		tmp.Close()
 		return nil, err
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return nil, fmt.Errorf("pager: syncing spill file: %w", err)
+	if durable {
+		if err := tmp.Sync(); err != nil {
+			tmp.Close()
+			return nil, fmt.Errorf("pager: syncing spill file: %w", err)
+		}
 	}
 	if err := tmp.Close(); err != nil {
 		return nil, fmt.Errorf("pager: closing spill file: %w", err)
@@ -217,8 +258,10 @@ func Create[E semiring.Elem](path string, src *tri.Tiled[E], opts Options) (*Pag
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return nil, fmt.Errorf("pager: publishing spill file: %w", err)
 	}
-	if err := commitIndex(idxPath, g, nil); err != nil {
-		return nil, err
+	if durable {
+		if err := commitIndex(idxPath, g, nil); err != nil {
+			return nil, err
+		}
 	}
 	return newPager[E](path, idxPath, g, nil, opts)
 }
@@ -227,22 +270,24 @@ func Create[E semiring.Elem](path string, src *tri.Tiled[E], opts Options) (*Pag
 // block's pristine slot with its CRC trailer. Create-time writes bypass
 // the fault injector: the injector models the solve's spill traffic,
 // and a faulted create would just fail the rename-protected setup.
-func writePristineRegion[E semiring.Elem](f *os.File, g spillGeom, src *tri.Tiled[E]) error {
+func writePristineRegion[E semiring.Elem](f *os.File, g spillGeom, block func(bi, bj int, buf []E) []E) error {
 	if err := f.Truncate(g.fileSize()); err != nil {
 		return fmt.Errorf("pager: sizing spill file: %w", err)
 	}
 	if _, err := f.WriteAt(encodeSpillHeader(g), 0); err != nil {
 		return fmt.Errorf("pager: writing spill header: %w", err)
 	}
-	m := src.Blocks()
-	buf := make([]byte, g.slotBytes())
+	m := (g.N + g.Tile - 1) / g.Tile
+	buf := make([]E, g.Tile*g.Tile)
+	slot := make([]byte, g.slotBytes())
+	id := 0
 	for bi := 0; bi < m; bi++ {
 		for bj := bi; bj < m; bj++ {
-			id := src.BlockID(bi, bj)
-			encodeSlot(src.Block(bi, bj), buf)
-			if _, err := f.WriteAt(buf, g.slotOff(regionPristine, id)); err != nil {
+			encodeSlot(block(bi, bj, buf), slot)
+			if _, err := f.WriteAt(slot, g.slotOff(regionPristine, id)); err != nil {
 				return fmt.Errorf("pager: writing pristine block (%d,%d): %w", bi, bj, err)
 			}
+			id++
 		}
 	}
 	return nil
@@ -303,9 +348,6 @@ func newPager[E semiring.Elem](path, idxPath string, g spillGeom, records []inde
 	}
 	if opts.Frames < minFrames {
 		opts.Frames = minFrames
-	}
-	if opts.CommitEvery <= 0 {
-		opts.CommitEvery = defaultCommitEvery
 	}
 	p := &Pager[E]{
 		f:        f,
@@ -402,6 +444,20 @@ func (p *Pager[E]) Release(bi, bj int) {
 // checked against. The block must be resident and pinned (the engine
 // calls Complete before releasing the block it just computed).
 func (p *Pager[E]) Complete(bi, bj int) error {
+	return p.complete(bi, bj, 0, false)
+}
+
+// CompleteSealed is Complete with the seal given rather than digested:
+// crc is the CRC32C of the bytes the task computed, which a sealing
+// engine took before anything else could touch the block. A block whose
+// cells no longer match it then fails its page-in as *ErrPageCorrupt,
+// and a committed index never vouches for bytes the task did not
+// produce.
+func (p *Pager[E]) CompleteSealed(bi, bj int, crc uint32) error {
+	return p.complete(bi, bj, crc, true)
+}
+
+func (p *Pager[E]) complete(bi, bj int, crc uint32, sealed bool) error {
 	id := p.blockID(bi, bj)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -409,9 +465,12 @@ func (p *Pager[E]) Complete(bi, bj int) error {
 	if !ok || fr.pins == 0 {
 		return fmt.Errorf("pager: Complete(%d,%d) on a block that is not resident and pinned", bi, bj)
 	}
+	if !sealed {
+		crc = resilience.BlockCRC(fr.cells)
+	}
 	p.final[id] = true
 	p.spilled[id] = false
-	p.crc[id] = resilience.BlockCRC(fr.cells)
+	p.crc[id] = crc
 	return nil
 }
 
@@ -622,8 +681,9 @@ func (p *Pager[E]) dropLocked(fr *frameOf[E]) {
 // with the frame marked spilling, which keeps its cells unchanged: an
 // unpinned final block has no writer, and no caller pins it until the
 // write returns. ENOSPC flips the sticky no-spill degradation; EIO
-// leaves the block resident for a later retry. Every CommitEvery spills
-// ask the committer for a group commit. Caller holds p.mu.
+// leaves the block resident for a later retry. On a durable pager every
+// CommitEvery spills ask the committer for a group commit. Caller holds
+// p.mu.
 func (p *Pager[E]) spillLocked(fr *frameOf[E]) bool {
 	id := fr.id
 	fr.state = frameSpilling
@@ -662,9 +722,11 @@ func (p *Pager[E]) spillLocked(fr *frameOf[E]) bool {
 	p.spilled[id] = true
 	p.stats.SpilledBlocks++
 	p.stats.SpilledBytes += p.geom.slotBytes()
-	if p.sinceCmt++; p.sinceCmt >= p.opts.CommitEvery {
-		p.sinceCmt = 0
-		p.requestCommitLocked()
+	if p.durable() {
+		if p.sinceCmt++; p.sinceCmt >= p.opts.CommitEvery {
+			p.sinceCmt = 0
+			p.requestCommitLocked()
+		}
 	}
 	return true
 }
@@ -745,7 +807,8 @@ func (p *Pager[E]) countReadLocked(src slotSource, failed int, ok bool) {
 // written — the durability point a restart resumes from — after joining
 // any commit already in flight. The data file is fsynced before the
 // index is written, fsynced and renamed, so a committed record never
-// trusts unsynced bytes.
+// trusts unsynced bytes. It publishes on a scratch pager too, which
+// otherwise never commits.
 func (p *Pager[E]) Commit() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -821,15 +884,41 @@ func (p *Pager[E]) runCommits(done chan struct{}) {
 }
 
 // Materialize copies every block's current content — resident frames
-// first, otherwise the authoritative disk version — into dst, which
-// must have the pager's geometry. It is how a finished solve's table
-// leaves the pager. A block a stray prefetch is still loading is waited
-// for.
+// first, otherwise the authoritative disk version, once verified — into
+// dst, which must have the pager's geometry. It is how a finished
+// solve's table leaves the pager. A block a stray prefetch is still
+// loading is waited for.
 func (p *Pager[E]) Materialize(dst *tri.Tiled[E]) error {
 	if dst.Len() != p.geom.N || dst.Tile() != p.geom.Tile {
 		return fmt.Errorf("pager: cannot materialize (n=%d tile=%d) into table (n=%d tile=%d)",
 			p.geom.N, p.geom.Tile, dst.Len(), dst.Tile())
 	}
+	return p.copyOut(dst.Block, nil)
+}
+
+// MaterializeRows is Materialize into a row-major table of the pager's
+// problem size: each block's stored cells go straight to their rows
+// (tri.ScatterBlock), and no tiled table is built. A block read from
+// disk is decoded into one block buffer and scattered only once it has
+// verified, so a failed copy leaves every cell either as it was or at
+// its block's content.
+func (p *Pager[E]) MaterializeRows(dst *tri.RowMajor[E]) error {
+	if dst.Len() != p.geom.N {
+		return fmt.Errorf("pager: cannot materialize n=%d into table n=%d", p.geom.N, dst.Len())
+	}
+	tile := p.geom.Tile
+	buf := make([]E, tile*tile)
+	return p.copyOut(func(int, int) []E { return buf }, func(bi, bj int, cells []E) {
+		tri.ScatterBlock(dst, cells, tile, bi, bj)
+	})
+}
+
+// copyOut hands every block's current content out, in block order. A
+// block read from disk is decoded into into(bi, bj) once it verifies; a
+// resident frame is copied there. With put non-nil, put instead
+// receives the cells — the frame's own, or into's once decoded. It
+// stops at the first block that fails to page in.
+func (p *Pager[E]) copyOut(into func(bi, bj int) []E, put func(bi, bj int, cells []E)) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	slot := p.takeSlotLocked()
@@ -843,13 +932,18 @@ func (p *Pager[E]) Materialize(dst *tri.Tiled[E]) error {
 				fr, ok = p.frames[id]
 			}
 			if ok {
-				copy(dst.Block(bi, bj), fr.cells)
+				if put != nil {
+					put(bi, bj, fr.cells)
+				} else {
+					copy(into(bi, bj), fr.cells)
+				}
 				continue
 			}
 			src := p.sourceLocked(id)
+			cells := into(bi, bj)
 			p.busy++
 			p.mu.Unlock()
-			failed, err := p.readSlot(dst.Block(bi, bj), slot, src, bi, bj)
+			failed, err := p.readSlot(cells, slot, src, bi, bj)
 			p.mu.Lock()
 			p.busy--
 			p.cond.Broadcast()
@@ -857,6 +951,9 @@ func (p *Pager[E]) Materialize(dst *tri.Tiled[E]) error {
 			if err != nil {
 				p.corrupt[id] = true
 				return err
+			}
+			if put != nil {
+				put(bi, bj, cells)
 			}
 		}
 	}
@@ -877,31 +974,36 @@ func (p *Pager[E]) Stats() Stats {
 	return p.stats
 }
 
-// Close lets the page-ins, spills and commit in flight finish, flushes
-// resident final blocks to their spill slots, commits the index one
-// last time, and closes the spill file. The files stay on disk — they
-// are the resume state; callers that do not want resume delete them.
-// Flush failures (a disk in ENOSPC degradation) are not errors: those
-// blocks simply resume from pristine, which is correct, just slower.
+// Close lets the page-ins, spills and commit in flight finish and
+// closes the spill file. A durable pager first flushes its resident
+// final blocks to their spill slots and commits the index one last
+// time; the files stay on disk — they are the resume state. Flush
+// failures (a disk in ENOSPC degradation) are not errors: those blocks
+// simply resume from pristine, which is correct, just slower. A scratch
+// pager flushes and commits nothing; its file stays too, for the
+// caller to delete (or call Discard instead).
 func (p *Pager[E]) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.quiesceLocked() {
 		return nil
 	}
-	var flush []*frameOf[E]
-	for fr := p.lru.head; fr != nil; fr = fr.next {
-		if p.final[fr.id] && !p.spilled[fr.id] && fr.pins == 0 {
-			flush = append(flush, fr)
+	var err error
+	if p.durable() {
+		var flush []*frameOf[E]
+		for fr := p.lru.head; fr != nil; fr = fr.next {
+			if p.final[fr.id] && !p.spilled[fr.id] && fr.pins == 0 {
+				flush = append(flush, fr)
+			}
 		}
-	}
-	for _, fr := range flush {
-		if p.noSpill {
-			break
+		for _, fr := range flush {
+			if p.noSpill {
+				break
+			}
+			p.spillLocked(fr)
 		}
-		p.spillLocked(fr)
+		err = p.commitLocked()
 	}
-	err := p.commitLocked()
 	if closeErr := p.f.Close(); err == nil && closeErr != nil {
 		err = fmt.Errorf("pager: closing spill file: %w", closeErr)
 	}
@@ -910,8 +1012,9 @@ func (p *Pager[E]) Close() error {
 
 // Discard ends a pager whose files hold no resume state: like Close it
 // lets the page-ins, spills and commit in flight finish, but it flushes
-// and commits nothing, then closes the spill file and deletes it and its
-// index. A later Close or Discard is a no-op.
+// and commits nothing, even on a durable pager, then closes the spill
+// file and deletes it and its index. A later Close or Discard is a
+// no-op.
 func (p *Pager[E]) Discard() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -929,6 +1032,10 @@ func (p *Pager[E]) Discard() error {
 	}
 	return err
 }
+
+// durable reports whether the spill file is resume state
+// (Options.CommitEvery > 0).
+func (p *Pager[E]) durable() bool { return p.opts.CommitEvery > 0 }
 
 // quiesceLocked marks the pager closed, then waits for the page-ins,
 // spills and commit in flight and for the committer goroutine to exit.

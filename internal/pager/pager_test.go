@@ -383,6 +383,76 @@ func TestPagerMaterializeMatchesSource(t *testing.T) {
 	if !equalCells(out.Cells(), src.Cells()) {
 		t.Fatal("materialized table differs from source")
 	}
+	// The row-major pair: a pager made from the rows of a table with a
+	// ragged last tile holds the blocks Create writes from its tiled
+	// copy, and copies them back into rows with some frames resident.
+	rows := tri.ToRowMajor(testTable(37, 8))
+	pr, err := CreateFromRows(filepath.Join(t.TempDir(), "rows.npsp"), rows, 8, Options{Frames: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.Close()
+	flushFrames(t, pr)
+	back := tri.NewRowMajor[float32](37)
+	if err := pr.MaterializeRows(back); err != nil {
+		t.Fatal(err)
+	}
+	if i, j, w, g, diff := tri.FirstDiff[float32](rows, back); diff {
+		t.Fatalf("MaterializeRows left (%d,%d) = %v, want %v", i, j, g, w)
+	}
+	tiled := tri.NewTiled[float32](37, 8)
+	if err := pr.Materialize(tiled); err != nil {
+		t.Fatal(err)
+	}
+	if !equalCells(tiled.Cells(), tri.ToTiled(rows, 8).Cells()) {
+		t.Fatal("CreateFromRows wrote other blocks than the tiled copy holds")
+	}
+}
+
+// TestScratchPagerWritesNoIndex: a scratch pager (CommitEvery 0)
+// removes a stale index at Create, spills without committing, and
+// closes without flushing or committing, so no index ever describes its
+// file and a reopen resumes nothing.
+func TestScratchPagerWritesNoIndex(t *testing.T) {
+	src := testTable(40, 8)
+	path := filepath.Join(t.TempDir(), "t.npsp")
+	if err := os.WriteFile(path+".idx", []byte("an earlier run's index"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := Create(path, src, Options{Frames: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noIndex := func(when string) {
+		t.Helper()
+		if _, err := os.Stat(path + ".idx"); !os.IsNotExist(err) {
+			t.Fatalf("%s: a scratch pager's index exists (stat: %v)", when, err)
+		}
+	}
+	noIndex("after Create")
+	completeAll(t, p, src)
+	spilled := p.Stats().SpilledBlocks
+	if spilled == 0 || p.Resident() == 0 {
+		t.Fatalf("setup spilled %d blocks and left %d resident; want both > 0", spilled, p.Resident())
+	}
+	noIndex("after the spills")
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	noIndex("after Close")
+	if st := p.Stats(); st.Commits != 0 || st.SpilledBlocks != spilled {
+		t.Errorf("Close spilled %d more blocks and committed %d times, want neither", st.SpilledBlocks-spilled, st.Commits)
+	}
+	p2, err := Open[float32](path, Options{Frames: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	for id := 0; id < p2.NBlocks(); id++ {
+		if bi, bj := blockCoords(src.Blocks(), id); p2.IsFinal(bi, bj) {
+			t.Fatalf("block (%d,%d) resumed final from a scratch file", bi, bj)
+		}
+	}
 }
 
 func TestPagerOpenRejectsWrongElemWidth(t *testing.T) {

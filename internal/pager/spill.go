@@ -34,6 +34,9 @@ import (
 // always detectable at page-in. The final region is allocated sparse:
 // a slot there is meaningful only once the spill index commits its
 // record, and the index is only committed after the data file syncs.
+// A scratch file (Options.CommitEvery 0) has no index: its final slots
+// are trusted only by the pager that wrote them, which holds their
+// seals in memory.
 //
 // Spill index ("NPSX", `<path>.idx`) — the commit record deciding which
 // final slots a restart may trust:

@@ -232,6 +232,28 @@ func checkConvert[E semiring.Elem](t *testing.T, n, tile int) {
 	if !Equal[E](src, ToRowMajor(tt)) {
 		t.Fatalf("%T n=%d tile=%d: ToRowMajor(ToTiled(src)) differs from src", want[0], n, tile)
 	}
+	// The one-block conversions, block by block into sentinel buffers.
+	blk := make([]E, tile*tile)
+	for k := range cells {
+		cells[k] = -1
+	}
+	for bi := 0; bi < ref.Blocks(); bi++ {
+		for bj := bi; bj < ref.Blocks(); bj++ {
+			for k := range blk {
+				blk[k] = -1
+			}
+			GatherBlock(blk, src, tile, bi, bj)
+			for k, w := range ref.Block(bi, bj) { // padding cells included
+				if blk[k] != w {
+					t.Fatalf("%T n=%d tile=%d: GatherBlock(%d,%d) cell %d = %v, want %v", w, n, tile, bi, bj, k, blk[k], w)
+				}
+			}
+			ScatterBlock(back, ref.Block(bi, bj), tile, bi, bj)
+		}
+	}
+	if i, j, w, g, diff := FirstDiff[E](src, back); diff {
+		t.Fatalf("%T n=%d tile=%d: ScatterBlock left (%d,%d) = %v, want %v", w, n, tile, i, j, g, w)
+	}
 }
 
 func TestEqualAndFirstDiff(t *testing.T) {

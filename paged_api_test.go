@@ -1,12 +1,22 @@
 package cellnpdp
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"cellnpdp/internal/pager"
+	"cellnpdp/internal/resilience"
 )
 
-func assertTablesEqual(t *testing.T, ref, got *Table[float32], label string) {
+func assertTablesEqual[E Elem](t *testing.T, ref, got *Table[E], label string) {
 	t.Helper()
 	n := ref.Len()
 	for j := 0; j < n; j++ {
@@ -20,31 +30,113 @@ func assertTablesEqual(t *testing.T, ref, got *Table[float32], label string) {
 	}
 }
 
+// TestPagedSolveBitIdenticalToSerial pages both out-of-core engines
+// through a quarter-table budget: at n=256 float32 the table cuts into
+// whole 16-cell tiles; at n=250 the last tile is ragged, at float32
+// (16-cell tiles) and float64 (8-cell tiles), so the block-by-block
+// spill writes and copy-out meet padding.
 func TestPagedSolveBitIdenticalToSerial(t *testing.T) {
-	const n = 256
-	ref := buildRandom(t, n, 77)
+	checkPagedBitIdentical[float32](t, 256)
+	checkPagedBitIdentical[float32](t, 250)
+	checkPagedBitIdentical[float64](t, 250)
+}
+
+func checkPagedBitIdentical[E Elem](t *testing.T, n int) {
+	t.Helper()
+	build := func() *Table[E] {
+		tbl, err := NewTable[E](n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(77))
+		for i := 0; i+1 < n; i++ {
+			if err := tbl.Set(i, i+1, E(1+rng.Float64()*99)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tbl
+	}
+	ref := build()
 	if _, err := Solve(ref, Options{Engine: Serial}); err != nil {
 		t.Fatal(err)
 	}
 	for _, eng := range []Engine{Tiled, Parallel} {
-		got := buildRandom(t, n, 77)
-		// Small memory blocks (16×16 tiles → 136 blocks at n=256) plus a
-		// budget well below the full table footprint force real paging.
-		est, err := EstimateSolve[float32](n, Options{Engine: eng, BlockBytes: 1024})
+		got := build()
+		label := fmt.Sprintf("%v paged n=%d %T", eng, n, E(0))
+		// Small memory blocks (1 KiB) plus a budget well below the full
+		// table footprint force real paging.
+		est, err := EstimateSolve[E](n, Options{Engine: eng, BlockBytes: 1024})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := Solve(got, Options{Engine: eng, Workers: 2, BlockBytes: 1024, MemoryBudget: est.TableBytes / 4})
 		if err != nil {
-			t.Fatalf("%v paged: %v", eng, err)
+			t.Fatalf("%s: %v", label, err)
 		}
 		if !res.Paged || res.PagerStats == nil {
-			t.Fatalf("%v: result not marked paged: %+v", eng, res)
+			t.Fatalf("%s: result not marked paged: %+v", label, res)
 		}
 		if res.PagerStats.SpilledBlocks == 0 {
-			t.Errorf("%v: budget %d below table %d but nothing spilled", eng, est.TableBytes/4, est.TableBytes)
+			t.Errorf("%s: budget %d below table %d but nothing spilled", label, est.TableBytes/4, est.TableBytes)
 		}
-		assertTablesEqual(t, ref, got, eng.String()+" paged")
+		assertTablesEqual(t, ref, got, label)
+	}
+}
+
+// TestPrivateSpillIsScratch: a paged solve without a SpillPath spills
+// to a private temp file that nothing can reopen, so it commits no
+// index, and it leaves nothing behind in the temp dir.
+func TestPrivateSpillIsScratch(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	const n = 256
+	ref := buildRandom(t, n, 3)
+	if _, err := Solve(ref, Options{Engine: Serial}); err != nil {
+		t.Fatal(err)
+	}
+	got := buildRandom(t, n, 3)
+	res, err := Solve(got, Options{Engine: Parallel, Workers: 2, BlockBytes: 1024, MemoryBudget: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertTablesEqual(t, ref, got, "private paged")
+	if st := res.PagerStats; st.SpilledBlocks == 0 || st.Commits != 0 {
+		t.Errorf("private spill wrote %d blocks and committed %d times; want spills and no commit", st.SpilledBlocks, st.Commits)
+	}
+	left, err := os.ReadDir(tmp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range left {
+		t.Errorf("private spill left %s in the temp dir", e.Name())
+	}
+}
+
+// TestPagedSolveAllocatesLessThanOneTable: the spill file is written
+// from the caller's table and the result copied back into it block by
+// block, so a paged solve under a quarter-table budget allocates less
+// than one tiled table in all (frames, slot buffers, the task graph).
+func TestPagedSolveAllocatesLessThanOneTable(t *testing.T) {
+	const n = 1024
+	est, err := EstimateSolve[float32](n, Options{Engine: Parallel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := buildRandom(t, n, 5)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := SolveCtx(context.Background(), tbl, Options{Engine: Parallel, Workers: 2, MemoryBudget: est.TableBytes / 4})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.PagerStats.SpilledBlocks == 0 {
+		t.Fatal("the quarter-table budget spilled nothing")
+	}
+	grew := int64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("paged solve allocated %d B; one tiled table is %d B", grew, est.TableBytes)
+	if grew >= est.TableBytes {
+		t.Errorf("paged solve allocated %d B, want less than one tiled table (%d B)", grew, est.TableBytes)
 	}
 }
 
@@ -194,4 +286,62 @@ func TestEstimateSolveReportsSpill(t *testing.T) {
 	if capped.FootprintBytes >= est.FootprintBytes {
 		t.Errorf("budgeted footprint %d not below full footprint %d", capped.FootprintBytes, est.FootprintBytes)
 	}
+}
+
+// TestPagedSpillResumeNeverTrustsCorruptBlock is the public-API
+// kill-and-resume cycle under silent corruption: a paged solve into a
+// named spill file, with corrupt faults injected and healing on, is cut
+// off by a deadline; a second solve resumes from the spill file. The
+// spill index must vouch only for the bytes the tasks computed, so the
+// resume matches Serial or fails typed in every seed. The deadlines
+// spread over one timed uncut run, so the cuts land mid-solve however
+// fast the host is.
+func TestPagedSpillResumeNeverTrustsCorruptBlock(t *testing.T) {
+	const n, seeds = 768, 12
+	ref := buildRandom(t, n, 768)
+	if _, err := Solve(ref, Options{Engine: Serial}); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{
+		Engine: Parallel, Workers: 2, BlockBytes: 4096, MemoryBudget: 64 << 10,
+		Heal: true,
+	}
+	faulted := func(seed int64, spill string) Options {
+		o := opts
+		o.SpillPath, o.FaultKinds, o.FaultRate, o.FaultSeed = spill, "corrupt", 0.2, seed
+		return o
+	}
+	start := time.Now()
+	if _, err := Solve(buildRandom(t, n, 768), faulted(0, filepath.Join(t.TempDir(), "uncut.npsp"))); err != nil {
+		t.Fatal(err)
+	}
+	uncut := time.Since(start)
+	resumed := 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		spill := filepath.Join(t.TempDir(), "solve.npsp")
+		ctx, cancel := context.WithTimeout(context.Background(), uncut*time.Duration(seed)/(seeds+1))
+		_, err := SolveCtx(ctx, buildRandom(t, n, 768), faulted(seed, spill))
+		cancel()
+		if err == nil {
+			t.Logf("seed %d: first run finished before its deadline", seed)
+		}
+		second := opts
+		second.SpillPath, second.ResumeSpill = spill, true
+		got := buildRandom(t, n, 768)
+		res, err := Solve(got, second)
+		var pe *pager.ErrPageCorrupt
+		var ce *resilience.CorruptionError
+		switch {
+		case err == nil:
+			assertTablesEqual(t, ref, got, fmt.Sprintf("seed %d resumed", seed))
+			if res.ResumedTasks > 0 {
+				resumed++
+			}
+		case errors.As(err, &pe), errors.As(err, &ce):
+			t.Logf("seed %d: typed failure: %v", seed, err)
+		default:
+			t.Fatalf("seed %d: resume: %v; want success or a typed corruption error", seed, err)
+		}
+	}
+	t.Logf("%d of %d seeds resumed tasks (uncut run %v)", resumed, seeds, uncut)
 }

@@ -24,10 +24,13 @@
 # set while injecting torn spill writes (must heal), bit flips on
 # page-in reads (must heal) and ENOSPC (must degrade gracefully), all
 # bit-identical to serial. The pager's concurrency stress and
-# committer-join tests also run twenty times under the race detector,
-# the cluster package's tests five times (frame buffers change owner
-# between the event loop, the session writers and the readers), and the
-# harness failover experiment ten times.
+# committer-join tests (on durable pagers, the ones that commit) also
+# run twenty times under the race detector, the two spill-resume
+# regression tests (a resume after silent corruption must match serial
+# or fail typed) five times, the cluster package's tests five times
+# (frame buffers change owner between the event loop, the session
+# writers and the readers), and the harness failover experiment ten
+# times.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -121,9 +124,19 @@ go test -race -timeout 30m ./...
 echo "== go test -race -count=20 (pager concurrency stress, committer join)"
 # Loads, spills and commits run outside the pager's mutex, so one pass
 # of the stress test samples only one interleaving; twenty under the
-# race detector sample more, and as many of Discard racing the
-# background committer's exit.
-go test -race -count=20 -run '^TestConcurrentPagerStress$|^TestDiscardJoinsBackgroundCommit$' ./internal/pager
+# race detector sample more, and as many of Commit, Close and Discard
+# racing the background committer's exit. Each test makes a durable
+# pager (CommitEvery > 0): a scratch pager never commits.
+go test -race -count=20 -run '^TestConcurrentPagerStress$|^TestCommitAndCloseJoinBackgroundCommit$|^TestDiscardJoinsBackgroundCommit$' ./internal/pager
+
+echo "== go test -race -count=5 (spill resume after silent corruption)"
+# A sealing run that injects corrupt faults is cut off, then resumed
+# from its spill file, at the package level (40 seeds) and through the
+# public API (12 seeds, cut at spread deadlines): every resume must
+# match serial or fail typed. Where the cut lands depends on timing, so
+# five passes under the race detector sample more cuts.
+go test -race -count=5 -run '^TestPagedResumeNeverTrustsCorruptBlock$' ./internal/npdp
+go test -race -count=5 -run '^TestPagedSpillResumeNeverTrustsCorruptBlock$' .
 
 echo "== go test -race -count=5 ./internal/cluster (frame-buffer ownership)"
 # Pooled frame buffers pass between the event loop, the session writers

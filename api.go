@@ -30,8 +30,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -130,21 +128,31 @@ type Options struct {
 	// every AuditEvery task executions (the online audit, which catches
 	// corruption mid-solve); 0 audits post-solve only. Implies sealing.
 	AuditEvery int
-	// CheckpointPath, when non-empty, makes the Parallel engine
-	// periodically snapshot completed work (and always snapshot on
-	// failure) to this file for later resume. The other engines reject
+	// CheckpointPath, when non-empty, makes the Tiled and Parallel engines
+	// keep a checkpoint there: the solve runs on a durable spill file at
+	// this path (every block resident when MemoryBudget is 0; its index
+	// rides beside it at CheckpointPath+".idx"), which commits the
+	// solve's final, verified blocks every CheckpointEvery completed
+	// tasks and once more however the solve ends. A commit never records
+	// a block whose seal fails, or anything computed from one. Tiled then
+	// runs as the Parallel executor on one worker. Serial and Cell reject
 	// it.
 	CheckpointPath string
-	// CheckpointEvery is the snapshot period in completed tasks; 0 means
+	// CheckpointEvery is the commit period in completed tasks; 0 means
 	// 16. Negative values are rejected.
 	CheckpointEvery int
-	// ResumePath, when non-empty, resumes a Parallel solve from a
-	// checkpoint written by an earlier run with identical geometry:
-	// completed tasks' blocks are restored and only the remainder
-	// executes. The other engines reject it.
-	ResumePath string
+	// Resume continues a solve from the checkpoint at CheckpointPath,
+	// written by an earlier solve with the same n, tile and element
+	// width: its committed blocks are trusted once their page-in
+	// verifies, and only the remainder runs, from the input the
+	// checkpoint holds; the table only receives the result. A missing
+	// file or another geometry is an error, returned before anything is
+	// written. Requires CheckpointPath.
+	Resume bool
 	// NoFallback disables the Parallel→Tiled graceful degradation, so a
-	// parallel compute failure surfaces instead of being recovered.
+	// parallel compute failure surfaces instead of being recovered. A
+	// solve under MemoryBudget never degrades: the in-memory Tiled engine
+	// would break the budget.
 	NoFallback bool
 	// MemoryBudget, when positive, runs the Tiled and Parallel engines
 	// out of core: the NDL table lives in a spill file and, while the
@@ -160,26 +168,13 @@ type Options struct {
 	// solve does. The budget is soft — disk failures degrade to
 	// residency growth rather than data loss. The spill file is one
 	// block store under the same executor, so FaultRate, MaxRetries,
-	// AuditEvery, Heal and SchedSide all apply; only
-	// CheckpointPath/ResumePath are rejected (the committed spill index
-	// is the checkpoint), a paged solve never degrades to the in-memory
-	// Tiled engine, and Serial and Cell reject it.
+	// AuditEvery, Heal, SchedSide and CheckpointPath all apply. Without
+	// CheckpointPath the spill file is a private temp file, never synced
+	// and removed after the solve. Serial and Cell reject it.
 	MemoryBudget int64
-	// SpillPath locates the spill data file (its index rides beside it at
-	// SpillPath+".idx"). A named file is crash-consistent resume state:
-	// it is synced and its index committed as the solve spills, so it
-	// persists across SIGKILL for ResumeSpill. Empty means a private temp
-	// file, removed after the solve, that nothing can reopen: it is never
-	// synced and no index is ever committed for it. Requires
-	// MemoryBudget > 0.
-	SpillPath string
-	// ResumeSpill resumes a paged solve from an existing spill file at
-	// SpillPath: blocks recovered from the committed index are trusted
-	// (CRC-verified on page-in) and only the remainder is recomputed.
-	ResumeSpill bool
 	// DiskFaultRate, when positive, turns on the deterministic disk-fault
 	// injector on the pager's spill I/O (the out-of-core counterpart of
-	// FaultRate). Requires MemoryBudget > 0.
+	// FaultRate). Requires MemoryBudget or CheckpointPath.
 	DiskFaultRate float64
 	// DiskFaultSeed seeds the disk-fault plan.
 	DiskFaultSeed int64
@@ -211,7 +206,7 @@ type Result struct {
 	Degraded       bool
 	DegradedReason string
 	// ResumedTasks is the number of scheduler tasks restored from the
-	// checkpoint or the committed spill index instead of recomputed.
+	// checkpoint instead of recomputed.
 	ResumedTasks int
 	// CorruptBlocks is the number of block-seal mismatches audits
 	// detected (sealing engines only) plus the corrupt final pages a paged
@@ -225,10 +220,10 @@ type Result struct {
 	// HealFallback reports that heal rounds were exhausted and the solve
 	// restarted once from the pristine snapshot.
 	HealFallback bool
-	// Paged reports the solve ran out of core through the block pager;
-	// PagerStats then carries the disk-traffic and recovery counters
-	// (bytes spilled and fetched, faulted pages, heals, ENOSPC
-	// degradations).
+	// Paged reports the solve ran through the block pager (MemoryBudget
+	// or CheckpointPath); PagerStats then carries the disk-traffic and
+	// recovery counters (bytes spilled and fetched, faulted pages, heals,
+	// ENOSPC degradations, commits).
 	Paged      bool
 	PagerStats *pager.Stats
 }
@@ -335,9 +330,9 @@ func Solve[E Elem](t *Table[E], opts Options) (*Result, error) {
 // SolveCtx is Solve under a context: cancellation and deadlines are
 // honored by every engine at task-dispatch granularity (per column for
 // Serial, per memory block for Tiled, per scheduler task for Parallel
-// and Cell). A cancelled solve returns ctx's error and leaves the table
-// partially solved; with a checkpoint configured, the completed portion
-// is on disk for resume.
+// and Cell). A cancelled solve returns ctx's error and may leave the
+// table partially solved; with a CheckpointPath, the verified completed
+// portion is on disk for Resume.
 func SolveCtx[E Elem](ctx context.Context, t *Table[E], opts Options) (*Result, error) {
 	if t == nil || t.rm == nil {
 		return nil, fmt.Errorf("cellnpdp: nil table")
@@ -373,29 +368,21 @@ func SolveCtx[E Elem](ctx context.Context, t *Table[E], opts Options) (*Result, 
 	if err != nil {
 		return nil, fmt.Errorf("cellnpdp: %w", err)
 	}
-	paged := opts.MemoryBudget != 0 || opts.SpillPath != "" || opts.ResumeSpill
-	if paged {
-		if opts.MemoryBudget <= 0 {
-			return nil, fmt.Errorf("cellnpdp: SpillPath/ResumeSpill require a positive MemoryBudget, got %d", opts.MemoryBudget)
-		}
-		if opts.Engine != Tiled && opts.Engine != Parallel {
-			return nil, fmt.Errorf("cellnpdp: MemoryBudget supports the Tiled and Parallel engines, not %v", opts.Engine)
-		}
-		if opts.CheckpointPath != "" || opts.ResumePath != "" {
-			return nil, fmt.Errorf("cellnpdp: MemoryBudget is incompatible with CheckpointPath/ResumePath — the committed spill index is the checkpoint (resume with ResumeSpill)")
-		}
-		if opts.ResumeSpill && opts.SpillPath == "" {
-			return nil, fmt.Errorf("cellnpdp: ResumeSpill requires SpillPath")
-		}
+	if opts.MemoryBudget < 0 {
+		return nil, fmt.Errorf("cellnpdp: MemoryBudget must be non-negative, got %d", opts.MemoryBudget)
 	}
-	if (opts.CheckpointPath != "" || opts.ResumePath != "") && opts.Engine != Parallel {
-		return nil, fmt.Errorf("cellnpdp: CheckpointPath/ResumePath support the Parallel engine, not %v", opts.Engine)
+	paged := opts.MemoryBudget > 0 || opts.CheckpointPath != ""
+	if paged && opts.Engine != Tiled && opts.Engine != Parallel {
+		return nil, fmt.Errorf("cellnpdp: MemoryBudget and CheckpointPath support the Tiled and Parallel engines, not %v", opts.Engine)
+	}
+	if opts.Resume && opts.CheckpointPath == "" {
+		return nil, fmt.Errorf("cellnpdp: Resume requires CheckpointPath")
 	}
 	if opts.DiskFaultRate < 0 || opts.DiskFaultRate > 1 {
 		return nil, fmt.Errorf("cellnpdp: DiskFaultRate must be in [0, 1], got %g", opts.DiskFaultRate)
 	}
 	if opts.DiskFaultRate > 0 && !paged {
-		return nil, fmt.Errorf("cellnpdp: DiskFaultRate requires MemoryBudget (there is no spill I/O to fault)")
+		return nil, fmt.Errorf("cellnpdp: DiskFaultRate requires MemoryBudget or CheckpointPath (there is no spill I/O to fault)")
 	}
 	tile, schedSide, err := geometry[E](opts)
 	if err != nil {
@@ -422,7 +409,7 @@ func SolveCtx[E Elem](ctx context.Context, t *Table[E], opts Options) (*Result, 
 			break
 		}
 		if opts.Engine == Tiled {
-			workers = 1 // the out-of-core Tiled engine is the executor on one worker
+			workers = 1 // Tiled on a pager is the executor on one worker
 		}
 		relax, err := solveStore(ctx, t, res, tile, workers, schedSide, paged, opts, faultKinds, diskFaultKinds)
 		if err != nil {
@@ -478,19 +465,14 @@ func SolveCtx[E Elem](ctx context.Context, t *Table[E], opts Options) (*Result, 
 }
 
 // solveStore runs the one executor path behind the Parallel engine and
-// every out-of-core solve: it builds the block store (an in-memory
-// MemStore, or a pager under MemoryBudget), restores any checkpoint or
-// spill state into it, and runs npdp.SolveStoreCtx with the
-// fault-tolerance options, which combine freely. An in-memory solve
-// overwrites the row-major source only after it succeeds, so a failure
-// can degrade to the serial Tiled engine from clean input (unless
-// NoFallback). A paged solve (solvePaged) writes the source only in its
-// final copy-out: a failure before that leaves the caller's table
-// untouched and — with a named SpillPath — the committed spill index on
-// disk for ResumeSpill; a failure inside it, on a page fault that cannot
-// be healed, may leave some cells holding solved values, as a cancelled
-// Serial solve does. Paged solves never degrade: the Tiled engine would
-// hold the whole table and break the budget.
+// every solve on a pager: it builds the block store (an in-memory
+// MemStore, or a pager under MemoryBudget or CheckpointPath) and runs
+// npdp.SolveStoreCtx with the fault-tolerance options, which combine
+// freely. An in-memory solve overwrites the row-major source only after
+// it succeeds, and a pager solve writes it only in its final copy-out,
+// so a failure can degrade to the serial Tiled engine from the source
+// (unless NoFallback). A solve under MemoryBudget never degrades: the
+// Tiled engine would hold the whole table and break the budget.
 func solveStore[E Elem](ctx context.Context, t *Table[E], res *Result, tile, workers, schedSide int, paged bool, opts Options, faultKinds []resilience.FaultKind, diskFaultKinds []pager.DiskFaultKind) (int64, error) {
 	hs := &resilience.HealStats{}
 	defer func() { // the ladder's counters reach the Result on every path
@@ -500,7 +482,6 @@ func solveStore[E Elem](ctx context.Context, t *Table[E], res *Result, tile, wor
 	popts := npdp.ParallelOptions{
 		Workers:         workers,
 		SchedSide:       schedSide,
-		CheckpointPath:  opts.CheckpointPath,
 		CheckpointEvery: opts.CheckpointEvery,
 		Seal:            sealOn(opts, faultKinds),
 		Heal:            opts.Heal,
@@ -520,38 +501,37 @@ func solveStore[E Elem](ctx context.Context, t *Table[E], res *Result, tile, wor
 	if opts.FaultRate > 0 {
 		popts.Inject = &resilience.Injector{Rate: opts.FaultRate, Seed: opts.FaultSeed, Kinds: faultKinds}
 	}
-	if paged {
-		return solvePaged(ctx, t, res, tile, workers, schedSide, popts, opts, diskFaultKinds)
-	}
-	tt := tri.ToTiled(t.rm, tile)
-	store := npdp.NewMemStore(tt, opts.Heal)
+	var relax int64
 	var err error
-	if opts.ResumePath != "" {
-		if res.ResumedTasks, err = resumeCheckpoint(store, t.Len(), tile, schedSide, opts); err != nil {
-			return 0, err
+	if paged {
+		relax, err = solvePaged(ctx, t, res, tile, workers, schedSide, popts, opts, diskFaultKinds)
+	} else {
+		tt := tri.ToTiled(t.rm, tile)
+		st, serr := npdp.SolveStoreCtx(ctx, npdp.NewMemStore(tt, opts.Heal), popts)
+		if err = serr; err == nil {
+			tri.Copy(t.rm, tt)
+			relax = st.Relaxations()
 		}
 	}
-	st, err := npdp.SolveStoreCtx(ctx, store, popts)
+	if err == nil || !degradable(err) || opts.NoFallback || opts.MemoryBudget > 0 {
+		return relax, err
+	}
+	if opts.Logf != nil {
+		opts.Logf("cellnpdp: parallel engine failed (%v); degrading to tiled", err)
+	}
+	res.Degraded, res.DegradedReason = true, err.Error()
+	tt := tri.ToTiled(t.rm, tile)
+	st, err := npdp.SolveTiledCtx(ctx, tt)
 	if err != nil {
-		if !degradable(err) || opts.NoFallback {
-			return 0, err
-		}
-		if opts.Logf != nil {
-			opts.Logf("cellnpdp: parallel engine failed (%v); degrading to tiled", err)
-		}
-		res.Degraded, res.DegradedReason = true, err.Error()
-		tt = tri.ToTiled(t.rm, tile)
-		if st, err = npdp.SolveTiledCtx(ctx, tt); err != nil {
-			return 0, err
-		}
+		return 0, err
 	}
 	tri.Copy(t.rm, tt)
 	return st.Relaxations(), nil
 }
 
-// solvePaged is solveStore's out-of-core path: the pager is created from
-// the row-major table, or reopened under ResumeSpill, and the solved
-// blocks are copied back into it inside the recovery ladder
+// solvePaged is solveStore's pager path: the pager is created from the
+// row-major table, or reopened under Resume, and the solved blocks are
+// copied back into it inside the recovery ladder
 // (npdp.SolvePagedTableCtx), so no tiled copy of the table is built on
 // either side of the solve.
 func solvePaged[E Elem](ctx context.Context, t *Table[E], res *Result, tile, workers, schedSide int, popts npdp.ParallelOptions, opts Options, diskFaultKinds []pager.DiskFaultKind) (int64, error) {
@@ -560,10 +540,8 @@ func solvePaged[E Elem](ctx context.Context, t *Table[E], res *Result, tile, wor
 	if err != nil {
 		return 0, err
 	}
-	// A named spill file's Close (deferred) commits the index, so a
-	// graceful failure is resumable.
 	defer cleanup()
-	if opts.ResumeSpill {
+	if opts.Resume {
 		graph, err := sched.NewGraph(p.Blocks(), schedSide)
 		if err != nil {
 			return 0, err
@@ -585,93 +563,44 @@ func solvePaged[E Elem](ctx context.Context, t *Table[E], res *Result, tile, wor
 	return st.Relaxations(), nil
 }
 
-// resumeCheckpoint loads and validates the checkpoint at
-// opts.ResumePath and applies it to the store, returning the number of
-// tasks it restored.
-func resumeCheckpoint[E Elem](store npdp.BlockStore[E], n, tile, schedSide int, opts Options) (int, error) {
-	// A crash between writing a snapshot temp and renaming it leaves a
-	// `.tmp` orphan beside the checkpoint; resume is the natural point to
-	// sweep them (the live checkpoint is never touched).
-	if _, err := resilience.RemoveStaleTemps(opts.ResumePath); err != nil && opts.Logf != nil {
-		opts.Logf("cellnpdp: %v", err)
-	}
-	ck, err := resilience.LoadCheckpointFile[E](opts.ResumePath)
-	if err != nil {
-		return 0, err
-	}
-	if err := ck.Matches(n, tile, schedSide); err != nil {
-		return 0, err
-	}
-	graph, err := sched.NewGraph(store.Blocks(), schedSide)
-	if err != nil {
-		return 0, err
-	}
-	return npdp.ApplyCheckpoint(store, graph, ck, opts.Logf)
-}
-
-// openPager creates (or, under ResumeSpill, reopens) the spill-backed
-// block store for a paged solve: the NDL table lives in a CRC-sealed,
-// versioned file and only a MemoryBudget-sized working set stays
-// resident. A named SpillPath is resume state, so its pager is durable;
-// a private spill lives in a temp dir this call makes and cleanup
-// removes, and nothing reopens it, so its pager is scratch and is never
-// synced or committed. cleanup closes a named spill file, or discards a
-// private one and removes its directory.
+// openPager makes the block store of a pager solve
+// (pager.OpenSolve): the NDL table lives in a CRC-sealed, versioned
+// spill file, the checkpoint when there is a CheckpointPath and a
+// private scratch file otherwise, and only a MemoryBudget-sized working
+// set stays resident, or every block when MemoryBudget is 0. The spill
+// file's pristine region is written block by block from the table.
 func openPager[E Elem](t *Table[E], tile, workers int, opts Options, diskFaultKinds []pager.DiskFaultKind) (*pager.Pager[E], func(), error) {
-	elem := int64(precisionOf[E]().ElemBytes())
-	frameBytes := int64(tile)*int64(tile)*elem + 4
-	frames := int(opts.MemoryBudget / frameBytes)
-	// Each worker pins at most three blocks at once (destination plus one
-	// operand pair), and the prefetch pipeline holds two more in flight —
-	// below that floor the solve cannot make progress, so the budget is
-	// soft there (the pager counts the overshoot in OverBudget).
-	if minFrames := workers*3 + 2; frames < minFrames {
-		if opts.Logf != nil {
-			opts.Logf("cellnpdp: memory budget %d B is below the %d-worker minimum working set (%d B); clamping to %d frames",
-				opts.MemoryBudget, workers, int64(minFrames)*frameBytes, minFrames)
+	m := (t.Len() + tile - 1) / tile
+	frames := m * (m + 1) / 2
+	if opts.MemoryBudget > 0 {
+		elem := int64(precisionOf[E]().ElemBytes())
+		frameBytes := int64(tile)*int64(tile)*elem + 4
+		frames = int(opts.MemoryBudget / frameBytes)
+		// Each worker pins at most three blocks at once (destination plus
+		// one operand pair), and the prefetch pipeline holds two more in
+		// flight — below that floor the solve cannot make progress, so
+		// the budget is soft there (the pager counts the overshoot in
+		// OverBudget).
+		if minFrames := workers*3 + 2; frames < minFrames {
+			if opts.Logf != nil {
+				opts.Logf("cellnpdp: memory budget %d B is below the %d-worker minimum working set (%d B); clamping to %d frames",
+					opts.MemoryBudget, workers, int64(minFrames)*frameBytes, minFrames)
+			}
+			frames = minFrames
 		}
-		frames = minFrames
 	}
 	popts := pager.Options{Frames: frames, Logf: opts.Logf}
 	if opts.DiskFaultRate > 0 {
 		popts.Faults = &pager.DiskFaults{Rate: opts.DiskFaultRate, Seed: opts.DiskFaultSeed, Kinds: diskFaultKinds}
 	}
-	path := opts.SpillPath
-	removeDir := func() {}
-	if path != "" {
-		popts.CommitEvery = pager.DurableCommitEvery
-	} else {
-		dir, err := os.MkdirTemp("", "cellnpdp-spill-")
-		if err != nil {
-			return nil, nil, fmt.Errorf("cellnpdp: spill temp dir: %w", err)
-		}
-		removeDir = func() { os.RemoveAll(dir) }
-		path = filepath.Join(dir, "solve.npsp")
+	p, done, err := pager.OpenSolve(opts.CheckpointPath, opts.Resume, t.Len(), tile, popts,
+		func(path string, popts pager.Options) (*pager.Pager[E], error) {
+			return pager.CreateFromRows(path, t.rm, tile, popts)
+		})
+	if err != nil {
+		return nil, nil, fmt.Errorf("cellnpdp: %w", err)
 	}
-	var p *pager.Pager[E]
-	var err error
-	if opts.ResumeSpill {
-		p, err = pager.Open[E](path, popts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cellnpdp: resume spill: %w", err)
-		}
-		if p.Len() != t.Len() || p.Tile() != tile {
-			p.Close()
-			return nil, nil, fmt.Errorf("cellnpdp: spill file is an n=%d tile=%d instance, solve wants n=%d tile=%d", p.Len(), p.Tile(), t.Len(), tile)
-		}
-	} else {
-		p, err = pager.CreateFromRows(path, t.rm, tile, popts)
-		if err != nil {
-			removeDir()
-			return nil, nil, fmt.Errorf("cellnpdp: create spill: %w", err)
-		}
-	}
-	if opts.SpillPath != "" {
-		// A named spill file is the resume state: Close flushes and
-		// commits it.
-		return p, func() { p.Close() }, nil
-	}
-	return p, func() { p.Discard(); removeDir() }, nil
+	return p, done, nil
 }
 
 // degradable reports whether a parallel failure is a compute-layer fault
@@ -720,15 +649,12 @@ type SolveEstimate struct {
 	// StagingBytes is the row-major source table the solve reads from
 	// and copies back into — resident alongside the tiled table.
 	StagingBytes int64
-	// CheckpointBytes bounds a full snapshot of the solve (header,
-	// bitmap, every block), the extra footprint when checkpointing.
-	CheckpointBytes int64
-	// SpillFileBytes is the (sparse) on-disk size of a paged solve's
+	// SpillFileBytes is the (sparse) on-disk size of a pager solve's
 	// spill data file — pristine and final versions of every block plus
-	// the header — the disk-side cost of running under MemoryBudget.
+	// the header — the disk-side cost of running under MemoryBudget, and
+	// the size of the checkpoint at CheckpointPath.
 	SpillFileBytes int64
-	// FootprintBytes is the total the solve pins: table + staging, plus
-	// the checkpoint bound when Options.CheckpointPath is set. Under
+	// FootprintBytes is the total the solve pins: table + staging. Under
 	// MemoryBudget the tiled table's contribution is capped at the
 	// budget: that is the resident working set while the solve runs,
 	// and the spill file is written from and copied back into the
@@ -759,15 +685,13 @@ func EstimateSolve[E Elem](n int, opts Options) (SolveEstimate, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	tile, schedSide, err := geometry[E](opts)
+	tile, _, err := geometry[E](opts)
 	if err != nil {
 		return SolveEstimate{}, err
 	}
 	elem := int64(precisionOf[E]().ElemBytes())
 	m := int64((n + tile - 1) / tile)
 	nblocks := m * (m + 1) / 2
-	ms := (m + int64(schedSide) - 1) / int64(schedSide)
-	tasks := ms * (ms + 1) / 2
 	blockCells := int64(tile) * int64(tile)
 	est := SolveEstimate{
 		N:            n,
@@ -776,16 +700,10 @@ func EstimateSolve[E Elem](n int, opts Options) (SolveEstimate, error) {
 		TableBytes:   nblocks * blockCells * elem,
 		StagingBytes: int64(n) * int64(n+1) / 2 * elem,
 	}
-	// Checkpoint layout: 32-byte header + completion bitmap + every block
-	// with its 8-byte coordinates + 4-byte CRC (see checkpoint.go).
-	est.CheckpointBytes = 32 + (tasks+7)/8 + nblocks*(8+blockCells*elem) + 4
 	est.SpillFileBytes = pager.SpillFileSize(n, tile, int(elem))
 	est.FootprintBytes = est.TableBytes + est.StagingBytes
 	if opts.MemoryBudget > 0 && opts.MemoryBudget < est.TableBytes {
 		est.FootprintBytes = opts.MemoryBudget + est.StagingBytes
-	}
-	if opts.CheckpointPath != "" {
-		est.FootprintBytes += est.CheckpointBytes
 	}
 	// Section V model with the solve's geometry: LocalStore is the
 	// six-buffer inverse of the tile side, so BlockSide() == tile and

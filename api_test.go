@@ -7,7 +7,7 @@ import (
 )
 
 // buildRandom fills a table with a seeded chain instance.
-func buildRandom(t *testing.T, n int, seed int64) *Table[float32] {
+func buildRandom(t testing.TB, n int, seed int64) *Table[float32] {
 	t.Helper()
 	tbl, err := NewTable[float32](n)
 	if err != nil {

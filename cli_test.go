@@ -207,7 +207,7 @@ func TestCLIFallbackDegrades(t *testing.T) {
 func TestCLIKillAndResume(t *testing.T) {
 	dir := t.TempDir()
 	ref := filepath.Join(dir, "ref.npdp")
-	ck := filepath.Join(dir, "solve.npck")
+	ck := filepath.Join(dir, "solve.npsp")
 	runCLI(t, "cellnpdp", "-n", "400", "-engine", "serial", "-save", ref)
 
 	// Run 1: unretried injected faults, no fallback — must die with a
@@ -229,7 +229,7 @@ func TestCLIKillAndResume(t *testing.T) {
 	// Run 2: resume with faults off; must restore completed tasks and
 	// finish bit-identical to the serial reference.
 	out2 := runCLI(t, "cellnpdp", "-n", "400", "-engine", "parallel",
-		"-resume", ck, "-check", ref)
+		"-checkpoint", ck, "-resume", "-check", ref)
 	if !strings.Contains(out2, "resumed ") {
 		t.Fatalf("resume not reported:\n%s", out2)
 	}
@@ -239,11 +239,11 @@ func TestCLIKillAndResume(t *testing.T) {
 }
 
 // TestCLIKillMidSpillResume is the out-of-core acceptance scenario with
-// a real SIGKILL: a paged solve under a memory budget far below the
-// table footprint is killed mid-spill — no flush, no farewell, torn
-// in-flight state — and a fresh process resumes from the committed
-// spill index and finishes bit-identical to the serial reference
-// (verified through -check, which compares every cell).
+// a real SIGKILL: a checkpointed paged solve under a memory budget far
+// below the table footprint is killed mid-spill — no flush, no
+// farewell, torn in-flight state — and a fresh process resumes from the
+// committed spill index and finishes bit-identical to the serial
+// reference (verified through -check, which compares every cell).
 func TestCLIKillMidSpillResume(t *testing.T) {
 	dir := t.TempDir()
 	ref := filepath.Join(dir, "ref.npdp")
@@ -256,7 +256,7 @@ func TestCLIKillMidSpillResume(t *testing.T) {
 	// event; Create's initial commit is empty, so require records: the
 	// NPSX layout is a 28-byte header, 8 bytes per record, 4-byte CRC).
 	cmd := exec.Command(cliPath(t, "cellnpdp"), "-n", "1024", "-engine", "parallel",
-		"-workers", "2", "-block", "1024", "-memory-budget", "32768", "-spill", spill)
+		"-workers", "2", "-block", "1024", "-memory-budget", "32768", "-checkpoint", spill)
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestCLIKillMidSpillResume(t *testing.T) {
 	// the rest, and must match the serial reference cell for cell.
 	out := runCLI(t, "cellnpdp", "-n", "1024", "-engine", "parallel",
 		"-workers", "2", "-block", "1024", "-memory-budget", "32768",
-		"-spill", spill, "-resume-spill", "-check", ref)
+		"-checkpoint", spill, "-resume", "-check", ref)
 	if !strings.Contains(out, "resumed ") {
 		t.Fatalf("resume not reported:\n%s", out)
 	}

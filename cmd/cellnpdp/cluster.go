@@ -66,9 +66,9 @@ func runCluster(args []string) error {
 
 		heal       = fs.Bool("heal", false, "recompute the poisoned cone when a boundary block fails its seal audit")
 		healMax    = fs.Int("heal-attempts", 0, "max consecutive seal failures of one block before the pristine restart (0 = default)")
-		checkpoint = fs.String("checkpoint", "", "snapshot completed work to this file")
-		ckEvery    = fs.Int("checkpoint-every", 0, "snapshot period in accepted tasks (0 = final snapshot only)")
-		resume     = fs.Bool("resume", false, "resume from -checkpoint when it holds a matching snapshot")
+		checkpoint = fs.String("checkpoint", "", "coordinator/loopback: keep the authoritative table's checkpoint (a spill file) at this path")
+		ckEvery    = fs.Int("checkpoint-every", 0, "checkpoint commit period in accepted tasks (0 = default 16)")
+		resume     = fs.Bool("resume", false, "resume the solve from -checkpoint")
 
 		faultRate = fs.Float64("faultrate", 0, "worker-side silent-corruption rate per (task, generation)")
 		faultSeed = fs.Int64("faultseed", 1, "corruption-injection seed (loopback shares it across workers)")
@@ -83,8 +83,7 @@ func runCluster(args []string) error {
 		chaosCoord = fs.Bool("chaos-kill-coordinator", false,
 			"loopback: run the coordinator as a subprocess replicating to an in-process standby, SIGKILL it mid-wavefront")
 
-		spill     = fs.String("spill", "", "coordinator/loopback: page the authoritative table to this spill file")
-		memBudget = fs.Int64("memory-budget", 0, "coordinator/loopback: resident-set budget in bytes for the paged table (requires -spill)")
+		memBudget = fs.Int64("memory-budget", 0, "coordinator/loopback: page the authoritative table through a spill file with this resident-set budget in bytes")
 
 		verify  = fs.Bool("verify", false, "re-solve with the serial engine and require bit-identity")
 		timeout = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
@@ -130,8 +129,7 @@ func runCluster(args []string) error {
 		faultRate: *faultRate, faultSeed: *faultSeed,
 		chaosKills: *chaosKills, chaosSeed: *chaosSeed, restartKilled: *restart,
 		replica: *replica, lease: *lease, maxReconnects: *maxReconn, chaosCoord: *chaosCoord,
-		spill: *spill, memBudget: *memBudget,
-		verify: *verify,
+		memBudget: *memBudget, verify: *verify,
 	}
 	switch *prec {
 	case "single":
@@ -168,7 +166,6 @@ type clusterConfig struct {
 	lease         time.Duration
 	maxReconnects int
 	chaosCoord    bool
-	spill         string
 	memBudget     int64
 	verify        bool
 }
@@ -211,8 +208,7 @@ func clusterSolve[E semiring.Elem](ctx context.Context, cfg clusterConfig) error
 		HeartbeatEvery: cfg.hbEvery, DeadlineAfter: cfg.deadline, WorkerlessAfter: cfg.workerless,
 		Heal: cfg.heal, HealAttempts: cfg.healMax,
 		CheckpointPath: cfg.checkpoint, CheckpointEvery: cfg.ckEvery, Resume: cfg.resume,
-		ReplicaAddr: cfg.replica,
-		SpillPath:   cfg.spill, MemoryBudget: cfg.memBudget,
+		ReplicaAddr: cfg.replica, MemoryBudget: cfg.memBudget,
 		Stats: &stats, Logf: log.Printf,
 	}
 
@@ -299,7 +295,6 @@ func standbySolve[E semiring.Elem](ctx context.Context, cfg clusterConfig, tbl *
 			Shards: cfg.shards, SchedSide: cfg.schedSide,
 			HeartbeatEvery: cfg.hbEvery, DeadlineAfter: cfg.deadline, WorkerlessAfter: cfg.workerless,
 			Heal: cfg.heal, HealAttempts: cfg.healMax,
-			CheckpointPath: cfg.checkpoint, CheckpointEvery: cfg.ckEvery,
 			Stats: &stats, Logf: log.Printf,
 		},
 		LeaseAfter: cfg.lease,

@@ -60,9 +60,9 @@ func main() {
 		check   = flag.String("check", "", "compare the solved table against this saved file")
 
 		timeout    = flag.Duration("timeout", 0, "abort the solve after this duration (0 = no limit)")
-		checkpoint = flag.String("checkpoint", "", "parallel engine: snapshot completed work to this file")
-		ckEvery    = flag.Int("checkpoint-every", 0, "snapshot period in completed tasks (0 = default 16)")
-		resume     = flag.String("resume", "", "parallel engine: resume from this checkpoint file")
+		checkpoint = flag.String("checkpoint", "", "tiled/parallel engines: keep a checkpoint (a spill file) at this path")
+		ckEvery    = flag.Int("checkpoint-every", 0, "checkpoint commit period in completed tasks (0 = default 16)")
+		resume     = flag.Bool("resume", false, "resume the solve from -checkpoint")
 		faultRate  = flag.Float64("faultrate", 0, "parallel engine: inject transient faults at this per-attempt rate")
 		faultSeed  = flag.Int64("faultseed", 1, "fault-injection seed (deterministic per seed)")
 		faultKinds = flag.String("faultkinds", "", "comma-separated injected fault kinds: error, panic, delay, corrupt (empty = error)")
@@ -73,8 +73,6 @@ func main() {
 		auditEvery = flag.Int("audit-every", 0, "parallel engine: re-verify block seals every N task executions (0 = post-solve only)")
 
 		memBudget     = flag.Int64("memory-budget", 0, "run out of core: cap the resident block working set at roughly this many bytes (tiled/parallel engines)")
-		spill         = flag.String("spill", "", "out of core: spill file path (persists for -resume-spill; empty = private temp)")
-		resumeSpill   = flag.Bool("resume-spill", false, "resume a paged solve from the committed spill index at -spill")
 		diskFaultRate = flag.Float64("disk-faultrate", 0, "out of core: inject disk faults into spill I/O at this per-operation rate")
 		diskFaultSeed = flag.Int64("disk-faultseed", 1, "disk-fault-injection seed (deterministic per seed)")
 		diskFaults    = flag.String("disk-faultkinds", "", "comma-separated injected disk fault kinds: eio, torn, flip, enospc (empty = all)")
@@ -112,11 +110,10 @@ func main() {
 		Engine: eng, Workers: *workers, BlockBytes: *block,
 		MaxRetries: *retries, FaultRate: *faultRate, FaultSeed: *faultSeed,
 		FaultKinds:     *faultKinds,
-		CheckpointPath: *checkpoint, CheckpointEvery: *ckEvery, ResumePath: *resume,
+		CheckpointPath: *checkpoint, CheckpointEvery: *ckEvery, Resume: *resume,
 		NoFallback: !*fallback, Logf: log.Printf,
 		Heal: *heal, HealAttempts: *healMax, AuditEvery: *auditEvery,
-		MemoryBudget: *memBudget, SpillPath: *spill, ResumeSpill: *resumeSpill,
-		DiskFaultRate: *diskFaultRate, DiskFaultSeed: *diskFaultSeed, DiskFaultKinds: *diskFaults,
+		MemoryBudget: *memBudget, DiskFaultRate: *diskFaultRate, DiskFaultSeed: *diskFaultSeed, DiskFaultKinds: *diskFaults,
 	}
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -175,11 +172,7 @@ func run[E cellnpdp.Elem](ctx context.Context, n int, seed int64, opts cellnpdp.
 		return err
 	}
 	if res.ResumedTasks > 0 {
-		src := opts.ResumePath
-		if res.Paged {
-			src = opts.SpillPath
-		}
-		fmt.Printf("resumed %d tasks from %s\n", res.ResumedTasks, src)
+		fmt.Printf("resumed %d tasks from %s\n", res.ResumedTasks, opts.CheckpointPath)
 	}
 	if res.Paged && res.PagerStats != nil {
 		ps := res.PagerStats

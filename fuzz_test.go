@@ -3,10 +3,11 @@ package cellnpdp
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"cellnpdp/internal/kernel"
-	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/tableio"
 	"cellnpdp/internal/tri"
 	"cellnpdp/internal/zuker"
@@ -78,48 +79,54 @@ func FuzzTableIO(f *testing.F) {
 	})
 }
 
-// FuzzCheckpointRoundTrip checks the resilience snapshot reader on
-// arbitrary bytes: corrupt or truncated snapshots must error — never
-// panic — and anything accepted must satisfy the format's invariants
-// (consistent geometry, appliable blocks).
+// FuzzCheckpointRoundTrip writes arbitrary bytes over a small
+// checkpoint's index and resumes it. The index decides which final
+// blocks a resume trusts, so every input must resume to a table
+// identical to Serial or fail with an error — never panic, and never
+// trust bytes the solve did not commit.
 func FuzzCheckpointRoundTrip(f *testing.F) {
-	const n, tile = 20, 8
-	tt := tri.NewTiled[float32](n, tile)
-	for j := 0; j < n; j++ {
-		for i := 0; i <= j; i++ {
-			tt.Set(i, j, float32(i*100+j))
-		}
-	}
-	meta := resilience.Meta{N: n, Tile: tile, SchedSide: 1, Tasks: 6, ElemBytes: 4}
-	done := []bool{true, false, false, true, false, false}
-	var buf bytes.Buffer
-	if err := resilience.WriteCheckpoint(&buf, meta, done, tt, [][2]int{{0, 0}, {1, 1}}); err != nil {
+	const n, seed = 48, 48
+	opts := Options{Engine: Parallel, Workers: 2, BlockBytes: 256}
+	ref := buildRandom(f, n, seed)
+	if _, err := Solve(ref, Options{Engine: Serial}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
-	valid := buf.Bytes()
-	truncated := append([]byte(nil), valid[:len(valid)/2]...)
-	f.Add(truncated)
+	ck := filepath.Join(f.TempDir(), "solve.npsp")
+	first := opts
+	first.CheckpointPath = ck
+	if _, err := Solve(buildRandom(f, n, seed), first); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(ck)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(ck + ".idx")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(append([]byte(nil), valid[:len(valid)/2]...))
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
-	f.Add([]byte("NPCKgarbage"))
+	f.Add([]byte("NPSXgarbage"))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := resilience.ReadCheckpoint[float32](bytes.NewReader(data))
-		if err != nil {
-			return // rejection is fine; panics are not
+	f.Fuzz(func(t *testing.T, idx []byte) {
+		path := filepath.Join(t.TempDir(), "solve.npsp")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if err := ck.Matches(ck.Meta.N, ck.Meta.Tile, ck.Meta.SchedSide); err != nil {
-			t.Fatalf("accepted snapshot fails its own geometry: %v", err)
+		if err := os.WriteFile(path+".idx", idx, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if ck.Meta.N > 1<<12 {
-			t.Skip("applying huge accepted geometries would just test the allocator")
+		resume := opts
+		resume.CheckpointPath, resume.Resume = path, true
+		got := buildRandom(t, n, seed)
+		if _, err := Solve(got, resume); err != nil {
+			return // rejection is fine; panics and wrong tables are not
 		}
-		fresh := tri.NewTiled[float32](ck.Meta.N, ck.Meta.Tile)
-		if err := ck.Apply(fresh); err != nil {
-			t.Fatalf("accepted snapshot failed to apply: %v", err)
-		}
+		assertTablesEqual(t, ref, got, "resumed from a rewritten index")
 	})
 }
 

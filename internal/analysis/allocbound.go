@@ -10,7 +10,7 @@ import (
 
 // AllocBound guards every decode path against the PR 7 alloc-bomb
 // class: a count or length lifted out of wire or disk bytes (a cluster
-// frame, an NPSP spill index, an NPCK checkpoint) fed straight into
+// frame, an NPSP spill file header or its NPSX index) fed straight into
 // make() hands a hostile or corrupt peer a gigabyte
 // allocation for sixteen bytes of input. The PR 7 review caught exactly
 // that — an unbounded `nblocks` from a task frame — by hand; this
@@ -157,7 +157,7 @@ func isBinaryDecode(info *types.Info, call *ast.CallExpr) bool {
 
 // isValidatorCall matches calls to named validators: a check/valid/
 // verify/audit-prefixed function clears the taint of every value it
-// receives (the NPCK `meta.checkMeta()` and NPSP `g.check()` idiom).
+// receives (the spill header and index decoders' `g.check()` idiom).
 func isValidatorCall(obj types.Object) bool {
 	name := strings.ToLower(obj.Name())
 	for _, p := range []string{"check", "valid", "verify", "audit"} {

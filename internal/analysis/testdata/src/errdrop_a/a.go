@@ -9,19 +9,19 @@ import (
 )
 
 func bareStmt() {
-	resilience.SaveCheckpointFile() // want `SaveCheckpointFile's error discarded`
+	resilience.CommitCheckpoint() // want `CommitCheckpoint's error discarded`
 }
 
 func inGo() {
-	go resilience.SaveCheckpointFile() // want `discarded by go statement`
+	go resilience.CommitCheckpoint() // want `discarded by go statement`
 }
 
 func inDefer() {
-	defer resilience.SaveCheckpointFile() // want `discarded by defer`
+	defer resilience.CommitCheckpoint() // want `discarded by defer`
 }
 
 func blank() {
-	_ = resilience.SaveCheckpointFile() // want `SaveCheckpointFile's error assigned to _`
+	_ = resilience.CommitCheckpoint() // want `CommitCheckpoint's error assigned to _`
 }
 
 func blankTuple(buf []byte) int {
@@ -30,16 +30,16 @@ func blankTuple(buf []byte) int {
 }
 
 func checkedDropped() bool {
-	err := resilience.SaveCheckpointFile() // want `nil-checked but never consumed`
+	err := resilience.CommitCheckpoint() // want `nil-checked but never consumed`
 	return err == nil
 }
 
 func propagated() error {
-	return resilience.SaveCheckpointFile() // ok: caller receives it
+	return resilience.CommitCheckpoint() // ok: caller receives it
 }
 
 func wrapped() error {
-	if err := resilience.SaveCheckpointFile(); err != nil {
+	if err := resilience.CommitCheckpoint(); err != nil {
 		return err // ok: consumed by return
 	}
 	return nil
@@ -48,7 +48,7 @@ func wrapped() error {
 func record(err error) {}
 
 func consumedByCall() {
-	err := resilience.SaveCheckpointFile()
+	err := resilience.CommitCheckpoint()
 	if err != nil {
 		record(err) // ok: consumed by a call
 	}

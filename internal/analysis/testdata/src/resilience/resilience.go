@@ -21,9 +21,9 @@ type PanicError struct{ TaskID int }
 
 func (e *PanicError) Error() string { return "panic" }
 
-// SaveCheckpointFile writes a snapshot; the error is the only record
+// CommitCheckpoint publishes a checkpoint; the error is the only record
 // that it was lost.
-func SaveCheckpointFile() error { return errors.New("checkpoint") }
+func CommitCheckpoint() error { return errors.New("checkpoint") }
 
 // Audit returns corruption evidence directly.
 func Audit() *CorruptionError { return nil }

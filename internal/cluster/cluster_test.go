@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -485,13 +486,13 @@ func TestClusterFreshMismatchesDontExhaust(t *testing.T) {
 }
 
 // TestClusterCheckpointResume interrupts a run mid-wavefront, then
-// resumes from the NPCK snapshot with fresh workers: the resumed run
+// resumes from its checkpoint with fresh workers: the resumed run
 // pre-completes checkpointed tasks and still converges bit-identically.
-// A cancelled run writes periodic snapshots every 3 accepts, or none
-// (CheckpointEvery 0); either way its final snapshot holds all 10 tasks
-// it accepted. A run killed through Die leaves no snapshot, as SIGKILL
-// would. A third run resumes the final checkpoint with no workers at all
-// and must finish instantly.
+// A cancelled run commits every 3 accepts, or — at CheckpointEvery 0,
+// which means 16 — not before the cancel; either way its final commit
+// holds all 10 tasks it accepted. A run killed through Die commits
+// nothing, as SIGKILL would. A third run resumes the final checkpoint
+// with no workers at all and must finish instantly.
 func TestClusterCheckpointResume(t *testing.T) {
 	ref := serialRef(t)
 	for _, c := range []struct {
@@ -504,7 +505,7 @@ func TestClusterCheckpointResume(t *testing.T) {
 		{"died", 0, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			ckpt := filepath.Join(t.TempDir(), "cluster.npck")
+			ckpt := filepath.Join(t.TempDir(), "cluster.npsp")
 
 			// Run 1: cancel (or kill) after 10 accepts.
 			ctx1, cancel1 := context.WithCancel(context.Background())
@@ -569,7 +570,7 @@ func TestClusterCheckpointResume(t *testing.T) {
 			wg2.Wait()
 			requireIdentical(t, ref, tbl2)
 			if c.die && stats2.Resumed != 0 {
-				t.Fatalf("resumed %d tasks after a kill that left no snapshot", stats2.Resumed)
+				t.Fatalf("resumed %d tasks after a kill that committed nothing", stats2.Resumed)
 			}
 			if !c.die && stats2.Resumed < 10 {
 				t.Fatalf("resumed only %d tasks; the interrupted run accepted 10", stats2.Resumed)
@@ -970,7 +971,6 @@ func TestClusterPagedMatchesSerial(t *testing.T) {
 	opts := testOptions(&stats)
 	opts.Shards = 2
 	opts.Logf = t.Logf
-	opts.SpillPath = filepath.Join(t.TempDir(), "cluster.npsp")
 	// 8 resident frames for 36 memory blocks: most of the table lives
 	// on disk for most of the solve.
 	opts.MemoryBudget = 8 * (int64(testTile)*int64(testTile)*4 + 4)
@@ -1018,7 +1018,6 @@ func TestClusterPagedCorruptionHeals(t *testing.T) {
 	opts.Shards = 2
 	opts.Heal = true
 	opts.Logf = t.Logf
-	opts.SpillPath = filepath.Join(t.TempDir(), "cluster.npsp")
 	opts.MemoryBudget = 8 * (int64(testTile)*int64(testTile)*4 + 4)
 	addr, wait := startCoordinator(ctx, t, tbl, opts)
 	inject := &resilience.Injector{Rate: 0.25, Seed: 42, Kinds: []resilience.FaultKind{resilience.FaultCorrupt}}
@@ -1043,31 +1042,137 @@ func TestClusterPagedCorruptionHeals(t *testing.T) {
 		stats.SealMismatches, stats.HealRounds, ps.SpilledBlocks, ps.FetchedBlocks)
 }
 
-// TestClusterPagedRejectsBadCombos pins the paged-mode option fences.
+// TestClusterPagedRejectsBadCombos pins the paged-mode option fence —
+// Resume needs a checkpoint — and that the combinations it no longer
+// fences solve: a budget alone pages through a private scratch spill,
+// and a budget with a checkpoint keeps it in the spill file, which a
+// run interrupted after 10 accepts leaves for a resume that finishes
+// bit-identically.
 func TestClusterPagedRejectsBadCombos(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
+	ref := serialRef(t)
+	budget := 8 * (int64(testTile)*int64(testTile)*4 + 4)
+	ckpt := filepath.Join(t.TempDir(), "cluster.npsp")
 	for _, tc := range []struct {
 		name string
 		mut  func(*Options)
-		want string
+		want string // empty: the run must solve bit-identically
 	}{
-		{"spill+checkpoint", func(o *Options) { o.SpillPath = "x.npsp"; o.CheckpointPath = "x.npck" }, "incompatible"},
-		{"budget-without-spill", func(o *Options) { o.MemoryBudget = 1 << 20 }, "requires SpillPath"},
-		{"spill+resume", func(o *Options) { o.SpillPath = "x.npsp"; o.Resume = true }, "Resume requires CheckpointPath"},
+		{"spill+checkpoint", func(o *Options) { o.MemoryBudget = budget; o.CheckpointPath = ckpt }, ""},
+		{"budget-without-spill", func(o *Options) { o.MemoryBudget = budget }, ""},
+		{"spill+resume", func(o *Options) { o.MemoryBudget = budget; o.Resume = true }, "Resume requires CheckpointPath"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
 			opts := testOptions(nil)
 			tc.mut(&opts)
-			err = Coordinate(ctx, ln, testTable(t), opts)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %v, want substring %q", err, tc.want)
+			if tc.want != "" {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ln.Close()
+				err = Coordinate(ctx, ln, testTable(t), opts)
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("error %v, want substring %q", err, tc.want)
+				}
+				return
+			}
+			if opts.CheckpointPath != "" {
+				// Interrupt a first run after 10 accepts; the resume below
+				// must start from its checkpoint.
+				ctx1, cancel1 := context.WithCancel(ctx)
+				first := opts
+				first.CheckpointEvery = 3
+				first.OnTaskDone = func(completed int, _ sched.Task) {
+					if completed == 10 {
+						go cancel1()
+					}
+				}
+				addr, wait := startCoordinator(ctx1, t, testTable(t), first)
+				var wg sync.WaitGroup
+				startWorker(ctx1, t, &wg, addr, WorkerOptions{Name: "w"})
+				if err := wait(); !errors.Is(err, context.Canceled) {
+					t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+				}
+				cancel1()
+				wg.Wait()
+				opts.Resume = true
+			}
+			var stats Stats
+			opts.Stats = &stats
+			tbl := testTable(t)
+			addr, wait := startCoordinator(ctx, t, tbl, opts)
+			var wg sync.WaitGroup
+			startWorker(ctx, t, &wg, addr, WorkerOptions{Name: "w"})
+			if err := wait(); err != nil {
+				t.Fatalf("Coordinate: %v", err)
+			}
+			cancel()
+			wg.Wait()
+			requireIdentical(t, ref, tbl)
+			if ps := stats.PagerStats; ps == nil || ps.SpilledBlocks == 0 {
+				t.Fatalf("budget below footprint but no spill traffic: %+v", ps)
+			}
+			if opts.Resume && stats.Resumed < 10 {
+				t.Fatalf("resumed %d tasks; the interrupted run accepted 10", stats.Resumed)
 			}
 		})
+	}
+}
+
+// TestClusterResumeRejectsGeometryMismatch is the cluster twin of the
+// root package's: a resume against a checkpoint of another problem size,
+// or against no checkpoint at all, fails before anything is written, and
+// leaves the checkpoint byte for byte as it was.
+func TestClusterResumeRejectsGeometryMismatch(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ckpt := filepath.Join(t.TempDir(), "cluster.npsp")
+	opts := testOptions(nil)
+	opts.CheckpointPath = ckpt
+	addr, wait := startCoordinator(ctx, t, testTable(t), opts)
+	var wg sync.WaitGroup
+	startWorker(ctx, t, &wg, addr, WorkerOptions{Name: "w"})
+	if err := wait(); err != nil {
+		t.Fatalf("Coordinate: %v", err)
+	}
+	read := func() []byte {
+		t.Helper()
+		data, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx, err := os.ReadFile(ckpt + ".idx")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(data, idx...)
+	}
+	before := read()
+	missing := filepath.Join(t.TempDir(), "none.npsp")
+	for _, path := range []string{ckpt, missing} {
+		// A worker stands by, so a coordinator that ignored the mismatch
+		// would solve from zero and commit over the checkpoint.
+		resume := testOptions(nil)
+		resume.CheckpointPath, resume.Resume = path, true
+		other := tri.ToTiled(workload.Chain[float32](testN-testTile, testSeed), testTile)
+		addr, wait := startCoordinator(ctx, t, other, resume)
+		wctx, wcancel := context.WithCancel(ctx)
+		startWorker(wctx, t, &wg, addr, WorkerOptions{Name: "w", MaxReconnects: 1})
+		err := wait()
+		wcancel()
+		if err == nil {
+			t.Fatalf("resume against %s accepted", filepath.Base(path))
+		}
+		t.Logf("resume against %s: %v", filepath.Base(path), err)
+	}
+	cancel()
+	wg.Wait()
+	if !bytes.Equal(read(), before) {
+		t.Fatal("a refused resume changed the checkpoint")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("a refused resume created %s (stat: %v)", filepath.Base(missing), err)
 	}
 }

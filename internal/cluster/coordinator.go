@@ -22,10 +22,11 @@ import (
 
 // The coordinator is the PPE of the distributed solve: it owns the
 // authoritative table (an npdp.BlockStore — in memory, or the spill
-// pager), the dependence graph, and the shared recovery npdp.Ladder
-// (seals, per-block heal budget). Workers hold no authoritative state at
-// all; everything a worker computes only becomes real when its result
-// blocks pass the seal audit at install time.
+// pager, which is the checkpoint when one is kept), the dependence
+// graph, and the shared recovery npdp.Ladder (seals, per-block heal
+// budget). Workers hold no authoritative state at all; everything a
+// worker computes only becomes real when its result blocks pass the
+// seal audit at install time.
 //
 // The PPE task queue is the in-process one: each wave of the wavefront
 // is one sched.RunPoolCtx, which counts dependences, orders the ready
@@ -104,14 +105,20 @@ type Options struct {
 	// clean blocks never exhausts it, only a block that keeps failing
 	// after recompute does.
 	HealAttempts int
-	// CheckpointPath, when set, receives periodic NPCK snapshots (and a
-	// final one) via the multi-process-safe SaveCheckpointFile.
+	// CheckpointPath, when set, makes the authoritative table a durable
+	// spill file at this path — the checkpoint, with its index at
+	// CheckpointPath+".idx" — which commits the final, verified blocks
+	// every CheckpointEvery accepted tasks and once more however the run
+	// ends, except through Die (npdp.Ladder.Commit).
 	CheckpointPath string
-	// CheckpointEvery writes a snapshot every this many accepted tasks
-	// (0 disables periodic snapshots; the final one still writes).
+	// CheckpointEvery is the commit period in accepted tasks; 0 means
+	// npdp.DefaultCheckpointEvery (16).
 	CheckpointEvery int
-	// Resume pre-completes tasks from CheckpointPath when a valid
-	// snapshot with matching geometry exists; it requires CheckpointPath.
+	// Resume continues from the checkpoint at CheckpointPath: its
+	// committed blocks are final once their page-in verifies, and only
+	// the remainder is dispatched. A missing file or another geometry (n,
+	// tile or element width) is an error, returned before anything is
+	// written. Requires CheckpointPath.
 	Resume bool
 	// Stats, when non-nil, receives the run's counters at exit.
 	Stats *Stats
@@ -133,20 +140,15 @@ type Options struct {
 	ReplicaAddr string
 	// Die, when non-nil, kills the event loop the instant it is
 	// closed: run returns ErrDied with no fail broadcast, no final
-	// checkpoint, and no replication farewell — the in-process analogue
-	// of SIGKILL for failover tests and the harness.
+	// commit, and no replication farewell — the in-process analogue of
+	// SIGKILL for failover tests and the harness.
 	Die <-chan struct{}
-	// SpillPath, when set, backs the coordinator's authoritative table
-	// with the block pager instead of the in-memory table: installed
-	// boundary blocks are sealed into a CRC-verified spill file, heals
-	// demote to the on-disk pristine region, and only a
-	// MemoryBudget-sized working set stays resident. The spill file is
-	// scratch: it is created fresh, never synced or committed, and never
-	// resumed from. Incompatible with CheckpointPath, whose snapshots
-	// read the in-memory table, which paging leaves stale.
-	SpillPath string
-	// MemoryBudget caps the pager's resident working set in bytes; 0
-	// leaves only the pager's minimum. Requires SpillPath.
+	// MemoryBudget, when positive, backs the authoritative table with the
+	// block pager, as CheckpointPath does, with only a MemoryBudget-sized
+	// working set resident: installed boundary blocks are sealed into a
+	// CRC-verified spill file and heals demote to its on-disk pristine
+	// region. Without CheckpointPath the spill file is a private scratch
+	// file, never synced or committed, and removed after the run.
 	MemoryBudget int64
 }
 
@@ -177,7 +179,7 @@ type Stats struct {
 	HealRounds       int
 	RecomputedTasks  int
 	PristineRestarts int
-	// Checkpoints / CheckpointErrors count NPCK snapshot writes.
+	// Checkpoints / CheckpointErrors count checkpoint commits.
 	Checkpoints      int
 	CheckpointErrors int
 	// BlocksStreamed / BytesStreamed count operand + pristine blocks
@@ -201,8 +203,8 @@ type Stats struct {
 	ReplRecords int
 	ReplResyncs int
 	// PagerStats carries the spill pager's disk-traffic and recovery
-	// counters when the run used a paged authoritative table (SpillPath
-	// set); nil otherwise.
+	// counters when the run used a paged authoritative table
+	// (MemoryBudget or CheckpointPath set); nil otherwise.
 	PagerStats *pager.Stats
 }
 
@@ -302,8 +304,8 @@ type coordinator[E semiring.Elem] struct {
 	t    *tri.Tiled[E]
 	// store is the authoritative table: every block read, install and
 	// demote goes through it. It is a MemStore over t, or the spill pager
-	// under SpillPath, where t is only the input source and the final
-	// materialization target.
+	// under MemoryBudget or CheckpointPath, where t is only the input
+	// source and the final materialization target.
 	store npdp.BlockStore[E]
 	// ladder is the shared recovery state: block seals, the per-block
 	// heal budget, and the counters it fills into healStats.
@@ -394,11 +396,8 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	if opts.Epoch == 0 {
 		opts.Epoch = 1
 	}
-	if opts.SpillPath != "" && opts.CheckpointPath != "" {
-		return fmt.Errorf("cluster: SpillPath is incompatible with CheckpointPath — snapshots read the in-memory table, which a paged coordinator leaves stale")
-	}
-	if opts.MemoryBudget != 0 && opts.SpillPath == "" {
-		return fmt.Errorf("cluster: MemoryBudget requires SpillPath")
+	if opts.MemoryBudget < 0 {
+		return fmt.Errorf("cluster: MemoryBudget must be non-negative, got %d", opts.MemoryBudget)
 	}
 	if opts.Resume && opts.CheckpointPath == "" {
 		return fmt.Errorf("cluster: Resume requires CheckpointPath")
@@ -410,15 +409,12 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	var finalize func() error
 	if replica != nil {
 		co.store = replica
-	} else if opts.SpillPath != "" {
-		var e E
-		elem := tableio.ElemWidth(e)
-		frameBytes := int64(t.Tile())*int64(t.Tile())*int64(elem) + 4
-		frames := int(opts.MemoryBudget / frameBytes)
-		if p, err = pager.Create(opts.SpillPath, t, pager.Options{Frames: frames, Logf: opts.Logf}); err != nil {
-			return fmt.Errorf("cluster: creating spill pager: %w", err)
+	} else if opts.MemoryBudget > 0 || opts.CheckpointPath != "" {
+		var cleanup func()
+		if p, cleanup, err = openPager(t, opts); err != nil {
+			return err
 		}
-		defer p.Close()
+		defer cleanup()
 		co.store = p
 		// The caller's table gets the materialized result inside the
 		// ladder's Step, so a final page that reads back corrupt only
@@ -436,18 +432,20 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 		Heal: opts.Heal, HealAttempts: opts.HealAttempts, HealStats: &co.healStats, Logf: opts.Logf,
 	})
 
-	if replica != nil {
+	if replica != nil || opts.Resume {
 		for _, done := range npdp.Completed(co.store, g) {
 			if done {
 				co.stats.Resumed++
 			}
 		}
-		co.stats.Failovers = 1
+		if replica != nil {
+			co.stats.Failovers = 1
+		} else {
+			opts.Logf("cluster: resumed %d/%d tasks from %s", co.stats.Resumed, len(g.Tasks), opts.CheckpointPath)
+		}
 		if err := co.ladder.SealFinals(); err != nil {
 			return err
 		}
-	} else if err := co.resume(); err != nil {
-		return err
 	}
 
 	go co.acceptLoop(ln)
@@ -533,14 +531,14 @@ func newCoordinator[E semiring.Elem](t *tri.Tiled[E], g *sched.Graph, opts Optio
 // run is the single-goroutine event loop; every piece of solve state is
 // confined to it. It runs waves until the ladder's Step, between waves,
 // reports the solve done or failed; a heal's demoted cone runs in the
-// next wave. With a CheckpointPath the final snapshot is written however
-// the run ends — done, failed or cancelled — except on ErrDied, which
-// must leave only what a SIGKILL leaves.
+// next wave. With a CheckpointPath the final commit runs however the run
+// ends — done, failed or cancelled — except on ErrDied, which must leave
+// only what a SIGKILL leaves.
 func (co *coordinator[E]) run(ctx context.Context, finalize func() error) (err error) {
 	if co.opts.CheckpointPath != "" {
 		defer func() {
 			if !errors.Is(err, ErrDied) {
-				co.writeCheckpoint()
+				co.commit()
 			}
 		}()
 	}
@@ -596,7 +594,7 @@ func (co *coordinator[E]) wave(ctx context.Context, tick <-chan time.Time) error
 			co.queues[q] = append(co.queues[q], id)
 			co.fillAll()
 		case <-co.opts.Die:
-			// Chaos kill: no broadcast, no checkpoint, no farewell. The
+			// Chaos kill: no broadcast, no commit, no farewell. The
 			// cluster must discover the death the hard way.
 			co.abandon(drained)
 			return ErrDied
@@ -1362,56 +1360,50 @@ func (co *coordinator[E]) reset(ids []int, done []bool) {
 	}
 }
 
-// maybeCheckpoint writes a periodic NPCK snapshot.
+// maybeCheckpoint runs a periodic commit every CheckpointEvery accepted
+// tasks.
 func (co *coordinator[E]) maybeCheckpoint() {
-	co.sinceCkpt++
-	if co.opts.CheckpointPath == "" || co.opts.CheckpointEvery <= 0 || co.sinceCkpt < co.opts.CheckpointEvery {
+	if co.opts.CheckpointPath == "" {
 		return
 	}
-	co.sinceCkpt = 0
-	co.writeCheckpoint()
+	every := co.opts.CheckpointEvery
+	if every <= 0 {
+		every = npdp.DefaultCheckpointEvery
+	}
+	if co.sinceCkpt++; co.sinceCkpt >= every {
+		co.sinceCkpt = 0
+		co.commit()
+	}
 }
 
-// writeCheckpoint writes an NPCK snapshot through the ladder's verified
-// writer (npdp.Ladder.SaveCheckpoint), the one the executor uses.
-func (co *coordinator[E]) writeCheckpoint() {
-	if err := co.ladder.SaveCheckpoint(co.opts.CheckpointPath, co.t); err != nil {
+// commit commits the checkpoint through the ladder's verified writer
+// (npdp.Ladder.Commit), the one the executor uses.
+func (co *coordinator[E]) commit() {
+	if err := co.ladder.Commit(); err != nil {
 		co.stats.CheckpointErrors++
-		co.opts.Logf("cluster: checkpoint write failed: %v", err)
+		co.opts.Logf("cluster: checkpoint commit failed: %v", err)
 		return
 	}
 	co.stats.Checkpoints++
 }
 
-// resume pre-completes tasks from the checkpoint file, sealing restored
-// blocks so audits cover resumed state. The stale-temp sweep runs first
-// and is pid-aware, so a peer coordinator sharing the directory keeps
-// its in-flight temp.
-func (co *coordinator[E]) resume() error {
-	if !co.opts.Resume {
-		return nil
+// openPager makes the paged authoritative table (pager.OpenSolve): the
+// checkpoint when there is a CheckpointPath, a private scratch spill
+// otherwise, created from t. Its frames hold MemoryBudget bytes of
+// blocks, or every block when that is 0.
+func openPager[E semiring.Elem](t *tri.Tiled[E], opts Options) (*pager.Pager[E], func(), error) {
+	m := t.Blocks()
+	popts := pager.Options{Frames: m * (m + 1) / 2, Logf: opts.Logf}
+	if opts.MemoryBudget > 0 {
+		var e E
+		popts.Frames = int(opts.MemoryBudget / (int64(t.Tile())*int64(t.Tile())*int64(tableio.ElemWidth(e)) + 4))
 	}
-	if _, err := resilience.RemoveStaleTemps(co.opts.CheckpointPath); err != nil {
-		co.opts.Logf("cluster: stale-temp sweep: %v", err)
-	}
-	ck, err := resilience.LoadCheckpointFile[E](co.opts.CheckpointPath)
-	if errors.Is(err, resilience.ErrNoCheckpoint) {
-		return nil
-	}
+	p, done, err := pager.OpenSolve(opts.CheckpointPath, opts.Resume, t.Len(), t.Tile(), popts,
+		func(path string, popts pager.Options) (*pager.Pager[E], error) { return pager.Create(path, t, popts) })
 	if err != nil {
-		return fmt.Errorf("cluster: resume: %w", err)
+		return nil, nil, fmt.Errorf("cluster: %w", err)
 	}
-	if err := ck.Matches(co.t.Len(), co.t.Tile(), co.opts.SchedSide); err != nil {
-		co.opts.Logf("cluster: ignoring checkpoint: %v", err)
-		return nil
-	}
-	// npdp.ApplyCheckpoint is the function a single-process resume uses:
-	// a task is done iff all its blocks are final in the store.
-	if co.stats.Resumed, err = npdp.ApplyCheckpoint(co.store, co.g, ck, co.opts.Logf); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
-	co.opts.Logf("cluster: resumed %d/%d tasks from %s", co.stats.Resumed, len(co.g.Tasks), co.opts.CheckpointPath)
-	return co.ladder.SealFinals()
+	return p, done, nil
 }
 
 // broadcastAbort ends the run toward the workers. A fenced abort (we

@@ -328,8 +328,8 @@ type standbyEv struct {
 // takes over the solve on the same listener at epoch+1, resuming from
 // the replicated state. Worker connections arriving before takeover are
 // answered with a retryable "standby" frame so their reconnect rotation
-// keeps probing. The replica lives in memory, so SpillPath and
-// MemoryBudget are rejected.
+// keeps probing. The takeover runs on the in-memory replica, so
+// MemoryBudget and CheckpointPath are rejected.
 //
 // Returns nil without taking over when the primary reports the solve
 // complete (the replicated result is already in t), the primary's
@@ -338,8 +338,8 @@ type standbyEv struct {
 // a primary; cancel ctx to abandon a standby that never hears one.
 func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Tiled[E], opts StandbyOptions) error {
 	defer ln.Close()
-	if opts.SpillPath != "" || opts.MemoryBudget != 0 {
-		return errors.New("cluster: a standby keeps its replica in memory; SpillPath and MemoryBudget are not supported")
+	if opts.MemoryBudget != 0 || opts.CheckpointPath != "" {
+		return errors.New("cluster: a standby takes over on its in-memory replica; MemoryBudget and CheckpointPath are not supported")
 	}
 	// The replica keeps a pristine copy of the input, taken here while t
 	// still holds it: a reset must restore input bytes, because a healed

@@ -14,8 +14,8 @@ import (
 
 // Resilience characterizes the fault-tolerance layer on the parallel
 // engine: wall-time overhead of surviving injected transient faults via
-// retry at increasing rates, plus one kill-and-resume cycle through the
-// checkpoint codec. Every row is verified bit-identical against the
+// retry at increasing rates, plus one kill-and-resume cycle through a
+// public checkpoint. Every row is verified bit-identical against the
 // serial reference before it is reported.
 func Resilience(cfg Config) (*stats.Table, error) {
 	// Largest configured measured size, capped so the rate sweep stays
@@ -63,40 +63,48 @@ func Resilience(cfg Config) (*stats.Table, error) {
 			fmt.Sprintf("%.2f", secs*1e3), fmt.Sprintf("%.2fx", secs/clean), "yes")
 	}
 
-	// Kill-and-resume through the checkpoint codec: unretried faults kill
-	// the run, and a second run resumes the survivors through the public
-	// ResumePath (ApplyCheckpoint into a MemStore, then SolveStoreCtx) and
-	// must still match.
+	// Kill-and-resume through the public API: unretried faults kill a
+	// checkpointed solve, and a second solve resumes the survivors from
+	// the checkpoint, its spill file, and must still match.
 	dir, err := os.MkdirTemp("", "cellnpdp-resilience")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	ck := filepath.Join(dir, "solve.npck")
-	killedSrc := cfg.chainF32(n)
-	killed := tri.ToTiled(killedSrc, tile)
-	if _, err := npdp.SolveParallel(killed, npdp.ParallelOptions{
-		Workers: cfg.workers(), SchedSide: 1,
-		Inject:         &resilience.Injector{Rate: 0.4, Seed: cfg.Seed + 11},
+	ck := filepath.Join(dir, "solve.npsp")
+	public := func() (*cellnpdp.Table[float32], error) {
+		tbl, err := cellnpdp.NewTable[float32](n)
+		if err != nil {
+			return nil, err
+		}
+		src := cfg.chainF32(n)
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				if err := tbl.Set(i, j, src.At(i, j)); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return tbl, nil
+	}
+	killed, err := public()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := cellnpdp.Solve(killed, cellnpdp.Options{
+		Engine: cellnpdp.Parallel, Workers: cfg.workers(), SchedSide: 1,
+		FaultRate: 0.4, FaultSeed: cfg.Seed + 11, NoFallback: true,
 		CheckpointPath: ck, CheckpointEvery: 1,
 	}); err == nil {
 		return nil, fmt.Errorf("kill run survived rate-0.4 unretried faults")
 	}
-	resumed, err := cellnpdp.NewTable[float32](n)
+	resumed, err := public()
 	if err != nil {
 		return nil, err
 	}
-	src := cfg.chainF32(n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			if err := resumed.Set(i, j, src.At(i, j)); err != nil {
-				return nil, err
-			}
-		}
-	}
 	res, err := cellnpdp.Solve(resumed, cellnpdp.Options{
 		Engine: cellnpdp.Parallel, Workers: cfg.workers(), SchedSide: 1,
-		ResumePath: ck, NoFallback: true,
+		CheckpointPath: ck, Resume: true, NoFallback: true,
 	})
 	if err != nil {
 		return nil, err

@@ -3,15 +3,14 @@ package npdp
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"cellnpdp/internal/kernel"
+	"cellnpdp/internal/pager"
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
-	"cellnpdp/internal/tri"
 )
 
 // paddedStats is one worker's kernel.Stats padded out to two cache lines
@@ -27,16 +26,18 @@ type paddedStats struct {
 // goroutines runs the simplified two-dependence task graph; each task
 // pins its own memory blocks, computes them with the block procedure,
 // and completes them before the pins drop. A task is pre-complete iff
-// all its blocks are already final in the store (a resumed checkpoint,
-// or a pager's committed spill index), so only the remainder runs.
+// all its blocks are already final in the store (a pager reopened from
+// its committed spill index), so only the remainder runs.
 //
 // The fault-tolerance layer is the same for every store: cancellation at
 // task-dispatch granularity, per-task retry of transient failures,
-// deterministic fault injection, periodic checkpoints (in-memory stores
-// only — a pager's committed index is its checkpoint), and the shared
-// recovery Ladder. Sealing is off by default, so the plain path digests
-// nothing. Task failures surface as *resilience.TaskError carrying the
-// task identity and attempt count.
+// deterministic fault injection, and the shared recovery Ladder.
+// Sealing is off by default, so the plain path digests nothing. A
+// durable pager is the solve's checkpoint: every CheckpointEvery
+// completed tasks its committer runs Ladder.Commit beside the pool, and
+// one last commit runs however the solve ends; any other store
+// registers no per-task hook. Task failures surface as
+// *resilience.TaskError carrying the task identity and attempt count.
 func SolveStoreCtx[E semiring.Elem](ctx context.Context, s BlockStore[E], opts ParallelOptions) (kernel.Stats, error) {
 	return solveStore(ctx, s, opts, nil)
 }
@@ -65,12 +66,9 @@ func solveStore[E semiring.Elem](ctx context.Context, s BlockStore[E], opts Para
 	}
 	x := newExecutor(s, graph, opts, opts.Seal || opts.Heal || opts.AuditEvery > 0)
 	x.finalize = finalize
-	if opts.CheckpointPath != "" {
-		ms, ok := s.(*MemStore[E])
-		if !ok {
-			return kernel.Stats{}, fmt.Errorf("npdp: CheckpointPath needs an in-memory store (a pager's committed spill index is its checkpoint)")
-		}
-		x.ck = newCheckpointer(ms, x.ladder, opts)
+	if p, ok := s.(*pager.Pager[E]); ok && p.Durable() {
+		x.checkpoint = p
+		x.commit = x.ladder.Commit
 	}
 	if x.ladder.seal {
 		if err := x.ladder.SealFinals(); err != nil {
@@ -78,9 +76,9 @@ func solveStore[E semiring.Elem](ctx context.Context, s BlockStore[E], opts Para
 		}
 	}
 	err = x.solve(ctx, false)
-	if x.ck != nil {
-		if ckErr := x.ck.final(err == nil); ckErr != nil && err == nil {
-			err = fmt.Errorf("npdp: solve succeeded but checkpointing failed: %w", ckErr)
+	if x.checkpoint != nil {
+		if cerr := x.commit(); cerr != nil && err == nil {
+			err = fmt.Errorf("npdp: solve succeeded but its checkpoint commit failed: %w", cerr)
 		}
 	}
 	return x.total(), err
@@ -95,10 +93,15 @@ type executor[E semiring.Elem] struct {
 	// ladder's seal turns on block sealing: digests at completion plus
 	// the post-run (and, with AuditEvery, online) audit. Off on the
 	// plain path, which then digests nothing.
-	ladder    *Ladder[E]
-	ck        *checkpointer[E]
-	finalize  func() error // see solveStore; may be nil
-	perWorker []paddedStats
+	ladder   *Ladder[E]
+	finalize func() error // see solveStore; may be nil
+	// checkpoint is the store when it is a durable pager: taskDone asks
+	// its committer to run commit (Ladder.Commit) every
+	// CheckpointEvery completed tasks.
+	checkpoint *pager.Pager[E]
+	commit     func() error
+	completed  atomic.Int64
+	perWorker  []paddedStats
 	// hostFaults applies the injector's error/panic/delay plans at the top
 	// of each attempt. The Cell engine turns it off: its DES dispatcher
 	// has no analogue for them, so its recovery runs honor only corrupt.
@@ -236,10 +239,24 @@ func (x *executor[E]) exec(worker int, task sched.Task) error {
 func (x *executor[E]) run(ctx context.Context, runIdx int) error {
 	x.attemptBase = runIdx * (x.opts.Retry.MaxRetries + 1)
 	po := sched.PoolRunOptions{Completed: Completed(x.store, x.graph)}
-	if x.ck != nil {
-		po.OnTaskDone = x.ck.taskDone
+	if x.checkpoint != nil {
+		po.OnTaskDone = x.taskDone
 	}
 	return sched.RunPoolCtx(ctx, x.graph, x.opts.Workers, po, x.exec)
+}
+
+// taskDone is the pool's completion hook on a checkpointed solve: every
+// CheckpointEvery completed tasks (0 means DefaultCheckpointEvery) it
+// requests a commit, which the pager's committer runs without holding
+// up the pool.
+func (x *executor[E]) taskDone(sched.Task) {
+	every := int64(x.opts.CheckpointEvery)
+	if every <= 0 {
+		every = DefaultCheckpointEvery
+	}
+	if x.completed.Add(1)%every == 0 {
+		x.checkpoint.RequestCommit(x.commit)
+	}
 }
 
 // solve is the recovery ladder around run: after each run the ladder's
@@ -256,55 +273,4 @@ func (x *executor[E]) solve(ctx context.Context, ran bool) error {
 			return err
 		}
 	}
-}
-
-// checkpointer writes periodic NPCK snapshots of an in-memory solve
-// through the ladder's verified writer. The mutex orders concurrent
-// OnTaskDone calls.
-type checkpointer[E semiring.Elem] struct {
-	mu     sync.Mutex
-	path   string
-	every  int
-	table  *tri.Tiled[E]
-	ladder *Ladder[E]
-	since  int
-	err    error // first snapshot failure; surfaced after the run
-}
-
-func newCheckpointer[E semiring.Elem](s *MemStore[E], l *Ladder[E], opts ParallelOptions) *checkpointer[E] {
-	every := opts.CheckpointEvery
-	if every <= 0 {
-		every = 16
-	}
-	return &checkpointer[E]{path: opts.CheckpointPath, every: every, table: s.Tiled, ladder: l}
-}
-
-func (c *checkpointer[E]) taskDone(sched.Task) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.since++; c.since >= c.every {
-		c.since = 0
-		c.save()
-	}
-}
-
-// save writes a snapshot (Ladder.SaveCheckpoint); the caller holds
-// c.mu. After the first failure snapshots stop (the stored error is
-// surfaced when the solve returns).
-func (c *checkpointer[E]) save() {
-	if c.err != nil {
-		return
-	}
-	c.err = c.ladder.SaveCheckpoint(c.path, c.table)
-}
-
-// final writes a last snapshot when the solve failed part-way (so resume
-// never depends on the periodic boundary) and reports any snapshot error.
-func (c *checkpointer[E]) final(solved bool) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !solved {
-		c.save()
-	}
-	return c.err
 }

@@ -9,7 +9,6 @@ import (
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/semiring"
-	"cellnpdp/internal/tri"
 )
 
 // DefaultHealAttempts bounds how many times in a row one memory block
@@ -20,6 +19,11 @@ import (
 // rate^k; a generous bound lets rates like 5% converge while still
 // guaranteeing termination.
 const DefaultHealAttempts = 32
+
+// DefaultCheckpointEvery is the commit period, in completed tasks, of a
+// checkpoint whose CheckpointEvery is 0 — the executor's and the cluster
+// coordinator's alike.
+const DefaultCheckpointEvery = 16
 
 // Ladder is the recovery state every engine shares — the in-process
 // executor over any BlockStore, the Cell engine's post-DES recovery and
@@ -38,9 +42,9 @@ const DefaultHealAttempts = 32
 // that verifies clean again (Clean) starts over, and fresh corruption on
 // a previously clean block never exhausts it.
 //
-// Seal, Audit, Clean and SaveCheckpoint are safe for concurrent use
-// (online audits and periodic snapshots run on pool workers); SealFinals
-// and Step run between pool runs.
+// Seal, Audit, Clean and Commit are safe for concurrent use (online
+// audits and periodic commits run beside the pool); SealFinals and Step
+// run between pool runs.
 type Ladder[E semiring.Elem] struct {
 	store    BlockStore[E]
 	graph    *sched.Graph
@@ -51,7 +55,7 @@ type Ladder[E semiring.Elem] struct {
 	heal     bool // an audit-found mismatch may heal
 	logf     func(format string, args ...any)
 
-	mu        sync.Mutex // guards fails and serializes audits
+	mu        sync.Mutex // guards fails; serializes audits, heals and commits
 	fails     map[int]int
 	restarted bool
 }
@@ -260,26 +264,35 @@ func (l *Ladder[E]) Step(err error, bad [][2]int, finalize func() error) ([]int,
 	return ids, nil
 }
 
-// SaveCheckpoint atomically writes an NPCK snapshot of the tasks complete
-// in the store to path; t is the table behind the store. With sealing on
-// it re-digests those tasks' blocks first and leaves out the Graph.Cone
-// of every task with a block that is unsealed or fails its seal, so a
-// snapshot never holds a corrupt block or a value computed from one. It
-// is the one snapshot writer: the executor's periodic and final
-// snapshots and the cluster coordinator's all go through it. It reads
-// only final blocks, so it may run while a pool computes others.
-func (l *Ladder[E]) SaveCheckpoint(path string, t *tri.Tiled[E]) error {
+// Commit makes the store — a pager, durable when the solve keeps a
+// checkpoint — hold a checkpoint of the verified part of the solve. It
+// writes the final blocks that are not on disk yet (Pager.Flush), then
+// commits only the blocks of tasks outside the Graph.Cone of every
+// complete task with a block that is not on disk or, with sealing on,
+// is unsealed or fails its seal, so a resume never trusts a corrupt
+// block or a value computed from one. A resident block is re-digested
+// here; a block only on disk is checked by its page-in on resume, which
+// heals its cone. It is the one checkpoint writer: the executor's
+// periodic and final commits and the cluster coordinator's all go
+// through it. It holds the ladder's mutex, so no heal demotes a block
+// between its check and its record; it may run while a pool computes.
+func (l *Ladder[E]) Commit() error {
+	p, ok := l.store.(*pager.Pager[E])
+	if !ok {
+		return fmt.Errorf("npdp: a checkpoint commit needs a pager store")
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	p.Flush()
 	done := Completed(l.store, l.graph)
-	if l.seal {
-		var bad []int
-		for id, d := range done {
-			if d && !l.verified(id) {
-				bad = append(bad, id)
-			}
+	var bad []int
+	for id, d := range done {
+		if d && !l.committable(p, id) {
+			bad = append(bad, id)
 		}
-		for _, id := range l.graph.Cone(bad) {
-			done[id] = false
-		}
+	}
+	for _, id := range l.graph.Cone(bad) {
+		done[id] = false
 	}
 	var blocks [][2]int
 	for id, d := range done {
@@ -287,29 +300,30 @@ func (l *Ladder[E]) SaveCheckpoint(path string, t *tri.Tiled[E]) error {
 			blocks = append(blocks, l.graph.Tasks[id].MemoryBlockOrder()...)
 		}
 	}
-	meta := resilience.Meta{
-		N: t.Len(), Tile: t.Tile(), SchedSide: l.graph.SchedSide,
-		Tasks: len(l.graph.Tasks), ElemBytes: semiring.Width[E](),
-	}
-	return resilience.SaveCheckpointFile(path, meta, done, t, blocks)
+	return p.Commit(blocks)
 }
 
-// verified reports whether every block of task id is sealed and still
-// digests to its seal. A block the store cannot hand back is not.
-func (l *Ladder[E]) verified(id int) bool {
+// committable reports whether every block of task id is on disk and,
+// with sealing on, sealed and — when resident — still digesting to its
+// seal.
+func (l *Ladder[E]) committable(p *pager.Pager[E], id int) bool {
 	for _, mb := range l.graph.Tasks[id].MemoryBlockOrder() {
+		if !p.OnDisk(mb[0], mb[1]) {
+			return false
+		}
+		if !l.seal {
+			continue
+		}
 		want, ok := l.seals.Sealed(l.id(mb[0], mb[1]))
 		if !ok {
 			return false
 		}
-		cells, err := l.store.Acquire(mb[0], mb[1])
-		if err != nil {
-			return false
-		}
-		got := resilience.BlockCRC(cells)
-		l.store.Release(mb[0], mb[1])
-		if got != want {
-			return false
+		if cells, ok := p.AcquireResident(mb[0], mb[1]); ok {
+			got := resilience.BlockCRC(cells)
+			p.Release(mb[0], mb[1])
+			if got != want {
+				return false
+			}
 		}
 	}
 	return true
@@ -323,46 +337,4 @@ func (l *Ladder[E]) demote(ids []int) {
 			l.seals.Unseal(l.id(mb[0], mb[1]))
 		}
 	}
-}
-
-// ApplyCheckpoint installs a validated NPCK snapshot into s: every task
-// the snapshot marks done has its blocks copied in and marked final. A
-// task marked done without all its blocks is skipped, so it is
-// recomputed rather than trusted. It returns the number of tasks
-// restored; the snapshot must already match the solve's geometry.
-func ApplyCheckpoint[E semiring.Elem](s BlockStore[E], g *sched.Graph, ck *resilience.Checkpoint[E], logf func(string, ...any)) (int, error) {
-	if len(ck.Done) != len(g.Tasks) {
-		return 0, fmt.Errorf("npdp: checkpoint records %d tasks, solve schedules %d", len(ck.Done), len(g.Tasks))
-	}
-	restored := 0
-	for id, task := range g.Tasks {
-		if !ck.Done[id] {
-			continue
-		}
-		mbs := task.MemoryBlockOrder()
-		complete := true
-		for _, mb := range mbs {
-			complete = complete && ck.HasBlock(mb[0], mb[1])
-		}
-		if !complete {
-			if logf != nil {
-				logf("npdp: checkpoint marks task %d done but lacks its blocks; recomputing it", id)
-			}
-			continue
-		}
-		for _, mb := range mbs {
-			cells, _ := ck.Block(mb[0], mb[1])
-			dst, err := s.Acquire(mb[0], mb[1])
-			if err == nil {
-				copy(dst, cells)
-				err = s.Complete(mb[0], mb[1])
-				s.Release(mb[0], mb[1])
-			}
-			if err != nil {
-				return restored, fmt.Errorf("npdp: applying checkpoint block (%d,%d): %w", mb[0], mb[1], err)
-			}
-		}
-		restored++
-	}
-	return restored, nil
 }

@@ -21,9 +21,12 @@ type PagedOptions = ParallelOptions
 // seals a block's CRC32C exactly when its producing task finishes
 // (blocks are immutable afterwards, so each is spilled at most once).
 //
-// Blocks the pager's committed index recovered are final, so a restart
-// after SIGKILL recomputes only the remainder, bit-identically: a
-// recovered block is the same sealed bytes its task produced.
+// A durable pager is the solve's checkpoint: the executor commits its
+// index every CheckpointEvery completed tasks and once at the end
+// (Ladder.Commit). Blocks a reopened pager's committed index recovered
+// are final, so a restart after SIGKILL recomputes only the remainder,
+// bit-identically: a recovered block is the same sealed bytes its task
+// produced.
 //
 // Robustness ladder: a spilled final block that pages in corrupt (torn
 // write, bit flip, read fault) surfaces as *pager.ErrPageCorrupt; the
@@ -32,8 +35,7 @@ type PagedOptions = ParallelOptions
 // pristine block has no earlier version and fails the solve. ENOSPC
 // degradation and the hard-ceiling *pager.ErrSpillSpace happen inside
 // the pager and surface here unhealed (recomputing cannot create disk
-// space). CheckpointPath is rejected: the committed index is the
-// checkpoint.
+// space).
 //
 // On success every block is final; the caller copies the solved table
 // out with p.Materialize, or solves with SolvePagedTableCtx.

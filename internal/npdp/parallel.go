@@ -34,16 +34,10 @@ type ParallelOptions struct {
 	// Inject, when non-nil, is the deterministic fault-injection harness:
 	// each (task, attempt) pair is independently faulted per its plan.
 	Inject *resilience.Injector
-	// CheckpointPath, when non-empty, enables periodic snapshots: after
-	// every CheckpointEvery task completions (default 16) the completion
-	// bitmap and all completed tasks' memory blocks are atomically written
-	// to this file, and a final snapshot is written when the solve fails
-	// part-way. Under sealing a snapshot holds only tasks whose blocks
-	// verify, and nothing computed from one that does not
-	// (Ladder.SaveCheckpoint).
-	CheckpointPath string
-	// CheckpointEvery is the snapshot period in completed tasks; 0 means
-	// 16.
+	// CheckpointEvery is the commit period, in completed tasks, of a
+	// solve over a durable pager, which is its checkpoint
+	// (Ladder.Commit); 0 means DefaultCheckpointEvery. Other stores
+	// ignore it.
 	CheckpointEvery int
 	// Seal enables block sealing: every completed memory block is
 	// digested into a lock-free CRC32C seal table and re-verified by a
@@ -87,8 +81,8 @@ func SolveParallel[E semiring.Elem](t *tri.Tiled[E], opts ParallelOptions) (kern
 // SolveParallelCtx is SolveParallel with the fault-tolerance layer wired
 // in: SolveStoreCtx over a MemStore of t, which keeps a pristine copy of
 // the table only when Heal is set. Every task starts incomplete; a
-// resume applies its checkpoint to a store (ApplyCheckpoint) and calls
-// SolveStoreCtx.
+// checkpointed or resumed solve runs SolveStoreCtx over a durable pager
+// instead.
 func SolveParallelCtx[E semiring.Elem](ctx context.Context, t *tri.Tiled[E], opts ParallelOptions) (kernel.Stats, error) {
 	return SolveStoreCtx[E](ctx, NewMemStore(t, opts.Heal), opts)
 }

@@ -25,11 +25,12 @@ func finalCells(src *tri.Tiled[float32], bi, bj int) []float32 {
 	return out
 }
 
-// TestConcurrentPagerStress drives one pager from six goroutines
-// through a six-frame budget while reads flip bits and fail and spill
-// writes tear. Each goroutine owns the blocks whose id is its index mod
-// six: it alone computes and completes them, and the others read a
-// block only once it is final, as the engine's dependences guarantee.
+// TestConcurrentPagerStress drives one durable pager from six
+// goroutines through a six-frame budget while reads flip bits and fail,
+// spill writes tear, and the committer flushes and commits beside them.
+// Each goroutine owns the blocks whose id is its index mod six: it alone
+// computes and completes them, and the others read a block only once it
+// is final, as the engine's dependences guarantee.
 // Every Acquire must return the block's pristine cells (an owned block
 // not yet final) or its final cells, or a typed *ErrPageCorrupt. The
 // table then materializes with every block pristine or final once each
@@ -38,10 +39,11 @@ func TestConcurrentPagerStress(t *testing.T) {
 	const n, tile, workers, iters, seed = 64, 8, 6, 300, 1
 	src := testTable(n, tile)
 	p := newTestPager(t, src, Options{
-		Frames:      6,
-		CommitEvery: 4,
-		Faults:      &DiskFaults{Rate: 0.05, Seed: seed, Kinds: []DiskFaultKind{DiskFaultFlip, DiskFaultEIO, DiskFaultTorn}},
+		Frames:  6,
+		Durable: true,
+		Faults:  &DiskFaults{Rate: 0.05, Seed: seed, Kinds: []DiskFaultKind{DiskFaultFlip, DiskFaultEIO, DiskFaultTorn}},
 	})
+	commit := func() error { p.Flush(); return p.Commit(everyBlock(p)) }
 	m, nb := src.Blocks(), p.NBlocks()
 	final := make([][]float32, nb)
 	for id := range final {
@@ -56,6 +58,9 @@ func TestConcurrentPagerStress(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed*100 + int64(w)))
 			for it := 0; it < iters; it++ {
+				if it%4 == 0 {
+					p.RequestCommit(commit)
+				}
 				p.Prefetch(blockCoords(m, rng.Intn(nb)))
 				id := rng.Intn(nb)
 				bi, bj := blockCoords(m, id)
@@ -115,9 +120,15 @@ func TestConcurrentPagerStress(t *testing.T) {
 			t.Fatalf("block (%d,%d) materialized with neither its pristine nor its final cells", bi, bj)
 		}
 	}
+	p.mu.Lock()
+	committer := p.committer
+	p.mu.Unlock()
+	if committer != nil {
+		<-committer // the commits the workers asked for are all in
+	}
 	st := p.Stats()
-	if st.SpilledBlocks == 0 || st.FetchedBlocks == 0 || st.FaultedPages == 0 {
-		t.Errorf("stress did not exercise spills, final fetches and faults: %+v", st)
+	if st.SpilledBlocks == 0 || st.FetchedBlocks == 0 || st.FaultedPages == 0 || st.Commits == 0 {
+		t.Errorf("stress did not exercise spills, final fetches, faults and commits: %+v", st)
 	}
 }
 
@@ -308,38 +319,28 @@ func TestAcquireWaitsForSpill(t *testing.T) {
 // TestCommitAndCloseJoinBackgroundCommit: Commit serializes behind a
 // group commit the committer goroutine is running, and Close returns
 // only after that goroutine has exited; the index a reopen finds then
-// covers every block spilled before Close, and Close's flush.
+// covers every block, which the last commit flushed.
 func TestCommitAndCloseJoinBackgroundCommit(t *testing.T) {
 	src := testTable(40, 8)
 	path := filepath.Join(t.TempDir(), "t.npsp")
-	p, err := Create(path, src, Options{Frames: 4, CommitEvery: 1})
+	p, err := Create(path, src, Options{Frames: 4, Durable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := src.Blocks()
-	for id := 0; id < p.NBlocks(); id++ {
-		bi, bj := blockCoords(m, id)
-		cells, err := p.Acquire(bi, bj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		copy(cells, finalCells(src, bi, bj))
-		if err := p.Complete(bi, bj); err != nil {
-			t.Fatal(err)
-		}
-		p.Release(bi, bj) // every spill past the fourth frame asks for a commit
-	}
+	completeAll(t, p, src)
+	commit := func() error { p.Flush(); return p.Commit(everyBlock(p)) }
 	// request asks the committer for a commit and returns its exit
 	// channel and the commits published before the request.
 	request := func() (chan struct{}, int64) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		p.requestCommitLocked()
+		p.requestCommitLocked(commit)
 		return p.committer, p.stats.Commits
 	}
 	// Commit runs its own commit after the committer's, never beside it.
 	done, before := request()
-	if err := p.Commit(); err != nil {
+	if err := p.Commit(everyBlock(p)); err != nil {
 		t.Fatal(err)
 	}
 	<-done
@@ -363,7 +364,7 @@ func TestCommitAndCloseJoinBackgroundCommit(t *testing.T) {
 	for id := 0; id < p2.NBlocks(); id++ {
 		bi, bj := blockCoords(m, id)
 		if !p2.IsFinal(bi, bj) {
-			t.Fatalf("block (%d,%d) spilled before Close is missing from the reopened index", bi, bj)
+			t.Fatalf("block (%d,%d) flushed before Close is missing from the reopened index", bi, bj)
 		}
 		cells, err := p2.Acquire(bi, bj)
 		if err != nil {
@@ -377,7 +378,7 @@ func TestCommitAndCloseJoinBackgroundCommit(t *testing.T) {
 }
 
 // completeAll completes every block of p with finalCells through its
-// frame budget, as a paged solve does, so blocks spill and commits run.
+// frame budget, as a paged solve does, so blocks spill.
 func completeAll(t *testing.T, p *Pager[float32], src *tri.Tiled[float32]) {
 	t.Helper()
 	m := src.Blocks()
@@ -405,23 +406,20 @@ func requireGone(t *testing.T, path string) {
 	}
 }
 
-// TestDiscardSkipsFinalFlush: after a solve's worth of completions,
-// Discard spills and commits nothing more — the resident final blocks
-// Close would flush stay unwritten — deletes the spill file and its
-// index, and leaves a later Close nothing to do.
+// TestDiscardSkipsFinalFlush: after a solve's worth of completions and
+// a commit, Discard spills and commits nothing more — the resident final
+// blocks a commit would flush stay unwritten — deletes the spill file
+// and its index, and leaves a later Close nothing to do.
 func TestDiscardSkipsFinalFlush(t *testing.T) {
 	src := testTable(40, 8)
 	path := filepath.Join(t.TempDir(), "t.npsp")
-	p, err := Create(path, src, Options{Frames: 4, CommitEvery: 2})
+	p, err := Create(path, src, Options{Frames: 4, Durable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	completeAll(t, p, src)
-	p.mu.Lock()
-	done := p.committer
-	p.mu.Unlock()
-	if done != nil {
-		<-done // the group commits the spills asked for are all in
+	if err := p.Commit(everyBlock(p)); err != nil {
+		t.Fatal(err)
 	}
 	before := p.Stats()
 	if before.SpilledBlocks == 0 || before.Commits == 0 || p.Resident() == 0 {
@@ -449,13 +447,13 @@ func TestDiscardJoinsBackgroundCommit(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		src := testTable(40, 8)
 		path := filepath.Join(t.TempDir(), "t.npsp")
-		p, err := Create(path, src, Options{Frames: 4, CommitEvery: 1})
+		p, err := Create(path, src, Options{Frames: 4, Durable: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		completeAll(t, p, src)
 		p.mu.Lock()
-		p.requestCommitLocked()
+		p.requestCommitLocked(func() error { p.Flush(); return p.Commit(everyBlock(p)) })
 		done := p.committer
 		p.mu.Unlock()
 		if err := p.Discard(); err != nil {

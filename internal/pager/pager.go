@@ -16,12 +16,14 @@
 // working set.
 //
 // Whether a spill file is also resume state is decided once, when the
-// pager is made (Options.CommitEvery). A durable file's index, which
-// decides which final slots a restart may trust, is committed with the
-// atomic temp+rename discipline (data fsync ordered first), so a
-// SIGKILL mid-spill leaves a committed index a restart resumes from
-// bit-identically. A scratch file — a solve's private spill, which
-// nothing ever reopens — is never synced and has no index.
+// pager is made (Options.Durable). A durable file is a solve's
+// checkpoint: its index, which decides which final slots a restart may
+// trust, is committed with the atomic temp+rename discipline (data
+// fsync ordered first), so a SIGKILL mid-spill leaves a committed index
+// a restart resumes from bit-identically. The engine decides what a
+// commit records (Commit); the pager writes and publishes it. A scratch
+// file — a solve's private spill, which nothing ever reopens — is never
+// synced and has no index.
 package pager
 
 import (
@@ -29,6 +31,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"syscall"
 
@@ -93,14 +97,11 @@ type Options struct {
 	// set past it, the pager fails with *ErrSpillSpace instead. 0 means
 	// unlimited (degrade all the way to fully in-memory).
 	HardFrames int
-	// CommitEvery decides whether the spill file is resume state. A
-	// positive value makes it durable: Create syncs the file and
-	// commits an empty index, every CommitEvery spills ask for a group
-	// commit, and Close flushes the resident final blocks and commits
-	// once more (DurableCommitEvery is the usual period). 0 (or less)
-	// makes it scratch: no sync, no index, and no commit unless the
-	// caller calls Commit itself.
-	CommitEvery int
+	// Durable makes the spill file resume state: Create syncs the file
+	// and commits an empty index beside it, and Close leaves both on
+	// disk. false, the zero value, makes it scratch: no sync and no
+	// index unless the caller commits one itself.
+	Durable bool
 	// Faults, when non-nil, is the deterministic disk-fault injector.
 	Faults *DiskFaults
 	// Logf, when non-nil, receives operational messages (degradations,
@@ -151,27 +152,23 @@ type Pager[E semiring.Elem] struct {
 	crc      []uint32
 	corrupt  map[int]bool
 	noSpill  bool // sticky ENOSPC degradation: stop spilling, grow resident
-	sinceCmt int
 	closed   bool
 	stats    Stats
 	prefetch chan struct{} // limits in-flight async prefetches (double buffer)
 
-	// Group commits: one commit runs at a time (committing); spills ask
-	// the committer goroutine for another (commitWanted), and committer
-	// is closed when that goroutine exits (nil while none runs).
+	// Group commits: one commit runs at a time (committing); a request
+	// asks the committer goroutine to run commitFn (commitWanted), and
+	// committer is closed when that goroutine exits (nil while none
+	// runs).
 	committing   bool
 	commitWanted bool
+	commitFn     func() error
 	committer    chan struct{}
 
 	// lastSpillErr is the most recent spill failure, carried into an
 	// *ErrSpillSpace if degradation later hits the hard ceiling.
 	lastSpillErr error
 }
-
-// DurableCommitEvery is the commit period of a resumable spill file:
-// a restart recomputes at most this many spilled blocks past the last
-// committed index.
-const DurableCommitEvery = 16
 
 const (
 	minFrames     = 4
@@ -191,7 +188,7 @@ const (
 // and returns a pager over it: the header and every block's pristine
 // slot are written through a pid-tagged temp and atomically renamed
 // into place, so a crash mid-create leaves only a sweepable temp, never
-// a half-valid spill file. A durable pager (CommitEvery > 0) syncs the
+// a half-valid spill file. A durable pager (Options.Durable) syncs the
 // file before the rename and then commits an empty index beside it at
 // `<path>.idx`; a scratch pager does neither, and removes a stale index
 // there, so no index ever describes its file. Stale temps of crashed
@@ -231,8 +228,7 @@ func create[E semiring.Elem](path string, n, tile int, opts Options, block func(
 			return nil, err
 		}
 	}
-	durable := opts.CommitEvery > 0
-	if !durable {
+	if !opts.Durable {
 		if err := os.Remove(idxPath); err != nil && !os.IsNotExist(err) {
 			return nil, fmt.Errorf("pager: removing stale spill index: %w", err)
 		}
@@ -246,7 +242,7 @@ func create[E semiring.Elem](path string, n, tile int, opts Options, block func(
 		tmp.Close()
 		return nil, err
 	}
-	if durable {
+	if opts.Durable {
 		if err := tmp.Sync(); err != nil {
 			tmp.Close()
 			return nil, fmt.Errorf("pager: syncing spill file: %w", err)
@@ -258,7 +254,7 @@ func create[E semiring.Elem](path string, n, tile int, opts Options, block func(
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return nil, fmt.Errorf("pager: publishing spill file: %w", err)
 	}
-	if durable {
+	if opts.Durable {
 		if err := commitIndex(idxPath, g, nil); err != nil {
 			return nil, err
 		}
@@ -338,6 +334,43 @@ func Open[E semiring.Elem](path string, opts Options) (*Pager[E], error) {
 			ig.N, ig.Tile, g.N, g.Tile)
 	}
 	return newPager[E](path, idxPath, g, records, opts)
+}
+
+// OpenSolve makes the pager of a solve of n points in tile-side blocks.
+// With a path the pager is the solve's checkpoint, so it is durable:
+// create makes it there (Create or CreateFromRows over the solve's
+// input), or, under resume, Open reopens it, and a missing file or one
+// of another n, tile or element width is an error returned before
+// anything is written. Without a path it is scratch, in a private temp
+// dir. done ends the pager: it closes a checkpoint, which stays on
+// disk, and discards a scratch pager with its dir.
+func OpenSolve[E semiring.Elem](path string, resume bool, n, tile int, opts Options, create func(path string, opts Options) (*Pager[E], error)) (p *Pager[E], done func(), err error) {
+	opts.Durable = path != ""
+	if path == "" {
+		dir, err := os.MkdirTemp("", "cellnpdp-spill-")
+		if err != nil {
+			return nil, nil, fmt.Errorf("pager: spill temp dir: %w", err)
+		}
+		if p, err = create(filepath.Join(dir, "solve.npsp"), opts); err != nil {
+			os.RemoveAll(dir)
+			return nil, nil, err
+		}
+		return p, func() { p.Discard(); os.RemoveAll(dir) }, nil
+	}
+	if !resume {
+		if p, err = create(path, opts); err != nil {
+			return nil, nil, err
+		}
+		return p, func() { p.Close() }, nil
+	}
+	if p, err = Open[E](path, opts); err != nil {
+		return nil, nil, err
+	}
+	if p.Len() != n || p.Tile() != tile {
+		p.Close()
+		return nil, nil, fmt.Errorf("pager: checkpoint %s is an n=%d tile=%d solve, this one is n=%d tile=%d", path, p.Len(), p.Tile(), n, tile)
+	}
+	return p, func() { p.Close() }, nil
 }
 
 // newPager opens the data file read-write and builds the runtime state.
@@ -681,9 +714,7 @@ func (p *Pager[E]) dropLocked(fr *frameOf[E]) {
 // with the frame marked spilling, which keeps its cells unchanged: an
 // unpinned final block has no writer, and no caller pins it until the
 // write returns. ENOSPC flips the sticky no-spill degradation; EIO
-// leaves the block resident for a later retry. On a durable pager every
-// CommitEvery spills ask the committer for a group commit. Caller holds
-// p.mu.
+// leaves the block resident for a later retry. Caller holds p.mu.
 func (p *Pager[E]) spillLocked(fr *frameOf[E]) bool {
 	id := fr.id
 	fr.state = frameSpilling
@@ -722,13 +753,55 @@ func (p *Pager[E]) spillLocked(fr *frameOf[E]) bool {
 	p.spilled[id] = true
 	p.stats.SpilledBlocks++
 	p.stats.SpilledBytes += p.geom.slotBytes()
-	if p.durable() {
-		if p.sinceCmt++; p.sinceCmt >= p.opts.CommitEvery {
-			p.sinceCmt = 0
-			p.requestCommitLocked()
+	return true
+}
+
+// Flush writes every resident final block that is not on disk yet to
+// its final slot and keeps it resident, so a commit can record it. It
+// runs beside the solve: each write happens outside the mutex, as an
+// eviction's does. A block that cannot be written (a failed write, or
+// the ENOSPC degradation) stays off disk.
+func (p *Pager[E]) Flush() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var flush []*frameOf[E]
+	for fr := p.lru.head; fr != nil; fr = fr.next {
+		flush = append(flush, fr)
+	}
+	for _, fr := range flush {
+		if p.noSpill || p.closed {
+			return
+		}
+		// An earlier write released the mutex: the frame may have been
+		// evicted and reused since.
+		if p.frames[fr.id] == fr && fr.state == frameResident && p.final[fr.id] && !p.spilled[fr.id] {
+			p.spillLocked(fr)
 		}
 	}
-	return true
+}
+
+// OnDisk reports whether block (bi, bj) is final and its final slot is
+// written, which a commit needs to record it.
+func (p *Pager[E]) OnDisk(bi, bj int) bool {
+	id := p.blockID(bi, bj)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.final[id] && p.spilled[id]
+}
+
+// AcquireResident is Acquire without the page-in: it pins block (bi, bj)
+// and returns its cells only when the block is resident, and otherwise
+// reports false. A true return is matched by one Release.
+func (p *Pager[E]) AcquireResident(bi, bj int) ([]E, bool) {
+	id := p.blockID(bi, bj)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fr, ok := p.frames[id]
+	if !ok || fr.state != frameResident || p.closed {
+		return nil, false
+	}
+	fr.pins++
+	return fr.cells, true
 }
 
 // slotSource is where a page-in of one block reads: the final slot when
@@ -803,30 +876,29 @@ func (p *Pager[E]) countReadLocked(src slotSource, failed int, ok bool) {
 	}
 }
 
-// Commit publishes the index of every final block whose spill has
-// written — the durability point a restart resumes from — after joining
-// any commit already in flight. The data file is fsynced before the
-// index is written, fsynced and renamed, so a committed record never
-// trusts unsynced bytes. It publishes on a scratch pager too, which
-// otherwise never commits.
-func (p *Pager[E]) Commit() error {
+// Commit publishes an index that records those of blocks which are
+// final with their final slot written — the durability point a restart
+// resumes from — after joining any commit already in flight. Which
+// blocks a restart may trust is the caller's decision (the engine's
+// ladder leaves out what it cannot verify); the pager only refuses to
+// record a block that is not on disk. The data file is fsynced before
+// the index is written, fsynced and renamed, so a committed record
+// never trusts unsynced bytes. It publishes on a scratch pager too.
+func (p *Pager[E]) Commit(blocks [][2]int) error {
+	ids := make([]int, len(blocks))
+	for i, b := range blocks {
+		ids[i] = p.blockID(b[0], b[1])
+	}
+	slices.Sort(ids)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.commitLocked()
-}
-
-// commitLocked is one commit, run after the one in flight: the records
-// are snapshotted under the mutex, so they cover only spills whose
-// writes have returned; the data fsync and the index temp+fsync+rename
-// then run outside it. Caller holds p.mu.
-func (p *Pager[E]) commitLocked() error {
 	for p.committing {
 		p.cond.Wait()
 	}
 	p.committing = true
 	var records []indexRecord
-	for id, final := range p.final {
-		if final && p.spilled[id] {
+	for i, id := range ids {
+		if p.final[id] && p.spilled[id] && (i == 0 || id != ids[i-1]) {
 			records = append(records, indexRecord{ID: id, CRC: p.crc[id]})
 		}
 	}
@@ -847,16 +919,24 @@ func (p *Pager[E]) commitLocked() error {
 	return nil
 }
 
-// requestCommitLocked asks for a group commit without waiting for it.
-// The pager's committer goroutine runs commits while they are wanted,
-// then exits; requests that arrive during a commit share the next one.
-// After Close starts, Close publishes the last commit itself. Caller
-// holds p.mu.
-func (p *Pager[E]) requestCommitLocked() {
+// RequestCommit asks the pager's committer goroutine to run commit, a
+// caller's whole commit (what to flush and record, then Commit),
+// without waiting for it. The goroutine runs requests while they
+// arrive, then exits; requests that arrive during a run share the
+// next. After Close or Discard starts, requests are dropped; both wait
+// for the goroutine to exit.
+func (p *Pager[E]) RequestCommit(commit func() error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.requestCommitLocked(commit)
+}
+
+// requestCommitLocked is RequestCommit; caller holds p.mu.
+func (p *Pager[E]) requestCommitLocked(commit func() error) {
 	if p.closed {
 		return
 	}
-	p.commitWanted = true
+	p.commitWanted, p.commitFn = true, commit
 	if p.committer == nil {
 		p.committer = make(chan struct{})
 		go p.runCommits(p.committer)
@@ -872,10 +952,14 @@ func (p *Pager[E]) runCommits(done chan struct{}) {
 	defer p.mu.Unlock()
 	for p.commitWanted && !p.closed {
 		p.commitWanted = false
-		if err := p.commitLocked(); err != nil && p.opts.Logf != nil {
+		commit := p.commitFn
+		p.mu.Unlock()
+		err := commit()
+		p.mu.Lock()
+		if err != nil && p.opts.Logf != nil {
 			// A failed periodic commit is not fatal mid-solve: the
 			// previous committed index stays valid, only resume coverage
-			// shrinks. Close() surfaces a final commit failure.
+			// shrinks.
 			p.opts.Logf("pager: periodic index commit failed: %v", err)
 		}
 	}
@@ -974,47 +1058,27 @@ func (p *Pager[E]) Stats() Stats {
 	return p.stats
 }
 
-// Close lets the page-ins, spills and commit in flight finish and
-// closes the spill file. A durable pager first flushes its resident
-// final blocks to their spill slots and commits the index one last
-// time; the files stay on disk — they are the resume state. Flush
-// failures (a disk in ENOSPC degradation) are not errors: those blocks
-// simply resume from pristine, which is correct, just slower. A scratch
-// pager flushes and commits nothing; its file stays too, for the
-// caller to delete (or call Discard instead).
+// Close lets the page-ins, spills and commits in flight finish and
+// closes the spill file. It writes nothing: the file and, on a durable
+// pager, its last committed index stay on disk as the resume state. A
+// scratch pager's file stays too, for the caller to delete (or call
+// Discard instead).
 func (p *Pager[E]) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.quiesceLocked() {
 		return nil
 	}
-	var err error
-	if p.durable() {
-		var flush []*frameOf[E]
-		for fr := p.lru.head; fr != nil; fr = fr.next {
-			if p.final[fr.id] && !p.spilled[fr.id] && fr.pins == 0 {
-				flush = append(flush, fr)
-			}
-		}
-		for _, fr := range flush {
-			if p.noSpill {
-				break
-			}
-			p.spillLocked(fr)
-		}
-		err = p.commitLocked()
+	if err := p.f.Close(); err != nil {
+		return fmt.Errorf("pager: closing spill file: %w", err)
 	}
-	if closeErr := p.f.Close(); err == nil && closeErr != nil {
-		err = fmt.Errorf("pager: closing spill file: %w", closeErr)
-	}
-	return err
+	return nil
 }
 
 // Discard ends a pager whose files hold no resume state: like Close it
-// lets the page-ins, spills and commit in flight finish, but it flushes
-// and commits nothing, even on a durable pager, then closes the spill
-// file and deletes it and its index. A later Close or Discard is a
-// no-op.
+// lets the page-ins, spills and commits in flight finish, then closes
+// the spill file and deletes it and its index. A later Close or Discard
+// is a no-op.
 func (p *Pager[E]) Discard() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -1033,9 +1097,9 @@ func (p *Pager[E]) Discard() error {
 	return err
 }
 
-// durable reports whether the spill file is resume state
-// (Options.CommitEvery > 0).
-func (p *Pager[E]) durable() bool { return p.opts.CommitEvery > 0 }
+// Durable reports whether the spill file is resume state
+// (Options.Durable).
+func (p *Pager[E]) Durable() bool { return p.opts.Durable }
 
 // quiesceLocked marks the pager closed, then waits for the page-ins,
 // spills and commit in flight and for the committer goroutine to exit.

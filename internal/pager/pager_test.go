@@ -39,6 +39,18 @@ func newTestPager(t *testing.T, src *tri.Tiled[float32], opts Options) *Pager[fl
 	return p
 }
 
+// everyBlock lists every block of p: a commit of it records every final
+// block that is on disk.
+func everyBlock[E semiring.Elem](p *Pager[E]) [][2]int {
+	var blocks [][2]int
+	for bi := 0; bi < p.Blocks(); bi++ {
+		for bj := bi; bj < p.Blocks(); bj++ {
+			blocks = append(blocks, [2]int{bi, bj})
+		}
+	}
+	return blocks
+}
+
 func TestPagerAcquireReturnsPristineContent(t *testing.T) {
 	src := testTable(40, 8) // 5 tiles per side, 15 blocks
 	p := newTestPager(t, src, Options{Frames: 4})
@@ -274,7 +286,7 @@ func TestPagerCommitAndReopenRecoversFinals(t *testing.T) {
 		p.Release(b[0], b[1])
 	}
 	flushFrames(t, p, [2]int{0, 0}, [2]int{0, 1})
-	if err := p.Commit(); err != nil {
+	if err := p.Commit(everyBlock(p)); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate a SIGKILL: no Close, no final commit — reopen cold.
@@ -309,7 +321,7 @@ func TestPagerOpenRejectsUncommittedTornFinal(t *testing.T) {
 	// holds (possibly torn) bytes.
 	src := testTable(40, 8)
 	path := filepath.Join(t.TempDir(), "t.npsp")
-	p, err := Create(path, src, Options{Frames: 4, CommitEvery: 1000})
+	p, err := Create(path, src, Options{Frames: 4, Durable: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +421,7 @@ func TestPagerMaterializeMatchesSource(t *testing.T) {
 	}
 }
 
-// TestScratchPagerWritesNoIndex: a scratch pager (CommitEvery 0)
+// TestScratchPagerWritesNoIndex: a scratch pager (Durable unset)
 // removes a stale index at Create, spills without committing, and
 // closes without flushing or committing, so no index ever describes its
 // file and a reopen resumes nothing.
@@ -773,7 +785,7 @@ func frameSnapshot(p *Pager[float32]) []byte {
 // a page-in that allocated its slot and its cells would cost ≈ 62 KB.
 func TestPageInRecyclesFrames(t *testing.T) {
 	src := testTable(5*88, 88)
-	p := newTestPager(t, src, Options{Frames: 4, CommitEvery: 1 << 20})
+	p := newTestPager(t, src, Options{Frames: 4})
 	m := src.Blocks()
 	// First pass: complete every block so later passes also fetch finals.
 	for bi := 0; bi < m; bi++ {

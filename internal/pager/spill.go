@@ -34,7 +34,7 @@ import (
 // always detectable at page-in. The final region is allocated sparse:
 // a slot there is meaningful only once the spill index commits its
 // record, and the index is only committed after the data file syncs.
-// A scratch file (Options.CommitEvery 0) has no index: its final slots
+// A scratch file (Options.Durable unset) has no index: its final slots
 // are trusted only by the pager that wrote them, which holds their
 // seals in memory.
 //
@@ -68,9 +68,9 @@ const (
 // SpillVersion is the current version of both spill formats.
 const SpillVersion uint16 = 1
 
-// Plausibility bounds, matching the checkpoint reader's limits: a
-// hostile header cannot make a reader allocate unbounded memory before
-// a checksum can reject it.
+// Plausibility bounds, matching tableio's problem-size limit: a hostile
+// header cannot make a reader allocate unbounded memory before a
+// checksum can reject it.
 const (
 	maxSpillN    = 1 << 24
 	maxSpillTile = 1 << 12

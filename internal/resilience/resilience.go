@@ -2,16 +2,16 @@
 // NPDP engines: typed task failures (panics converted to errors with the
 // task's identity attached), a bounded exponential-backoff retry policy
 // with an injectable sleeper, a deterministic seeded fault injector for
-// tests and soak runs, and a versioned, checksummed checkpoint codec
-// that snapshots completed memory blocks of a tiled table plus the
-// scheduler's task-completion bitmap.
+// tests and soak runs, block seals, and the owner-tagged temp+rename
+// helpers behind the pager's spill file and index, which are a solve's
+// checkpoint.
 //
 // The paper's tier-2 design makes all of this cheap: each memory block
 // is computed entirely by one task, every relaxation is a monotone
 // idempotent min, and the dependence graph is the ≤2-predecessor
 // simplification of Section IV-B — so a task can be retried in place, a
 // completed block is immutable for the rest of the solve, and a resumed
-// run only needs the completion bitmap to pre-notify the graph.
+// run only needs to know which blocks are final to pre-notify the graph.
 package resilience
 
 import (

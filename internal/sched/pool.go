@@ -20,9 +20,10 @@ type PoolRunOptions struct {
 	Completed []bool
 	// OnTaskDone, when non-nil, is called after each successful task
 	// execution, before its successors are notified. It runs on worker
-	// goroutines, possibly concurrently; the checkpointer behind it
-	// serializes with its own mutex. A panic inside it fails the run
-	// like a task panic.
+	// goroutines, possibly concurrently, so it must be safe for that and
+	// quick: the executor's only asks for a checkpoint commit, which the
+	// pager's committer runs. A panic inside it fails the run like a task
+	// panic.
 	OnTaskDone func(t Task)
 }
 
@@ -239,6 +240,10 @@ func RunPoolCtx(ctx context.Context, g *Graph, workers int, opts PoolRunOptions,
 	}
 	wg.Wait()
 
+	// The context watcher may still be recording a deadline that fired
+	// as the last worker exited, so the slots are read under their lock.
+	errMu.Lock()
+	defer errMu.Unlock()
 	if taskErr != nil {
 		return taskErr
 	}

@@ -60,9 +60,9 @@ func namedElementSolves[N, U cellnpdp.Elem](t *testing.T) {
 		requireSameBits(t, c.name, ref, got)
 	}
 
-	// Checkpoint then resume: a faulted run snapshots its completed
+	// Checkpoint then resume: a faulted run commits its completed
 	// blocks, and the resumed solve restores them.
-	ck := filepath.Join(t.TempDir(), "solve.npck")
+	ck := filepath.Join(t.TempDir(), "solve.npsp")
 	_, err := solveNoPanic(namedChain[N](t, n), cellnpdp.Options{
 		Engine: cellnpdp.Parallel, Workers: 2, NoFallback: true,
 		FaultRate: 0.4, FaultSeed: 5, CheckpointPath: ck, CheckpointEvery: 1,
@@ -72,7 +72,7 @@ func namedElementSolves[N, U cellnpdp.Elem](t *testing.T) {
 		t.Fatalf("faulted run returned %v, want a task error", err)
 	}
 	resumed := namedChain[N](t, n)
-	res, err := solveNoPanic(resumed, cellnpdp.Options{Engine: cellnpdp.Parallel, Workers: 2, ResumePath: ck, NoFallback: true})
+	res, err := solveNoPanic(resumed, cellnpdp.Options{Engine: cellnpdp.Parallel, Workers: 2, CheckpointPath: ck, Resume: true, NoFallback: true})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

@@ -83,7 +83,7 @@ func checkPagedBitIdentical[E Elem](t *testing.T, n int) {
 	}
 }
 
-// TestPrivateSpillIsScratch: a paged solve without a SpillPath spills
+// TestPrivateSpillIsScratch: a paged solve without a CheckpointPath spills
 // to a private temp file that nothing can reopen, so it commits no
 // index, and it leaves nothing behind in the temp dir.
 func TestPrivateSpillIsScratch(t *testing.T) {
@@ -172,14 +172,14 @@ func TestPagedSolveResumesFromSpill(t *testing.T) {
 	}
 	spill := filepath.Join(t.TempDir(), "solve.npsp")
 	first := buildRandom(t, n, 4)
-	if _, err := Solve(first, Options{Engine: Parallel, Workers: 2, BlockBytes: 1024, MemoryBudget: 16 * 1024, SpillPath: spill}); err != nil {
+	if _, err := Solve(first, Options{Engine: Parallel, Workers: 2, BlockBytes: 1024, MemoryBudget: 16 * 1024, CheckpointPath: spill}); err != nil {
 		t.Fatal(err)
 	}
 	assertTablesEqual(t, ref, first, "first paged run")
 	// Second run resumes from the fully-solved spill: every task is
 	// recovered, nothing recomputes, and the answer still matches.
 	second := buildRandom(t, n, 4)
-	res, err := Solve(second, Options{Engine: Parallel, Workers: 2, BlockBytes: 1024, MemoryBudget: 16 * 1024, SpillPath: spill, ResumeSpill: true})
+	res, err := Solve(second, Options{Engine: Parallel, Workers: 2, BlockBytes: 1024, MemoryBudget: 16 * 1024, CheckpointPath: spill, Resume: true})
 	if err != nil {
 		t.Fatalf("resume from solved spill: %v", err)
 	}
@@ -197,11 +197,9 @@ func TestPagedSolveRejectsBadCombos(t *testing.T) {
 	}{
 		{Options{Engine: Serial, MemoryBudget: 1 << 20}, "Tiled and Parallel"},
 		{Options{Engine: Cell, MemoryBudget: 1 << 20}, "Tiled and Parallel"},
-		{Options{Engine: Parallel, SpillPath: "x.npsp"}, "positive MemoryBudget"},
-		{Options{Engine: Parallel, ResumeSpill: true}, "positive MemoryBudget"},
-		{Options{Engine: Parallel, MemoryBudget: 1 << 20, ResumeSpill: true}, "requires SpillPath"},
-		{Options{Engine: Parallel, MemoryBudget: 1 << 20, CheckpointPath: "c.ckpt"}, "incompatible"},
-		{Options{Engine: Parallel, MemoryBudget: 1 << 20, ResumePath: "c.ckpt"}, "incompatible"},
+		{Options{Engine: Parallel, MemoryBudget: -1}, "non-negative"},
+		{Options{Engine: Parallel, Resume: true}, "Resume requires CheckpointPath"},
+		{Options{Engine: Parallel, MemoryBudget: 1 << 20, Resume: true}, "Resume requires CheckpointPath"},
 		{Options{Engine: Parallel, DiskFaultRate: 0.5}, "requires MemoryBudget"},
 		{Options{Engine: Parallel, MemoryBudget: 1 << 20, DiskFaultKinds: "bogus"}, "unknown disk fault"},
 	}
@@ -211,21 +209,26 @@ func TestPagedSolveRejectsBadCombos(t *testing.T) {
 			t.Errorf("opts %+v: error %v, want substring %q", tc.opts, err, tc.want)
 		}
 	}
-	// Fault injection and online audits combine with a memory budget:
-	// the paged store runs the same executor and recovery ladder.
+	// Fault injection, online audits and a checkpoint combine with a
+	// memory budget: the paged store runs the same executor and recovery
+	// ladder, and the checkpoint is the spill file, which the last case
+	// resumes.
 	ref := tbl.Clone()
 	if _, err := Solve(ref, Options{Engine: Serial}); err != nil {
 		t.Fatal(err)
 	}
+	ck := filepath.Join(t.TempDir(), "solve.npsp")
 	for _, opts := range []Options{
 		{Engine: Parallel, MemoryBudget: 1 << 20, FaultRate: 0.5, MaxRetries: 16},
 		{Engine: Parallel, MemoryBudget: 1 << 20, AuditEvery: 4},
+		{Engine: Parallel, MemoryBudget: 1 << 20, CheckpointPath: ck},
+		{Engine: Parallel, MemoryBudget: 1 << 20, CheckpointPath: ck, Resume: true},
 	} {
 		got := tbl.Clone()
 		if _, err := Solve(got, opts); err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
 		}
-		assertTablesEqual(t, ref, got, "paged with faults or audits")
+		assertTablesEqual(t, ref, got, "paged with faults, audits or a checkpoint")
 	}
 }
 
@@ -308,7 +311,7 @@ func TestPagedSpillResumeNeverTrustsCorruptBlock(t *testing.T) {
 	}
 	faulted := func(seed int64, spill string) Options {
 		o := opts
-		o.SpillPath, o.FaultKinds, o.FaultRate, o.FaultSeed = spill, "corrupt", 0.2, seed
+		o.CheckpointPath, o.FaultKinds, o.FaultRate, o.FaultSeed = spill, "corrupt", 0.2, seed
 		return o
 	}
 	start := time.Now()
@@ -326,7 +329,7 @@ func TestPagedSpillResumeNeverTrustsCorruptBlock(t *testing.T) {
 			t.Logf("seed %d: first run finished before its deadline", seed)
 		}
 		second := opts
-		second.SpillPath, second.ResumeSpill = spill, true
+		second.CheckpointPath, second.Resume = spill, true
 		got := buildRandom(t, n, 768)
 		res, err := Solve(got, second)
 		var pe *pager.ErrPageCorrupt

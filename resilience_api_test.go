@@ -1,8 +1,11 @@
 package cellnpdp_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -86,7 +89,7 @@ func TestSolveCtxCancelNoGoroutineLeak(t *testing.T) {
 // to an uninterrupted serial solve. Loud faults kill the run mid-way.
 // Silent corruption kills it only at the seal audit, after the flipped
 // blocks and every task computed from them are complete, so the
-// snapshot must leave those tasks out instead of resuming them.
+// checkpoint must leave those tasks out instead of resuming them.
 func TestSolveResumeBitIdentical(t *testing.T) {
 	ref := chainTable(t, 400)
 	if _, err := cellnpdp.Solve(ref, cellnpdp.Options{Engine: cellnpdp.Serial}); err != nil {
@@ -113,7 +116,7 @@ func TestSolveResumeBitIdentical(t *testing.T) {
 			resumed := chainTable(t, 400)
 			res, err := cellnpdp.Solve(resumed, cellnpdp.Options{
 				Engine: cellnpdp.Parallel, Workers: 2, BlockBytes: c.kill.BlockBytes,
-				ResumePath: ck, NoFallback: true,
+				CheckpointPath: ck, Resume: true, NoFallback: true,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -225,7 +228,7 @@ func TestSolveCorruptionDetectedWithoutHeal(t *testing.T) {
 
 // TestSolveHealOptionValidation pins the new knobs' range checks.
 func TestSolveHealOptionValidation(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "solve.npck")
+	ck := filepath.Join(t.TempDir(), "solve.npsp")
 	cases := []cellnpdp.Options{
 		{Engine: cellnpdp.Parallel, HealAttempts: -1},
 		{Engine: cellnpdp.Parallel, AuditEvery: -1},
@@ -235,19 +238,40 @@ func TestSolveHealOptionValidation(t *testing.T) {
 		{Engine: cellnpdp.Parallel, SchedSide: -1},
 		{Engine: cellnpdp.Parallel, BlockBytes: -1},
 		{Engine: cellnpdp.Parallel, CheckpointEvery: -1},
-		// Only the Parallel engine checkpoints and resumes.
+		// Serial and Cell neither checkpoint nor resume, and Resume needs
+		// a checkpoint.
 		{Engine: cellnpdp.Serial, CheckpointPath: ck},
-		{Engine: cellnpdp.Tiled, CheckpointPath: ck},
 		{Engine: cellnpdp.Cell, CheckpointPath: ck},
-		{Engine: cellnpdp.Serial, ResumePath: ck},
-		{Engine: cellnpdp.Tiled, ResumePath: ck},
-		{Engine: cellnpdp.Cell, ResumePath: ck},
+		{Engine: cellnpdp.Serial, CheckpointPath: ck, Resume: true},
+		{Engine: cellnpdp.Cell, CheckpointPath: ck, Resume: true},
+		{Engine: cellnpdp.Parallel, Resume: true},
+		{Engine: cellnpdp.Tiled, Resume: true},
 	}
 	for _, opts := range cases {
 		tbl := chainTable(t, 64)
 		if _, err := cellnpdp.Solve(tbl, opts); err == nil {
 			t.Fatalf("options %+v accepted", opts)
 		}
+	}
+	// Tiled keeps a checkpoint and resumes it, as the executor on one
+	// worker.
+	ref := chainTable(t, 64)
+	if _, err := cellnpdp.Solve(ref, cellnpdp.Options{Engine: cellnpdp.Serial}); err != nil {
+		t.Fatal(err)
+	}
+	for _, opts := range []cellnpdp.Options{
+		{Engine: cellnpdp.Tiled, CheckpointPath: ck},
+		{Engine: cellnpdp.Tiled, CheckpointPath: ck, Resume: true},
+	} {
+		tbl := chainTable(t, 64)
+		res, err := cellnpdp.Solve(tbl, opts)
+		if err != nil {
+			t.Fatalf("options %+v: %v", opts, err)
+		}
+		if opts.Resume && res.ResumedTasks == 0 {
+			t.Fatal("a Tiled resume of a finished checkpoint restored no tasks")
+		}
+		assertTablesIdentical(t, ref, tbl, fmt.Sprintf("options %+v", opts))
 	}
 	for _, opts := range []cellnpdp.Options{{SchedSide: -1}, {BlockBytes: -1}} {
 		if _, err := cellnpdp.EstimateSolve[float32](64, opts); err == nil {
@@ -281,9 +305,10 @@ func TestSolveDegradesToTiled(t *testing.T) {
 }
 
 // TestSolveResumeRejectsGeometryMismatch asserts a checkpoint from a
-// different problem cannot silently poison a solve.
+// different problem cannot silently poison a solve, and that the refused
+// resume leaves the checkpoint byte for byte as it was.
 func TestSolveResumeRejectsGeometryMismatch(t *testing.T) {
-	ck := filepath.Join(t.TempDir(), "solve.npck")
+	ck := filepath.Join(t.TempDir(), "solve.npsp")
 	killed := chainTable(t, 400)
 	_, err := cellnpdp.Solve(killed, cellnpdp.Options{
 		Engine: cellnpdp.Parallel, Workers: 2,
@@ -294,12 +319,37 @@ func TestSolveResumeRejectsGeometryMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("faulted run unexpectedly succeeded")
 	}
-	other := chainTable(t, 500)
-	if _, err := cellnpdp.Solve(other, cellnpdp.Options{
-		Engine: cellnpdp.Parallel, ResumePath: ck,
-	}); err == nil {
-		t.Fatal("resume accepted a checkpoint from a different problem size")
+	before := readCheckpoint(t, ck)
+	for _, opts := range []cellnpdp.Options{
+		{Engine: cellnpdp.Parallel, CheckpointPath: ck, Resume: true},
+		{Engine: cellnpdp.Parallel, CheckpointPath: ck, Resume: true, BlockBytes: 8192},
+	} {
+		other := chainTable(t, 500)
+		if opts.BlockBytes != 0 {
+			other = chainTable(t, 400)
+		}
+		if _, err := cellnpdp.Solve(other, opts); err == nil {
+			t.Fatalf("resume accepted a checkpoint of another geometry (%+v)", opts)
+		}
+		if after := readCheckpoint(t, ck); !bytes.Equal(after, before) {
+			t.Fatalf("a refused resume (%+v) changed the checkpoint", opts)
+		}
 	}
+}
+
+// readCheckpoint returns the bytes of the checkpoint at path: its spill
+// file followed by its index.
+func readCheckpoint(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := os.ReadFile(path + ".idx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, idx...)
 }
 
 // TestSolveDegradationCancelledMidFallback cancels the context at the

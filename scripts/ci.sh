@@ -7,9 +7,9 @@
 # benchmark and every root-package benchmark once, the benchmark's
 # smoke test
 # (bench/ is its own module, so go test ./... never builds it), short
-# fuzz smokes of the checkpoint, spill-index and task-message codecs, of kernel
-# equivalence, and of the bulk cell codec every seal, slot and frame
-# encodes through, and smoke
+# fuzz smokes of a checkpoint resumed over a rewritten index, of the
+# spill-index and task-message codecs, of kernel equivalence, and of the
+# bulk cell codec every seal, slot and frame encodes through, and smoke
 # fault-injection solves proving
 # the resilience layer end to end: 5% loud faults healed through
 # retries, and 5% silent corruption caught by the block seals and
@@ -25,9 +25,10 @@
 # page-in reads (must heal) and ENOSPC (must degrade gracefully), all
 # bit-identical to serial. The pager's concurrency stress and
 # committer-join tests (on durable pagers, the ones that commit) also
-# run twenty times under the race detector, the two spill-resume
-# regression tests (a resume after silent corruption must match serial
-# or fail typed) five times, the cluster package's tests five times
+# run twenty times under the race detector, the checkpoint resume tests
+# (a resume after silent corruption must match serial or fail typed, in
+# one process and on the cluster) five times, the cluster package's
+# tests five times
 # (frame buffers change owner between the event loop, the session
 # writers and the readers), and the harness failover experiment ten
 # times.
@@ -122,21 +123,25 @@ echo "== go test -race ./..."
 go test -race -timeout 30m ./...
 
 echo "== go test -race -count=20 (pager concurrency stress, committer join)"
-# Loads, spills and commits run outside the pager's mutex, so one pass
-# of the stress test samples only one interleaving; twenty under the
-# race detector sample more, and as many of Commit, Close and Discard
-# racing the background committer's exit. Each test makes a durable
-# pager (CommitEvery > 0): a scratch pager never commits.
+# Loads, spills, flushes and commits run outside the pager's mutex, so
+# one pass of the stress test samples only one interleaving; twenty
+# under the race detector sample more, and as many of Commit, Close and
+# Discard racing the background committer's exit. Each test makes a
+# durable pager and requests its commits itself.
 go test -race -count=20 -run '^TestConcurrentPagerStress$|^TestCommitAndCloseJoinBackgroundCommit$|^TestDiscardJoinsBackgroundCommit$' ./internal/pager
 
-echo "== go test -race -count=5 (spill resume after silent corruption)"
+echo "== go test -race -count=5 (checkpoint resume, after silent corruption too)"
 # A sealing run that injects corrupt faults is cut off, then resumed
-# from its spill file, at the package level (40 seeds) and through the
-# public API (12 seeds, cut at spread deadlines): every resume must
-# match serial or fail typed. Where the cut lands depends on timing, so
-# five passes under the race detector sample more cuts.
+# from its checkpoint, at the package level (40 seeds, with and without
+# ENOSPC) and through the public API (12 seeds, cut at spread
+# deadlines): every resume must match serial or fail typed. A killed
+# in-memory solve and an interrupted cluster run resume from theirs.
+# Commits run beside the pool and the event loop, and where the cut
+# lands depends on timing, so five passes under the race detector
+# sample more interleavings and cuts.
 go test -race -count=5 -run '^TestPagedResumeNeverTrustsCorruptBlock$' ./internal/npdp
-go test -race -count=5 -run '^TestPagedSpillResumeNeverTrustsCorruptBlock$' .
+go test -race -count=5 -run '^TestPagedSpillResumeNeverTrustsCorruptBlock$|^TestSolveResumeBitIdentical$' .
+go test -race -count=5 -run '^TestClusterCheckpointResume$' ./internal/cluster
 
 echo "== go test -race -count=5 ./internal/cluster (frame-buffer ownership)"
 # Pooled frame buffers pass between the event loop, the session writers
@@ -189,9 +194,10 @@ linux/amd64 | linux/arm64 | darwin/amd64 | darwin/arm64 | windows/amd64 | window
     ;;
 esac
 
-echo "== fuzz smoke: checkpoint codec (20s)"
-# A short adversarial pass over the NPCK reader: corrupt and truncated
-# snapshots must be rejected, never crash or silently resume bad state.
+echo "== fuzz smoke: checkpoint resume over a rewritten index (20s)"
+# A short adversarial pass over a checkpoint's index: whatever bytes it
+# holds, a resume must reproduce the serial table or fail, never crash
+# or silently resume bad state.
 go test -run='^$' -fuzz FuzzCheckpointRoundTrip -fuzztime 20s .
 
 echo "== smoke: fault-injected parallel solve (5% rate, retries, no fallback)"
@@ -303,17 +309,16 @@ echo "== smoke: cluster chaos (3 workers, seeded SIGKILL + silent corruption, he
 # redispatch the dead worker's in-flight tasks, heal each seal mismatch
 # through the poisoned cone, and finish bit-identical to the serial
 # engine. The paged arm runs the same chaos with the coordinator's
-# table in a spill file under a 200 KB budget, so every heal demotes
-# through the pager. The greps prove the chaos (and the paging)
+# table in a private spill file under a 200 KB budget, so every heal
+# demotes through the pager. The greps prove the chaos (and the paging)
 # actually fired — a run where nothing died, nothing corrupted or
 # nothing spilled would pass vacuously.
 cluster_log="$(mktemp)"
-cluster_spill="$(mktemp)"
-trap 'rm -f "${healref}" "${heallog}" "${ooc_ref}" "${ooc_log}" "${cluster_log}" "${cluster_spill}"' EXIT
+trap 'rm -f "${healref}" "${heallog}" "${ooc_ref}" "${ooc_log}" "${cluster_log}"' EXIT
 for arm in memory paged; do
     paged_args=()
     if [[ "${arm}" == paged ]]; then
-        paged_args=(-spill "${cluster_spill}" -memory-budget 200000)
+        paged_args=(-memory-budget 200000)
     fi
     go run -race ./cmd/cellnpdp cluster -n 704 -cluster-workers 3 \
         -chaos-kills 1 -chaos-seed 5 -faultrate 0.25 -faultseed 42 \
@@ -349,7 +354,7 @@ echo "== smoke: coordinator-kill failover (warm standby, SIGKILL primary mid-wav
 # prove the takeover actually happened — failover that never fired
 # would pass vacuously.
 failover_log="$(mktemp)"
-trap 'rm -f "${healref}" "${heallog}" "${ooc_ref}" "${ooc_log}" "${cluster_log}" "${cluster_spill}" "${failover_log}"' EXIT
+trap 'rm -f "${healref}" "${heallog}" "${ooc_ref}" "${ooc_log}" "${cluster_log}" "${failover_log}"' EXIT
 go run -race ./cmd/cellnpdp cluster -n 1536 -cluster-workers 3 \
     -chaos-kill-coordinator -heartbeat 25ms -deadline 500ms -lease 1s \
     -verify -timeout 10m 2>&1 | tee "${failover_log}"

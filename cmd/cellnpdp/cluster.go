@@ -289,9 +289,10 @@ func standbySolve[E semiring.Elem](ctx context.Context, cfg clusterConfig, tbl *
 	var sstats cluster.StandbyStats
 	opts := cluster.StandbyOptions{
 		Options: cluster.Options{
-			// Geometry (shards, scheduling side, heartbeat, deadline) is
-			// adopted from the primary's replication hello at takeover;
-			// these only seed the pre-adoption defaults.
+			// At the takeover the primary's welcome replaces shards,
+			// scheduling side, heartbeat and deadline. Until then the
+			// standby reads only the deadline: the lease defaults to
+			// twice it, and it bounds the standby's replies.
 			Shards: cfg.shards, SchedSide: cfg.schedSide,
 			HeartbeatEvery: cfg.hbEvery, DeadlineAfter: cfg.deadline, WorkerlessAfter: cfg.workerless,
 			Heal: cfg.heal, HealAttempts: cfg.healMax,

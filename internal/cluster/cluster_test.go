@@ -717,9 +717,11 @@ func whiteboxCoordinatorOf(t testing.TB, tbl *tri.Tiled[float32], epoch uint32) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	co := newCoordinator(tbl, g, Options{Logf: t.Logf, Epoch: epoch})
+	co := newCoordinator(tbl, Options{Logf: t.Logf, Epoch: epoch})
 	co.store = npdp.NewMemStore(tbl, false)
-	co.ladder = npdp.NewLadder(co.store, g, true, npdp.ParallelOptions{})
+	if err := co.lead(g, false); err != nil {
+		t.Fatal(err)
+	}
 	return co
 }
 

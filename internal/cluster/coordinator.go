@@ -130,9 +130,9 @@ type Options struct {
 	// Logf, when non-nil, receives progress and failure-path logging.
 	Logf func(format string, args ...any)
 	// Epoch is the leadership epoch this coordinator runs at; 0 means 1
-	// (a fresh primary). A standby taking over passes the deposed
-	// leader's epoch + 1, which is what fences the old leader's writes
-	// everywhere (see epoch.go).
+	// (a fresh primary). A standby takes over at the deposed leader's
+	// epoch + 1, which is what fences the old leader's writes everywhere
+	// (see epoch.go).
 	Epoch uint32
 	// ReplicaAddr, when set, streams the completion log to a warm
 	// standby at that address (see RunStandby); the replication link is
@@ -212,8 +212,9 @@ type Stats struct {
 // the pool's wave and never surfaces.
 var errHalted = errors.New("cluster: wave halted")
 
-// session is one live worker connection. All fields except out are
-// owned by the event loop; the per-session reader goroutine only
+// session is one live worker connection, or a follower's replication
+// stream, which has no writer, shard or possession. All fields except
+// out are owned by the event loop; the per-session reader goroutine only
 // touches the conn's read half and posts events, and the per-session
 // writer goroutine only drains out onto the conn's write half.
 type session[E semiring.Elem] struct {
@@ -258,8 +259,10 @@ const (
 	evPing
 	evFail
 	evDead
-	evReplConn // a replication hello arrived on the worker listener
+	evReplConn // a replication hello arrived on the listener
 	evFenced   // the standby (now leader) fenced our replication stream
+	evRecord   // a replication record from the adopted stream
+	evDone     // the primary finished; its stream ends
 )
 
 type event[E semiring.Elem] struct {
@@ -268,10 +271,13 @@ type event[E semiring.Elem] struct {
 	// hello is a worker's or a replication stream's hello; an evFenced
 	// carries the fencing side's epoch in hello.Epoch.
 	hello helloMsg
-	sess  *session[E]
-	msg   taskMsg
-	// frame holds an evResult's wire frame, which msg's block bytes view;
-	// the event loop returns it to the pool once the result is handled.
+	// job is an evReplConn's welcome: the primary's job description.
+	job  *welcomeMsg
+	sess *session[E]
+	msg  taskMsg
+	// frame holds an evResult's or evRecord's wire frame, which msg's
+	// block bytes view; the event loop returns it to the pool once the
+	// event is handled.
 	frame *frameBuf
 	text  string
 	err   error
@@ -303,10 +309,12 @@ type coordinator[E semiring.Elem] struct {
 	opts Options
 	t    *tri.Tiled[E]
 	// store is the authoritative table: every block read, install and
-	// demote goes through it. It is a MemStore over t, or the spill pager
-	// under MemoryBudget or CheckpointPath, where t is only the input
-	// source and the final materialization target.
+	// demote goes through it. It is a MemStore over t, the spill pager
+	// (pager) under MemoryBudget or CheckpointPath, where t is only the
+	// input source and the final materialization target, or a standby's
+	// replica after its takeover.
 	store npdp.BlockStore[E]
+	pager *pager.Pager[E]
 	// ladder is the shared recovery state: block seals, the per-block
 	// heal budget, and the counters it fills into healStats.
 	ladder    *npdp.Ladder[E]
@@ -314,7 +322,11 @@ type coordinator[E semiring.Elem] struct {
 	g         *sched.Graph
 	shards    Sharding
 
+	// epoch is the leadership epoch; while following, the highest epoch
+	// seen.
 	epoch uint32
+	// follower is the follower phase's state, nil once leading.
+	follower *follower[E]
 
 	// reqs carries the pool's requests (task IDs) to the event loop,
 	// buffered to the pool's slot count: each slot has at most one
@@ -362,19 +374,47 @@ type coordinator[E semiring.Elem] struct {
 // dependence-ordered block computation — the schedule cannot change the
 // values). The listener is closed before returning.
 func Coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Tiled[E], opts Options) error {
-	return coordinate(ctx, ln, t, opts, nil)
-}
-
-// coordinate is the shared coordinator body. replica, when non-nil, is
-// the store over t a standby built from the replication stream: the
-// takeover runs on it, and its final blocks are the resumed tasks.
-func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Tiled[E], opts Options, replica *npdp.MemStore[E]) error {
 	defer ln.Close()
-	if opts.SchedSide == 0 {
-		opts.SchedSide = 1
-	}
 	if opts.SchedSide < 0 {
 		return fmt.Errorf("cluster: scheduling-block side must be positive, got %d", opts.SchedSide)
+	}
+	opts = withDefaults(opts)
+	g, err := sched.NewGraph(t.Blocks(), opts.SchedSide)
+	if err != nil {
+		return err
+	}
+	if opts.MemoryBudget < 0 {
+		return fmt.Errorf("cluster: MemoryBudget must be non-negative, got %d", opts.MemoryBudget)
+	}
+	if opts.Resume && opts.CheckpointPath == "" {
+		return fmt.Errorf("cluster: Resume requires CheckpointPath")
+	}
+
+	co := newCoordinator(t, opts)
+	if opts.MemoryBudget > 0 || opts.CheckpointPath != "" {
+		var cleanup func()
+		if co.pager, cleanup, err = openPager(t, opts); err != nil {
+			return err
+		}
+		defer cleanup()
+		co.store = co.pager
+	} else {
+		co.store = npdp.NewMemStore(t, opts.Heal)
+	}
+	if err := co.lead(g, opts.Resume); err != nil {
+		return err
+	}
+	if opts.Resume {
+		opts.Logf("cluster: resumed %d/%d tasks from %s", co.stats.Resumed, len(g.Tasks), opts.CheckpointPath)
+	}
+	return co.serve(ctx, ln)
+}
+
+// withDefaults fills the zero values of opts' schedule, liveness timing,
+// logger and epoch.
+func withDefaults(opts Options) Options {
+	if opts.SchedSide == 0 {
+		opts.SchedSide = 1
 	}
 	if opts.HeartbeatEvery <= 0 {
 		opts.HeartbeatEvery = DefaultHeartbeatEvery
@@ -388,73 +428,62 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-
-	g, err := sched.NewGraph(t.Blocks(), opts.SchedSide)
-	if err != nil {
-		return err
-	}
 	if opts.Epoch == 0 {
 		opts.Epoch = 1
 	}
-	if opts.MemoryBudget < 0 {
-		return fmt.Errorf("cluster: MemoryBudget must be non-negative, got %d", opts.MemoryBudget)
-	}
-	if opts.Resume && opts.CheckpointPath == "" {
-		return fmt.Errorf("cluster: Resume requires CheckpointPath")
-	}
+	return opts
+}
 
-	co := newCoordinator(t, g, opts)
-
-	var p *pager.Pager[E]
-	var finalize func() error
-	if replica != nil {
-		co.store = replica
-	} else if opts.MemoryBudget > 0 || opts.CheckpointPath != "" {
-		var cleanup func()
-		if p, cleanup, err = openPager(t, opts); err != nil {
-			return err
-		}
-		defer cleanup()
-		co.store = p
-		// The caller's table gets the materialized result inside the
-		// ladder's Step, so a final page that reads back corrupt only
-		// here heals like any other detection.
-		finalize = func() error {
-			if err := p.Materialize(t); err != nil {
-				return fmt.Errorf("cluster: materializing solved table from spill: %w", err)
-			}
-			return nil
-		}
-	} else {
-		co.store = npdp.NewMemStore(t, opts.Heal)
+// newCoordinator builds the event loop's phase-independent state over t;
+// lead adds what leading a solve needs.
+func newCoordinator[E semiring.Elem](t *tri.Tiled[E], opts Options) *coordinator[E] {
+	return &coordinator[E]{
+		opts:     opts,
+		t:        t,
+		epoch:    opts.Epoch,
+		sessions: make(map[*session[E]]struct{}),
+		events:   make(chan event[E], 256),
+		stop:     make(chan struct{}),
 	}
+}
+
+// lead readies the coordinator to lead the solve of g over its store:
+// the per-task and per-shard state and the ladder, and, when the store
+// already holds final blocks (a checkpoint or a replica), the count of
+// resumed tasks and their seals.
+func (co *coordinator[E]) lead(g *sched.Graph, resumed bool) error {
+	co.g = g
+	co.shards = NewSharding(g.SchedTiles, co.opts.Shards)
+	co.reqs = make(chan int, g.SchedTiles)
+	co.replies = make([]chan error, len(g.Tasks))
+	for id := range co.replies {
+		co.replies[id] = make(chan error, 1)
+	}
+	co.inflight = make(map[int]*session[E])
+	co.gen = make([]uint32, len(g.Tasks))
+	co.queues = make([][]int, co.shards.NumShards())
+	co.stats.Tasks = len(g.Tasks)
+	co.stats.Epoch = co.epoch
 	co.ladder = npdp.NewLadder(co.store, g, true, npdp.ParallelOptions{
-		Heal: opts.Heal, HealAttempts: opts.HealAttempts, HealStats: &co.healStats, Logf: opts.Logf,
+		Heal: co.opts.Heal, HealAttempts: co.opts.HealAttempts, HealStats: &co.healStats, Logf: co.opts.Logf,
 	})
-
-	if replica != nil || opts.Resume {
-		for _, done := range npdp.Completed(co.store, g) {
-			if done {
-				co.stats.Resumed++
-			}
-		}
-		if replica != nil {
-			co.stats.Failovers = 1
-		} else {
-			opts.Logf("cluster: resumed %d/%d tasks from %s", co.stats.Resumed, len(g.Tasks), opts.CheckpointPath)
-		}
-		if err := co.ladder.SealFinals(); err != nil {
-			return err
+	if !resumed {
+		return nil
+	}
+	for _, done := range npdp.Completed(co.store, g) {
+		if done {
+			co.stats.Resumed++
 		}
 	}
+	return co.ladder.SealFinals()
+}
 
+// serve is the coordinator's whole life on ln: one accept loop and one
+// event loop, which follows first when the coordinator is a standby,
+// then the shutdown.
+func (co *coordinator[E]) serve(ctx context.Context, ln net.Listener) error {
 	go co.acceptLoop(ln)
-	if opts.ReplicaAddr != "" {
-		co.replPullC = make(chan replPull)
-		co.writers.Add(1)
-		go co.runReplicator(ctx)
-	}
-	err = co.run(ctx, finalize)
+	err := co.run(ctx)
 	// The replicator reads the disposition after observing the stop
 	// close (the write below happens-before it). A silent death sends
 	// nothing — the standby's lease must expire, like a real crash.
@@ -468,6 +497,7 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	}
 	close(co.stop)
 	ln.Close()
+	co.closeStream()
 	// The event loop has exited, so session state is safe to touch here.
 	// Closing the outbound queues lets each writer flush the queued
 	// done/fail release frames; the wait is bounded (writes carry
@@ -482,59 +512,56 @@ func coordinate[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Ti
 	}()
 	select {
 	case <-drained:
-	case <-time.After(opts.DeadlineAfter):
+	case <-time.After(co.opts.DeadlineAfter):
 	}
 	for sess := range co.sessions {
 		sess.conn.Close()
 	}
-	if opts.Stats != nil {
+	if co.opts.Stats != nil {
 		co.stats.HealRounds = co.healStats.HealRounds
 		co.stats.RecomputedTasks = co.healStats.RecomputedTasks
 		if co.healStats.CheckpointFallback {
 			co.stats.PristineRestarts = 1
 		}
-		if p != nil {
-			ps := p.Stats()
+		if co.pager != nil {
+			ps := co.pager.Stats()
 			co.stats.PagerStats = &ps
 		}
-		*opts.Stats = co.stats
+		*co.opts.Stats = co.stats
 	}
 	return err
 }
 
-// newCoordinator builds the event loop's state for a solve of g over t;
-// coordinate adds the store and the ladder.
-func newCoordinator[E semiring.Elem](t *tri.Tiled[E], g *sched.Graph, opts Options) *coordinator[E] {
-	co := &coordinator[E]{
-		opts:     opts,
-		t:        t,
-		g:        g,
-		shards:   NewSharding(g.SchedTiles, opts.Shards),
-		epoch:    opts.Epoch,
-		reqs:     make(chan int, g.SchedTiles),
-		replies:  make([]chan error, len(g.Tasks)),
-		inflight: make(map[int]*session[E]),
-		gen:      make([]uint32, len(g.Tasks)),
-		sessions: make(map[*session[E]]struct{}),
-		events:   make(chan event[E], 256),
-		stop:     make(chan struct{}),
-	}
-	for id := range co.replies {
-		co.replies[id] = make(chan error, 1)
-	}
-	co.queues = make([][]int, co.shards.NumShards())
-	co.stats.Tasks = len(g.Tasks)
-	co.stats.Epoch = co.epoch
-	return co
-}
-
 // run is the single-goroutine event loop; every piece of solve state is
-// confined to it. It runs waves until the ladder's Step, between waves,
-// reports the solve done or failed; a heal's demoted cone runs in the
-// next wave. With a CheckpointPath the final commit runs however the run
-// ends — done, failed or cancelled — except on ErrDied, which must leave
-// only what a SIGKILL leaves.
-func (co *coordinator[E]) run(ctx context.Context, finalize func() error) (err error) {
+// confined to it. A standby follows first (follow). Leading, it runs
+// waves until the ladder's Step, between waves, reports the solve done
+// or failed; a heal's demoted cone runs in the next wave. With a
+// CheckpointPath the final commit runs however the run ends — done,
+// failed or cancelled — except on ErrDied, which must leave only what a
+// SIGKILL leaves.
+func (co *coordinator[E]) run(ctx context.Context) (err error) {
+	if co.follower != nil {
+		if err := co.follow(ctx); err != nil {
+			return err
+		}
+	}
+	if co.opts.ReplicaAddr != "" {
+		co.replPullC = make(chan replPull)
+		co.writers.Add(1)
+		go co.runReplicator(ctx)
+	}
+	var finalize func() error
+	if p := co.pager; p != nil {
+		// The caller's table gets the materialized result inside the
+		// ladder's Step, so a final page that reads back corrupt only
+		// here heals like any other detection.
+		finalize = func() error {
+			if err := p.Materialize(co.t); err != nil {
+				return fmt.Errorf("cluster: materializing solved table from spill: %w", err)
+			}
+			return nil
+		}
+	}
 	if co.opts.CheckpointPath != "" {
 		defer func() {
 			if !errors.Is(err, ErrDied) {
@@ -748,11 +775,15 @@ func (co *coordinator[E]) replRecord(fb *frameBuf) {
 
 // handle processes one event; an error ends the run.
 func (co *coordinator[E]) handle(ev event[E]) error {
+	if co.follower != nil && ev.sess != nil {
+		// A follower's only sessions are replication streams.
+		return co.tail(ev)
+	}
 	switch ev.kind {
 	case evConn:
 		return co.admit(ev.conn, ev.hello)
 	case evReplConn:
-		return co.handleReplConn(ev.conn, ev.hello)
+		return co.handleReplConn(ev.conn, ev.hello, *ev.job)
 	case evFenced:
 		// The standby we replicate to has become the leader; we are
 		// deposed. Terminal — our epoch can never win again.
@@ -766,6 +797,10 @@ func (co *coordinator[E]) handle(ev event[E]) error {
 		co.declareDead(ev.sess, errors.New(ev.text))
 	case evDead:
 		co.declareDead(ev.sess, ev.err)
+	case evRecord, evDone:
+		// From a worker, or from a stream the takeover closed (dead).
+		putFrame(ev.frame)
+		co.declareDead(ev.sess, errors.New("replication frame on a worker session"))
 	case evResult:
 		defer putFrame(ev.frame)
 		if ev.sess.dead {
@@ -815,55 +850,51 @@ func (co *coordinator[E]) tick(now time.Time) error {
 	return nil
 }
 
-// acceptLoop admits connections: it performs the blocking hello read off
-// the event loop, then hands the connection over.
+// acceptLoop is the one accept path, in both phases: each connection's
+// hello is read off the event loop (handshake) and posted as an event.
 func (co *coordinator[E]) acceptLoop(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return // listener closed at shutdown
 		}
-		go func(conn net.Conn) {
-			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-			typ, payload, err := readFrame(conn)
-			if err != nil {
-				conn.Close()
-				return
-			}
-			switch typ {
-			case frameHello:
-				hello, err := decodeHello(payload)
-				if err != nil {
-					// A version mismatch gets a reasoned rejection — the
-					// worker fails fast and loud instead of seeing a bare
-					// close (or, pre-typed-errors, a checksum mismatch).
-					var vErr *ErrProtocolVersion
-					if errors.As(err, &vErr) {
-						conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-						writeFrame(conn, frameFail, failMsg{Reason: err.Error()}.encode())
-					}
-					conn.Close()
-					return
-				}
-				conn.SetReadDeadline(time.Time{})
-				co.post(event[E]{kind: evConn, conn: conn, hello: hello})
-			case frameReplHello:
-				// A deposed primary's replication stream found us (the
-				// worker listener and the standby listener are the same
-				// port once a standby takes over). The event loop judges
-				// its epoch.
-				hello, _, err := decodeReplHello(payload)
-				if err != nil {
-					conn.Close()
-					return
-				}
-				conn.SetReadDeadline(time.Time{})
-				co.post(event[E]{kind: evReplConn, conn: conn, hello: hello})
-			default:
-				conn.Close()
-			}
-		}(conn)
+		go co.handshake(conn)
 	}
+}
+
+// handshake reads conn's hello and posts it: a worker's hello as evConn,
+// a replication hello, with its welcome, as evReplConn. A hello from
+// another protocol version gets a reasoned rejection, so the peer fails
+// fast and loud instead of seeing a bare close.
+func (co *coordinator[E]) handshake(conn net.Conn) {
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	typ, payload, err := readFrame(conn)
+	if err != nil {
+		conn.Close()
+		return
+	}
+	ev := event[E]{kind: evConn, conn: conn}
+	switch typ {
+	case frameHello:
+		ev.hello, err = decodeHello(payload)
+	case frameReplHello:
+		ev.kind, ev.job = evReplConn, new(welcomeMsg)
+		ev.hello, *ev.job, err = decodeReplHello(payload)
+	default:
+		conn.Close()
+		return
+	}
+	if err != nil {
+		var vErr *ErrProtocolVersion
+		if errors.As(err, &vErr) {
+			conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
+			writeFrame(conn, frameFail, failMsg{Reason: err.Error()}.encode())
+		}
+		conn.Close()
+		return
+	}
+	conn.SetReadDeadline(time.Time{})
+	co.post(ev)
 }
 
 // post delivers an event unless the coordinator already shut down.
@@ -878,18 +909,19 @@ func (co *coordinator[E]) post(ev event[E]) {
 }
 
 // admit turns a hello'd connection into a live session on the
-// least-loaded shard and starts its reader. A worker that has been
-// welcomed at a higher epoch than ours proves we are deposed: the run
-// aborts, because any state we install from here on diverges from the
-// real leader's.
+// least-loaded shard and starts its reader. A follower answers standby,
+// which is retryable: the worker's rotation keeps probing. A worker that
+// has been welcomed at a higher epoch than ours proves we are deposed:
+// the run aborts, because any state we install from here on diverges
+// from the real leader's.
 func (co *coordinator[E]) admit(conn net.Conn, hello helloMsg) error {
+	if co.follower != nil {
+		co.reply(conn, frameStandby, nil)
+		return nil
+	}
 	if hello.Epoch > co.epoch {
 		co.opts.Logf("cluster: worker %s has seen epoch %d > ours (%d); we are deposed", hello.Name, hello.Epoch, co.epoch)
-		go func() {
-			conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
-			writeFrame(conn, frameStandby, nil)
-			conn.Close()
-		}()
+		co.reply(conn, frameStandby, nil)
 		return &ErrEpochFenced{Epoch: co.epoch, Current: hello.Epoch, Role: "coordinator"}
 	}
 	shard, least := 0, -1
@@ -922,15 +954,16 @@ func (co *coordinator[E]) admit(conn net.Conn, hello helloMsg) error {
 	if !co.send(sess, frameWelcome, co.welcome(shard).encode()) {
 		return nil
 	}
-	go co.readLoop(sess)
+	go co.readLoop(sess, 2*co.opts.DeadlineAfter)
 	co.fill(sess)
 	return nil
 }
 
 // welcome is the job description for shard slot: what a worker needs to
 // rebuild the graph and size its table, and what a standby needs to take
-// the solve over with identical geometry. It reads only state fixed at
-// construction, so any goroutine may call it.
+// the solve over with identical geometry. It reads only state fixed once
+// the coordinator leads, so any goroutine started after that may call
+// it.
 func (co *coordinator[E]) welcome(slot int) welcomeMsg {
 	var e E
 	return welcomeMsg{
@@ -946,39 +979,96 @@ func (co *coordinator[E]) welcome(slot int) welcomeMsg {
 	}
 }
 
-// handleReplConn judges a replication hello that arrived on the worker
-// listener: a stale pusher (a deposed primary that has not yet noticed)
-// is fenced, a pusher from the future means we are the deposed one.
-func (co *coordinator[E]) handleReplConn(conn net.Conn, hello helloMsg) error {
-	if hello.Epoch > co.epoch {
+// handleReplConn judges a replication hello. A leader fences a stale
+// pusher (a deposed primary that has not yet noticed), and a pusher from
+// the future means we are the deposed one. A follower refuses a stream
+// of another geometry, naming both, fences one below the highest epoch
+// seen, and adopts any other: the previous stream closes, the replica is
+// cleared, which is safe because every stream opens with a full resync,
+// the lease restarts, and the stream's reader starts once the
+// replication welcome is written.
+func (co *coordinator[E]) handleReplConn(conn net.Conn, hello helloMsg, job welcomeMsg) error {
+	f := co.follower
+	var g *sched.Graph
+	var err error
+	if f != nil {
+		var e E
+		g, err = sched.NewGraph(co.t.Blocks(), job.SchedSide)
+		if w := tableio.ElemWidth(e); job.N != co.t.Len() || job.Tile != co.t.Tile() || job.ElemBytes != w {
+			err = fmt.Errorf("standby geometry n=%d tile=%d elem=%d does not match stream n=%d tile=%d elem=%d",
+				co.t.Len(), co.t.Tile(), w, job.N, job.Tile, job.ElemBytes)
+		}
+	}
+	switch {
+	case f == nil && hello.Epoch > co.epoch:
 		conn.Close()
 		return &ErrEpochFenced{Epoch: co.epoch, Current: hello.Epoch, Role: "coordinator"}
+	case err != nil:
+		co.reply(conn, frameFail, failMsg{Reason: err.Error()}.encode())
+		return nil
+	case f == nil || hello.Epoch < co.epoch:
+		co.fence(conn, hello.Name, hello.Epoch)
+		return nil
 	}
-	co.stats.FencedWrites++
-	co.opts.Logf("cluster: fenced replication stream %q at stale epoch %d (current %d)", hello.Name, hello.Epoch, co.epoch)
+	co.closeStream()
+	clearReplica(f.replica)
+	co.epoch = hello.Epoch
+	s := &session[E]{name: hello.Name, conn: conn, lastSeen: time.Now()}
+	f.stream, f.job, f.g, f.stats.ReplicatedTasks = s, job, g, 0
+	co.opts.Logf("cluster: standby tailing %s at epoch %d (n=%d tile=%d shards=%d)",
+		hello.Name, hello.Epoch, job.N, job.Tile, job.Shards)
+	// A read parked past the lease is a dead primary by this protocol's
+	// own definition, so the lease is the reader's rolling deadline.
+	deadline, window := time.Now().Add(co.opts.DeadlineAfter), f.lease
 	go func() {
-		conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
-		writeFrame(conn, frameFenced, encodeEpoch(co.epoch))
-		conn.Close()
+		conn.SetWriteDeadline(deadline)
+		if writeFrame(conn, frameReplWelcome, encodeEpoch(hello.Epoch)) != nil {
+			conn.Close()
+		}
+		co.readLoop(s, window)
 	}()
 	return nil
 }
 
-// readLoop is a session's reader goroutine: readFrames posts each result
-// and ping to the event loop as it arrives, and the event that ended the
-// stream goes last.
-func (co *coordinator[E]) readLoop(sess *session[E]) {
-	co.post(co.readFrames(sess))
+// fence refuses a replication stream at a stale epoch, or a record at
+// another epoch than its stream's: conn gets a frame carrying our epoch
+// and is closed. The phase's fenced-write counter counts it.
+func (co *coordinator[E]) fence(conn net.Conn, name string, epoch uint32) {
+	if co.follower != nil {
+		co.follower.stats.FencedWrites++
+	} else {
+		co.stats.FencedWrites++
+	}
+	co.opts.Logf("cluster: fenced replication stream %q at stale epoch %d (current %d)", name, epoch, co.epoch)
+	co.reply(conn, frameFenced, encodeEpoch(co.epoch))
 }
 
-// readFrames reads a session's frames through a buffer over a rolling
-// read deadline, a backstop only: liveness is judged by the event loop
-// against lastSeen. Each result frame lands in a pooled buffer that
-// passes to the event loop with the result; every other frame reuses
-// the buffer the reader holds. It returns the event that ends the
-// stream: a death, or the worker's own failure report.
-func (co *coordinator[E]) readFrames(sess *session[E]) event[E] {
-	br := bufio.NewReader(&sessionReader{conn: sess.conn, window: 2 * co.opts.DeadlineAfter})
+// reply writes one frame to conn off the event loop, then closes it.
+func (co *coordinator[E]) reply(conn net.Conn, typ byte, payload []byte) {
+	deadline := time.Now().Add(co.opts.DeadlineAfter)
+	go func() {
+		conn.SetWriteDeadline(deadline)
+		writeFrame(conn, typ, payload)
+		conn.Close()
+	}()
+}
+
+// readLoop is a session's reader goroutine: readFrames posts each frame's
+// event to the event loop as it arrives, and the event that ended the
+// stream goes last.
+func (co *coordinator[E]) readLoop(sess *session[E], window time.Duration) {
+	co.post(co.readFrames(sess, window))
+}
+
+// readFrames reads a session's frames — a worker's, or a follower's
+// replication stream — through a buffer over a rolling read deadline of
+// window, a backstop only: liveness is judged by the event loop against
+// lastSeen. Each result or record frame lands in a pooled buffer that
+// passes to the event loop with it; every other frame reuses the buffer
+// the reader holds. It returns the event that ends the stream: a death,
+// the peer's own failure report, or the primary's done.
+func (co *coordinator[E]) readFrames(sess *session[E], window time.Duration) event[E] {
+	br := bufio.NewReader(&sessionReader{conn: sess.conn, window: window})
 	fb := getFrame()
 	defer func() { putFrame(fb) }()
 	for {
@@ -995,11 +1085,20 @@ func (co *coordinator[E]) readFrames(sess *session[E]) event[E] {
 			}
 			co.post(event[E]{kind: evResult, sess: sess, msg: msg, frame: fb})
 			fb = getFrame()
+		case frameReplDone, frameReplReset, frameReplSync:
+			msg, err := decodeTaskMsg(payload)
+			if err != nil {
+				return event[E]{kind: evDead, sess: sess, err: err}
+			}
+			co.post(event[E]{kind: evRecord, sess: sess, msg: msg, frame: fb})
+			fb = getFrame()
 		case framePing:
 			co.post(event[E]{kind: evPing, sess: sess})
 		case frameFail:
 			f, _ := decodeFail(payload)
 			return event[E]{kind: evFail, sess: sess, text: f.Reason}
+		case frameDone:
+			return event[E]{kind: evDone, sess: sess}
 		default:
 			return event[E]{kind: evDead, sess: sess, err: fmt.Errorf("unexpected frame type %d", typ)}
 		}

@@ -403,6 +403,43 @@ func TestSplitBrainFencedWrites(t *testing.T) {
 	t.Logf("fenced=%d resumed=%d accepted=%d", tstats.FencedWrites, tstats.Resumed, tstats.Accepted)
 }
 
+// TestTakeoverAnswersHellosAcceptedBefore pins the one accept path
+// across the takeover: connections the standby accepted while it was
+// following, whose hellos arrive only after it leads, are answered by
+// the leader — a deposed primary's replication hello is fenced at the
+// new epoch and a worker is welcomed at it.
+func TestTakeoverAnswersHellosAcceptedBefore(t *testing.T) {
+	tookOver := make(chan struct{})
+	p := startFollowerProbe(t, 400*time.Millisecond, func(uint32) { close(tookOver) })
+	// The primary replicates one resync, then goes silent.
+	c := p.adopt(t, 1)
+	send(t, c, newRecord(frameReplSync, 1, 0).b)
+	p.delta(t)
+	repl, worker := p.dial(t), p.dial(t)
+	select {
+	case <-tookOver:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the lease never expired")
+	}
+	sendReplHello(t, repl, 1, fixtureJob(1))
+	if err := writeFrame(worker, frameHello, helloMsg{Name: "late"}.encode()); err != nil {
+		t.Fatal(err)
+	}
+	t.Run("replication-hello", func(t *testing.T) {
+		repl.SetReadDeadline(time.Now().Add(2 * time.Second))
+		if got := expectEpoch(t, repl, frameFenced); got != 2 {
+			t.Fatalf("the deposed primary's hello was fenced at epoch %d, want 2", got)
+		}
+	})
+	t.Run("worker-hello", func(t *testing.T) {
+		worker.SetReadDeadline(time.Now().Add(2 * time.Second))
+		w, err := decodeWelcome(expectFrame(t, worker, frameWelcome))
+		if err != nil || w.Epoch != 2 {
+			t.Fatalf("worker welcome = (%+v, %v), want epoch 2", w, err)
+		}
+	})
+}
+
 // TestInstallEpochFence pins the install-side fence point with direct
 // coordinator state: a result sealed under another leader's epoch —
 // whether a pre-failover replay (stale) or a forged future epoch — is
@@ -564,16 +601,23 @@ func TestWorkerRefusesDeposedLeader(t *testing.T) {
 // protocol version skew fail loudly and terminally — no reconnect loop
 // against a build that can never match.
 func TestVersionMismatchFailsFast(t *testing.T) {
-	t.Run("coordinator-rejects-old-worker", func(t *testing.T) {
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		tbl := testTable(t)
-		opts := testOptions(nil)
-		opts.WorkerlessAfter = 10 * time.Second
-		addr, _ := startCoordinator(ctx, t, tbl, opts)
-		// Version 1 is an archaic build; a version-2 build still
-		// expects the stage-1 kernel byte in the welcome; a version-3
-		// build speaks the NPKD replication stream.
+	// oldHello is a hello at protocol version v; a replication hello is
+	// one followed by a welcome of the replicaFixture geometry.
+	oldHello := func(v uint16, repl bool) []byte {
+		hello := helloMsg{Name: "old"}.encode()
+		binary.LittleEndian.PutUint16(hello[4:], v)
+		if repl {
+			hello = append(hello, fixtureJob(1).encode()...)
+		}
+		return hello
+	}
+	// rejects sends a version-skewed hello of kind typ to addr for each
+	// old version and wants a reasoned fail frame naming that version.
+	// Version 1 is an archaic build; a version-2 build still expects the
+	// stage-1 kernel byte in the welcome; a version-3 build speaks the
+	// NPKD replication stream.
+	rejects := func(t *testing.T, addr string, typ byte) {
+		t.Helper()
 		for _, v := range []uint16{1, 2, 3} {
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
@@ -581,20 +625,40 @@ func TestVersionMismatchFailsFast(t *testing.T) {
 			}
 			defer conn.Close()
 			conn.SetDeadline(time.Now().Add(10 * time.Second))
-			hello := helloMsg{Name: "old"}.encode()
-			binary.LittleEndian.PutUint16(hello[4:], v)
-			if err := writeFrame(conn, frameHello, hello); err != nil {
+			if err := writeFrame(conn, typ, oldHello(v, typ == frameReplHello)); err != nil {
 				t.Fatal(err)
 			}
-			typ, payload, err := readFrame(conn)
-			if err != nil || typ != frameFail {
-				t.Fatalf("version %d: reply = (%d, %v), want a reasoned fail frame", v, typ, err)
+			got, payload, err := readFrame(conn)
+			if err != nil || got != frameFail {
+				t.Fatalf("version %d: reply = (%d, %v), want a reasoned fail frame", v, got, err)
 			}
 			f, _ := decodeFail(payload)
 			if !strings.Contains(f.Reason, fmt.Sprintf("protocol version %d,", v)) {
 				t.Fatalf("version %d: rejection reason %q does not name the version skew", v, f.Reason)
 			}
 		}
+	}
+	// leader is a coordinator with no workers that waits longer than any
+	// subtest.
+	leader := func(t *testing.T) string {
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		opts := testOptions(nil)
+		opts.WorkerlessAfter = 10 * time.Second
+		addr, _ := startCoordinator(ctx, t, testTable(t), opts)
+		return addr
+	}
+	t.Run("coordinator-rejects-old-worker", func(t *testing.T) {
+		rejects(t, leader(t), frameHello)
+	})
+	t.Run("coordinator-rejects-old-primary", func(t *testing.T) {
+		rejects(t, leader(t), frameReplHello)
+	})
+	t.Run("standby-rejects-old-worker", func(t *testing.T) {
+		rejects(t, startFollowerProbe(t, time.Minute, nil).addr, frameHello)
+	})
+	t.Run("standby-rejects-old-primary", func(t *testing.T) {
+		rejects(t, startFollowerProbe(t, time.Minute, nil).addr, frameReplHello)
 	})
 	t.Run("worker-rejects-old-coordinator", func(t *testing.T) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

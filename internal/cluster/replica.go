@@ -17,22 +17,26 @@ import (
 
 // Coordinator high availability: a warm standby tails the primary's
 // completion log and takes over its wavefront when the primary goes
-// silent. The direction of replication is primary-dials-standby — the
-// primary is the only side that knows a solve exists — and the stream
-// speaks the task protocol: a replication hello (a hello, then the
-// welcome a worker would get), then one task message per completion-log
-// record, with pings renewing the standby's lease while the wavefront is
-// quiet. An rdone record is a result frame under its own kind; rreset
-// and rsync carry no blocks. The standby checks each rdone the way
-// install checks a worker's result and writes its blocks into a block
-// store over its own table, which a takeover coordinator then runs on.
+// silent. A standby is a coordinator in its follower phase: the value,
+// listener, accept loop and event loop it follows with are the ones it
+// leads with after a takeover. The direction of replication is
+// primary-dials-standby — the primary is the only side that knows a
+// solve exists — and the stream speaks the task protocol: a replication
+// hello (a hello, then the welcome a worker would get), then one task
+// message per completion-log record, with pings renewing the standby's
+// lease while the wavefront is quiet. An rdone record is a result frame
+// under its own kind; rreset and rsync carry no blocks. The follower
+// reads the stream with the reader worker sessions use, checks each
+// rdone the way install checks a worker's result, and writes its blocks
+// into a replica: a block store over its own table, which it leads on
+// after a takeover.
 //
 // The failover ladder (DESIGN.md §10):
 //
-//	lease expiry   → the standby heard nothing (frames or pings) for
-//	                 LeaseAfter; the primary is presumed dead
-//	epoch bump     → the standby becomes leader at old-epoch+1; every
-//	                 frame it emits carries the new epoch
+//	lease expiry   → the adopted stream was silent (no records, no
+//	                 pings) for LeaseAfter; the primary is presumed dead
+//	epoch bump     → the follower leads at the highest epoch seen + 1;
+//	                 every frame it emits carries the new epoch
 //	worker re-home → workers' reconnect rotation reaches the standby's
 //	                 address; their hellos carry the highest epoch seen,
 //	                 so a zombie primary that answers first deposes
@@ -258,11 +262,14 @@ func (co *coordinator[E]) stopped() bool {
 
 // StandbyOptions configures RunStandby.
 type StandbyOptions struct {
-	// Options configures the coordinator the standby becomes on
-	// takeover. Geometry-and-schedule fields (SchedSide, Shards,
-	// HeartbeatEvery, DeadlineAfter) are overridden by the primary's
-	// replication hello, so the resumed solve keeps the primary's
-	// schedule and liveness timing.
+	// Options configures the coordinator the standby is. While it
+	// follows, it reads only Logf and DeadlineAfter (the default lease,
+	// and the write deadline of its replies). At the takeover, the
+	// adopted stream's welcome replaces SchedSide, Shards, HeartbeatEvery
+	// and DeadlineAfter, so the resumed solve keeps the primary's schedule
+	// and liveness timing, and the epoch becomes the highest seen + 1:
+	// Epoch is never read. Stats receives the takeover's counters when
+	// RunStandby returns, all zero if it never took over.
 	Options
 	// LeaseAfter is how long the standby tolerates silence (no records,
 	// no pings) from the primary before assuming leadership; 0 means
@@ -275,14 +282,14 @@ type StandbyOptions struct {
 	// count. Chaos schedules key coordinator kills on it.
 	OnDelta func(done int)
 	// OnTakeover, when non-nil, fires once when the lease expires,
-	// before the takeover coordinator starts, with the new epoch.
+	// before the first wave of the takeover, with the new epoch.
 	OnTakeover func(epoch uint32)
-	// StandbyStats, when non-nil, receives the standby-phase counters
-	// (takeover coordinator counters go to Options.Stats as usual).
+	// StandbyStats, when non-nil, receives the follower-phase counters
+	// (the takeover's counters go to Options.Stats as usual).
 	StandbyStats *StandbyStats
 }
 
-// StandbyStats counts the replication phase of a standby's life.
+// StandbyStats counts the follower phase of a standby's life.
 type StandbyStats struct {
 	// TookOver reports whether the lease expired and this standby
 	// became the leader.
@@ -297,332 +304,184 @@ type StandbyStats struct {
 	// epoch while standing by.
 	FencedWrites int
 	// ReplicatedTasks is the completed-task count in the replica when
-	// the standby phase ended.
+	// the follower phase ended.
 	ReplicatedTasks int
 }
 
-// standby event kinds (standbyEv.kind).
-const (
-	sbReplConn = iota
-	sbPing
-	sbRecord
-	sbDone
-	sbFail
-	sbLost
-)
-
-type standbyEv struct {
-	kind    int
-	conn    net.Conn
-	hello   helloMsg
-	welcome welcomeMsg
-	typ     byte    // an sbRecord's frame kind
-	msg     taskMsg // an sbRecord's record
-	reason  string
-	err     error
-}
-
-// RunStandby runs a warm-standby coordinator: it accepts the primary's
-// replication stream on ln, writes the completed tasks' blocks into a
-// block store over t, and — if the primary goes silent past the lease —
-// takes over the solve on the same listener at epoch+1, resuming from
-// the replicated state. Worker connections arriving before takeover are
-// answered with a retryable "standby" frame so their reconnect rotation
-// keeps probing. The takeover runs on the in-memory replica, so
-// MemoryBudget and CheckpointPath are rejected.
+// RunStandby runs a warm-standby coordinator on ln, starting in its
+// follower phase: it adopts the primary's replication stream, writes the
+// completed tasks' blocks into a replica over t, and answers worker
+// hellos with a retryable "standby" frame so their reconnect rotation
+// keeps probing. If the adopted stream goes silent past the lease, the
+// same coordinator — listener, accept loop and event loop — leads the
+// solve at the highest epoch seen + 1 on the in-memory replica, so
+// MemoryBudget and CheckpointPath are rejected. OnDelta and OnTakeover
+// run on the calling goroutine.
 //
 // Returns nil without taking over when the primary reports the solve
 // complete (the replicated result is already in t), the primary's
-// error when it reports failure, or the takeover coordinator's result
-// after a failover. The lease clock only starts at first contact from
-// a primary; cancel ctx to abandon a standby that never hears one.
+// error when it reports failure, or the takeover's result after a
+// failover. The lease clock only starts at first contact from a
+// primary; cancel ctx to abandon a standby that never hears one.
 func RunStandby[E semiring.Elem](ctx context.Context, ln net.Listener, t *tri.Tiled[E], opts StandbyOptions) error {
 	defer ln.Close()
 	if opts.MemoryBudget != 0 || opts.CheckpointPath != "" {
 		return errors.New("cluster: a standby takes over on its in-memory replica; MemoryBudget and CheckpointPath are not supported")
 	}
+	co := newCoordinator(t, withDefaults(opts.Options))
+	co.epoch = 1 // the highest epoch seen
 	// The replica keeps a pristine copy of the input, taken here while t
 	// still holds it: a reset must restore input bytes, because a healed
 	// task may have been computed from a corrupt operand, and recomputing
 	// never raises a min-plus value that is already too low.
-	replica := npdp.NewMemStore(t, true)
-	if opts.Logf == nil {
-		opts.Logf = func(string, ...any) {}
+	f := &follower[E]{opts: opts, lease: opts.LeaseAfter, replica: npdp.NewMemStore(t, true)}
+	if f.lease <= 0 {
+		f.lease = 2 * co.opts.DeadlineAfter
 	}
-	lease := opts.LeaseAfter
-	if lease <= 0 {
-		d := opts.DeadlineAfter
-		if d <= 0 {
-			d = DefaultDeadlineAfter
-		}
-		lease = 2 * d
+	co.follower = f
+	err := co.serve(ctx, ln)
+	if opts.StandbyStats != nil {
+		*opts.StandbyStats = f.stats
 	}
-
-	conns := make(chan net.Conn, 16)
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				close(conns)
-				return
-			}
-			conns <- c
-		}
-	}()
-
-	events := make(chan standbyEv, 64)
-	stopped := make(chan struct{})
-	defer close(stopped)
-	post := func(ev standbyEv) bool {
-		select {
-		case events <- ev:
-			return true
-		case <-stopped:
-			if ev.conn != nil && ev.kind == sbReplConn {
-				ev.conn.Close()
-			}
-			return false
-		}
+	if errors.Is(err, errReleased) {
+		return nil
 	}
+	return err
+}
 
-	handshake := func(c net.Conn) {
-		c.SetReadDeadline(time.Now().Add(10 * time.Second))
-		typ, payload, err := readFrame(c)
-		if err != nil {
-			c.Close()
-			return
-		}
-		switch typ {
-		case frameHello:
-			// A worker probing for a leader. Standby is retryable — the
-			// worker's rotation keeps both addresses warm.
-			c.SetWriteDeadline(time.Now().Add(10 * time.Second))
-			if _, derr := decodeHello(payload); derr != nil {
-				var vErr *ErrProtocolVersion
-				if errors.As(derr, &vErr) {
-					writeFrame(c, frameFail, failMsg{Reason: derr.Error()}.encode())
-				}
-			} else {
-				writeFrame(c, frameStandby, nil)
-			}
-			c.Close()
-		case frameReplHello:
-			h, w, derr := decodeReplHello(payload)
-			if derr != nil {
-				var vErr *ErrProtocolVersion
-				if errors.As(derr, &vErr) {
-					c.SetWriteDeadline(time.Now().Add(10 * time.Second))
-					writeFrame(c, frameFail, failMsg{Reason: derr.Error()}.encode())
-				}
-				c.Close()
-				return
-			}
-			c.SetReadDeadline(time.Time{})
-			post(standbyEv{kind: sbReplConn, conn: c, hello: h, welcome: w})
-		default:
-			c.Close()
-		}
-	}
+// follower is the state of a coordinator's follower phase.
+type follower[E semiring.Elem] struct {
+	opts    StandbyOptions
+	lease   time.Duration
+	replica *npdp.MemStore[E]
+	// stream is the adopted stream: a session with no writer and no
+	// shard, whose lastSeen is the lease clock. It stays after the
+	// stream ends, so the lease runs on from its last frame.
+	stream *session[E]
+	job    welcomeMsg   // the adopted stream's welcome
+	g      *sched.Graph // job's task graph
+	// stats.ReplicatedTasks counts the replica's completed tasks.
+	stats StandbyStats
+}
 
-	// readStream posts a replication stream's pings and records to the
-	// event loop and returns the event that ends the stream.
-	readStream := func(c net.Conn) standbyEv {
-		// Rolling-progress deadline, window = the lease: a stream making
-		// progress never times out, and a read parked past the lease is a
-		// dead primary by this protocol's own definition — the event loop
-		// will have taken over, so unpark and report the loss.
-		sr := &sessionReader{conn: c, window: lease}
-		for {
-			typ, payload, err := readFrame(sr)
-			if err != nil {
-				return standbyEv{kind: sbLost, conn: c, err: err}
-			}
-			switch typ {
-			case framePing:
-				post(standbyEv{kind: sbPing, conn: c})
-			case frameReplDone, frameReplReset, frameReplSync:
-				msg, derr := decodeTaskMsg(payload)
-				if derr != nil {
-					return standbyEv{kind: sbLost, conn: c, err: derr}
-				}
-				if !post(standbyEv{kind: sbRecord, conn: c, typ: typ, msg: msg}) {
-					return standbyEv{kind: sbLost, conn: c} // the standby has stopped
-				}
-			case frameDone:
-				return standbyEv{kind: sbDone, conn: c}
-			case frameFail:
-				f, _ := decodeFail(payload)
-				return standbyEv{kind: sbFail, conn: c, reason: f.Reason}
-			default:
-				return standbyEv{kind: sbLost, conn: c, err: fmt.Errorf("cluster: unexpected frame type %d on replication stream", typ)}
-			}
-		}
-	}
-	tail := func(c net.Conn) { post(readStream(c)) }
+// errReleased ends a follower whose primary finished the solve;
+// RunStandby returns nil for it.
+var errReleased = errors.New("cluster: primary finished")
 
-	var (
-		sstats   StandbyStats
-		g        *sched.Graph // the adopted stream's task graph
-		cur      net.Conn
-		curHello helloMsg
-		curJob   welcomeMsg
-		maxSeen  uint32 = 1
-		doneN    int
-		leaseT   *time.Timer
-		leaseC   <-chan time.Time
-	)
-	flushStats := func() {
-		sstats.ReplicatedTasks = doneN
-		if opts.StandbyStats != nil {
-			*opts.StandbyStats = sstats
-		}
-	}
-	defer flushStats()
-	var e E
-	width := tableio.ElemWidth(e)
-
-	fence := func(c net.Conn, epoch uint32) {
-		sstats.FencedWrites++
-		c.SetWriteDeadline(time.Now().Add(10 * time.Second))
-		writeFrame(c, frameFenced, encodeEpoch(maxSeen))
-		c.Close()
-		opts.Logf("cluster: standby fenced replication at stale epoch %d (highest seen %d)", epoch, maxSeen)
-	}
-
+// follow is the event loop's follower phase. It handles events — the
+// accept path's hellos, the adopted stream's frames — until the primary
+// finishes or fails, or until the adopted stream has been silent for the
+// lease: then it takes over and returns nil, and the loop leads. The
+// lease timer is re-armed only when it fires early, so a frame costs no
+// more than its lastSeen.
+func (co *coordinator[E]) follow(ctx context.Context) error {
+	f := co.follower
+	lease := time.NewTimer(f.lease)
+	defer lease.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			if cur != nil {
-				cur.Close()
-			}
 			return ctx.Err()
-
-		case c, ok := <-conns:
-			if !ok {
-				if cur != nil {
-					cur.Close()
-				}
-				return errors.New("cluster: standby listener closed")
+		case now := <-lease.C:
+			left := f.lease // before first contact the lease has not started
+			if f.stream != nil {
+				left = f.stream.lastSeen.Add(f.lease).Sub(now)
 			}
-			go handshake(c)
-
-		case <-leaseC:
-			// Lease expired: the primary is dead (or unreachably
-			// partitioned, which the epoch fence makes equivalent).
-			if cur != nil {
-				cur.Close()
-			}
-			epoch := maxSeen + 1
-			sstats.TookOver = true
-			sstats.Epoch = epoch
-			flushStats()
-			opts.Logf("cluster: standby lease expired after %v; taking over at epoch %d with %d/%d tasks replicated",
-				lease, epoch, doneN, len(g.Tasks))
-			copts := opts.Options
-			copts.Epoch = epoch
-			copts.SchedSide = curJob.SchedSide
-			copts.Shards = curJob.Shards
-			copts.HeartbeatEvery = time.Duration(curJob.HeartbeatMS) * time.Millisecond
-			copts.DeadlineAfter = time.Duration(curJob.DeadlineMS) * time.Millisecond
-			if opts.OnTakeover != nil {
-				opts.OnTakeover(epoch)
-			}
-			return coordinate(ctx, &gateListener{ch: conns, real: ln}, t, copts, replica)
-
-		case ev := <-events:
-			if ev.kind == sbReplConn {
-				h, w := ev.hello, ev.welcome
-				if w.N != t.Len() || w.Tile != t.Tile() || w.ElemBytes != width {
-					ev.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-					writeFrame(ev.conn, frameFail, failMsg{Reason: fmt.Sprintf(
-						"standby geometry n=%d tile=%d elem=%d does not match stream n=%d tile=%d elem=%d",
-						t.Len(), t.Tile(), width, w.N, w.Tile, w.ElemBytes)}.encode())
-					ev.conn.Close()
-					continue
-				}
-				if h.Epoch < maxSeen {
-					fence(ev.conn, h.Epoch)
-					continue
-				}
-				ng, err := sched.NewGraph(t.Blocks(), w.SchedSide)
-				if err != nil {
-					ev.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-					writeFrame(ev.conn, frameFail, failMsg{Reason: err.Error()}.encode())
-					ev.conn.Close()
-					continue
-				}
-				// Adopt the stream. Clearing the replica is safe: every
-				// stream opens with a full resync, so no increment is ever
-				// lost to the clear.
-				if cur != nil {
-					cur.Close()
-				}
-				clearReplica(replica)
-				cur, curHello, curJob, g, doneN = ev.conn, h, w, ng, 0
-				maxSeen = h.Epoch
-				ev.conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
-				if err := writeFrame(ev.conn, frameReplWelcome, encodeEpoch(h.Epoch)); err != nil {
-					ev.conn.Close()
-					cur = nil
-					continue
-				}
-				if leaseT == nil {
-					leaseT = time.NewTimer(lease)
-					leaseC = leaseT.C
-					defer leaseT.Stop()
-				} else {
-					resetLease(leaseT, leaseC, lease)
-				}
-				opts.Logf("cluster: standby tailing %s at epoch %d (n=%d tile=%d shards=%d)",
-					h.Name, h.Epoch, w.N, w.Tile, w.Shards)
-				go tail(ev.conn)
+			if left > 0 {
+				lease.Reset(left)
 				continue
 			}
-			if ev.conn != cur {
-				continue // a closed-over stream's last gasp
-			}
-			switch ev.kind {
-			case sbPing:
-				resetLease(leaseT, leaseC, lease)
-			case sbRecord:
-				if ev.msg.Epoch != curHello.Epoch {
-					fence(cur, ev.msg.Epoch)
-					cur = nil
-					continue
-				}
-				resetLease(leaseT, leaseC, lease)
-				if err := applyRecord(replica, g, ev.typ, ev.msg, &doneN); err != nil {
-					opts.Logf("cluster: standby rejecting record: %v", err)
-					cur.Close()
-					cur = nil
-					continue
-				}
-				sstats.Records++
-				if ev.typ == frameReplSync {
-					sstats.Resyncs++
-				}
-				if opts.OnDelta != nil {
-					opts.OnDelta(doneN)
-				}
-			case sbLost:
-				// The stream broke but the lease keeps ticking from the
-				// last good frame: a primary that is alive will redial,
-				// a dead one will run the lease out. Closing the conn is
-				// what tells a live primary the stream is gone, even
-				// when only this side's read deadline ended it.
-				opts.Logf("cluster: standby lost replication stream: %v", ev.err)
-				cur.Close()
-				cur = nil
-			case sbDone:
-				flushStats()
-				opts.Logf("cluster: primary finished; standby releasing (%d tasks replicated)", doneN)
-				cur.Close()
-				return nil
-			case sbFail:
-				cur.Close()
-				return fmt.Errorf("cluster: primary failed: %s", ev.reason)
+			return co.takeOver()
+		case ev := <-co.events:
+			if err := co.handle(ev); err != nil {
+				return err
 			}
 		}
+	}
+}
+
+// takeOver ends the follower phase: the primary is presumed dead, or
+// unreachably partitioned, which the epoch fence makes equivalent. The
+// coordinator leads at the highest epoch seen + 1, with the adopted
+// welcome's schedule and liveness timing, on the replica, whose final
+// tasks count as resumed.
+func (co *coordinator[E]) takeOver() error {
+	f := co.follower
+	co.closeStream()
+	co.follower = nil
+	co.epoch++
+	f.stats.TookOver, f.stats.Epoch = true, co.epoch
+	co.opts.Logf("cluster: standby lease expired after %v; taking over at epoch %d with %d/%d tasks replicated",
+		f.lease, co.epoch, f.stats.ReplicatedTasks, len(f.g.Tasks))
+	co.opts.SchedSide, co.opts.Shards = f.job.SchedSide, f.job.Shards
+	co.opts.HeartbeatEvery = time.Duration(f.job.HeartbeatMS) * time.Millisecond
+	co.opts.DeadlineAfter = time.Duration(f.job.DeadlineMS) * time.Millisecond
+	co.opts = withDefaults(co.opts)
+	co.store = f.replica
+	if err := co.lead(f.g, true); err != nil {
+		return err
+	}
+	co.stats.Failovers = 1
+	if f.opts.OnTakeover != nil {
+		f.opts.OnTakeover(co.epoch)
+	}
+	return nil
+}
+
+// tail handles an event of the adopted stream in the follower phase.
+// Pings and records renew the lease; a record sealed at another epoch
+// than its stream's is fenced, and one that fails applyRecord closes the
+// stream. The stream's end is a loss, which the lease outlives, or the
+// primary's done or failure, which ends the standby. Events of a closed
+// stream are dropped.
+func (co *coordinator[E]) tail(ev event[E]) error {
+	defer putFrame(ev.frame)
+	f, s := co.follower, ev.sess
+	switch {
+	case s.dead:
+	case ev.kind == evPing:
+		s.lastSeen = time.Now()
+	case ev.kind == evRecord && ev.msg.Epoch != co.epoch:
+		// Adopting the stream raised our epoch to its hello's.
+		s.dead = true
+		co.fence(s.conn, s.name, ev.msg.Epoch)
+	case ev.kind == evRecord:
+		s.lastSeen = time.Now()
+		typ := ev.frame.b[0]
+		if err := applyRecord(f.replica, f.g, typ, ev.msg, &f.stats.ReplicatedTasks); err != nil {
+			co.opts.Logf("cluster: standby rejecting record: %v", err)
+			co.closeStream()
+			return nil
+		}
+		f.stats.Records++
+		if typ == frameReplSync {
+			f.stats.Resyncs++
+		}
+		if f.opts.OnDelta != nil {
+			f.opts.OnDelta(f.stats.ReplicatedTasks)
+		}
+	case ev.kind == evDone:
+		co.opts.Logf("cluster: primary finished; standby releasing (%d tasks replicated)", f.stats.ReplicatedTasks)
+		return errReleased
+	case ev.kind == evFail:
+		return fmt.Errorf("cluster: primary failed: %s", ev.text)
+	default:
+		// A broken stream, or a frame no stream carries. Closing the conn
+		// is what tells a live primary the stream is gone, even when only
+		// this side's read deadline ended it: a live primary redials, and
+		// a dead one runs the lease out.
+		co.opts.Logf("cluster: standby lost replication stream: %v", ev.err)
+		co.closeStream()
+	}
+	return nil
+}
+
+// closeStream closes a follower's adopted stream if it is open. Its
+// events are dropped from then on; the lease runs on from its last frame.
+func (co *coordinator[E]) closeStream() {
+	if f := co.follower; f != nil && f.stream != nil && !f.stream.dead {
+		f.stream.dead = true
+		f.stream.conn.Close()
 	}
 }
 
@@ -691,40 +550,3 @@ func clearReplica[E semiring.Elem](s *npdp.MemStore[E]) {
 		}
 	}
 }
-
-// resetLease re-arms the lease timer, draining a stale expiry so a
-// frame that raced the timer does not leave a pending takeover signal.
-func resetLease(t *time.Timer, c <-chan time.Time, d time.Duration) {
-	if t == nil {
-		return
-	}
-	if !t.Stop() {
-		select {
-		case <-c:
-		default:
-		}
-	}
-	t.Reset(d)
-}
-
-// gateListener hands the standby's accept stream to the takeover
-// coordinator: the accept-pump goroutine keeps pushing raw connections
-// into ch (including any buffered before the takeover), and the
-// coordinator's acceptLoop pops them here exactly as if it owned the
-// socket. Close closes the real listener, which ends the pump and then
-// this listener.
-type gateListener struct {
-	ch   chan net.Conn
-	real net.Listener
-}
-
-func (g *gateListener) Accept() (net.Conn, error) {
-	c, ok := <-g.ch
-	if !ok {
-		return nil, net.ErrClosed
-	}
-	return c, nil
-}
-
-func (g *gateListener) Close() error   { return g.real.Close() }
-func (g *gateListener) Addr() net.Addr { return g.real.Addr() }

@@ -2,10 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
+	"io"
+	"net"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"cellnpdp/internal/npdp"
 	"cellnpdp/internal/resilience"
@@ -333,6 +339,289 @@ func TestCheckpointFold(t *testing.T) {
 	cells, final := f.snapshot()
 	if doneN != 0 || slices.Contains(final, true) || !slices.Equal(cells, cellsOf(f.input)) {
 		t.Fatalf("after rsync: doneN=%d, or a block is still final or not its input", doneN)
+	}
+}
+
+// fixtureJob is the welcome a primary of the replicaFixture geometry
+// sends in its replication hello at epoch.
+func fixtureJob(epoch uint32) welcomeMsg {
+	return welcomeMsg{ElemBytes: 4, N: 16, Tile: 4, SchedSide: 1, Shards: 1,
+		HeartbeatMS: 50, DeadlineMS: 2000, Epoch: epoch}
+}
+
+// followerProbe runs RunStandby over a replicaFixture-sized table on a
+// loopback listener and lets a test play the primary against it.
+type followerProbe struct {
+	f      *replicaFixture
+	tbl    *tri.Tiled[float32] // the standby's table
+	addr   string
+	stats  StandbyStats
+	deltas chan int // OnDelta's counts
+	cancel context.CancelFunc
+	errc   chan error
+}
+
+func startFollowerProbe(t *testing.T, lease time.Duration, onTakeover func(uint32)) *followerProbe {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newReplicaFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	p := &followerProbe{f: f, tbl: f.input.Clone(), addr: ln.Addr().String(),
+		deltas: make(chan int, 64), cancel: cancel, errc: make(chan error, 1)}
+	opts := StandbyOptions{
+		Options:      testOptions(nil),
+		LeaseAfter:   lease,
+		OnDelta:      func(done int) { p.deltas <- done },
+		OnTakeover:   onTakeover,
+		StandbyStats: &p.stats,
+	}
+	opts.Logf = t.Logf
+	go func() { p.errc <- RunStandby(ctx, ln, p.tbl, opts) }()
+	t.Cleanup(func() {
+		cancel()
+		<-p.errc
+	})
+	return p
+}
+
+// dial opens a connection to the standby, closed when the test ends.
+func (p *followerProbe) dial(t *testing.T) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", p.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	return c
+}
+
+// sendReplHello sends a replication hello at epoch for job on c.
+func sendReplHello(t *testing.T, c net.Conn, epoch uint32, job welcomeMsg) {
+	t.Helper()
+	if err := writeFrame(c, frameReplHello, append(helloMsg{Epoch: epoch, Name: "fake"}.encode(), job.encode()...)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// adopt opens a replication stream at epoch that the standby adopts.
+func (p *followerProbe) adopt(t *testing.T, epoch uint32) net.Conn {
+	t.Helper()
+	c := p.dial(t)
+	sendReplHello(t, c, epoch, fixtureJob(epoch))
+	if got := expectEpoch(t, c, frameReplWelcome); got != epoch {
+		t.Fatalf("rwelcome carries epoch %d, want %d", got, epoch)
+	}
+	return c
+}
+
+// send writes whole frames to c.
+func send(t *testing.T, c net.Conn, frames ...[]byte) {
+	t.Helper()
+	for _, fr := range frames {
+		if _, err := c.Write(fr); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// expectFrame reads one frame from c and fails unless it is of kind typ.
+func expectFrame(t *testing.T, c net.Conn, typ byte) []byte {
+	t.Helper()
+	got, payload, err := readFrame(c)
+	if err != nil || got != typ {
+		t.Fatalf("reply = (kind %d, %v), want kind %d", got, err, typ)
+	}
+	return payload
+}
+
+// expectEpoch reads a frame of kind typ and returns the epoch it carries.
+func expectEpoch(t *testing.T, c net.Conn, typ byte) uint32 {
+	t.Helper()
+	ep, err := decodeEpoch(expectFrame(t, c, typ))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ep
+}
+
+// expectClosed fails unless the standby closes c with nothing more to say.
+func expectClosed(t *testing.T, c net.Conn) {
+	t.Helper()
+	if typ, _, err := readFrame(c); err == nil {
+		t.Fatalf("stream still open: read a frame of kind %d", typ)
+	} else if !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+		t.Fatalf("stream not closed by the standby: %v", err)
+	}
+}
+
+// delta waits for the standby to apply a record and returns its count.
+func (p *followerProbe) delta(t *testing.T) int {
+	t.Helper()
+	select {
+	case n := <-p.deltas:
+		return n
+	case <-time.After(10 * time.Second):
+		t.Fatal("the standby applied no record within 10s")
+		return 0
+	}
+}
+
+// result waits for RunStandby to return.
+func (p *followerProbe) result(t *testing.T) error {
+	t.Helper()
+	select {
+	case err := <-p.errc:
+		p.errc <- err // for the cleanup
+		return err
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunStandby did not return within 10s")
+		return nil
+	}
+}
+
+// stop cancels the standby and checks it returned the cancellation.
+func (p *followerProbe) stop(t *testing.T) {
+	t.Helper()
+	p.cancel()
+	if err := p.result(t); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled standby returned %v", err)
+	}
+}
+
+// holds fails unless the standby's table is the fixture's input with
+// the blocks in done at their computed cells.
+func (p *followerProbe) holds(t *testing.T, done ...[2]int) {
+	t.Helper()
+	want := p.f.input.Clone()
+	for _, mb := range done {
+		copy(want.Block(mb[0], mb[1]), computed(mb[0], mb[1]))
+	}
+	if !slices.Equal(cellsOf(p.tbl), cellsOf(want)) {
+		t.Fatalf("standby table is not the input with blocks %v computed", done)
+	}
+}
+
+// TestStandbyFollowerWire pins what a standby says and does on the wire
+// to a primary, case by case, against a fake primary that speaks the
+// replication protocol from the replicaFixture's frames: which hellos
+// it refuses or fences, which records close a stream, and how the
+// primary's farewell ends the standby.
+func TestStandbyFollowerWire(t *testing.T) {
+	// A one-minute lease never expires within a case.
+	const lease = time.Minute
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, p *followerProbe)
+	}{
+		{"geometry-mismatch", func(t *testing.T, p *followerProbe) {
+			c := p.dial(t)
+			job := fixtureJob(1)
+			job.N, job.Tile = 32, 8
+			sendReplHello(t, c, 1, job)
+			f, err := decodeFail(expectFrame(t, c, frameFail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, geo := range []string{"n=16 tile=4 elem=4", "n=32 tile=8 elem=4"} {
+				if !strings.Contains(f.Reason, geo) {
+					t.Fatalf("refusal %q does not name geometry %q", f.Reason, geo)
+				}
+			}
+			p.stop(t)
+			if p.stats.FencedWrites != 0 || p.stats.Records != 0 {
+				t.Fatalf("stats = %+v, want nothing fenced or applied", p.stats)
+			}
+		}},
+		{"stale-hello-fenced", func(t *testing.T, p *followerProbe) {
+			p.adopt(t, 3)
+			c := p.dial(t)
+			sendReplHello(t, c, 2, fixtureJob(2))
+			if got := expectEpoch(t, c, frameFenced); got != 3 {
+				t.Fatalf("fence carries epoch %d, want 3", got)
+			}
+			p.stop(t)
+			if p.stats.FencedWrites != 1 {
+				t.Fatalf("FencedWrites = %d, want 1", p.stats.FencedWrites)
+			}
+		}},
+		{"record-epoch-fenced", func(t *testing.T, p *followerProbe) {
+			c := p.adopt(t, 3)
+			send(t, c, p.f.doneFrame(t, 0, 2)) // sealed at epoch 7
+			if got := expectEpoch(t, c, frameFenced); got != 3 {
+				t.Fatalf("fence carries epoch %d, want 3", got)
+			}
+			expectClosed(t, c)
+			p.stop(t)
+			if p.stats.FencedWrites != 1 || p.stats.Records != 0 {
+				t.Fatalf("stats = %+v, want one fenced write and no record", p.stats)
+			}
+			p.holds(t)
+		}},
+		{"rdone-block-count", func(t *testing.T, p *followerProbe) {
+			c := p.adopt(t, 7)
+			send(t, c, p.f.doneFrame(t, 0, 2))
+			p.delta(t)
+			send(t, c, endTaskFrame(beginTaskFrame(nil, frameReplDone, 7, 3, p.f.task(t, 1, 1)), 0))
+			expectClosed(t, c)
+			p.stop(t)
+			p.holds(t, [2]int{0, 2})
+		}},
+		{"rdone-bad-seal", func(t *testing.T, p *followerProbe) {
+			c := p.adopt(t, 7)
+			send(t, c, p.f.doneFrame(t, 0, 2))
+			p.delta(t)
+			mut := slices.Clone(p.f.doneFrame(t, 1, 1))
+			binary.LittleEndian.PutUint32(mut[frameHeaderLen+taskHeaderLen+8:], 0xDEADBEEF)
+			send(t, c, reseal(mut))
+			expectClosed(t, c)
+			p.stop(t)
+			if p.stats.Records != 1 || p.stats.ReplicatedTasks != 1 {
+				t.Fatalf("stats = %+v, want the one good record", p.stats)
+			}
+			p.holds(t, [2]int{0, 2})
+		}},
+		{"higher-epoch-replaces", func(t *testing.T, p *followerProbe) {
+			old := p.adopt(t, 5)
+			c := p.adopt(t, 7)
+			expectClosed(t, old)
+			send(t, c, p.f.doneFrame(t, 0, 2), newFrame(frameDone, nil).b)
+			if err := p.result(t); err != nil {
+				t.Fatalf("standby returned %v after the primary's done", err)
+			}
+			if p.stats.Records != 1 || p.stats.ReplicatedTasks != 1 {
+				t.Fatalf("stats = %+v, want the new stream's one record", p.stats)
+			}
+		}},
+		{"done-returns-nil", func(t *testing.T, p *followerProbe) {
+			c := p.adopt(t, 7)
+			send(t, c, newRecord(frameReplSync, 7, 0).b, p.f.doneFrame(t, 0, 2), newFrame(frameDone, nil).b)
+			if err := p.result(t); err != nil {
+				t.Fatalf("standby returned %v after the primary's done", err)
+			}
+			if p.stats.TookOver || p.stats.Records != 2 || p.stats.Resyncs != 1 || p.stats.ReplicatedTasks != 1 {
+				t.Fatalf("stats = %+v, want no takeover and both records applied", p.stats)
+			}
+			p.holds(t, [2]int{0, 2})
+		}},
+		{"fail-returns-reason", func(t *testing.T, p *followerProbe) {
+			c := p.adopt(t, 7)
+			send(t, c, newFrame(frameFail, failMsg{Reason: "disk on fire"}.encode()).b)
+			err := p.result(t)
+			if err == nil || !strings.Contains(err.Error(), "primary failed: disk on fire") {
+				t.Fatalf("standby returned %v, want the primary's reason", err)
+			}
+			if p.stats.TookOver {
+				t.Fatal("standby took over a primary that reported failure")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run(t, startFollowerProbe(t, lease, nil))
+		})
 	}
 }
 

@@ -142,8 +142,10 @@ func runFailover(ctx context.Context, cfg Config, n, workers int, ref *tri.RowMa
 	}
 
 	run.secs = timeIt(func() { err = cluster.RunStandby(runCtx, sbLn, sbTbl, sbOpts) })
-	// OnDelta runs on RunStandby's own event loop — this goroutine — so
-	// killTime is settled (and race-free) once RunStandby returns.
+	// OnDelta runs on the standby coordinator's event loop, which runs on
+	// the goroutine that called RunStandby — this one — in both its
+	// phases, so killTime is settled (and race-free) once RunStandby
+	// returns.
 	if !killTime.IsZero() {
 		run.recovery = time.Since(killTime).Seconds()
 	}

@@ -30,7 +30,9 @@
 # one process and on the cluster) five times, the cluster package's
 # tests five times
 # (frame buffers change owner between the event loop, the session
-# writers and the readers), and the harness failover experiment ten
+# writers and the readers), its coordinator-HA tests ten times (a
+# standby's switch from following to leading races the handshakes of
+# the one accept path), and the harness failover experiment ten
 # times.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -149,6 +151,14 @@ echo "== go test -race -count=5 ./internal/cluster (frame-buffer ownership)"
 # one interleaving of those hand-offs; five sample more (about two
 # minutes on a 2-vCPU host).
 go test -race -count=5 ./internal/cluster
+
+echo "== go test -race -count=10 (coordinator HA: failover, fences, follower wire)"
+# A standby is a coordinator in its follower phase; when its lease
+# expires the same event loop leads, while the accept path's handshakes
+# may still be posting hellos read before the switch. Ten passes under
+# the race detector sample more of those interleavings (about 3.7 s per
+# pass without -race, 14 s with it, on a 2-vCPU host).
+go test -race -count=10 -run '^TestFailover|^TestSplitBrainFencedWrites$|^TestTakeover|^TestStandby|^TestVersionMismatchFailsFast$' ./internal/cluster
 
 echo "== go test -count=10 (harness failover experiment)"
 # The experiment kills the primary once the standby has replicated a

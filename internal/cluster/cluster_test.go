@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1176,5 +1178,70 @@ func TestClusterResumeRejectsGeometryMismatch(t *testing.T) {
 	}
 	if _, err := os.Stat(missing); !os.IsNotExist(err) {
 		t.Fatalf("a refused resume created %s (stat: %v)", filepath.Base(missing), err)
+	}
+}
+
+// countingListener counts the connections its listener has accepted.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int32
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return c, err
+}
+
+// TestLateHelloIsClosed sends worker hellos, after Coordinate returned,
+// on connections the coordinator accepted mid-solve. Each must be
+// answered or closed at once: post may leave a hello's event in the
+// buffer the stopped event loop no longer reads, and the accept path
+// must close it then, or the worker waits out its handshake timeout.
+// Eight connections make a leak on any of them near certain.
+func TestLateHelloIsClosed(t *testing.T) {
+	ref := serialRef(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &countingListener{Listener: ln}
+	tbl := testTable(t)
+	errc := make(chan error, 1)
+	go func() { errc <- Coordinate(ctx, cl, tbl, testOptions(nil)) }()
+	late := make([]net.Conn, 8)
+	for i := range late {
+		if late[i], err = net.Dial("tcp", ln.Addr().String()); err != nil {
+			t.Fatal(err)
+		}
+		defer late[i].Close()
+	}
+	for cl.accepted.Load() < int32(len(late)) {
+		time.Sleep(time.Millisecond)
+	}
+	var wg sync.WaitGroup
+	startWorker(ctx, t, &wg, ln.Addr().String(), WorkerOptions{Name: "w", Logf: t.Logf})
+	if err := <-errc; err != nil {
+		t.Fatalf("Coordinate: %v", err)
+	}
+	cancel()
+	wg.Wait()
+	requireIdentical(t, ref, tbl)
+	for i, c := range late {
+		if err := writeFrame(c, frameHello, helloMsg{Name: fmt.Sprintf("late%d", i)}.encode()); err != nil {
+			t.Fatalf("late hello %d: %v", i, err)
+		}
+	}
+	deadline := time.Now().Add(time.Second)
+	for i, c := range late {
+		c.SetReadDeadline(deadline)
+		typ, _, err := readFrame(c)
+		if err == nil && typ != frameFail || err != nil && !errors.Is(err, io.EOF) {
+			t.Errorf("late hello %d: reply = (%d, %v), want EOF or a fail frame within 1s", i, typ, err)
+		}
 	}
 }

@@ -852,13 +852,35 @@ func (co *coordinator[E]) tick(now time.Time) error {
 
 // acceptLoop is the one accept path, in both phases: each connection's
 // hello is read off the event loop (handshake) and posted as an event.
+// When the listener closes at shutdown, it waits for the stop and for
+// the handshakes in flight, the only posters of connections, and then
+// closes every connection whose event a post left in the buffer after
+// the event loop stopped reading it: post's select may pick the
+// buffer's free slot over the closed stop.
 func (co *coordinator[E]) acceptLoop(ln net.Listener) {
+	var handshakes sync.WaitGroup
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			return // listener closed at shutdown
+			break // listener closed at shutdown
 		}
-		go co.handshake(conn)
+		handshakes.Add(1)
+		go func() {
+			defer handshakes.Done()
+			co.handshake(conn)
+		}()
+	}
+	<-co.stop
+	handshakes.Wait()
+	for {
+		select {
+		case ev := <-co.events:
+			if ev.conn != nil {
+				ev.conn.Close()
+			}
+		default:
+			return
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -701,6 +702,61 @@ func TestVersionMismatchFailsFast(t *testing.T) {
 			t.Fatalf("version error carries %d/%d, want 1/%d", vErr.Got, vErr.Want, ProtoVersion)
 		}
 	})
+}
+
+// TestReplicaRefusalEndsReplication points a primary at a standby of
+// another geometry (n=16, tile 4), which refuses every replication
+// hello with a reasoned fail frame. The primary must take the refusal
+// as final, not as a lost stream to redial every backoff step, and its
+// solve must still finish bit-identical. The primary has no worker for
+// the first 3s, so the count covers a solve in progress.
+func TestReplicaRefusalEndsReplication(t *testing.T) {
+	ref := serialRef(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	sln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	standby := &countingListener{Listener: sln}
+	sctx, stopStandby := context.WithCancel(ctx)
+	serr := make(chan error, 1)
+	go func() {
+		small := tri.ToTiled(workload.Chain[float32](16, testSeed), 4)
+		serr <- RunStandby(sctx, standby, small, StandbyOptions{Options: testOptions(nil)})
+	}()
+	tbl := testTable(t)
+	opts := testOptions(nil)
+	opts.ReplicaAddr = sln.Addr().String()
+	var refusals atomic.Int32
+	opts.Logf = func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "standby rejected replication") {
+			refusals.Add(1)
+		}
+		t.Logf(format, args...)
+	}
+	addr, wait := startCoordinator(ctx, t, tbl, opts)
+	time.Sleep(3 * time.Second)
+	n := standby.accepted.Load()
+	t.Logf("%d replication sessions in 3s", n)
+	if n > 5 {
+		t.Errorf("the primary opened %d replication sessions in 3s against a refusing standby, want at most 5", n)
+	}
+	if n := refusals.Load(); n == 0 {
+		t.Error("the primary never logged the standby's refusal")
+	}
+	var wg sync.WaitGroup
+	startWorker(ctx, t, &wg, addr, WorkerOptions{Name: "w", Logf: t.Logf})
+	if err := wait(); err != nil {
+		t.Fatalf("Coordinate: %v", err)
+	}
+	cancel()
+	wg.Wait()
+	requireIdentical(t, ref, tbl)
+	stopStandby()
+	if err := <-serr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunStandby = %v, want context.Canceled", err)
+	}
 }
 
 // TestEpochProtoRoundTrips covers the epoch codec surface: epoch-bearing

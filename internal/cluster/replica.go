@@ -51,7 +51,10 @@ import (
 // connection to the standby, opens every (re)connect with a full-state
 // resync, then streams incremental completion-log records pulled from
 // the event loop. Replication is best-effort — a dead standby costs the
-// solve nothing but log lines.
+// solve nothing but log lines. A standby's refusal ends it: the standby
+// holds another geometry or speaks another protocol version, and every
+// redial would hear the same answer, so the solve runs on unreplicated,
+// as with a standby that never answers.
 func (co *coordinator[E]) runReplicator(ctx context.Context) {
 	defer co.writers.Done()
 	rctx, cancel := context.WithCancel(ctx)
@@ -90,12 +93,20 @@ func (co *coordinator[E]) runReplicator(ctx context.Context) {
 		if co.stopped() {
 			return
 		}
+		if errors.Is(err, errReplRefused) {
+			co.opts.Logf("%v; replication is off for the rest of the solve", err)
+			return
+		}
 		co.opts.Logf("cluster: replica stream lost: %v", err)
 		if !sleepCtx(rctx, backoff.Backoff(1)) {
 			return
 		}
 	}
 }
+
+// errReplRefused wraps a standby's reasoned refusal of a replication
+// hello.
+var errReplRefused = errors.New("cluster: standby rejected replication")
 
 // replSession runs one replication connection: handshake, full resync,
 // then incremental pulls until the stream breaks, the standby fences
@@ -119,7 +130,7 @@ func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
 		return true, &ErrEpochFenced{Epoch: co.epoch, Current: cur, Role: "coordinator"}
 	case frameFail:
 		f, _ := decodeFail(payload)
-		return false, fmt.Errorf("cluster: standby rejected replication: %s", f.Reason)
+		return false, fmt.Errorf("%w: %s", errReplRefused, f.Reason)
 	default:
 		return false, fmt.Errorf("cluster: expected replication welcome, got frame type %d", typ)
 	}

@@ -40,3 +40,18 @@ func bandAVX512F32(c, a, b *float32, stride, cols, k int)
 //
 //go:noescape
 func bandAVX512F64(c, a, b *float64, stride, cols, k int)
+
+// closeAVX2F32 is the float32 closure kernel: the in-CB terms of a 4×4
+// computing block of D, closeCB's work, with one CB row per XMM
+// register. d, l and r point at the CB of D, L's diagonal CB and R's
+// diagonal CB, each 4×4 at row stride `stride`. closeF32 is its only
+// caller; it runs at the AVX2 and AVX-512 levels.
+//
+//go:noescape
+func closeAVX2F32(d, l, r *float32, stride int)
+
+// closeAVX2F64 is closeAVX2F32 at double width, one CB row per YMM
+// register.
+//
+//go:noescape
+func closeAVX2F64(d, l, r *float64, stride int)

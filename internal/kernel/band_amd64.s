@@ -3,7 +3,7 @@
 #include "textflag.h"
 
 // Band kernels: C[4×cols] = min(C, A[4×k] ⊗ B[k×cols]) at a row stride,
-// the one min-plus primitive, on AVX2 and on AVX-512. Semantics contract
+// the one min-plus product primitive, on AVX2 and on AVX-512. Semantics contract
 // (the bit-identity invariant): every C element must follow the exact
 // scalar update chain
 //
@@ -479,5 +479,146 @@ b64k:
 	JMP  b64pass
 
 b64done:
+	VZEROUPPER
+	RET
+
+// Closure kernels: the in-CB terms of one 4×4 computing block of D
+// (closeCB in stage2.go), with one CB row per register, XMM for
+// float32 and YMM for float64. d, l and r point at the CB of D, L's
+// diagonal CB and R's diagonal CB, each 4×4 at the row stride. All
+// four D rows are loaded up front and stored at the end; rows run
+// bottom-up, so a row's L terms read the rows below it from registers,
+// already final, and the row itself (k = a) as it was loaded.
+//
+//	L terms: for k = a..3 ascending, x = min(splat(l[a][k]) + d[k], x).
+//	R steps: for j = 0, 1, 2, x = min(splat(x[j]) + rv[j], x), where
+//	         rv[j] is row j of R's diagonal CB with +Inf in lanes 0..j.
+//
+// The +Inf lanes are how a step leaves the lanes it must not touch
+// (cells with b ≤ j) alone: splat + Inf is +Inf, or NaN when the splat
+// is -Inf or NaN, and w < c never holds for either, so VMINPx keeps c
+// bit for bit. The other lanes take their k = q·4+j term in ascending j,
+// each from a splat of the lane already final, so every cell sees the
+// scalar chain's terms in its order. closeF32 and closeF64 guarantee
+// that D's and L's CBs and rows 0..2 of R's lie in bounds.
+//
+// Register plan:
+//	DI  d    SI  l    DX  r    R8  stride bytes    R9  3·stride bytes
+//	AX  +Inf bits
+//	X0..X3 / Y0..Y3  D rows 0..3     X4..X6 / Y4..Y6  rv[0..2]
+//	X7 / Y7  +Inf splat              X8, X9 / Y8, Y9  scratch
+
+// CLOSEL32 applies one L term to the row in x: splat the float32 at
+// lm, add the D row dk, and keep the smaller (w < x ? w : x).
+#define CLOSEL32(lm, dk, x) \
+	VBROADCASTSS lm, X8; \
+	VADDPS       dk, X8, X8; \
+	VMINPS       x, X8, x
+
+// CLOSER32 applies the three R steps to the row in x.
+#define CLOSER32(x) \
+	VPERMILPS $0x00, x, X9; \
+	VADDPS    X4, X9, X9; \
+	VMINPS    x, X9, x; \
+	VPERMILPS $0x55, x, X9; \
+	VADDPS    X5, X9, X9; \
+	VMINPS    x, X9, x; \
+	VPERMILPS $0xAA, x, X9; \
+	VADDPS    X6, X9, X9; \
+	VMINPS    x, X9, x
+
+// func closeAVX2F32(d, l, r *float32, stride int)
+TEXT ·closeAVX2F32(SB), NOSPLIT, $0-32
+	MOVQ d+0(FP), DI
+	MOVQ l+8(FP), SI
+	MOVQ r+16(FP), DX
+	MOVQ stride+24(FP), R8
+	SHLQ $2, R8                        // stride bytes
+	LEAQ (R8)(R8*2), R9                // 3·stride bytes
+	MOVL $0x7F800000, AX               // +Inf
+	VMOVD AX, X7
+	VBROADCASTSS X7, X7
+	VBLENDPS $0x0E, (DX), X7, X4       // (+Inf, r01, r02, r03)
+	VBLENDPS $0x0C, (DX)(R8*1), X7, X5 // (+Inf, +Inf, r12, r13)
+	VBLENDPS $0x08, (DX)(R8*2), X7, X6 // (+Inf, +Inf, +Inf, r23)
+	VMOVUPS (DI), X0
+	VMOVUPS (DI)(R8*1), X1
+	VMOVUPS (DI)(R8*2), X2
+	VMOVUPS (DI)(R9*1), X3
+	CLOSEL32(12(SI)(R9*1), X3, X3)     // row 3: k = 3
+	CLOSER32(X3)
+	CLOSEL32(8(SI)(R8*2), X2, X2)      // row 2: k = 2, 3
+	CLOSEL32(12(SI)(R8*2), X3, X2)
+	CLOSER32(X2)
+	CLOSEL32(4(SI)(R8*1), X1, X1)      // row 1: k = 1, 2, 3
+	CLOSEL32(8(SI)(R8*1), X2, X1)
+	CLOSEL32(12(SI)(R8*1), X3, X1)
+	CLOSER32(X1)
+	CLOSEL32((SI), X0, X0)             // row 0: k = 0, 1, 2, 3
+	CLOSEL32(4(SI), X1, X0)
+	CLOSEL32(8(SI), X2, X0)
+	CLOSEL32(12(SI), X3, X0)
+	CLOSER32(X0)
+	VMOVUPS X0, (DI)
+	VMOVUPS X1, (DI)(R8*1)
+	VMOVUPS X2, (DI)(R8*2)
+	VMOVUPS X3, (DI)(R9*1)
+	RET
+
+// CLOSEL64 is CLOSEL32 at double width.
+#define CLOSEL64(lm, dk, x) \
+	VBROADCASTSD lm, Y8; \
+	VADDPD       dk, Y8, Y8; \
+	VMINPD       x, Y8, x
+
+// CLOSER64 is CLOSER32 at double width: VPERMPD splats a lane across
+// both 128-bit halves.
+#define CLOSER64(x) \
+	VPERMPD $0x00, x, Y9; \
+	VADDPD  Y4, Y9, Y9; \
+	VMINPD  x, Y9, x; \
+	VPERMPD $0x55, x, Y9; \
+	VADDPD  Y5, Y9, Y9; \
+	VMINPD  x, Y9, x; \
+	VPERMPD $0xAA, x, Y9; \
+	VADDPD  Y6, Y9, Y9; \
+	VMINPD  x, Y9, x
+
+// func closeAVX2F64(d, l, r *float64, stride int)
+TEXT ·closeAVX2F64(SB), NOSPLIT, $0-32
+	MOVQ d+0(FP), DI
+	MOVQ l+8(FP), SI
+	MOVQ r+16(FP), DX
+	MOVQ stride+24(FP), R8
+	SHLQ $3, R8                        // stride bytes
+	LEAQ (R8)(R8*2), R9                // 3·stride bytes
+	MOVQ $0x7FF0000000000000, AX       // +Inf
+	VMOVQ AX, X7
+	VBROADCASTSD X7, Y7
+	VBLENDPD $0x0E, (DX), Y7, Y4       // (+Inf, r01, r02, r03)
+	VBLENDPD $0x0C, (DX)(R8*1), Y7, Y5 // (+Inf, +Inf, r12, r13)
+	VBLENDPD $0x08, (DX)(R8*2), Y7, Y6 // (+Inf, +Inf, +Inf, r23)
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(R8*1), Y1
+	VMOVUPD (DI)(R8*2), Y2
+	VMOVUPD (DI)(R9*1), Y3
+	CLOSEL64(24(SI)(R9*1), Y3, Y3)     // row 3: k = 3
+	CLOSER64(Y3)
+	CLOSEL64(16(SI)(R8*2), Y2, Y2)     // row 2: k = 2, 3
+	CLOSEL64(24(SI)(R8*2), Y3, Y2)
+	CLOSER64(Y2)
+	CLOSEL64(8(SI)(R8*1), Y1, Y1)      // row 1: k = 1, 2, 3
+	CLOSEL64(16(SI)(R8*1), Y2, Y1)
+	CLOSEL64(24(SI)(R8*1), Y3, Y1)
+	CLOSER64(Y1)
+	CLOSEL64((SI), Y0, Y0)             // row 0: k = 0, 1, 2, 3
+	CLOSEL64(8(SI), Y1, Y0)
+	CLOSEL64(16(SI), Y2, Y0)
+	CLOSEL64(24(SI), Y3, Y0)
+	CLOSER64(Y0)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (DI)(R8*1)
+	VMOVUPD Y2, (DI)(R8*2)
+	VMOVUPD Y3, (DI)(R9*1)
 	VZEROUPPER
 	RET

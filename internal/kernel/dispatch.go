@@ -81,7 +81,7 @@ func SetVectorEnabled(on bool) (restore func()) {
 }
 
 // bandF32 is the float32 band dispatch, the one entry point of the
-// vector kernels: C = min(C, A ⊗ B) for C's four rows over cols columns,
+// band kernels: C = min(C, A ⊗ B) for C's four rows over cols columns,
 // a 4×k A band and a k×cols B band at row stride `stride`, cols a
 // positive multiple of CB. When the live level is a vector level and
 // the slices hold every element the band touches, it runs that level's
@@ -136,4 +136,37 @@ func bandF64(c, a, b []float64, stride, cols, k int) {
 	for j := 0; j < cols; j += CB {
 		strip(c[j:], a, b[j:], stride, k)
 	}
+}
+
+// closeF32 is the float32 closure dispatch: it runs the in-CB terms of
+// CB (p,q) of a t×t block D, whose L terms read L's diagonal CB (p,p)
+// and whose R terms read rows 0..2 of R's diagonal CB (q,q). On amd64 at
+// a vector level (AVX2 or AVX-512), when d and l hold their whole CB and
+// r those three rows, it runs the closure kernel; elsewhere closeCB. The
+// guard is the kernel's whole memory-safety contract, as bandF32's is
+// for the bands: the kernel has no bounds checks, so a block that does
+// not fit reaches closeCB and panics like any Go access.
+//
+//npdp:hotpath
+func closeF32(d, l, r []float32, t, p, q int) {
+	dc, lc, rc := p*CB*t+q*CB, p*CB*t+p*CB, q*CB*t+q*CB
+	if runtime.GOARCH == "amd64" && live != isaGo && t >= CB &&
+		len(d) >= dc+3*t+CB && len(l) >= lc+3*t+CB && len(r) >= rc+2*t+CB {
+		closeAVX2F32(&d[dc], &l[lc], &r[rc], t)
+		return
+	}
+	closeCB(d, l, r, t, p, q)
+}
+
+// closeF64 is closeF32 at double width, on closeAVX2F64.
+//
+//npdp:hotpath
+func closeF64(d, l, r []float64, t, p, q int) {
+	dc, lc, rc := p*CB*t+q*CB, p*CB*t+p*CB, q*CB*t+q*CB
+	if runtime.GOARCH == "amd64" && live != isaGo && t >= CB &&
+		len(d) >= dc+3*t+CB && len(l) >= lc+3*t+CB && len(r) >= rc+2*t+CB {
+		closeAVX2F64(&d[dc], &l[lc], &r[rc], t)
+		return
+	}
+	closeCB(d, l, r, t, p, q)
 }

@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"cellnpdp/internal/semiring"
@@ -156,17 +158,124 @@ func bandShortFallsBack[E semiring.Elem](t *testing.T, dispatch func(c, a, b []E
 	}
 }
 
-// BenchmarkStage2OffDiag times the float32 off-diagonal stage 2 at the
-// default tile on every dispatch level.
+// The closure dispatch at every level must match closeCB bit for bit
+// with -Inf, +Inf, NaN and ±0 placed at each cell of R's diagonal CB,
+// of L's diagonal CB and of D's CB. The R cells are the ones the
+// kernel's +Inf lanes mask out or add in; the D cells are the lanes that
+// +Inf must leave alone (splat + Inf is NaN for a -Inf or NaN splat).
+// The other cells are drawn from {+0, -0, 1, 2}, so ties between
+// signed zeros decide many minima and a reordered term flips a sign.
+func TestCloseVectorMatchesGo(t *testing.T) {
+	closeMatchesGo(t, closeF32)
+	closeMatchesGo(t, closeF64)
+}
+
+func closeMatchesGo[E semiring.Elem](t *testing.T, dispatch func(d, l, r []E, t, p, q int)) {
+	t.Helper()
+	const tile, p, q = 12, 1, 2 // D's CB (1,2), L's CB (1,1), R's CB (2,2)
+	rng := rand.New(rand.NewSource(1))
+	values := []E{0, E(math.Copysign(0, -1)), 1, 2}
+	block := func() []E {
+		b := make([]E, tile*tile)
+		for i := range b {
+			b[i] = values[rng.Intn(len(values))]
+		}
+		return b
+	}
+	check := func(name string, d, l, r []E) {
+		want := append([]E(nil), d...)
+		closeCB(want, l, r, tile, p, q)
+		atLevels(func(level string) {
+			got := append([]E(nil), d...)
+			dispatch(got, l, r, tile, p, q)
+			requireBits(t, fmt.Sprintf("%T %s closure, %s", got[0], level, name), tile, 0, got, want)
+		})
+	}
+	specials := []E{E(math.Inf(-1)), E(math.Inf(1)), E(math.NaN()), 0, E(math.Copysign(0, -1))}
+	for _, target := range []struct {
+		name     string
+		block, c int // which of d, l, r, and the CB's top-left cell
+	}{{"R", 2, q*CB*tile + q*CB}, {"L", 1, p*CB*tile + p*CB}, {"D", 0, p*CB*tile + q*CB}} {
+		for _, s := range specials {
+			for cell := 0; cell < CB*CB; cell++ {
+				blocks := [3][]E{block(), block(), block()}
+				blocks[target.block][target.c+cell/CB*tile+cell%CB] = s
+				check(fmt.Sprintf("%v at %s cell %d", s, target.name, cell), blocks[0], blocks[1], blocks[2])
+			}
+		}
+	}
+}
+
+// The closure dispatch must send a D or L block one element shorter
+// than its CB, or an R block one element shorter than the three rows of
+// its diagonal CB the kernel reads, to closeCB, which panics on the
+// out-of-range access, at every level.
+func TestCloseShortFallsBack(t *testing.T) {
+	closeShortFallsBack(t, closeF32)
+	closeShortFallsBack(t, closeF64)
+}
+
+func closeShortFallsBack[E semiring.Elem](t *testing.T, dispatch func(d, l, r []E, t, p, q int)) {
+	t.Helper()
+	const tile, p, q = 12, 1, 2
+	for _, short := range []string{"D", "L", "R"} {
+		atLevels(func(level string) {
+			d := adversarialBand[E]((p*CB+3)*tile+q*CB+CB, 1)
+			l := adversarialBand[E]((p*CB+3)*tile+p*CB+CB, 2)
+			r := adversarialBand[E]((q*CB+2)*tile+q*CB+CB, 3)
+			switch short {
+			case "D":
+				d = d[: len(d)-1 : len(d)-1]
+			case "L":
+				l = l[: len(l)-1 : len(l)-1]
+			case "R":
+				r = r[: len(r)-1 : len(r)-1]
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%T %s short %s: closure dispatch did not panic in closeCB", d[0], level, short)
+				}
+			}()
+			dispatch(d, l, r, tile, p, q)
+		})
+	}
+}
+
+// BenchmarkStage2OffDiag and BenchmarkStage2Diag time float32 stage 2
+// at the default float32 tile on every dispatch level; the F64
+// benchmarks time float64 at the default float64 tile. L, R and the
+// diagonal block are triangular, as in a solve.
 func BenchmarkStage2OffDiag(b *testing.B) {
-	const tile = 88
-	d, l, r := randBlock(tile, 1), randBlock(tile, 2), randBlock(tile, 3)
+	benchStage2(b, 88, randBlock, false)
+}
+
+func BenchmarkStage2OffDiagF64(b *testing.B) {
+	benchStage2(b, 64, randBlock64, false)
+}
+
+func BenchmarkStage2Diag(b *testing.B) {
+	benchStage2(b, 88, randBlock, true)
+}
+
+func BenchmarkStage2DiagF64(b *testing.B) {
+	benchStage2(b, 64, randBlock64, true)
+}
+
+func benchStage2[E semiring.Elem](b *testing.B, tile int, gen func(int, int64) []E, diag bool) {
+	d, l, r := gen(tile, 1), gen(tile, 2), gen(tile, 3)
 	triangularize(l, tile)
 	triangularize(r, tile)
+	if diag {
+		triangularize(d, tile)
+	}
 	atLevels(func(level string) {
 		b.Run(level, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				Stage2OffDiag(d, l, r, tile)
+				if diag {
+					Stage2Diag(d, tile)
+				} else {
+					Stage2OffDiag(d, l, r, tile)
+				}
 			}
 		})
 	})

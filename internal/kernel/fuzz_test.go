@@ -36,6 +36,8 @@ func FuzzKernelEquivalence(f *testing.F) {
 	f.Add(uint32(9), uint8(1), uint8(2))  // 1×1 tile
 	f.Add(uint32(5), uint8(24), uint8(4)) // ±0/NaN, stage 2
 	f.Add(uint32(3), uint8(87), uint8(7)) // t=88, everything
+	f.Add(uint32(6), uint8(63), uint8(4)) // t=64, ±0/NaN across R-side chunks
+	f.Add(uint32(8), uint8(67), uint8(5)) // t=68, a one-CB last chunk
 	f.Fuzz(func(t *testing.T, seed uint32, side, flags uint8) {
 		ts := int(side)%96 + 1
 		rng := rand.New(rand.NewSource(int64(seed)))

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -153,7 +154,7 @@ func TestMulMinPlusMatchesRef(t *testing.T) {
 }
 
 // refStage2OffDiag applies the off-diagonal inner recurrence directly.
-func refStage2OffDiag(d, l, r []float32, t int) {
+func refStage2OffDiag[E semiring.Elem](d, l, r []E, t int) {
 	for a := t - 1; a >= 0; a-- {
 		for b := 0; b < t; b++ {
 			v := d[a*t+b]
@@ -182,23 +183,31 @@ func triangularize[E semiring.Elem](b []E, t int) {
 	}
 }
 
+// stage2Tiles are the tile sides the stage-2 tests run: small ones
+// inside one R-side chunk, the default tiles of both widths (88 and
+// 64), which cross several, and 68, whose last float32 chunk is one CB
+// wide.
+var stage2Tiles = []int{4, 8, 16, 24, 36, 64, 68, 88}
+
 func TestStage2OffDiagMatchesRef(t *testing.T) {
-	for _, tile := range []int{4, 8, 16, 24, 36} {
-		l := randBlock(tile, 10)
-		r := randBlock(tile, 11)
+	stage2OffDiagMatchesRef(t, randBlock)
+	stage2OffDiagMatchesRef(t, randBlock64)
+}
+
+func stage2OffDiagMatchesRef[E semiring.Elem](t *testing.T, gen func(int, int64) []E) {
+	t.Helper()
+	for _, tile := range stage2Tiles {
+		l := gen(tile, 10)
+		r := gen(tile, 11)
 		triangularize(l, tile)
 		triangularize(r, tile)
-		d := randBlock(tile, 12)
-		want := append([]float32(nil), d...)
+		d := gen(tile, 12)
+		want := append([]E(nil), d...)
 		refStage2OffDiag(want, l, r, tile)
 		atLevels(func(level string) {
-			got := append([]float32(nil), d...)
+			got := append([]E(nil), d...)
 			st := Stage2OffDiag(got, l, r, tile)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s tile=%d: Stage2OffDiag diverges at cell (%d,%d)", level, tile, i/tile, i%tile)
-				}
-			}
+			requireBits(t, fmt.Sprintf("%T %s Stage2OffDiag", got[0], level), tile, 0, got, want)
 			if want := StatsStage2OffDiag(tile); st != want {
 				t.Errorf("%s tile=%d: stats = %+v, want analytic %+v", level, tile, st, want)
 			}
@@ -207,7 +216,7 @@ func TestStage2OffDiagMatchesRef(t *testing.T) {
 }
 
 // refStage2Diag applies Figure 1 inside one tile.
-func refStage2Diag(d []float32, t int) {
+func refStage2Diag[E semiring.Elem](d []E, t int) {
 	for j := 0; j < t; j++ {
 		for i := j - 1; i >= 0; i-- {
 			v := d[i*t+j]
@@ -222,19 +231,21 @@ func refStage2Diag(d []float32, t int) {
 }
 
 func TestStage2DiagMatchesRef(t *testing.T) {
-	for _, tile := range []int{4, 8, 16, 28} {
-		d := randBlock(tile, 20)
+	stage2DiagMatchesRef(t, randBlock)
+	stage2DiagMatchesRef(t, randBlock64)
+}
+
+func stage2DiagMatchesRef[E semiring.Elem](t *testing.T, gen func(int, int64) []E) {
+	t.Helper()
+	for _, tile := range stage2Tiles {
+		d := gen(tile, 20)
 		triangularize(d, tile)
-		want := append([]float32(nil), d...)
+		want := append([]E(nil), d...)
 		refStage2Diag(want, tile)
 		atLevels(func(level string) {
-			got := append([]float32(nil), d...)
+			got := append([]E(nil), d...)
 			st := Stage2Diag(got, tile)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s tile=%d: Stage2Diag diverges at cell (%d,%d)", level, tile, i/tile, i%tile)
-				}
-			}
+			requireBits(t, fmt.Sprintf("%T %s Stage2Diag", got[0], level), tile, 0, got, want)
 			if want := StatsStage2Diag(tile); st != want {
 				t.Errorf("%s tile=%d: stats = %+v, want analytic %+v", level, tile, st, want)
 			}

@@ -1,6 +1,10 @@
 package kernel
 
-import "cellnpdp/internal/semiring"
+import (
+	"runtime"
+
+	"cellnpdp/internal/semiring"
+)
 
 // Stage2OffDiag resolves the inner dependences of an off-diagonal memory
 // block D = MB(I,J) after stage 1 has accumulated every middle-tile
@@ -19,10 +23,11 @@ import "cellnpdp/internal/semiring"
 // its row. Computing blocks are therefore processed bottom-up and
 // left-to-right. Per CB (p,q), the finished CBs below it are one strip
 // over L's row band p, the finished CBs left of it are one strip over R's
-// column band q, and the k-ranges that touch the CB itself run in
-// closeCB. Every cell sees its terms in ascending k within each of those
-// ranges — the order of the 4×4 CB-step formulation — so the result is
-// bit-identical to it, ±0 and NaN included.
+// column band q, and the k-ranges that touch the CB itself run in its
+// closure (closeF32, closeF64). Every cell sees its terms in ascending k
+// within each of those ranges — the order of the 4×4 CB-step
+// formulation — so the result is bit-identical to it, ±0 and NaN
+// included.
 //
 // The below-band strips of one CB row band p are issued together, as
 // one band call over all t columns (bandF32, bandF64), before the
@@ -30,13 +35,17 @@ import "cellnpdp/internal/semiring"
 // strip for CB (p,q) reads only L and the finished rows below band p,
 // and writes only CB (p,q), so running it ahead of the other CBs' left
 // strips and closures changes no value it reads, and each cell still
-// takes its below-band terms first.
+// takes its below-band terms first. On the amd64 vector levels the left
+// strips are hoisted the same way, a chunk of columns at a time
+// (stage2RowF32): a cell's left strip, k ∈ [0, q·4), becomes the
+// chunk's band call over k ∈ [0, c0) and then its own strip over
+// k ∈ [c0, q·4), the same terms in the same ascending k.
 //
-// Every strip is a band call with cols = CB. The element type is
-// resolved once per call: each width runs its own body on its own band
-// dispatch, which takes the vector bands or the Go strips, whichever the
-// host has. The returned work record is StatsStage2OffDiag(t), the count
-// of 4×4 CB steps the strips cover plus the closure's relaxations.
+// The element type is resolved once per call: each width runs its own
+// body on its own band and closure dispatch, which take the vector
+// kernels or the Go bodies, whichever the host has. The returned work
+// record is StatsStage2OffDiag(t), the count of 4×4 CB steps the strips
+// cover plus the closure's relaxations.
 func Stage2OffDiag[E semiring.Elem](d, l, r []E, t int) Stats {
 	if semiring.Width[E]() == 4 {
 		stage2OffDiagF32(semiring.AsWidth[float32](d), semiring.AsWidth[float32](l), semiring.AsWidth[float32](r), t)
@@ -46,24 +55,26 @@ func Stage2OffDiag[E semiring.Elem](d, l, r []E, t int) Stats {
 	return StatsStage2OffDiag(t)
 }
 
+// chunkF32 and chunkF64 are the widths of stage 2's R-side chunks: the
+// columns of one AVX-512 band pass, which holds a 4×32 float32 or a 4×16
+// float64 block of C in registers for its whole k sweep.
+const (
+	chunkF32 = 32
+	chunkF64 = 16
+)
+
 // stage2OffDiagF32 is Stage2OffDiag's body on the float32 band
 // dispatch. stage2OffDiagF64 is the same loop at double width; the two
 // change together.
 //
 //npdp:hotpath
 func stage2OffDiagF32(d, l, r []float32, t int) {
-	cbm := t / CB
-	for p := cbm - 1; p >= 0; p-- {
+	for p := t/CB - 1; p >= 0; p-- {
 		band := p * CB * t
 		if k := t - (p+1)*CB; k > 0 {
 			bandF32(d[band:], l[band+(p+1)*CB:], d[band+CB*t:], t, t, k)
 		}
-		for q := 0; q < cbm; q++ {
-			if k := q * CB; k > 0 {
-				bandF32(d[band+q*CB:], d[band:], r[q*CB:], t, CB, k)
-			}
-			closeCB(d, l, r, t, p, q)
-		}
+		stage2RowF32(d, l, r, t, p, 0)
 	}
 }
 
@@ -71,30 +82,25 @@ func stage2OffDiagF32(d, l, r []float32, t int) {
 //
 //npdp:hotpath
 func stage2OffDiagF64(d, l, r []float64, t int) {
-	cbm := t / CB
-	for p := cbm - 1; p >= 0; p-- {
+	for p := t/CB - 1; p >= 0; p-- {
 		band := p * CB * t
 		if k := t - (p+1)*CB; k > 0 {
 			bandF64(d[band:], l[band+(p+1)*CB:], d[band+CB*t:], t, t, k)
 		}
-		for q := 0; q < cbm; q++ {
-			if k := q * CB; k > 0 {
-				bandF64(d[band+q*CB:], d[band:], r[q*CB:], t, CB, k)
-			}
-			closeCB(d, l, r, t, p, q)
-		}
+		stage2RowF64(d, l, r, t, p, 0)
 	}
 }
 
 // Stage2Diag computes a diagonal memory block D = MB(J,J) in place. A
 // diagonal block depends only on itself: for cell (a,b), every k in
-// [a, b) stays inside the tile. Computing blocks are processed in the
-// Figure 1 column order lifted to CB granularity (q ascending, p
-// descending). CB (p,q) above the diagonal takes the finished CBs
-// between it and the diagonal as one strip, then closeCB with D as both
-// L and R. The diagonal CBs themselves are 4×4 triangles solved scalar.
-// The element type is resolved once per call, as in Stage2OffDiag, and
-// the returned work record is StatsStage2Diag(t).
+// [a, b) stays inside the tile. Computing blocks are processed in
+// Stage2OffDiag's order, row bands bottom-up and each band left to
+// right: the diagonal CB (p,p), a 4×4 triangle solved scalar, then
+// the CBs (p,q), q > p, through the same chunked pass with D as L and
+// R. Their R terms, k ∈ [(p+1)·4, q·4), read D's finished CBs left of
+// (p,q) in its row band and below it in its column. The element type is
+// resolved once per call, as in Stage2OffDiag, and the returned work
+// record is StatsStage2Diag(t).
 func Stage2Diag[E semiring.Elem](d []E, t int) Stats {
 	if semiring.Width[E]() == 4 {
 		stage2DiagF32(semiring.AsWidth[float32](d), t)
@@ -110,30 +116,73 @@ func Stage2Diag[E semiring.Elem](d []E, t int) Stats {
 //
 //npdp:hotpath
 func stage2DiagF32(d []float32, t int) {
-	cbm := t / CB
-	for q := 0; q < cbm; q++ {
-		diagScalarCB(d, t, q)
-		for p := q - 1; p >= 0; p-- {
-			if k := (q - p - 1) * CB; k > 0 {
-				bandF32(d[p*CB*t+q*CB:], d[p*CB*t+(p+1)*CB:], d[(p+1)*CB*t+q*CB:], t, CB, k)
+	for p := t/CB - 1; p >= 0; p-- {
+		diagScalarCB(d, t, p)
+		stage2RowF32(d, d, d, t, p, (p+1)*CB)
+	}
+}
+
+// stage2DiagF64 is stage2DiagF32 at double width.
+//
+//npdp:hotpath
+func stage2DiagF64(d []float64, t int) {
+	for p := t/CB - 1; p >= 0; p-- {
+		diagScalarCB(d, t, p)
+		stage2RowF64(d, d, d, t, p, (p+1)*CB)
+	}
+}
+
+// stage2RowF32 runs the left-to-right pass of CB row band p over the
+// columns [lo, t), once the band's below-band terms are applied. On the
+// amd64 vector levels the columns go in chunks of chunkF32. One band
+// call applies every R term k ∈ [lo, c0) to the whole chunk
+// [c0, c0+chunkF32): those terms read only finished cells of D's row
+// band, left of the chunk, and of R. Each CB (p,q) of the chunk then
+// takes its strip over the rest of its R range, k ∈ [c0, q·4), and its
+// closure. Elsewhere the band dispatch runs 4-column strips, which a
+// hoisted band would only split in two, so the pass is one chunk.
+// stage2RowF64 is the same loop at double width; the two change
+// together.
+//
+//npdp:hotpath
+func stage2RowF32(d, l, r []float32, t, p, lo int) {
+	band, w := p*CB*t, t
+	if runtime.GOARCH == "amd64" && live != isaGo {
+		w = chunkF32
+	}
+	for c0 := lo; c0 < t; c0 += w {
+		end := min(c0+w, t)
+		if k := c0 - lo; k > 0 {
+			bandF32(d[band+c0:], d[band+lo:], r[lo*t+c0:], t, end-c0, k)
+		}
+		for col := c0; col < end; col += CB {
+			if k := col - c0; k > 0 {
+				bandF32(d[band+col:], d[band+c0:], r[c0*t+col:], t, CB, k)
 			}
-			closeCB(d, d, d, t, p, q)
+			closeF32(d, l, r, t, p, col/CB)
 		}
 	}
 }
 
-// stage2DiagF64 is stage2DiagF32 with every strip sent through bandF64.
+// stage2RowF64 is stage2RowF32 on bandF64 and closeF64, in chunks of
+// chunkF64.
 //
 //npdp:hotpath
-func stage2DiagF64(d []float64, t int) {
-	cbm := t / CB
-	for q := 0; q < cbm; q++ {
-		diagScalarCB(d, t, q)
-		for p := q - 1; p >= 0; p-- {
-			if k := (q - p - 1) * CB; k > 0 {
-				bandF64(d[p*CB*t+q*CB:], d[p*CB*t+(p+1)*CB:], d[(p+1)*CB*t+q*CB:], t, CB, k)
+func stage2RowF64(d, l, r []float64, t, p, lo int) {
+	band, w := p*CB*t, t
+	if runtime.GOARCH == "amd64" && live != isaGo {
+		w = chunkF64
+	}
+	for c0 := lo; c0 < t; c0 += w {
+		end := min(c0+w, t)
+		if k := c0 - lo; k > 0 {
+			bandF64(d[band+c0:], d[band+lo:], r[lo*t+c0:], t, end-c0, k)
+		}
+		for col := c0; col < end; col += CB {
+			if k := col - c0; k > 0 {
+				bandF64(d[band+col:], d[band+c0:], r[c0*t+col:], t, CB, k)
 			}
-			closeCB(d, d, d, t, p, q)
+			closeF64(d, l, r, t, p, col/CB)
 		}
 	}
 }
@@ -144,7 +193,9 @@ func stage2DiagF64(d []float64, t int) {
 // row is final. A row's four cells stay in locals while the L terms
 // (k = a..(p+1)·4-1) and then the R terms (k = q·4..b-1) are applied,
 // each in ascending k: the per-cell term order of a cell-by-cell scalar
-// pass, whose R terms read the row's cells to the left once final.
+// pass, whose R terms read the row's cells to the left once final. It is
+// the Go body of the closure dispatch and the oracle the closure kernels
+// are tested against.
 //
 //npdp:hotpath
 func closeCB[E semiring.Elem](d, l, r []E, t, p, q int) {

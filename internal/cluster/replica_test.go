@@ -9,6 +9,7 @@ import (
 	"net"
 	"slices"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"cellnpdp/internal/resilience"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/tri"
+	"cellnpdp/internal/workload"
 )
 
 // replicaFixture is a standby's replica over a 4×4-block table (tile 4,
@@ -622,6 +624,352 @@ func TestStandbyFollowerWire(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.run(t, startFollowerProbe(t, lease, nil))
 		})
+	}
+}
+
+// fakeStandby plays the standby against a primary's replicator on a
+// loopback listener: it answers every replication hello with a welcome
+// and offers the test each welcomed stream. Streams the test does not
+// take stay open and unread until the test ends.
+type fakeStandby struct {
+	addr    string
+	streams chan standbyStream
+}
+
+// standbyStream is one replication stream a fakeStandby welcomed, with
+// the hello and job description it opened with.
+type standbyStream struct {
+	conn  net.Conn
+	hello helloMsg
+	job   welcomeMsg
+}
+
+// startFakeStandby listens for replication streams. A positive
+// readBuffer shrinks each stream's socket receive buffer to that many
+// bytes.
+func startFakeStandby(t *testing.T, readBuffer int) *fakeStandby {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := &fakeStandby{addr: ln.Addr().String(), streams: make(chan standbyStream, 16)}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var conns []net.Conn
+		defer func() {
+			for _, c := range conns {
+				c.Close()
+			}
+		}()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, c)
+			if readBuffer > 0 {
+				c.(*net.TCPConn).SetReadBuffer(readBuffer)
+			}
+			c.SetDeadline(time.Now().Add(10 * time.Second))
+			typ, payload, err := readFrame(c)
+			if err != nil || typ != frameReplHello {
+				continue
+			}
+			hello, job, err := decodeReplHello(payload)
+			if err != nil || writeFrame(c, frameReplWelcome, encodeEpoch(hello.Epoch)) != nil {
+				continue
+			}
+			select {
+			case fs.streams <- standbyStream{conn: c, hello: hello, job: job}:
+			default:
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	return fs
+}
+
+// next reads the stream's next frame, waiting at most d.
+func (s standbyStream) next(d time.Duration) (byte, []byte, error) {
+	s.conn.SetReadDeadline(time.Now().Add(d))
+	return readFrame(s.conn)
+}
+
+// TestPrimaryReplicatorWire pins what a primary says on the wire to its
+// standby, case by case, against a fake standby: the hello, the
+// snapshot every stream opens with, one record per installed task, the
+// pings of a quiet wavefront, and how each way the run ends reaches the
+// stream.
+func TestPrimaryReplicatorWire(t *testing.T) {
+	// primary runs Coordinate over the test table, replicating to a fake
+	// standby, and returns the stream it opened, its worker address and
+	// its wait.
+	primary := func(ctx context.Context, t *testing.T, opts Options) (standbyStream, string, func() error) {
+		t.Helper()
+		fs := startFakeStandby(t, 0)
+		opts.ReplicaAddr = fs.addr
+		opts.Logf = t.Logf
+		addr, wait := startCoordinator(ctx, t, testTable(t), opts)
+		select {
+		case s := <-fs.streams:
+			return s, addr, wait
+		case <-time.After(10 * time.Second):
+			t.Fatal("the primary opened no replication stream within 10s")
+			return standbyStream{}, "", nil
+		}
+	}
+	// record decodes a record frame's task message.
+	record := func(t *testing.T, payload []byte) taskMsg {
+		t.Helper()
+		msg, err := decodeTaskMsg(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+	// opens reads the stream's first frame and fails unless it is the
+	// snapshot's rsync at epoch.
+	opens := func(t *testing.T, s standbyStream, epoch uint32) {
+		t.Helper()
+		typ, payload, err := s.next(5 * time.Second)
+		if err != nil || typ != frameReplSync {
+			t.Fatalf("first frame after the welcome = (kind %d, %v), want an rsync", typ, err)
+		}
+		if msg := record(t, payload); msg.Epoch != epoch {
+			t.Fatalf("rsync at epoch %d, want %d", msg.Epoch, epoch)
+		}
+	}
+	// drain reads the stream to its end and returns the kinds of the
+	// frames on it; the stream must end in EOF.
+	drain := func(t *testing.T, s standbyStream) []byte {
+		t.Helper()
+		var kinds []byte
+		for {
+			typ, _, err := s.next(10 * time.Second)
+			if errors.Is(err, io.EOF) {
+				return kinds
+			}
+			if err != nil {
+				t.Fatalf("reading the stream after %d frames: %v", len(kinds), err)
+			}
+			kinds = append(kinds, typ)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(ctx context.Context, t *testing.T, cancel context.CancelFunc)
+	}{
+		{"hello-then-rsync", func(ctx context.Context, t *testing.T, cancel context.CancelFunc) {
+			opts := testOptions(nil)
+			opts.Epoch, opts.Shards = 3, 2
+			s, _, wait := primary(ctx, t, opts)
+			if s.hello.Epoch != 3 || s.hello.Name != "primary" {
+				t.Fatalf("hello = %+v, want epoch 3 and the name \"primary\"", s.hello)
+			}
+			want := welcomeMsg{ElemBytes: 4, N: testN, Tile: testTile, SchedSide: 1, Shards: 2, Slot: 0,
+				HeartbeatMS: 50, DeadlineMS: 2000, Epoch: 3}
+			if s.job != want {
+				t.Fatalf("replication hello's welcome = %+v, want %+v", s.job, want)
+			}
+			opens(t, s, 3)
+			cancel()
+			if err := wait(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled primary returned %v", err)
+			}
+		}},
+		{"clean-finish", func(ctx context.Context, t *testing.T, cancel context.CancelFunc) {
+			var stats Stats
+			s, addr, wait := primary(ctx, t, testOptions(&stats))
+			var wg sync.WaitGroup
+			startWorker(ctx, t, &wg, addr, WorkerOptions{Name: "w"})
+			// final counts each task's rdone records since the last rsync.
+			final := map[int]int{}
+			var kinds []byte
+			for {
+				typ, payload, err := s.next(10 * time.Second)
+				if errors.Is(err, io.EOF) {
+					break
+				}
+				if err != nil {
+					t.Fatalf("reading the stream after %d frames: %v", len(kinds), err)
+				}
+				kinds = append(kinds, typ)
+				switch typ {
+				case frameReplSync:
+					clear(final)
+				case frameReplDone:
+					final[record(t, payload).TaskID]++
+				case framePing, frameDone:
+				default:
+					t.Fatalf("frame of kind %d on a fault-free stream", typ)
+				}
+			}
+			if err := wait(); err != nil {
+				t.Fatalf("Coordinate: %v", err)
+			}
+			cancel()
+			wg.Wait()
+			if len(kinds) == 0 || kinds[len(kinds)-1] != frameDone || slices.Index(kinds, frameDone) != len(kinds)-1 {
+				t.Fatalf("stream kinds %v, want one done frame, last", kinds)
+			}
+			for id := 0; id < stats.Tasks; id++ {
+				if final[id] != 1 {
+					t.Fatalf("task %d has %d rdone records after the last rsync, want 1", id, final[id])
+				}
+			}
+			if len(final) != stats.Tasks {
+				t.Fatalf("rdone records for %d tasks, want %d", len(final), stats.Tasks)
+			}
+		}},
+		{"pings-without-workers", func(ctx context.Context, t *testing.T, cancel context.CancelFunc) {
+			opts := testOptions(nil)
+			opts.HeartbeatEvery = 100 * time.Millisecond
+			s, _, wait := primary(ctx, t, opts)
+			opens(t, s, 1)
+			prev := time.Now()
+			for pings := 0; pings < 8; pings++ {
+				typ, _, err := s.next(5 * time.Second)
+				if err != nil || typ != framePing {
+					t.Fatalf("frame %d of a workerless stream = (kind %d, %v), want a ping", pings, typ, err)
+				}
+				if gap := time.Since(prev); gap > 3*opts.HeartbeatEvery {
+					t.Fatalf("ping %d came %v after the frame before it, want at most %v", pings, gap, 3*opts.HeartbeatEvery)
+				}
+				prev = time.Now()
+			}
+			cancel()
+			if err := wait(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled primary returned %v", err)
+			}
+		}},
+		{"workerless-fail", func(ctx context.Context, t *testing.T, cancel context.CancelFunc) {
+			opts := testOptions(nil)
+			opts.WorkerlessAfter = 300 * time.Millisecond
+			s, _, wait := primary(ctx, t, opts)
+			for {
+				typ, payload, err := s.next(10 * time.Second)
+				if err != nil {
+					t.Fatalf("the stream ended without a fail frame: %v", err)
+				}
+				if typ != frameFail {
+					continue
+				}
+				f, err := decodeFail(payload)
+				if err != nil || !strings.Contains(f.Reason, ErrNoWorkers.Error()) {
+					t.Fatalf("fail frame = (%q, %v), want the ErrNoWorkers reason", f.Reason, err)
+				}
+				break
+			}
+			if kinds := drain(t, s); len(kinds) != 0 {
+				t.Fatalf("frames of kinds %v after the fail frame", kinds)
+			}
+			if err := wait(); !errors.Is(err, ErrNoWorkers) {
+				t.Fatalf("workerless primary returned %v, want ErrNoWorkers", err)
+			}
+		}},
+		{"die-is-silent", func(ctx context.Context, t *testing.T, cancel context.CancelFunc) {
+			die := make(chan struct{})
+			opts := testOptions(nil)
+			opts.Die = die
+			s, _, wait := primary(ctx, t, opts)
+			opens(t, s, 1)
+			close(die)
+			if kinds := drain(t, s); slices.Contains(kinds, frameDone) || slices.Contains(kinds, frameFail) {
+				t.Fatalf("a killed primary's stream carried kinds %v, want no done or fail frame", kinds)
+			}
+			if err := wait(); !errors.Is(err, ErrDied) {
+				t.Fatalf("killed primary returned %v, want ErrDied", err)
+			}
+		}},
+		{"fenced-after-welcome", func(ctx context.Context, t *testing.T, cancel context.CancelFunc) {
+			s, _, wait := primary(ctx, t, testOptions(nil))
+			s.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+			if err := writeFrame(s.conn, frameFenced, encodeEpoch(9)); err != nil {
+				t.Fatal(err)
+			}
+			err := wait()
+			var fenced *ErrEpochFenced
+			if !errors.As(err, &fenced) || fenced.Epoch != 1 || fenced.Current != 9 {
+				t.Fatalf("fenced primary returned %v, want *ErrEpochFenced{1, 9}", err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			tc.run(ctx, t, cancel)
+		})
+	}
+}
+
+// TestSlowStandbyNeverStallsSolve points a primary at a standby that
+// answers the hello and then never reads, with a 4 KB receive buffer:
+// the replication stream, about 8 MB of records at n=2048, tile 16,
+// backs up into the socket buffers early in the solve. The solve must
+// never wait on it. Coordinate returns nil, bit-identical, within the
+// solve time plus one write deadline plus 1s, and no accepted task
+// waits a write deadline for the one before it.
+func TestSlowStandbyNeverStallsSolve(t *testing.T) {
+	const n, tile = 2048, 16
+	// The oracle is SolveTiled, which npdp's tests hold bit-identical to
+	// SolveSerial: SolveSerial takes about 90s at this size under the
+	// race detector.
+	ref := tri.ToTiled(workload.Chain[float32](n, testSeed), tile)
+	if _, err := npdp.SolveTiled(ref); err != nil {
+		t.Fatal(err)
+	}
+	fs := startFakeStandby(t, 4<<10)
+	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+	defer cancel()
+	tbl := tri.ToTiled(workload.Chain[float32](n, testSeed), tile)
+	var stats Stats
+	opts := testOptions(&stats)
+	opts.Shards = 2
+	opts.ReplicaAddr = fs.addr
+	opts.Logf = t.Logf
+	// Both run on the event loop; they are read after Coordinate returns.
+	var last time.Time
+	var maxGap time.Duration
+	opts.OnTaskDone = func(int, sched.Task) {
+		now := time.Now()
+		if !last.IsZero() {
+			maxGap = max(maxGap, now.Sub(last))
+		}
+		last = now
+	}
+	start := time.Now()
+	addr, wait := startCoordinator(ctx, t, tbl, opts)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		startWorker(ctx, t, &wg, addr, WorkerOptions{Name: "w"})
+	}
+	err := wait()
+	elapsed := time.Since(start)
+	cancel()
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("Coordinate: %v", err)
+	}
+	if i, j, av, bv, diff := tri.FirstDiff[float32](ref, tbl); diff {
+		t.Fatalf("cluster result diverges from SolveTiled at (%d,%d): %v, cluster %v", i, j, av, bv)
+	}
+	if len(fs.streams) == 0 {
+		t.Fatal("the primary never opened a replication stream")
+	}
+	solve := last.Sub(start)
+	t.Logf("solve %v, Coordinate returned after %v; longest wait between accepted tasks %v; %d records, %d resyncs",
+		solve, elapsed, maxGap, stats.ReplRecords, stats.ReplResyncs)
+	if bound := solve + opts.DeadlineAfter + time.Second; elapsed > bound {
+		t.Fatalf("Coordinate returned %v after its start, want at most %v (solve %v + deadline %v + 1s)",
+			elapsed, bound, solve, opts.DeadlineAfter)
+	}
+	if maxGap >= opts.DeadlineAfter {
+		t.Fatalf("an accepted task waited %v for the one before it: the event loop waited on the standby", maxGap)
 	}
 }
 

@@ -82,8 +82,9 @@ type Options struct {
 	// SchedSide is the scheduling-block side g in memory blocks
 	// (ParallelOptions.SchedSide); 0 means 1.
 	SchedSide int
-	// HeartbeatEvery is the ping period (both directions); 0 means
-	// DefaultHeartbeatEvery.
+	// HeartbeatEvery is the ping period (both directions, and to the
+	// standby); 0 means DefaultHeartbeatEvery. It paces pings only:
+	// replication records reach the standby as they are made.
 	HeartbeatEvery time.Duration
 	// DeadlineAfter declares a silent worker dead; 0 means
 	// DefaultDeadlineAfter. It must exceed the worst-case single-task
@@ -135,8 +136,9 @@ type Options struct {
 	// (see epoch.go).
 	Epoch uint32
 	// ReplicaAddr, when set, streams the completion log to a warm
-	// standby at that address (see RunStandby); the replication link is
-	// best-effort and never blocks or fails the solve.
+	// standby at that address (see RunStandby), each record as soon as
+	// it is made; the replication link is best-effort and never blocks
+	// or fails the solve.
 	ReplicaAddr string
 	// Die, when non-nil, kills the event loop the instant it is
 	// closed: run returns ErrDied with no fail broadcast, no final
@@ -197,9 +199,9 @@ type Stats struct {
 	// Failovers is 1 when this run is a standby resuming a dead
 	// primary's wavefront, 0 for a fresh primary.
 	Failovers int
-	// ReplRecords / ReplResyncs count completion-log records queued for
-	// the standby and full-state resyncs (stream (re)connects and
-	// overflow recoveries).
+	// ReplRecords counts the completion-log records pushed onto a live
+	// stream to the standby, snapshot records included; ReplResyncs
+	// counts the snapshots, one per stream (re)connect.
 	ReplRecords int
 	ReplResyncs int
 	// PagerStats carries the spill pager's disk-traffic and recovery
@@ -212,17 +214,20 @@ type Stats struct {
 // the pool's wave and never surfaces.
 var errHalted = errors.New("cluster: wave halted")
 
-// session is one live worker connection, or a follower's replication
-// stream, which has no writer, shard or possession. All fields except
+// session is one live worker connection, or a replication stream: a
+// follower's adopted one, which has no writer, or a leader's own to its
+// standby. A stream has no shard and no possession. All fields except
 // out are owned by the event loop; the per-session reader goroutine only
 // touches the conn's read half and posts events, and the per-session
 // writer goroutine only drains out onto the conn's write half.
 type session[E semiring.Elem] struct {
-	id      int
-	name    string
-	conn    net.Conn
-	shard   int
-	possess []bool // dense memory-block ID → worker holds the final bytes
+	id    int
+	name  string
+	conn  net.Conn
+	shard int
+	// possess maps a dense memory-block ID to whether the worker holds
+	// its final bytes; it is nil on a stream.
+	possess []bool
 	// out is the bounded outbound frame queue feeding this session's
 	// writer goroutine; only the event loop sends, and declareDead (also
 	// on the event loop) closes it after marking the session dead.
@@ -231,6 +236,9 @@ type session[E semiring.Elem] struct {
 	inflight int
 	lastSeen time.Time
 	dead     bool
+	// ended is closed when the event loop drops a leader's stream; its
+	// dialer then redials.
+	ended chan struct{}
 }
 
 // outFrame is one queued outbound frame: buf holds the whole pooled
@@ -260,16 +268,17 @@ const (
 	evFail
 	evDead
 	evReplConn // a replication hello arrived on the listener
-	evFenced   // the standby (now leader) fenced our replication stream
+	evFenced   // the standby fenced our replication stream
 	evRecord   // a replication record from the adopted stream
 	evDone     // the primary finished; its stream ends
+	evStream   // the dialer's welcomed stream to the standby
 )
 
 type event[E semiring.Elem] struct {
 	kind evKind
 	conn net.Conn
 	// hello is a worker's or a replication stream's hello; an evFenced
-	// carries the fencing side's epoch in hello.Epoch.
+	// carries the fencing standby's epoch in hello.Epoch.
 	hello helloMsg
 	// job is an evReplConn's welcome: the primary's job description.
 	job  *welcomeMsg
@@ -281,28 +290,6 @@ type event[E semiring.Elem] struct {
 	frame *frameBuf
 	text  string
 	err   error
-}
-
-// replPull is the replicator goroutine asking the event loop for the
-// next batch of completion-log records, each a whole record frame that
-// the reply hands to the replicator. full forces a snapshot resync
-// (every stream (re)connect opens with one).
-type replPull struct {
-	full  bool
-	reply chan []*frameBuf // cap 1; the loop replies synchronously
-}
-
-// maxReplPending bounds the queued completion log while the replication
-// stream is slow or down; overflow drops the queue and schedules a full
-// resync instead of growing without bound.
-const maxReplPending = 4096
-
-// replFinal is the disposition the replicator delivers to the standby
-// at shutdown. It is written before close(co.stop) — the close is the
-// release barrier the replicator reads it after.
-type replFinal struct {
-	typ    byte // frameDone, frameFail, or 0 for silent death
-	reason string
 }
 
 type coordinator[E semiring.Elem] struct {
@@ -353,14 +340,9 @@ type coordinator[E semiring.Elem] struct {
 	nextSess  int
 	sinceCkpt int
 
-	// Replication state. replPullC is nil when no standby is
-	// configured; replPending/replFullSync are event-loop-owned until
-	// close(co.stop), which hands replPending to the replicator;
-	// replFinal is written once before close(co.stop).
-	replPullC    chan replPull
-	replPending  []*frameBuf
-	replFullSync bool
-	replFinal    replFinal
+	// repl is the leader's replication stream to its standby, nil while
+	// none is up.
+	repl *session[E]
 
 	noWorkerSince time.Time
 
@@ -484,20 +466,13 @@ func (co *coordinator[E]) lead(g *sched.Graph, resumed bool) error {
 func (co *coordinator[E]) serve(ctx context.Context, ln net.Listener) error {
 	go co.acceptLoop(ln)
 	err := co.run(ctx)
-	// The replicator reads the disposition after observing the stop
-	// close (the write below happens-before it). A silent death sends
-	// nothing — the standby's lease must expire, like a real crash.
-	switch {
-	case err == nil:
-		co.replFinal = replFinal{typ: frameDone}
-	case errors.Is(err, ErrDied):
-		co.replFinal = replFinal{}
-	default:
-		co.replFinal = replFinal{typ: frameFail, reason: err.Error()}
-	}
 	close(co.stop)
 	ln.Close()
 	co.closeStream()
+	if co.repl != nil {
+		// The standby's stream shuts down with the workers' sessions.
+		co.sessions[co.repl] = struct{}{}
+	}
 	// The event loop has exited, so session state is safe to touch here.
 	// Closing the outbound queues lets each writer flush the queued
 	// done/fail release frames; the wait is bounded (writes carry
@@ -546,7 +521,6 @@ func (co *coordinator[E]) run(ctx context.Context) (err error) {
 		}
 	}
 	if co.opts.ReplicaAddr != "" {
-		co.replPullC = make(chan replPull)
 		co.writers.Add(1)
 		go co.runReplicator(ctx)
 	}
@@ -589,6 +563,9 @@ func (co *coordinator[E]) run(ctx context.Context) (err error) {
 			for sess := range co.sessions {
 				co.send(sess, frameDone, nil)
 			}
+			if co.repl != nil {
+				co.send(co.repl, frameDone, nil)
+			}
 			return nil
 		}
 		co.reset(ids, done)
@@ -627,10 +604,8 @@ func (co *coordinator[E]) wave(ctx context.Context, tick <-chan time.Time) error
 			return ErrDied
 		case <-ctx.Done():
 			co.abandon(drained)
-			co.broadcastFail("coordinator context canceled")
+			co.broadcastAbort(errors.New("coordinator context canceled"))
 			return ctx.Err()
-		case pr := <-co.replPullC:
-			co.replReply(pr)
 		case now := <-tick:
 			err = co.tick(now)
 		case ev := <-co.events:
@@ -699,23 +674,6 @@ func (co *coordinator[E]) release(sess *session[E], id int, err error) {
 	co.replies[id] <- err
 }
 
-// replReply answers one replicator pull on the event loop: a full
-// resync snapshot when requested (or when overflow forced one),
-// otherwise the pending records accumulated since the last pull.
-func (co *coordinator[E]) replReply(pr replPull) {
-	if pr.full || co.replFullSync {
-		co.replFullSync = false
-		putFrames(co.replPending)
-		co.replPending = nil
-		co.stats.ReplResyncs++
-		pr.reply <- co.snapshotRecords()
-		return
-	}
-	batch := co.replPending
-	co.replPending = nil
-	pr.reply <- batch
-}
-
 // snapshotRecords renders the full completion log as of now: an rsync
 // record, then an rdone record per completed task with its blocks
 // encoded from the store, as dispatch encodes them.
@@ -753,41 +711,20 @@ func (co *coordinator[E]) snapshotRecords() []*frameBuf {
 	return out
 }
 
-// replRecord queues one completion-log record frame for the standby; a
-// record it does not queue goes back to the pool. A full queue (stream
-// down or slow) drops everything and schedules a resync — replication
-// is best-effort and never backpressures the solve.
-func (co *coordinator[E]) replRecord(fb *frameBuf) {
-	if co.replFullSync {
-		putFrame(fb)
-		return
-	}
-	if len(co.replPending) >= maxReplPending {
-		putFrames(co.replPending)
-		putFrame(fb)
-		co.replPending = nil
-		co.replFullSync = true
-		return
-	}
-	co.replPending = append(co.replPending, fb)
-	co.stats.ReplRecords++
-}
-
 // handle processes one event; an error ends the run.
 func (co *coordinator[E]) handle(ev event[E]) error {
-	if co.follower != nil && ev.sess != nil {
+	switch {
+	case co.follower != nil && ev.sess != nil:
 		// A follower's only sessions are replication streams.
 		return co.tail(ev)
+	case ev.sess != nil && ev.sess.possess == nil:
+		return co.stream(ev)
 	}
 	switch ev.kind {
 	case evConn:
 		return co.admit(ev.conn, ev.hello)
 	case evReplConn:
 		return co.handleReplConn(ev.conn, ev.hello, *ev.job)
-	case evFenced:
-		// The standby we replicate to has become the leader; we are
-		// deposed. Terminal — our epoch can never win again.
-		return &ErrEpochFenced{Epoch: co.epoch, Current: ev.hello.Epoch, Role: "coordinator"}
 	case evPing:
 		if !ev.sess.dead {
 			ev.sess.lastSeen = time.Now()
@@ -797,9 +734,14 @@ func (co *coordinator[E]) handle(ev event[E]) error {
 		co.declareDead(ev.sess, errors.New(ev.text))
 	case evDead:
 		co.declareDead(ev.sess, ev.err)
-	case evRecord, evDone:
-		// From a worker, or from a stream the takeover closed (dead).
+	case evRecord, evDone, evFenced:
 		putFrame(ev.frame)
+		if ev.sess == nil {
+			// The dialer's handshake was fenced: the standby we replicate
+			// to has become the leader, and we are deposed. Terminal — our
+			// epoch can never win again.
+			return &ErrEpochFenced{Epoch: co.epoch, Current: ev.hello.Epoch, Role: "coordinator"}
+		}
 		co.declareDead(ev.sess, errors.New("replication frame on a worker session"))
 	case evResult:
 		defer putFrame(ev.frame)
@@ -813,9 +755,9 @@ func (co *coordinator[E]) handle(ev event[E]) error {
 	return nil
 }
 
-// tick runs the heartbeat pass: deadline dead workers, ping the rest,
-// and bound the zero-worker wait. It runs only inside a wave, so tasks
-// are always outstanding.
+// tick runs the heartbeat pass: deadline dead workers, ping the rest and
+// an idle stream to the standby, and bound the zero-worker wait. It runs
+// only inside a wave, so tasks are always outstanding.
 func (co *coordinator[E]) tick(now time.Time) error {
 	for sess := range co.sessions {
 		if now.Sub(sess.lastSeen) > co.opts.DeadlineAfter {
@@ -830,6 +772,11 @@ func (co *coordinator[E]) tick(now time.Time) error {
 		if len(sess.out) == 0 {
 			co.send(sess, framePing, nil)
 		}
+	}
+	// The standby sends nothing, so its stream has no deadline; the
+	// pings renew its lease.
+	if co.repl != nil && len(co.repl.out) == 0 {
+		co.send(co.repl, framePing, nil)
 	}
 	if len(co.sessions) == 0 {
 		if co.noWorkerSince.IsZero() {
@@ -1082,13 +1029,14 @@ func (co *coordinator[E]) readLoop(sess *session[E], window time.Duration) {
 	co.post(co.readFrames(sess, window))
 }
 
-// readFrames reads a session's frames — a worker's, or a follower's
-// replication stream — through a buffer over a rolling read deadline of
-// window, a backstop only: liveness is judged by the event loop against
-// lastSeen. Each result or record frame lands in a pooled buffer that
-// passes to the event loop with it; every other frame reuses the buffer
-// the reader holds. It returns the event that ends the stream: a death,
-// the peer's own failure report, or the primary's done.
+// readFrames reads a session's frames — a worker's, or a replication
+// stream's — through a buffer over a rolling read deadline of window, a
+// backstop only: liveness is judged by the event loop against lastSeen.
+// A window of 0 sets no deadline. Each result or record frame lands in
+// a pooled buffer that passes to the event loop with it; every other
+// frame reuses the buffer the reader holds. It returns the event that
+// ends the stream: a death, the peer's own failure report, the
+// primary's done, or a standby's fence.
 func (co *coordinator[E]) readFrames(sess *session[E], window time.Duration) event[E] {
 	br := bufio.NewReader(&sessionReader{conn: sess.conn, window: window})
 	fb := getFrame()
@@ -1116,6 +1064,13 @@ func (co *coordinator[E]) readFrames(sess *session[E], window time.Duration) eve
 			fb = getFrame()
 		case framePing:
 			co.post(event[E]{kind: evPing, sess: sess})
+		case frameFenced:
+			cur, err := decodeEpoch(payload)
+			if err != nil {
+				return event[E]{kind: evDead, sess: sess, err: err}
+			}
+			return event[E]{kind: evFenced, sess: sess, hello: helloMsg{Epoch: cur},
+				err: fmt.Errorf("fenced at epoch %d", cur)}
 		case frameFail:
 			f, _ := decodeFail(payload)
 			return event[E]{kind: evFail, sess: sess, text: f.Reason}
@@ -1180,15 +1135,22 @@ func (co *coordinator[E]) writeLoop(sess *session[E]) {
 // ladder; the pool never sees a death. Their next dispatch carries a
 // higher generation, which makes any result the dead worker already
 // produced recognizably stale on its own (defense in depth beyond the
-// closed conn and the dead-session drop in handle).
+// closed conn and the dead-session drop in handle). The standby's
+// stream is dropped the same way, and its dialer redials.
 func (co *coordinator[E]) declareDead(sess *session[E], cause error) {
 	if sess.dead {
 		return
 	}
 	sess.dead = true
-	delete(co.sessions, sess)
 	sess.conn.Close() // a zombie's late frames can never arrive
 	close(sess.out)   // the writer drains what was queued, then exits
+	if sess == co.repl {
+		co.repl = nil
+		close(sess.ended)
+		co.opts.Logf("cluster: replica stream lost: %v", cause)
+		return
+	}
+	delete(co.sessions, sess)
 	co.stats.WorkerDeaths++
 	var requeued []int
 	for id, s := range co.inflight {
@@ -1429,14 +1391,14 @@ func (co *coordinator[E]) install(sess *session[E], msg taskMsg) error {
 	}
 	co.release(sess, id, nil)
 	co.stats.Accepted++
-	if co.replPullC != nil {
+	if co.repl != nil {
 		// The standby's record is the audited result under its own frame
 		// kind. The result's frame goes back to the pool once handle
 		// returns, so the record frame takes the one copy of its blocks.
 		fb := getFrame()
 		frame := msg.encodeBlocks(beginTaskFrame(fb.b, frameReplDone, co.epoch, msg.Gen, id))
 		fb.b = endTaskFrame(frame, len(msg.Blocks))
-		co.replRecord(fb)
+		co.push(fb)
 	}
 	if co.opts.OnTaskDone != nil {
 		co.opts.OnTaskDone(co.stats.Accepted, task)
@@ -1475,8 +1437,8 @@ func (co *coordinator[E]) reset(ids []int, done []bool) {
 				sess.possess[bid] = false
 			}
 		}
-		if done[id] && co.replPullC != nil {
-			co.replRecord(newRecord(frameReplReset, co.epoch, id))
+		if done[id] && co.repl != nil {
+			co.push(newRecord(frameReplReset, co.epoch, id))
 		}
 	}
 }
@@ -1527,27 +1489,21 @@ func openPager[E semiring.Elem](t *tri.Tiled[E], opts Options) (*pager.Pager[E],
 	return p, done, nil
 }
 
-// broadcastAbort ends the run toward the workers. A fenced abort (we
-// were deposed) broadcasts frameFenced with the winning epoch — a
-// re-home signal, the workers' solve is still alive under the new
-// leader — while every other abort is terminal.
+// broadcastAbort ends the run toward the workers and the standby. The
+// standby is told why the run failed, and so is every worker, so they
+// exit instead of reconnecting into a void — unless we were deposed: a
+// fenced abort tells the workers frameFenced with the winning epoch, a
+// re-home signal, since their solve is still alive under the new leader.
 func (co *coordinator[E]) broadcastAbort(err error) {
+	typ, payload := frameFail, failMsg{Reason: err.Error()}.encode()
+	if co.repl != nil {
+		co.send(co.repl, typ, payload)
+	}
 	var fenced *ErrEpochFenced
 	if errors.As(err, &fenced) {
-		payload := encodeEpoch(fenced.Current)
-		for sess := range co.sessions {
-			co.send(sess, frameFenced, payload)
-		}
-		return
+		typ, payload = frameFenced, encodeEpoch(fenced.Current)
 	}
-	co.broadcastFail(err.Error())
-}
-
-// broadcastFail tells every live worker the run is over and why, so
-// they exit instead of reconnecting into a void.
-func (co *coordinator[E]) broadcastFail(reason string) {
-	payload := failMsg{Reason: reason}.encode()
 	for sess := range co.sessions {
-		co.send(sess, frameFail, payload)
+		co.send(sess, typ, payload)
 	}
 }

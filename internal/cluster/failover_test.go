@@ -19,10 +19,10 @@ import (
 	"cellnpdp/internal/workload"
 )
 
-// failoverN sizes the chaos workloads: large enough that the solve runs
-// long past several replication heartbeats, so a kill keyed on
-// replicated progress genuinely lands mid-wavefront (the testN workload
-// finishes inside one heartbeat and the race never opens).
+// failoverN sizes the chaos workloads: large enough that a kill keyed
+// on replicated progress genuinely lands mid-wavefront, with most of
+// the solve still to run (the testN workload's 36 tasks finish within
+// milliseconds and the race never opens).
 const failoverN = 768
 
 // failoverTile is deliberately small (48×48 block lattice, 1176 tasks)
@@ -64,13 +64,17 @@ func failoverWorkerOptions(name string) WorkerOptions {
 
 // TestFailoverMidWavefront is the tentpole chaos test: a primary
 // replicating to a warm standby is killed silently (the Die channel, the
-// in-process SIGKILL) mid-wavefront, after the standby has replicated at
-// least five tasks; the standby's lease expires, it takes over at epoch
-// 2, the workers re-home through their address rotation, one worker is
-// ALSO killed after takeover (the PR 7 chaos riding along), and the
-// resumed solve still finishes bit-identical to SolveSerial.
+// in-process SIGKILL) mid-wavefront, after the standby has replicated a
+// quarter of the tasks; the standby's lease expires, it takes over at
+// epoch 2, the workers re-home through their address rotation, one
+// worker is ALSO killed after takeover (worker-death chaos riding along),
+// and the resumed solve still finishes bit-identical to SolveSerial. The
+// primary runs at testOptions' heartbeat: records reach the standby as
+// they are installed, so the kill gate opens whatever the ping period.
 func TestFailoverMidWavefront(t *testing.T) {
 	ref := failoverRef(t)
+	blocks := failoverN / failoverTile
+	killAt := blocks * (blocks + 1) / 2 / 4 // 294 of the 1176 tasks
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 
@@ -91,7 +95,7 @@ func TestFailoverMidWavefront(t *testing.T) {
 			// The kill is keyed on REPLICATED progress, not primary
 			// progress, so the takeover provably resumes mid-wavefront
 			// with real state instead of restarting from zero.
-			if done >= 5 {
+			if done >= killAt {
 				dieOnce.Do(func() { close(die) })
 			}
 		},
@@ -107,9 +111,6 @@ func TestFailoverMidWavefront(t *testing.T) {
 	pOpts := testOptions(&pstats)
 	pOpts.Shards = 2
 	pOpts.Logf = t.Logf
-	// A fast replication pull cadence, so the standby's view trails the
-	// wavefront by milliseconds and the kill gate opens early.
-	pOpts.HeartbeatEvery = 5 * time.Millisecond
 	pOpts.ReplicaAddr = sbLn.Addr().String()
 	pOpts.Die = die
 	priAddr, priWait := startCoordinator(ctx, t, priTbl, pOpts)
@@ -168,14 +169,14 @@ func TestFailoverMidWavefront(t *testing.T) {
 	if !sstats.TookOver || sstats.Epoch != 2 {
 		t.Fatalf("standby stats = %+v, want a takeover at epoch 2", sstats)
 	}
-	if sstats.ReplicatedTasks < 5 {
-		t.Fatalf("takeover resumed from %d replicated tasks, want >= 5 (the kill gate)", sstats.ReplicatedTasks)
+	if sstats.ReplicatedTasks < killAt {
+		t.Fatalf("takeover resumed from %d replicated tasks, want >= %d (the kill gate)", sstats.ReplicatedTasks, killAt)
 	}
 	if tstats.Failovers != 1 || tstats.Epoch != 2 {
 		t.Fatalf("takeover coordinator stats failovers=%d epoch=%d, want 1 and 2", tstats.Failovers, tstats.Epoch)
 	}
-	if tstats.Resumed < 5 {
-		t.Fatalf("takeover pre-completed %d tasks from the replica, want >= 5", tstats.Resumed)
+	if tstats.Resumed < killAt {
+		t.Fatalf("takeover pre-completed %d tasks from the replica, want >= %d", tstats.Resumed, killAt)
 	}
 	if tstats.Resumed+tstats.Accepted != tstats.Tasks {
 		t.Fatalf("resumed %d + accepted %d != %d tasks", tstats.Resumed, tstats.Accepted, tstats.Tasks)
@@ -222,10 +223,11 @@ func (c *dispatchTap) Read(p []byte) (int, error) {
 }
 
 // TestFailoverPrimaryFinishesClean pins the no-fault HA path: the
-// primary finishes normally, delivers the completion-log tail plus the
-// done frame, and the standby returns nil WITHOUT taking over — holding
-// the complete solved table, bit-identical to SolveSerial, built from
-// delta records alone.
+// primary finishes normally, delivers its last records and the done
+// frame, and the standby returns nil WITHOUT taking over — holding the
+// complete solved table, bit-identical to SolveSerial, built from delta
+// records alone. The primary's replication counters match what the
+// standby applied, snapshot records included.
 func TestFailoverPrimaryFinishesClean(t *testing.T) {
 	ref := serialRef(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
@@ -278,8 +280,9 @@ func TestFailoverPrimaryFinishesClean(t *testing.T) {
 	// bit-identical to the serial oracle.
 	requireIdentical(t, ref, sbTbl)
 	requireIdentical(t, ref, priTbl)
-	if pstats.ReplRecords < 1 || sstats.Resyncs < 1 {
-		t.Fatalf("replication never flowed: records=%d resyncs=%d", pstats.ReplRecords, sstats.Resyncs)
+	if pstats.ReplRecords != sstats.Records || pstats.ReplResyncs != sstats.Resyncs {
+		t.Fatalf("primary sent %d records in %d resyncs, standby applied %d in %d",
+			pstats.ReplRecords, pstats.ReplResyncs, sstats.Records, sstats.Resyncs)
 	}
 }
 

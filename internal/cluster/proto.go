@@ -158,13 +158,6 @@ func framePayload(frame []byte) []byte {
 	return frame[frameHeaderLen : len(frame)-frameTrailerLen]
 }
 
-// putFrames returns every frame of fs to the pool.
-func putFrames(fs []*frameBuf) {
-	for _, f := range fs {
-		putFrame(f)
-	}
-}
-
 // newFrame builds the whole frame of kind typ around payload in a pooled
 // buffer.
 func newFrame(typ byte, payload []byte) *frameBuf {

@@ -25,11 +25,15 @@ import (
 // hello (a hello, then the welcome a worker would get), then one task
 // message per completion-log record, with pings renewing the standby's
 // lease while the wavefront is quiet. An rdone record is a result frame
-// under its own kind; rreset and rsync carry no blocks. The follower
-// reads the stream with the reader worker sessions use, checks each
-// rdone the way install checks a worker's result, and writes its blocks
-// into a replica: a block store over its own table, which it leads on
-// after a takeover.
+// under its own kind; rreset and rsync carry no blocks. On the primary
+// the stream is a session of the event loop, as a worker's connection
+// is: a dialer handshakes and hands it over, the loop queues a snapshot
+// (an rsync, then an rdone per completed task), install and reset push
+// each record as they make it, tick pings it, and the run's done or fail
+// frame goes to it as to the workers. The follower reads the stream
+// with the reader worker sessions use, checks each rdone the way install
+// checks a worker's result, and writes its blocks into a replica: a
+// block store over its own table, which it leads on after a takeover.
 //
 // The failover ladder (DESIGN.md §10):
 //
@@ -47,14 +51,16 @@ import (
 //	                 finishes bit-identical (a task's blocks are
 //	                 installed and demoted together, never in part)
 
-// runReplicator is the primary-side push goroutine: it maintains one
-// connection to the standby, opens every (re)connect with a full-state
-// resync, then streams incremental completion-log records pulled from
-// the event loop. Replication is best-effort — a dead standby costs the
-// solve nothing but log lines. A standby's refusal ends it: the standby
-// holds another geometry or speaks another protocol version, and every
-// redial would hear the same answer, so the solve runs on unreplicated,
-// as with a standby that never answers.
+// runReplicator is the primary's dialer: it keeps one replication
+// stream to the standby up. A connection the standby welcomes is handed
+// to the event loop, which pushes it its snapshot and then every record
+// as it is made, and the dialer redials once the loop has dropped it.
+// Replication is best-effort — a dead standby costs the solve nothing
+// but log lines. A fence deposes the coordinator. A standby's refusal
+// ends replication: the standby holds another geometry or speaks
+// another protocol version, and every redial would hear the same
+// answer, so the solve runs on unreplicated, as with a standby that
+// never answers.
 func (co *coordinator[E]) runReplicator(ctx context.Context) {
 	defer co.writers.Done()
 	rctx, cancel := context.WithCancel(ctx)
@@ -67,9 +73,6 @@ func (co *coordinator[E]) runReplicator(ctx context.Context) {
 	backoff := resilience.RetryPolicy{BaseDelay: 100 * time.Millisecond, Jitter: true}
 	attempt := 0
 	for {
-		if co.stopped() {
-			return // never connected at shutdown: the standby's lease decides
-		}
 		conn, err := d.DialContext(rctx, "tcp", co.opts.ReplicaAddr)
 		if err != nil {
 			attempt++
@@ -82,22 +85,33 @@ func (co *coordinator[E]) runReplicator(ctx context.Context) {
 			continue
 		}
 		attempt = 0
-		fenced, err := co.replSession(conn)
-		conn.Close()
-		if fenced {
-			// evFenced is on its way to the event loop; the run is about
-			// to abort. Pushing anywhere else would be a fenced write.
-			<-co.stop
-			return
+		s, err := co.replHandshake(conn)
+		if err != nil {
+			conn.Close()
 		}
-		if co.stopped() {
+		var fenced *ErrEpochFenced
+		switch {
+		case err == nil:
+			co.post(event[E]{kind: evStream, conn: conn, sess: s})
+			select {
+			case <-s.ended:
+			case <-co.stop:
+				// The event loop has exited. A stream it never adopted is
+				// ours to close: its event may still sit in the buffer.
+				if s.out == nil {
+					conn.Close()
+				}
+				return
+			}
+		case errors.As(err, &fenced):
+			co.post(event[E]{kind: evFenced, hello: helloMsg{Epoch: fenced.Current}})
 			return
-		}
-		if errors.Is(err, errReplRefused) {
+		case errors.Is(err, errReplRefused):
 			co.opts.Logf("%v; replication is off for the rest of the solve", err)
 			return
+		default:
+			co.opts.Logf("cluster: replica handshake failed: %v", err)
 		}
-		co.opts.Logf("cluster: replica stream lost: %v", err)
 		if !sleepCtx(rctx, backoff.Backoff(1)) {
 			return
 		}
@@ -108,167 +122,80 @@ func (co *coordinator[E]) runReplicator(ctx context.Context) {
 // hello.
 var errReplRefused = errors.New("cluster: standby rejected replication")
 
-// replSession runs one replication connection: handshake, full resync,
-// then incremental pulls until the stream breaks, the standby fences
-// us, or the run ends (which delivers the final disposition in-band).
-func (co *coordinator[E]) replSession(conn net.Conn) (fenced bool, err error) {
+// replHandshake sends the replication hello on conn and reads the
+// standby's answer. A welcome returns the stream's session, for the
+// event loop to adopt; a fence returns *ErrEpochFenced, and a refusal
+// errReplRefused.
+func (co *coordinator[E]) replHandshake(conn net.Conn) (*session[E], error) {
 	hello := append(helloMsg{Epoch: co.epoch, Name: "primary"}.encode(), co.welcome(0).encode()...)
 	conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 	if err := writeFrame(conn, frameReplHello, hello); err != nil {
-		return false, err
+		return nil, err
 	}
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	typ, payload, err := readFrame(conn)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
 	switch typ {
 	case frameReplWelcome:
+		return &session[E]{name: "standby", conn: conn, ended: make(chan struct{})}, nil
 	case frameFenced:
 		cur, _ := decodeEpoch(payload)
-		co.post(event[E]{kind: evFenced, hello: helloMsg{Epoch: cur}})
-		return true, &ErrEpochFenced{Epoch: co.epoch, Current: cur, Role: "coordinator"}
+		return nil, &ErrEpochFenced{Epoch: co.epoch, Current: cur, Role: "coordinator"}
 	case frameFail:
 		f, _ := decodeFail(payload)
-		return false, fmt.Errorf("%w: %s", errReplRefused, f.Reason)
+		return nil, fmt.Errorf("%w: %s", errReplRefused, f.Reason)
+	}
+	return nil, fmt.Errorf("cluster: expected replication welcome, got frame type %d", typ)
+}
+
+// openStream adopts the dialer's welcomed stream s as a session of the
+// event loop, with a writer and a reader, and queues its snapshot. From
+// then on install and reset push each record onto it as they make it,
+// tick pings it while its queue is empty, and the run's done or fail
+// frame goes to it as to the workers. A full queue, like any frame the
+// standby sends but a fence, drops it. The queue holds a whole snapshot
+// (the rsync and at most one record per task) with a worker queue's
+// room to spare, so a snapshot alone never drops the stream.
+func (co *coordinator[E]) openStream(s *session[E]) {
+	s.out = make(chan outFrame, len(co.g.Tasks)+outboundQueueCap)
+	co.repl = s
+	co.writers.Add(1)
+	go co.writeLoop(s)
+	go co.readLoop(s, 0)
+	co.stats.ReplResyncs++
+	for _, fb := range co.snapshotRecords() {
+		co.push(fb)
+	}
+}
+
+// push queues one completion-log record on the standby's stream.
+func (co *coordinator[E]) push(fb *frameBuf) {
+	if co.queue(co.repl, fb) {
+		co.stats.ReplRecords++
+	}
+}
+
+// stream handles an event of a leader's replication stream: the
+// dialer's hand-off opens it, a fence deposes the coordinator, and
+// anything else — the stream's loss, or a frame the standby should never
+// send — drops it. Events of a stream already dropped, or of the
+// follower's stream after a takeover, are ignored.
+func (co *coordinator[E]) stream(ev event[E]) error {
+	putFrame(ev.frame)
+	switch {
+	case ev.kind == evStream:
+		co.openStream(ev.sess)
+	case ev.sess != co.repl:
+	case ev.kind == evFenced:
+		return &ErrEpochFenced{Epoch: co.epoch, Current: ev.hello.Epoch, Role: "coordinator"}
+	case ev.kind == evDead:
+		co.declareDead(ev.sess, ev.err)
 	default:
-		return false, fmt.Errorf("cluster: expected replication welcome, got frame type %d", typ)
-	}
-
-	// The reader half watches for a post-handshake fence — the standby
-	// took over while we were partitioned, then our stream reconnected
-	// into the new leader. Any other inbound traffic or a read error
-	// ends the session.
-	readerFenced := make(chan uint32, 1)
-	readerDone := make(chan struct{})
-	go func() {
-		defer close(readerDone)
-		conn.SetReadDeadline(time.Time{})
-		for {
-			typ, payload, err := readFrame(conn)
-			if err != nil {
-				return
-			}
-			if typ == frameFenced {
-				if cur, derr := decodeEpoch(payload); derr == nil {
-					readerFenced <- cur
-					co.post(event[E]{kind: evFenced, hello: helloMsg{Epoch: cur}})
-				}
-				return
-			}
-		}
-	}()
-
-	full := true
-	for {
-		select {
-		case <-co.stop:
-			co.sendReplFinal(conn, full)
-			return false, nil
-		case <-readerDone:
-			select {
-			case cur := <-readerFenced:
-				return true, &ErrEpochFenced{Epoch: co.epoch, Current: cur, Role: "coordinator"}
-			default:
-				return false, errors.New("cluster: replica closed the stream")
-			}
-		default:
-		}
-		pull := replPull{full: full, reply: make(chan []*frameBuf, 1)}
-		select {
-		case co.replPullC <- pull:
-		case <-co.stop:
-			co.sendReplFinal(conn, full)
-			return false, nil
-		case <-readerDone:
-			select {
-			case cur := <-readerFenced:
-				return true, &ErrEpochFenced{Epoch: co.epoch, Current: cur, Role: "coordinator"}
-			default:
-				return false, errors.New("cluster: replica closed the stream")
-			}
-		}
-		// Once the event loop accepted the pull it replies synchronously
-		// within the same select case, so this receive cannot hang.
-		batch := <-pull.reply
-		full = false
-		if err := co.writeRecords(conn, batch); err != nil {
-			return false, err
-		}
-		if len(batch) == 0 {
-			// Nothing to push: renew the standby's lease and idle one
-			// heartbeat.
-			conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
-			if err := writeFrame(conn, framePing, nil); err != nil {
-				return false, err
-			}
-			t := time.NewTimer(co.opts.HeartbeatEvery)
-			select {
-			case <-co.stop:
-			case <-readerDone:
-			case <-t.C:
-			}
-			t.Stop()
-		}
-	}
-}
-
-// sendReplFinal delivers the run's disposition to the standby: done
-// (the standby applies its checkpoint and returns without taking over),
-// fail (the standby surfaces the error), or nothing for a silent death.
-// needFull means this session never flushed its opening resync, so the
-// tail below must be a whole snapshot rather than incremental records.
-func (co *coordinator[E]) sendReplFinal(conn net.Conn, needFull bool) {
-	// The event loop has exited — close(co.stop) is the release barrier —
-	// so the un-pulled tail of the completion log now belongs to this
-	// goroutine. Flushing it before the done frame means the standby's
-	// clean-finish return holds the complete solved table, not the table
-	// minus the last batch.
-	f, tail := co.replFinal, co.replPending
-	co.replPending = nil
-	if f.typ != frameDone {
-		putFrames(tail)
-		tail = nil
-	} else if needFull || co.replFullSync {
-		putFrames(tail)
-		tail = co.snapshotRecords()
-	}
-	if f.typ == 0 || co.writeRecords(conn, tail) != nil {
-		return
-	}
-	var payload []byte
-	if f.typ == frameFail {
-		payload = failMsg{Reason: f.reason}.encode()
-	}
-	conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
-	writeFrame(conn, f.typ, payload)
-}
-
-// writeRecords writes each record frame in one Write and returns it to
-// the pool; after a failed Write the rest go back unwritten.
-func (co *coordinator[E]) writeRecords(conn net.Conn, records []*frameBuf) error {
-	var err error
-	for _, fb := range records {
-		if err == nil {
-			conn.SetWriteDeadline(time.Now().Add(co.opts.DeadlineAfter))
-			_, err = conn.Write(fb.b)
-		}
-		putFrame(fb)
-	}
-	if err != nil {
-		return fmt.Errorf("cluster: writing replication record: %w", err)
+		co.declareDead(ev.sess, errors.New("the standby sent a frame it never sends"))
 	}
 	return nil
-}
-
-// stopped reports whether the run has ended.
-func (co *coordinator[E]) stopped() bool {
-	select {
-	case <-co.stop:
-		return true
-	default:
-		return false
-	}
 }
 
 // StandbyOptions configures RunStandby.

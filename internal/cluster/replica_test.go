@@ -653,6 +653,7 @@ func startFakeStandby(t *testing.T, readBuffer int) *fakeStandby {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Room for every stream a test takes; later ones are left unread.
 	fs := &fakeStandby{addr: ln.Addr().String(), streams: make(chan standbyStream, 16)}
 	done := make(chan struct{})
 	go func() {

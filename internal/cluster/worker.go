@@ -175,14 +175,19 @@ func RunWorker(ctx context.Context, addr string, opts WorkerOptions) error {
 // dispatch frame trickling in on a slow link never times out mid-frame
 // — which matters, because abandoning a frame after io.ReadFull
 // consumed part of it would leave the next read starting mid-stream, a
-// permanent desync.
+// permanent desync. A window of 0 clears the deadline instead: a
+// standby's stream is silent until it ends.
 type sessionReader struct {
 	conn   net.Conn
 	window time.Duration
 }
 
 func (r *sessionReader) Read(p []byte) (int, error) {
-	r.conn.SetReadDeadline(time.Now().Add(r.window))
+	var deadline time.Time
+	if r.window > 0 {
+		deadline = time.Now().Add(r.window)
+	}
+	r.conn.SetReadDeadline(deadline)
 	return r.conn.Read(p)
 }
 

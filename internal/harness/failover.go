@@ -94,8 +94,10 @@ func runFailover(ctx context.Context, cfg Config, n, workers int, ref *tri.RowMa
 	hold := make(chan struct{})
 	var priStats cluster.Stats
 	priOpts := cluster.Options{
-		Shards:         workers,
-		HeartbeatEvery: 10 * time.Millisecond, // replication batches flush fast
+		Shards: workers,
+		// Records reach the standby as they are made; the ping period
+		// only has to stay well inside the standby's 500 ms lease.
+		HeartbeatEvery: 10 * time.Millisecond,
 		ReplicaAddr:    sbLn.Addr().String(),
 		Die:            die,
 		Stats:          &priStats,
